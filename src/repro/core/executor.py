@@ -36,7 +36,7 @@ import heapq
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -500,9 +500,6 @@ class Executor:
             return
         entries = list(self._prefetched.values())
         self._prefetched = {}
-        store = self.context.store
-        coalescer = self.context.coalescer
-        durability = self.context.durability
         ledger = self.context.market.ledger
         metrics = self.context.metrics
         for entry in entries:
@@ -514,41 +511,10 @@ class Executor:
                 # nothing completed under this token that we could record.
                 continue
             outcomes = [outcome for outcome, _ in results]
-            table_store = store.table(entry.table)
-            statistics = self.context.catalog.statistics(entry.table)
-            purchases_logged = False
-            with table_store.lock:
-                for remainder, outcome in zip(
-                    entry.rewrite.remainder, outcomes
-                ):
-                    if isinstance(outcome, (FailedFetch, CoveredSkip)):
-                        continue
-                    response = outcome.response
-                    store.record(entry.table, remainder.box, response.rows)
-                    statistics.histogram.observe(
-                        remainder.box, response.record_count
-                    )
-                    if durability is not None:
-                        durability.log_purchase(
-                            table=entry.table,
-                            box=remainder.box,
-                            rows=response.rows,
-                            count=response.record_count,
-                            stored_at=store.clock,
-                            url=response.request.url(),
-                            key=outcome.idempotency_key,
-                            transactions=outcome.billed_transactions,
-                            price=outcome.billed_price,
-                            coalesced=outcome.coalesced,
-                            saved_transactions=outcome.saved_transactions,
-                            saved_price=outcome.saved_price,
-                        )
-                        purchases_logged = True
-                if purchases_logged:
-                    durability.commit()
-                if coalescer is not None:
-                    for flight in lead_flights:
-                        coalescer.release(flight)
+            with self.context.store.table(entry.table).lock:
+                self._record_outcomes(
+                    entry.table, entry.rewrite.remainder, outcomes, lead_flights
+                )
             billed = ledger.entries_for_token(entry.token, entry.checkpoint)
             spent = sum(
                 e.price for e in billed if not ledger.is_wasted(e)
@@ -887,62 +853,13 @@ class Executor:
             outcomes, lead_flights = self._issue_market_calls(
                 dataset, table, rewrite.remainder, access_token, span
             )
-        statistics = self.context.catalog.statistics(table)
-        # Record serially in remainder order: store coverage, histogram
-        # feedback, and billing totals end up identical to serial fetch.
-        # Only *completed* fetches are recorded — a failed box must never
-        # enter the coverage index, or a future query would silently skip
-        # buying data it does not have (the store-poisoning hazard).
-        # Coalesced results record too (store dedup and the identical
-        # histogram observation make it idempotent against the leader's
-        # own record) — a waiter must never read the store before its
-        # shared rows are in it.  The whole section holds the table lock:
-        # recording, retiring led flights, and assembling the result rows
-        # are one atomic switch-over from any other session's view.
-        failed: list[FailedFetch] = []
-        purchased_rows = 0
-        purchases_logged = False
-        coalescer = self.context.coalescer
-        durability = self.context.durability
+        # The whole section holds the table lock: recording, retiring led
+        # flights, and assembling the result rows are one atomic
+        # switch-over from any other session's view.
         with table_store.lock:
-            for remainder, outcome in zip(rewrite.remainder, outcomes):
-                if isinstance(outcome, FailedFetch):
-                    failed.append(outcome)
-                    continue
-                if isinstance(outcome, CoveredSkip):
-                    continue
-                response = outcome.response
-                purchased_rows += response.record_count
-                store.record(table, remainder.box, response.rows)
-                statistics.histogram.observe(
-                    remainder.box, response.record_count
-                )
-                if durability is not None:
-                    durability.log_purchase(
-                        table=table,
-                        box=remainder.box,
-                        rows=response.rows,
-                        count=response.record_count,
-                        stored_at=store.clock,
-                        url=response.request.url(),
-                        key=outcome.idempotency_key,
-                        transactions=outcome.billed_transactions,
-                        price=outcome.billed_price,
-                        coalesced=outcome.coalesced,
-                        saved_transactions=outcome.saved_transactions,
-                        saved_price=outcome.saved_price,
-                    )
-                    purchases_logged = True
-            if purchases_logged:
-                # Group commit inside the record→release window: once any
-                # other session can see these rows (or a waiter is
-                # released), the purchases that produced them are durable.
-                # Fully-covered accesses skip it — they appended nothing,
-                # and bookkeeping records ride the next money commit.
-                durability.commit()
-            if coalescer is not None:
-                for flight in lead_flights:
-                    coalescer.release(flight)
+            failed, purchased_rows = self._record_outcomes(
+                table, rewrite.remainder, outcomes, lead_flights
+            )
             columns, row_count = store.columns_in_boxes(
                 table, rewrite.request_boxes
             )
@@ -1017,6 +934,83 @@ class Executor:
                 seen.add(row)
                 staged.append(row)
         return relation
+
+    def _record_outcomes(
+        self, table: str, remainders, outcomes, lead_flights
+    ) -> tuple[list[FailedFetch], int]:
+        """Record one access's completed purchases, then retire the
+        singleflights it led.  The caller holds the table lock.
+
+        Records serially in remainder order: store coverage, histogram
+        feedback, and billing totals end up identical to serial fetch.
+        Only *completed* fetches are recorded — a failed box must never
+        enter the coverage index, or a future query would silently skip
+        buying data it does not have (the store-poisoning hazard).
+        Coalesced results record too (store dedup and the identical
+        histogram observation make it idempotent against the leader's
+        own record) — a waiter must never read the store before its
+        shared rows are in it.  Returns the failed fetches and the
+        purchased row count.
+        """
+        store = self.context.store
+        histogram = self.context.catalog.statistics(table).histogram
+        coalescer = self.context.coalescer
+        durability = self.context.durability
+        failed: list[FailedFetch] = []
+        purchased_rows = 0
+        purchases_logged = False
+        for remainder, outcome in zip(remainders, outcomes):
+            if isinstance(outcome, FailedFetch):
+                failed.append(outcome)
+                continue
+            if isinstance(outcome, CoveredSkip):
+                continue
+            response = outcome.response
+            purchased_rows += response.record_count
+            store.record(table, remainder.box, response.rows)
+            histogram.observe(remainder.box, response.record_count)
+            if durability is not None:
+                durability.log_purchase(
+                    table=table,
+                    box=remainder.box,
+                    rows=response.rows,
+                    count=response.record_count,
+                    stored_at=store.clock,
+                    url=response.request.url(),
+                    key=outcome.idempotency_key,
+                    transactions=outcome.billed_transactions,
+                    price=outcome.billed_price,
+                    coalesced=outcome.coalesced,
+                    saved_transactions=outcome.saved_transactions,
+                    saved_price=outcome.saved_price,
+                )
+                purchases_logged = True
+        if purchases_logged:
+            # Group commit inside the record→release window: once any
+            # other session can see these rows (or a waiter is
+            # released), the purchases that produced them are durable.
+            # Fully-covered accesses skip it — they appended nothing,
+            # and bookkeeping records ride the next money commit.
+            durability.commit()
+        if coalescer is not None:
+            for flight in lead_flights:
+                coalescer.release(flight)
+        return failed, purchased_rows
+
+    def _charge_call_time(self, outcomes, workers: int) -> None:
+        """Add one access's simulated call durations to the query's serial
+        total and, packed onto ``workers`` in-flight slots, its critical
+        path."""
+        durations = [
+            outcome.error.elapsed_ms
+            if isinstance(outcome, FailedFetch)
+            else 0.0
+            if isinstance(outcome, CoveredSkip)
+            else outcome.elapsed_ms
+            for outcome in outcomes
+        ]
+        self._serial_ms += sum(durations)
+        self._critical_path_ms += _makespan(durations, workers)
 
     def _issue_market_calls(
         self, dataset, table, remainders, access_token, parent_span=None
@@ -1134,16 +1128,7 @@ class Executor:
             for _, call_span in results:
                 if call_span is not None:
                     parent_span.adopt(call_span)
-        durations = [
-            outcome.error.elapsed_ms
-            if isinstance(outcome, FailedFetch)
-            else 0.0
-            if isinstance(outcome, CoveredSkip)
-            else outcome.elapsed_ms
-            for outcome in outcomes
-        ]
-        self._serial_ms += sum(durations)
-        self._critical_path_ms += _makespan(durations, limit)
+        self._charge_call_time(outcomes, limit)
         return outcomes, lead_flights
 
     def _submit_async_calls(
@@ -1178,11 +1163,16 @@ class Executor:
             RestRequest(dataset, table, remainder.constraints)
             for remainder in remainders
         ]
-        if requests:
-            metrics.histogram("fetch_batch_size").observe(len(requests))
         high_water = metrics.gauge("fetch_pool_high_water")
-        state = {"in_flight": 0}
         lead_flights: list = []
+        if not requests:
+            # A fully covered access has nothing to await: answer without
+            # starting the loop thread or hopping onto it.
+            settled: Future = Future()
+            settled.set_result(([], lead_flights))
+            return settled
+        metrics.histogram("fetch_batch_size").observe(len(requests))
+        state = {"in_flight": 0}
 
         async def issue(index: int, request: RestRequest):
             state["in_flight"] += 1
@@ -1239,16 +1229,7 @@ class Executor:
             for _, call_span in results:
                 if call_span is not None:
                     parent_span.adopt(call_span)
-        durations = [
-            outcome.error.elapsed_ms
-            if isinstance(outcome, FailedFetch)
-            else 0.0
-            if isinstance(outcome, CoveredSkip)
-            else outcome.elapsed_ms
-            for outcome in outcomes
-        ]
-        self._serial_ms += sum(durations)
-        self._critical_path_ms += _makespan(durations, self._aio.pool_size)
+        self._charge_call_time(outcomes, self._aio.pool_size)
         return outcomes, lead_flights
 
     async def _coalesced_fetch_async(

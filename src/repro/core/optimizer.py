@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from operator import attrgetter
 
 from repro.core.context import PlanningContext
 from repro.core.objectives import MIN_DOLLARS, PlanObjective
@@ -67,9 +68,10 @@ class OptimizerOptions:
     #: 0 disables the cache entirely.
     plan_cache_size: int = 256
     #: What to pick from the money-latency Pareto frontier (see
-    #: :mod:`repro.core.objectives`).  The default ``min_dollars`` runs
-    #: the paper's exact single-objective DP; any other kind switches the
-    #: DP to per-subset Pareto frontiers of (money, latency_ms) vectors.
+    #: :mod:`repro.core.objectives`).  The default ``min_dollars``
+    #: compares candidates on money alone — the paper's exact DP, a
+    #: frontier of width 1 per subset; any other kind compares on
+    #: (money, latency_ms) vectors and keeps per-subset Pareto frontiers.
     plan_objective: PlanObjective = MIN_DOLLARS
 
     def __post_init__(self) -> None:
@@ -130,7 +132,7 @@ class PlanningResult:
     objective: PlanObjective = MIN_DOLLARS
     #: The full-query money-latency Pareto frontier as ``(cost,
     #: latency_ms)`` points in first-seen order.  A single point under
-    #: ``min_dollars`` (the frontier is not enumerated on that path).
+    #: ``min_dollars`` (one comparison axis keeps width-1 frontiers).
     frontier: tuple[tuple[float, float], ...] = ()
     #: Why the chosen point won (EXPLAIN's "why" line; empty for
     #: min_dollars).
@@ -173,6 +175,15 @@ class SuffixPlan:
     latency_ms: float
     old_cost: float
     evaluated_plans: int
+
+
+#: Greedy seeding walks, one per comparison axis, each chasing its axis
+#: first — together their completions bound every axis.
+_ONE_AXIS_ORDERS = (attrgetter("cost"),)
+_TWO_AXIS_ORDERS = (
+    attrgetter("cost", "latency"),
+    attrgetter("latency", "cost"),
+)
 
 
 class Optimizer:
@@ -218,25 +229,24 @@ class Optimizer:
         self._pruned = 0
         self._enumerated_boxes = 0
         self._kept_boxes = 0
-        # Branch-and-bound state: ``_upper_bound`` is the cost of the best
-        # *complete* plan known so far (seeded by the greedy left-deep plan,
-        # tightened whenever the full key improves).  Only the left-deep DP
-        # prunes; the bushy debug arm stays exhaustive.
+        # Only the left-deep DP prunes; the bushy debug arm stays
+        # exhaustive.
         self._prune = self.options.prune and self.options.use_theorems
-        self._upper_bound = math.inf
         self._full_key: frozenset[str] | None = None
-        #: Pareto mode: any objective besides the paper's min_dollars
-        #: switches the DP to per-subset (money, latency) frontiers.  The
-        #: min_dollars path below is the unmodified single-objective DP —
-        #: latency is computed on every node but never consulted, so its
-        #: chosen plans stay byte-identical to the historical oracle.
+        #: The comparison axes.  The paper's min_dollars compares
+        #: candidates on (cost) alone, which keeps every subset's frontier
+        #: at width 1 — latency is computed on every node but never
+        #: consulted, so chosen plans stay byte-identical to the
+        #: single-objective oracle.  Every other objective compares on
+        #: (cost, latency).
         self._objective = self.options.plan_objective
-        self._pareto = not self._objective.is_default
+        self._one_axis = self._objective.is_default
         self._latency_model = self.context.latency_model
-        #: Pareto branch-and-bound state: (money, latency) vectors of
-        #: known *complete* plans (greedy seeds + accepted full-key
-        #: candidates).  A candidate strictly worse than any of them on
-        #: BOTH axes can never contribute a frontier point.
+        #: Branch-and-bound state: (money, latency) vectors of known
+        #: *complete* plans (greedy seeds + accepted full-key candidates),
+        #: mutually non-dominated on the axes — under one axis, the single
+        #: cheapest.  A candidate strictly worse than any of them on EVERY
+        #: axis can never contribute a frontier point.
         self._bound_frontier: list[tuple[float, float]] = []
         # Per-optimize() probe memos.  Safe because planning never mutates
         # the store or catalog: every probe is a pure function of the query
@@ -263,7 +273,7 @@ class Optimizer:
                 raise PlanningError(f"table {table!r} is neither local nor market")
 
         if not self.options.use_theorems:
-            if self._pareto:
+            if not self._one_axis:
                 raise PlanningError(
                     "the bushy debug enumerator supports only the "
                     "min_dollars objective; Pareto planning needs the "
@@ -280,58 +290,52 @@ class Optimizer:
         if not priced:
             if block is None:
                 raise PlanningError("query references no tables")
-            if self._pareto:
-                chosen, note = self._select_from_frontier([block])
-                return self._result(chosen, frontier=[block], note=note)
-            return self._result(block)
+            return self._result([block])
 
-        if self._pareto:
-            return self._optimize_pareto(priced, block)
+        entries = self._complete_frontier(priced, block)
+        if not entries:
+            raise PlanningError(
+                "no feasible plan: some bound attributes can never be bound"
+            )
+        return self._result(entries)
 
-        best = self._dynamic_program(priced, block)
-        key = frozenset(t.lower() for t in priced)
-        if key not in best and self._prune:
-            # The greedy seed's bound proved unreachable within the pruned
+    def _complete_frontier(
+        self, priced: list[str], seed: _SubPlan | None
+    ) -> list[_SubPlan]:
+        """The frontier entries covering all of ``priced``, grown from
+        ``seed``; empty when no plan is feasible."""
+        entries = self._frontier_program(priced, seed)
+        if not entries and self._prune:
+            # The greedy seeds' bound proved unreachable within the pruned
             # space (possible only when no greedy completion exists, e.g.
             # every remaining table needs a binding the current prefix
             # cannot supply in greedy order).  Correctness net: re-run the
             # exhaustive oracle; parity with ``prune=False`` is preserved
             # because pruning then contributed nothing.
             self._prune = False
-            self._upper_bound = math.inf
+            self._bound_frontier = []
             self.context.metrics.counter("plan_bnb_fallbacks").inc()
-            best = self._dynamic_program(priced, block)
-        if key not in best:
-            raise PlanningError(
-                "no feasible plan: some bound attributes can never be bound"
-            )
-        return self._result(best[key])
+            entries = self._frontier_program(priced, seed)
+        return entries
 
-    def _result(
-        self,
-        subplan: _SubPlan,
-        frontier: list[_SubPlan] | None = None,
-        note: str = "",
-    ) -> PlanningResult:
-        points = (
-            tuple((entry.cost, entry.latency) for entry in frontier)
-            if frontier is not None
-            else ((subplan.cost, subplan.latency),)
-        )
-        if frontier is not None:
+    def _result(self, entries: list[_SubPlan]) -> PlanningResult:
+        frontier = self._pareto_front(entries)
+        chosen, note = self._select_from_frontier(frontier)
+        if not self._one_axis:
+            # Width is 1 by construction under one axis: nothing to sample.
             self.context.metrics.histogram("plan_frontier_size").observe(
-                len(points)
+                len(frontier)
             )
         return PlanningResult(
-            plan=subplan.node,
-            cost=subplan.cost,
+            plan=chosen.node,
+            cost=chosen.cost,
             evaluated_plans=self._evaluated,
             enumerated_boxes=self._enumerated_boxes,
             kept_boxes=self._kept_boxes,
             pruned_plans=self._pruned,
-            latency_ms=subplan.latency,
+            latency_ms=chosen.latency,
             objective=self._objective,
-            frontier=points,
+            frontier=tuple((entry.cost, entry.latency) for entry in frontier),
             objective_note=note,
         )
 
@@ -355,10 +359,10 @@ class Optimizer:
 
         Returns ``None`` whenever re-planning cannot (or should not)
         produce a resumable plan — the executor then simply keeps the
-        original plan.  The same left-deep DP (scalar or Pareto,
-        preserving the active :class:`PlanObjective`) runs over only the
-        remaining market tables, seeded with the prefix instead of the
-        Theorem-2 block.  Results are never cached: the plan cache only
+        original plan.  The same left-deep DP (on the active
+        :class:`PlanObjective`'s axes) runs over only the remaining
+        market tables, seeded with the prefix instead of the Theorem-2
+        block.  Results are never cached: the plan cache only
         ever holds statically-planned trees (see plancache hygiene
         tests).
         """
@@ -386,27 +390,12 @@ class Optimizer:
             node=prefix, cost=0.0, rows=max(prefix.estimated_rows, 0.0)
         )
         try:
-            if self._pareto:
-                frontiers = self._pareto_program(remaining, seed)
-                if not frontiers.get(remaining_set) and self._prune:
-                    self._prune = False
-                    self._bound_frontier = []
-                    frontiers = self._pareto_program(remaining, seed)
-                entries = frontiers.get(remaining_set)
-                if not entries:
-                    return None
-                chosen, _ = self._select_from_frontier(
-                    self._pareto_front(entries)
-                )
-            else:
-                best = self._dynamic_program(remaining, seed)
-                if remaining_set not in best and self._prune:
-                    self._prune = False
-                    self._upper_bound = math.inf
-                    best = self._dynamic_program(remaining, seed)
-                if remaining_set not in best:
-                    return None
-                chosen = best[remaining_set]
+            entries = self._complete_frontier(remaining, seed)
+            if not entries:
+                return None
+            chosen, __ = self._select_from_frontier(
+                self._pareto_front(entries)
+            )
         except PlanningError:
             # Includes InfeasibleObjectiveError: a bounded objective that
             # became unmeetable mid-query must not kill the running query
@@ -551,11 +540,21 @@ class Optimizer:
         )
 
     # ------------------------------------------------------------------- the DP
+    #
+    # One bottom-up left-deep enumeration.  Each subset keeps the frontier
+    # of its subplans on the objective's comparison axes: (money, latency)
+    # vectors in general, money alone for min_dollars — where the frontier
+    # degenerates to the single cheapest subplan of the paper's DP.
+    # Branch and bound discards a candidate only when a known complete
+    # plan beats it *strictly on every axis* (strict, so first-seen ties
+    # survive — the property that keeps pruned and unpruned runs
+    # byte-identical, per frontier point).
 
-    def _dynamic_program(
+    def _frontier_program(
         self, priced: list[str], block: _SubPlan | None
-    ) -> dict[frozenset[str], _SubPlan]:
-        best: dict[frozenset[str], _SubPlan] = {}
+    ) -> list[_SubPlan]:
+        """Run the DP; return the frontier entries of the full table set."""
+        frontiers: dict[frozenset[str], list[_SubPlan]] = {}
         block_tables = (
             frozenset(t.lower() for t in block.node.tables)
             if block is not None
@@ -564,13 +563,13 @@ class Optimizer:
         by_name = {t.lower(): t for t in priced}
         self._full_key = frozenset(by_name)
         if self._prune:
-            self._upper_bound = self._greedy_upper_bound(priced, block)
+            self._seed_bound_frontier(priced, block)
 
         # Level 1.
         for table in priced:
             key = frozenset([table.lower()])
             for candidate in self._extension_candidates(block, table):
-                self._consider(best, key, candidate)
+                self._consider(frontiers, key, candidate)
 
         # Levels 2..n.
         for size in range(2, len(priced) + 1):
@@ -578,41 +577,54 @@ class Optimizer:
                 subset = frozenset(subset_names)
                 components = self._components(subset, block_tables)
                 if len(components) > 1:
-                    combined = self._combine_components(best, components)
-                    if combined is not None:
+                    for combined in self._combine_components(
+                        frontiers, components
+                    ):
                         self._evaluated += 1
-                        self._consider(best, subset, combined)
+                        self._consider(frontiers, subset, combined)
                     continue
-                # Deterministic, not raw frozenset order: on cost ties
-                # the first-seen candidate wins, so iteration order IS
-                # plan choice — hash-order iteration would make tied
-                # plans vary across processes.  Reverse-sorted extension
+                # Deterministic, not raw frozenset order: on ties the
+                # first-seen candidate wins, so iteration order IS plan
+                # choice — hash-order iteration would make tied plans
+                # vary across processes.  Reverse-sorted extension
                 # (largest table added last) canonicalizes ties to the
                 # join order that reads in table-name order.
                 for table_key in sorted(subset, reverse=True):
-                    rest = subset - {table_key}
-                    left = best.get(rest)
-                    if left is None:
+                    lefts = frontiers.get(subset - {table_key})
+                    if not lefts:
                         continue
                     table = by_name[table_key]
-                    for candidate in self._extension_candidates(left, table):
-                        self._consider(best, subset, candidate)
-        return best
+                    for left in lefts:
+                        for candidate in self._extension_candidates(
+                            left, table
+                        ):
+                            self._consider(frontiers, subset, candidate)
+        return frontiers.get(self._full_key, [])
 
-    def _greedy_upper_bound(
+    def _seed_bound_frontier(
         self, priced: list[str], block: _SubPlan | None
-    ) -> float:
-        """Cost of a cheap greedy left-deep plan — the initial B&B bound.
+    ) -> None:
+        """Seed the B&B bound with one greedy complete plan per axis.
 
-        Repeatedly extends the current prefix with the globally cheapest
-        access over all remaining tables.  The resulting cost is the cost
-        of one complete executable strategy, so any stored subplan already
-        costing strictly more can never be part of the final optimum
-        (access costs are non-negative and additive).  When the greedy
-        walk gets stuck (a remaining table is neither directly feasible
-        nor joinable to the prefix) the bound stays infinite and this
-        query runs unpruned.
+        Each is the vector of one complete executable strategy, so any
+        stored subplan already strictly worse on every axis can never be
+        part of a final frontier point (access costs are non-negative and
+        additive).  When a greedy walk gets stuck it seeds nothing; with
+        no seed at all this query runs unpruned.
         """
+        orders = _ONE_AXIS_ORDERS if self._one_axis else _TWO_AXIS_ORDERS
+        for order in orders:
+            complete = self._greedy_complete(priced, block, order)
+            if complete is not None:
+                self._note_complete(complete)
+
+    def _greedy_complete(
+        self, priced: list[str], block: _SubPlan | None, order
+    ) -> _SubPlan | None:
+        """One greedy left-deep completion: repeatedly extend the prefix
+        with the ``order``-best access over all remaining tables (first
+        seen on ties).  ``None`` when a remaining table is neither
+        directly feasible nor joinable to the prefix."""
         current = block
         remaining = dict(sorted((t.lower(), t) for t in priced))
         while remaining:
@@ -620,72 +632,117 @@ class Optimizer:
             step_key: str | None = None
             for key, table in remaining.items():
                 for candidate in self._extension_candidates(current, table):
-                    if step is None or candidate.cost < step.cost:
+                    if step is None or order(candidate) < order(step):
                         step, step_key = candidate, key
             if step is None:
-                return math.inf
+                return None
             current = step
             del remaining[step_key]
-        return current.cost if current is not None else math.inf
+        return current
+
+    def _note_complete(self, plan: _SubPlan) -> None:
+        """Record a complete plan's vector in the B&B bound frontier."""
+        cost, latency = plan.cost, plan.latency
+        one_axis = self._one_axis
+        for known_cost, known_latency in self._bound_frontier:
+            if known_cost <= cost and (one_axis or known_latency <= latency):
+                return
+        self._bound_frontier = [
+            (known_cost, known_latency)
+            for known_cost, known_latency in self._bound_frontier
+            if not (
+                cost <= known_cost and (one_axis or latency <= known_latency)
+            )
+        ]
+        self._bound_frontier.append((cost, latency))
 
     def _consider(
         self,
-        best: dict[frozenset[str], _SubPlan],
+        frontiers: dict[frozenset[str], list[_SubPlan]],
         key: frozenset[str],
         candidate: _SubPlan,
     ) -> None:
-        incumbent = best.get(key)
-        accepted = incumbent is None or candidate.cost < incumbent.cost
-        # Branch and bound: a subplan costing strictly more than a known
-        # complete plan can never extend into the optimum.  Strictly — on
-        # a cost tie ``accepted`` already keeps the first-seen plan, which
-        # is what makes pruned and oracle runs byte-identical.
-        bounded = self._prune and candidate.cost > self._upper_bound
-        if bounded:
-            accepted = False
+        cost, latency = candidate.cost, candidate.latency
+        one_axis = self._one_axis
+        # Branch and bound: a subplan strictly worse than a known complete
+        # plan on every axis can never extend into the final frontier or
+        # claim a first-seen tie on it (access costs are non-negative and
+        # additive).  Strictly — ties are left to the first-seen rule
+        # below, which is what makes pruned and oracle runs byte-identical.
+        bounded = False
+        if self._prune:
+            for bound_cost, bound_latency in self._bound_frontier:
+                if bound_cost < cost and (one_axis or bound_latency < latency):
+                    bounded = True
+                    break
+        accepted = not bounded
+        entries = frontiers.get(key)
+        if accepted and entries is not None:
+            # Within-subset *weak* dominance: an incumbent at least as
+            # good on every axis rejects the candidate, so on exact ties
+            # the first-seen plan is kept.  (Left-deep plans over one
+            # table set expose the same usable bound attributes, fixed by
+            # the set and the join graph, so nothing else distinguishes
+            # them.)
+            for incumbent in entries:
+                if incumbent.cost <= cost and (
+                    one_axis or incumbent.latency <= latency
+                ):
+                    accepted = False
+                    break
         if self._prune and not accepted:
-            # Dominance: the retained plan over the same table set has
-            # lower-or-equal cost and (left-deep plans over one table set
-            # expose the same usable bound attributes, fixed by the set
-            # and the join graph) an equal attribute superset — or the
-            # candidate exceeded the bound outright.
             self._pruned += 1
         if self._tracing:
             # Rejected candidates are exactly what EXPLAIN cannot show —
-            # the trace records every considered (sub)plan with its cost.
+            # the trace records every considered (sub)plan with its vector.
+            attrs = {"tables": sorted(key), "cost": cost}
+            if not one_axis:
+                attrs["latency_ms"] = latency
             self.context.tracer.event(
-                "plan_candidate",
-                tables=sorted(key),
-                cost=candidate.cost,
-                accepted=accepted,
-                bounded=bounded,
+                "plan_candidate", **attrs, accepted=accepted, bounded=bounded
             )
-        if accepted:
-            best[key] = candidate
-            if (
-                self._prune
-                and key == self._full_key
-                and candidate.cost < self._upper_bound
-            ):
-                # A cheaper complete plan tightens the bound mid-run.
-                self._upper_bound = candidate.cost
+        if not accepted:
+            return
+        if entries is None:
+            frontiers[key] = [candidate]
+        else:
+            # Drop incumbents strictly worse than the newcomer on every
+            # axis (their extensions are strictly worse than the
+            # newcomer's and a complete plan through the newcomer will
+            # bound them anyway) — under one axis, the lone incumbent.
+            # Weak ties stay, preserving first-seen representatives.
+            # In place: this runs once per accepted candidate.
+            kept = 0
+            for incumbent in entries:
+                if not (
+                    cost < incumbent.cost
+                    and (one_axis or latency < incumbent.latency)
+                ):
+                    entries[kept] = incumbent
+                    kept += 1
+            del entries[kept:]
+            entries.append(candidate)
+        if self._prune and key == self._full_key:
+            # A better complete plan tightens the bound mid-run.
+            self._note_complete(candidate)
 
     def _combine_components(
         self,
-        best: dict[frozenset[str], _SubPlan],
+        frontiers: dict[frozenset[str], list[_SubPlan]],
         components: list[frozenset[str]],
-    ) -> _SubPlan | None:
-        """Theorem 3 composition: Best(C1) × Best(C2) × ..."""
+    ) -> list[_SubPlan]:
+        """Theorem 3 composition: Best(C1) × Best(C2) × ..., one candidate
+        per combination of the components' frontier entries."""
         parts = []
         for component in components:
-            part = best.get(component)
-            if part is None:
-                return None
-            parts.append(part)
-        return self._combine_parts(parts)
+            entries = frontiers.get(component)
+            if not entries:
+                return []
+            parts.append(entries)
+        return [self._combine_parts(combo) for combo in product(*parts)]
 
     @staticmethod
-    def _combine_parts(parts: list[_SubPlan]) -> _SubPlan:
+    def _combine_parts(parts: tuple[_SubPlan, ...]) -> _SubPlan:
         """Cartesian-product composition of component subplans."""
         parts = sorted(parts, key=lambda p: p.cost, reverse=True)
         combined = parts[0]
@@ -707,207 +764,6 @@ class Optimizer:
                 latency=node.latency_ms,
             )
         return combined
-
-    # -------------------------------------------------------------- Pareto DP
-    #
-    # Any objective besides min_dollars runs the same bottom-up left-deep
-    # enumeration, but each subset keeps a *Pareto frontier* of (money,
-    # latency) vectors instead of a single cheapest subplan.  Pruning
-    # generalizes the scalar branch and bound: a candidate is discarded
-    # only when a known complete plan beats it *strictly on both axes*
-    # (strict, so first-seen ties survive — the property that keeps
-    # pruned and unpruned runs byte-identical, here per frontier point).
-
-    def _optimize_pareto(
-        self, priced: list[str], block: _SubPlan | None
-    ) -> PlanningResult:
-        frontiers = self._pareto_program(priced, block)
-        key = frozenset(t.lower() for t in priced)
-        if not frontiers.get(key) and self._prune:
-            # Same correctness net as the scalar path: if the pruned
-            # space never completed a plan, re-run exhaustively.
-            self._prune = False
-            self._bound_frontier = []
-            self.context.metrics.counter("plan_bnb_fallbacks").inc()
-            frontiers = self._pareto_program(priced, block)
-        entries = frontiers.get(key)
-        if not entries:
-            raise PlanningError(
-                "no feasible plan: some bound attributes can never be bound"
-            )
-        frontier = self._pareto_front(entries)
-        chosen, note = self._select_from_frontier(frontier)
-        return self._result(chosen, frontier=frontier, note=note)
-
-    def _pareto_program(
-        self, priced: list[str], block: _SubPlan | None
-    ) -> dict[frozenset[str], list[_SubPlan]]:
-        frontiers: dict[frozenset[str], list[_SubPlan]] = {}
-        block_tables = (
-            frozenset(t.lower() for t in block.node.tables)
-            if block is not None
-            else frozenset()
-        )
-        by_name = {t.lower(): t for t in priced}
-        self._full_key = frozenset(by_name)
-        if self._prune:
-            self._seed_bound_frontier(priced, block)
-
-        # Level 1.
-        for table in priced:
-            key = frozenset([table.lower()])
-            for candidate in self._extension_candidates(block, table):
-                self._consider_pareto(frontiers, key, candidate)
-
-        # Levels 2..n.
-        for size in range(2, len(priced) + 1):
-            for subset_names in combinations(sorted(by_name), size):
-                subset = frozenset(subset_names)
-                components = self._components(subset, block_tables)
-                if len(components) > 1:
-                    for combined in self._combine_components_pareto(
-                        frontiers, components
-                    ):
-                        self._evaluated += 1
-                        self._consider_pareto(frontiers, subset, combined)
-                    continue
-                # Reverse-sorted for the same tie-determinism reason as
-                # the scalar DP: first-seen wins exact vector ties.
-                for table_key in sorted(subset, reverse=True):
-                    rest = subset - {table_key}
-                    lefts = frontiers.get(rest)
-                    if not lefts:
-                        continue
-                    table = by_name[table_key]
-                    for left in lefts:
-                        for candidate in self._extension_candidates(
-                            left, table
-                        ):
-                            self._consider_pareto(frontiers, subset, candidate)
-        return frontiers
-
-    def _seed_bound_frontier(
-        self, priced: list[str], block: _SubPlan | None
-    ) -> None:
-        """Seed the B&B bound with two greedy complete plans: one chasing
-        money, one chasing latency — together they bound both axes."""
-        for key_fn in (
-            lambda c: (c.cost, c.latency),
-            lambda c: (c.latency, c.cost),
-        ):
-            complete = self._greedy_complete(priced, block, key_fn)
-            if complete is not None:
-                self._note_complete(complete.cost, complete.latency)
-
-    def _greedy_complete(
-        self, priced: list[str], block: _SubPlan | None, key_fn
-    ) -> _SubPlan | None:
-        """One greedy left-deep completion, extending by ``key_fn``-best."""
-        current = block
-        remaining = dict(sorted((t.lower(), t) for t in priced))
-        while remaining:
-            step: _SubPlan | None = None
-            step_key: str | None = None
-            for key, table in remaining.items():
-                for candidate in self._extension_candidates(current, table):
-                    if step is None or key_fn(candidate) < key_fn(step):
-                        step, step_key = candidate, key
-            if step is None:
-                return None
-            current = step
-            del remaining[step_key]
-        return current
-
-    def _note_complete(self, cost: float, latency: float) -> None:
-        """Record a complete plan's vector in the B&B bound frontier."""
-        for known_cost, known_latency in self._bound_frontier:
-            if known_cost <= cost and known_latency <= latency:
-                return
-        self._bound_frontier = [
-            (known_cost, known_latency)
-            for known_cost, known_latency in self._bound_frontier
-            if not (cost <= known_cost and latency <= known_latency)
-        ]
-        self._bound_frontier.append((cost, latency))
-
-    def _consider_pareto(
-        self,
-        frontiers: dict[frozenset[str], list[_SubPlan]],
-        key: frozenset[str],
-        candidate: _SubPlan,
-    ) -> None:
-        entries = frontiers.setdefault(key, [])
-        accepted = True
-        # Within-subset *weak* dominance: an incumbent at least as good
-        # on both axes rejects the candidate, so on exact vector ties the
-        # first-seen plan is kept — the same tie rule that makes the
-        # scalar path reproducible against its oracle.
-        for incumbent in entries:
-            if (
-                incumbent.cost <= candidate.cost
-                and incumbent.latency <= candidate.latency
-            ):
-                accepted = False
-                break
-        bounded = False
-        if accepted and self._prune:
-            for bound_cost, bound_latency in self._bound_frontier:
-                if (
-                    bound_cost < candidate.cost
-                    and bound_latency < candidate.latency
-                ):
-                    # Strictly worse than a complete plan on BOTH axes:
-                    # access costs are non-negative and additive, so no
-                    # extension of this candidate can reach the final
-                    # frontier or claim a first-seen tie on it.
-                    accepted = False
-                    bounded = True
-                    break
-        if self._prune and not accepted:
-            self._pruned += 1
-        if self._tracing:
-            self.context.tracer.event(
-                "plan_candidate",
-                tables=sorted(key),
-                cost=candidate.cost,
-                latency_ms=candidate.latency,
-                accepted=accepted,
-                bounded=bounded,
-            )
-        if not accepted:
-            return
-        # Drop incumbents strictly worse than the newcomer on both axes
-        # (their extensions are strictly worse than the newcomer's and a
-        # complete plan through the newcomer will bound them anyway);
-        # weak ties stay, preserving first-seen representatives.
-        entries[:] = [
-            incumbent
-            for incumbent in entries
-            if not (
-                candidate.cost < incumbent.cost
-                and candidate.latency < incumbent.latency
-            )
-        ]
-        entries.append(candidate)
-        if self._prune and key == self._full_key:
-            self._note_complete(candidate.cost, candidate.latency)
-
-    def _combine_components_pareto(
-        self,
-        frontiers: dict[frozenset[str], list[_SubPlan]],
-        components: list[frozenset[str]],
-    ) -> list[_SubPlan]:
-        """Theorem 3 over frontiers: the Cartesian product of the
-        components' Pareto sets, combined one candidate per combination."""
-        combos: list[list[_SubPlan]] = [[]]
-        for component in components:
-            entries = frontiers.get(component)
-            if not entries:
-                return []
-            combos = [
-                prefix + [entry] for prefix in combos for entry in entries
-            ]
-        return [self._combine_parts(parts) for parts in combos]
 
     @staticmethod
     def _pareto_front(entries: list[_SubPlan]) -> list[_SubPlan]:
@@ -944,6 +800,10 @@ class Optimizer:
         """Pick the frontier point the objective asks for (or raise)."""
         objective = self._objective
         count = len(front)
+        if objective.is_default:
+            # One comparison axis: the frontier is the cheapest plan.
+            (chosen,) = front
+            return chosen, ""
         if objective.kind == "min_latency":
             chosen = min(front, key=lambda e: (e.latency, e.cost))
             return chosen, f"fastest of {count} Pareto point(s)"
@@ -1373,9 +1233,11 @@ class Optimizer:
             [t.lower() for t in query.tables]
         )
         by_name = {t.lower(): t for t in query.tables}
-        best: dict[frozenset[str], _SubPlan] = {}
+        # min_dollars only (checked by the caller): one comparison axis,
+        # so every frontier below holds exactly one subplan.
+        best: dict[frozenset[str], list[_SubPlan]] = {}
         for key, subplan in units.items():
-            best[frozenset([key])] = subplan
+            best[frozenset([key])] = [subplan]
         for key, subplan in feasible_market.items():
             self._consider(best, frozenset([key]), subplan)
 
@@ -1387,10 +1249,11 @@ class Optimizer:
                     for left_names in combinations(sorted(subset), r):
                         left_set = frozenset(left_names)
                         right_set = subset - left_set
-                        left = best.get(left_set)
-                        right = best.get(right_set)
-                        if left is None or right is None:
+                        lefts = best.get(left_set)
+                        rights = best.get(right_set)
+                        if not lefts or not rights:
                             continue
+                        (left,), (right,) = lefts, rights
                         predicates = self._joins_between_sets(left_set, right_set)
                         self._evaluated += 1
                         rows = left.rows * right.rows
@@ -1423,14 +1286,17 @@ class Optimizer:
                             ),
                         )
                 # (ii) bind extensions: left subtree + one bound market table.
-                for table_key in subset:
+                # Reverse-sorted, like the left-deep loop: first-seen wins
+                # cost ties, so frozenset order would make the chosen plan
+                # depend on PYTHONHASHSEED.
+                for table_key in sorted(subset, reverse=True):
                     table = by_name[table_key]
                     if not self.context.is_market(table):
                         continue
-                    rest = subset - {table_key}
-                    left = best.get(rest)
-                    if left is None:
+                    lefts = best.get(subset - {table_key})
+                    if not lefts:
                         continue
+                    (left,) = lefts
                     for candidate in self._extension_candidates(left, table):
                         self._consider(best, subset, candidate)
 

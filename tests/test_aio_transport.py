@@ -27,6 +27,8 @@ outside:
   restarts the loop with fresh pools.
 """
 
+import threading
+
 import pytest
 
 from repro.core.objectives import QueryOptions
@@ -294,6 +296,27 @@ class TestLifecycleAndValidation:
             assert first.stats.complete and second.stats.complete
         finally:
             payless.close()
+            payless.close()
+
+    def test_zero_call_query_leaves_the_loop_idle(self):
+        """A fully covered query has no market call to pipeline, so it
+        must not start the loop thread just to gather nothing."""
+        payless = _payless("async")
+        try:
+            cold = payless.query(JOIN_SQL)
+            assert cold.stats.calls > 0
+            aio = payless.context.async_transport
+            aio.close()
+            assert "idle" in repr(aio)
+            warm = payless.query(JOIN_SQL)
+            assert warm.stats.calls == 0
+            assert sorted(warm.rows) == sorted(cold.rows)
+            assert "idle" in repr(aio)
+            assert not any(
+                thread.name == "market-aio-loop"
+                for thread in threading.enumerate()
+            )
+        finally:
             payless.close()
 
     def test_transport_mode_validated(self):

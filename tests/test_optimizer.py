@@ -1,5 +1,10 @@
 """Unit tests for the DP optimizer (Algorithm 2 and Theorems 1-3)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.optimizer import (
@@ -172,6 +177,34 @@ class TestBushyEnumeration:
         bushy, __ = optimize(mini_payless, sql, use_sqr=False, use_theorems=False)
         # Theorem 1: restricting to left-deep loses nothing.
         assert with_theorems.cost <= bushy.cost + 1e-9
+
+    def test_tied_bushy_plans_do_not_depend_on_the_hash_seed(self):
+        """clique-5 has several bushy plans tied at cost 14; first-seen
+        wins, so the bind-extension loop must not iterate a frozenset in
+        hash order (string hashes differ per process)."""
+        script = (
+            "from repro.bench.harness import build_system\n"
+            "from repro.core.optimizer import Optimizer, OptimizerOptions\n"
+            "from repro.workloads.synthetic import make_join_graph\n"
+            "data = make_join_graph('clique', 5, domain_high=32)\n"
+            "payless, __ = build_system('payless', data)\n"
+            "planning = Optimizer(\n"
+            "    payless.context, OptimizerOptions(use_theorems=False)\n"
+            ").optimize(payless.compile(data.sql))\n"
+            "print(planning.cost, planning.plan.describe())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0].startswith("14.0 ")
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestPlanSpaceFormulas:

@@ -1,0 +1,188 @@
+"""Cross-commit planner pin: what the DP chose, and how much work it did.
+
+The parity suites compare pruned against unpruned runs of the *same*
+code, so a refactor that shifts both arms together passes them.  This
+pin compares against ``tests/goldens/planner_pin.json``, generated at
+the commit before the scalar and Pareto DP programs were merged:
+per join graph / session instance, for ``min_dollars`` and
+``min_latency`` with ``prune`` on and off, the chosen plan, its cost
+vector, the frontier, and the counters Figures 14-15 read.  For
+``min_dollars`` on the smaller graphs it also pins a digest of the
+``plan_candidate`` trace events (attributes and order).
+
+Regenerate with ``pytest tests/test_planner_pin.py --update-goldens``;
+the JSON diff is the review artifact.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.bench.figures import make_instances, make_workload
+from repro.bench.harness import build_system
+from repro.core.objectives import MIN_DOLLARS, PlanObjective
+from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.workloads.synthetic import make_join_graph
+
+from .conftest import GOLDENS_DIR
+
+PIN_PATH = GOLDENS_DIR / "planner_pin.json"
+
+OBJECTIVES = {
+    "min_dollars": MIN_DOLLARS,
+    "min_latency": PlanObjective.min_latency(),
+}
+ARMS = [
+    (name, prune) for name in OBJECTIVES for prune in (True, False)
+]
+#: (shape, n, domain_high or None for the generator's default).
+GRAPHS = [
+    (shape, n, domain_high)
+    for shape in ("chain", "star", "clique")
+    for n in range(2, 9)
+    for domain_high in (None, 32)
+]
+#: Tracing every candidate of an unpruned clique-8 run is slow; the
+#: event stream is pinned where it is cheap.
+TRACE_PIN_MAX_N = 6
+SESSIONS = [("real", 2), ("tpch", 1)]
+
+
+def _arm_name(objective: str, prune: bool) -> str:
+    return f"{objective}/{'pruned' if prune else 'exhaustive'}"
+
+
+def _record(planning) -> dict:
+    return {
+        "plan": planning.plan.describe(),
+        "cost": planning.cost,
+        "latency_ms": planning.latency_ms,
+        "frontier": [list(point) for point in planning.frontier],
+        "evaluated_plans": planning.evaluated_plans,
+        "pruned_plans": planning.pruned_plans,
+        "enumerated_boxes": planning.enumerated_boxes,
+        "kept_boxes": planning.kept_boxes,
+    }
+
+
+def _plan(payless, logical, objective: str, prune: bool):
+    options = OptimizerOptions(
+        prune=prune, plan_cache_size=0, plan_objective=OBJECTIVES[objective]
+    )
+    return Optimizer(payless.context, options).optimize(logical)
+
+
+def _candidate_digest(payless, logical, prune: bool) -> str:
+    """sha256 over the min_dollars run's plan_candidate events."""
+    tracer = payless.tracer
+    tracer.enabled = True
+    tracer.begin_query("pin")
+    try:
+        _plan(payless, logical, "min_dollars", prune)
+    finally:
+        trace = tracer.end_query()
+        tracer.enabled = False
+    events = [span.attrs for span in trace.spans("plan_candidate")]
+    assert events
+    return hashlib.sha256(json.dumps(events).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pin(request):
+    """The committed pin; under ``--update-goldens`` an empty dict the
+    tests fill and the teardown writes."""
+    if not request.config.getoption("--update-goldens"):
+        assert PIN_PATH.exists(), (
+            f"{PIN_PATH} is missing; run `pytest tests/test_planner_pin.py "
+            f"--update-goldens` at the reference commit and commit it"
+        )
+        yield json.loads(PIN_PATH.read_text())
+        return
+    collected: dict = {}
+    yield collected
+    PIN_PATH.write_text(json.dumps(collected, indent=1, sort_keys=True) + "\n")
+
+
+def _check(request, pin: dict, name: str, actual: dict) -> None:
+    actual = json.loads(json.dumps(actual))
+    if request.config.getoption("--update-goldens"):
+        pin[name] = actual
+        return
+    assert name in pin, f"{name} is not in {PIN_PATH.name}"
+    expected = pin[name]
+    assert actual.keys() == expected.keys(), name
+    for arm in expected:
+        assert actual[arm] == expected[arm], (
+            f"{name} [{arm}] diverges from the cross-commit pin; if the "
+            f"planner change is intended, re-run with --update-goldens and "
+            f"review the JSON diff"
+        )
+
+
+def _pin_graph(request, pin, name: str, data, sql: str, trace: bool) -> dict:
+    payless, __ = build_system("payless", data, plan_cache_size=0)
+    logical = payless.compile(sql)
+    actual = {}
+    for objective, prune in ARMS:
+        record = _record(_plan(payless, logical, objective, prune))
+        if trace and objective == "min_dollars":
+            record["candidate_events_sha256"] = _candidate_digest(
+                payless, logical, prune
+            )
+        actual[_arm_name(objective, prune)] = record
+    _check(request, pin, name, actual)
+    return actual
+
+
+@pytest.mark.parametrize("shape,n,domain_high", GRAPHS)
+def test_synthetic_graph_pin(request, pin, shape, n, domain_high):
+    data = (
+        make_join_graph(shape, n)
+        if domain_high is None
+        else make_join_graph(shape, n, domain_high=domain_high)
+    )
+    _pin_graph(
+        request, pin, f"{shape}-{n}-d{domain_high or 'default'}",
+        data, data.sql, trace=n <= TRACE_PIN_MAX_N,
+    )
+
+
+@pytest.mark.parametrize("shape", ["chain", "star", "clique"])
+def test_two_point_frontier_pin(request, pin, shape):
+    """The graphs above all end in one-point frontiers.  Two-tuple pages
+    and a range on ``T1`` make direct fetches transaction-heavy while
+    bind joins stay call-dominated, so money and latency disagree."""
+    data = make_join_graph(shape, 4, tuples_per_transaction=2, domain_high=32)
+    column = data.dataset.table("T1").schema.names[0]
+    sql = f"{data.sql} AND T1.{column} >= 3 AND T1.{column} <= 11"
+    actual = _pin_graph(
+        request, pin, f"{shape}-4-two-point", data, sql, trace=True
+    )
+    assert len(actual["min_latency/pruned"]["frontier"]) == 2
+    assert len(actual["min_dollars/pruned"]["frontier"]) == 1
+
+
+@pytest.mark.parametrize("workload,q", SESSIONS)
+def test_session_pin(request, pin, workload, q):
+    """One executed session per arm: the store fills as the session runs,
+    so later instances plan over zero-price blocks and partial coverage."""
+    data = make_workload(workload)
+    instances = make_instances(workload, data, q)
+    assert instances
+    actual = {}
+    for objective, prune in ARMS:
+        payless, __ = build_system(
+            "payless", data, prune=prune, plan_cache_size=0,
+            objective=OBJECTIVES[objective],
+        )
+        records = []
+        for instance in instances:
+            records.append(
+                _record(payless.explain(instance.sql, instance.params).planning)
+            )
+            payless.query(instance.sql, instance.params)
+        actual[_arm_name(objective, prune)] = records
+    _check(request, pin, f"session-{workload}-q{q}", actual)

@@ -16,12 +16,14 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import build_system
+from repro.core.objectives import MIN_DOLLARS, PlanObjective
 from repro.core.optimizer import (
     Optimizer,
     OptimizerOptions,
     plan_space_baseline,
     plan_space_payless,
 )
+from repro.core.plans import MaterializedNode
 from repro.errors import PlanningError
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import make_join_graph
@@ -129,6 +131,51 @@ class TestPrunedPlanIdentity:
             payless, data = build(shape, 5, metrics=metrics)
             payless.query(data.sql)
         assert metrics.snapshot().get("plan_bnb_fallbacks", 0.0) == 0.0
+
+
+class TestExhaustiveFallback:
+    """A pruned space that completes no plan re-runs exhaustively — and
+    says so — wherever the DP is entered."""
+
+    @pytest.fixture
+    def starved(self, monkeypatch):
+        real = Optimizer._frontier_program
+
+        def starve_pruned_runs(self, priced, seed):
+            return [] if self._prune else real(self, priced, seed)
+
+        monkeypatch.setattr(Optimizer, "_frontier_program", starve_pruned_runs)
+
+    @pytest.mark.parametrize(
+        "objective", [MIN_DOLLARS, PlanObjective.min_latency()]
+    )
+    def test_static_and_suffix_plans_count_the_fallback(
+        self, starved, objective
+    ):
+        metrics = MetricsRegistry()
+        payless, data = build("chain", 4, metrics=metrics)
+        logical = payless.compile(data.sql)
+        options = OptimizerOptions(plan_objective=objective)
+        oracle = OptimizerOptions(prune=False, plan_objective=objective)
+
+        planned = Optimizer(payless.context, options).optimize(logical)
+        assert metrics.snapshot()["plan_bnb_fallbacks"] == 1.0
+        expected = Optimizer(payless.context, oracle).optimize(logical)
+        assert planned.plan.describe() == expected.plan.describe()
+
+        prefix = MaterializedNode(
+            relations=frozenset(["t1"]), cost=0.0, estimated_rows=8.0,
+            tables=("t1",),
+        )
+        suffix = Optimizer(payless.context, options).optimize_suffix(
+            logical, prefix
+        )
+        assert metrics.snapshot()["plan_bnb_fallbacks"] == 2.0
+        expected = Optimizer(payless.context, oracle).optimize_suffix(
+            logical, prefix
+        )
+        assert suffix.plan.describe() == expected.plan.describe()
+        assert metrics.snapshot()["plan_bnb_fallbacks"] == 2.0
 
 
 class TestPlannerMetrics:
