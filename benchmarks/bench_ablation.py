@@ -36,7 +36,8 @@ def test_histogram_resolution(benchmark, profile, report):
                 table.histogram.max_boxes = budget
             total = 0
             for instance in instances:
-                total += payless.query(instance.sql, instance.params).transactions
+                result = payless.query(instance.sql, instance.params)
+                total += result.stats.transactions
             return total
         finally:
             isomer.DEFAULT_MAX_BOXES = original
@@ -82,7 +83,7 @@ def test_batch_ordering(benchmark, profile, report):
         clever = execute_batch(clever_system, batch).total_transactions
         naive_system, __ = build_system("payless", data)
         naive = sum(
-            naive_system.query(sql, params).transactions
+            naive_system.query(sql, params).stats.transactions
             for sql, params in batch
         )
         return clever, naive
@@ -125,11 +126,11 @@ def test_learning_curve(benchmark, profile, report):
             for dataset in data.datasets:
                 payless.register_dataset(dataset.name)
             first = sum(
-                payless.query(i.sql, i.params).transactions
+                payless.query(i.sql, i.params).stats.transactions
                 for i in instances[:half]
             )
             second = sum(
-                payless.query(i.sql, i.params).transactions
+                payless.query(i.sql, i.params).stats.transactions
                 for i in instances[half:]
             )
             rows.append([statistic, first, second])
@@ -174,7 +175,7 @@ def test_consistency_cost(benchmark, profile, report):
                 payless.register_dataset(dataset.name)
             total = 0
             for __week in range(6):
-                total += payless.query(sql, params).transactions
+                total += payless.query(sql, params).stats.transactions
                 payless.store.advance_clock(1)
             totals[label] = total
         return totals

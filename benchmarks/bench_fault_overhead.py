@@ -32,6 +32,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.objectives import QueryOptions  # noqa: E402
 from repro.market.faults import FaultPolicy  # noqa: E402
 from repro.market.rest import RestRequest  # noqa: E402
 from repro.market.transport import MarketTransport, TransportConfig  # noqa: E402
@@ -88,7 +89,9 @@ def time_transport_fetches(calls: int, faults: FaultPolicy | None) -> float:
 
 
 def time_session(transport: TransportConfig | None, rounds: int) -> float:
-    payless = registered_payless(tiny_weather_market(), transport=transport)
+    payless = registered_payless(
+        tiny_weather_market(), options=QueryOptions(transport=transport)
+    )
     start = time.perf_counter()
     for __ in range(rounds):
         for sql in SESSION:

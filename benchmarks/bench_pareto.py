@@ -34,7 +34,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.harness import build_system  # noqa: E402
-from repro.core.objectives import PlanObjective  # noqa: E402
+from repro.core.objectives import (  # noqa: E402
+    MIN_DOLLARS,
+    PlanObjective,
+    QueryOptions,
+)
 from repro.market.latency import LatencyModel  # noqa: E402
 from repro.testing import registered_payless, tiny_weather_market  # noqa: E402
 from repro.workloads.synthetic import make_join_graph  # noqa: E402
@@ -78,7 +82,9 @@ def _planning_ms(data, objective, rounds: int = 3) -> float:
     best = float("inf")
     for __ in range(rounds):
         payless, __unused = build_system(
-            "payless", data, plan_cache_size=0, objective=objective
+            "payless",
+            data,
+            options=QueryOptions(plan_cache_size=0, objective=objective),
         )
         start = time.perf_counter()
         payless.explain(data.sql)
@@ -88,7 +94,7 @@ def _planning_ms(data, objective, rounds: int = 3) -> float:
 
 def bench_overhead(shape: str, n: int) -> dict:
     data = make_join_graph(shape, n)
-    scalar_ms = _planning_ms(data, None)
+    scalar_ms = _planning_ms(data, MIN_DOLLARS)
     pareto_ms = _planning_ms(data, PlanObjective.min_latency())
     return {
         "shape": shape,

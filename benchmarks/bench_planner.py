@@ -39,6 +39,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.harness import build_system  # noqa: E402
+from repro.core.objectives import QueryOptions  # noqa: E402
 from repro.workloads.synthetic import make_join_graph  # noqa: E402
 
 RESULTS_PATH = Path(__file__).parent / "results" / "planner.txt"
@@ -72,7 +73,9 @@ def _fresh(data, *, optimized: bool):
         payless, __ = build_system("payless", data)
     else:
         payless, __ = build_system(
-            "payless", data, prune=False, plan_cache_size=0
+            "payless",
+            data,
+            options=QueryOptions(prune=False, plan_cache_size=0),
         )
     return payless
 

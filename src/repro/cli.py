@@ -30,10 +30,9 @@ from repro.core.objectives import (
     SERVICE_TIERS,
     AdaptivePolicy,
     PlanObjective,
+    QueryOptions,
     ServiceTier,
 )
-from repro.market.faults import FaultPolicy
-from repro.market.transport import TransportConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,24 +207,26 @@ def _objective_of(args: argparse.Namespace) -> PlanObjective | None:
     return PlanObjective.parse(args.objective)
 
 
-def _adaptive_of(args: argparse.Namespace) -> "AdaptivePolicy | None":
-    """The --adaptive flag, parsed (None = static plans, the default)."""
-    if getattr(args, "adaptive", None) is None:
-        return None
-    return AdaptivePolicy.parse(args.adaptive)
-
-
-def _session_transport(args: argparse.Namespace) -> TransportConfig | None:
-    """Build the transport configuration from the session flags."""
-    faults = None
-    if args.fault_rate > 0.0:
-        faults = FaultPolicy.uniform(seed=args.fault_seed, rate=args.fault_rate)
-    if faults is None and args.max_retries == 4 and not args.partial_results:
-        return None  # defaults: let the harness use the plain transport
-    return TransportConfig(
-        faults=faults,
+def _session_options(args: argparse.Namespace) -> QueryOptions:
+    """The one :class:`QueryOptions` the session flags describe."""
+    overrides = {}
+    if args.no_plan_cache:
+        overrides["plan_cache_size"] = 0
+    objective = _objective_of(args)
+    if objective is not None:
+        overrides["objective"] = objective
+    if args.adaptive is not None:
+        overrides["adaptive"] = AdaptivePolicy.parse(args.adaptive)
+    return QueryOptions(
+        engine=args.engine,
+        prune=not args.no_prune,
+        durability=args.state_dir,
+        transport_mode=args.transport,
+        fault_rate=args.fault_rate,
+        fault_seed=args.fault_seed,
         max_retries=args.max_retries,
         partial_results=args.partial_results,
+        **overrides,
     )
 
 
@@ -235,16 +236,7 @@ def _cmd_session_concurrent(args: argparse.Namespace, data, instances) -> int:
     from repro.serve import QueryScheduler, ServeConfig
 
     payless, __ = build_system(
-        args.system,
-        data,
-        transport=_session_transport(args),
-        engine=args.engine,
-        prune=not args.no_prune,
-        plan_cache_size=0 if args.no_plan_cache else None,
-        objective=_objective_of(args),
-        adaptive=_adaptive_of(args),
-        state_dir=args.state_dir,
-        transport_mode=args.transport,
+        args.system, data, options=_session_options(args)
     )
     tier = ServiceTier.named(args.tier) if args.tier else None
     config = ServeConfig(
@@ -290,17 +282,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _cmd_session_concurrent(args, data, instances)
     session = run_session(
-        args.system,
-        data,
-        instances,
-        transport=_session_transport(args),
-        engine=args.engine,
-        prune=not args.no_prune,
-        plan_cache_size=0 if args.no_plan_cache else None,
-        objective=_objective_of(args),
-        adaptive=_adaptive_of(args),
-        state_dir=args.state_dir,
-        transport_mode=args.transport,
+        args.system, data, instances, options=_session_options(args)
     )
     print()
     print(
@@ -348,7 +330,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         sql = sql[len("EXPLAIN "):].strip()
     data = make_workload(args.workload)
     payless, __ = build_system(
-        "payless", data, engine=args.engine, prune=not args.no_prune
+        "payless",
+        data,
+        options=QueryOptions(engine=args.engine, prune=not args.no_prune),
     )
     objective = _objective_of(args)
     explanation = (

@@ -28,7 +28,6 @@ from repro.core.organization import Organization, UserSession
 from repro.core.payless import PayLess, QueryResult
 from repro.core.plancache import CacheEntry, PlanCache
 from repro.core.prepared import PreparedQuery
-from repro.core.persistence import load_state, save_state
 from repro.core.plans import (
     JoinNode,
     LocalBlockNode,
@@ -86,9 +85,7 @@ __all__ = [
     "plan_batch_order",
     "generate_candidates",
     "greedy_weighted_set_cover",
-    "load_state",
     "market_leaves",
-    "save_state",
     "plan_price",
     "plan_space_baseline",
     "plan_space_payless",

@@ -384,11 +384,7 @@ SERVICE_TIERS: dict[str, ServiceTier] = {
 class QueryOptions:
     """Every installation knob, in one documented place.
 
-    Pass it as ``PayLess(market, options=QueryOptions(...))``.  The old
-    scattered surface — ``PayLess(transport=..., engine=...,
-    max_concurrent_calls=..., prune_bounding_boxes=...)`` and
-    ``options=OptimizerOptions(...)`` — keeps working through
-    ``DeprecationWarning`` forwarders; see the README migration table.
+    Pass it as ``PayLess(market, options=QueryOptions(...))``.
     """
 
     # -- what to optimize for -------------------------------------------------
@@ -396,7 +392,7 @@ class QueryOptions:
     #: ``query``/``explain``/... (or a session's ServiceTier) overrides it.
     objective: PlanObjective = MIN_DOLLARS
 
-    # -- planner (was OptimizerOptions + prune_bounding_boxes) ----------------
+    # -- planner --------------------------------------------------------------
     use_sqr: bool = True
     use_theorems: bool = True
     #: The unit the money axis counts: "transactions" (PayLess) or
@@ -433,7 +429,7 @@ class QueryOptions:
     #: waste dollars; disabled automatically under adaptive re-planning.
     prefetch: bool = True
 
-    # -- transport (was PayLess(transport=TransportConfig(...))) --------------
+    # -- transport ------------------------------------------------------------
     #: A fully-specified transport config; the convenience fields below
     #: overlay it (or a default config) when set.
     transport: "TransportConfig | None" = None
@@ -527,20 +523,6 @@ class QueryOptions:
             return None
         base = self.transport if self.transport is not None else TransportConfig()
         return replace(base, **overlays) if overlays else base
-
-    @classmethod
-    def from_optimizer_options(cls, options: "OptimizerOptions", **extra) -> "QueryOptions":
-        """Adapt a legacy :class:`OptimizerOptions` (the forwarder path)."""
-        return cls(
-            objective=options.plan_objective,
-            use_sqr=options.use_sqr,
-            use_theorems=options.use_theorems,
-            cost_metric=options.objective,
-            max_bind_attrs=options.max_bind_attrs,
-            prune=options.prune,
-            plan_cache_size=options.plan_cache_size,
-            **extra,
-        )
 
     def with_objective(self, objective: PlanObjective) -> "QueryOptions":
         return replace(self, objective=objective)

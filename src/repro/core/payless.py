@@ -23,7 +23,6 @@ Minimizing-Calls competitor.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
@@ -85,8 +84,7 @@ class QueryLogEntry:
 class QueryStats:
     """Everything one query cost and went through, in one structure.
 
-    Replaces the ad-hoc stat attributes that used to accrete directly on
-    :class:`QueryResult`; read it as ``result.stats``.
+    Read it as ``result.stats``.
     """
 
     #: Market transactions billed (and *spent* — wasted charges are
@@ -158,35 +156,12 @@ class QueryStats:
         return not self.failed_fetches
 
 
-#: QueryResult attributes that now live on ``result.stats``.
-_FORWARDED_STATS = (
-    "transactions",
-    "price",
-    "calls",
-    "fetched_records",
-    "evaluated_plans",
-    "enumerated_boxes",
-    "kept_boxes",
-    "market_time_ms",
-    "market_time_critical_path_ms",
-    "retries",
-    "faults_injected",
-    "replays",
-    "wasted_transactions",
-    "wasted_price",
-    "failed_fetches",
-    "complete",
-)
-
-
 @dataclass
 class QueryResult:
     """What a user query returns: rows, the chosen plan, and its stats.
 
     The per-query statistics live in ``result.stats`` (a
-    :class:`QueryStats`); the historical flat attributes
-    (``result.transactions`` etc.) survive as deprecated forwarding
-    properties.
+    :class:`QueryStats`).
     """
 
     relation: Relation
@@ -202,25 +177,6 @@ class QueryResult:
     @property
     def columns(self) -> list[str]:
         return [column for __, column in self.relation.layout.columns]
-
-
-def _forwarding_property(name: str) -> property:
-    def getter(self: QueryResult):
-        warnings.warn(
-            f"QueryResult.{name} is deprecated; read result.stats.{name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self.stats, name)
-
-    getter.__name__ = name
-    getter.__doc__ = f"Deprecated: use ``result.stats.{name}``."
-    return property(getter)
-
-
-for _name in _FORWARDED_STATS:
-    setattr(QueryResult, _name, _forwarding_property(_name))
-del _name
 
 
 @dataclass
@@ -289,11 +245,6 @@ class PayLess:
 
     Configuration lives in one documented place:
     :class:`~repro.core.objectives.QueryOptions`, passed as ``options=``.
-    The historical scattered keywords (``transport=``, ``engine=``,
-    ``max_concurrent_calls=``, ``prune_bounding_boxes=`` and
-    ``options=OptimizerOptions(...)``) keep working through
-    ``DeprecationWarning`` forwarders that fold them into the same
-    :class:`QueryOptions`.
     """
 
     def __init__(
@@ -301,25 +252,21 @@ class PayLess:
         market: DataMarket,
         local_db: Database | None = None,
         consistency: ConsistencyPolicy | None = None,
-        options: QueryOptions | OptimizerOptions | None = None,
-        prune_bounding_boxes: bool | None = None,
+        options: QueryOptions | None = None,
         statistic: str = "isomer",
-        max_concurrent_calls: int | None = None,
-        transport: TransportConfig | None = None,
         tracing: bool = False,
         metrics: MetricsRegistry | None = None,
-        engine: str | None = None,
     ):
+        if options is None:
+            options = QueryOptions()
+        elif not isinstance(options, QueryOptions):
+            raise PlanningError(
+                f"options must be a QueryOptions, got {options!r}"
+            )
         self.market = market
         #: The one documented configuration surface (see
         #: :class:`~repro.core.objectives.QueryOptions`).
-        self.query_options = self._coerce_options(
-            options,
-            prune_bounding_boxes=prune_bounding_boxes,
-            max_concurrent_calls=max_concurrent_calls,
-            transport=transport,
-            engine=engine,
-        )
+        self.query_options = options
         #: The planner's derived view of the configuration.  Public
         #: because existing call sites read ``payless.options.use_sqr``
         #: and friends; prefer ``payless.query_options`` going forward.
@@ -384,9 +331,9 @@ class PayLess:
         self.total_price = 0.0
         self.total_calls = 0
         self.queries_executed = 0
-        #: The failure/savings side of the money picture — the buckets the
-        #: v1 JSON persistence silently dropped (tracked here so durable
-        #: restarts resume the full split, not just the spent series).
+        #: The failure/savings side of the money picture (tracked here so
+        #: durable restarts resume the full split, not just the spent
+        #: series).
         self.total_wasted_transactions = 0
         self.total_wasted_price = 0.0
         self.total_coalesced_fetches = 0
@@ -412,70 +359,36 @@ class PayLess:
             self.context.transport.durability = self.durability
             self.store.on_clock_advance = self.durability.log_clock
 
-    @staticmethod
-    def _coerce_options(
-        options: QueryOptions | OptimizerOptions | None,
-        prune_bounding_boxes: bool | None,
-        max_concurrent_calls: int | None,
-        transport: TransportConfig | None,
-        engine: str | None,
-    ) -> QueryOptions:
-        """Fold the legacy keyword surface into one :class:`QueryOptions`.
-
-        Every deprecated spelling warns at the ``PayLess(...)`` call site
-        (``stacklevel=3``: this helper + ``__init__`` + the caller).
-        """
-        if isinstance(options, OptimizerOptions):
-            warnings.warn(
-                "PayLess(options=OptimizerOptions(...)) is deprecated; "
-                "pass options=QueryOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            query_options = QueryOptions.from_optimizer_options(options)
-        elif options is None:
-            query_options = QueryOptions()
-        else:
-            query_options = options
-        overlays: dict[str, Any] = {}
-        for name, value in (
-            ("prune_bounding_boxes", prune_bounding_boxes),
-            ("max_concurrent_calls", max_concurrent_calls),
-            ("transport", transport),
-            ("engine", engine),
-        ):
-            if value is None:
-                continue
-            warnings.warn(
-                f"PayLess({name}=...) is deprecated; "
-                f"pass options=QueryOptions({name}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            overlays[name] = value
-        return replace(query_options, **overlays) if overlays else query_options
-
     # -- configuration shortcuts -------------------------------------------------
 
     @classmethod
     def full(cls, market: DataMarket, **kwargs: Any) -> "PayLess":
         """The complete system: SQR + all search-space theorems."""
-        kwargs.setdefault("options", QueryOptions())
         return cls(market, **kwargs)
 
     @classmethod
-    def without_sqr(cls, market: DataMarket, **kwargs: Any) -> "PayLess":
+    def without_sqr(
+        cls,
+        market: DataMarket,
+        options: QueryOptions | None = None,
+        **kwargs: Any,
+    ) -> "PayLess":
         """The "PayLess w/o SQR" arm of Figure 10."""
-        kwargs.setdefault("options", QueryOptions(use_sqr=False))
-        return cls(market, **kwargs)
+        options = replace(options or QueryOptions(), use_sqr=False)
+        return cls(market, options=options, **kwargs)
 
     @classmethod
-    def minimizing_calls(cls, market: DataMarket, **kwargs: Any) -> "PayLess":
+    def minimizing_calls(
+        cls,
+        market: DataMarket,
+        options: QueryOptions | None = None,
+        **kwargs: Any,
+    ) -> "PayLess":
         """The Minimizing-Calls competitor of Figure 10."""
-        kwargs.setdefault(
-            "options", QueryOptions(use_sqr=False, cost_metric="calls")
+        options = replace(
+            options or QueryOptions(), use_sqr=False, cost_metric="calls"
         )
-        return cls(market, **kwargs)
+        return cls(market, options=options, **kwargs)
 
     # -- registration ---------------------------------------------------------------
 

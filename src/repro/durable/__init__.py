@@ -3,8 +3,7 @@
 Every purchase against the data market spends real money, so the moment
 a charge lands it must survive a buyer-process crash — otherwise a
 restart re-buys data the installation already paid for.  This package
-replaces the all-or-nothing JSON blob of :mod:`repro.core.persistence`
-with an incremental, crash-safe backend:
+is the incremental, crash-safe backend that prevents it:
 
 * :mod:`repro.durable.wal` — append-only segments of length+CRC framed
   JSON records with torn-tail detection and fsync-batched group commit;

@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING, Any
 from repro.durable.records import (
     box_from_json,
     box_to_json,
-    cover_from_json,
     request_from_json,
     request_to_json,
     rows_from_json,
@@ -63,9 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payless import PayLess
     from repro.market.rest import RestRequest
 
-#: Snapshot format version (shares the lineage of the legacy JSON blob:
-#: v1 = repro.core.persistence's original format, v2 adds the billing
-#: buckets, pending intents, and precomputed grid points).
+#: Snapshot format version.
 SNAPSHOT_VERSION = 2
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
@@ -205,8 +202,7 @@ class DurableStateBackend:
             reverse=True,
         )
         self._snapshot_state: dict | None = None
-        #: Bulk table payload from the pickled sidecar (None for legacy
-        #: snapshots that inline their tables in the JSON).
+        #: Bulk table payload from the snapshot's pickled sidecar.
         self._snapshot_tables: dict | None = None
         snap_seq = 0
         for seq, path in snapshots:
@@ -216,13 +212,18 @@ class DurableStateBackend:
                 continue
             if state.get("version") != SNAPSHOT_VERSION:
                 continue
-            if state.get("tables_in_sidecar"):
-                sidecar = self.state_dir / f"snapshot-{seq:08d}.tables.pkl"
-                try:
-                    bulk = pickle.loads(sidecar.read_bytes())
-                except (OSError, pickle.UnpicklingError, EOFError):
-                    continue  # torn sidecar: fall back to an older snapshot
-                self._snapshot_tables = bulk
+            if not state.get("tables_in_sidecar"):
+                # Skipping it would silently re-buy everything it held.
+                raise ReproError(
+                    f"snapshot {path} has no tables sidecar "
+                    "('tables_in_sidecar' missing); refusing to ignore "
+                    "purchased state"
+                )
+            sidecar = self.state_dir / f"snapshot-{seq:08d}.tables.pkl"
+            try:
+                self._snapshot_tables = pickle.loads(sidecar.read_bytes())
+            except (OSError, pickle.UnpicklingError, EOFError):
+                continue  # torn sidecar: fall back to an older snapshot
             self._snapshot_state = state
             snap_seq = seq
             break
@@ -567,8 +568,7 @@ class DurableStateBackend:
                     path.unlink()
             self._records_since_snapshot = 0
             # The new snapshot supersedes whatever startup staged for
-            # recovery (relevant when a legacy JSON import snapshots into
-            # a dir that was never recover()ed).
+            # recovery.
             self._cache_dropped = True
             self._snapshot_state = None
             self._snapshot_tables = None
@@ -606,41 +606,11 @@ class DurableStateBackend:
                             f"state references unregistered table {key!r}; "
                             "call register_dataset first"
                         )
-                    table_store = payless.store.table(key)
-                    if self._snapshot_tables is not None:
-                        # Sidecar snapshot: adopt the pickled containers
-                        # (rows, points, covers, prebuilt index buckets)
-                        # wholesale — no per-row index rebuild.
-                        table_store.adopt_bulk_state(
-                            self._snapshot_tables[key]
-                        )
-                        self._restore_histogram(payless, key, table_state)
-                        report.tables.append(key)
-                        continue
-                    if "columns" in table_state:
-                        columns = table_state["columns"]
-                        restored_rows = list(zip(*columns)) if columns else []
-                        points_flat = table_state["points_flat"]
-                        dims = table_state["dims"]
-                        if points_flat:
-                            chunks = [iter(points_flat)] * dims
-                            restored_points = list(zip(*chunks))
-                        else:
-                            restored_points = []
-                        for row_id in table_state["points_none"]:
-                            restored_points.insert(row_id, None)
-                    else:  # legacy row-major snapshot layout
-                        restored_rows = rows_from_json(table_state["rows"])
-                        restored_points = [
-                            tuple(point) if point is not None else None
-                            for point in table_state.get("points") or []
-                        ] or None
-                    table_store.bulk_restore(
-                        covers=[
-                            cover_from_json(c) for c in table_state["covered"]
-                        ],
-                        rows=restored_rows,
-                        points=restored_points,
+                    # Adopt the sidecar's pickled containers (rows, points,
+                    # covers, prebuilt index buckets) wholesale — no
+                    # per-row index rebuild.
+                    payless.store.table(key).adopt_bulk_state(
+                        self._snapshot_tables[key]
                     )
                     self._restore_histogram(payless, key, table_state)
                     report.tables.append(key)

@@ -1,9 +1,7 @@
-"""JSON shapes shared by the WAL records and the snapshot/legacy formats.
+"""JSON shapes shared by the WAL records and the snapshots.
 
-Boxes, covered regions, histogram state and REST requests all need a
-stable JSON form in three places — WAL records, compacted snapshots, and
-the legacy v1/v2 blob of :mod:`repro.core.persistence` — so the
-encoders/decoders live here, importable by both without cycles.
+Boxes, histogram state and REST requests need a stable JSON form in WAL
+records and compacted snapshots, so the encoders/decoders live here.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from typing import Any
 from repro.relational.query import AttributeConstraint
 from repro.market.rest import RestRequest
 from repro.semstore.boxes import Box
-from repro.semstore.store import CoveredBox
 
 
 def box_to_json(box: Box) -> list[list[int]]:
@@ -22,22 +19,6 @@ def box_to_json(box: Box) -> list[list[int]]:
 
 def box_from_json(data: list[list[int]]) -> Box:
     return Box(tuple((low, high) for low, high in data))
-
-
-def cover_to_json(covered: CoveredBox) -> dict[str, Any]:
-    return {
-        "box": box_to_json(covered.box),
-        "stored_at": covered.stored_at,
-        "row_count": covered.row_count,
-    }
-
-
-def cover_from_json(data: dict[str, Any]) -> CoveredBox:
-    return CoveredBox(
-        box=box_from_json(data["box"]),
-        stored_at=data["stored_at"],
-        row_count=data["row_count"],
-    )
 
 
 def constraint_to_json(constraint: AttributeConstraint) -> dict[str, Any]:

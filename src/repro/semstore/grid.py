@@ -111,40 +111,6 @@ class BoxGridIndex:
             self._buckets.setdefault(cell, []).append(box_id)
         self._placements[box_id] = cells
 
-    def bulk_load(self, boxes: Sequence[Box], start_id: int = 0) -> None:
-        """Insert ``boxes`` as ids ``start_id..start_id+n-1`` in one tight
-        loop — the cold-restart fast path (no per-box method dispatch)."""
-        origins = self._geometry.origins
-        sizes = self._geometry.cell_sizes
-        buckets = self._buckets
-        placements = self._placements
-        for offset, box in enumerate(boxes):
-            box_id = start_id + offset
-            ranges = [
-                (
-                    (low - origins[axis]) // sizes[axis],
-                    (high - 1 - origins[axis]) // sizes[axis],
-                )
-                for axis, (low, high) in enumerate(box.extents)
-            ]
-            count = 1
-            for low, high in ranges:
-                count *= high - low + 1
-            if count > OVERSIZED_CELL_CAP:
-                self._oversized.append(box_id)
-                placements[box_id] = None
-                continue
-            cells = list(
-                product(*(range(low, high + 1) for low, high in ranges))
-            )
-            for cell in cells:
-                bucket = buckets.get(cell)
-                if bucket is None:
-                    buckets[cell] = [box_id]
-                else:
-                    bucket.append(box_id)
-            placements[box_id] = cells
-
     def export_state(self) -> dict:
         """Deep-enough copies of the index internals for persistence.
 
@@ -224,44 +190,6 @@ class PointGridIndex:
     def insert(self, row_id: int, point: Sequence[int]) -> None:
         cell = self._geometry.cell_of_point(point)
         self._cells.setdefault(cell, []).append(row_id)
-
-    def bulk_load(self, points: Sequence[Sequence[int] | None]) -> None:
-        """Insert ``points[i]`` as row id ``i`` for the whole sequence
-        (``None`` entries are off-grid rows and are skipped).  One tight
-        loop with the cell arithmetic inlined — at cold restart this runs
-        once per cached row, and the per-call overhead of
-        :meth:`insert`/:meth:`_GridGeometry.cell_of_point` dominates."""
-        origins = self._geometry.origins
-        sizes = self._geometry.cell_sizes
-        cells = self._cells
-        if len(origins) == 2:
-            origin_a, origin_b = origins
-            size_a, size_b = sizes
-            for row_id, point in enumerate(points):
-                if point is None:
-                    continue
-                cell = (
-                    (point[0] - origin_a) // size_a,
-                    (point[1] - origin_b) // size_b,
-                )
-                bucket = cells.get(cell)
-                if bucket is None:
-                    cells[cell] = [row_id]
-                else:
-                    bucket.append(row_id)
-            return
-        for row_id, point in enumerate(points):
-            if point is None:
-                continue
-            cell = tuple(
-                (value - origins[axis]) // sizes[axis]
-                for axis, value in enumerate(point)
-            )
-            bucket = cells.get(cell)
-            if bucket is None:
-                cells[cell] = [row_id]
-            else:
-                bucket.append(row_id)
 
     def export_state(self) -> dict:
         """Copies of the cell buckets, primitive enough to serialize."""

@@ -152,63 +152,6 @@ class TableStore:
             )
             return new
 
-    def restore_cover(self, covered: CoveredBox) -> None:
-        """Re-insert a persisted cover verbatim (no re-consolidation)."""
-        with self.lock:
-            self.epoch += 1
-            self._append_cover(covered)
-
-    def restore_row(self, row: Row) -> bool:
-        """Re-insert a persisted row; returns whether it was new."""
-        with self.lock:
-            self._materialize_deferred()
-            row_set = self._ensure_row_set()
-            if row in row_set:
-                return False
-            self.epoch += 1
-            row_set.add(row)
-            self._point_index_insert(row)
-            return True
-
-    def bulk_restore(
-        self,
-        covers: Sequence[CoveredBox],
-        rows: Sequence[Row],
-        points: Sequence[tuple[int, ...] | None] | None = None,
-    ) -> None:
-        """Load a snapshot's worth of state in one lock/epoch transaction.
-
-        Unlike the per-item ``restore_*`` path this takes the lock once,
-        bumps the epoch once, and — when the snapshot carries the
-        precomputed grid ``points`` — skips :meth:`BoxSpace.row_point`
-        entirely, which is the dominant cost of a cold restart at scale.
-        Only valid on an empty table (it assumes no duplicate rows).
-        """
-        if points is not None and len(points) != len(rows):
-            raise ReproError("bulk_restore: points/rows length mismatch")
-        with self.lock:
-            if self._rows or self._covers or self._deferred_bulk is not None:
-                raise ReproError("bulk_restore requires an empty table")
-            self.epoch += 1
-            if points is None:
-                row_set = self._ensure_row_set()
-                for row in rows:
-                    row_set.add(row)
-                    self._point_index_insert(row)
-            else:
-                self._rows = list(rows)
-                self._points = list(points)
-                self._row_set = set(rows)
-                self._point_index.bulk_load(points)
-            if covers:
-                start_id = self._next_cover_id
-                for covered in covers:
-                    self._covers[self._next_cover_id] = covered
-                    self._next_cover_id += 1
-                self._cover_index.bulk_load(
-                    [covered.box for covered in covers], start_id=start_id
-                )
-
     def export_bulk_state(self) -> dict:
         """The table's whole persistent state as primitive containers.
 

@@ -187,8 +187,7 @@ class FeedbackHistogram:
         """The histogram's learned state as plain JSON-ready data.
 
         Paired with :meth:`restore_state`; the box JSON shape matches
-        :func:`repro.durable.records.box_to_json` so snapshots and the
-        legacy persistence blob share one format.
+        :func:`repro.durable.records.box_to_json`.
         """
         with self._lock:
             return {

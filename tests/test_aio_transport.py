@@ -60,8 +60,9 @@ def _payless(transport_mode, transport=None, **option_kwargs):
     payless = registered_payless(
         market,
         metrics=MetricsRegistry(),
-        transport=transport,
-        options=QueryOptions(transport_mode=transport_mode, **option_kwargs),
+        options=QueryOptions(
+            transport_mode=transport_mode, transport=transport, **option_kwargs
+        ),
     )
     return payless
 

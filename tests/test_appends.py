@@ -61,7 +61,7 @@ class TestConsistencyVsAppends:
         first = payless.query(SQL)
         weather_table(mini_weather_market).append(NEW_ROWS)
         second = payless.query(SQL)
-        assert second.transactions == 0          # free...
+        assert second.stats.transactions == 0          # free...
         assert len(second.rows) == len(first.rows)  # ...but stale
 
     def test_strong_sees_appends_immediately(self, mini_weather_market):
@@ -80,4 +80,4 @@ class TestConsistencyVsAppends:
         payless.store.advance_clock(3)
         refreshed = payless.query(SQL)
         assert len(refreshed.rows) == len(first.rows) + 2
-        assert refreshed.transactions > 0  # had to re-buy the region
+        assert refreshed.stats.transactions > 0  # had to re-buy the region

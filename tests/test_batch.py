@@ -46,10 +46,10 @@ class TestExecution:
         outcome = execute_batch(mini_payless, [NARROW_1, BROAD, NARROW_2])
         # The broad query executes first (4 transactions at t=10), the
         # narrow ones are then fully covered.
-        broad_cost = outcome.results[1].transactions
+        broad_cost = outcome.results[1].stats.transactions
         assert outcome.total_transactions == broad_cost
-        assert outcome.results[0].transactions == 0
-        assert outcome.results[2].transactions == 0
+        assert outcome.results[0].stats.transactions == 0
+        assert outcome.results[2].stats.transactions == 0
 
     def test_batch_not_worse_than_submission_order(self, mini_weather_market):
         batch = [NARROW_1, NARROW_2, BROAD]
@@ -61,6 +61,6 @@ class TestExecution:
         naive = PayLess.full(mini_weather_market)
         naive.register_dataset("WHW")
         naive_total = sum(
-            naive.query(sql, params).transactions for sql, params in batch
+            naive.query(sql, params).stats.transactions for sql, params in batch
         )
         assert clever.total_transactions <= naive_total

@@ -25,11 +25,11 @@ class TestPreparedQuery:
         first = prepared.execute(("CountryA", 1, 5))
         second = prepared.execute(("CountryA", 6, 10))
         third = prepared.execute(("CountryA", 1, 10))  # covered by 1+2
-        assert first.transactions > 0
-        assert third.transactions == 0
+        assert first.stats.transactions > 0
+        assert third.stats.transactions == 0
         assert prepared.executions == 3
         assert prepared.total_transactions == (
-            first.transactions + second.transactions
+            first.stats.transactions + second.stats.transactions
         )
 
     def test_wrong_arity(self, mini_payless):
@@ -63,9 +63,9 @@ class TestBudget:
             mini_payless, BudgetPolicy(limit_transactions=100)
         )
         result = budgeted.query("SELECT * FROM Station")
-        assert result.transactions >= 1
-        assert budgeted.report.spent_transactions == result.transactions
-        assert budgeted.report.remaining == 100 - result.transactions
+        assert result.stats.transactions >= 1
+        assert budgeted.report.spent_transactions == result.stats.transactions
+        assert budgeted.report.remaining == 100 - result.stats.transactions
 
     def test_advisory_mode_executes_and_logs(self, mini_payless):
         budgeted = BudgetedPayLess(
@@ -73,7 +73,7 @@ class TestBudget:
             BudgetPolicy(limit_transactions=1, mode=BudgetMode.ADVISORY),
         )
         result = budgeted.query("SELECT * FROM Weather")
-        assert result.transactions > 1
+        assert result.stats.transactions > 1
         assert budgeted.report.advisory_breaches == 1
 
     def test_covered_queries_free_under_tight_budget(self, mini_payless):
@@ -86,7 +86,7 @@ class TestBudget:
         )
         # Fully covered → estimate 0 → allowed even with a zero budget.
         result = tight.query("SELECT * FROM Weather")
-        assert result.transactions == 0
+        assert result.stats.transactions == 0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ReproError):

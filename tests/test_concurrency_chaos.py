@@ -66,9 +66,10 @@ def _fresh_payless(
     payless = PayLess.full(
         market,
         local_db=DATA.local_database(),
-        transport=transport,
         metrics=MetricsRegistry(),
-        options=QueryOptions(transport_mode=transport_mode),
+        options=QueryOptions(
+            transport=transport, transport_mode=transport_mode
+        ),
     )
     for dataset in DATA.datasets:
         payless.register_dataset(dataset.name)

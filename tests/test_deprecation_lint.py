@@ -1,80 +1,87 @@
-"""Deprecation lint: the library must not call its own deprecated API.
+"""The retired compatibility layer stays retired.
 
-The old scattered ``PayLess(...)`` keywords (``transport=``,
-``engine=``, ``max_concurrent_calls=``, ``prune_bounding_boxes=``) and
-``options=OptimizerOptions(...)`` survive for callers behind
-``DeprecationWarning`` forwarders — but every internal construction
-site must use :class:`~repro.core.objectives.QueryOptions`.  CI runs
-this file as the deprecation-lint step.
+``PayLess(transport=/engine=/max_concurrent_calls=/prune_bounding_boxes=)``,
+``options=OptimizerOptions(...)``, the flat ``QueryResult`` stat
+attributes and the ``save_state``/``load_state`` JSON blob were removed,
+not deprecated: there is one way to configure an installation
+(``options=QueryOptions(...)``), one way to read a bill
+(``result.stats``) and one way to persist buyer state
+(``QueryOptions(durability=...)`` + ``recover()``).  CI runs this file
+as the removed-surface step.
 """
 
 from __future__ import annotations
 
-import ast
+import importlib.util
+import inspect
 import pathlib
+
+import pytest
+
+import repro.core
+from repro.core.objectives import QueryOptions
+from repro.core.payless import PayLess, QueryResult
+from repro.semstore.store import TableStore
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: Keyword arguments of ``PayLess(...)`` that only exist for backward
-#: compatibility.  ``options=`` itself is fine — unless the value is a
-#: literal ``OptimizerOptions(...)`` construction (checked separately).
-DEPRECATED_KWARGS = frozenset(
-    ("transport", "engine", "max_concurrent_calls", "prune_bounding_boxes")
+#: The stats that used to be readable directly off ``QueryResult``.
+FORMER_FLAT_STATS = (
+    "transactions",
+    "price",
+    "calls",
+    "fetched_records",
+    "evaluated_plans",
+    "enumerated_boxes",
+    "kept_boxes",
+    "market_time_ms",
+    "market_time_critical_path_ms",
+    "retries",
+    "faults_injected",
+    "replays",
+    "wasted_transactions",
+    "wasted_price",
+    "failed_fetches",
+    "complete",
 )
 
 
-def _callee_name(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
+def test_payless_init_takes_exactly_the_documented_parameters():
+    assert list(inspect.signature(PayLess.__init__).parameters) == [
+        "self",
+        "market",
+        "local_db",
+        "consistency",
+        "options",
+        "statistic",
+        "tracing",
+        "metrics",
+    ]
 
 
-def _payless_calls(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _callee_name(node) in (
-            "PayLess",
-            "full",
-            "minimizing_calls",
-            "without_sqr",
-            "without_theorems",
-        ):
-            yield node
+@pytest.mark.parametrize("name", FORMER_FLAT_STATS)
+def test_query_result_has_no_flat_stat_attribute(name):
+    assert not hasattr(QueryResult, name)
 
 
-def _violations() -> list[str]:
-    problems = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for call in _payless_calls(tree):
-            for keyword in call.keywords:
-                where = f"{path.relative_to(SRC.parent)}:{call.lineno}"
-                if keyword.arg in DEPRECATED_KWARGS:
-                    problems.append(
-                        f"{where}: deprecated PayLess kwarg "
-                        f"{keyword.arg!r} — fold it into QueryOptions"
-                    )
-                elif (
-                    keyword.arg == "options"
-                    and isinstance(keyword.value, ast.Call)
-                    and _callee_name(keyword.value) == "OptimizerOptions"
-                ):
-                    problems.append(
-                        f"{where}: PayLess(options=OptimizerOptions(...)) is "
-                        "deprecated — construct a QueryOptions"
-                    )
-    return problems
+def test_json_persistence_path_is_gone():
+    assert not hasattr(repro.core, "save_state")
+    assert not hasattr(repro.core, "load_state")
+    assert importlib.util.find_spec("repro.core.persistence") is None
+    for name in ("restore_row", "restore_cover", "bulk_restore"):
+        assert not hasattr(TableStore, name)
 
 
-def test_internal_code_avoids_deprecated_payless_kwargs():
-    problems = _violations()
-    assert not problems, "\n".join(problems)
+def test_option_coercion_helpers_are_gone():
+    assert not hasattr(QueryOptions, "from_optimizer_options")
+    assert not hasattr(PayLess, "_coerce_options")
 
 
-def test_lint_actually_detects_violations():
-    # Guard the guard: a synthetic violation must be caught.
-    tree = ast.parse("PayLess(market, engine='reference')")
-    calls = list(_payless_calls(tree))
-    assert calls and any(k.arg == "engine" for k in calls[0].keywords)
+def test_library_emits_no_deprecation_warnings():
+    offenders = [
+        str(path.relative_to(SRC.parent))
+        for path in sorted(SRC.rglob("*.py"))
+        if "DeprecationWarning" in (text := path.read_text())
+        or "warnings.warn" in text
+    ]
+    assert not offenders, offenders

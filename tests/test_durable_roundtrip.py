@@ -10,15 +10,16 @@ billing bucket.
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PayLess, QueryOptions
-from repro.core.persistence import load_state, save_state
-from repro.durable.records import cover_to_json
+from repro.errors import ReproError
 from repro.stats.isomer import FeedbackHistogram
 
 from tests.test_durability_chaos import make_market
@@ -71,7 +72,10 @@ def capture(payless: PayLess) -> dict:
     for key, table_store in payless.store._tables.items():  # noqa: SLF001
         rows = table_store.all_rows()
         with table_store.lock:
-            covers = [cover_to_json(c) for c in table_store._covers.values()]  # noqa: SLF001
+            covers = [
+                (c.box.extents, c.stored_at, c.row_count)
+                for c in table_store._covers.values()  # noqa: SLF001
+            ]
         histogram = payless.catalog.statistics(key).histogram
         state[key] = {
             "covers": sorted(covers, key=repr),
@@ -151,28 +155,8 @@ class TestRoundTripProperties:
 
 
 class TestLegacyShimRegression:
-    """The v1 JSON shim silently dropped the wasted/coalesced buckets; the
-    v2 format and the WAL backend must both carry them."""
-
-    def test_v2_json_keeps_all_buckets(self, mini_weather_market, tmp_path):
-        payless = PayLess.full(mini_weather_market)
-        payless.register_dataset("WHW")
-        payless.query(weather_sql("CountryA", 2, 5))
-        payless.total_wasted_transactions = 3
-        payless.total_wasted_price = 3.5
-        payless.total_coalesced_fetches = 2
-        payless.total_coalesced_transactions = 4
-        payless.total_coalesced_price = 4.25
-        save_state(payless, tmp_path / "state.json")
-
-        fresh = PayLess.full(mini_weather_market)
-        fresh.register_dataset("WHW")
-        load_state(fresh, tmp_path / "state.json")
-        assert fresh.total_wasted_transactions == 3
-        assert fresh.total_wasted_price == 3.5
-        assert fresh.total_coalesced_fetches == 2
-        assert fresh.total_coalesced_transactions == 4
-        assert fresh.total_coalesced_price == 4.25
+    """The retired JSON blob's v1 format silently dropped the
+    wasted/coalesced buckets; the WAL backend must carry them."""
 
     def test_wal_backend_keeps_all_buckets(self, tmp_path):
         market = make_market()
@@ -188,3 +172,61 @@ class TestLegacyShimRegression:
         second = durable(market, tmp_path / "state")
         assert second.total_wasted_transactions == 3
         assert second.total_coalesced_price == 4.25
+
+
+class TestPersistenceWithPluginStatistic:
+    def test_round_trip_without_isomer(self, tmp_path):
+        """A statistic with no serializable state re-learns after a
+        restart, but the store still comes back: nothing is re-bought."""
+        market = make_market()
+
+        def uniform():
+            payless = PayLess.full(
+                market,
+                statistic="uniform",
+                options=QueryOptions(durability=tmp_path / "state"),
+            )
+            payless.register_dataset("WHW")
+            payless.recover()
+            return payless
+
+        first = uniform()
+        first.query("SELECT * FROM Station")
+        first.close()
+
+        second = uniform()
+        assert second.query("SELECT * FROM Station").stats.transactions == 0
+
+
+class TestRestoreErrors:
+    @pytest.mark.parametrize("clean_close", [True, False])
+    def test_unregistered_table_on_restore(self, tmp_path, clean_close):
+        market = make_market()
+        first = durable(market, tmp_path / "state")
+        first.query(station_sql("CountryA"))
+        if clean_close:
+            first.close()  # snapshot path
+        else:
+            first.durability.abandon()  # WAL replay path
+
+        bare = PayLess.full(
+            market, options=QueryOptions(durability=tmp_path / "state")
+        )  # nothing registered
+        with pytest.raises(ReproError, match="unregistered table"):
+            bare.recover()
+
+    def test_snapshot_meta_without_sidecar_flag_is_rejected(self, tmp_path):
+        """Skipping such a snapshot would silently re-buy what it held."""
+        market = make_market()
+        first = durable(market, tmp_path / "state")
+        first.query(station_sql("CountryA"))
+        first.close()
+        (meta,) = (tmp_path / "state").glob("snapshot-*.json")
+        state = json.loads(meta.read_text())
+        del state["tables_in_sidecar"]
+        meta.write_text(json.dumps(state))
+
+        with pytest.raises(ReproError, match=meta.name):
+            PayLess.full(
+                market, options=QueryOptions(durability=tmp_path / "state")
+            )

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.bench.figures import BenchProfile, make_instances, make_workload
 from repro.bench.harness import build_system
+from repro.core.objectives import QueryOptions
 from repro.errors import ExecutionError
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
@@ -416,9 +417,8 @@ def _replay(workload, engine, transport=None):
     payless, __ = build_system(
         "payless",
         data,
-        transport=transport,
+        options=QueryOptions(transport=transport, engine=engine),
         metrics=MetricsRegistry(),
-        engine=engine,
     )
     results = [payless.query(i.sql, i.params) for i in instances]
     return payless, results
@@ -460,7 +460,8 @@ def test_explain_analyze_reports_engine():
         data = make_workload("real", SMALL)
         instances = make_instances("real", data, SMALL.weather_q, SMALL)
         payless, __ = build_system(
-            "payless", data, metrics=MetricsRegistry(), engine=engine
+            "payless", data, options=QueryOptions(engine=engine),
+            metrics=MetricsRegistry(),
         )
         rendered = payless.explain_analyze(
             instances[0].sql, instances[0].params

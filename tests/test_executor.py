@@ -83,7 +83,7 @@ def test_repeated_query_is_free_and_identical(mini_payless):
     sql = "SELECT * FROM Weather WHERE Country = 'CountryA' AND Date <= 4"
     first = mini_payless.query(sql)
     second = mini_payless.query(sql)
-    assert second.transactions == 0
+    assert second.stats.transactions == 0
     assert as_multiset(first.relation) == as_multiset(second.relation)
 
 
@@ -94,9 +94,9 @@ def test_overlapping_query_pays_only_for_missing(mini_payless):
     second = mini_payless.query(
         "SELECT * FROM Weather WHERE Country = 'CountryA' AND Date <= 7"
     )
-    assert first.transactions > 0
+    assert first.stats.transactions > 0
     # Days 6-7 for 4 stations = 8 rows = 1 transaction at t=10.
-    assert second.transactions == 1
+    assert second.stats.transactions == 1
 
 
 def test_bind_join_with_empty_left_side(mini_payless):
@@ -106,7 +106,7 @@ def test_bind_join_with_empty_left_side(mini_payless):
     )
     assert result.rows == []
     # The Station probe may cost a call, but Weather must not be fetched.
-    assert result.transactions <= 1
+    assert result.stats.transactions <= 1
 
 
 def test_local_join_with_market(mini_payless_with_local, mini_weather_market):
@@ -133,8 +133,8 @@ def test_plan_shape_flip_never_rebuys(mini_payless):
     first = mini_payless.query(sql)
     second = mini_payless.query(sql)
     third = mini_payless.query(sql)
-    assert second.transactions <= first.transactions
-    assert third.transactions == 0
+    assert second.stats.transactions <= first.stats.transactions
+    assert third.stats.transactions == 0
     assert first.rows == second.rows == third.rows == []
 
 
@@ -142,5 +142,5 @@ def test_fetched_records_reported(mini_payless):
     result = mini_payless.query(
         "SELECT * FROM Weather WHERE Country = 'CountryB'"
     )
-    assert result.fetched_records == 20
-    assert result.transactions == 2
+    assert result.stats.fetched_records == 20
+    assert result.stats.transactions == 2

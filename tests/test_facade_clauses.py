@@ -91,18 +91,3 @@ class TestOrganizationEdge:
         mini_payless.query("SELECT * FROM Station")
         assert "unattributed" in organization.spend_report()
 
-
-class TestPersistenceWithPluginStatistic:
-    def test_round_trip_without_isomer(self, mini_weather_market, tmp_path):
-        from repro import PayLess
-        from repro.core.persistence import load_state, save_state
-
-        first = PayLess.full(mini_weather_market, statistic="uniform")
-        first.register_dataset("WHW")
-        first.query("SELECT * FROM Station")
-        save_state(first, tmp_path / "state.json")
-
-        second = PayLess.full(mini_weather_market, statistic="uniform")
-        second.register_dataset("WHW")
-        load_state(second, tmp_path / "state.json")
-        assert second.query("SELECT * FROM Station").transactions == 0

@@ -18,6 +18,7 @@ The invariants that make fault injection safe to leave on:
 
 import pytest
 
+from repro.core.objectives import QueryOptions
 from repro.errors import (
     MarketError,
     MarketUnavailableError,
@@ -156,10 +157,12 @@ class TestAtMostOnceBilling:
         chaos run's spend is bit-identical to the fault-free run."""
         faulty = registered_payless(
             tiny_weather_market(),
-            transport=TransportConfig(
-                faults=FaultPolicy.uniform(seed=seed, rate=0.5),
-                retry_budget=None,
-                breaker_failure_threshold=10_000,
+            options=QueryOptions(
+                transport=TransportConfig(
+                    faults=FaultPolicy.uniform(seed=seed, rate=0.5),
+                    retry_budget=None,
+                    breaker_failure_threshold=10_000,
+                )
             ),
         )
         clean = registered_payless(tiny_weather_market())
@@ -332,11 +335,13 @@ class TestGracefulDegradation:
     def _payless(self, partial_results: bool):
         return registered_payless(
             tiny_weather_market(),
-            transport=TransportConfig(
-                faults=FaultPolicy(**self.MIXED),
-                max_retries=0,
-                breaker_failure_threshold=10_000,
-                partial_results=partial_results,
+            options=QueryOptions(
+                transport=TransportConfig(
+                    faults=FaultPolicy(**self.MIXED),
+                    max_retries=0,
+                    breaker_failure_threshold=10_000,
+                    partial_results=partial_results,
+                )
             ),
         )
 
@@ -395,12 +400,14 @@ class TestDeterministicReplay:
     def _install(seed: int):
         return registered_payless(
             tiny_weather_market(days=30),
-            transport=TransportConfig(
-                faults=FaultPolicy.uniform(seed=seed, rate=0.4),
-                retry_budget=None,
-                breaker_failure_threshold=10_000,
+            options=QueryOptions(
+                transport=TransportConfig(
+                    faults=FaultPolicy.uniform(seed=seed, rate=0.4),
+                    retry_budget=None,
+                    breaker_failure_threshold=10_000,
+                ),
+                max_concurrent_calls=8,
             ),
-            max_concurrent_calls=8,
         )
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -444,14 +451,6 @@ class TestQueryStatsApi:
         assert stats.complete
         assert stats.retries == 0
         assert stats.failed_fetches == ()
-
-    def test_old_attributes_forward_with_deprecation(self):
-        payless = registered_payless(tiny_weather_market())
-        result = payless.query("SELECT * FROM Station")
-        with pytest.warns(DeprecationWarning, match="stats.transactions"):
-            assert result.transactions == result.stats.transactions
-        with pytest.warns(DeprecationWarning, match="stats.price"):
-            assert result.price == result.stats.price
 
     def test_top_level_exports(self):
         import repro

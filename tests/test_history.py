@@ -24,8 +24,8 @@ class TestHistory:
         )
         entry = payless.history[-1]
         assert entry.sql_tables == ("Station", "Weather")
-        assert entry.transactions == result.transactions
-        assert entry.calls == result.calls
+        assert entry.transactions == result.stats.transactions
+        assert entry.calls == result.stats.calls
         assert entry.used_bind_join is True
 
     def test_direct_plan_flagged(self, payless):

@@ -90,6 +90,6 @@ def test_spend_flattens_once_everything_cached(setup):
     for instance in session:
         payless.query(instance.sql, instance.params)
     replay_cost = sum(
-        payless.query(i.sql, i.params).transactions for i in session
+        payless.query(i.sql, i.params).stats.transactions for i in session
     )
     assert replay_cost == 0

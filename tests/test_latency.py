@@ -32,7 +32,7 @@ class TestThroughTheStack:
         payless.register_dataset("WHW")
         result = payless.query("SELECT * FROM Station")
         # One call (1 transaction): 100 + 10 ms.
-        assert result.market_time_ms == pytest.approx(110.0)
+        assert result.stats.market_time_ms == pytest.approx(110.0)
 
     def test_cached_queries_take_no_market_time(self, mini_weather_market):
         mini_weather_market.latency = DEFAULT_LATENCY
@@ -40,7 +40,7 @@ class TestThroughTheStack:
         payless.register_dataset("WHW")
         payless.query("SELECT * FROM Station")
         repeat = payless.query("SELECT * FROM Station")
-        assert repeat.market_time_ms == 0.0
+        assert repeat.stats.market_time_ms == 0.0
 
     def test_ledger_accumulates_elapsed(self, mini_weather_market):
         mini_weather_market.latency = LatencyModel(
@@ -53,9 +53,9 @@ class TestThroughTheStack:
             "WHERE City = 'Beta' AND Station.StationID = Weather.StationID"
         )
         assert mini_weather_market.ledger.total_elapsed_ms == pytest.approx(
-            50.0 * result.calls
+            50.0 * result.stats.calls
         )
 
     def test_default_market_is_instant(self, mini_payless):
         result = mini_payless.query("SELECT * FROM Station")
-        assert result.market_time_ms == 0.0
+        assert result.stats.market_time_ms == 0.0

@@ -1,11 +1,8 @@
 """The unified configuration surface: PlanObjective / ServiceTier /
-QueryOptions, plus the deprecation forwarders off the old scattered
-``PayLess(...)`` keywords.
+QueryOptions.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -21,7 +18,7 @@ from repro.core.optimizer import OptimizerOptions
 from repro.errors import PlanningError
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
-from repro.testing import registered_payless, tiny_weather_market
+from repro.testing import tiny_weather_market
 
 
 class TestPlanObjective:
@@ -152,14 +149,6 @@ class TestQueryOptions:
         with pytest.raises(PlanningError):
             QueryOptions(fault_rate=1.5)
 
-    def test_from_optimizer_options_round_trip(self):
-        legacy = OptimizerOptions(use_sqr=False, objective="calls", prune=False)
-        adapted = QueryOptions.from_optimizer_options(legacy)
-        assert adapted.use_sqr is False
-        assert adapted.cost_metric == "calls"
-        assert adapted.prune is False
-        assert adapted.optimizer_options() == legacy
-
     def test_with_objective(self):
         base = QueryOptions()
         fast = base.with_objective(PlanObjective.min_latency())
@@ -167,65 +156,32 @@ class TestQueryOptions:
         assert base.objective is MIN_DOLLARS  # frozen original untouched
 
 
-class TestDeprecationForwarders:
-    """Old keyword spellings keep working, but warn at the call site."""
+class TestInstallationOptions:
+    """``options=QueryOptions(...)`` is the only way to configure PayLess."""
 
-    def _payless(self, **kwargs):
-        market = tiny_weather_market()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            payless = registered_payless(market, **kwargs)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        return payless, deprecations
-
-    def test_optimizer_options_still_accepted(self):
-        payless, warned = self._payless(
-            options=OptimizerOptions(use_sqr=False)
+    def test_without_sqr_applies_its_switch_to_passed_options(self):
+        payless = repro.PayLess.without_sqr(
+            tiny_weather_market(), options=QueryOptions(engine="reference")
         )
-        assert warned, "OptimizerOptions should trigger a DeprecationWarning"
         assert payless.query_options.use_sqr is False
-        assert payless.options.use_sqr is False
-
-    def test_transport_kwarg_still_accepted(self):
-        transport = TransportConfig(max_retries=2)
-        payless, warned = self._payless(transport=transport)
-        assert warned
-        assert payless.transport_config.max_retries == 2
-
-    def test_engine_kwarg_still_accepted(self):
-        payless, warned = self._payless(engine="reference")
-        assert warned
         assert payless.query_options.engine == "reference"
+        assert payless.rewriter.enabled is False
 
-    def test_prune_bounding_boxes_kwarg_still_accepted(self):
-        payless, warned = self._payless(prune_bounding_boxes=False)
-        assert warned
-        assert payless.query_options.prune_bounding_boxes is False
-        assert payless.rewriter.prune is False
-
-    def test_max_concurrent_calls_kwarg_still_accepted(self):
-        payless, warned = self._payless(max_concurrent_calls=3)
-        assert warned
-        assert payless.query_options.max_concurrent_calls == 3
-
-    def test_query_options_path_is_warning_free(self):
-        payless, warned = self._payless(
-            options=QueryOptions(use_sqr=False, engine="reference")
+    def test_minimizing_calls_applies_its_switches_to_passed_options(self):
+        payless = repro.PayLess.minimizing_calls(
+            tiny_weather_market(), options=QueryOptions(engine="reference")
         )
-        assert not warned
+        assert payless.query_options.use_sqr is False
+        assert payless.query_options.cost_metric == "calls"
         assert payless.query_options.engine == "reference"
+        assert payless.options.objective == "calls"
 
-    def test_warning_points_at_the_caller(self):
-        market = tiny_weather_market()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.PayLess(market, engine="reference")
-        warning = next(
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        )
-        assert warning.filename == __file__
+    @pytest.mark.parametrize(
+        "bad", [{"engine": "reference"}, OptimizerOptions(use_sqr=False)]
+    )
+    def test_non_query_options_rejected_at_construction(self, bad):
+        with pytest.raises(PlanningError, match="QueryOptions"):
+            repro.PayLess(tiny_weather_market(), options=bad)
 
 
 class TestPackageExports:

@@ -18,8 +18,8 @@ class TestSharedStore:
         second = bob.query(
             "SELECT * FROM Weather WHERE Country = 'CountryA' AND Date <= 3"
         )
-        assert first.transactions > 0
-        assert second.transactions == 0  # rides on Alice's purchase
+        assert first.stats.transactions > 0
+        assert second.stats.transactions == 0  # rides on Alice's purchase
 
     def test_user_identity_stable(self, organization):
         assert organization.user("Ann") is organization.user("ann")
@@ -32,8 +32,8 @@ class TestAttribution:
         bob = organization.user("bob")
         a = alice.query("SELECT * FROM Station")
         b = bob.query("SELECT * FROM Weather WHERE Country = 'CountryB'")
-        assert alice.transactions == a.transactions
-        assert bob.transactions == b.transactions
+        assert alice.transactions == a.stats.transactions
+        assert bob.transactions == b.stats.transactions
         report = organization.spend_report()
         assert "alice" in report and "bob" in report
         assert "unattributed" not in report
@@ -63,10 +63,10 @@ class TestDeferredBatch:
         results = organization.flush()
         # The broad query runs first (containment order), so the narrow
         # one is covered and free; Alice pays nothing.
-        assert results[narrow].transactions == 0
-        assert results[broad].transactions > 0
+        assert results[narrow].stats.transactions == 0
+        assert results[broad].stats.transactions > 0
         assert alice.transactions == 0
-        assert bob.transactions == results[broad].transactions
+        assert bob.transactions == results[broad].stats.transactions
 
     def test_flush_empty(self, organization):
         assert organization.flush() == {}

@@ -113,8 +113,8 @@ class TestFigure1SeattleWins:
     def test_execution_bills_two_transactions(self, setup):
         __, payless = setup
         result = payless.query(SEATTLE_SQL)
-        assert result.transactions == 2
-        assert result.calls == 2
+        assert result.stats.transactions == 2
+        assert result.stats.calls == 2
         assert len(result.rows) == JUNE_DAYS
 
 
@@ -138,7 +138,7 @@ class TestIntroCounterScenario:
         __, payless = setup
         result = payless.query(SEATTLE_SQL)
         # 1 (station call) + ceil(20*30/100) = 7, the paper's arithmetic.
-        assert result.transactions == 7
+        assert result.stats.transactions == 7
         assert len(result.rows) == 15 * JUNE_DAYS
 
 

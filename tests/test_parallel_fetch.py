@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.figures import BenchProfile, make_instances, make_workload
 from repro.core.executor import _makespan
+from repro.core.objectives import QueryOptions
 from repro.core.payless import PayLess
 from repro.errors import ExecutionError, PlanningError
 from repro.market.faults import FaultPolicy
@@ -41,7 +42,7 @@ def build_payless(data, max_concurrent_calls: int) -> PayLess:
     payless = PayLess.full(
         market,
         local_db=data.local_database(),
-        max_concurrent_calls=max_concurrent_calls,
+        options=QueryOptions(max_concurrent_calls=max_concurrent_calls),
     )
     for dataset in data.datasets:
         payless.register_dataset(dataset.name)
@@ -58,11 +59,16 @@ class TestBillingInvariance:
         for instance in instances:
             a = serial.query(instance.sql, instance.params)
             b = parallel.query(instance.sql, instance.params)
-            assert (a.transactions, a.price, a.calls, a.fetched_records) == (
-                b.transactions,
-                b.price,
-                b.calls,
-                b.fetched_records,
+            assert (
+                a.stats.transactions,
+                a.stats.price,
+                a.stats.calls,
+                a.stats.fetched_records,
+            ) == (
+                b.stats.transactions,
+                b.stats.price,
+                b.stats.calls,
+                b.stats.fetched_records,
             )
             assert sorted(a.rows) == sorted(b.rows)
         assert (
@@ -85,7 +91,9 @@ class TestBillingInvariance:
 def latency_payless(max_concurrent_calls: int) -> PayLess:
     market = tiny_weather_market(days=30)
     market.latency = LatencyModel(round_trip_ms=100.0, per_transaction_ms=10.0)
-    return registered_payless(market, max_concurrent_calls=max_concurrent_calls)
+    return registered_payless(
+        market, options=QueryOptions(max_concurrent_calls=max_concurrent_calls)
+    )
 
 
 def fragmented_query(payless: PayLess):
@@ -106,26 +114,29 @@ def fragmented_query(payless: PayLess):
 class TestCriticalPath:
     def test_serial_critical_path_equals_serial_sum(self):
         result = fragmented_query(latency_payless(max_concurrent_calls=1))
-        assert result.market_time_ms > 0
-        assert result.market_time_critical_path_ms == pytest.approx(
-            result.market_time_ms
+        assert result.stats.market_time_ms > 0
+        assert result.stats.market_time_critical_path_ms == pytest.approx(
+            result.stats.market_time_ms
         )
 
     def test_parallel_critical_path_is_shorter(self):
         result = fragmented_query(latency_payless(max_concurrent_calls=8))
-        assert result.calls >= 2
-        assert result.market_time_critical_path_ms > 0
+        assert result.stats.calls >= 2
+        assert result.stats.market_time_critical_path_ms > 0
         assert (
-            result.market_time_critical_path_ms < result.market_time_ms
+            result.stats.market_time_critical_path_ms
+            < result.stats.market_time_ms
         )
 
     def test_parallelism_never_changes_the_bill(self):
         serial = fragmented_query(latency_payless(max_concurrent_calls=1))
         parallel = fragmented_query(latency_payless(max_concurrent_calls=8))
-        assert serial.transactions == parallel.transactions
-        assert serial.price == pytest.approx(parallel.price)
-        assert serial.calls == parallel.calls
-        assert serial.market_time_ms == pytest.approx(parallel.market_time_ms)
+        assert serial.stats.transactions == parallel.stats.transactions
+        assert serial.stats.price == pytest.approx(parallel.stats.price)
+        assert serial.stats.calls == parallel.stats.calls
+        assert serial.stats.market_time_ms == pytest.approx(
+            parallel.stats.market_time_ms
+        )
         assert sorted(serial.rows) == sorted(parallel.rows)
 
 
@@ -188,8 +199,9 @@ def _traced_payless(max_concurrent_calls: int, faulty: bool) -> PayLess:
     )
     return registered_payless(
         tiny_weather_market(days=30),
-        max_concurrent_calls=max_concurrent_calls,
-        transport=transport,
+        options=QueryOptions(
+            max_concurrent_calls=max_concurrent_calls, transport=transport
+        ),
         tracing=True,
         metrics=MetricsRegistry(),
     )
@@ -288,7 +300,10 @@ class TestTraceUnderConcurrency:
 class TestConfigValidation:
     def test_payless_rejects_nonpositive_limit(self):
         with pytest.raises(PlanningError):
-            PayLess.full(tiny_weather_market(), max_concurrent_calls=0)
+            PayLess.full(
+                tiny_weather_market(),
+                options=QueryOptions(max_concurrent_calls=0),
+            )
 
     def test_executor_rejects_nonpositive_limit(self):
         from repro.core.executor import Executor

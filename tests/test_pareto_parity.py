@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import build_system
-from repro.core.objectives import PlanObjective
+from repro.core.objectives import MIN_DOLLARS, PlanObjective, QueryOptions
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
 from repro.workloads.synthetic import make_join_graph
@@ -37,10 +37,17 @@ SHAPES_AND_SIZES = [
 ]
 
 
-def _arms(data, objective=None):
-    optimized, __ = build_system("payless", data, objective=objective)
+def _arms(data, objective=MIN_DOLLARS, transport_for=lambda: None):
+    optimized, __ = build_system(
+        "payless", data,
+        options=QueryOptions(objective=objective, transport=transport_for()),
+    )
     oracle, __ = build_system(
-        "payless", data, prune=False, plan_cache_size=0, objective=objective
+        "payless", data,
+        options=QueryOptions(
+            objective=objective, transport=transport_for(),
+            prune=False, plan_cache_size=0,
+        ),
     )
     return optimized, oracle
 
@@ -105,13 +112,7 @@ class TestWorkloadSessions:
     def _run(self, workload, q, objective, transport_for=lambda: None):
         data = make_workload(workload)
         instances = make_instances(workload, data, q)
-        optimized, __ = build_system(
-            "payless", data, transport=transport_for(), objective=objective
-        )
-        oracle, __ = build_system(
-            "payless", data, transport=transport_for(),
-            prune=False, plan_cache_size=0, objective=objective,
-        )
+        optimized, oracle = _arms(data, objective, transport_for)
         assert instances
         for instance in instances:
             a = optimized.query(instance.sql, instance.params)

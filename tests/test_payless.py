@@ -33,7 +33,7 @@ class TestRegistration:
         mini_payless.add_local_table(table)
         result = mini_payless.query("SELECT * FROM Notes")
         assert result.rows == [("Alpha",)]
-        assert result.transactions == 0
+        assert result.stats.transactions == 0
 
 
 class TestQuerying:
@@ -61,7 +61,7 @@ class TestQuerying:
 
     def test_price_tracks_policy(self, mini_payless):
         result = mini_payless.query("SELECT * FROM Weather")
-        assert result.price == pytest.approx(float(result.transactions))
+        assert result.stats.price == pytest.approx(float(result.stats.transactions))
 
 
 class TestVariants:
@@ -70,7 +70,7 @@ class TestVariants:
         payless.register_dataset("WHW")
         first = payless.query("SELECT * FROM Station")
         second = payless.query("SELECT * FROM Station")
-        assert first.transactions == second.transactions > 0
+        assert first.stats.transactions == second.stats.transactions > 0
 
     def test_strong_consistency_repays(self, mini_weather_market):
         payless = PayLess.full(
@@ -79,7 +79,7 @@ class TestVariants:
         payless.register_dataset("WHW")
         first = payless.query("SELECT * FROM Station")
         second = payless.query("SELECT * FROM Station")
-        assert first.transactions == second.transactions > 0
+        assert first.stats.transactions == second.stats.transactions > 0
 
     def test_x_week_consistency_expires(self, mini_weather_market):
         payless = PayLess.full(
@@ -87,9 +87,9 @@ class TestVariants:
         )
         payless.register_dataset("WHW")
         payless.query("SELECT * FROM Station")
-        assert payless.query("SELECT * FROM Station").transactions == 0
+        assert payless.query("SELECT * FROM Station").stats.transactions == 0
         payless.store.advance_clock(2)
-        assert payless.query("SELECT * FROM Station").transactions > 0
+        assert payless.query("SELECT * FROM Station").stats.transactions > 0
 
 
 class TestDownloadAll:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import build_system
-from repro.core.objectives import AdaptivePolicy, PlanObjective
+from repro.core.objectives import AdaptivePolicy, PlanObjective, QueryOptions
 from repro.core.plancache import PlanCache
 from repro.core.plans import MaterializedNode
 from repro.core.prepared import PreparedQuery
@@ -145,7 +145,9 @@ def _skewed_build(adaptive=None):
         "chain", 2, tuples_per_transaction=5,
         domain_high=400, skew=15.0, rows=1000,
     )
-    payless, __ = build_system("payless", data, adaptive=adaptive)
+    payless, __ = build_system(
+        "payless", data, options=QueryOptions(adaptive=adaptive)
+    )
     return payless
 
 
@@ -208,7 +210,7 @@ class TestAdaptiveHygiene:
 
 class TestCapacity:
     def test_lru_eviction_at_small_capacity(self):
-        payless, __ = build(plan_cache_size=2)
+        payless, __ = build(options=QueryOptions(plan_cache_size=2))
         warm(payless, 3)
         payless.query("SELECT * FROM T1")
         payless.query("SELECT * FROM T2")
@@ -220,7 +222,7 @@ class TestCapacity:
         assert payless.plan_cache.hits == hits
 
     def test_size_zero_disables_the_cache(self):
-        payless, data = build(plan_cache_size=0)
+        payless, data = build(options=QueryOptions(plan_cache_size=0))
         warm(payless, 3)
         assert not payless.plan_cache.enabled
         payless.query(data.sql)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import build_system
+from repro.core.objectives import QueryOptions
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
 from repro.workloads.synthetic import make_join_graph
@@ -27,11 +28,13 @@ def _run_arms(workload: str, q: int, transport_for=lambda: None):
     data = make_workload(workload)
     instances = make_instances(workload, data, q)
     optimized, __ = build_system(
-        "payless", data, transport=transport_for()
+        "payless", data, options=QueryOptions(transport=transport_for())
     )
     oracle, __ = build_system(
-        "payless", data, transport=transport_for(),
-        prune=False, plan_cache_size=0,
+        "payless", data,
+        options=QueryOptions(
+            transport=transport_for(), prune=False, plan_cache_size=0
+        ),
     )
     assert instances, "session must not be empty"
     for instance in instances:
@@ -89,7 +92,8 @@ class TestSyntheticGraphs:
         data = make_join_graph(shape, n)
         optimized, __ = build_system("payless", data)
         oracle, __ = build_system(
-            "payless", data, prune=False, plan_cache_size=0
+            "payless", data,
+            options=QueryOptions(prune=False, plan_cache_size=0),
         )
         # Twice: cold, then against a warm store (and a cache hit on the
         # optimized arm — the hit must not change spend or rows either).

@@ -23,7 +23,7 @@ import pytest
 
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import build_system
-from repro.core.objectives import MIN_DOLLARS, PlanObjective
+from repro.core.objectives import MIN_DOLLARS, PlanObjective, QueryOptions
 from repro.core.optimizer import Optimizer, OptimizerOptions
 from repro.workloads.synthetic import make_join_graph
 
@@ -123,7 +123,9 @@ def _check(request, pin: dict, name: str, actual: dict) -> None:
 
 
 def _pin_graph(request, pin, name: str, data, sql: str, trace: bool) -> dict:
-    payless, __ = build_system("payless", data, plan_cache_size=0)
+    payless, __ = build_system(
+        "payless", data, options=QueryOptions(plan_cache_size=0)
+    )
     logical = payless.compile(sql)
     actual = {}
     for objective, prune in ARMS:
@@ -175,8 +177,11 @@ def test_session_pin(request, pin, workload, q):
     actual = {}
     for objective, prune in ARMS:
         payless, __ = build_system(
-            "payless", data, prune=prune, plan_cache_size=0,
-            objective=OBJECTIVES[objective],
+            "payless", data,
+            options=QueryOptions(
+                prune=prune, plan_cache_size=0,
+                objective=OBJECTIVES[objective],
+            ),
         )
         records = []
         for instance in instances:

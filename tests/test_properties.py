@@ -10,7 +10,6 @@ market and checks the system's core invariants:
 * **Consistency** — the billing ledger agrees with the per-query deltas.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +19,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
 from repro.relational.engine import evaluate
 from repro.relational.table import Table
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 COUNTRIES = ["CountryA", "CountryB"]
 CITIES = ["Alpha", "Beta", "Gamma", "Delta"]
@@ -101,8 +98,8 @@ def test_random_sessions_match_oracle_and_never_repay(
         assert sorted(result.rows, key=repr) == sorted(
             expected.rows, key=repr
         ), sql
-        assert result.transactions >= 0
-        spent += result.transactions
+        assert result.stats.transactions >= 0
+        spent += result.stats.transactions
 
         # A repeat may legally switch plan shape (bind join → direct) and
         # buy tuples outside the first plan's region — possibly even more
@@ -115,9 +112,9 @@ def test_random_sessions_match_oracle_and_never_repay(
         assert sorted(repeat.rows, key=repr) == sorted(
             expected.rows, key=repr
         )
-        spent += repeat.transactions
+        spent += repeat.stats.transactions
         settled = payless.query(sql, params)
-        assert settled.transactions == 0, f"third issue of {sql} not free"
+        assert settled.stats.transactions == 0, f"third issue of {sql} not free"
         assert sorted(settled.rows, key=repr) == sorted(
             expected.rows, key=repr
         )
@@ -166,7 +163,7 @@ def test_single_query_never_beats_direct_region_price(
                 )
             )
             direct += -(-rows // 10)  # ceil at t=10
-    assert result.transactions <= direct
+    assert result.stats.transactions <= direct
 
 
 def plan_market_accesses(plan):

@@ -27,11 +27,11 @@ class TestMemoization:
             "WHERE Country = 'CountryA' AND StationID = 2"
         )
         first = payless.query(sql)
-        assert first.transactions > 0
+        assert first.stats.transactions > 0
         hits_before = payless.rewriter.cache_hits
         second = payless.query(sql)
         assert payless.rewriter.cache_hits > hits_before
-        assert second.transactions == 0
+        assert second.stats.transactions == 0
         assert sorted(second.rows) == sorted(first.rows)
         assert 0.0 < payless.rewriter.cache_hit_rate <= 1.0
 
@@ -127,4 +127,4 @@ class TestStalenessGuard:
         sql = "SELECT * FROM Station WHERE Country = 'CountryB'"
         payless.query(sql)
         result = payless.query(sql)  # planning + execution at one epoch
-        assert result.transactions == 0
+        assert result.stats.transactions == 0

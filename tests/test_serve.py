@@ -7,7 +7,6 @@ registry actually holding a waiter, instead of racing real sleeps.
 
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -374,23 +373,3 @@ class TestServing:
         assert result.stats.transactions > 0
         assert mini_payless.context.coalescer is None
 
-
-class TestDeprecationForwarders:
-    def test_warning_reported_at_caller_line(self, mini_payless):
-        """``stacklevel=2`` audit: the DeprecationWarning must point at the
-        line *reading* the legacy attribute, not at payless.py."""
-        result = mini_payless.query("SELECT * FROM Station")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            __ = result.transactions  # the caller line the warning names
-        assert len(caught) == 1
-        warning = caught[0]
-        assert warning.category is DeprecationWarning
-        assert warning.filename == __file__
-        read_line = None
-        with open(__file__) as handle:
-            for number, text in enumerate(handle, start=1):
-                if "the caller line the warning names" in text:
-                    read_line = number
-                    break
-        assert warning.lineno == read_line

@@ -21,6 +21,7 @@ import pytest
 
 from repro.bench.figures import BenchProfile, make_instances, make_workload
 from repro.bench.harness import build_system
+from repro.core.objectives import QueryOptions
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
 from repro.obs.metrics import MetricsRegistry
@@ -49,8 +50,8 @@ def run_passes(workload, passes=2, transport=None, system="payless"):
     q = SMALL.weather_q if workload == "real" else SMALL.tpch_q
     instances = make_instances(workload, data, q, SMALL)
     payless, __ = build_system(
-        system, data, transport=transport, tracing=True,
-        metrics=MetricsRegistry(),
+        system, data, options=QueryOptions(transport=transport),
+        tracing=True, metrics=MetricsRegistry(),
     )
     payless.tracer.keep = passes * len(instances) + 4
     results = []
