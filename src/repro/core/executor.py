@@ -312,7 +312,9 @@ class Executor:
 
     def execute(self, query: LogicalQuery, plan: PlanNode) -> ExecutionResult:
         self._query = query
-        self._staged: dict[str, list] = {}
+        #: Per market table, the distinct rows this query's accesses
+        #: returned, kept columnar (see :meth:`_stage`).
+        self._staged: dict[str, Relation] = {}
         self._critical_path_ms = 0.0
         self._serial_ms = 0.0
         self._scope = self.context.transport.new_scope()
@@ -694,8 +696,9 @@ class Executor:
         overlay = CardinalityOverlay()
         for table in executed:
             if self.context.is_market(table):
+                staged = self._staged.get(table.lower())
                 overlay.set_region_rows(
-                    table, len(self._staged.get(table.lower(), []))
+                    table, len(staged) if staged is not None else 0
                 )
         remaining = {
             t.lower() for t in self._query.tables
@@ -721,10 +724,7 @@ class Executor:
         for table_name in node.tables:
             if self.context.is_market(table_name):
                 relation = self._fetch_market(table_name, (), source="covered")
-                schema = self.context.schema_of(table_name)
-                staged = Table(table_name, schema)
-                staged.extend(relation.rows)
-                block_db.add(staged)
+                block_db.add(self._as_table(table_name, relation))
             else:
                 block_db.add(self.context.local_db.table(table_name))
         block_tables = {t.lower() for t in node.tables}
@@ -927,13 +927,37 @@ class Executor:
         predicates.extend(self._query.residuals_for(table))
         if predicates:
             relation = self._ops.filter_rows(relation, conjunction(predicates))
-        staged = self._staged.setdefault(table.lower(), [])
-        seen = set(staged)
-        for row in relation.rows:
-            if row not in seen:
-                seen.add(row)
-                staged.append(row)
+        self._stage(table, relation)
         return relation
+
+    def _stage(self, table: str, relation: Relation) -> None:
+        """Add one access's rows to what the final evaluation will scan.
+
+        The store holds each row once, so a single access is distinct as
+        it stands and is kept as the columnar relation it already is.
+        Only a plan that reads the same table again (a covered block and
+        an access, a re-planned suffix) can bring a row twice; then the
+        rows the table has not staged yet are appended, in access order.
+        """
+        key = table.lower()
+        previous = self._staged.get(key)
+        if previous is None or not len(previous):
+            self._staged[key] = relation
+        elif len(relation):
+            rows = previous.rows
+            seen = set(rows)
+            fresh = [row for row in relation.rows if row not in seen]
+            if fresh:
+                self._staged[key] = Relation(relation.layout, rows + fresh)
+
+    def _as_table(self, table: str, relation: Relation) -> Table:
+        """``relation``'s columns as a :class:`Table` the engine can scan."""
+        return Table.from_columns(
+            table,
+            self.context.schema_of(table),
+            relation.columns_data,
+            len(relation),
+        )
 
     def _record_outcomes(
         self, table: str, remainders, outcomes, lead_flights
@@ -1429,11 +1453,12 @@ class Executor:
         span.finish(self.context.tracer.clock())
 
     def _empty_relation(self, table: str) -> Relation:
-        self._staged.setdefault(table.lower(), [])
-        return Relation(
+        relation = Relation(
             RowLayout.for_table(table, self.context.schema_of(table).names),
             [],
         )
+        self._stage(table, relation)
+        return relation
 
     # ------------------------------------------------------------------- staging
 
@@ -1443,11 +1468,11 @@ class Executor:
         tracing = tracer.enabled
         for table_name in query.tables:
             if self.context.is_market(table_name):
-                schema = self.context.schema_of(table_name)
-                staged = Table(table_name, schema)
-                staged.extend(self._staged.get(table_name.lower(), []))
-                staging.add(staged)
-                rows = len(staged)
+                relation = self._staged.get(table_name.lower())
+                if relation is None:
+                    relation = self._empty_relation(table_name)
+                staging.add(self._as_table(table_name, relation))
+                rows = len(relation)
             else:
                 local = self.context.local_db.table(table_name)
                 staging.add(local)

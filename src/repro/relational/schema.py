@@ -91,6 +91,7 @@ class Schema:
         if not attributes:
             raise SchemaError("a schema needs at least one attribute")
         self._attributes = tuple(attributes)
+        self._names = tuple(attribute.name for attribute in self._attributes)
         self._index: dict[str, int] = {}
         for position, attribute in enumerate(self._attributes):
             key = attribute.name.lower()
@@ -104,7 +105,7 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(attribute.name for attribute in self._attributes)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._attributes)

@@ -36,6 +36,20 @@ class AttributeType(enum.Enum):
         """Whether values of this type are point-only in REST constraints."""
         return self is AttributeType.STRING
 
+    @property
+    def exact_type(self) -> type:
+        """The Python type :meth:`coerce` returns unchanged.
+
+        A column whose values all have exactly this type needs no per-cell
+        coercion — the fact :class:`~repro.relational.table.Table` uses to
+        validate a whole batch with one ``set(map(type, column))``.
+        """
+        if self is AttributeType.FLOAT:
+            return float
+        if self is AttributeType.STRING:
+            return str
+        return int
+
     def coerce(self, value: Any) -> Any:
         """Coerce ``value`` to this type, raising :class:`TypeMismatchError`.
 
@@ -53,7 +67,13 @@ class AttributeType(enum.Enum):
         if self is AttributeType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeMismatchError(f"expected float, got {value!r}")
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise TypeMismatchError(
+                    f"expected float, got an int too large to convert "
+                    f"({value.bit_length()} bits)"
+                ) from None
         if not isinstance(value, str):
             raise TypeMismatchError(f"expected string, got {value!r}")
         return value
