@@ -48,6 +48,9 @@ GRAPHS = [
 #: Tracing every candidate of an unpruned clique-8 run is slow; the
 #: event stream is pinned where it is cheap.
 TRACE_PIN_MAX_N = 6
+#: The graphs ``joingraph_quote`` of the end-to-end benchmark adds beyond
+#: n = 8, with its ``domain_high`` and a range on ``T1`` as it quotes them.
+BENCHMARK_GRAPHS = [("chain", 10), ("star", 9), ("star", 10)]
 SESSIONS = [("real", 2), ("tpch", 1)]
 
 
@@ -165,6 +168,14 @@ def test_two_point_frontier_pin(request, pin, shape):
     )
     assert len(actual["min_latency/pruned"]["frontier"]) == 2
     assert len(actual["min_dollars/pruned"]["frontier"]) == 1
+
+
+@pytest.mark.parametrize("shape,n", BENCHMARK_GRAPHS)
+def test_benchmark_shape_pin(request, pin, shape, n):
+    data = make_join_graph(shape, n, domain_high=32)
+    column = data.dataset.table("T1").schema.names[0]
+    sql = f"{data.sql} AND T1.{column} >= 5 AND T1.{column} <= 21"
+    _pin_graph(request, pin, f"{shape}-{n}-d32-range", data, sql, trace=False)
 
 
 @pytest.mark.parametrize("workload,q", SESSIONS)
