@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 from operator import attrgetter
 
@@ -152,13 +153,77 @@ class PlanningResult:
         return self.evaluated_plans - self.pruned_plans
 
 
-@dataclass
 class _SubPlan:
-    node: PlanNode
-    cost: float
-    rows: float
-    #: Serial market wall-clock estimate — the second Pareto axis.
-    latency: float = 0.0
+    """A candidate's vector — relation set, cost, rows, latency.
+
+    The DP compares vectors only, and ``_consider`` rejects most
+    candidates, so the plan tree is not built with the candidate:
+    ``build(subplan)`` constructs it on the first read of ``node``.
+    """
+
+    __slots__ = ("relations", "cost", "rows", "latency", "_node", "_build")
+
+    def __init__(self, relations, cost, rows, latency=0.0, node=None, build=None):
+        self.relations: frozenset[str] = relations
+        self.cost: float = cost
+        self.rows: float = rows
+        #: Serial market wall-clock estimate — the second Pareto axis.
+        self.latency: float = latency
+        self._node: PlanNode | None = node
+        self._build = build
+
+    @property
+    def node(self) -> PlanNode:
+        if self._node is None:
+            self._node = self._build(self)
+        return self._node
+
+
+def _leaf(node: PlanNode) -> _SubPlan:
+    return _SubPlan(
+        node.relations, node.cost, node.estimated_rows, node.latency_ms, node
+    )
+
+
+def _join_node(left, right, predicates, bind, plan: _SubPlan) -> JoinNode:
+    return JoinNode(
+        relations=plan.relations,
+        cost=plan.cost,
+        estimated_rows=plan.rows,
+        latency_ms=plan.latency,
+        left=left.node,
+        right=right.node,
+        predicates=predicates,
+        bind=bind,
+        cartesian=not predicates,
+    )
+
+
+def _bind_node(table, rewrite, columns, bindings, plan: _SubPlan) -> MarketAccessNode:
+    return MarketAccessNode(
+        relations=plan.relations,
+        cost=plan.cost,
+        estimated_rows=plan.rows,
+        latency_ms=plan.latency,
+        table=table,
+        rewrite=rewrite,
+        bind_attributes=columns,
+        estimated_bindings=bindings,
+    )
+
+
+@dataclass
+class _JoinIndex:
+    """``query.joins`` resolved once per planning call (lowered names)."""
+
+    #: ``(left table, right table, predicate, row divisor)`` in query
+    #: order; the divisor is ``max(d_left, d_right, 1.0)``.
+    joins: list[tuple[str, str, JoinPredicate, float]]
+    #: Per table: its incident joins as ``(other table, predicate,
+    #: divisor)``, in query order.
+    edges: dict[str, list[tuple[str, JoinPredicate, float]]]
+    #: Per table: the tables it shares a join with.
+    adjacency: dict[str, set[str]]
 
 
 @dataclass
@@ -253,13 +318,14 @@ class Optimizer:
         # and the store state at planning time.  (The rewriter's own
         # epoch-keyed memo still guards reuse *across* queries.)
         self._memo_rewrite: dict[str, RewriteResult] = {}
-        self._memo_direct: dict[str, MarketAccessNode] = {}
+        self._memo_direct: dict[str, _SubPlan] = {}
+        self._memo_binds: dict[str, tuple] = {}
         self._memo_region_rows: dict[str, float] = {}
         self._memo_standalone: dict[str, bool] = {}
-        self._memo_bindable: dict[tuple[str, str], bool] = {}
-        self._memo_feasible: dict[tuple[str, frozenset[str]], bool] = {}
         self._memo_distinct: dict[tuple[str, str], float] = {}
-        self._memo_domain: dict[tuple[str, str], float] = {}
+        #: Built on first use, not here: ``optimize_suffix`` installs its
+        #: overlay after ``_reset`` and the divisors read it.
+        self._index: _JoinIndex | None = None
         #: Observed-cardinality overlay for adaptive suffix planning; a
         #: fresh ``optimize()`` always starts from shared estimates only.
         self._overlay = None
@@ -387,7 +453,7 @@ class Optimizer:
             # the original plan instead.
             return None
         seed = _SubPlan(
-            node=prefix, cost=0.0, rows=max(prefix.estimated_rows, 0.0)
+            prefix.relations, 0.0, max(prefix.estimated_rows, 0.0), node=prefix
         )
         try:
             entries = self._complete_frontier(remaining, seed)
@@ -442,11 +508,8 @@ class Optimizer:
                     match = candidate
                     break
             if match is None:
-                applicable = self._applicable_joins(
-                    current.node.relations, access.table
-                )
-                match = self._attach(
-                    current, access, applicable, bind=step.bind
+                (match,) = self._attach(
+                    current, access.table, [(_leaf(access), step.bind)]
                 )
             current = match
         return current.cost
@@ -480,21 +543,44 @@ class Optimizer:
             )
             rows *= max(region_rows, 0.0)
         # Apply join selectivities for predicates internal to the block.
-        lowered = {t.lower() for t in tables}
-        for join in self._query.joins:
-            left_t, right_t = (t.lower() for t in join.tables())
+        lowered = frozenset(t.lower() for t in tables)
+        for left_t, right_t, __, divisor in self._join_index().joins:
             if left_t in lowered and right_t in lowered:
-                d_left = self._base_distinct(join.left.table, join.left.column)
-                d_right = self._base_distinct(join.right.table, join.right.column)
-                rows /= max(d_left, d_right, 1.0)
-        node = LocalBlockNode(
-            relations=frozenset(t.lower() for t in tables),
-            cost=0.0,
-            estimated_rows=rows,
-            tables=tuple(tables),
-            covered_market_tables=tuple(zero_market),
+                rows /= divisor
+        return _leaf(
+            LocalBlockNode(
+                relations=lowered,
+                cost=0.0,
+                estimated_rows=rows,
+                tables=tuple(tables),
+                covered_market_tables=tuple(zero_market),
+            )
         )
-        return _SubPlan(node=node, cost=0.0, rows=rows)
+
+    def _join_index(self) -> _JoinIndex:
+        """The query's join graph, resolved on first use: the hot loops
+        then compare lowered names and divide by ready-made divisors."""
+        index = self._index
+        if index is None:
+            joins = []
+            edges = {t.lower(): [] for t in self._query.tables}
+            for join in self._query.joins:
+                left, right = join.left, join.right
+                left_t, right_t = left.table.lower(), right.table.lower()
+                divisor = max(
+                    self._base_distinct(left.table, left.column),
+                    self._base_distinct(right.table, right.column),
+                    1.0,
+                )
+                joins.append((left_t, right_t, join, divisor))
+                edges[left_t].append((right_t, join, divisor))
+                edges[right_t].append((left_t, join, divisor))
+            adjacency = {
+                table: {other for other, __, __ in incident}
+                for table, incident in edges.items()
+            }
+            index = self._index = _JoinIndex(joins, edges, adjacency)
+        return index
 
     def _components(
         self, subset: frozenset[str], block_tables: frozenset[str]
@@ -502,42 +588,30 @@ class Optimizer:
         """Theorem 3: connected components of ``subset`` in the join graph.
 
         Tables joined to the zero-price block are connected *through* it.
+        Components come in order of their smallest member, so Theorem-3
+        composition nests the same way in every process.
         """
-        parent = {t: t for t in subset}
-        block_anchor: str | None = None
-
-        def find(node: str) -> str:
-            while parent[node] != node:
-                parent[node] = parent[parent[node]]
-                node = parent[node]
-            return node
-
-        def union(a: str, b: str) -> None:
-            parent[find(a)] = find(b)
-
-        for join in self._query.joins:
-            left_t, right_t = (t.lower() for t in join.tables())
-            if left_t in subset and right_t in subset:
-                union(left_t, right_t)
-            elif left_t in subset and right_t in block_tables:
-                if block_anchor is None:
-                    block_anchor = left_t
-                else:
-                    union(left_t, block_anchor)
-            elif right_t in subset and left_t in block_tables:
-                if block_anchor is None:
-                    block_anchor = right_t
-                else:
-                    union(right_t, block_anchor)
-
-        groups: dict[str, set[str]] = {}
-        for table in sorted(subset):
-            groups.setdefault(find(table), set()).add(table)
-        # Deterministic component order (by smallest member) so Theorem-3
-        # composition nests the same way in every process.
-        return sorted(
-            (frozenset(group) for group in groups.values()), key=min
-        )
+        adjacency = self._join_index().adjacency
+        through_block = {
+            t for t in subset if not adjacency[t].isdisjoint(block_tables)
+        }
+        components = []
+        unseen = set(subset)
+        for start in sorted(subset):
+            if start not in unseen:
+                continue
+            unseen.discard(start)
+            component, frontier = {start}, [start]
+            while frontier and unseen:
+                table = frontier.pop()
+                reached = adjacency[table] & unseen
+                if table in through_block:
+                    reached |= through_block & unseen
+                unseen -= reached
+                component |= reached
+                frontier.extend(reached)
+            components.append(frozenset(component))
+        return components
 
     # ------------------------------------------------------------------- the DP
     #
@@ -549,17 +623,18 @@ class Optimizer:
     # plan beats it *strictly on every axis* (strict, so first-seen ties
     # survive — the property that keeps pruned and unpruned runs
     # byte-identical, per frontier point).
+    #
+    # A candidate is a vector (``_SubPlan``): costing is float arithmetic
+    # over the per-query join index, in a fixed operation order, and plan
+    # nodes are built only for what is read back — ``_consider`` rejects
+    # most candidates, and a rejected one never had a tree.
 
     def _frontier_program(
         self, priced: list[str], block: _SubPlan | None
     ) -> list[_SubPlan]:
         """Run the DP; return the frontier entries of the full table set."""
         frontiers: dict[frozenset[str], list[_SubPlan]] = {}
-        block_tables = (
-            frozenset(t.lower() for t in block.node.tables)
-            if block is not None
-            else frozenset()
-        )
+        block_tables = block.relations if block is not None else frozenset()
         by_name = {t.lower(): t for t in priced}
         self._full_key = frozenset(by_name)
         if self._prune:
@@ -747,21 +822,12 @@ class Optimizer:
         parts = sorted(parts, key=lambda p: p.cost, reverse=True)
         combined = parts[0]
         for part in parts[1:]:
-            node = JoinNode(
-                relations=combined.node.relations | part.node.relations,
-                cost=combined.cost + part.cost,
-                estimated_rows=combined.rows * part.rows,
-                latency_ms=combined.latency + part.latency,
-                left=combined.node,
-                right=part.node,
-                predicates=(),
-                cartesian=True,
-            )
             combined = _SubPlan(
-                node=node,
-                cost=node.cost,
-                rows=node.estimated_rows,
-                latency=node.latency_ms,
+                combined.relations | part.relations,
+                combined.cost + part.cost,
+                combined.rows * part.rows,
+                combined.latency + part.latency,
+                build=partial(_join_node, combined, part, (), False),
             )
         return combined
 
@@ -867,103 +933,106 @@ class Optimizer:
         self, left: _SubPlan | None, table: str
     ) -> list[_SubPlan]:
         """All ways to add ``table`` to the current left subtree."""
-        candidates: list[_SubPlan] = []
-        applicable = (
-            self._applicable_joins(left.node.relations, table)
-            if left is not None
-            else []
-        )
-
+        accesses: list[tuple[_SubPlan, bool]] = []
         if self._standalone_feasible(table):
-            access = self._direct_access(table)
-            self._evaluated += 1
-            candidates.append(self._attach(left, access, applicable, bind=False))
+            accesses.append((self._direct_access(table), False))
+        if left is not None:
+            (
+                own, rewrite, region_rows, uncovered, options
+            ) = self._bind_options(table)
+            left_relations, left_rows = left.relations, left.rows
+            most_bindings = max(left_rows, 1.0)
+            priced_in_calls = self.options.objective == "calls"
+            for (
+                outers, distincts, columns, rows_per_binding, per_call, call_ms
+            ) in options:
+                if not outers <= left_relations:
+                    continue
+                # One call per distinct binding combination.
+                bindings = 1.0
+                for outer_distinct in distincts:
+                    bindings *= max(min(outer_distinct, left_rows), 1.0)
+                bindings = min(bindings, most_bindings)
+                # One REST call per uncovered binding combination, each
+                # returning ``per_call`` transaction pages — the latency
+                # axis stays in transactions even when the money axis
+                # counts calls.
+                access = _SubPlan(
+                    own,
+                    bindings if priced_in_calls
+                    else bindings * uncovered * per_call,
+                    min(rows_per_binding * bindings, region_rows),
+                    bindings * uncovered * call_ms,
+                    build=partial(_bind_node, table, rewrite, columns, bindings),
+                )
+                accesses.append((access, True))
+        self._count_accesses(table, len(accesses))
+        return self._attach(left, table, accesses)
 
-        if left is not None and applicable:
-            bindable = [
-                j for j in applicable if self._bindable(table, j.side_for(table).column)
-            ]
-            for r in range(1, min(self.options.max_bind_attrs, len(bindable)) + 1):
-                for join_subset in combinations(bindable, r):
-                    bind_columns = {j.side_for(table).column for j in join_subset}
-                    if len(bind_columns) != len(join_subset):
-                        continue
-                    if not self._feasible_with_binding(table, bind_columns):
-                        continue
-                    access = self._bind_access(table, join_subset, left)
-                    self._evaluated += 1
-                    candidates.append(
-                        self._attach(left, access, applicable, bind=True)
-                    )
-        return candidates
+    def _count_accesses(self, table: str, count: int) -> None:
+        """Tick the candidate and Figure-15 box counters: once per costed
+        access, memoized or not, exactly like the oracle's."""
+        if count:
+            rewrite = self._rewrite(table)
+            self._evaluated += count
+            self._enumerated_boxes += count * rewrite.enumerated_boxes
+            self._kept_boxes += count * rewrite.kept_boxes
 
     def _attach(
         self,
         left: _SubPlan | None,
-        access: MarketAccessNode,
-        applicable: list[JoinPredicate],
-        bind: bool,
-    ) -> _SubPlan:
-        if left is None:
-            return _SubPlan(
-                node=access,
-                cost=access.cost,
-                rows=access.estimated_rows,
-                latency=access.latency_ms,
+        table: str,
+        accesses: list[tuple[_SubPlan, bool]],
+    ) -> list[_SubPlan]:
+        """``left`` joined with each ``(access to table, is bind join)`` on
+        every predicate between them; the accesses alone without a left."""
+        if left is None or not accesses:
+            return [access for access, __ in accesses]
+        left_relations = left.relations
+        applicable = [
+            edge
+            for edge in self._join_index().edges[table.lower()]
+            if edge[0] in left_relations
+        ]
+        predicates = tuple(join for __, join, __ in applicable)
+        divisors = [divisor for __, __, divisor in applicable]
+        relations = left_relations | accesses[0][0].relations
+        left_cost, left_rows, left_latency = left.cost, left.rows, left.latency
+        candidates = []
+        for access, bind in accesses:
+            rows = left_rows * access.rows
+            for divisor in divisors:
+                rows /= divisor
+            candidates.append(
+                _SubPlan(
+                    relations,
+                    left_cost + access.cost,
+                    rows,
+                    left_latency + access.latency,
+                    build=partial(_join_node, left, access, predicates, bind),
+                )
             )
-        rows = left.rows * access.estimated_rows
-        if applicable:
-            for join in applicable:
-                d_left = self._base_distinct(join.left.table, join.left.column)
-                d_right = self._base_distinct(join.right.table, join.right.column)
-                rows /= max(d_left, d_right, 1.0)
-        node = JoinNode(
-            relations=left.node.relations | access.relations,
-            cost=left.cost + access.cost,
-            estimated_rows=rows,
-            latency_ms=left.latency + access.latency_ms,
-            left=left.node,
-            right=access,
-            predicates=tuple(applicable),
-            bind=bind,
-            cartesian=not applicable,
-        )
-        return _SubPlan(node=node, cost=node.cost, rows=rows, latency=node.latency_ms)
+        return candidates
 
-    def _applicable_joins(
-        self, left_relations: frozenset[str], table: str
-    ) -> list[JoinPredicate]:
-        found = []
-        for join in self._query.joins:
-            if not join.involves(table):
-                continue
-            other = join.other_side(table).table.lower()
-            if other in left_relations:
-                found.append(join)
-        return found
-
-    def _direct_access(self, table: str) -> MarketAccessNode:
-        # The access node is a pure function of the table (given the query
-        # and store state), so one instance is shared by every candidate
-        # that embeds it; plans never mutate their nodes.  The Figure-15
-        # box counters still tick per use, exactly like the oracle's.
+    def _direct_access(self, table: str) -> _SubPlan:
+        # The access is a pure function of the table (given the query and
+        # store state), so one node is shared by every candidate that
+        # embeds it; plans never mutate their nodes.
         key = table.lower()
-        node = self._memo_direct.get(key)
-        if node is None:
+        access = self._memo_direct.get(key)
+        if access is None:
             rewrite = self._rewrite(table)
-            node = MarketAccessNode(
-                relations=frozenset([key]),
-                cost=self._objective_cost(rewrite),
-                estimated_rows=self._region_rows(table),
-                latency_ms=self._access_latency(rewrite),
-                table=table,
-                rewrite=rewrite,
+            access = self._memo_direct[key] = _leaf(
+                MarketAccessNode(
+                    relations=frozenset([key]),
+                    cost=self._objective_cost(rewrite),
+                    estimated_rows=self._region_rows(table),
+                    latency_ms=self._access_latency(rewrite),
+                    table=table,
+                    rewrite=rewrite,
+                )
             )
-            self._memo_direct[key] = node
-        rewrite = node.rewrite
-        self._enumerated_boxes += rewrite.enumerated_boxes
-        self._kept_boxes += rewrite.kept_boxes
-        return node
+        return access
 
     def _region_rows(self, table: str) -> float:
         """Histogram estimate of the table's whole request region (memoized).
@@ -988,65 +1057,77 @@ class Optimizer:
             self._memo_region_rows[key] = rows
         return rows
 
-    def _bind_access(
-        self,
-        table: str,
-        joins: tuple[JoinPredicate, ...],
-        left: _SubPlan,
-    ) -> MarketAccessNode:
-        """Cost a bind-join access: one call per distinct binding combination."""
-        tuples_per_transaction = self.context.tuples_per_transaction(table)
-        rewrite = self._rewrite(table)
-        region_rows = self._region_rows(table)
+    def _bind_options(self, table: str) -> tuple:
+        """Everything a bind-join access to ``table`` costs that does not
+        depend on the left side (memoized).
 
-        bindings = 1.0
-        selectivity = 1.0
-        for join in joins:
-            outer = join.other_side(table)
+        ``(relation set, rewrite, region rows, uncovered fraction,
+        options)``: the first four are table-wide (``None`` without
+        options); ``options`` has one ``(outer tables, outer distinct
+        counts, bound columns, rows per binding, transactions per call,
+        ms per call)`` per feasible combination of at most
+        ``max_bind_attrs`` bindable incident joins, in ``combinations``
+        order — the order candidates are considered in, hence part of
+        how ties resolve.
+        """
+        key = table.lower()
+        cached = self._memo_binds.get(key)
+        if cached is not None:
+            return cached
+        space = self._space(table)
+        bindable = []
+        for other, join, __ in self._join_index().edges[key]:
             inner = join.side_for(table)
-            outer_distinct = min(
-                self._base_distinct(outer.table, outer.column), left.rows
-            )
-            bindings *= max(outer_distinct, 1.0)
-            domain = self._attribute_domain_size(table, inner.column)
-            selectivity /= max(domain, 1.0)
-        bindings = min(bindings, max(left.rows, 1.0))
-
-        rows_per_binding = region_rows * selectivity
-        fetched_rows = rows_per_binding * bindings
-        if self.options.use_sqr and region_rows > 0:
-            uncovered = rewrite.estimated_remainder_rows / region_rows
-            uncovered = min(max(uncovered, 0.0), 1.0)
-        elif self.options.use_sqr:
-            uncovered = 0.0
-        else:
-            uncovered = 1.0
-
-        per_call = (
-            math.ceil(rows_per_binding / tuples_per_transaction)
-            if rows_per_binding > 0
-            else 0
+            # A bind join can only bind a constrainable (dimension) attribute.
+            if space.has_dimension(inner.column):
+                bindable.append((other, join.other_side(table), inner.column))
+        feasible = []
+        for r in range(1, min(self.options.max_bind_attrs, len(bindable)) + 1):
+            for combination in combinations(bindable, r):
+                columns = tuple(column for __, __, column in combination)
+                if len(set(columns)) == r and self._feasible(table, columns):
+                    feasible.append((combination, columns))
+        own = rewrite = region_rows = uncovered = None
+        options = []
+        if feasible:
+            tuples_per_transaction = self.context.tuples_per_transaction(table)
+            rewrite = self._rewrite(table)
+            region_rows = self._region_rows(table)
+            if self.options.use_sqr and region_rows > 0:
+                uncovered = rewrite.estimated_remainder_rows / region_rows
+                uncovered = min(max(uncovered, 0.0), 1.0)
+            elif self.options.use_sqr:
+                uncovered = 0.0
+            else:
+                uncovered = 1.0
+            own = frozenset([key])
+            for combination, columns in feasible:
+                selectivity = 1.0
+                for column in columns:
+                    selectivity /= max(
+                        self._attribute_domain_size(table, column), 1.0
+                    )
+                rows_per_binding = region_rows * selectivity
+                per_call = (
+                    math.ceil(rows_per_binding / tuples_per_transaction)
+                    if rows_per_binding > 0
+                    else 0
+                )
+                options.append((
+                    frozenset(other for other, __, __ in combination),
+                    [
+                        self._base_distinct(outer.table, outer.column)
+                        for __, outer, __ in combination
+                    ],
+                    columns,
+                    rows_per_binding,
+                    per_call,
+                    self._latency_model.call_ms(per_call),
+                ))
+        cached = self._memo_binds[key] = (
+            own, rewrite, region_rows, uncovered, options
         )
-        if self.options.objective == "calls":
-            cost = bindings
-        else:
-            cost = bindings * uncovered * per_call
-        # One REST call per uncovered binding combination, each returning
-        # ``per_call`` transaction pages — the latency axis stays in
-        # transactions even when the money axis counts calls.
-        latency = bindings * uncovered * self._latency_model.call_ms(per_call)
-        self._enumerated_boxes += rewrite.enumerated_boxes
-        self._kept_boxes += rewrite.kept_boxes
-        return MarketAccessNode(
-            relations=frozenset([table.lower()]),
-            cost=cost,
-            estimated_rows=min(fetched_rows, region_rows),
-            latency_ms=latency,
-            table=table,
-            rewrite=rewrite,
-            bind_attributes=tuple(j.side_for(table).column for j in joins),
-            estimated_bindings=bindings,
-        )
+        return cached
 
     def _access_latency(self, rewrite: RewriteResult) -> float:
         """Estimated serial wall-clock of a direct access's remainder calls."""
@@ -1102,39 +1183,19 @@ class Optimizer:
         """All bound dimensions are constrained by the query itself."""
         key = table.lower()
         cached = self._memo_standalone.get(key)
-        if cached is not None:
-            return cached
-        constrained = self._constrained_attributes(table)
-        feasible = True
-        for dimension in self._space(table).dimensions:
-            if dimension.is_bound and dimension.attribute.lower() not in constrained:
-                feasible = False
-                break
-        self._memo_standalone[key] = feasible
-        return feasible
-
-    def _feasible_with_binding(self, table: str, bound_columns: set[str]) -> bool:
-        key = (table.lower(), frozenset(c.lower() for c in bound_columns))
-        cached = self._memo_feasible.get(key)
-        if cached is not None:
-            return cached
-        constrained = self._constrained_attributes(table) | key[1]
-        feasible = True
-        for dimension in self._space(table).dimensions:
-            if dimension.is_bound and dimension.attribute.lower() not in constrained:
-                feasible = False
-                break
-        self._memo_feasible[key] = feasible
-        return feasible
-
-    def _bindable(self, table: str, column: str) -> bool:
-        """A bind join can only bind a constrainable (dimension) attribute."""
-        key = (table.lower(), column.lower())
-        cached = self._memo_bindable.get(key)
         if cached is None:
-            cached = self._space(table).has_dimension(column)
-            self._memo_bindable[key] = cached
+            cached = self._memo_standalone[key] = self._feasible(table)
         return cached
+
+    def _feasible(self, table: str, bound_columns: tuple[str, ...] = ()) -> bool:
+        """Every bound dimension is constrained by the query or receives
+        a binding through ``bound_columns``."""
+        constrained = self._constrained_attributes(table)
+        constrained.update(column.lower() for column in bound_columns)
+        return all(
+            not dimension.is_bound or dimension.attribute.lower() in constrained
+            for dimension in self._space(table).dimensions
+        )
 
     # ----------------------------------------------------------------- statistics
 
@@ -1165,19 +1226,12 @@ class Optimizer:
         return distinct
 
     def _attribute_domain_size(self, table: str, column: str) -> float:
-        key = (table.lower(), column.lower())
-        cached = self._memo_domain.get(key)
-        if cached is not None:
-            return cached
         statistics = self.context.catalog.statistics(table)
         index = statistics.space.dimension_index(column)
         if index is None:
-            size = float(statistics.cardinality)
-        else:
-            dimension = statistics.space.dimensions[index]
-            size = float(dimension.high - dimension.low)
-        self._memo_domain[key] = size
-        return size
+            return float(statistics.cardinality)
+        dimension = statistics.space.dimensions[index]
+        return float(dimension.high - dimension.low)
 
     def _local_filtered_count(self, table: str) -> float:
         """Exact matching-row count of a local table (local data is free)."""
@@ -1209,30 +1263,25 @@ class Optimizer:
         """
         units: dict[str, _SubPlan] = {}
         for table in local_tables:
-            rows = self._local_filtered_count(table)
-            node = LocalBlockNode(
-                relations=frozenset([table.lower()]),
-                cost=0.0,
-                estimated_rows=rows,
-                tables=(table,),
+            units[table.lower()] = _leaf(
+                LocalBlockNode(
+                    relations=frozenset([table.lower()]),
+                    cost=0.0,
+                    estimated_rows=self._local_filtered_count(table),
+                    tables=(table,),
+                )
             )
-            units[table.lower()] = _SubPlan(node=node, cost=0.0, rows=rows)
         feasible_market: dict[str, _SubPlan] = {}
         for table in market_tables:
             if self._standalone_feasible(table):
-                access = self._direct_access(table)
-                self._evaluated += 1
-                feasible_market[table.lower()] = _SubPlan(
-                    node=access,
-                    cost=access.cost,
-                    rows=access.estimated_rows,
-                    latency=access.latency_ms,
-                )
+                feasible_market[table.lower()] = self._direct_access(table)
+                self._count_accesses(table, 1)
 
         all_tables = sorted(
             [t.lower() for t in query.tables]
         )
         by_name = {t.lower(): t for t in query.tables}
+        joins = self._join_index().joins
         # min_dollars only (checked by the caller): one comparison axis,
         # so every frontier below holds exactly one subplan.
         best: dict[frozenset[str], list[_SubPlan]] = {}
@@ -1254,35 +1303,27 @@ class Optimizer:
                         if not lefts or not rights:
                             continue
                         (left,), (right,) = lefts, rights
-                        predicates = self._joins_between_sets(left_set, right_set)
                         self._evaluated += 1
                         rows = left.rows * right.rows
-                        for join in predicates:
-                            d_left = self._base_distinct(
-                                join.left.table, join.left.column
-                            )
-                            d_right = self._base_distinct(
-                                join.right.table, join.right.column
-                            )
-                            rows /= max(d_left, d_right, 1.0)
-                        node = JoinNode(
-                            relations=subset,
-                            cost=left.cost + right.cost,
-                            estimated_rows=rows,
-                            latency_ms=left.latency + right.latency,
-                            left=left.node,
-                            right=right.node,
-                            predicates=tuple(predicates),
-                            cartesian=not predicates,
-                        )
+                        predicates = []
+                        for left_t, right_t, join, divisor in joins:
+                            if (left_t in left_set and right_t in right_set) or (
+                                left_t in right_set and right_t in left_set
+                            ):
+                                predicates.append(join)
+                                rows /= divisor
                         self._consider(
                             best,
                             subset,
                             _SubPlan(
-                                node=node,
-                                cost=node.cost,
-                                rows=rows,
-                                latency=node.latency_ms,
+                                subset,
+                                left.cost + right.cost,
+                                rows,
+                                left.latency + right.latency,
+                                build=partial(
+                                    _join_node, left, right,
+                                    tuple(predicates), False,
+                                ),
                             ),
                         )
                 # (ii) bind extensions: left subtree + one bound market table.
@@ -1304,18 +1345,6 @@ class Optimizer:
         if key not in best:
             raise PlanningError("no feasible bushy plan")
         return self._result(best[key])
-
-    def _joins_between_sets(
-        self, left: frozenset[str], right: frozenset[str]
-    ) -> list[JoinPredicate]:
-        found = []
-        for join in self._query.joins:
-            left_t, right_t = (t.lower() for t in join.tables())
-            if (left_t in left and right_t in right) or (
-                left_t in right and right_t in left
-            ):
-                found.append(join)
-        return found
 
 
 # ------------------------------------------------------------------ formulas

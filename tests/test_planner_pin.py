@@ -8,7 +8,10 @@ per join graph / session instance, for ``min_dollars`` and
 ``min_latency`` with ``prune`` on and off, the chosen plan, its cost
 vector, the frontier, and the counters Figures 14-15 read.  For
 ``min_dollars`` on the smaller graphs it also pins a digest of the
-``plan_candidate`` trace events (attributes and order).
+``plan_candidate`` trace events (attributes and order).  The
+``*-d32-range`` entries — the end-to-end benchmark's larger graphs, a
+range on ``T1`` — were added at the commit before candidates became
+vectors whose plan trees are built on demand.
 
 Regenerate with ``pytest tests/test_planner_pin.py --update-goldens``;
 the JSON diff is the review artifact.

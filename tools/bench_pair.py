@@ -22,7 +22,12 @@ beside the timings, and so is whether the two sides spent the same dollars
 repetition by repetition: a faster side completes more draws in the same
 run, so the run's median ``dollars_spent`` can differ while every draw both
 sides reached cost exactly the same — the detail files under
-``benchmarks/e2e/out/`` are compared over their common prefix.
+``benchmarks/e2e/out/`` are compared over their common prefix.  ``setup_s``
+has the same artefact (a run's value is the median over its draws' set-ups,
+and later draws need not cost what draw 0 does), so it gets a second row,
+``setup_s (shared)``, with each side's median taken over only the draws both
+sides of the pair reached; the set-ups and repetitions behind each side's
+medians are printed too.
 """
 
 from __future__ import annotations
@@ -51,11 +56,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) ->
             f"{done.stdout}\n{done.stderr}"
         )
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    detail = checkout / "benchmarks/e2e/out" / f"{workload}-seed{seed}-trace0.json"
+    detail = json.loads(
+        (checkout / "benchmarks/e2e/out" / f"{workload}-seed{seed}-trace0.json")
+        .read_text()
+    )
     result["dollars_by_repetition"] = [
-        repetition["dollars_spent"]
-        for repetition in json.loads(detail.read_text())["repetitions"]
+        repetition["dollars_spent"] for repetition in detail["repetitions"]
     ]
+    result["setup_by_draw"] = [setup["setup_s"] for setup in detail["setups"]]
     return result
 
 
@@ -80,7 +88,7 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
     else:
         word = "within bound"
     return (
-        f"  {metric['name']:14s} parent {p_median:11.4f} [{p_low:.4f}, {p_high:.4f}]"
+        f"  {metric['name']:16s} parent {p_median:11.4f} [{p_low:.4f}, {p_high:.4f}]"
         f"  change {c_median:11.4f} [{c_low:.4f}, {c_high:.4f}]"
         f"  {gap / p_median:+7.1%}  wins {wins}/{len(parent)}"
         f" (losses {losses})  {word}"
@@ -130,10 +138,26 @@ def main() -> int:
             for side, runs in results.items()
         }
         print(verdict(metric, values["parent"], values["change"]))
+        if metric["name"] == "setup_s":
+            shared = {"parent": [], "change": []}
+            for p, c in zip(results["parent"], results["change"]):
+                draws = min(len(p["setup_by_draw"]), len(c["setup_by_draw"]))
+                shared["parent"].append(statistics.median(p["setup_by_draw"][:draws]))
+                shared["change"].append(statistics.median(c["setup_by_draw"][:draws]))
+            print(verdict(
+                {**metric, "name": "setup_s (shared)"},
+                shared["parent"], shared["change"],
+            ))
     for side, runs in results.items():
         attempted = sum(run["attempted"] for run in runs)
         failed = sum(run["failed"] for run in runs)
-        print(f"  {side}: {failed} of {attempted} operations failed")
+        setups = sorted(len(run["setup_by_draw"]) for run in runs)
+        repetitions = sorted(len(run["dollars_by_repetition"]) for run in runs)
+        print(
+            f"  {side}: {failed} of {attempted} operations failed; a run's medians"
+            f" are over {setups[0]}-{setups[-1]} set-ups and"
+            f" {repetitions[0]}-{repetitions[-1]} repetitions"
+        )
     unequal = [
         pair + 1
         for pair, (p, c) in enumerate(zip(results["parent"], results["change"]))
