@@ -6,10 +6,9 @@ The durable backend makes two promises:
   reported (``wal_recover_ms``) and the recovered store must answer the
   same probes exactly as the installation that wrote the snapshot.  The
   levers are the pickled tables sidecar (``export_bulk_state`` /
-  ``adopt_bulk_state`` move rows, points, covers and the *prebuilt* grid
-  index buckets wholesale, so restart re-derives nothing) and deferred
-  row materialization (rows stay columnar until the first touch, so
-  time-to-ready doesn't pay for tuples the workload may never read);
+  ``adopt_bulk_state`` move the store's columns, coordinates, chunk
+  ranges, covers and the *prebuilt* grid index buckets wholesale, so
+  restart re-derives nothing and builds no row tuple);
 * **steady state** (the acceptance gate) — with the WAL on, a
   warm-dominated workload (every range bought once, re-read three times —
   the system never evicts, so steady state *is* mostly warm) must cost at

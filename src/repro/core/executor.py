@@ -923,7 +923,12 @@ class Executor:
             columns,
             row_count,
         )
-        predicates = [c.to_expression(table) for c in constraints]
+        # The request boxes *are* the constraints on the table's dimensions,
+        # so the store applied those exactly; filter what no box expresses.
+        on_axis = table_store.space.has_dimension
+        predicates = [
+            c.to_expression(table) for c in constraints if not on_axis(c.attribute)
+        ]
         predicates.extend(self._query.residuals_for(table))
         if predicates:
             relation = self._ops.filter_rows(relation, conjunction(predicates))

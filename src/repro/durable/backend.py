@@ -62,8 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payless import PayLess
     from repro.market.rest import RestRequest
 
-#: Snapshot format version.
-SNAPSHOT_VERSION = 2
+#: Snapshot format version (3: the sidecar holds the store's columns,
+#: coordinates, chunk ranges and both grid indexes).
+SNAPSHOT_VERSION = 3
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 _SIDECAR_RE = re.compile(r"^snapshot-(\d{8})\.tables\.pkl$")
@@ -211,7 +212,13 @@ class DurableStateBackend:
             except (OSError, json.JSONDecodeError):
                 continue
             if state.get("version") != SNAPSHOT_VERSION:
-                continue
+                # The WAL segments it compacted are gone: skipping it
+                # would recover empty and silently re-buy everything.
+                raise ReproError(
+                    f"snapshot {path} has format version "
+                    f"{state.get('version')!r}, this build reads "
+                    f"{SNAPSHOT_VERSION}; refusing to ignore purchased state"
+                )
             if not state.get("tables_in_sidecar"):
                 # Skipping it would silently re-buy everything it held.
                 raise ReproError(
@@ -483,7 +490,8 @@ class DurableStateBackend:
         """Write a compacted snapshot and rotate to a fresh WAL segment.
 
         The snapshot is two files: a pickled *tables sidecar* holding the
-        bulk store payload (rows, points, covers, prebuilt index buckets)
+        bulk store payload (columns, coordinates, chunk ranges, covers,
+        prebuilt index buckets)
         and a small meta JSON (totals, bill, pending intents, histograms).
         The sidecar is written and fsynced first; the meta JSON's atomic
         rename is the commit record — a snapshot without a readable
@@ -606,9 +614,9 @@ class DurableStateBackend:
                             f"state references unregistered table {key!r}; "
                             "call register_dataset first"
                         )
-                    # Adopt the sidecar's pickled containers (rows, points,
-                    # covers, prebuilt index buckets) wholesale — no
-                    # per-row index rebuild.
+                    # Adopt the sidecar's pickled containers (columns,
+                    # chunks, covers, prebuilt index buckets) wholesale —
+                    # nothing is rebuilt per row.
                     payless.store.table(key).adopt_bulk_state(
                         self._snapshot_tables[key]
                     )

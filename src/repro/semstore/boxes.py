@@ -210,28 +210,29 @@ def merge_adjacent(boxes: list[Box]) -> list[Box]:
 
 def _try_merge(a: Box, b: Box) -> Box | None:
     """Merge two boxes into one iff their union is exactly a box."""
-    if a.dimensions != b.dimensions:
+    mine, theirs = a.extents, b.extents
+    if len(mine) != len(theirs):
         raise BoxError("dimensionality mismatch in merge")
     differing = None
-    for axis in range(a.dimensions):
-        if a.extents[axis] != b.extents[axis]:
+    axis = 0
+    for extent_a, extent_b in zip(mine, theirs):
+        if extent_a != extent_b:
             if differing is not None:
                 return None
             differing = axis
+        axis += 1
     if differing is None:
         # Identical boxes (shouldn't happen with disjoint input): keep one.
         return a
-    (low_a, high_a) = a.extents[differing]
-    (low_b, high_b) = b.extents[differing]
+    (low_a, high_a) = mine[differing]
+    (low_b, high_b) = theirs[differing]
     if high_a == low_b:
         joined = (low_a, high_b)
     elif high_b == low_a:
         joined = (low_b, high_a)
     else:
         return None
-    extents = list(a.extents)
-    extents[differing] = joined
-    return Box.unchecked(tuple(extents))
+    return Box.unchecked(mine[:differing] + (joined,) + mine[differing + 1:])
 
 
 def remainder_decomposition(

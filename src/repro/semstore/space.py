@@ -70,6 +70,20 @@ class Dimension:
             return value
         return None
 
+    def positions_of(self, values: Sequence[Any]) -> Sequence[int | None]:
+        """:meth:`index_of` over a whole column.  A numeric column of
+        plain ints inside the axis *is* its own position list and comes
+        back as is; only one holding an off-domain value is walked."""
+        if self.is_categorical:
+            return list(map(self._value_index.get, values))
+        if (
+            set(map(type, values)) == {int}
+            and self.low <= min(values)
+            and max(values) < self.high
+        ):
+            return values
+        return [self.index_of(value) for value in values]
+
     def value_at(self, position: int) -> Any:
         """Domain value at an axis position (inverse of :meth:`index_of`)."""
         if self.is_categorical:

@@ -7,25 +7,32 @@ market table the store tracks
 
 * the union of *covered boxes* (the regions of constraint space whose tuples
   are locally complete), each stamped with the logical week it was fetched,
-* the cached rows themselves (deduplicated), and
+* the cached rows themselves (deduplicated), column-wise: one append-only
+  list per schema attribute and per box-space dimension, and one *chunk*
+  per purchased batch — its row range and the box its coordinates span,
 
-answers the two questions the optimizer and executor ask: "which part of
+and answers the two questions the optimizer and executor ask: "which part of
 this request region is missing?" (remainder decomposition) and "give me the
 cached rows inside this region" (result assembly).
 
 Because the store never evicts, both questions must stay *sub-linear* in
-store age: covered boxes live in a :class:`~repro.semstore.grid.BoxGridIndex`
-and cached-row grid points in a :class:`~repro.semstore.grid.PointGridIndex`,
-so probes touch only the grid buckets a query overlaps.  The pre-index flat
-scans survive behind ``debug_bruteforce=True`` as the oracle the equivalence
-tests compare against.  Every mutation bumps a per-table ``epoch``, which
-the rewriter keys its memoization on.
+store age: covered boxes and chunk bounds each live in a
+:class:`~repro.semstore.grid.BoxGridIndex`, so a probe touches only the grid
+buckets a query overlaps.  Assembly is box algebra per chunk and per axis:
+an extent inside the request's needs no test, a disjoint one skips the
+chunk, and only a straddling one has that axis's coordinates compared.
+``debug_bruteforce=True`` replaces all of it by one flat scan over the same
+columns, the oracle the equivalence tests compare against.  Every mutation
+bumps a per-table ``epoch``, which the rewriter keys its memoization on.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ReproError
@@ -33,11 +40,12 @@ from repro.relational.schema import Schema
 from repro.relational.table import Row
 from repro.semstore.boxes import (
     Box,
+    Extent,
     covers_fully,
     remainder_decomposition,
 )
 from repro.semstore.consistency import ConsistencyPolicy
-from repro.semstore.grid import BoxGridIndex, PointGridIndex
+from repro.semstore.grid import BoxGridIndex
 from repro.semstore.space import BoxSpace
 
 
@@ -50,10 +58,29 @@ class CoveredBox:
     row_count: int
 
 
+def _as_products(boxes: Sequence[Box]) -> list[list[list[Extent]]]:
+    """``boxes`` as cross products of per-axis extent lists.
+
+    A request arrives as the boxes :meth:`BoxSpace.boxes_for_constraints`
+    multiplied out — a bind join's *n* values are *n* point boxes differing
+    on one axis.  Folded back into one product, they cost one probe and a
+    set-membership test, not *n* probes.  Any other list of boxes is one
+    single-box product each.
+    """
+    extents = list(dict.fromkeys(box.extents for box in boxes))
+    axes = [list(dict.fromkeys(axis)) for axis in zip(*extents)]
+    if math.prod(map(len, axes)) == len(extents) and all(
+        len(axis) == 1 or all(high - low == 1 for low, high in axis)
+        for axis in axes
+    ):
+        return [axes]
+    return [[[extent] for extent in box_extents] for box_extents in extents]
+
+
 class TableStore:
     """Per-table slice of the semantic store.
 
-    ``debug_bruteforce`` selects the pre-index flat-scan probing for every
+    ``debug_bruteforce`` selects flat-scan probing for every
     coverage/remainder/assembly question; storage is identical either way,
     so the two modes must return byte-identical answers (asserted by the
     property tests in ``tests/test_store_index.py``).
@@ -66,10 +93,10 @@ class TableStore:
         self.schema = schema
         self.debug_bruteforce = debug_bruteforce
         #: Per-table concurrency guard.  Every public mutation and probe
-        #: takes it, so grid/point indexes never tear under concurrent
-        #: sessions; it is an RLock so an executor holding it for a
-        #: rewrite-record-assemble critical section can still call the
-        #: probes.  Lock order (see DESIGN.md): a table lock may be held
+        #: takes it, so columns and grid indexes never tear under
+        #: concurrent sessions; it is an RLock so an executor holding it
+        #: for a rewrite-record-assemble critical section can still call
+        #: the probes.  Lock order (see DESIGN.md): a table lock may be held
         #: while entering the singleflight registry, never the reverse.
         self.lock = threading.RLock()
         #: Monotonically increasing mutation counter.  Anything derived
@@ -81,26 +108,45 @@ class TableStore:
         self._covers: dict[int, CoveredBox] = {}
         self._next_cover_id: int = 0
         self._cover_index = BoxGridIndex(grid_extents)
-        self._rows: list[Row] = []
-        #: Dedup set over ``_rows``; ``None`` after a bulk adopt until the
-        #: first mutation needs it (hashing 100k restored rows costs more
-        #: than a cold restart should pay for a read-only workload).
+        #: Schema position of each dimension's attribute.
+        self._axis_columns = [
+            schema.position(d.attribute) for d in space.dimensions
+        ]
+        #: Dedup set over the cached rows; ``None`` after a bulk adopt
+        #: until the first mutation needs it (hashing 100k restored rows
+        #: costs more than a cold restart should pay for a read-only
+        #: workload).
         self._row_set: set[Row] | None = set()
-        #: Grid point of each cached row, computed once at insert time.
-        self._points: list[tuple[int, ...] | None] = []
-        #: Columnar bulk payload adopted at cold restart, materialized
-        #: into ``_rows``/``_points`` on first touch (same idiom as
-        #: ``Relation``'s columnar backing): recovery hands back control
-        #: without paying for 100k row tuples the workload may not read.
-        self._deferred_bulk: dict | None = None
-        self._point_index = PointGridIndex(grid_extents)
+        #: One append-only list per schema attribute.
+        self._columns: list[list[Any]] = [[] for __ in schema.names]
+        #: Per categorical dimension, the axis position of every row's
+        #: value.  An on-domain numeric value is its own coordinate: a
+        #: numeric axis has ``None`` here and reads its attribute column.
+        self._codes: list[list[int | None] | None] = [
+            [] if d.is_categorical else None for d in space.dimensions
+        ]
+        #: The chunk table, column-wise (flat int lists unpickle several
+        #: times faster than a tuple per chunk): ``start, stop``, then
+        #: ``low, high`` per axis.  Chunk ``i`` is a run of on-domain rows
+        #: one ``record`` appended; ``[low[i], high[i])`` spans their own
+        #: coordinates on that axis.  A row with an off-domain value is in
+        #: no chunk: cached and counted, never assembled.  ``i`` is the id
+        #: in ``_chunk_index``, so ascending ids are row-insertion order.
+        self._chunks: list[list[int]] = [
+            [] for __ in range(2 + 2 * space.dimensionality)
+        ]
+        self._chunk_index = BoxGridIndex(grid_extents)
+
+    def _coordinates(self) -> list[list]:
+        """Per dimension, the list holding every row's coordinate."""
+        return [
+            self._columns[position] if codes is None else codes
+            for position, codes in zip(self._axis_columns, self._codes)
+        ]
 
     @property
     def cached_row_count(self) -> int:
-        deferred = self._deferred_bulk
-        if deferred is not None:
-            return deferred["row_count"]
-        return len(self._rows)
+        return len(self._columns[0])
 
     @property
     def covered(self) -> list[CoveredBox]:
@@ -118,16 +164,15 @@ class TableStore:
         """Store a fetched region; returns how many rows were new."""
         with self.lock:
             self.epoch += 1
-            self._materialize_deferred()
-            new = 0
-            count = 0
-            row_set = self._ensure_row_set()
-            for row in rows:
-                count += 1
-                if row not in row_set:
-                    row_set.add(row)
-                    self._point_index_insert(row)
-                    new += 1
+            if not isinstance(rows, (list, tuple)):
+                rows = list(rows)
+            row_set = self._row_set
+            if row_set is None:  # first mutation since a bulk adopt
+                row_set = self._row_set = set(zip(*self._columns))
+            fresh = [row for row in dict.fromkeys(rows) if row not in row_set]
+            if fresh:
+                self._append_rows(fresh)
+                row_set.update(fresh)
             # Consolidate the coverage set: a region subsumed by an
             # equally-fresh cover adds nothing, and covers subsumed by this
             # fresher region can be dropped.  Containment implies overlap,
@@ -139,42 +184,75 @@ class TableStore:
                 if existing.stored_at >= stored_at and existing.box.contains_box(
                     box
                 ):
-                    return new
+                    return len(fresh)
             for cover_id in candidate_ids:
                 existing = self._covers[cover_id]
                 if existing.stored_at <= stored_at and box.contains_box(
                     existing.box
                 ):
                     del self._covers[cover_id]
-                    self._cover_index.remove(cover_id)
+                    self._cover_index.remove(cover_id, existing.box)
             self._append_cover(
-                CoveredBox(box=box, stored_at=stored_at, row_count=count)
+                CoveredBox(box=box, stored_at=stored_at, row_count=len(rows))
             )
-            return new
+            return len(fresh)
+
+    def _append_rows(self, fresh: list[Row]) -> None:
+        """Append a deduplicated batch column-wise and chunk it.  Only a
+        batch holding an off-domain value is walked row by row, to cut it
+        into the runs of on-domain rows that become its chunks."""
+        columns = self._columns
+        if set(map(len, fresh)) != {len(columns)}:
+            raise ReproError(
+                f"{self.space.table}: a cached row needs {len(columns)} values"
+            )
+        batch = list(zip(*fresh))
+        base = len(columns[0])
+        for column, values in zip(columns, batch):
+            column.extend(values)
+        positions: list[Sequence[int | None]] = []
+        on_domain = True
+        for dimension, at, codes in zip(
+            self.space.dimensions, self._axis_columns, self._codes
+        ):
+            axis = dimension.positions_of(batch[at])
+            on_domain = on_domain and (axis is batch[at] or None not in axis)
+            if codes is not None:
+                codes.extend(axis)
+            positions.append(axis)
+        placed = (
+            repeat(True, len(fresh))
+            if on_domain
+            else (None not in point for point in zip(*positions))
+        )
+        start = 0
+        for on_axes, run in groupby(placed):
+            stop = start + len(list(run))
+            if on_axes:
+                bounds = [
+                    (min(part), max(part) + 1)
+                    for part in (axis[start:stop] for axis in positions)
+                ]
+                self._chunk_index.insert(
+                    len(self._chunks[0]), Box.unchecked(tuple(bounds))
+                )
+                for column, value in zip(
+                    self._chunks,
+                    (base + start, base + stop, *chain.from_iterable(bounds)),
+                ):
+                    column.append(value)
+            start = stop
 
     def export_bulk_state(self) -> dict:
         """The table's whole persistent state as primitive containers.
 
         Snapshots serialize this (e.g. with pickle) and feed it back to
-        :meth:`adopt_bulk_state` at cold restart, which re-inhales rows,
-        covers *and the prebuilt grid indexes* without re-deriving a
-        single bucket.  Copies are taken under the table lock, so the
-        caller may serialize at leisure."""
+        :meth:`adopt_bulk_state` at cold restart, which takes the columns,
+        categorical coordinates, chunk ranges, covers *and both prebuilt
+        grid indexes* as they are, without re-deriving a single bucket.
+        Copies are taken under the table lock, so the caller may
+        serialize at leisure."""
         with self.lock:
-            self._materialize_deferred()
-            # Rows and points go out columnar / flattened: deserializing
-            # a handful of long primitive lists is several times faster
-            # than re-materializing 100k three-element tuples, and adopt
-            # rebuilds the tuples with one C-level zip.
-            points_flat: list[int] = []
-            points_none: list[int] = []
-            dims = 0
-            for row_id, point in enumerate(self._points):
-                if point is None:
-                    points_none.append(row_id)
-                else:
-                    points_flat.extend(point)
-                    dims = len(point)
             return {
                 "covers": [
                     (cover_id, covered.box.extents, covered.stored_at,
@@ -182,14 +260,13 @@ class TableStore:
                     for cover_id, covered in self._covers.items()
                 ],
                 "next_cover_id": self._next_cover_id,
-                "row_columns": [
-                    list(column) for column in zip(*self._rows)
+                "columns": [list(column) for column in self._columns],
+                "codes": [
+                    None if codes is None else list(codes)
+                    for codes in self._codes
                 ],
-                "row_count": len(self._rows),
-                "points_flat": points_flat,
-                "points_none": points_none,
-                "dims": dims,
-                "point_index": self._point_index.export_state(),
+                "chunks": [list(column) for column in self._chunks],
+                "chunk_index": self._chunk_index.export_state(),
                 "cover_index": self._cover_index.export_state(),
             }
 
@@ -199,7 +276,7 @@ class TableStore:
         Ownership of ``state`` transfers to the table — hand over a
         freshly deserialized value.  Only valid on an empty table."""
         with self.lock:
-            if self._rows or self._covers or self._deferred_bulk is not None:
+            if self._columns[0] or self._covers:
                 raise ReproError("adopt_bulk_state requires an empty table")
             self.epoch += 1
             # Box.unchecked: the extents round-tripped from validated
@@ -214,62 +291,18 @@ class TableStore:
                 for cover_id, extents, stored_at, row_count in state["covers"]
             }
             self._next_cover_id = state["next_cover_id"]
-            # Rows/points stay columnar until something reads them; the
-            # grid indexes adopt now so coverage checks work immediately.
-            self._deferred_bulk = state
-            self._row_set = None  # rebuilt lazily on the first mutation
-            self._point_index.adopt_state(state["point_index"])
+            self._columns = state["columns"]
+            self._codes = state["codes"]
+            self._chunks = state["chunks"]
+            self._row_set = None
+            self._chunk_index.adopt_state(state["chunk_index"])
             self._cover_index.adopt_state(state["cover_index"])
-
-    def _materialize_deferred(self) -> None:
-        """Build ``_rows``/``_points`` from a deferred bulk payload.
-
-        Runs at most once per adopt, on the first row-touching call;
-        callers must hold ``self.lock``."""
-        state = self._deferred_bulk
-        if state is None:
-            return
-        self._deferred_bulk = None
-        columns = state["row_columns"]
-        self._rows = list(zip(*columns)) if columns else []
-        points_flat = state["points_flat"]
-        dims = state["dims"]
-        if points_flat:
-            chunks = [iter(points_flat)] * dims
-            grid_points = list(zip(*chunks))
-        else:
-            grid_points = []
-        points_none = state["points_none"]
-        if points_none:
-            none_positions = set(points_none)
-            grid_iter = iter(grid_points)
-            self._points = [
-                None if row_id in none_positions else next(grid_iter)
-                for row_id in range(state["row_count"])
-            ]
-        else:
-            self._points = grid_points
-
-    def _ensure_row_set(self) -> set[Row]:
-        row_set = self._row_set
-        if row_set is None:
-            self._materialize_deferred()
-            row_set = self._row_set = set(self._rows)
-        return row_set
 
     def _append_cover(self, covered: CoveredBox) -> None:
         cover_id = self._next_cover_id
         self._next_cover_id += 1
         self._covers[cover_id] = covered
         self._cover_index.insert(cover_id, covered.box)
-
-    def _point_index_insert(self, row: Row) -> None:
-        point = self.space.row_point(row, self.schema)
-        row_id = len(self._rows)
-        self._rows.append(row)
-        self._points.append(point)
-        if point is not None:
-            self._point_index.insert(row_id, point)
 
     # -- coverage probes -------------------------------------------------------
 
@@ -325,109 +358,138 @@ class TableStore:
 
     # -- row assembly ----------------------------------------------------------
 
-    def rows_in_box(self, box: Box) -> list[Row]:
-        """Cached rows whose grid point lies inside ``box``."""
-        with self.lock:
-            self._materialize_deferred()
-            if self.debug_bruteforce:
-                return [
-                    row
-                    for row, point in zip(self._rows, self._points)
-                    if point is not None and box.contains_point(point)
-                ]
-            rows = self._rows
-            points = self._points
-            contains = box.contains_point
-            return [
-                rows[row_id]
-                for row_id in sorted(self._point_index.candidates(box))
-                if contains(points[row_id])
-            ]
-
-    def rows_in_boxes(self, boxes: Sequence[Box]) -> list[Row]:
-        """Cached rows inside the union of ``boxes`` (boxes must be disjoint)."""
+    def _select(self, boxes: Sequence[Box]) -> list[range | list[int]]:
+        """Ids of the cached rows inside the union of ``boxes``, ascending
+        (= row-insertion order): a ``range`` where chunks were taken whole,
+        a list where one was filtered.  The caller holds the table lock."""
         if not boxes:
             return []
-        with self.lock:
-            self._materialize_deferred()
-            if self.debug_bruteforce:
-                return self._rows_in_boxes_bruteforce(boxes)
-            points = self._points
-            selected: set[int] = set()
-            for box in boxes:
-                contains = box.contains_point
-                for row_id in self._point_index.candidates(box):
-                    if row_id not in selected and contains(points[row_id]):
-                        selected.add(row_id)
-            rows = self._rows
-            return [rows[row_id] for row_id in sorted(selected)]
-
-    def _rows_in_boxes_bruteforce(self, boxes: Sequence[Box]) -> list[Row]:
-        """The pre-index scan, kept as the equivalence-test oracle.
-
-        Large box sets (bind-join fan-outs produce one box per binding
-        value) are probed through an *anchor dimension* hash so each row
-        checks only the handful of boxes sharing its anchor coordinate.
-        """
-        self._materialize_deferred()
-        if len(boxes) <= 16:
+        if self.debug_bruteforce:
+            coords = self._coordinates()
             return [
-                row
-                for row, point in zip(self._rows, self._points)
-                if point is not None
-                and any(box.contains_point(point) for box in boxes)
+                [
+                    row_id
+                    for start, stop in zip(*self._chunks[:2])
+                    for row_id in range(start, stop)
+                    if any(
+                        box.contains_point([axis[row_id] for axis in coords])
+                        for box in boxes
+                    )
+                ]
             ]
-        dimensionality = boxes[0].dimensions
-        anchor = max(
-            range(dimensionality),
-            key=lambda axis: sum(
-                1
-                for box in boxes
-                if box.extents[axis][1] - box.extents[axis][0] == 1
-            ),
-        )
-        buckets: dict[int, list[Box]] = {}
-        residual: list[Box] = []
-        for box in boxes:
-            low, high = box.extents[anchor]
-            if high - low == 1:
-                buckets.setdefault(low, []).append(box)
+        products = _as_products(boxes)
+        if len(products) == 1:
+            return self._select_product(products[0])
+        # Boxes that are no product may overlap: union their ids.
+        selected: set[int] = set()
+        for axes in products:
+            selected.update(*self._select_product(axes))
+        return [sorted(selected)]
+
+    def _select_product(
+        self, axes: Sequence[Sequence[Extent]]
+    ) -> list[range | list[int]]:
+        """Rows inside a cross product of per-axis extents (one range, or
+        several points).  One index probe with its bounding box finds the
+        chunks; each is decided axis by axis from its bounds, and only a
+        straddled axis has its coordinates compared, over the rows still
+        standing."""
+        tests = [
+            (axis[0][0], axis[0][1], range(*axis[0]), True)
+            if len(axis) == 1
+            else (
+                min(low for low, __ in axis),
+                max(high for __, high in axis),
+                frozenset(low for low, __ in axis),
+                False,
+            )
+            for axis in axes
+        ]
+        bounding = Box.unchecked(tuple(test[:2] for test in tests))
+        starts, stops, *bounds = self._chunks
+        plan = list(zip(tests, bounds[0::2], bounds[1::2], self._coordinates()))
+        pieces: list[range | list[int]] = []
+        for chunk_id in self._chunk_index.candidates(bounding):
+            start, stop = starts[chunk_id], stops[chunk_id]
+            ids: list[int] | None = None
+            for (low, high, members, contiguous), lows, highs, axis in plan:
+                chunk_low, chunk_high = lows[chunk_id], highs[chunk_id]
+                if chunk_high <= low or high <= chunk_low:
+                    break
+                if contiguous:
+                    if low <= chunk_low and chunk_high <= high:
+                        continue
+                elif chunk_high - chunk_low == 1:
+                    if chunk_low in members:
+                        continue
+                    break
+                if ids is None:
+                    ids = [
+                        row_id
+                        for row_id, at in enumerate(axis[start:stop], start)
+                        if at in members
+                    ]
+                else:
+                    ids = [row_id for row_id in ids if axis[row_id] in members]
+                if not ids:
+                    break
             else:
-                residual.append(box)
-        selected = []
-        for row, point in zip(self._rows, self._points):
-            if point is None:
-                continue
-            bucket = buckets.get(point[anchor], ())
-            if any(box.contains_point(point) for box in bucket) or any(
-                box.contains_point(point) for box in residual
-            ):
-                selected.append(row)
-        return selected
+                last = pieces[-1] if pieces else None
+                if ids is not None:
+                    if type(last) is list:
+                        last.extend(ids)
+                    else:
+                        pieces.append(ids)
+                elif type(last) is range and last.stop == start:
+                    pieces[-1] = range(last.start, stop)
+                else:
+                    pieces.append(range(start, stop))
+        return pieces
 
     def columns_in_boxes(
         self, boxes: Sequence[Box]
-    ) -> tuple[tuple[tuple[Any, ...], ...], int]:
+    ) -> tuple[tuple[Sequence[Any], ...], int]:
         """Rows inside the union of ``boxes``, assembled column-wise.
 
-        Returns ``(columns, count)`` — one tuple per schema attribute —
-        so the vectorized engine can build a columnar relation without an
-        intermediate row-tuple materialization pass.
+        Returns ``(columns, count)`` — one fresh sequence per schema
+        attribute, in row-insertion order — so the vectorized engine can
+        build a columnar relation; no row tuple is built on the way.
         """
-        rows = self.rows_in_boxes(boxes)
-        if not rows:
-            return tuple(() for __ in self.schema.names), 0
-        return tuple(zip(*rows)), len(rows)
+        with self.lock:
+            # A range, like a lone id, is read as the slice it spans.
+            getters = [
+                itemgetter(*piece)
+                if type(piece) is list and len(piece) > 1
+                else itemgetter(slice(piece[0], piece[-1] + 1))
+                for piece in self._select(boxes)
+                if piece
+            ]
+            if len(getters) == 1:
+                columns = tuple(getters[0](c) for c in self._columns)
+            else:
+                columns = tuple(
+                    list(chain.from_iterable(get(c) for get in getters))
+                    for c in self._columns
+                )
+        return columns, len(columns[0])
+
+    def rows_in_boxes(self, boxes: Sequence[Box]) -> list[Row]:
+        """Cached rows inside the union of ``boxes``, in insertion order."""
+        return list(zip(*self.columns_in_boxes(boxes)[0]))
+
+    def rows_in_box(self, box: Box) -> list[Row]:
+        """Cached rows whose grid point lies inside ``box``."""
+        return self.rows_in_boxes([box])
 
     def count_in_box(self, box: Box) -> int:
         """Exact number of cached rows inside ``box``."""
-        return len(self.rows_in_box(box))
+        with self.lock:
+            return sum(map(len, self._select([box])))
 
     def all_rows(self) -> list[Row]:
         """Every cached row, in insertion order (a copy)."""
         with self.lock:
-            self._materialize_deferred()
-            return list(self._rows)
+            return list(zip(*self._columns))
 
 
 class SemanticStore:
@@ -439,7 +501,7 @@ class SemanticStore:
         debug_bruteforce: bool = False,
     ):
         self.policy = policy or ConsistencyPolicy.weak()
-        #: Route every probe through the pre-index flat scans (test oracle).
+        #: Route every probe through the flat scans (test oracle).
         self.debug_bruteforce = debug_bruteforce
         self._tables: dict[str, TableStore] = {}
         #: Logical clock in weeks; the harness advances it to model time
@@ -499,5 +561,5 @@ class SemanticStore:
 
     def columns_in_boxes(
         self, table: str, boxes: Sequence[Box]
-    ) -> tuple[tuple[tuple[Any, ...], ...], int]:
+    ) -> tuple[tuple[Sequence[Any], ...], int]:
         return self.table(table).columns_in_boxes(boxes)

@@ -9,6 +9,7 @@ from repro.semstore.boxes import (
     BoxError,
     bounding_box,
     covers_fully,
+    _try_merge,
     merge_adjacent,
     remainder_decomposition,
     subtract_all,
@@ -177,6 +178,36 @@ def test_merge_preserves_region(case):
         for b in merged[i + 1:]:
             assert a.intersect(b) is None
     assert len(merged) <= len(pieces)
+
+
+def reference_merge(a, b):
+    """``_try_merge`` as first written, axis by axis: the greedy merge is
+    order-dependent and its output decides what is bought, so a faster
+    body must return the same box for every pair."""
+    differing = [
+        axis for axis in range(a.dimensions) if a.extents[axis] != b.extents[axis]
+    ]
+    if not differing:
+        return a
+    if len(differing) > 1:
+        return None
+    (axis,) = differing
+    (low_a, high_a), (low_b, high_b) = a.extents[axis], b.extents[axis]
+    if high_a != low_b and high_b != low_a:
+        return None
+    extents = list(a.extents)
+    extents[axis] = (min(low_a, low_b), max(high_a, high_b))
+    return Box(tuple(extents))
+
+
+@settings(max_examples=300, deadline=None)
+@given(query_and_covers(dimensions=3, max_covers=5))
+def test_try_merge_equals_reference_on_remainder_pieces(case):
+    query, covers = case
+    pieces = subtract_all(query, covers) + [query] + covers
+    for a in pieces:
+        for b in pieces:
+            assert _try_merge(a, b) == reference_merge(a, b)
 
 
 @settings(max_examples=200, deadline=None)

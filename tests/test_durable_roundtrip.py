@@ -230,3 +230,20 @@ class TestRestoreErrors:
             PayLess.full(
                 market, options=QueryOptions(durability=tmp_path / "state")
             )
+
+    def test_snapshot_of_another_format_version_is_rejected(self, tmp_path):
+        """A v2 state directory: the WAL segments its snapshot compacted
+        are deleted, so skipping it would recover empty and re-buy."""
+        market = make_market()
+        first = durable(market, tmp_path / "state")
+        first.query(station_sql("CountryA"))
+        first.close()
+        (meta,) = (tmp_path / "state").glob("snapshot-*.json")
+        state = json.loads(meta.read_text())
+        state["version"] = 2
+        meta.write_text(json.dumps(state))
+
+        with pytest.raises(ReproError, match="refusing to ignore purchased state"):
+            PayLess.full(
+                market, options=QueryOptions(durability=tmp_path / "state")
+            )

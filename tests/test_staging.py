@@ -169,3 +169,79 @@ class TestSameTableTwice:
             right=_node(MarketAccessNode, ["Weather"], table="Weather"),
             cartesian=True,
         )
+
+
+#: One WHERE clause per way a constraint can reach ``_fetch_market_inner``
+#: on Weather(Country c, StationID int, Date date | Temperature float).
+FILTER_ONCE_CASES = {
+    "value_categorical": "Country = 'CountryA'",
+    "value_numeric": "StationID = 3",
+    "values": "StationID IN (1, 3)",
+    "low_high": "Date >= 3 AND Date < 7",
+    "two_ranges_one_axis": "Date >= 2 AND Date <= 8 AND Date > 4",
+    "set_member_off_domain": "StationID IN (2, 99) AND Country IN ('CountryB', 'Atlantis')",
+    "value_off_domain": "StationID = 99",
+    "range_wider_than_domain": "Date >= -50 AND Date <= 500",
+    "float_value": "Temperature = 23.0",
+    "float_set_and_axis": "Temperature IN (23.0, 41.0, 12.0) AND StationID IN (2, 4)",
+    "residual": "Temperature > 25.5 AND Date <= 4",
+    "residual_on_axis": "StationID != 2 AND Country = 'CountryA'",
+}
+
+
+class TestFilterOnce:
+    """The store applies the constraints its boxes express — exactly — and
+    the executor filters only the rest: the staged relation must be the
+    one the full predicate list selects from ground truth."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "whole_table_cached"])
+    @pytest.mark.parametrize("case", sorted(FILTER_ONCE_CASES))
+    def test_staged_relation_is_what_every_predicate_selects(
+        self, payless, monkeypatch, case, warm
+    ):
+        if warm:
+            # One chunk holding the whole table: every request below has
+            # to be cut out of it, nothing arrives pre-cut from the market.
+            payless.query("SELECT * FROM Weather")
+        staged = []
+        stage = Executor._stage
+
+        def capturing(self, table, relation):
+            staged.append(relation.rows)
+            return stage(self, table, relation)
+
+        monkeypatch.setattr(Executor, "_stage", capturing)
+        sql = f"SELECT * FROM Weather WHERE {FILTER_ONCE_CASES[case]}"
+        result = payless.query(sql)
+        expected = sorted(oracle_evaluate(payless, sql).rows)
+        assert [sorted(rows) for rows in staged] == [expected]
+        assert sorted(result.rows) == expected
+        if warm:
+            assert result.stats.transactions == 0
+
+    @pytest.mark.parametrize("case", sorted(FILTER_ONCE_CASES))
+    def test_store_alone_is_exact_on_the_axes(self, payless, case):
+        """No executor at all: the boxes of a constraint list select from
+        the cached rows exactly what the constraints on the table's
+        dimensions match — an off-domain row never among them."""
+        store = payless.store.table("Weather")
+        __, weather = payless.market.find_table("Weather")
+        store.record(
+            store.space.full_box,
+            weather.table.rows + [("Atlantis", 99, 5, 0.5), ("CountryA", 1, 77, 0.5)],
+            0.0,
+        )
+        logical = payless.compile(
+            f"SELECT * FROM Weather WHERE {FILTER_ONCE_CASES[case]}"
+        )
+        on_axes = [
+            (store.schema.position(c.attribute), c)
+            for c in logical.constraints_for("Weather")
+            if store.space.has_dimension(c.attribute)
+        ]
+        boxes = store.space.boxes_for_constraints(logical.constraints_for("Weather"))
+        assert store.rows_in_boxes(boxes) == [
+            row
+            for row in weather.table.rows
+            if all(c.matches(row[at]) for at, c in on_axes)
+        ]

@@ -1,25 +1,32 @@
 """Equivalence guard: indexed store probes vs the brute-force oracle.
 
-The grid indexes of :mod:`repro.semstore.grid` must be pure accelerators.
-For any sequence of mutations and probes, a store running the pre-index
-flat scans (``debug_bruteforce=True``) and the default indexed store must
-return *byte-identical* answers: the same remainder decompositions in the
-same order, the same coverage verdicts, and the same assembled rows in the
+The grid indexes of :mod:`repro.semstore.grid` and the per-chunk box
+algebra of :mod:`repro.semstore.store` must be pure accelerators.  For any
+sequence of mutations and probes, a store running the flat scans
+(``debug_bruteforce=True``) and the default indexed store must return
+*byte-identical* answers: the same remainder decompositions in the same
+order, the same coverage verdicts, and the same assembled rows in the
 same order.  These tests drive both stores through identical randomized
-workloads (seeded, so failures reproduce) and compare every answer.
+workloads (seeded or shrinkable, so failures reproduce) and compare every
+answer.
 """
 
+import pickle
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import AttributeType as T
 from repro.semstore.boxes import Box
 from repro.semstore.consistency import ConsistencyPolicy
-from repro.semstore.grid import BoxGridIndex, PointGridIndex
+from repro.semstore.grid import BoxGridIndex
 from repro.semstore.space import BoxSpace, Dimension
-from repro.semstore.store import SemanticStore
+from repro.semstore.store import SemanticStore, TableStore
 
 CATEGORIES = ("amber", "blue", "coral", "dune")
 
@@ -220,7 +227,7 @@ class TestBoxGridIndex:
         box = Box(((10, 20), (10, 20)))
         index.insert(0, box)
         assert 0 in index.candidates(box)
-        index.remove(0)
+        index.remove(0, box)
         assert index.candidates(box) == []
 
     def test_oversized_box_always_probed(self):
@@ -229,19 +236,115 @@ class TestBoxGridIndex:
         assert 0 in index.candidates(Box(((3, 4), (97, 98))))
 
 
-class TestPointGridIndex:
-    def test_candidates_are_containment_superset(self):
-        rng = random.Random(17)
-        index = PointGridIndex(((0, 100), (0, 100)))
-        points = {}
-        for row_id in range(200):
-            point = (rng.randint(0, 99), rng.randint(0, 99))
-            points[row_id] = point
-            index.insert(row_id, point)
-        for __ in range(30):
-            low_x, low_y = rng.randint(0, 80), rng.randint(0, 80)
-            query = Box(((low_x, low_x + 20), (low_y, low_y + 20)))
-            truly = {
-                i for i, p in points.items() if query.contains_point(p)
-            }
-            assert truly.issubset(set(index.candidates(query)))
+# -- chunked assembly, by property ---------------------------------------------
+
+#: Few distinct rows, so batches repeat each other's rows; the last three
+#: are off-domain on one axis each (category, range, type).
+ROW_POOL = [
+    (k, d, CATEGORIES[c], float(k * 1000 + d * 10 + c))
+    for k in (0, 1, 2, 7, 20, 40)
+    for d in (1, 2, 5, 10)
+    for c in range(len(CATEGORIES))
+] + [(3, 3, "off-domain-category", -1.0), (41, 3, "amber", -2.0), (3.5, 3, "blue", -3.0)]
+
+
+@st.composite
+def extents(draw, dimension: Dimension):
+    low = draw(st.integers(dimension.low, dimension.high - 1))
+    return (low, draw(st.integers(low + 1, dimension.high)))
+
+
+@st.composite
+def boxes(draw):
+    return Box(tuple(draw(extents(d)) for d in make_space().dimensions))
+
+
+@st.composite
+def product_requests(draw):
+    """A request region as ``boxes_for_constraints`` multiplies it out: on
+    each axis one range or a set of points (in no particular order)."""
+    axes = []
+    for dimension in make_space().dimensions:
+        if draw(st.booleans()):
+            axes.append([draw(extents(dimension))])
+        else:
+            points = draw(
+                st.lists(
+                    st.integers(dimension.low, dimension.high - 1),
+                    min_size=1,
+                    max_size=6,
+                    unique=True,
+                )
+            )
+            axes.append([(point, point + 1) for point in points])
+    return [Box(combination) for combination in product(*axes)]
+
+
+#: Product-form requests, and lists of unrelated (maybe overlapping) boxes.
+requests = st.one_of(product_requests(), st.lists(boxes(), max_size=3))
+batches = st.lists(
+    st.tuples(boxes(), st.lists(st.sampled_from(ROW_POOL), max_size=12)),
+    min_size=1,
+    max_size=8,
+)
+
+
+def assert_same_rows(table: TableStore, oracle: TableStore, request) -> None:
+    rows = oracle.rows_in_boxes(request)
+    assert table.rows_in_boxes(request) == rows
+    columns, count = table.columns_in_boxes(request)
+    assert count == len(rows)
+    assert [tuple(column) for column in columns] == (
+        [tuple(column) for column in zip(*rows)]
+        if rows
+        else [()] * len(table.schema)
+    )
+    for box in request[:2]:
+        assert table.count_in_box(box) == len(oracle.rows_in_box(box))
+
+
+class TestChunkedAssembly:
+    @settings(max_examples=200, deadline=None)
+    @given(batches, st.lists(requests, min_size=1, max_size=5), batches)
+    def test_chunks_equal_the_flat_scan_before_and_after_a_snapshot(
+        self, recorded, probes, recorded_later
+    ):
+        chunked = TableStore(make_space(), make_schema())
+        oracle = TableStore(make_space(), make_schema(), debug_bruteforce=True)
+        for box, rows in recorded:
+            assert chunked.record(box, rows, 0.0) == oracle.record(box, rows, 0.0)
+        assert chunked.all_rows() == oracle.all_rows()
+        for request in probes:
+            assert_same_rows(chunked, oracle, request)
+
+        # The sidecar path: pickle the exported state, adopt it into an
+        # empty table, no WAL and no backend involved.
+        restored = TableStore(make_space(), make_schema())
+        restored.adopt_bulk_state(
+            pickle.loads(pickle.dumps(chunked.export_bulk_state()))
+        )
+        assert restored.all_rows() == oracle.all_rows()
+        assert restored.covered == oracle.covered
+        for request in probes:
+            assert_same_rows(restored, oracle, request)
+        # And it keeps working as a store: dedup against the adopted rows,
+        # new chunks behind the adopted ones.
+        for box, rows in recorded_later:
+            assert restored.record(box, rows, 0.0) == oracle.record(box, rows, 0.0)
+        for request in probes:
+            assert_same_rows(restored, oracle, request)
+
+    def test_an_off_domain_row_is_cached_but_never_assembled(self):
+        table = TableStore(make_space(), make_schema())
+        rows = [ROW_POOL[0], ROW_POOL[-3], ROW_POOL[1], ROW_POOL[-1], ROW_POOL[2]]
+        assert table.record(make_space().full_box, rows, 0.0) == 5
+        assert table.cached_row_count == 5 and table.all_rows() == rows
+        assert table.rows_in_box(make_space().full_box) == [
+            ROW_POOL[0], ROW_POOL[1], ROW_POOL[2]
+        ]
+
+    def test_a_row_of_the_wrong_width_is_refused_whole(self):
+        table = TableStore(make_space(), make_schema())
+        with pytest.raises(ReproError):
+            table.record(make_space().full_box, [ROW_POOL[0], (1, 2, "amber")], 0.0)
+        assert table.cached_row_count == 0 and table.all_rows() == []

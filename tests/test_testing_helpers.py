@@ -44,10 +44,11 @@ class TestOracle:
     def test_assert_matches_oracle_catches_divergence(self):
         payless = registered_payless(tiny_weather_market())
         result = payless.query("SELECT * FROM Station")
-        # Sabotage a cached row in place to force a divergence on the
-        # repeat (keeps the row/point lists aligned with the point index).
+        # Sabotage a cached value in place to force a divergence on the
+        # repeat.  City is a categorical axis, so its coordinates live in
+        # their own list and the chunk index still finds the row.
         store = payless.store.table("Station")
-        sabotaged = ("bogus",) + store._rows[-1][1:]  # noqa: SLF001
-        store._rows[-1] = sabotaged  # noqa: SLF001
+        city = store.schema.position("City")
+        store._columns[city][-1] = "bogus"  # noqa: SLF001
         with pytest.raises(AssertionError):
             assert_matches_oracle(payless, "SELECT * FROM Station")
