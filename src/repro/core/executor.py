@@ -4,10 +4,17 @@ The executor walks the plan tree left-to-right and, for every market leaf,
 re-runs semantic rewriting against the *current* store state (binding
 values are known by now), issues the remainder REST calls, records results
 into the semantic store, and feeds exact region counts back into the
-statistics (Figure 3, steps 5.1-5.4).  Intermediate joins are materialized
-only to obtain bind-join values; the final answer is produced the way the
-paper's architecture does it — all required rows are staged into the local
-DBMS and the whole query is evaluated there (steps 6-8).
+statistics (Figure 3, steps 5.1-5.4).  The walk joins nothing for its own
+sake: the only thing it needs from a join is the values a bind join binds
+on (§4.1), so a subtree's intermediate is computed only when something
+above reads it — a bind join reads its left side's keys, an adaptive
+checkpoint reads its prefix's cardinality, the plan root reads nothing —
+and then over the join-key columns alone (zero-copy projections of the
+fetched relations).  The final answer is produced the way the paper's
+architecture does it — all required rows are staged into the local DBMS
+and the whole query is evaluated there, once (steps 6-8).  Every staged
+market row passed its table's constraints and residuals at the access
+that staged it, so that evaluation selects on local tables only.
 
 Remainder REST calls within one table access are independent (their boxes
 are disjoint and the market is read-only), so they are dispatched through
@@ -37,7 +44,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.core.context import PlanningContext
@@ -61,7 +68,7 @@ from repro.relational.database import Database
 from repro.relational.engine import DEFAULT_EXECUTION, evaluate
 from repro.relational.expressions import Comparison, ColumnRef, RowLayout, conjunction
 from repro.relational.relation import Relation
-from repro.relational.query import AttributeConstraint, LogicalQuery
+from repro.relational.query import AttributeConstraint, LogicalQuery, OutputColumn
 from repro.relational.table import Table
 from repro.stats.overlay import CardinalityOverlay
 
@@ -188,8 +195,11 @@ def _makespan(durations_ms: Sequence[float], workers: int) -> float:
 
 
 class _Fetched:
-    """Join components materialized during fetching.
+    """Join components materialized during fetching, join-key columns only.
 
+    A component is a fetched relation projected to the columns the query's
+    joins name for its table — possibly none, in which case it still
+    carries its row count — or the hash join of such components.
     Cartesian (Theorem 3) combinations are kept as separate components —
     their cross product is never materialized; binding values are read from
     the component that owns the attribute (empty sibling components zero
@@ -217,6 +227,11 @@ class _Fetched:
             if component.layout.has(ref.table, ref.column):
                 return index
         raise ExecutionError(f"no fetched component holds {ref!r}")
+
+    def joined_with(self, other: "_Fetched", predicates: tuple) -> "_Fetched":
+        """Both sides' components, merged where ``predicates`` connect them."""
+        combined = _Fetched(self.components + other.components, self.ops)
+        return combined.apply_joins(predicates) if predicates else combined
 
     def apply_joins(self, predicates: tuple) -> "_Fetched":
         """Apply equi-join predicates, merging components as needed.
@@ -312,6 +327,28 @@ class Executor:
 
     def execute(self, query: LogicalQuery, plan: PlanNode) -> ExecutionResult:
         self._query = query
+        #: Per table, the columns the query's joins name: all the plan walk
+        #: ever reads of a fetched relation.
+        self._join_columns: dict[str, list[ColumnRef]] = {}
+        for join in query.joins:
+            for ref in (join.left, join.right):
+                columns = self._join_columns.setdefault(ref.table.lower(), [])
+                if ref not in columns:
+                    columns.append(ref)
+        #: The query as the engine sees it over staged data: a market
+        #: table's rows were selected by the access that staged them
+        #: (:meth:`_fetch_market_inner`), so only local tables keep their
+        #: constraints and residuals.
+        is_market = self.context.is_market
+        self._over_staged = replace(
+            query,
+            constraints={
+                t: cs for t, cs in query.constraints.items() if not is_market(t)
+            },
+            residuals={
+                t: rs for t, rs in query.residuals.items() if not is_market(t)
+            },
+        )
         #: Per market table, the distinct rows this query's accesses
         #: returned, kept columnar (see :meth:`_stage`).
         self._staged: dict[str, Relation] = {}
@@ -337,10 +374,12 @@ class Executor:
         try:
             if self._prefetch_enabled:
                 self._schedule_prefetch(plan)
+            # Nothing reads the root's intermediate: the engine evaluates
+            # the query over the staged tables below.
             if self.adaptive is None:
-                self._fetch(plan)
+                self._fetch(plan, read=False)
             else:
-                self._adaptive_fetch(plan)
+                self._adaptive_fetch(plan, read=False)
         finally:
             # Any prefetched access the plan walk did not consume (an
             # earlier access failed the query) is drained here: wait for
@@ -358,7 +397,7 @@ class Executor:
             )
             with tracer.span("local_eval") as eval_span:
                 started = time.perf_counter()
-                relation = evaluate(staging, query, self.execution)
+                relation = evaluate(staging, self._over_staged, self.execution)
                 eval_ms = (time.perf_counter() - started) * 1000.0
                 if eval_span is not None:
                     eval_span.set(
@@ -373,7 +412,7 @@ class Executor:
                         ),
                     )
         else:
-            relation = evaluate(staging, query, self.execution)
+            relation = evaluate(staging, self._over_staged, self.execution)
 
         scope = self._scope
         return ExecutionResult(
@@ -404,25 +443,49 @@ class Executor:
 
     # ------------------------------------------------------------------ fetching
 
-    def _fetch(self, node: PlanNode) -> _Fetched:
+    def _fetch(self, node: PlanNode, read: bool) -> _Fetched | None:
+        """Buy and stage everything under ``node``; when ``read``, also
+        return the subtree's joined key columns.
+
+        ``read`` says something above reads the intermediate — a bind
+        join its left side's key values, an adaptive checkpoint its
+        prefix.  Purchases do not depend on it: a bind join always reads
+        its left side, whoever reads the join itself.
+        """
         if isinstance(node, LocalBlockNode):
-            return self._fetch_block(node)
+            return self._fetch_block(node, read)
         if isinstance(node, MarketAccessNode):
             relation = self._fetch_market(node.table, (), source="access")
-            return _Fetched([relation], self._ops)
+            return self._key_columns(node.table, relation) if read else None
         if isinstance(node, JoinNode):
-            left = self._fetch(node.left)
-            if isinstance(node.right, MarketAccessNode) and node.bind:
-                right_components = [
-                    self._fetch_bound(node.right, node.predicates, left)
-                ]
-            else:
-                right_components = self._fetch(node.right).components
-            combined = _Fetched(left.components + right_components, self._ops)
-            if node.predicates:
-                combined = combined.apply_joins(node.predicates)
-            return combined
+            left = self._fetch(node.left, read or self._binds(node))
+            return self._join_right(left, node, read)
         raise ExecutionError(f"unknown plan node {type(node).__name__}")
+
+    @staticmethod
+    def _binds(node: JoinNode) -> bool:
+        return node.bind and isinstance(node.right, MarketAccessNode)
+
+    def _join_right(
+        self, left: _Fetched | None, node: JoinNode, read: bool
+    ) -> _Fetched | None:
+        """Fetch ``node``'s right side — bound to ``left``'s key values
+        when it is a bind join — and, when ``read``, join the two."""
+        if self._binds(node):
+            relation = self._fetch_bound(node.right, node.predicates, left)
+            right = (
+                self._key_columns(node.right.table, relation) if read else None
+            )
+        else:
+            right = self._fetch(node.right, read)
+        if not read:
+            return None
+        return left.joined_with(right, node.predicates)
+
+    def _key_columns(self, table: str, relation: Relation) -> _Fetched:
+        """One fetched relation as a walk component (zero-copy)."""
+        refs = self._join_columns.get(table.lower(), ())
+        return _Fetched([self._ops.project(relation, refs)], self._ops)
 
     # ----------------------------------------------- cross-access prefetch
 
@@ -441,7 +504,7 @@ class Executor:
             return
         if isinstance(node, JoinNode):
             self._prefetchable_tables(node.left, tables)
-            if not (isinstance(node.right, MarketAccessNode) and node.bind):
+            if not self._binds(node):
                 self._prefetchable_tables(node.right, tables)
 
     def _schedule_prefetch(self, plan: PlanNode) -> None:
@@ -544,31 +607,28 @@ class Executor:
         steps.reverse()
         return node, steps
 
-    def _adaptive_fetch(self, node: PlanNode) -> _Fetched:
+    def _adaptive_fetch(self, node: PlanNode, read: bool) -> _Fetched | None:
         """The checkpointed pipeline: after each join step, compare the
         prefix's actual cardinality against the plan's estimate and
         re-plan the remaining steps when the policy trips.
 
-        With a policy that never trips this performs exactly the work of
-        :meth:`_fetch` — same accesses, same order, same store and
-        histogram feedback — plus one float comparison per step.
+        With a policy that never trips this makes exactly the accesses of
+        :meth:`_fetch` — same order, same store and histogram feedback —
+        but joins every prefix a checkpoint reads, where the static walk
+        joins only below a bind join.
         """
         if not isinstance(node, JoinNode):
-            return self._fetch(node)
+            return self._fetch(node, read)
         if not isinstance(node.right, MarketAccessNode):
             # Theorem-3 composition: the sides are join-disconnected, so
             # each adapts independently; the composition buys nothing.
-            left = self._adaptive_fetch(node.left)
-            right = self._adaptive_fetch(node.right)
-            combined = _Fetched(left.components + right.components, self._ops)
-            if node.predicates:
-                combined = combined.apply_joins(node.predicates)
-            return combined
+            left = self._adaptive_fetch(node.left, read)
+            right = self._adaptive_fetch(node.right, read)
+            if not read:
+                return None
+            return left.joined_with(right, node.predicates)
         leaf, steps = self._linearize(node)
-        if isinstance(leaf, JoinNode):
-            current = self._adaptive_fetch(leaf)
-        else:
-            current = self._fetch(leaf)
+        current = self._adaptive_fetch(leaf, read=True)
         executed = set(leaf.relations)
         estimate = max(leaf.estimated_rows, 0.0)
         adaptive = self.adaptive
@@ -589,17 +649,9 @@ class Executor:
                     if not steps:
                         break
             step = steps.pop(0)
-            if isinstance(step.right, MarketAccessNode) and step.bind:
-                right_components = [
-                    self._fetch_bound(step.right, step.predicates, current)
-                ]
-            else:
-                right_components = self._fetch(step.right).components
-            current = _Fetched(
-                current.components + right_components, self._ops
-            )
-            if step.predicates:
-                current = current.apply_joins(step.predicates)
+            # The next checkpoint reads this prefix; after the last step
+            # only the caller might.
+            current = self._join_right(current, step, read or bool(steps))
             executed |= set(step.right.relations)
             estimate = max(step.estimated_rows, 0.0)
         return current
@@ -718,36 +770,47 @@ class Executor:
             overlay.set_distinct(ref.table, ref.column, len(values))
         return overlay
 
-    def _fetch_block(self, node: LocalBlockNode) -> _Fetched:
-        """Evaluate the zero-price block on local + covered market data."""
-        block_db = Database()
-        for table_name in node.tables:
-            if self.context.is_market(table_name):
-                relation = self._fetch_market(table_name, (), source="covered")
-                block_db.add(self._as_table(table_name, relation))
-            else:
-                block_db.add(self.context.local_db.table(table_name))
+    def _fetch_block(self, node: LocalBlockNode, read: bool) -> _Fetched | None:
+        """Stage the zero-price block's covered market tables; when
+        ``read``, evaluate the block down to its join-key columns."""
+        covered = {
+            table_name: self._fetch_market(table_name, (), source="covered")
+            for table_name in node.tables
+            if self.context.is_market(table_name)
+        }
+        if not read:
+            return None
+        block_db = Database(
+            self._as_table(table_name, covered[table_name])
+            if table_name in covered
+            else self.context.local_db.table(table_name)
+            for table_name in node.tables
+        )
         block_tables = {t.lower() for t in node.tables}
+        keys = [
+            ref
+            for table_name in node.tables
+            for ref in self._join_columns.get(table_name.lower(), ())
+        ]
         sub_query = LogicalQuery(
             tables=list(node.tables),
-            constraints={
-                t: cs
-                for t, cs in self._query.constraints.items()
-                if t.lower() in block_tables
-            },
-            residuals={
-                t: rs
-                for t, rs in self._query.residuals.items()
-                if t.lower() in block_tables
-            },
+            constraints=self._over_staged.constraints,
+            residuals=self._over_staged.residuals,
             joins=[
                 j
                 for j in self._query.joins
                 if j.tables()[0].lower() in block_tables
                 and j.tables()[1].lower() in block_tables
             ],
+            outputs=[OutputColumn(column=ref) for ref in keys],
         )
-        return _Fetched([evaluate(block_db, sub_query, self.execution)], self._ops)
+        relation = evaluate(block_db, sub_query, self.execution)
+        if not keys:
+            # No join names a block table (it is a Cartesian sibling), and
+            # an empty output list reads as SELECT *: the walk wants the
+            # row count alone.
+            relation = self._ops.project(relation, ())
+        return _Fetched([relation], self._ops)
 
     def _fetch_bound(
         self,

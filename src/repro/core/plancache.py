@@ -82,6 +82,11 @@ class PlanCache:
         self._tracer = tracer
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
         self._parsed: OrderedDict[str, SelectStatement] = OrderedDict()
+        #: ``id(statement)`` -> ``repr(statement)`` for the statements in
+        #: ``_parsed``, added and dropped with them (so a memoized id is
+        #: always a live statement's): the template half of every key,
+        #: computed once per SQL text.
+        self._templates: dict[int, str] = {}
         #: Guards both LRU maps and the counters.  Validation probes the
         #: store's per-table locks from inside (cache lock -> table lock is
         #: the allowed order; the store never calls back into the cache).
@@ -108,6 +113,7 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self._parsed.clear()
+            self._templates.clear()
 
     # ------------------------------------------------------------------- keys
 
@@ -126,14 +132,22 @@ class PlanCache:
                 self._parsed.move_to_end(sql)
                 return statement
         statement = parse(sql)
+        template = repr(statement)
         with self._lock:
+            raced = self._parsed.get(sql)
+            if raced is not None:
+                # Another session parsed the same text meanwhile: share its
+                # statement, so each memoized template has one owner.
+                return raced
             self._parsed[sql] = statement
+            self._templates[id(statement)] = template
             while len(self._parsed) > self.capacity:
-                self._parsed.popitem(last=False)
+                __, evicted = self._parsed.popitem(last=False)
+                del self._templates[id(evicted)]
         return statement
 
-    @staticmethod
     def statement_key(
+        self,
         statement: SelectStatement,
         params: Sequence[Any],
         fingerprint: tuple,
@@ -141,10 +155,16 @@ class PlanCache:
         """Cache key for a parsed template bound to ``params``.
 
         The AST ``repr`` is the normalized template (``Parameter`` holes
-        stay holes); parameter values join the key separately.  Returns
-        ``None`` (bypassing the cache) for unhashable parameter values.
+        stay holes) — memoized for statements :meth:`parse_sql` handed
+        out, computed here for any other; parameter values join the key
+        separately.  Returns ``None`` (bypassing the cache) for unhashable
+        parameter values.
         """
-        key = ("sql", repr(statement), tuple(params), fingerprint)
+        with self._lock:
+            template = self._templates.get(id(statement))
+        if template is None:
+            template = repr(statement)
+        key = ("sql", template, tuple(params), fingerprint)
         return _hashable_or_none(key)
 
     @staticmethod

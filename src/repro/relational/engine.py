@@ -4,7 +4,13 @@ This is the "DBMS query engine" box of the paper's architecture (Figure 3):
 once PayLess has materialized all required data-market rows locally, the
 final join/aggregate work happens here.  The *plan* is deliberately simple —
 scan, filter, hash-join in join-graph order, then aggregate/sort/limit —
-but two interchangeable operator implementations can execute it:
+and it reads only the columns the query names: each scan evaluates its
+table's selection over the whole row, then emits just the columns some
+join, grouping, aggregate argument, output, HAVING or ORDER BY refers to
+(everything for ``SELECT *``), so no join carries a column nothing above
+it reads.  The pruning lives in :func:`evaluate`, above the operator set,
+so it cannot split the two interchangeable implementations that execute
+the plan:
 
 * ``"vectorized"`` (the default): columnar batches + compiled expression
   kernels (:mod:`repro.relational.operators`);
@@ -58,14 +64,63 @@ class ExecutionConfig:
 DEFAULT_EXECUTION = ExecutionConfig()
 
 
+def _referenced_columns(query: LogicalQuery) -> list[ColumnRef] | None:
+    """Every column the query reads after selection; ``None`` = all of them.
+
+    Joins, grouping, aggregate arguments, plain outputs, HAVING and ORDER
+    BY — constraints and residuals are applied at the scan, before anything
+    is dropped.  ``SELECT *`` outputs every column, so nothing is pruned.
+    """
+    if query.is_star:
+        return None
+    refs: list[ColumnRef] = []
+    for join in query.joins:
+        refs += (join.left, join.right)
+    refs += query.group_by
+    for output in query.outputs:
+        if output.column is not None:
+            refs.append(output.column)
+        elif output.aggregate.arg is not None:
+            refs += output.aggregate.arg.columns()
+    if query.having is not None:
+        refs += query.having.columns()
+    refs += query.order_by
+    return refs
+
+
 def _scan_with_selection(
-    database: Database, query: LogicalQuery, name: str, ops
+    database: Database,
+    query: LogicalQuery,
+    name: str,
+    ops,
+    referenced: list[ColumnRef] | None,
 ) -> Relation:
-    relation = ops.scan(database.table(name), alias=name)
+    """Scan ``name``, apply its selection, emit the ``referenced`` columns.
+
+    A reference without a table (an unqualified column, or an aggregate
+    alias in HAVING / ORDER BY) keeps the column of that name in every
+    table that has one: it may mean any of them.
+    """
+    table = database.table(name)
+    relation = ops.scan(table, alias=name)
+    keep = None
+    if referenced is not None:
+        lowered = name.lower()
+        wanted = {
+            ref.column.lower()
+            for ref in referenced
+            if ref.table is None or ref.table.lower() == lowered
+        }
+        names = table.schema.names
+        kept = [column for column in names if column.lower() in wanted]
+        if len(kept) < len(names):
+            keep = [ColumnRef(name, column) for column in kept]
     predicates = [c.to_expression(name) for c in query.constraints_for(name)]
     predicates.extend(query.residuals_for(name))
     if predicates:
-        relation = ops.filter_rows(relation, conjunction(predicates))
+        return ops.filter_rows(relation, conjunction(predicates), keep)
+    if keep is not None:
+        return ops.project(relation, keep)
     return relation
 
 
@@ -98,11 +153,12 @@ def evaluate(
         raise ExecutionError("query references no tables")
     ops = (execution or DEFAULT_EXECUTION).ops
 
+    referenced = _referenced_columns(query)
     ordered = _join_order(query)
-    result = _scan_with_selection(database, query, ordered[0], ops)
+    result = _scan_with_selection(database, query, ordered[0], ops, referenced)
     joined = [ordered[0]]
     for name in ordered[1:]:
-        right = _scan_with_selection(database, query, name, ops)
+        right = _scan_with_selection(database, query, name, ops, referenced)
         join_predicates = query.joins_between(joined, name)
         if join_predicates:
             keys = []

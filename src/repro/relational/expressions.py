@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterable
 
 from repro.errors import SchemaError
@@ -83,13 +84,24 @@ class RowLayout:
             return False
         return True
 
-    @classmethod
-    def for_table(cls, table_name: str, column_names: Iterable[str]) -> "RowLayout":
-        return cls([(table_name, column) for column in column_names])
+    @staticmethod
+    def for_table(table_name: str, column_names: Iterable[str]) -> "RowLayout":
+        """The layout of ``table_name``'s rows, shared between callers.
+
+        Every scan, store access and staged relation asks for its table's
+        layout; a layout never changes once built, so one object per
+        ``(table name, column names)`` serves them all.
+        """
+        return _table_layout(table_name, tuple(column_names))
 
     def concat(self, other: "RowLayout") -> "RowLayout":
         """Layout of rows formed by concatenating a row of each layout."""
         return RowLayout(self._columns + other._columns)
+
+
+@lru_cache(maxsize=1024)
+def _table_layout(table_name: str, column_names: tuple[str, ...]) -> RowLayout:
+    return RowLayout([(table_name, column) for column in column_names])
 
 
 class Expression:

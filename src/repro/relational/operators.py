@@ -7,8 +7,8 @@ always had, so the executor, rewriter-remainder assembly, and obs spans
 work unchanged.  Internally every hot path is batch-wise:
 
 * ``filter_rows`` compiles the predicate to a single mask kernel
-  (:mod:`repro.relational.compile`) and selects each column with
-  ``itertools.compress`` — no per-row interpreter dispatch;
+  (:mod:`repro.relational.compile`) and selects each column the caller
+  keeps with ``itertools.compress`` — no per-row interpreter dispatch;
 * ``project`` is zero-copy (the output shares column sequences);
 * ``hash_join`` builds buckets of *row indices* from the key columns and
   gathers output columns with ``map(column.__getitem__, indices)``;
@@ -68,20 +68,30 @@ def scan(table: Table, alias: str | None = None) -> Relation:
     return Relation.from_columns(layout, table.columns_snapshot(), len(table))
 
 
-def filter_rows(relation: Relation, predicate: Expression) -> Relation:
-    """Keep only rows satisfying ``predicate`` (batch mask + compress)."""
+def filter_rows(
+    relation: Relation,
+    predicate: Expression,
+    keep: Sequence[ColumnRef] | None = None,
+) -> Relation:
+    """Keep only rows satisfying ``predicate`` (batch mask + compress).
+
+    With ``keep`` the output holds just those columns, in that order: the
+    mask is computed over the whole relation (the predicate may read any
+    column), ``compress`` runs over the kept columns only.
+    """
     kernel = predicate_kernel(predicate, relation.layout)
+    source = relation if keep is None else project(relation, keep)
     if kernel.constant is not None:
         if kernel.constant:
-            return relation
+            return source
         return Relation.from_columns(
-            relation.layout, tuple(() for __ in range(len(relation.layout))), 0
+            source.layout, tuple(() for __ in range(len(source.layout))), 0
         )
-    columns = relation.columns_data
-    mask = kernel.mask(columns, len(relation))
-    selected = tuple(list(compress(column, mask)) for column in columns)
-    count = len(selected[0]) if selected else 0
-    return Relation.from_columns(relation.layout, selected, count)
+    mask = kernel.mask(relation.columns_data, len(relation))
+    selected = tuple(list(compress(column, mask)) for column in source.columns_data)
+    # A zero-width output has no column to measure: count the mask.
+    count = len(selected[0]) if selected else sum(map(bool, mask))
+    return Relation.from_columns(source.layout, selected, count)
 
 
 def project(relation: Relation, refs: Sequence[ColumnRef]) -> Relation:

@@ -43,10 +43,16 @@ def scan(table: Table, alias: str | None = None) -> Relation:
     return Relation(layout, list(table.rows))
 
 
-def filter_rows(relation: Relation, predicate: Expression) -> Relation:
-    """Keep only rows satisfying ``predicate``."""
+def filter_rows(
+    relation: Relation,
+    predicate: Expression,
+    keep: Sequence[ColumnRef] | None = None,
+) -> Relation:
+    """Keep only rows satisfying ``predicate``; with ``keep``, project the
+    survivors to those columns."""
     check = predicate.bind(relation.layout)
-    return Relation(relation.layout, [row for row in relation.rows if check(row)])
+    kept = Relation(relation.layout, [row for row in relation.rows if check(row)])
+    return kept if keep is None else project(kept, keep)
 
 
 def project(relation: Relation, refs: Sequence[ColumnRef]) -> Relation:

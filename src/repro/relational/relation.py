@@ -66,7 +66,11 @@ class Relation:
     def rows(self) -> list[Row]:
         """The row-tuple view, materialized from the columns on first use."""
         if self._rows is None:
-            self._rows = list(zip(*self._columns)) if self._columns else []
+            if self._columns:
+                self._rows = list(zip(*self._columns))
+            else:
+                # No column to zip: a zero-width relation still has rows.
+                self._rows = [()] * self._count
         return self._rows
 
     @property

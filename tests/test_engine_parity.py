@@ -11,6 +11,10 @@ edge case, and every full query.  This suite holds them to it three ways:
 * **explicit NULL-semantics cases** pin the SQL rules both engines must
   share: NULL join keys never match, ``COUNT(col)`` counts non-NULL only,
   SUM/AVG/MIN/MAX skip NULLs, sort is NULLS LAST in both directions;
+* **column pruning** — ``evaluate`` emits from each scan only the columns
+  the query names; every shape that could drop a column something still
+  reads runs through both engines and through ``evaluate`` with pruning
+  disabled, and all three must return the same ordered rows;
 * **full-query parity** replays the weather and TPC-H workload sessions
   through two PayLess installations differing only in ``engine=``, with
   and without chaos-seed fault injection, and asserts identical answers
@@ -24,13 +28,15 @@ from hypothesis import strategies as st
 from repro.bench.figures import BenchProfile, make_instances, make_workload
 from repro.bench.harness import build_system
 from repro.core.objectives import QueryOptions
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SchemaError
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.relational import engine
 from repro.relational import operators as vec
 from repro.relational import reference as ref
-from repro.relational.engine import ExecutionConfig
+from repro.relational.database import Database
+from repro.relational.engine import ExecutionConfig, evaluate
 from repro.relational.expressions import (
     And,
     Arithmetic,
@@ -43,6 +49,15 @@ from repro.relational.expressions import (
     RowLayout,
 )
 from repro.relational.operators import Aggregate, Relation
+from repro.relational.query import (
+    AttributeConstraint,
+    JoinPredicate,
+    LogicalQuery,
+    OutputColumn,
+)
+from repro.relational.schema import Attribute, Schema
+from repro.relational.table import Table
+from repro.relational.types import AttributeType
 from repro.workloads.weather import WeatherConfig
 
 # ---------------------------------------------------------------------------
@@ -391,6 +406,253 @@ class TestNullSemantics:
             relation, [ColumnRef("t", "g")], [Aggregate("COUNT", None, "n")]
         )
         assert result.rows == [(None, 2), ("a", 1)]
+
+
+# ---------------------------------------------------------------------------
+# Column pruning at the scan: pruned == unpruned, on both engines
+# ---------------------------------------------------------------------------
+
+
+def _table(name, columns, rows):
+    table = Table(
+        name, Schema([Attribute(column, kind) for column, kind in columns])
+    )
+    table.extend(rows)
+    return table
+
+
+def _pruning_database(empty_side=False):
+    """Orders ⋈ Items on ``oid``; both tables have a column named ``note``
+    and Items has rows matching no order (a ``Table`` holds no NULLs)."""
+    orders = _table(
+        "Orders",
+        [
+            ("oid", AttributeType.INT),
+            ("region", AttributeType.STRING),
+            ("priority", AttributeType.INT),
+            ("note", AttributeType.STRING),
+        ],
+        [
+            (1, "east", 2, "a"),
+            (2, "west", 1, "b"),
+            (3, "east", 3, "c"),
+            (4, "north", 1, "d"),
+        ],
+    )
+    items = _table(
+        "Items",
+        [
+            ("iid", AttributeType.INT),
+            ("oid", AttributeType.INT),
+            ("price", AttributeType.FLOAT),
+            ("qty", AttributeType.INT),
+            ("note", AttributeType.STRING),
+        ],
+        []
+        if empty_side
+        else [
+            (10, 1, 5.0, 2, "x"),
+            (11, 1, 7.5, 1, "y"),
+            (12, 2, 1.0, 9, "x"),
+            (13, 3, 3.5, 4, "z"),
+            (14, 3, 2.5, 2, "w"),
+            (15, 7, 9.0, 1, "x"),
+            (16, 9, 4.0, 3, "y"),
+        ],
+    )
+    colours = _table(
+        "Colours", [("name", AttributeType.STRING)], [("red",), ("blue",)]
+    )
+    return Database([orders, items, colours])
+
+
+ON_OID = JoinPredicate(ColumnRef("Orders", "oid"), ColumnRef("Items", "oid"))
+
+
+def _query(tables=("Orders", "Items"), joins=(ON_OID,), **fields):
+    fields.setdefault("constraints", {})
+    fields.setdefault("residuals", {})
+    return LogicalQuery(tables=list(tables), joins=list(joins), **fields)
+
+
+def _plain(*refs):
+    return [OutputColumn(column=ColumnRef(t, c)) for t, c in refs]
+
+
+def _agg(func, arg, alias):
+    return OutputColumn(aggregate=Aggregate(func, arg, alias))
+
+
+PRUNING_SHAPES = {
+    # Nothing pruned: every column, in layout order.
+    "star_over_join": _query(),
+    "column_only_in_aggregate_argument": _query(
+        outputs=_plain(("Orders", "region"))
+        + [
+            _agg(
+                "SUM",
+                Arithmetic(
+                    "*", ColumnRef("Items", "price"), ColumnRef("Items", "qty")
+                ),
+                "revenue",
+            )
+        ],
+        group_by=[ColumnRef("Orders", "region")],
+    ),
+    "group_column_not_in_select_list": _query(
+        outputs=[_agg("MIN", ColumnRef("Items", "price"), "cheapest")],
+        group_by=[ColumnRef("Orders", "region"), ColumnRef("Items", "note")],
+    ),
+    "group_column_also_in_order_by": _query(
+        outputs=_plain(("Orders", "region")) + [_agg("COUNT", None, "n")],
+        group_by=[ColumnRef("Orders", "region")],
+        order_by=[ColumnRef("Orders", "region")],
+        order_descending=[True],
+    ),
+    "star_ordered_by_a_column": _query(
+        order_by=[ColumnRef("Items", "qty"), ColumnRef("Items", "iid")],
+        order_descending=[True, False],
+    ),
+    # Filtered on, then dropped: neither column is output or joined on.
+    "column_only_in_constraint_and_residual": _query(
+        outputs=_plain(("Items", "iid")),
+        constraints={
+            "Orders": [AttributeConstraint("priority", low=1, high=3)],
+            "Items": [AttributeConstraint("note", values=frozenset("xy"))],
+        },
+        residuals={
+            "Items": [Comparison(">", ColumnRef("Items", "price"), Literal(1.5))]
+        },
+    ),
+    "having_and_order_by_on_aggregate_alias": _query(
+        outputs=_plain(("Orders", "region"))
+        + [_agg("COUNT", ColumnRef("Items", "price"), "n")],
+        group_by=[ColumnRef("Orders", "region")],
+        having=Comparison(">=", ColumnRef(None, "n"), Literal(1)),
+        order_by=[ColumnRef(None, "n")],
+        order_descending=[True],
+    ),
+    "same_column_name_in_both_tables": _query(
+        outputs=_plain(("Items", "note"), ("Orders", "note"), ("Orders", "oid")),
+    ),
+    # An alias that is also a base column's name must not drop the column.
+    "aggregate_alias_shadows_a_column": _query(
+        outputs=[_agg("MAX", ColumnRef("Items", "qty"), "priority")],
+        having=Comparison(">", ColumnRef(None, "priority"), Literal(0)),
+    ),
+    # Each side keeps its join key only; the row count is what is read.
+    "count_star_over_join": _query(outputs=[_agg("COUNT", None, "n")]),
+    # No join names Colours and nothing outputs it: zero kept columns.
+    "count_star_over_cross_product": _query(
+        tables=("Orders", "Colours"), joins=(), outputs=[_agg("COUNT", None, "n")]
+    ),
+    "cross_product_side_without_output": _query(
+        tables=("Orders", "Colours"),
+        joins=(),
+        outputs=_plain(("Orders", "oid")),
+        constraints={"Colours": [AttributeConstraint("name", value="red")]},
+    ),
+    "single_table_count_with_constraint": _query(
+        tables=("Items",),
+        joins=(),
+        outputs=[_agg("COUNT", None, "n")],
+        constraints={"Items": [AttributeConstraint("note", value="x")]},
+    ),
+    "distinct_projection_with_limit": _query(
+        outputs=_plain(("Orders", "region")), select_distinct=True, limit=2
+    ),
+}
+
+
+class TestColumnPruning:
+    @pytest.fixture
+    def unpruned(self, monkeypatch):
+        """``evaluate`` with every scan emitting every column."""
+
+        def run(database, query):
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_referenced_columns", lambda query: None)
+                return evaluate(database, query, ExecutionConfig("reference"))
+
+        return run
+
+    @pytest.mark.parametrize("empty_side", [False, True], ids=["rows", "empty_side"])
+    @pytest.mark.parametrize("shape", sorted(PRUNING_SHAPES))
+    def test_pruned_equals_unpruned_on_both_engines(
+        self, unpruned, shape, empty_side
+    ):
+        database = _pruning_database(empty_side)
+        query = PRUNING_SHAPES[shape]
+        want = unpruned(database, query)
+        for name in ("vectorized", "reference"):
+            assert_identical(evaluate(database, query, ExecutionConfig(name)), want)
+        if not empty_side and not query.has_aggregates:
+            assert want.rows
+
+    def test_scans_emit_only_the_referenced_columns(self, monkeypatch):
+        """The join sees each table's key and outputs, nothing else — and
+        SELECT * sees everything."""
+        seen = []
+        original = vec.hash_join
+
+        def spy(left, right, keys):
+            seen.append((left.layout.columns, right.layout.columns))
+            return original(left, right, keys)
+
+        monkeypatch.setattr(vec, "hash_join", spy)
+        database = _pruning_database()
+        evaluate(database, PRUNING_SHAPES["column_only_in_constraint_and_residual"])
+        evaluate(database, PRUNING_SHAPES["star_over_join"])
+        assert seen[0] == (
+            [("Orders", "oid")],
+            [("Items", "iid"), ("Items", "oid")],
+        )
+        assert [len(side) for side in seen[1]] == [4, 5]
+
+    def test_column_only_in_order_by_fails_the_same_way(self, unpruned):
+        """Sorting runs after projection, so a sort key that is not output
+        is unknown there — pruning must not turn that into another error
+        (or into an answer)."""
+        database = _pruning_database()
+        query = _query(
+            outputs=_plain(("Items", "iid")),
+            order_by=[ColumnRef("Items", "qty")],
+        )
+        for run in (
+            lambda: unpruned(database, query),
+            lambda: evaluate(database, query, ExecutionConfig("vectorized")),
+            lambda: evaluate(database, query, ExecutionConfig("reference")),
+        ):
+            with pytest.raises(SchemaError, match="unknown column Items.qty"):
+                run()
+
+    def test_unqualified_reference_keeps_every_candidate(self, unpruned):
+        """A hand-built query may leave the table off: the name is kept in
+        every table that has it, so ambiguity is still reported."""
+        database = _pruning_database()
+        unique = _query(outputs=[OutputColumn(column=ColumnRef(None, "qty"))])
+        want = unpruned(database, unique)
+        for name in ("vectorized", "reference"):
+            assert_identical(evaluate(database, unique, ExecutionConfig(name)), want)
+        ambiguous = _query(outputs=[OutputColumn(column=ColumnRef(None, "note"))])
+        for name in ("vectorized", "reference"):
+            with pytest.raises(SchemaError, match="ambiguous column 'note'"):
+                evaluate(database, ambiguous, ExecutionConfig(name))
+
+    @pytest.mark.parametrize("ops", ENGINES, ids=["vectorized", "reference"])
+    def test_zero_width_relation_keeps_its_row_count(self, ops):
+        relation = _relation(["k", "v"], [(1, "a"), (2, "b"), (3, "c")])
+        nothing = ops.project(relation, [])
+        assert len(nothing) == 3 and nothing.rows == [(), (), ()]
+        kept = ops.filter_rows(
+            relation, Comparison(">", ColumnRef("t", "k"), Literal(1)), keep=[]
+        )
+        assert len(kept) == 2 and kept.rows == [(), ()]
+        other = _relation(["w"], [(7,), (8,)], "u")
+        product = ops.cross_product(nothing, other)
+        assert product.rows == [(7,), (8,)] * 3
+        counted = ops.aggregate_rows(kept, [], [Aggregate("COUNT", None, "n")])
+        assert counted.rows == [(2,)]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,26 @@ class TestRowLayout:
         layout = RowLayout.for_table("t", ["a", "b"])
         assert layout.resolve("t", "b") == 1
 
+    def test_for_table_is_shared_and_cannot_be_mutated_through_columns(self):
+        layout = RowLayout.for_table("t", ["a", "b"])
+        assert RowLayout.for_table("t", ("a", "b")) is layout
+        layout.columns.append(("t", "c"))
+        layout.columns[0] = ("x", "a")
+        again = RowLayout.for_table("t", ["a", "b"])
+        assert again.columns == [("t", "a"), ("t", "b")] and len(again) == 2
+        assert again.resolve("t", "a") == 0 and not again.has("t", "c")
+
+    def test_for_table_keeps_aliases_and_column_lists_apart(self):
+        first = RowLayout.for_table("s1", ["id", "city"])
+        second = RowLayout.for_table("s2", ["id", "city"])
+        assert first is not second
+        assert first.has("s1", "id") and not first.has("s2", "id")
+        assert second.columns == [("s2", "id"), ("s2", "city")]
+        wider = RowLayout.for_table("s1", ["id", "city", "zone"])
+        assert wider is not first and len(wider) == 3 and len(first) == 2
+        joined = first.concat(second)
+        assert joined.resolve("s2", "id") == 2 and len(first) == 2
+
 
 class TestEvaluation:
     ROW = ("US", 1, 1, 21.5)

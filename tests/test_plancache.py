@@ -13,10 +13,11 @@ import pytest
 
 from repro.bench.harness import build_system
 from repro.core.objectives import AdaptivePolicy, PlanObjective, QueryOptions
-from repro.core.plancache import PlanCache
 from repro.core.plans import MaterializedNode
 from repro.core.prepared import PreparedQuery
 from repro.obs.metrics import MetricsRegistry
+from repro.sqlparser.ast import SelectStatement
+from repro.sqlparser.parser import parse
 from repro.workloads.synthetic import make_join_graph
 
 
@@ -129,14 +130,57 @@ class TestKeying:
             "SELECT * FROM T1 WHERE K1 = ?"
         )
         assert (
-            PlanCache.statement_key(statement, ([1, 2],), ()) is None
+            payless.plan_cache.statement_key(statement, ([1, 2],), ()) is None
         )
+
+    def test_one_sql_text_is_reprd_once(self, monkeypatch):
+        payless, __ = build()
+        warm(payless, 3)
+        template = "SELECT * FROM T1 WHERE K1 = ?"
+        statement = payless.plan_cache.parse_sql(template)
+        expected = ("sql", repr(statement), (1,), ("fp",))
+        reprs = []
+        original = SelectStatement.__repr__
+
+        def counting(self):
+            reprs.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SelectStatement, "__repr__", counting)
+        # Memoized at parse time: the key is byte-identical, no repr runs.
+        assert payless.plan_cache.statement_key(statement, (1,), ("fp",)) == expected
+        for value in (1, 2, 1, 3):
+            payless.query(template, (value,))
+        PreparedQuery(payless, template).execute((2,))
+        assert reprs == []
+        # A new text is repr'd once, at parse; repeats and explains reuse it.
+        other = "SELECT * FROM T2 WHERE K1 = ?"
+        for value in (1, 2, 1):
+            payless.query(other, (value,))
+        payless.explain(other, (1,))
+        assert len(reprs) == 1
+        # A statement the cache never handed out is keyed all the same.
+        foreign = parse(template)
+        assert payless.plan_cache.statement_key(foreign, (1,), ("fp",)) == expected
+        assert len(reprs) == 2
+
+    def test_memoized_templates_follow_the_parse_lru(self):
+        payless, __ = build(options=QueryOptions(plan_cache_size=2))
+        cache = payless.plan_cache
+        statements = [
+            cache.parse_sql(f"SELECT * FROM T{i}") for i in (1, 2, 3)
+        ]
+        assert set(cache._templates) == {id(s) for s in statements[1:]}
+        evicted = cache.statement_key(statements[0], (), ())
+        assert evicted == ("sql", repr(statements[0]), (), ())
+        cache.clear()
+        assert cache._templates == {} and len(cache._parsed) == 0
 
     def test_fingerprint_separates_configurations(self):
         payless, data = build()
         statement = payless.plan_cache.parse_sql(data.sql)
-        key_a = PlanCache.statement_key(statement, (), ("vectorized",))
-        key_b = PlanCache.statement_key(statement, (), ("reference",))
+        key_a = payless.plan_cache.statement_key(statement, (), ("vectorized",))
+        key_b = payless.plan_cache.statement_key(statement, (), ("reference",))
         assert key_a != key_b
 
 
@@ -230,6 +274,13 @@ class TestCapacity:
         assert explanation.planning.cache_status == "off"
         assert payless.plan_cache.size == 0
         assert payless.plan_cache.hits == 0
+        # Nothing is memoized either: neither statements nor templates.
+        first = payless.plan_cache.parse_sql(data.sql)
+        assert payless.plan_cache.parse_sql(data.sql) is not first
+        assert payless.plan_cache._templates == {}
+        assert payless.plan_cache.statement_key(first, (), ()) == (
+            "sql", repr(first), (), (),
+        )
 
     def test_clear_empties_the_cache(self):
         payless, data = build()

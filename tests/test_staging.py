@@ -3,14 +3,30 @@
 Purchased rows were typed when the seller published them, so the read path
 must not re-validate them cell by cell, and the executor's staging must
 hand the engine distinct rows however many times one plan reads a table.
+The plan walk itself joins only what a bind join (or an adaptive
+checkpoint) reads, over join-key columns; the engine evaluates the query
+once, over the staged tables.
 """
+
+from dataclasses import replace
 
 import pytest
 
+import repro.core.executor as executor_module
+from repro.bench.figures import BenchProfile, make_instances, make_workload
+from repro.bench.harness import build_system
 from repro.core.executor import Executor
+from repro.core.objectives import AdaptivePolicy, QueryOptions
 from repro.core.plans import JoinNode, LocalBlockNode, MarketAccessNode
+from repro.obs.metrics import MetricsRegistry
+from repro.relational import operators, reference
+from repro.relational.database import Database
+from repro.relational.schema import Attribute, Schema
+from repro.relational.table import Table
 from repro.relational.types import AttributeType
 from repro.testing import oracle_evaluate, registered_payless, tiny_weather_market
+from repro.workloads.synthetic import make_join_graph
+from repro.workloads.weather import WeatherConfig
 
 JOIN_SQL = (
     "SELECT City, Date, Temperature FROM Station, Weather "
@@ -245,3 +261,330 @@ class TestFilterOnce:
             for row in weather.table.rows
             if all(c.matches(row[at]) for at, c in on_axes)
         ]
+
+
+# ---------------------------------------------------------------------------
+# The walk carries bind keys; the engine evaluates once
+# ---------------------------------------------------------------------------
+
+THREE_WAY_SQL = (
+    "SELECT CityInfo.Zone, Date, Temperature FROM CityInfo, Station, Weather "
+    "WHERE CityInfo.City = Station.City "
+    "AND Station.StationID = Weather.StationID "
+    "AND CityInfo.Zone = {zone} AND Date <= 3"
+)
+#: CityInfo joins nothing here: a Cartesian (Theorem-3) sibling.
+SIBLING_SQL = (
+    "SELECT CityInfo.Zone, Station.City, Temperature FROM CityInfo, Station, Weather "
+    "WHERE Station.StationID = Weather.StationID "
+    "AND CityInfo.Zone = {zone} AND Station.City = 'Alpha' AND Date <= 2"
+)
+
+
+class _WalkSpy:
+    """Every engine evaluation, and every hash join made outside one."""
+
+    def __init__(self, monkeypatch):
+        self.evaluations = []
+        self.walk_joins = []
+        self._in_engine = False
+        evaluate = executor_module.evaluate
+
+        def counting(database, query, execution=None):
+            self.evaluations.append(query)
+            self._in_engine = True
+            try:
+                return evaluate(database, query, execution)
+            finally:
+                self._in_engine = False
+
+        monkeypatch.setattr(executor_module, "evaluate", counting)
+        for ops in (operators, reference):
+            monkeypatch.setattr(ops, "hash_join", self._spy(ops.hash_join))
+
+    def _spy(self, hash_join):
+        def spy(left, right, keys):
+            if not self._in_engine:
+                self.walk_joins.append(
+                    left.layout.columns + right.layout.columns
+                )
+            return hash_join(left, right, keys)
+
+        return spy
+
+
+@pytest.fixture(params=["vectorized", "reference"])
+def local_payless(request):
+    """The tiny market plus a local CityInfo(City, Zone) table."""
+    city_info = Table(
+        "CityInfo",
+        Schema(
+            [
+                Attribute("City", AttributeType.STRING),
+                Attribute("Zone", AttributeType.INT),
+            ]
+        ),
+        [("Alpha", 1), ("Beta", 1), ("Delta", 3)],
+    )
+    return registered_payless(
+        tiny_weather_market(),
+        local_db=Database([city_info]),
+        options=QueryOptions(engine=request.param),
+    )
+
+
+def _key_columns(logical):
+    return {
+        (ref.table, ref.column)
+        for join in logical.joins
+        for ref in (join.left, join.right)
+    }
+
+
+class TestWalkCarriesKeys:
+    def test_fully_covered_query_evaluates_once(self, payless, monkeypatch):
+        sql = JOIN_SQL.format(city="Alpha")
+        payless.query(sql)
+        payless.query(sql)
+        spy = _WalkSpy(monkeypatch)
+        warm = payless.query(sql)
+        assert warm.stats.transactions == 0
+        assert len(spy.evaluations) == 1 and spy.walk_joins == []
+        # Staged market rows were selected by the access that staged them.
+        assert spy.evaluations[0].constraints == {}
+        assert spy.evaluations[0].residuals == {}
+        assert sorted(warm.rows) == sorted(oracle_evaluate(payless, sql).rows)
+
+    def test_block_only(self, local_payless, monkeypatch):
+        """The block *is* the plan: its tables are staged, nothing is
+        joined for bindings, and local tables keep their selection."""
+        sql = THREE_WAY_SQL.format(zone=1)
+        local_payless.query("SELECT * FROM Station")
+        local_payless.query("SELECT * FROM Weather")
+        spy = _WalkSpy(monkeypatch)
+        plan = _node(
+            LocalBlockNode,
+            ["CityInfo", "Station", "Weather"],
+            tables=("CityInfo", "Station", "Weather"),
+            covered_market_tables=("Station", "Weather"),
+        )
+        executor, execution = _run(local_payless, sql, plan)
+        assert execution.transactions == 0
+        assert len(spy.evaluations) == 1 and spy.walk_joins == []
+        assert list(spy.evaluations[0].constraints) == ["CityInfo"]
+        assert len(_staged_rows(executor, "Weather")) == 12
+        _assert_answer_is_ground_truth(local_payless, sql, execution)
+
+    def test_block_under_a_bind_join(self, local_payless, monkeypatch):
+        """The bind join reads the block's keys: the block is evaluated to
+        its join-key columns, the join above it is not computed."""
+        sql = THREE_WAY_SQL.format(zone=1)
+        logical = local_payless.compile(sql)
+        local_payless.query("SELECT * FROM Station")
+        spy = _WalkSpy(monkeypatch)
+        plan = _node(
+            JoinNode,
+            ["CityInfo", "Station", "Weather"],
+            left=_node(
+                LocalBlockNode,
+                ["CityInfo", "Station"],
+                tables=("CityInfo", "Station"),
+                covered_market_tables=("Station",),
+            ),
+            right=_node(
+                MarketAccessNode,
+                ["Weather"],
+                table="Weather",
+                bind_attributes=("StationID",),
+            ),
+            predicates=(logical.joins[1],),
+            bind=True,
+        )
+        executor, execution = _run(local_payless, sql, plan)
+        block_query, final_query = spy.evaluations
+        assert {
+            (out.column.table, out.column.column) for out in block_query.outputs
+        } == {
+            ("CityInfo", "City"),
+            ("Station", "City"),
+            ("Station", "StationID"),
+        }
+        assert final_query.tables == logical.tables
+        assert spy.walk_joins == []
+        # Zone 1 is Alpha and Beta: stations 1, 2, 3 — station 4 not bought.
+        assert {row[1] for row in _staged_rows(executor, "Weather")} == {1, 2, 3}
+        _assert_answer_is_ground_truth(local_payless, sql, execution)
+
+    def test_bind_join_above_a_join_sees_key_columns_only(
+        self, local_payless, monkeypatch
+    ):
+        sql = THREE_WAY_SQL.format(zone=1)
+        logical = local_payless.compile(sql)
+        spy = _WalkSpy(monkeypatch)
+        plan = _node(
+            JoinNode,
+            ["CityInfo", "Station", "Weather"],
+            left=_node(
+                JoinNode,
+                ["CityInfo", "Station"],
+                left=_node(LocalBlockNode, ["CityInfo"], tables=("CityInfo",)),
+                right=_node(MarketAccessNode, ["Station"], table="Station"),
+                predicates=(logical.joins[0],),
+            ),
+            right=_node(
+                MarketAccessNode,
+                ["Weather"],
+                table="Weather",
+                bind_attributes=("StationID",),
+            ),
+            predicates=(logical.joins[1],),
+            bind=True,
+        )
+        executor, execution = _run(local_payless, sql, plan)
+        assert len(spy.walk_joins) == 1
+        assert set(spy.walk_joins[0]) <= _key_columns(logical)
+        assert {row[1] for row in _staged_rows(executor, "Weather")} == {1, 2, 3}
+        _assert_answer_is_ground_truth(local_payless, sql, execution)
+
+    def test_join_above_a_bind_join_is_not_computed(
+        self, local_payless, monkeypatch
+    ):
+        """CityInfo −→⋈ Station reads CityInfo's keys; the plain join with
+        Weather above it is the engine's to compute, not the walk's."""
+        sql = THREE_WAY_SQL.format(zone=3)
+        logical = local_payless.compile(sql)
+        spy = _WalkSpy(monkeypatch)
+        plan = _node(
+            JoinNode,
+            ["CityInfo", "Station", "Weather"],
+            left=_node(
+                JoinNode,
+                ["CityInfo", "Station"],
+                left=_node(LocalBlockNode, ["CityInfo"], tables=("CityInfo",)),
+                right=_node(
+                    MarketAccessNode,
+                    ["Station"],
+                    table="Station",
+                    bind_attributes=("City",),
+                ),
+                predicates=(logical.joins[0],),
+                bind=True,
+            ),
+            right=_node(MarketAccessNode, ["Weather"], table="Weather"),
+            predicates=(logical.joins[1],),
+        )
+        executor, execution = _run(local_payless, sql, plan)
+        assert spy.walk_joins == []
+        assert len(spy.evaluations) == 2
+        assert [row[2] for row in _staged_rows(executor, "Station")] == ["Delta"]
+        _assert_answer_is_ground_truth(local_payless, sql, execution)
+
+    @pytest.mark.parametrize("zone,siblings", [(1, 2), (99, 0)])
+    def test_cartesian_sibling_counts_without_columns(
+        self, local_payless, zone, siblings
+    ):
+        """A sibling no join names carries no column, only its row count:
+        non-empty it leaves the bindings alone, empty it zeroes them —
+        the cross product is empty, so nothing is bought for Weather."""
+        sql = SIBLING_SQL.format(zone=zone)
+        logical = local_payless.compile(sql)
+        plan = _node(
+            JoinNode,
+            ["CityInfo", "Station", "Weather"],
+            left=_node(
+                JoinNode,
+                ["CityInfo", "Station"],
+                left=_node(LocalBlockNode, ["CityInfo"], tables=("CityInfo",)),
+                right=_node(MarketAccessNode, ["Station"], table="Station"),
+                cartesian=True,
+            ),
+            right=_node(
+                MarketAccessNode,
+                ["Weather"],
+                table="Weather",
+                bind_attributes=("StationID",),
+            ),
+            predicates=tuple(logical.joins),
+            bind=True,
+        )
+        executor, execution = _run(local_payless, sql, plan)
+        staged = _staged_rows(executor, "Weather")
+        assert len(staged) == (4 if siblings else 0)
+        assert len(execution.relation.rows) == 4 * siblings
+        if not siblings:
+            assert local_payless.store.table("Weather").covered == []
+        _assert_answer_is_ground_truth(local_payless, sql, execution)
+
+    def test_adaptive_checkpoints_join_key_columns_only(self, monkeypatch):
+        """Every prefix a checkpoint reads is joined, but narrow — and the
+        last step's join, which no checkpoint follows, is the engine's."""
+        data = make_join_graph("chain", 4)
+        static, __ = build_system("payless", data)
+        adaptive, __ = build_system(
+            "payless",
+            data,
+            options=QueryOptions(adaptive=AdaptivePolicy(min_rows=float("inf"))),
+        )
+        want = static.query(data.sql)
+        spy = _WalkSpy(monkeypatch)
+        got = adaptive.query(data.sql)
+        assert got.rows == want.rows and got.stats.replans == 0
+        assert got.stats.transactions == want.stats.transactions
+        assert len(spy.walk_joins) == 2 and len(spy.evaluations) == 1
+        keys = _key_columns(adaptive.compile(data.sql))
+        assert all(set(columns) <= keys for columns in spy.walk_joins)
+
+
+#: The parity suite's profile: small enough for tier-1, joins included.
+SESSION = BenchProfile(
+    weather_q=2,
+    tpch_q=1,
+    weather=WeatherConfig(
+        countries=2, stations_per_country=4, cities_per_country=3, days=15
+    ),
+    tpch_scale=0.5,
+    tuples_per_transaction=20,
+)
+
+
+def _session(workload, seed, adaptive):
+    profile = replace(SESSION, instance_seed=seed)
+    data = make_workload(workload, profile)
+    q = profile.weather_q if workload == "real" else profile.tpch_q
+    payless, __ = build_system(
+        "payless",
+        data,
+        options=QueryOptions(adaptive=adaptive),
+        metrics=MetricsRegistry(),
+    )
+    results = [
+        payless.query(instance.sql, instance.params)
+        for instance in make_instances(workload, data, q, profile)
+    ]
+    covers = {
+        table.name: [
+            (cover.box, cover.row_count)
+            for cover in payless.store.table(table.name).covered
+        ]
+        for dataset in payless.market
+        for table in dataset
+    }
+    return results, covers
+
+
+@pytest.mark.parametrize("seed", [7, 23, 101])
+@pytest.mark.parametrize("workload", ["real", "tpch"])
+def test_static_walk_equals_the_walk_that_joins_every_prefix(workload, seed):
+    """A policy that never trips makes the adaptive walk compute every
+    prefix the static walk skips; neither rows, nor any query's bill, nor
+    what the store ends up covering may depend on that."""
+    static, static_covers = _session(workload, seed, None)
+    never_trips = AdaptivePolicy(min_rows=float("inf"))
+    adaptive, adaptive_covers = _session(workload, seed, never_trips)
+    assert len(static) == len(adaptive) and static
+    for got, want in zip(adaptive, static):
+        assert got.rows == want.rows
+        assert got.stats.transactions == want.stats.transactions
+        assert got.stats.calls == want.stats.calls
+        assert got.stats.replans == 0
+    assert adaptive_covers == static_covers
