@@ -86,12 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "compiled kernels) or reference (the row-at-a-time oracle)",
     )
     session.add_argument(
-        "--no-prune", action="store_true",
-        help="disable branch-and-bound planner pruning (the exhaustive "
-        "enumeration oracle; chosen plans are identical, planning is "
-        "slower)",
-    )
-    session.add_argument(
         "--no-plan-cache", action="store_true",
         help="disable the parameterized plan cache (every query re-plans "
         "from scratch)",
@@ -163,11 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(EXPLAIN ANALYZE reports which engine ran and its rows/sec)",
     )
     explain.add_argument(
-        "--no-prune", action="store_true",
-        help="plan with branch-and-bound pruning disabled (the exhaustive "
-        "oracle — same plan, full candidate counts in the summary line)",
-    )
-    explain.add_argument(
         "--objective", default=None, metavar="SPEC",
         help="planning objective (see 'session --objective'); non-default "
         "objectives add the Pareto frontier and chosen point to the output",
@@ -219,7 +208,6 @@ def _session_options(args: argparse.Namespace) -> QueryOptions:
         overrides["adaptive"] = AdaptivePolicy.parse(args.adaptive)
     return QueryOptions(
         engine=args.engine,
-        prune=not args.no_prune,
         durability=args.state_dir,
         transport_mode=args.transport,
         fault_rate=args.fault_rate,
@@ -332,7 +320,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     payless, __ = build_system(
         "payless",
         data,
-        options=QueryOptions(engine=args.engine, prune=not args.no_prune),
+        options=QueryOptions(engine=args.engine),
     )
     objective = _objective_of(args)
     explanation = (

@@ -17,11 +17,17 @@ market row passed its table's constraints and residuals at the access
 that staged it, so that evaluation selects on local tables only.
 
 Remainder REST calls within one table access are independent (their boxes
-are disjoint and the market is read-only), so they are dispatched through
-a thread pool of ``max_concurrent_calls`` workers.  Responses are recorded
-into the store and statistics serially in remainder order, which keeps
-every downstream state — coverage, histograms, billing totals — identical
-to serial execution; only wall-clock changes, reported both ways as
+are disjoint and the market is read-only), so they run concurrently.
+Each call is one sans-IO generator (:meth:`Executor._call_machine`) that
+holds the whole per-call protocol — under concurrent serving, the
+singleflight leader/follower sharing whose money invariant is that no
+waiter is ever served rows the market did not bill — and two drivers
+only answer its ``fetch`` / ``wait`` effects: a thread pool of
+``max_concurrent_calls`` workers, or coroutines on the event loop of
+:mod:`repro.market.aio`.  Responses are recorded into the store and
+statistics serially in remainder order, which keeps every downstream
+state — coverage, histograms, billing totals — identical to serial
+execution; only wall-clock changes, reported both ways as
 ``market_time_ms`` (serial sum) and ``market_time_critical_path_ms``
 (simulated makespan under the concurrency limit).
 
@@ -44,7 +50,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.context import PlanningContext
@@ -125,6 +131,27 @@ class _PrefetchEntry:
     token: str
     checkpoint: int
     future: object
+
+
+@dataclass
+class _CallBatch:
+    """What the call machines of one table access share.
+
+    ``lock`` guards the two mutable fields: the threaded driver runs the
+    machines on pool threads (on the event loop it is never contended).
+    """
+
+    table: str
+    #: The installation's singleflight group and the table's store it
+    #: re-checks coverage in; both None outside concurrent serving.
+    coalescer: object
+    table_store: object
+    tracing: bool
+    high_water: object
+    in_flight: int = 0
+    #: Singleflights this access led, retired once their rows are recorded.
+    lead_flights: list = field(default_factory=list)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 @dataclass
@@ -883,8 +910,8 @@ class Executor:
             rewrite = entry.rewrite
             access_token = entry.token
             checkpoint = entry.checkpoint
-            outcomes, lead_flights = self._collect_async_calls(
-                entry.future, span
+            outcomes, lead_flights = self._settle_calls(
+                entry.future.result(), span
             )
             self._prefetch_hits += 1
             self.context.metrics.counter("prefetch_hits").inc()
@@ -1121,84 +1148,44 @@ class Executor:
         flights this access *led*; the caller retires them under the
         table lock once their rows are recorded.
 
-        Tracing under concurrency is race-free by construction: worker
-        threads only create *detached* ``market_call`` spans (private
-        objects, no shared trace state — see :mod:`repro.obs.trace`) plus
-        lock-guarded in-flight counters; the coordinating thread adopts
-        the finished spans into ``parent_span`` in request order after the
-        pool drains, so per-fetch timing and attempt counts are recorded
-        identically regardless of thread scheduling.
+        Every call is one :meth:`_call_machine`; this is its *threaded*
+        driver — the transport fetch blocks a pool thread, a follower
+        blocks on the flight's event — and :meth:`_submit_async_calls` is
+        the event-loop one.
         """
         if self._aio is not None:
-            return self._collect_async_calls(
+            return self._settle_calls(
                 self._submit_async_calls(
                     dataset, table, remainders, access_token
-                ),
+                ).result(),
                 parent_span,
             )
+        batch, requests = self._call_batch(dataset, table, remainders)
         transport = self.context.transport
         ledger = self.context.market.ledger
         scope = self._scope
-        tracer = self.context.tracer
-        tracing = parent_span is not None and tracer.enabled
-        metrics = self.context.metrics
-        coalescer = self.context.coalescer
-        table_store = (
-            self.context.store.table(table) if coalescer is not None else None
-        )
-        requests = [
-            RestRequest(dataset, table, remainder.constraints)
-            for remainder in remainders
-        ]
-        if requests:
-            metrics.histogram("fetch_batch_size").observe(len(requests))
-        high_water = metrics.gauge("fetch_pool_high_water")
-        in_flight_lock = threading.Lock()
-        in_flight = 0
-        lead_flights: list = []
-        lead_lock = threading.Lock()
 
-        def fetch_once(request: RestRequest):
-            # The attribution token is thread-local, so it must be entered
-            # on the worker thread actually billing the call.
-            with ledger.attribute(access_token):
-                return transport.fetch(request, scope)
-
-        def issue(item):
-            nonlocal in_flight
-            index, request = item
-            with in_flight_lock:
-                in_flight += 1
-                high_water.set_max(in_flight)
-            call_span = (
-                tracer.detached_span("market_call", url=request.url())
-                if tracing
-                else None
-            )
+        def drive(remainder, request):
+            machine = self._call_machine(batch, remainder.box, request)
             try:
-                try:
-                    if coalescer is None:
-                        outcome = fetch_once(request)
+                effect = machine.send(None)
+                while True:
+                    kind, subject = effect
+                    try:
+                        if kind == "fetch":
+                            # The attribution token is thread-local, so it
+                            # must be entered on the worker thread actually
+                            # billing the call.
+                            with ledger.attribute(access_token):
+                                answer = transport.fetch(subject, scope)
+                        else:
+                            answer = subject.wait()
+                    except BaseException as error:
+                        effect = machine.throw(error)
                     else:
-                        outcome = self._coalesced_fetch(
-                            coalescer,
-                            table_store,
-                            remainders[index].box,
-                            request,
-                            fetch_once,
-                            lead_flights,
-                            lead_lock,
-                        )
-                except TransportError as error:
-                    outcome = FailedFetch(
-                        table=table, request=request, error=error
-                    )
-            finally:
-                with in_flight_lock:
-                    in_flight -= 1
-            if call_span is not None:
-                self._finish_call_span(call_span, outcome)
-            return outcome, call_span
+                        effect = machine.send(answer)
+            except StopIteration as stop:
+                return stop.value
 
         limit = self.max_concurrent_calls
         if limit > 1 and len(requests) > 1:
@@ -1210,196 +1197,151 @@ class Executor:
                 pool = self._call_pool = ThreadPoolExecutor(
                     max_workers=limit, thread_name_prefix="fetch"
                 )
-            results = list(pool.map(issue, enumerate(requests)))
+            results = list(pool.map(drive, remainders, requests))
         else:
-            results = [
-                issue(item) for item in enumerate(requests)
-            ]
-        outcomes = [outcome for outcome, _ in results]
-        if tracing:
-            for _, call_span in results:
-                if call_span is not None:
-                    parent_span.adopt(call_span)
-        self._charge_call_time(outcomes, limit)
-        return outcomes, lead_flights
+            results = list(map(drive, remainders, requests))
+        return self._settle_calls((results, batch.lead_flights), parent_span)
 
     def _submit_async_calls(
         self, dataset, table, remainders, access_token
     ):
         """Pipeline one access's remainder GETs onto the event loop.
 
-        The async twin of the threaded issue path: every remainder call
-        becomes a coroutine driving the shared fetch machine against the
-        per-seller connection pool, with the pool's semaphore as the only
-        in-flight cap.  Returns a ``concurrent.futures.Future`` resolving
-        to ``(results, lead_flights)`` where results are
-        ``(outcome, detached_span)`` pairs in request order — the caller
-        (either the consuming table access or the failure drain) blocks on
-        it when it actually needs the data.
+        The *async* driver of :meth:`_call_machine`: every remainder call
+        is a coroutine that awaits the shared fetch machine against the
+        per-seller connection pool (the pool's semaphore is the only
+        in-flight cap) and parks a follower's wait on the default
+        executor so the loop keeps running.  Returns a
+        ``concurrent.futures.Future`` resolving to ``(results,
+        lead_flights)`` where results are ``(outcome, detached_span)``
+        pairs in request order — the caller (either the consuming table
+        access or the failure drain) blocks on it when it actually needs
+        the data.
 
         Attribution tokens are applied around each physical call by
         :meth:`AsyncMarketTransport.fetch` (thread-local, never across an
-        ``await``); in-flight counters are plain ints because every
-        coroutine of an installation runs on the one loop thread.
+        ``await``).
         """
-        aio = self._aio
-        scope = self._scope
-        tracer = self.context.tracer
-        tracing = tracer.enabled
-        metrics = self.context.metrics
-        coalescer = self.context.coalescer
-        table_store = (
-            self.context.store.table(table) if coalescer is not None else None
-        )
-        requests = [
-            RestRequest(dataset, table, remainder.constraints)
-            for remainder in remainders
-        ]
-        high_water = metrics.gauge("fetch_pool_high_water")
-        lead_flights: list = []
+        batch, requests = self._call_batch(dataset, table, remainders)
         if not requests:
             # A fully covered access has nothing to await: answer without
             # starting the loop thread or hopping onto it.
             settled: Future = Future()
-            settled.set_result(([], lead_flights))
+            settled.set_result(([], batch.lead_flights))
             return settled
-        metrics.histogram("fetch_batch_size").observe(len(requests))
-        state = {"in_flight": 0}
+        aio = self._aio
+        scope = self._scope
 
-        async def issue(index: int, request: RestRequest):
-            state["in_flight"] += 1
-            high_water.set_max(state["in_flight"])
-            call_span = (
-                tracer.detached_span("market_call", url=request.url())
-                if tracing
-                else None
-            )
+        async def drive(remainder, request: RestRequest):
+            loop = asyncio.get_running_loop()
+            machine = self._call_machine(batch, remainder.box, request)
             try:
-                try:
-                    if coalescer is None:
-                        outcome = await aio.fetch(request, scope, access_token)
+                effect = machine.send(None)
+                while True:
+                    kind, subject = effect
+                    try:
+                        if kind == "fetch":
+                            answer = await aio.fetch(
+                                subject, scope, access_token
+                            )
+                        else:
+                            answer = await loop.run_in_executor(
+                                None, subject.wait
+                            )
+                    except BaseException as error:
+                        effect = machine.throw(error)
                     else:
-                        outcome = await self._coalesced_fetch_async(
-                            coalescer,
-                            table_store,
-                            remainders[index].box,
-                            request,
-                            access_token,
-                            lead_flights,
-                        )
-                except TransportError as error:
-                    outcome = FailedFetch(
-                        table=table, request=request, error=error
-                    )
-            finally:
-                state["in_flight"] -= 1
-            if call_span is not None:
-                self._finish_call_span(call_span, outcome)
-            return outcome, call_span
+                        effect = machine.send(answer)
+            except StopIteration as stop:
+                return stop.value
 
-        async def issue_all():
-            results = await asyncio.gather(
-                *(issue(index, request)
-                  for index, request in enumerate(requests))
-            )
-            return list(results), lead_flights
+        async def drive_all():
+            results = await asyncio.gather(*map(drive, remainders, requests))
+            return list(results), batch.lead_flights
 
-        return aio.submit(issue_all())
+        return aio.submit(drive_all())
 
-    def _collect_async_calls(self, future, parent_span) -> tuple[list, list]:
-        """Block on one access's pipelined calls and account for them.
+    def _call_batch(self, dataset, table, remainders):
+        """The requests of one table access and the state their call
+        machines share."""
+        requests = [
+            RestRequest(dataset, table, remainder.constraints)
+            for remainder in remainders
+        ]
+        metrics = self.context.metrics
+        if requests:
+            metrics.histogram("fetch_batch_size").observe(len(requests))
+        coalescer = self.context.coalescer
+        batch = _CallBatch(
+            table=table,
+            coalescer=coalescer,
+            table_store=(
+                self.context.store.table(table) if coalescer is not None else None
+            ),
+            tracing=self.context.tracer.enabled,
+            high_water=metrics.gauge("fetch_pool_high_water"),
+        )
+        return batch, requests
 
-        Mirrors the threaded path's post-drain bookkeeping: detached call
-        spans are adopted into the access's ``table_fetch`` span in
-        request order, and the simulated makespan is charged under the
-        async in-flight cap (the per-seller pool size) with connection
-        reuse already reflected in the per-call durations.
-        """
-        results, lead_flights = future.result()
+    def _settle_calls(self, drained, parent_span) -> tuple[list, list]:
+        """Account for one access's drained calls, whichever driver ran
+        them: detached call spans are adopted into the access's
+        ``table_fetch`` span in request order (workers only ever touch
+        their own private span — see :mod:`repro.obs.trace` — so per-fetch
+        timing and attempt counts are recorded identically regardless of
+        scheduling), and the simulated makespan is charged under the
+        driver's in-flight cap."""
+        results, lead_flights = drained
         outcomes = [outcome for outcome, _ in results]
         if parent_span is not None:
             for _, call_span in results:
                 if call_span is not None:
                     parent_span.adopt(call_span)
-        self._charge_call_time(outcomes, self._aio.pool_size)
+        self._charge_call_time(
+            outcomes,
+            self._aio.pool_size
+            if self._aio is not None
+            else self.max_concurrent_calls,
+        )
         return outcomes, lead_flights
 
-    async def _coalesced_fetch_async(
-        self,
-        coalescer,
-        table_store,
-        box,
-        request: RestRequest,
-        access_token: str,
-        lead_flights: list,
-    ):
-        """Async twin of :meth:`_coalesced_fetch` — same serving
-        invariant, same leader/follower protocol, same accounting.
+    def _call_machine(self, batch: _CallBatch, box, request: RestRequest):
+        """One remainder call as a sans-IO generator; the drivers only wait.
 
-        Followers park the flight's *threading* Event on the default
-        executor so the loop keeps running while they wait; leaders abort
-        (deregistering before any waiter wakes) on failure exactly as the
-        threaded path does.  ``lead_flights`` mutates loop-thread-only.
+        Yields ``("fetch", request)`` — the driver performs the transport
+        fetch and sends back its :class:`FetchResult`, or throws in what it
+        raised — and ``("wait", flight)`` — the driver blocks until the
+        flight's leader completed or aborted, then sends anything.  Returns
+        ``(outcome, detached market_call span or None)``.  No lock is held
+        at a ``yield``.
         """
-        scope = self._scope
-        metrics = self.context.metrics
-        ledger = self.context.market.ledger
-        store = self.context.store
-        loop = asyncio.get_running_loop()
-        key = request.url()
-        while True:
-            with table_store.lock:
-                if table_store.is_covered(box, store.policy, store.clock):
-                    scope.note_covered_skip()
-                    return CoveredSkip(request=request)
-                flight, leader = coalescer.begin(key)
-            if leader:
-                try:
-                    result = await self._aio.fetch(
-                        request, scope, access_token
-                    )
-                except BaseException as error:
-                    # Deregister BEFORE waiters wake: no waiter may ever be
-                    # served rows from a fetch the market did not bill.
-                    coalescer.abort(flight, error)
-                    raise
-                coalescer.complete(flight, result)
-                lead_flights.append(flight)
-                return result
-            waited = time.perf_counter()
-            await loop.run_in_executor(None, flight.wait)
-            wait_ms = (time.perf_counter() - waited) * 1000.0
-            if flight.failed:
-                continue
-            shared = flight.result
-            response = shared.response
-            scope.note_coalesced(response.transactions, response.price, wait_ms)
-            ledger.note_coalesced_savings(response.transactions, response.price)
-            metrics.counter("fetch_coalesced").inc()
-            metrics.histogram("fetch_coalesce_wait_us").observe(
-                wait_ms * 1000.0
-            )
-            metrics.counter("dollars_saved_coalescing").inc(response.price)
-            return FetchResult(
-                response=response,
-                attempts=1,
-                elapsed_ms=shared.elapsed_ms,
-                coalesced=True,
-                saved_transactions=response.transactions,
-                saved_price=response.price,
-            )
+        with batch.lock:
+            batch.in_flight += 1
+            batch.high_water.set_max(batch.in_flight)
+        call_span = (
+            self.context.tracer.detached_span("market_call", url=request.url())
+            if batch.tracing
+            else None
+        )
+        try:
+            try:
+                if batch.coalescer is None:
+                    outcome = yield ("fetch", request)
+                else:
+                    outcome = yield from self._shared_fetch(batch, box, request)
+            except TransportError as error:
+                outcome = FailedFetch(
+                    table=batch.table, request=request, error=error
+                )
+        finally:
+            with batch.lock:
+                batch.in_flight -= 1
+        if call_span is not None:
+            self._finish_call_span(call_span, outcome)
+        return outcome, call_span
 
-    def _coalesced_fetch(
-        self,
-        coalescer,
-        table_store,
-        box,
-        request: RestRequest,
-        fetch_once,
-        lead_flights: list,
-        lead_lock: threading.Lock,
-    ):
-        """One remainder call through the singleflight layer.
+    def _shared_fetch(self, batch: _CallBatch, box, request: RestRequest):
+        """The call machine's fetch through the singleflight layer.
 
         The loop re-establishes, on every iteration, the serving
         invariant: under the table lock, either the box is covered (free),
@@ -1409,6 +1351,8 @@ class Executor:
         fresh attempt with its own transport retry budget; each query
         fails at most once as leader per key, so the loop terminates.
         """
+        coalescer = batch.coalescer
+        table_store = batch.table_store
         scope = self._scope
         metrics = self.context.metrics
         ledger = self.context.market.ledger
@@ -1422,18 +1366,18 @@ class Executor:
                 flight, leader = coalescer.begin(key)
             if leader:
                 try:
-                    result = fetch_once(request)
+                    result = yield ("fetch", request)
                 except BaseException as error:
                     # Deregister BEFORE waiters wake: no waiter may ever be
                     # served rows from a fetch the market did not bill.
                     coalescer.abort(flight, error)
                     raise
                 coalescer.complete(flight, result)
-                with lead_lock:
-                    lead_flights.append(flight)
+                with batch.lock:
+                    batch.lead_flights.append(flight)
                 return result
             waited = time.perf_counter()
-            flight.wait()
+            yield ("wait", flight)
             wait_ms = (time.perf_counter() - waited) * 1000.0
             if flight.failed:
                 continue

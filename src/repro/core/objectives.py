@@ -7,8 +7,8 @@ money-latency Pareto frontier per subproblem and a :class:`PlanObjective`
 picks the point to execute:
 
 * ``min_dollars`` — the paper's objective, and the default.  The planner
-  takes the exact single-objective path and chooses plans byte-identical
-  to the exhaustive oracle.
+  compares on money alone, which keeps one plan per subproblem: the
+  paper's exact single-objective DP.
 * ``min_latency`` — the fastest plan (ties broken by dollars).
 * ``dollars_under_latency_ms`` — the cheapest plan whose estimated
   latency fits under a bound; an unmeetable bound raises
@@ -399,7 +399,6 @@ class QueryOptions:
     #: "calls" (the Minimizing-Calls competitor).
     cost_metric: str = "transactions"
     max_bind_attrs: int = 2
-    prune: bool = True
     plan_cache_size: int = 256
     #: Algorithm 1 bounding-box pruning inside the semantic rewriter.
     prune_bounding_boxes: bool = True
@@ -490,7 +489,6 @@ class QueryOptions:
             use_theorems=self.use_theorems,
             objective=self.cost_metric,
             max_bind_attrs=self.max_bind_attrs,
-            prune=self.prune,
             plan_cache_size=self.plan_cache_size,
             plan_objective=self.objective,
         )

@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product
-from operator import attrgetter
 
 from repro.core.context import PlanningContext
 from repro.core.objectives import MIN_DOLLARS, PlanObjective
@@ -61,10 +60,6 @@ class OptimizerOptions:
     objective: str = "transactions"
     #: Bind joins may bind values for at most this many attributes.
     max_bind_attrs: int = 2
-    #: Branch-and-bound + dominance pruning of the DP enumeration.  False
-    #: runs the exhaustive oracle (same chosen plan, more work) — the
-    #: debug arm the parity tests compare against.
-    prune: bool = True
     #: Entries the installation's parameterized plan cache may hold;
     #: 0 disables the cache entirely.
     plan_cache_size: int = 256
@@ -82,10 +77,6 @@ class OptimizerOptions:
             raise PlanningError(
                 f"plan_objective must be a PlanObjective, "
                 f"got {self.plan_objective!r}"
-            )
-        if not isinstance(self.prune, bool):
-            raise PlanningError(
-                f"prune must be True or False, got {self.prune!r}"
             )
         if isinstance(self.max_bind_attrs, bool) or not isinstance(
             self.max_bind_attrs, int
@@ -119,8 +110,8 @@ class PlanningResult:
     evaluated_plans: int
     enumerated_boxes: int
     kept_boxes: int
-    #: Candidates discarded by branch-and-bound / dominance (0 when the
-    #: exhaustive oracle ran).
+    #: Candidates rejected because an incumbent over the same table set
+    #: is at least as good on every comparison axis.
     pruned_plans: int = 0
     #: How the installation's plan cache was involved: "hit" (this result
     #: was served from the cache), "miss" (planned fresh, now cached), or
@@ -149,7 +140,7 @@ class PlanningResult:
 
     @property
     def kept_plans(self) -> int:
-        """Candidates that survived pruning (all of them for the oracle)."""
+        """Candidates that entered their subset's frontier."""
         return self.evaluated_plans - self.pruned_plans
 
 
@@ -242,15 +233,6 @@ class SuffixPlan:
     evaluated_plans: int
 
 
-#: Greedy seeding walks, one per comparison axis, each chasing its axis
-#: first — together their completions bound every axis.
-_ONE_AXIS_ORDERS = (attrgetter("cost"),)
-_TWO_AXIS_ORDERS = (
-    attrgetter("cost", "latency"),
-    attrgetter("latency", "cost"),
-)
-
-
 class Optimizer:
     """Algorithm 2, parameterized by :class:`OptimizerOptions`."""
 
@@ -294,25 +276,14 @@ class Optimizer:
         self._pruned = 0
         self._enumerated_boxes = 0
         self._kept_boxes = 0
-        # Only the left-deep DP prunes; the bushy debug arm stays
-        # exhaustive.
-        self._prune = self.options.prune and self.options.use_theorems
-        self._full_key: frozenset[str] | None = None
         #: The comparison axes.  The paper's min_dollars compares
         #: candidates on (cost) alone, which keeps every subset's frontier
         #: at width 1 — latency is computed on every node but never
-        #: consulted, so chosen plans stay byte-identical to the
-        #: single-objective oracle.  Every other objective compares on
-        #: (cost, latency).
+        #: consulted, so chosen plans are the single-objective DP's.
+        #: Every other objective compares on (cost, latency).
         self._objective = self.options.plan_objective
         self._one_axis = self._objective.is_default
         self._latency_model = self.context.latency_model
-        #: Branch-and-bound state: (money, latency) vectors of known
-        #: *complete* plans (greedy seeds + accepted full-key candidates),
-        #: mutually non-dominated on the axes — under one axis, the single
-        #: cheapest.  A candidate strictly worse than any of them on EVERY
-        #: axis can never contribute a frontier point.
-        self._bound_frontier: list[tuple[float, float]] = []
         # Per-optimize() probe memos.  Safe because planning never mutates
         # the store or catalog: every probe is a pure function of the query
         # and the store state at planning time.  (The rewriter's own
@@ -358,31 +329,12 @@ class Optimizer:
                 raise PlanningError("query references no tables")
             return self._result([block])
 
-        entries = self._complete_frontier(priced, block)
+        entries = self._frontier_program(priced, block)
         if not entries:
             raise PlanningError(
                 "no feasible plan: some bound attributes can never be bound"
             )
         return self._result(entries)
-
-    def _complete_frontier(
-        self, priced: list[str], seed: _SubPlan | None
-    ) -> list[_SubPlan]:
-        """The frontier entries covering all of ``priced``, grown from
-        ``seed``; empty when no plan is feasible."""
-        entries = self._frontier_program(priced, seed)
-        if not entries and self._prune:
-            # The greedy seeds' bound proved unreachable within the pruned
-            # space (possible only when no greedy completion exists, e.g.
-            # every remaining table needs a binding the current prefix
-            # cannot supply in greedy order).  Correctness net: re-run the
-            # exhaustive oracle; parity with ``prune=False`` is preserved
-            # because pruning then contributed nothing.
-            self._prune = False
-            self._bound_frontier = []
-            self.context.metrics.counter("plan_bnb_fallbacks").inc()
-            entries = self._frontier_program(priced, seed)
-        return entries
 
     def _result(self, entries: list[_SubPlan]) -> PlanningResult:
         frontier = self._pareto_front(entries)
@@ -456,7 +408,7 @@ class Optimizer:
             prefix.relations, 0.0, max(prefix.estimated_rows, 0.0), node=prefix
         )
         try:
-            entries = self._complete_frontier(remaining, seed)
+            entries = self._frontier_program(remaining, seed)
             if not entries:
                 return None
             chosen, __ = self._select_from_frontier(
@@ -619,10 +571,6 @@ class Optimizer:
     # of its subplans on the objective's comparison axes: (money, latency)
     # vectors in general, money alone for min_dollars — where the frontier
     # degenerates to the single cheapest subplan of the paper's DP.
-    # Branch and bound discards a candidate only when a known complete
-    # plan beats it *strictly on every axis* (strict, so first-seen ties
-    # survive — the property that keeps pruned and unpruned runs
-    # byte-identical, per frontier point).
     #
     # A candidate is a vector (``_SubPlan``): costing is float arithmetic
     # over the per-query join index, in a fixed operation order, and plan
@@ -632,13 +580,12 @@ class Optimizer:
     def _frontier_program(
         self, priced: list[str], block: _SubPlan | None
     ) -> list[_SubPlan]:
-        """Run the DP; return the frontier entries of the full table set."""
+        """Run the DP from ``block`` (the Theorem-2 leaf, or a materialized
+        prefix); return the frontier entries covering all of ``priced`` —
+        empty when no plan is feasible."""
         frontiers: dict[frozenset[str], list[_SubPlan]] = {}
         block_tables = block.relations if block is not None else frozenset()
         by_name = {t.lower(): t for t in priced}
-        self._full_key = frozenset(by_name)
-        if self._prune:
-            self._seed_bound_frontier(priced, block)
 
         # Level 1.
         for table in priced:
@@ -674,62 +621,7 @@ class Optimizer:
                             left, table
                         ):
                             self._consider(frontiers, subset, candidate)
-        return frontiers.get(self._full_key, [])
-
-    def _seed_bound_frontier(
-        self, priced: list[str], block: _SubPlan | None
-    ) -> None:
-        """Seed the B&B bound with one greedy complete plan per axis.
-
-        Each is the vector of one complete executable strategy, so any
-        stored subplan already strictly worse on every axis can never be
-        part of a final frontier point (access costs are non-negative and
-        additive).  When a greedy walk gets stuck it seeds nothing; with
-        no seed at all this query runs unpruned.
-        """
-        orders = _ONE_AXIS_ORDERS if self._one_axis else _TWO_AXIS_ORDERS
-        for order in orders:
-            complete = self._greedy_complete(priced, block, order)
-            if complete is not None:
-                self._note_complete(complete)
-
-    def _greedy_complete(
-        self, priced: list[str], block: _SubPlan | None, order
-    ) -> _SubPlan | None:
-        """One greedy left-deep completion: repeatedly extend the prefix
-        with the ``order``-best access over all remaining tables (first
-        seen on ties).  ``None`` when a remaining table is neither
-        directly feasible nor joinable to the prefix."""
-        current = block
-        remaining = dict(sorted((t.lower(), t) for t in priced))
-        while remaining:
-            step: _SubPlan | None = None
-            step_key: str | None = None
-            for key, table in remaining.items():
-                for candidate in self._extension_candidates(current, table):
-                    if step is None or order(candidate) < order(step):
-                        step, step_key = candidate, key
-            if step is None:
-                return None
-            current = step
-            del remaining[step_key]
-        return current
-
-    def _note_complete(self, plan: _SubPlan) -> None:
-        """Record a complete plan's vector in the B&B bound frontier."""
-        cost, latency = plan.cost, plan.latency
-        one_axis = self._one_axis
-        for known_cost, known_latency in self._bound_frontier:
-            if known_cost <= cost and (one_axis or known_latency <= latency):
-                return
-        self._bound_frontier = [
-            (known_cost, known_latency)
-            for known_cost, known_latency in self._bound_frontier
-            if not (
-                cost <= known_cost and (one_axis or latency <= known_latency)
-            )
-        ]
-        self._bound_frontier.append((cost, latency))
+        return frontiers.get(frozenset(by_name), [])
 
     def _consider(
         self,
@@ -739,20 +631,9 @@ class Optimizer:
     ) -> None:
         cost, latency = candidate.cost, candidate.latency
         one_axis = self._one_axis
-        # Branch and bound: a subplan strictly worse than a known complete
-        # plan on every axis can never extend into the final frontier or
-        # claim a first-seen tie on it (access costs are non-negative and
-        # additive).  Strictly — ties are left to the first-seen rule
-        # below, which is what makes pruned and oracle runs byte-identical.
-        bounded = False
-        if self._prune:
-            for bound_cost, bound_latency in self._bound_frontier:
-                if bound_cost < cost and (one_axis or bound_latency < latency):
-                    bounded = True
-                    break
-        accepted = not bounded
+        accepted = True
         entries = frontiers.get(key)
-        if accepted and entries is not None:
+        if entries is not None:
             # Within-subset *weak* dominance: an incumbent at least as
             # good on every axis rejects the candidate, so on exact ties
             # the first-seen plan is kept.  (Left-deep plans over one
@@ -765,8 +646,6 @@ class Optimizer:
                 ):
                     accepted = False
                     break
-        if self._prune and not accepted:
-            self._pruned += 1
         if self._tracing:
             # Rejected candidates are exactly what EXPLAIN cannot show —
             # the trace records every considered (sub)plan with its vector.
@@ -774,17 +653,17 @@ class Optimizer:
             if not one_axis:
                 attrs["latency_ms"] = latency
             self.context.tracer.event(
-                "plan_candidate", **attrs, accepted=accepted, bounded=bounded
+                "plan_candidate", **attrs, accepted=accepted
             )
         if not accepted:
+            self._pruned += 1
             return
         if entries is None:
             frontiers[key] = [candidate]
         else:
             # Drop incumbents strictly worse than the newcomer on every
             # axis (their extensions are strictly worse than the
-            # newcomer's and a complete plan through the newcomer will
-            # bound them anyway) — under one axis, the lone incumbent.
+            # newcomer's) — under one axis, the lone incumbent.
             # Weak ties stay, preserving first-seen representatives.
             # In place: this runs once per accepted candidate.
             kept = 0
@@ -797,9 +676,6 @@ class Optimizer:
                     kept += 1
             del entries[kept:]
             entries.append(candidate)
-        if self._prune and key == self._full_key:
-            # A better complete plan tightens the bound mid-run.
-            self._note_complete(candidate)
 
     def _combine_components(
         self,
@@ -971,7 +847,7 @@ class Optimizer:
 
     def _count_accesses(self, table: str, count: int) -> None:
         """Tick the candidate and Figure-15 box counters: once per costed
-        access, memoized or not, exactly like the oracle's."""
+        access, memoized or not."""
         if count:
             rewrite = self._rewrite(table)
             self._evaluated += count
@@ -1356,7 +1232,7 @@ def plan_space_baseline(
     """Candidate count of the bushy enumerator for an all-market chain query.
 
     The default is the **exact** number of candidate plans
-    ``Optimizer(use_theorems=False, prune=False)`` evaluates for a chain
+    ``Optimizer(use_theorems=False)`` evaluates for a chain
     of ``n`` market tables with nothing covered (the topology the tests
     and ``bench_planner`` generate: table *i* shares one join attribute
     with table *i+1*, every attribute free): ``n`` feasible base accesses,
@@ -1404,10 +1280,10 @@ def plan_space_payless(
 ) -> int:
     """Candidate count with Theorems 1-3 for a chain query.
 
-    The default is the **exact** number of candidate plans
-    ``Optimizer(prune=False)`` evaluates for a chain of ``n`` market
-    tables whose first ``zero_price`` tables the store fully covers (so
-    Theorem 2 folds them into the local block).  With ``n' = n − m``
+    The default is the **exact** number of candidate plans ``Optimizer``
+    evaluates for a chain of ``n`` market tables whose first
+    ``zero_price`` tables the store fully covers (so Theorem 2 folds
+    them into the local block).  With ``n' = n − m``
     priced tables left: level 1 contributes one direct access each plus a
     block bind join for the table adjacent to the block; a connected
     interval of size ``k`` contributes ``4k − 4`` candidates (``4k − 2``

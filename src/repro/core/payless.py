@@ -472,7 +472,6 @@ class PayLess:
             options.use_theorems,
             options.objective,
             options.max_bind_attrs,
-            options.prune,
             objective.fingerprint(),
             self.execution.engine,
             self.rewriter.prune,

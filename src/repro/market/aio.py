@@ -24,10 +24,14 @@ holds every retry/billing/durability decision — and swaps the IO driver:
 Money-safety is inherited, not re-implemented: both transports drive the
 same sans-IO fetch machine, so idempotency keys, fault draws, retries,
 backoff accounting, waste marking and durable-intent resolution are
-identical by construction.  Ledger attribution tokens remain correct
-because the token context manager wraps only the synchronous
-``market.get`` — never an ``await`` — so coroutines interleaving on the
-loop thread cannot mix up each other's attribution.
+identical by construction.  One level up it is the same arrangement: the
+executor's per-call protocol (singleflight sharing, failure capture) is
+one generator, :meth:`~repro.core.executor.Executor._call_machine`, whose
+``fetch`` effect :meth:`AsyncMarketTransport.fetch` answers and whose
+``wait`` effect the loop's default executor answers.  Ledger attribution
+tokens remain correct because the token context manager wraps only the
+synchronous ``market.get`` — never an ``await`` — so coroutines
+interleaving on the loop thread cannot mix up each other's attribution.
 """
 
 from __future__ import annotations

@@ -23,10 +23,9 @@ Metric names used by the pipeline:
 ``fetch_batch_size``               histogram — remainder calls per access
 ``query_transactions``             histogram — transactions per query
 ``plan_candidates``                counter — candidate (sub)plans evaluated
-``plan_candidates_pruned``         counter — candidates discarded by
-                                   branch-and-bound / dominance pruning
-``plan_bnb_fallbacks``             counter — prunings undone by the
-                                   correctness net (re-ran unpruned)
+``plan_candidates_pruned``         counter — candidates rejected because
+                                   an incumbent over the same table set is
+                                   at least as good on every axis
 ``plan_cache_hits`` / ``..misses``  counters — plan-cache outcomes
 ``plan_cache_invalidations``       counter — entries dropped on epoch or
                                    clock change

@@ -99,6 +99,29 @@ class TestHarness:
         )
 
 
+class TestCommittedFigureTables:
+    """The default planner reproduces the first rows of the tables this
+    repo commits (``benchmarks/results/fig14_*.txt``, ``fig15_tpch.txt``,
+    EXPERIMENTS.md): nothing but Theorems 1-3 stands between a query and
+    the candidate counts Figure 14 reports."""
+
+    @pytest.mark.parametrize(
+        "workload,q,evaluated", [("tpch", 1, 3.25), ("real", 2, 7.8)]
+    )
+    def test_fig14_first_row(self, workload, q, evaluated):
+        data = make_workload(workload)
+        session = run_session(
+            "payless", data, make_instances(workload, data, q)
+        )
+        assert session.average_evaluated_plans == evaluated
+
+    def test_fig15_tpch_first_row(self):
+        data = make_workload("tpch")
+        session = run_session("payless", data, make_instances("tpch", data, 1))
+        assert round(session.average_boxes(pruned=True), 1) == 1.9
+        assert round(session.average_boxes(pruned=False), 1) == 4.2
+
+
 class TestReporting:
     def test_checkpoints(self):
         marks = checkpoints(100, 10)

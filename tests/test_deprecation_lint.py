@@ -6,8 +6,11 @@ attributes and the ``save_state``/``load_state`` JSON blob were removed,
 not deprecated: there is one way to configure an installation
 (``options=QueryOptions(...)``), one way to read a bill
 (``result.stats``) and one way to persist buyer state
-(``QueryOptions(durability=...)`` + ``recover()``).  CI runs this file
-as the removed-surface step.
+(``QueryOptions(durability=...)`` + ``recover()``).  Branch-and-bound
+planner pruning (``prune=``, ``--no-prune``, ``plan_bnb_fallbacks``) and
+the async copy of the singleflight protocol went the same way: the DP
+has no bounding device, one call machine serves both fetch drivers.  CI
+runs this file as the removed-surface step.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ import pathlib
 import pytest
 
 import repro.core
+from repro.bench.figures import make_instances, make_workload
+from repro.bench.harness import run_session
+from repro.cli import main
+from repro.core.executor import Executor
 from repro.core.objectives import QueryOptions
+from repro.core.optimizer import OptimizerOptions
 from repro.core.payless import PayLess, QueryResult
 from repro.semstore.store import TableStore
 
@@ -75,6 +83,39 @@ def test_json_persistence_path_is_gone():
 def test_option_coercion_helpers_are_gone():
     assert not hasattr(QueryOptions, "from_optimizer_options")
     assert not hasattr(PayLess, "_coerce_options")
+
+
+@pytest.mark.parametrize("options", [QueryOptions, OptimizerOptions])
+def test_prune_is_not_an_option(options):
+    with pytest.raises(TypeError):
+        options(prune=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explain", "--no-prune", "--workload", "real", "SELECT * FROM Station"],
+        ["session", "--no-prune", "--workload", "real", "--instances", "1"],
+    ],
+    ids=["explain", "session"],
+)
+def test_no_prune_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--no-prune" in capsys.readouterr().err
+
+
+def test_a_session_registers_no_fallback_counter():
+    data = make_workload("real")
+    session = run_session("payless", data, make_instances("real", data, 2))
+    assert session.metrics["plan_candidates"] > 0
+    assert "plan_bnb_fallbacks" not in session.metrics
+
+
+def test_singleflight_protocol_has_no_async_copy():
+    assert not hasattr(Executor, "_coalesced_fetch_async")
+    assert not hasattr(Executor, "_coalesced_fetch")
 
 
 def test_library_emits_no_deprecation_warnings():

@@ -111,7 +111,6 @@ class TestQueryOptions:
             use_sqr=False,
             cost_metric="calls",
             max_bind_attrs=1,
-            prune=False,
             plan_cache_size=7,
             objective=PlanObjective.min_latency(),
         )
@@ -119,7 +118,6 @@ class TestQueryOptions:
         assert derived.use_sqr is False
         assert derived.objective == "calls"
         assert derived.max_bind_attrs == 1
-        assert derived.prune is False
         assert derived.plan_cache_size == 7
         assert derived.plan_objective.kind == "min_latency"
 

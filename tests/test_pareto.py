@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.objectives import SERVICE_TIERS, PlanObjective, QueryOptions
+from repro.core.objectives import SERVICE_TIERS, PlanObjective
 from repro.core.prepared import PreparedQuery
 from repro.errors import InfeasibleObjectiveError, MarketError
 from repro.obs.metrics import MetricsRegistry
@@ -62,18 +62,6 @@ class TestFrontier:
         assert planning.objective.is_default
         assert len(planning.frontier) == 1
         assert planning.cost == CHEAP_POINT[0]
-
-    def test_frontier_identical_with_and_without_pruning(self):
-        pruned = _payless().explain(SQL, objective="min_latency").planning
-        oracle = (
-            _payless(options=QueryOptions(prune=False))
-            .explain(SQL, objective="min_latency")
-            .planning
-        )
-        assert pruned.frontier == oracle.frontier
-        assert pruned.plan.describe() == oracle.plan.describe()
-        assert pruned.pruned_plans > 0  # pruning actually fired
-        assert oracle.pruned_plans == 0
 
     def test_frontier_size_metric_observed(self):
         registry = MetricsRegistry()

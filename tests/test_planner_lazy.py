@@ -23,7 +23,7 @@ from repro.core.plans import JoinNode, MarketAccessNode, MaterializedNode
 from repro.stats.overlay import CardinalityOverlay
 from repro.workloads.synthetic import make_join_graph
 
-from .test_planner_pin import OBJECTIVES, PIN_PATH, _arm_name
+from .test_planner_pin import OBJECTIVES, PIN_PATH
 
 
 def _count_constructions(monkeypatch, cls, built: dict) -> None:
@@ -52,27 +52,23 @@ def _nodes(plan):
         yield from _nodes(plan.right)
 
 
-@pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
 @pytest.mark.parametrize("shape,n", [("chain", 8), ("star", 8), ("clique", 6)])
-def test_rejected_candidates_build_nothing(
-    constructions, shape, n, objective, prune
-):
+def test_rejected_candidates_build_nothing(constructions, shape, n, objective):
     data = make_join_graph(shape, n)
     payless, __ = build_system(
         "payless", data, options=QueryOptions(plan_cache_size=0)
     )
     logical = payless.compile(data.sql)
     options = OptimizerOptions(
-        prune=prune, plan_cache_size=0, plan_objective=OBJECTIVES[objective]
+        plan_cache_size=0, plan_objective=OBJECTIVES[objective]
     )
     constructions.update(JoinNode=0, MarketAccessNode=0)
     planning = Optimizer(payless.context, options).optimize(logical)
 
     assert planning.evaluated_plans > 10 * n
-    if prune:
-        assert planning.pruned_plans > 0
-        assert sum(constructions.values()) <= planning.kept_plans
+    assert planning.pruned_plans > 0
+    assert sum(constructions.values()) <= planning.kept_plans
     # Tighter than "accepted only": the DP reads back one tree, the
     # chosen one, plus the per-table direct accesses every candidate shares.
     tree = list(_nodes(planning.plan))
@@ -85,7 +81,7 @@ def test_rejected_candidates_build_nothing(
     assert constructions["MarketAccessNode"] <= n + len(binds)
 
     pinned = json.loads(PIN_PATH.read_text())[f"{shape}-{n}-ddefault"]
-    assert planning.plan.describe() == pinned[_arm_name(objective, prune)]["plan"]
+    assert planning.plan.describe() == pinned[objective]["plan"]
 
 
 class TestSuffixIndexSeesTheOverlay:

@@ -1,11 +1,13 @@
-"""Planner parity oracle: pruned+cached planning vs the exhaustive DP.
+"""Planner parity oracle: the plan cache on vs ``plan_cache_size=0``.
 
-The acceptance criterion of the pruned planner: on every workload
-session, the optimized arm (B&B pruning on, plan cache on) must choose
-byte-identical plans and spend byte-identical dollars to the unpruned,
-uncached oracle — per query instance, not just in aggregate.  The chaos
-arm replays the same sessions under deterministic fault injection (the
-CI chaos seeds) to check pruning composes with the money-safe transport.
+The acceptance criterion of the parameterized plan cache: on every
+workload session, the default installation (cache on: a repeat of the
+same template and parameters over unchanged store epochs skips the DP)
+must choose byte-identical plans and spend byte-identical dollars to the
+arm that runs the DP afresh for every query — per query instance, not
+just in aggregate.  The chaos arm replays the same sessions under deterministic
+fault injection (the CI chaos seeds) to check cached planning composes
+with the money-safe transport.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ def _run_arms(workload: str, q: int, transport_for=lambda: None):
     )
     oracle, __ = build_system(
         "payless", data,
-        options=QueryOptions(
-            transport=transport_for(), prune=False, plan_cache_size=0
-        ),
+        options=QueryOptions(transport=transport_for(), plan_cache_size=0),
     )
     assert instances, "session must not be empty"
     for instance in instances:
@@ -92,8 +92,7 @@ class TestSyntheticGraphs:
         data = make_join_graph(shape, n)
         optimized, __ = build_system("payless", data)
         oracle, __ = build_system(
-            "payless", data,
-            options=QueryOptions(prune=False, plan_cache_size=0),
+            "payless", data, options=QueryOptions(plan_cache_size=0)
         )
         # Twice: cold, then against a warm store (and a cache hit on the
         # optimized arm — the hit must not change spend or rows either).

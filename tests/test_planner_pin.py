@@ -1,17 +1,19 @@
 """Cross-commit planner pin: what the DP chose, and how much work it did.
 
-The parity suites compare pruned against unpruned runs of the *same*
-code, so a refactor that shifts both arms together passes them.  This
-pin compares against ``tests/goldens/planner_pin.json``, generated at
-the commit before the scalar and Pareto DP programs were merged:
-per join graph / session instance, for ``min_dollars`` and
-``min_latency`` with ``prune`` on and off, the chosen plan, its cost
-vector, the frontier, and the counters Figures 14-15 read.  For
+The parity suites compare two runs of the *same* code, so a refactor
+that shifts both together passes them.  This pin compares against
+``tests/goldens/planner_pin.json``, generated at the commit before the
+scalar and Pareto DP programs were merged: per join graph / session
+instance, for ``min_dollars`` and ``min_latency``, the chosen plan, its
+cost vector, the frontier, and the counters Figures 14-15 read.  For
 ``min_dollars`` on the smaller graphs it also pins a digest of the
 ``plan_candidate`` trace events (attributes and order).  The
 ``*-d32-range`` entries — the end-to-end benchmark's larger graphs, a
 range on ``T1`` — were added at the commit before candidates became
-vectors whose plan trees are built on demand.
+vectors whose plan trees are built on demand.  When branch-and-bound was
+deleted each entry kept its exhaustive arm's record; only
+``pruned_plans`` (the dominated count, where that arm wrote 0) and the
+event digest (events lost their ``bounded`` key) took new values.
 
 Regenerate with ``pytest tests/test_planner_pin.py --update-goldens``;
 the JSON diff is the review artifact.
@@ -38,9 +40,6 @@ OBJECTIVES = {
     "min_dollars": MIN_DOLLARS,
     "min_latency": PlanObjective.min_latency(),
 }
-ARMS = [
-    (name, prune) for name in OBJECTIVES for prune in (True, False)
-]
 #: (shape, n, domain_high or None for the generator's default).
 GRAPHS = [
     (shape, n, domain_high)
@@ -48,17 +47,13 @@ GRAPHS = [
     for n in range(2, 9)
     for domain_high in (None, 32)
 ]
-#: Tracing every candidate of an unpruned clique-8 run is slow; the
-#: event stream is pinned where it is cheap.
+#: Tracing every candidate of a clique-8 run is slow; the event stream
+#: is pinned where it is cheap.
 TRACE_PIN_MAX_N = 6
 #: The graphs ``joingraph_quote`` of the end-to-end benchmark adds beyond
 #: n = 8, with its ``domain_high`` and a range on ``T1`` as it quotes them.
 BENCHMARK_GRAPHS = [("chain", 10), ("star", 9), ("star", 10)]
 SESSIONS = [("real", 2), ("tpch", 1)]
-
-
-def _arm_name(objective: str, prune: bool) -> str:
-    return f"{objective}/{'pruned' if prune else 'exhaustive'}"
 
 
 def _record(planning) -> dict:
@@ -74,20 +69,20 @@ def _record(planning) -> dict:
     }
 
 
-def _plan(payless, logical, objective: str, prune: bool):
+def _plan(payless, logical, objective: str):
     options = OptimizerOptions(
-        prune=prune, plan_cache_size=0, plan_objective=OBJECTIVES[objective]
+        plan_cache_size=0, plan_objective=OBJECTIVES[objective]
     )
     return Optimizer(payless.context, options).optimize(logical)
 
 
-def _candidate_digest(payless, logical, prune: bool) -> str:
+def _candidate_digest(payless, logical) -> str:
     """sha256 over the min_dollars run's plan_candidate events."""
     tracer = payless.tracer
     tracer.enabled = True
     tracer.begin_query("pin")
     try:
-        _plan(payless, logical, "min_dollars", prune)
+        _plan(payless, logical, "min_dollars")
     finally:
         trace = tracer.end_query()
         tracer.enabled = False
@@ -120,9 +115,9 @@ def _check(request, pin: dict, name: str, actual: dict) -> None:
     assert name in pin, f"{name} is not in {PIN_PATH.name}"
     expected = pin[name]
     assert actual.keys() == expected.keys(), name
-    for arm in expected:
-        assert actual[arm] == expected[arm], (
-            f"{name} [{arm}] diverges from the cross-commit pin; if the "
+    for objective in expected:
+        assert actual[objective] == expected[objective], (
+            f"{name} [{objective}] diverges from the cross-commit pin; if the "
             f"planner change is intended, re-run with --update-goldens and "
             f"review the JSON diff"
         )
@@ -134,13 +129,13 @@ def _pin_graph(request, pin, name: str, data, sql: str, trace: bool) -> dict:
     )
     logical = payless.compile(sql)
     actual = {}
-    for objective, prune in ARMS:
-        record = _record(_plan(payless, logical, objective, prune))
+    for objective in OBJECTIVES:
+        record = _record(_plan(payless, logical, objective))
         if trace and objective == "min_dollars":
             record["candidate_events_sha256"] = _candidate_digest(
-                payless, logical, prune
+                payless, logical
             )
-        actual[_arm_name(objective, prune)] = record
+        actual[objective] = record
     _check(request, pin, name, actual)
     return actual
 
@@ -169,8 +164,8 @@ def test_two_point_frontier_pin(request, pin, shape):
     actual = _pin_graph(
         request, pin, f"{shape}-4-two-point", data, sql, trace=True
     )
-    assert len(actual["min_latency/pruned"]["frontier"]) == 2
-    assert len(actual["min_dollars/pruned"]["frontier"]) == 1
+    assert len(actual["min_latency"]["frontier"]) == 2
+    assert len(actual["min_dollars"]["frontier"]) == 1
 
 
 @pytest.mark.parametrize("shape,n", BENCHMARK_GRAPHS)
@@ -183,18 +178,18 @@ def test_benchmark_shape_pin(request, pin, shape, n):
 
 @pytest.mark.parametrize("workload,q", SESSIONS)
 def test_session_pin(request, pin, workload, q):
-    """One executed session per arm: the store fills as the session runs,
-    so later instances plan over zero-price blocks and partial coverage."""
+    """One executed session per objective: the store fills as the session
+    runs, so later instances plan over zero-price blocks and partial
+    coverage."""
     data = make_workload(workload)
     instances = make_instances(workload, data, q)
     assert instances
     actual = {}
-    for objective, prune in ARMS:
+    for objective in OBJECTIVES:
         payless, __ = build_system(
             "payless", data,
             options=QueryOptions(
-                prune=prune, plan_cache_size=0,
-                objective=OBJECTIVES[objective],
+                plan_cache_size=0, objective=OBJECTIVES[objective]
             ),
         )
         records = []
@@ -203,5 +198,5 @@ def test_session_pin(request, pin, workload, q):
                 _record(payless.explain(instance.sql, instance.params).planning)
             )
             payless.query(instance.sql, instance.params)
-        actual[_arm_name(objective, prune)] = records
+        actual[objective] = records
     _check(request, pin, f"session-{workload}-q{q}", actual)
