@@ -197,8 +197,8 @@ def bench_cold_restart(sizes) -> list[dict]:
             for __ in range(5):
                 probe = _random_box(rng, max_k=120, max_d=60)
                 assert wal_install.store.remainder(
-                    "R", probe
-                ) == source.store.remainder("R", probe)
+                    "R", [probe]
+                ) == source.store.remainder("R", [probe])
                 assert wal_install.store.rows_in_boxes(
                     "R", [probe]
                 ) == source.store.rows_in_boxes("R", [probe])

@@ -92,7 +92,7 @@ def populate(stores, boxes: int, seed: int, rows_per_box: int = 20) -> None:
 def time_rewrite(store: SemanticStore, queries) -> float:
     start = time.perf_counter()
     for query in queries:
-        store.remainder("R", query)
+        store.remainder("R", [query])
         store.is_covered("R", query)
     return (time.perf_counter() - start) * 1000.0
 
@@ -140,7 +140,7 @@ def run(sizes, probes: int) -> list[dict]:
         ]
         # Sanity: the two stores must agree before we time anything.
         for query in queries[:5]:
-            assert indexed.remainder("R", query) == brute.remainder("R", query)
+            assert indexed.remainder("R", [query]) == brute.remainder("R", [query])
             assert indexed.rows_in_boxes("R", [query]) == brute.rows_in_boxes(
                 "R", [query]
             )

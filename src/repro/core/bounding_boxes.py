@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.semstore.boxes import Box, Extent
 from repro.semstore.space import BoxSpace
@@ -132,19 +133,31 @@ def _is_minimal(
 
 
 def _axis_masks(
-    extents: Sequence[Extent], elementary: Sequence[Box], axis: int
+    extents: Iterable[Extent], elementary: Sequence[Box], axis: int
 ) -> list[tuple[Extent, int]]:
     """For each extent, the bitmask of elementary boxes it contains on
     ``axis``; extents containing nothing are dropped (their candidates
-    cannot cover anything)."""
+    cannot cover anything).
+
+    The elementary boxes are grouped by their own extent on the axis and
+    the groups sorted by low edge, so an extent looks only at the groups
+    that start inside it: a point extent at one or two of them, however
+    many elementary boxes there are."""
+    groups: dict[Extent, int] = {}
+    for index, element in enumerate(elementary):
+        own = element.extents[axis]
+        groups[own] = groups.get(own, 0) | (1 << index)
+    ordered = sorted(groups.items())
+    lows = [low for (low, __), __ in ordered]
     entries: list[tuple[Extent, int]] = []
     for extent in extents:
         low, high = extent
         mask = 0
-        for index, element in enumerate(elementary):
-            element_low, element_high = element.extents[axis]
-            if low <= element_low and element_high <= high:
-                mask |= 1 << index
+        for (__, group_high), group in ordered[
+            bisect_left(lows, low):bisect_left(lows, high)
+        ]:
+            if group_high <= high:
+                mask |= group
         if mask:
             entries.append((extent, mask))
     return entries

@@ -24,7 +24,6 @@ cover always exists.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,6 +32,9 @@ from repro.errors import PlanningError
 from repro.core.bounding_boxes import (
     CandidateBox,
     GenerationResult,
+    _axis_masks,
+    _bit_indices,
+    _price,
     generate_candidates,
 )
 from repro.core.set_cover import CoverCandidate, greedy_weighted_set_cover
@@ -208,74 +210,79 @@ class SemanticRewriter:
         constraints: Sequence[AttributeConstraint],
         tuples_per_transaction: int,
     ) -> RewriteResult:
-        """Compute the cheapest set of REST calls answering the request."""
+        """Compute the cheapest set of REST calls answering the request.
+
+        Both strategies are *priced* first (a list of candidate calls each);
+        only the one returned is rendered into constraints."""
         statistics = self.catalog.statistics(table)
-        space = statistics.space
-        request_boxes = space.boxes_for_constraints(constraints)
-        if not request_boxes:
-            # The request region is empty (off-domain point): nothing to buy.
-            return RewriteResult(
-                table=table,
-                request_boxes=[],
-                remainder=[],
-                estimated_transactions=0,
-                fully_covered=True,
-                used_rewriting=False,
-            )
-
-        direct = self._direct_plan(
-            statistics, request_boxes, tuples_per_transaction
+        request_boxes = statistics.space.boxes_for_constraints(constraints)
+        rewriting = self.enabled and self.store.policy.rewriting_enabled
+        # What is still to buy: without rewriting, the whole request.
+        missing = (
+            self.store.remainder(table, request_boxes)
+            if rewriting
+            else request_boxes
         )
-        if not self.enabled or not self.store.policy.rewriting_enabled:
-            return direct
-
-        elementary: list[Box] = []
-        for box in request_boxes:
-            elementary.extend(self.store.remainder(table, box))
-        if not elementary:
+        if not missing:
+            # Nothing to buy, so nothing to price: the store covers the
+            # request region, or the region is empty (off-domain point).
             return RewriteResult(
                 table=table,
                 request_boxes=request_boxes,
                 remainder=[],
                 estimated_transactions=0,
                 fully_covered=True,
-                used_rewriting=True,
+                used_rewriting=bool(request_boxes),
             )
-
-        rewritten = self._cover_plan(
-            statistics, request_boxes, elementary, tuples_per_transaction
+        estimate = statistics.histogram.estimate
+        direct = [
+            _priced(box, estimate(box), tuples_per_transaction)
+            for box in request_boxes
+        ]
+        if not rewriting:
+            return self._render(statistics, request_boxes, direct)
+        cover, generation = self._cover_plan(
+            statistics, request_boxes, missing, tuples_per_transaction
         )
-        if direct.estimated_transactions < rewritten.estimated_transactions:
-            direct.enumerated_boxes = rewritten.enumerated_boxes
-            direct.kept_boxes = rewritten.kept_boxes
-            return direct
-        return rewritten
+        direct_wins = _transactions(direct) < _transactions(cover)
+        return self._render(
+            statistics,
+            request_boxes,
+            direct if direct_wins else cover,
+            used_rewriting=not direct_wins,
+            generation=generation,
+        )
 
     # -- strategies ---------------------------------------------------------------
 
-    def _direct_plan(
+    def _render(
         self,
         statistics: TableStatistics,
         request_boxes: list[Box],
-        tuples_per_transaction: int,
+        calls: list[CandidateBox],
+        used_rewriting: bool = False,
+        generation: GenerationResult | None = None,
     ) -> RewriteResult:
-        """Fetch the request region outright, one call per request box."""
-        remainder: list[RemainderQuery] = []
-        total = 0
-        for box in request_boxes:
-            query = self._remainder_query(
-                statistics, box, tuples_per_transaction
-            )
-            remainder.append(query)
-            total += query.estimated_transactions
+        """The result that issues ``calls``, one REST call per box."""
+        space = statistics.space
         return RewriteResult(
             table=statistics.table,
             request_boxes=request_boxes,
-            remainder=remainder,
-            estimated_transactions=total,
+            remainder=[
+                RemainderQuery(
+                    box=call.box,
+                    constraints=space.constraints_for_box(call.box),
+                    estimated_rows=call.estimated_rows,
+                    estimated_transactions=call.transactions,
+                )
+                for call in calls
+            ],
+            estimated_transactions=_transactions(calls),
             fully_covered=False,
-            used_rewriting=False,
-            estimated_remainder_rows=sum(q.estimated_rows for q in remainder),
+            used_rewriting=used_rewriting,
+            enumerated_boxes=generation.enumerated_count if generation else 0,
+            kept_boxes=generation.kept_count if generation else 0,
+            estimated_remainder_rows=sum(call.estimated_rows for call in calls),
         )
 
     #: Above this many elementary boxes, per-box histogram estimates are
@@ -289,8 +296,9 @@ class SemanticRewriter:
         request_boxes: list[Box],
         elementary: list[Box],
         tuples_per_transaction: int,
-    ) -> RewriteResult:
-        """Algorithm 1 + weighted set cover over the missing region."""
+    ) -> tuple[list[CandidateBox], GenerationResult]:
+        """Algorithm 1 + weighted set cover over the missing region: the
+        chosen candidates, and the generation they were chosen from."""
         space = statistics.space
         estimate = statistics.histogram.estimate
         if len(elementary) > self.DENSITY_FALLBACK_THRESHOLD:
@@ -321,22 +329,7 @@ class SemanticRewriter:
             # the enumeration was capped): the cover is simply every
             # fallback candidate — skip the greedy entirely.
             chosen = range(len(candidates))
-        remainder = [
-            self._to_remainder_query(space, candidates[index])
-            for index in chosen
-        ]
-        total = sum(query.estimated_transactions for query in remainder)
-        return RewriteResult(
-            table=statistics.table,
-            request_boxes=request_boxes,
-            remainder=remainder,
-            estimated_transactions=total,
-            fully_covered=False,
-            used_rewriting=True,
-            enumerated_boxes=generation.enumerated_count,
-            kept_boxes=generation.kept_count,
-            estimated_remainder_rows=sum(q.estimated_rows for q in remainder),
-        )
+        return [candidates[index] for index in chosen], generation
 
     def _coverage_candidates(
         self,
@@ -349,35 +342,44 @@ class SemanticRewriter:
 
         Expressible elementary boxes stand for themselves; inexpressible
         ones get a snapped fallback (categorical extents widened to the full
-        domain).  Algorithm 1's merged candidates come last.
+        domain), whose cover set is the AND of one containment bitmask per
+        axis, as in Algorithm 1's own enumeration.  Algorithm 1's merged
+        candidates come last.
         """
         space = statistics.space
         if estimate is None:
             estimate = statistics.histogram.estimate
+        fallbacks = [
+            None if space.expressible(candidate.box)
+            else self._snap(space, candidate.box)
+            for candidate in generation.elementary_candidates
+        ]
+        snapped = [box.extents for box in fallbacks if box is not None]
+        elementary = generation.elementary
+        axis_masks = [
+            dict(_axis_masks(dict.fromkeys(extents), elementary, axis))
+            for axis, extents in enumerate(zip(*snapped))
+        ]
         candidates: list[CandidateBox] = []
         seen: set[tuple] = set()
-        for candidate in generation.elementary_candidates:
-            if space.expressible(candidate.box):
+        for candidate, fallback in zip(
+            generation.elementary_candidates, fallbacks
+        ):
+            if fallback is None:
                 candidates.append(candidate)
                 continue
-            snapped = self._snap(space, candidate.box)
-            if snapped.extents in seen:
+            if fallback.extents in seen:
                 continue
-            seen.add(snapped.extents)
-            rows = estimate(snapped)
-            covers = frozenset(
-                index
-                for index, element in enumerate(generation.elementary)
-                if snapped.contains_box(element)
-            )
+            seen.add(fallback.extents)
+            covered = -1
+            for masks, extent in zip(axis_masks, fallback.extents):
+                covered &= masks[extent]
             candidates.append(
-                CandidateBox(
-                    box=snapped,
-                    estimated_rows=rows,
-                    transactions=math.ceil(rows / tuples_per_transaction)
-                    if rows > 0
-                    else 0,
-                    covers=covers,
+                _priced(
+                    fallback,
+                    estimate(fallback),
+                    tuples_per_transaction,
+                    frozenset(_bit_indices(covered)),
                 )
             )
         for candidate in generation.merged_candidates:
@@ -406,28 +408,21 @@ class SemanticRewriter:
                 extents.append(extent)
         return Box(tuple(extents))
 
-    def _remainder_query(
-        self,
-        statistics: TableStatistics,
-        box: Box,
-        tuples_per_transaction: int,
-    ) -> RemainderQuery:
-        rows = statistics.histogram.estimate(box)
-        return RemainderQuery(
-            box=box,
-            constraints=statistics.space.constraints_for_box(box),
-            estimated_rows=rows,
-            estimated_transactions=(
-                math.ceil(rows / tuples_per_transaction) if rows > 0 else 0
-            ),
-        )
 
-    def _to_remainder_query(
-        self, space, candidate: CandidateBox
-    ) -> RemainderQuery:
-        return RemainderQuery(
-            box=candidate.box,
-            constraints=space.constraints_for_box(candidate.box),
-            estimated_rows=candidate.estimated_rows,
-            estimated_transactions=candidate.transactions,
-        )
+def _priced(
+    box: Box,
+    rows: float,
+    tuples_per_transaction: int,
+    covers: frozenset[int] = frozenset(),
+) -> CandidateBox:
+    """``box`` as a candidate call at its estimated price."""
+    return CandidateBox(
+        box=box,
+        estimated_rows=rows,
+        transactions=_price(rows, tuples_per_transaction),
+        covers=covers,
+    )
+
+
+def _transactions(calls: Sequence[CandidateBox]) -> int:
+    return sum(call.transactions for call in calls)

@@ -14,9 +14,9 @@ boxes (Algorithm 1) — happens in a per-table *box space*:
 With that mapping every region is an axis-aligned integer :class:`Box`, and
 subtraction/decomposition are exact.  Decomposition of ``Q − ⋃Vᵢ`` uses the
 classic split-by-box sweep (each subtraction splits a piece into at most
-``2d`` disjoint slabs) followed by a greedy merge pass; any disjoint
-decomposition is valid input to Algorithm 1 and the merge keeps separator
-sets small.
+``2d`` disjoint slabs) followed by a per-axis sort-and-sweep merge; any
+disjoint decomposition is valid input to Algorithm 1 and the merge keeps
+separator sets small.
 """
 
 from __future__ import annotations
@@ -68,11 +68,13 @@ class Box:
         return product
 
     def contains_box(self, other: "Box") -> bool:
-        self._check_compatible(other)
-        return all(
-            mine[0] <= theirs[0] and theirs[1] <= mine[1]
-            for mine, theirs in zip(self.extents, other.extents)
-        )
+        mine, theirs = self.extents, other.extents
+        if len(mine) != len(theirs):
+            self._check_compatible(other)
+        for (low, high), (other_low, other_high) in zip(mine, theirs):
+            if other_low < low or high < other_high:
+                return False
+        return True
 
     def contains_point(self, point: Sequence[int]) -> bool:
         extents = self.extents
@@ -170,69 +172,61 @@ def subtract_all(
     return pieces
 
 
-#: Above this many boxes the quadratic merge pass is skipped — Algorithm 1
-#: still works on the unmerged decomposition, it just sees more elements.
-MERGE_INPUT_CAP = 512
-
-
 def merge_adjacent(boxes: list[Box]) -> list[Box]:
-    """Greedily merge boxes that differ in exactly one dimension and touch.
+    """Merge boxes that differ in exactly one dimension and touch.
 
-    Runs passes until a fixpoint.  The result is still disjoint and covers
-    the same region; it just has fewer, fatter boxes — which keeps
-    Algorithm 1's separator sets small.
+    One axis at a time: boxes are bucketed by their extents on the *other*
+    axes (only members of one bucket can fuse along this one), each bucket
+    is sorted on the axis and touching runs are fused — a dict pass and a
+    sort, not a test of every pair.  The axes are swept round until none
+    of them fuses anything.  The result is still disjoint and covers the
+    same region; it just has fewer, fatter boxes, each standing where the
+    earliest of its members stood — which keeps Algorithm 1's separator
+    sets small.
     """
-    if len(boxes) > MERGE_INPUT_CAP:
-        return list(boxes)
     current = list(boxes)
-    changed = True
-    while changed:
-        changed = False
-        merged: list[Box] = []
-        used = [False] * len(current)
-        for i, box in enumerate(current):
-            if used[i]:
-                continue
-            accumulated = box
-            for j in range(i + 1, len(current)):
-                if used[j]:
-                    continue
-                candidate = _try_merge(accumulated, current[j])
-                if candidate is not None:
-                    accumulated = candidate
-                    used[j] = True
-                    changed = True
-            merged.append(accumulated)
-            used[i] = True
-        current = merged
+    if len(current) < 2:
+        return current
+    dimensions = len(current[0].extents)
+    axis = idle = 0  # idle: axes in a row that are at their fixpoint
+    while idle < dimensions:
+        fused = _fuse_along(current, axis)
+        if fused is None:
+            idle += 1
+        else:
+            current, idle = fused, 1  # runs along this axis are now maximal
+        axis = (axis + 1) % dimensions
     return current
 
 
-def _try_merge(a: Box, b: Box) -> Box | None:
-    """Merge two boxes into one iff their union is exactly a box."""
-    mine, theirs = a.extents, b.extents
-    if len(mine) != len(theirs):
-        raise BoxError("dimensionality mismatch in merge")
-    differing = None
-    axis = 0
-    for extent_a, extent_b in zip(mine, theirs):
-        if extent_a != extent_b:
-            if differing is not None:
-                return None
-            differing = axis
-        axis += 1
-    if differing is None:
-        # Identical boxes (shouldn't happen with disjoint input): keep one.
-        return a
-    (low_a, high_a) = mine[differing]
-    (low_b, high_b) = theirs[differing]
-    if high_a == low_b:
-        joined = (low_a, high_b)
-    elif high_b == low_a:
-        joined = (low_b, high_a)
-    else:
-        return None
-    return Box.unchecked(mine[:differing] + (joined,) + mine[differing + 1:])
+def _fuse_along(boxes: list[Box], axis: int) -> list[Box] | None:
+    """``boxes`` with every touching run along ``axis`` fused into one box,
+    or ``None`` when nothing touches (the caller keeps its list)."""
+    buckets: dict[tuple[Extent, ...], list[int]] = {}
+    for index, box in enumerate(boxes):
+        rest = box.extents[:axis] + box.extents[axis + 1:]
+        buckets.setdefault(rest, []).append(index)
+    if len(buckets) == len(boxes):
+        return None  # every bucket a singleton
+    result: list[Box | None] = list(boxes)
+    for rest, members in buckets.items():
+        if len(members) == 1:
+            continue
+        members.sort(key=lambda index: boxes[index].extents[axis])
+        stands = members[0]
+        low, high = boxes[stands].extents[axis]
+        for index in members[1:]:
+            next_low, next_high = boxes[index].extents[axis]
+            if next_low != high:
+                stands, low, high = index, next_low, next_high
+                continue
+            result[max(stands, index)] = None
+            stands, high = min(stands, index), next_high
+            result[stands] = Box.unchecked(
+                rest[:axis] + ((low, high),) + rest[axis:]
+            )
+    fused = [box for box in result if box is not None]
+    return fused if len(fused) < len(boxes) else None
 
 
 def remainder_decomposition(

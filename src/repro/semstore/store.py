@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from operator import itemgetter
@@ -75,6 +76,18 @@ def _as_products(boxes: Sequence[Box]) -> list[list[list[Extent]]]:
     ):
         return [axes]
     return [[[extent] for extent in box_extents] for box_extents in extents]
+
+
+def _bind_axis(boxes: Sequence[Box]) -> int | None:
+    """The one axis on which ``boxes`` differ, each being a single point
+    there (the request of a bind join); ``None`` for any other request."""
+    products = _as_products(boxes)
+    if len(products) != 1:
+        return None
+    varying = [
+        axis for axis, extents in enumerate(products[0]) if len(extents) > 1
+    ]
+    return varying[0] if len(varying) == 1 else None
 
 
 class TableStore:
@@ -336,15 +349,82 @@ class TableStore:
             ]
 
     def remainder(
-        self, query: Box, policy: ConsistencyPolicy, now: float
+        self, queries: Sequence[Box], policy: ConsistencyPolicy, now: float
     ) -> list[Box]:
-        """Elementary boxes of the part of ``query`` that must be fetched."""
+        """Elementary boxes of the part of the request region ``queries``
+        that must be fetched: each box's decomposition, in request order."""
         if not policy.rewriting_enabled:
-            return [query]
+            return list(queries)
         with self.lock:
-            return remainder_decomposition(
-                query, self._fresh_overlapping_covers(query, policy, now)
-            )
+            axis = None if self.debug_bruteforce else _bind_axis(queries)
+            if axis is not None:
+                return self._bind_remainder(queries, axis, policy, now)
+            return [
+                piece
+                for query in queries
+                for piece in remainder_decomposition(
+                    query, self._fresh_overlapping_covers(query, policy, now)
+                )
+            ]
+
+    def _bind_remainder(
+        self,
+        queries: Sequence[Box],
+        axis: int,
+        policy: ConsistencyPolicy,
+        now: float,
+    ) -> list[Box]:
+        """:meth:`remainder` of a bind join's request: point boxes that
+        differ on ``axis`` only.
+
+        On that axis a point is either inside a cover's extent or outside
+        it, so two keys that meet the same clipped covers in the same order
+        have the same decomposition but for the key itself.  The covers are
+        probed and clipped once for the whole request, the keys grouped by
+        what they meet, and one decomposition per group is stamped with
+        each key's extent — byte for byte what decomposing box by box
+        returns (``debug_bruteforce`` does that)."""
+        first = queries[0].extents
+        keys = sorted({query.extents[axis] for query in queries})
+        lows = [low for low, __ in keys]
+        request = Box.unchecked(
+            first[:axis] + ((lows[0], keys[-1][1]),) + first[axis + 1:]
+        )
+        # Every distinct clipped cover with the key axis taken out, and per
+        # key the ones it meets (as positions in ``clips``), in cover order.
+        clips: dict[tuple[Extent, ...], int] = {}
+        met: list[list[int]] = [[] for __ in keys]
+        for cover in self._fresh_overlapping_covers(request, policy, now):
+            clipped = request.intersect(cover)
+            if clipped is None:
+                continue
+            extents = clipped.extents
+            low, high = extents[axis]
+            rest = extents[:axis] + extents[axis + 1:]
+            clip = clips.setdefault(rest, len(clips))
+            for at in range(bisect_left(lows, low), bisect_left(lows, high)):
+                met[at].append(clip)
+        rests = list(clips)
+
+        def stamped(extents: tuple[Extent, ...], key: Extent) -> Box:
+            return Box.unchecked(extents[:axis] + (key,) + extents[axis:])
+
+        shared: dict[tuple[int, ...], list[tuple[Extent, ...]]] = {}
+        pieces: dict[Extent, list[Box]] = {}
+        for key, meets in zip(keys, map(tuple, met)):
+            decomposed = shared.get(meets)
+            if decomposed is None:
+                decomposed = shared[meets] = [
+                    piece.extents[:axis] + piece.extents[axis + 1:]
+                    for piece in remainder_decomposition(
+                        stamped(first[:axis] + first[axis + 1:], key),
+                        [stamped(rests[clip], key) for clip in meets],
+                    )
+                ]
+            pieces[key] = [stamped(rest, key) for rest in decomposed]
+        return [
+            piece for query in queries for piece in pieces[query.extents[axis]]
+        ]
 
     def is_covered(
         self, query: Box, policy: ConsistencyPolicy, now: float
@@ -544,8 +624,8 @@ class SemanticStore:
 
     # -- convenience pass-throughs using the store's policy & clock ---------
 
-    def remainder(self, table: str, query: Box) -> list[Box]:
-        return self.table(table).remainder(query, self.policy, self.clock)
+    def remainder(self, table: str, queries: Sequence[Box]) -> list[Box]:
+        return self.table(table).remainder(queries, self.policy, self.clock)
 
     def is_covered(self, table: str, query: Box) -> bool:
         return self.table(table).is_covered(query, self.policy, self.clock)

@@ -1,5 +1,8 @@
 """Unit + property tests for the integer box algebra."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,6 @@ from repro.semstore.boxes import (
     BoxError,
     bounding_box,
     covers_fully,
-    _try_merge,
     merge_adjacent,
     remainder_decomposition,
     subtract_all,
@@ -181,9 +183,8 @@ def test_merge_preserves_region(case):
 
 
 def reference_merge(a, b):
-    """``_try_merge`` as first written, axis by axis: the greedy merge is
-    order-dependent and its output decides what is bought, so a faster
-    body must return the same box for every pair."""
+    """The union of two boxes when it is exactly a box, else ``None``:
+    the pairwise test the merge's fixpoint is stated in."""
     differing = [
         axis for axis in range(a.dimensions) if a.extents[axis] != b.extents[axis]
     ]
@@ -200,14 +201,83 @@ def reference_merge(a, b):
     return Box(tuple(extents))
 
 
-@settings(max_examples=300, deadline=None)
-@given(query_and_covers(dimensions=3, max_covers=5))
-def test_try_merge_equals_reference_on_remainder_pieces(case):
-    query, covers = case
-    pieces = subtract_all(query, covers) + [query] + covers
-    for a in pieces:
-        for b in pieces:
-            assert _try_merge(a, b) == reference_merge(a, b)
+@st.composite
+def disjoint_boxes(draw):
+    """Disjoint boxes in 1-4 dimensions: a random grid's cells, some left
+    out, the rest shuffled — up to 4 096 of them, so inputs go well past
+    the 512 at which the all-pairs merge used to give up."""
+    dimensions = draw(st.integers(1, 4))
+    cuts = [
+        sorted(draw(st.sets(st.integers(0, 40), min_size=2, max_size=9)))
+        for __ in range(dimensions)
+    ]
+    cells = [
+        Box(extents)
+        for extents in itertools.product(
+            *[list(zip(axis, axis[1:])) for axis in cuts]
+        )
+    ]
+    # Which cells are left out, and the order, come from a drawn seed: one
+    # boolean per cell would overrun hypothesis's entropy buffer long
+    # before 4 096 cells.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keep = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    boxes = [cell for cell in cells if rng.random() < keep]
+    rng.shuffle(boxes)
+    return boxes
+
+
+def assert_merged(boxes):
+    merged = merge_adjacent(boxes)
+    assert union_volume(merged) == sum(box.volume() for box in boxes)
+    assert sum(box.volume() for box in merged) == union_volume(merged)  # disjoint
+    for index, a in enumerate(merged):
+        # Each output is made of whole input boxes, nothing else.
+        inside = [box for box in boxes if a.contains_box(box)]
+        assert sum(box.volume() for box in inside) == a.volume()
+        for b in merged[index + 1:]:
+            assert a.intersect(b) is None
+            assert reference_merge(a, b) is None  # nothing left to merge
+    return merged
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_boxes())
+def test_merge_adjacent_is_a_disjoint_fixpoint_over_the_same_region(boxes):
+    assert_merged(boxes)
+
+
+@pytest.mark.parametrize("dimensions, side", [(2, 30), (3, 10), (4, 6)])
+def test_merge_adjacent_past_the_old_input_cap(dimensions, side):
+    """900-1 296 unit cells: the all-pairs merge returned such an input
+    unmerged (``MERGE_INPUT_CAP`` was 512)."""
+    cells = [
+        Box(tuple((at, at + 1) for at in point))
+        for point in itertools.product(range(side), repeat=dimensions)
+    ]
+    random.Random(dimensions).shuffle(cells)
+    assert assert_merged(cells) == [Box(((0, side),) * dimensions)]
+    holed = assert_merged(cells[1:])
+    assert 1 < len(holed) <= 2 * dimensions
+
+
+def test_merge_adjacent_early_exits():
+    assert merge_adjacent([]) == []
+    lone = box((0, 5), (1, 2))
+    assert merge_adjacent([lone]) == [lone]
+    # Nothing touches: the very boxes come back, in order.
+    apart = [box((0, 1), (0, 1)), box((2, 3), (0, 1)), box((0, 1), (2, 3))]
+    merged = merge_adjacent(apart)
+    assert merged == apart and all(a is b for a, b in zip(merged, apart))
+
+
+def test_merge_adjacent_stands_where_the_earliest_member_stood():
+    boxes = [box((5, 9), (0, 1)), box((20, 30), (0, 1)), box((0, 5), (0, 1))]
+    assert merge_adjacent(boxes) == [box((0, 9), (0, 1)), box((20, 30), (0, 1))]
+    # A fused run along one axis can fuse again along another.
+    square = [box((0, 1), (0, 1)), box((1, 2), (1, 2)), box((1, 2), (0, 1)),
+              box((0, 1), (1, 2))]
+    assert merge_adjacent(square) == [box((0, 2), (0, 2))]
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.bounding_boxes import generate_candidates
 from repro.core.rewriter import SemanticRewriter
 from repro.market.binding import AccessMode, BindingPattern
 from repro.market.dataset import BasicStatistics
 from repro.relational.query import AttributeConstraint
 from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.types import AttributeType as T
-from repro.semstore.boxes import Box
+from repro.semstore.boxes import Box, remainder_decomposition
 from repro.semstore.consistency import ConsistencyPolicy
 from repro.semstore.space import BoxSpace
 from repro.semstore.store import SemanticStore
@@ -124,3 +125,77 @@ class TestFigure6Example:
             "R", [AttributeConstraint("A", low=0, high=101)], 100
         )
         assert result.enumerated_boxes >= result.kept_boxes >= 1
+
+
+def categorical_table(width, categories):
+    """R(A1[0,width), A2 in categories), both free: the Figure 8 canvas."""
+    schema = Schema([Attribute("A1", T.INT), Attribute("A2", T.STRING)])
+    pattern = BindingPattern(
+        table="R", modes={"A1": AccessMode.FREE, "A2": AccessMode.FREE}
+    )
+    statistics = BasicStatistics(
+        100 * width,
+        {"a1": Domain.numeric(0, width - 1), "a2": Domain.categorical(categories)},
+    )
+    space = BoxSpace.from_table("R", schema, pattern, statistics)
+    store, catalog = SemanticStore(), Catalog()
+    catalog.register("R", schema, space, statistics)
+    store.register_table(space, schema)
+    return store, catalog
+
+
+#: Disjoint missing-data decompositions, each with inexpressible pieces
+#: (a categorical extent of two or three values out of six / four).
+FALLBACK_FIXTURES = {
+    # Figure 7's window minus its three views, A2 read as six categories.
+    "figure7": (90, 6, remainder_decomposition(
+        Box(((30, 81), (0, 6))),
+        [Box(((30, 50), (0, 3))), Box(((50, 70), (0, 3))), Box(((70, 81), (4, 6)))],
+    )),
+    # Figure 8: missing data at positions 0-1 and 4, an invalid B1 among it.
+    "figure8": (90, 6, [
+        Box(((50, 80), (0, 2))), Box(((30, 50), (0, 1))), Box(((50, 80), (4, 5))),
+        Box(((30, 40), (2, 5))), Box(((10, 30), (0, 6))),
+    ]),
+    # 600 two-value pieces (above every enumeration cap), a one-value piece
+    # beside every third, and pieces over two keys for every tenth pair.
+    "600 pieces": (1300, 4, [
+        *(Box(((key, key + 1), (0, 2))) for key in range(600)),
+        *(Box(((key, key + 1), (3, 4))) for key in range(0, 600, 3)),
+        *(Box(((key, key + 2), (1, 3))) for key in range(600, 1200, 10)),
+    ]),
+}
+
+
+class TestFallbackCoverSets:
+    """A candidate's cover set, computed by ANDing per-axis bitmasks, is
+    what containment against every elementary box says it is."""
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_FIXTURES))
+    def test_bitmask_cover_sets_equal_the_containment_oracle(self, name):
+        width, categories, elementary = FALLBACK_FIXTURES[name]
+        store, catalog = categorical_table(
+            width, [f"b{position}" for position in range(categories)]
+        )
+        statistics = catalog.statistics("R")
+        generation = generate_candidates(
+            statistics.space, elementary, statistics.histogram.estimate, 100
+        )
+        candidates = SemanticRewriter(store, catalog)._coverage_candidates(
+            statistics, generation, 100
+        )
+        snapped = [c for c in candidates if c.box not in elementary
+                   and c not in generation.merged_candidates]
+        assert snapped and all(
+            statistics.space.expressible(c.box) for c in candidates
+        )
+        for candidate in candidates:
+            assert candidate.covers == frozenset(
+                index
+                for index, element in enumerate(elementary)
+                if candidate.box.contains_box(element)
+            )
+        # A cover exists: every elementary box is in some candidate's set.
+        assert frozenset().union(*(c.covers for c in candidates)) == frozenset(
+            range(len(elementary))
+        )

@@ -34,20 +34,20 @@ class TestRecordAndRemainder:
         store = SemanticStore()
         store.register_table(space, schema)
         query = Box(((10, 20),))
-        assert store.remainder("R", query) == [query]
+        assert store.remainder("R", [query]) == [query]
 
     def test_full_coverage_no_remainder(self, space, schema):
         store = SemanticStore()
         store.register_table(space, schema)
         store.record("R", Box(((0, 100),)), rows(0, 100))
-        assert store.remainder("R", Box(((5, 50),))) == []
+        assert store.remainder("R", [Box(((5, 50),))]) == []
         assert store.is_covered("R", Box(((5, 50),)))
 
     def test_partial_coverage(self, space, schema):
         store = SemanticStore()
         store.register_table(space, schema)
         store.record("R", Box(((10, 20),)), rows(10, 20))
-        remainder = store.remainder("R", Box(((0, 30),)))
+        remainder = store.remainder("R", [Box(((0, 30),))])
         assert sorted(b.extents for b in remainder) == [
             ((0, 10),),
             ((20, 30),),
@@ -72,7 +72,7 @@ class TestRecordAndRemainder:
     def test_unregistered_table(self, space, schema):
         store = SemanticStore()
         with pytest.raises(ReproError):
-            store.remainder("R", Box(((0, 1),)))
+            store.remainder("R", [Box(((0, 1),))])
 
     def test_double_registration(self, space, schema):
         store = SemanticStore()
@@ -87,7 +87,7 @@ class TestConsistency:
         store.register_table(space, schema)
         store.record("R", Box(((0, 100),)), rows(0, 100))
         query = Box(((5, 10),))
-        assert store.remainder("R", query) == [query]
+        assert store.remainder("R", [query]) == [query]
 
     def test_x_week_expires(self, space, schema):
         store = SemanticStore(ConsistencyPolicy.weeks(2))

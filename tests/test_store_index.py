@@ -99,7 +99,7 @@ def rows_for_box(box: Box, rng: random.Random):
 
 
 def assert_probes_agree(indexed: SemanticStore, brute: SemanticStore, query: Box):
-    assert indexed.remainder("R", query) == brute.remainder("R", query)
+    assert indexed.remainder("R", [query]) == brute.remainder("R", [query])
     assert indexed.is_covered("R", query) == brute.is_covered("R", query)
     assert indexed.effective_covers("R") == brute.effective_covers("R")
     assert indexed.rows_in_boxes("R", [query]) == brute.rows_in_boxes(
@@ -154,7 +154,7 @@ class TestRandomWorkloadEquivalence:
         brute.record("R", full, rows)
         for __ in range(10):
             query = random_box(rng, QUERY_WIDTHS)
-            assert indexed.remainder("R", query) == []
+            assert indexed.remainder("R", [query]) == []
             assert indexed.is_covered("R", query)
             assert_probes_agree(indexed, brute, query)
 
@@ -348,3 +348,86 @@ class TestChunkedAssembly:
         with pytest.raises(ReproError):
             table.record(make_space().full_box, [ROW_POOL[0], (1, 2, "amber")], 0.0)
         assert table.cached_row_count == 0 and table.all_rows() == []
+
+
+# -- a bind join's request, decomposed in one call ---------------------------------
+
+
+def wide_space() -> BoxSpace:
+    """``make_space`` with room for sixty bind keys on K."""
+    key, *rest = make_space().dimensions
+    return BoxSpace("R", (Dimension("K", is_categorical=False, low=0, high=200), *rest))
+
+
+@st.composite
+def rest_extents(draw):
+    """Extents on every axis but K."""
+    return tuple(draw(extents(d)) for d in wide_space().dimensions[1:])
+
+
+@st.composite
+def bind_scenarios(draw):
+    """A store of fat covers plus the point covers of earlier bind joins,
+    some of them recorded three weeks before the rest, and a bind-shaped
+    request: 8-60 point boxes on K over one region of the other axes."""
+    keys = st.lists(st.integers(0, 199), min_size=8, max_size=60, unique=True)
+    fat = [
+        (Box((draw(extents(wide_space().dimensions[0])), *draw(rest_extents()))), old)
+        for old in draw(st.lists(st.booleans(), max_size=6))
+    ]
+    points = []
+    for old in draw(st.lists(st.booleans(), max_size=2)):
+        rest = draw(rest_extents())
+        points += [(Box(((key, key + 1), *rest)), old) for key in draw(keys)]
+    covers = draw(st.permutations(fat + points))
+    rest = draw(rest_extents())
+    return covers, [Box(((key, key + 1), *rest)) for key in draw(keys)]
+
+
+class TestBindShapedRemainder:
+    """One call for the whole request, sharing a decomposition between the
+    keys that meet the same covers, must return what *n* one-box calls
+    return, byte for byte and in request order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bind_scenarios(), st.sampled_from(sorted(POLICY_FACTORIES)))
+    def test_indexed_equals_bruteforce_equals_box_by_box(self, scenario, policy_name):
+        covers, request = scenario
+        indexed = SemanticStore(POLICY_FACTORIES[policy_name]())
+        brute = SemanticStore(POLICY_FACTORIES[policy_name](), debug_bruteforce=True)
+        for store in (indexed, brute):
+            store.register_table(wide_space(), make_schema())
+            for box, old in covers:
+                if old:
+                    store.record("R", box, [])
+            store.advance_clock(3.0)
+            for box, old in covers:
+                if not old:
+                    store.record("R", box, [])
+        whole = indexed.remainder("R", request)
+        assert whole == brute.remainder("R", request)
+        assert whole == [
+            piece for box in request for piece in indexed.remainder("R", [box])
+        ]
+
+    def test_keys_with_one_signature_share_one_decomposition(self, monkeypatch):
+        import repro.semstore.store as store_module
+
+        calls = []
+        decompose = store_module.remainder_decomposition
+        monkeypatch.setattr(
+            store_module,
+            "remainder_decomposition",
+            lambda query, covers: calls.append(query) or decompose(query, covers),
+        )
+        store = SemanticStore()
+        store.register_table(wide_space(), make_schema())
+        store.record("R", Box(((0, 100), (1, 6), (0, 4))), [])
+        store.record("R", Box(((50, 200), (8, 11), (1, 2))), [])
+        request = [Box(((key, key + 1), (1, 11), (0, 4))) for key in range(0, 200, 5)]
+        pieces = store.remainder("R", request)
+        # Keys 0-45 meet the first cover, 50-95 both, 100-195 the second.
+        assert len(calls) == 3
+        assert {piece.extents[0] for piece in pieces} == {
+            box.extents[0] for box in request
+        }

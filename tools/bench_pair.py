@@ -1,8 +1,9 @@
-"""Parent against change on one workload of the end-to-end benchmark.
+"""Parent against change on one workload of the end-to-end benchmark, or on all.
 
     python3 tools/bench_pair.py --parent /root/scratch/parent --workload weather_warm
     python3 tools/bench_pair.py --parent ../parent --change . --workload tpch_session \\
         --pairs 10 --seeds 7,8,9,21,22
+    python3 tools/bench_pair.py --parent /root/scratch/parent --workload all --pairs 6
 
 Runs ``--pairs`` pairs of ``benchmarks/e2e/run.py --workload W --seed S``,
 one run in each checkout (a ``git clone`` or ``git worktree`` of the parent
@@ -28,6 +29,13 @@ and later draws need not cost what draw 0 does), so it gets a second row,
 ``setup_s (shared)``, with each side's median taken over only the draws both
 sides of the pair reached; the set-ups and repetitions behind each side's
 medians are printed too.
+
+``--workload all`` runs the workloads ``BENCHMARK.json`` names one after the
+other and ends with one table of every verdict, a row per workload and
+metric — the no-regression half of a claim in one command.  The detail
+files a run leaves under ``benchmarks/e2e/out/`` of the ``--parent``
+checkout are removed once read (that tree is somebody else's); the change's
+own stay, git-ignored, for a closer look.
 """
 
 from __future__ import annotations
@@ -40,9 +48,16 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float | None, keep: bool
+) -> dict:
     """One untraced pass in ``checkout``: the result object it printed, plus
-    the dollars each repetition spent (from the pass's detail file)."""
+    the dollars each repetition spent (from the pass's detail file, which
+    is removed afterwards unless ``keep`` or it was there before)."""
+    detail_path = (
+        checkout / "benchmarks/e2e/out" / f"{workload}-seed{seed}-trace0.json"
+    )
+    ours = not keep and not detail_path.exists()
     command = [
         sys.executable, "benchmarks/e2e/run.py",
         "--workload", workload, "--seed", str(seed),
@@ -56,10 +71,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) ->
             f"{done.stdout}\n{done.stderr}"
         )
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    detail = json.loads(
-        (checkout / "benchmarks/e2e/out" / f"{workload}-seed{seed}-trace0.json")
-        .read_text()
-    )
+    detail = json.loads(detail_path.read_text())
+    if ours:
+        detail_path.unlink()
     result["dollars_by_repetition"] = [
         repetition["dollars_spent"] for repetition in detail["repetitions"]
     ]
@@ -95,31 +109,20 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--parent", type=Path, required=True,
-                        help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=Path.cwd(),
-                        help="checkout of the change (default: here)")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", default="7,8,9,21,22,23,24,101,102,103",
-                        help="comma-separated; pair i uses seed i mod the list")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="override the benchmark's run length (not for a claim)")
-    args = parser.parse_args()
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+def compare(spec: dict, sides: dict[str, Path], workload: str, args) -> list[str]:
+    """Run the pairs of one workload, print them and what they add up to;
+    returns the verdict lines."""
     seeds = [int(seed) for seed in args.seeds.split(",")]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         seed = seeds[pair % len(seeds)]
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+            results[side].append(
+                run_once(
+                    sides[side], workload, seed, args.seconds, keep=side == "change"
+                )
+            )
         p, c = results["parent"][-1], results["change"][-1]
         print(
             f"pair {pair + 1:2d} seed {seed:4d} ({order[0]} first): "
@@ -131,20 +134,21 @@ def main() -> int:
             flush=True,
         )
 
-    print(f"\n== {args.workload}: {args.pairs} alternated pairs, seeds {seeds[:args.pairs]} ==")
+    print(f"\n== {workload}: {args.pairs} alternated pairs, seeds {seeds[:args.pairs]} ==")
+    verdicts = []
     for metric in spec["end_to_end"]:
         values = {
             side: [run["metrics"][metric["name"]]["value"] for run in runs]
             for side, runs in results.items()
         }
-        print(verdict(metric, values["parent"], values["change"]))
+        verdicts.append(verdict(metric, values["parent"], values["change"]))
         if metric["name"] == "setup_s":
             shared = {"parent": [], "change": []}
             for p, c in zip(results["parent"], results["change"]):
                 draws = min(len(p["setup_by_draw"]), len(c["setup_by_draw"]))
                 shared["parent"].append(statistics.median(p["setup_by_draw"][:draws]))
                 shared["change"].append(statistics.median(c["setup_by_draw"][:draws]))
-            print(verdict(
+            verdicts.append(verdict(
                 {**metric, "name": "setup_s (shared)"},
                 shared["parent"], shared["change"],
             ))
@@ -153,7 +157,7 @@ def main() -> int:
         failed = sum(run["failed"] for run in runs)
         setups = sorted(len(run["setup_by_draw"]) for run in runs)
         repetitions = sorted(len(run["dollars_by_repetition"]) for run in runs)
-        print(
+        verdicts.append(
             f"  {side}: {failed} of {attempted} operations failed; a run's medians"
             f" are over {setups[0]}-{setups[-1]} set-ups and"
             f" {repetitions[0]}-{repetitions[-1]} repetitions"
@@ -166,11 +170,44 @@ def main() -> int:
             for a, b in zip(p["dollars_by_repetition"], c["dollars_by_repetition"])
         )
     ]
-    print(
+    verdicts.append(
         "  dollars_spent equal repetition by repetition in every pair"
         if not unequal
         else f"  dollars_spent differs on a shared repetition in pairs {unequal}"
     )
+    print("\n".join(verdicts), flush=True)
+    return verdicts
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=Path.cwd(),
+                        help="checkout of the change (default: here)")
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or 'all'")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", default="7,8,9,21,22,23,24,101,102,103",
+                        help="comma-separated; pair i uses seed i mod the list")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="override the benchmark's run length (not for a claim)")
+    args = parser.parse_args()
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.workload != "all":
+        compare(spec, sides, args.workload, args)
+        return 0
+    verdicts = {
+        workload["name"]: compare(spec, sides, workload["name"], args)
+        for workload in spec["workloads"]
+    }
+    print(f"\n== all workloads, {args.pairs} alternated pairs each ==")
+    for workload, lines in verdicts.items():
+        print(workload)
+        print("\n".join(lines))
     return 0
 
 
