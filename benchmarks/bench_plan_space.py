@@ -61,7 +61,7 @@ def test_optimization_latency(benchmark, profile, report):
         q for q in make_instances("real", data, 1, profile) if q.template == "Q5"
     )
     logical = payless.compile(instance.sql, instance.params)
-    optimizer = Optimizer(payless.context, payless.options)
+    optimizer = Optimizer(payless.context)
 
     result = benchmark(optimizer.optimize, logical)
     report(

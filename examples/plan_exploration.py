@@ -13,7 +13,8 @@ Run with:  python examples/plan_exploration.py
 
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import build_system
-from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.core.objectives import QueryOptions
+from repro.core.optimizer import Optimizer
 
 
 def main() -> None:
@@ -57,11 +58,11 @@ def main() -> None:
     )
     logical = payless.compile(q5.sql, q5.params)
     for label, options in (
-        ("PayLess (Theorems + SQR)", OptimizerOptions()),
-        ("Disable SQR", OptimizerOptions(use_sqr=False)),
+        ("PayLess (Theorems + SQR)", QueryOptions()),
+        ("Disable SQR", QueryOptions(use_sqr=False)),
         (
             "Disable All (bushy)",
-            OptimizerOptions(use_sqr=False, use_theorems=False),
+            QueryOptions(use_sqr=False, use_theorems=False),
         ),
     ):
         result = Optimizer(payless.context, options).optimize(logical)

@@ -35,7 +35,6 @@ from repro.core.objectives import (
     QueryOptions,
     ServiceTier,
 )
-from repro.core.optimizer import OptimizerOptions
 from repro.core.payless import Explanation, PayLess, QueryResult, QueryStats
 from repro.durable import (
     DurabilityConfig,
@@ -98,7 +97,6 @@ __all__ = [
     "MarketError",
     "MarketUnavailableError",
     "MetricsRegistry",
-    "OptimizerOptions",
     "PayLess",
     "PlanningError",
     "PlanObjective",

@@ -16,10 +16,9 @@ from repro.core.bounding_boxes import (
     generate_candidates,
 )
 from repro.core.context import LocalTableInfo, PlanningContext
-from repro.core.executor import ExecutionResult, Executor
+from repro.core.executor import Executor, QueryStats
 from repro.core.optimizer import (
     Optimizer,
-    OptimizerOptions,
     PlanningResult,
     plan_space_baseline,
     plan_space_payless,
@@ -57,7 +56,6 @@ __all__ = [
     "CoverCandidate",
     "DownloadAllResult",
     "DownloadAllStrategy",
-    "ExecutionResult",
     "Executor",
     "GenerationResult",
     "JoinNode",
@@ -68,7 +66,6 @@ __all__ = [
     "CacheEntry",
     "Optimizer",
     "Organization",
-    "OptimizerOptions",
     "PayLess",
     "PlanCache",
     "PlanNode",
@@ -76,6 +73,7 @@ __all__ = [
     "PlanningResult",
     "PreparedQuery",
     "QueryResult",
+    "QueryStats",
     "RemainderQuery",
     "RewriteResult",
     "SemanticRewriter",

@@ -27,7 +27,7 @@ from repro.relational.table import Table
 
 @dataclass
 class DownloadAllResult:
-    """Mirror of :class:`~repro.core.executor.ExecutionResult` for the baseline."""
+    """What one Download-All query returned and what it cost."""
 
     relation: Relation
     transactions: int

@@ -69,25 +69,26 @@ class BudgetedPayLess:
         self.report = BudgetReport(limit_transactions=policy.limit_transactions)
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> QueryResult:
-        logical = self.payless.compile(sql, params)
-        from repro.core.optimizer import Optimizer
-
-        planning = Optimizer(
-            self.payless.context, self.payless.options
-        ).optimize(logical)
-        estimate = planning.cost
-        if (
-            self.policy.mode is BudgetMode.HARD
-            and estimate > self.report.remaining
-        ):
-            self.report.rejected_queries += 1
-            raise BudgetExceededError(
-                f"estimated {estimate:.0f} transactions exceeds the "
-                f"remaining budget of {self.report.remaining}"
+        payless = self.payless
+        with payless.tracer.query_scope(sql):
+            # Planned once, through the installation's plan cache; the
+            # plan the estimate was read off is the plan executed.
+            planning, logical = payless._plan(
+                payless.plan_cache.parse_sql(sql), params
             )
-        if estimate > self.report.remaining:
-            self.report.advisory_breaches += 1
-        result = self.payless.execute_logical(logical)
+            estimate = planning.cost
+            if (
+                self.policy.mode is BudgetMode.HARD
+                and estimate > self.report.remaining
+            ):
+                self.report.rejected_queries += 1
+                raise BudgetExceededError(
+                    f"estimated {estimate:.0f} transactions exceeds the "
+                    f"remaining budget of {self.report.remaining}"
+                )
+            if estimate > self.report.remaining:
+                self.report.advisory_breaches += 1
+            result = payless._execute(planning, logical)
         self.report.spent_transactions += result.stats.transactions
         self.report.executed_queries += 1
         return result

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.objectives import QueryOptions
 from repro.core.rewriter import SemanticRewriter
 from repro.errors import PlanningError
 from repro.market.server import DataMarket
-from repro.market.transport import MarketTransport, TransportConfig
+from repro.market.transport import MarketTransport
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.relational.database import Database
@@ -52,10 +53,6 @@ class LocalTableInfo:
 class PlanningContext:
     """Shared state for planning and executing one buyer's queries."""
 
-    #: Default in-flight REST call bound for executors built on a context
-    #: that does not override it.  1 = serial fetch.
-    DEFAULT_MAX_CONCURRENT_CALLS = 4
-
     def __init__(
         self,
         market: DataMarket,
@@ -63,20 +60,19 @@ class PlanningContext:
         store: SemanticStore,
         rewriter: SemanticRewriter,
         local_db: Database,
-        max_concurrent_calls: int | None = None,
-        transport: TransportConfig | MarketTransport | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        execution: ExecutionConfig | None = None,
-        transport_mode: str = "threaded",
-        async_pool_size: int | None = None,
-        prefetch: bool = True,
+        options: QueryOptions | None = None,
     ):
         self.market = market
         self.catalog = catalog
         self.store = store
         self.rewriter = rewriter
         self.local_db = local_db
+        #: The installation's one configuration record.  The optimizer,
+        #: the executor and the facade read their knobs here; what follows
+        #: are the components it configures, not copies of its fields.
+        self.options = options if options is not None else QueryOptions()
         #: Observability: the query tracer (disabled by default — near-zero
         #: overhead) and the metrics registry (the process-wide default
         #: unless the installation wants isolation).  Threaded from here
@@ -86,54 +82,32 @@ class PlanningContext:
         self.metrics = metrics if metrics is not None else REGISTRY
         #: Which local-evaluation engine runs the final joins/aggregates
         #: (see :class:`repro.relational.engine.ExecutionConfig`).
-        self.execution = execution if execution is not None else DEFAULT_EXECUTION
+        self.execution = (
+            ExecutionConfig(engine=self.options.engine)
+            if self.options.engine
+            else DEFAULT_EXECUTION
+        )
         self.rewriter.tracer = self.tracer
         self.rewriter.metrics = self.metrics
         #: The money-safe transport every executor call goes through (see
         #: :mod:`repro.market.transport`).  Lives here, not on the
         #: executor: circuit breakers must remember failures across
-        #: queries.  Accepts a ready transport or just its config.
-        if isinstance(transport, MarketTransport):
-            self.transport = transport
-        else:
-            self.transport = MarketTransport(
-                market, transport, metrics=self.metrics
-            )
-        if max_concurrent_calls is not None and max_concurrent_calls < 1:
-            raise PlanningError("max_concurrent_calls must be >= 1")
-        #: Upper bound on concurrently in-flight market calls per table
-        #: access during execution (see :mod:`repro.core.executor`).
-        self.max_concurrent_calls = (
-            max_concurrent_calls
-            if max_concurrent_calls is not None
-            else self.DEFAULT_MAX_CONCURRENT_CALLS
+        #: queries.
+        self.transport = MarketTransport(
+            market, self.options.transport_config(), metrics=self.metrics
         )
-        if transport_mode not in ("threaded", "async"):
-            raise PlanningError(
-                f"transport_mode must be 'threaded' or 'async', "
-                f"got {transport_mode!r}"
-            )
-        #: The fetch driver executors use.  "threaded" keeps the
-        #: historical thread-pool path byte-identical; "async" attaches a
-        #: pipelined event-loop driver with per-seller connection pools
-        #: (:mod:`repro.market.aio`) wrapping the *same* transport above.
-        self.transport_mode = transport_mode
-        #: Whether async executors prefetch upcoming non-bind accesses.
-        self.prefetch = prefetch
-        if transport_mode == "async":
-            from repro.market.aio import DEFAULT_POOL_SIZE, AsyncMarketTransport
+        #: The pipelined event-loop driver with per-seller connection
+        #: pools (:mod:`repro.market.aio`) wrapping the *same* transport
+        #: above, or ``None`` when executors fetch on a thread pool.
+        self.async_transport = None
+        if self.options.transport_mode == "async":
+            from repro.market.aio import AsyncMarketTransport
 
             self.async_transport = AsyncMarketTransport(
                 self.transport,
-                pool_size=(
-                    async_pool_size
-                    if async_pool_size is not None
-                    else DEFAULT_POOL_SIZE
-                ),
+                pool_size=self.options.async_pool_size,
                 metrics=self.metrics,
             )
-        else:
-            self.async_transport = None
         #: Singleflight group coalescing overlapping in-flight market
         #: fetches across concurrent sessions (``None`` = no coalescing).
         #: Wired by :class:`~repro.serve.scheduler.QueryScheduler`; the

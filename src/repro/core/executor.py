@@ -54,8 +54,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.context import PlanningContext
-from repro.core.objectives import AdaptivePolicy
-from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.core.objectives import PlanObjective
+from repro.core.optimizer import Optimizer
 from repro.core.plans import (
     JoinNode,
     LocalBlockNode,
@@ -118,7 +118,7 @@ class _PrefetchEntry:
     flight on the event loop (async transport only).
 
     Created at query start from the chosen plan's non-bind market
-    accesses; consumed by :meth:`Executor._fetch_market_inner` when the
+    accesses; consumed by :meth:`Executor._fetch_market` when the
     plan walk reaches the table.  ``token``/``checkpoint`` were claimed at
     schedule time so ledger attribution is identical either way.  If the
     query fails before consuming the entry, the drain path still waits for
@@ -155,52 +155,81 @@ class _CallBatch:
 
 
 @dataclass
-class ExecutionResult:
-    """The final relation plus what this query actually cost."""
+class QueryStats:
+    """Everything one query cost and went through, in one structure.
 
-    relation: Relation
-    transactions: int
-    price: float
-    calls: int
-    fetched_records: int
-    #: Simulated wall-clock spent on REST calls (serial sum, including
-    #: retries and backoff waits of the money-safe transport).
+    Read it as ``result.stats``.  :meth:`Executor.execute` creates it
+    with the account of the execution, the facade adds the planner's
+    three counts and the metrics snapshot to the same object, and every
+    other account (running totals, the WAL, sessions) reads it from there.
+    """
+
+    #: Market transactions billed (and *spent* — wasted charges are
+    #: reported separately below).
+    transactions: int = 0
+    price: float = 0.0
+    #: Billed REST calls.
+    calls: int = 0
+    records: int = 0
+    #: Candidate (sub)plans the optimizer evaluated (Figure 14).
+    evaluated_plans: int = 0
+    #: Bounding boxes Algorithm 1 generated / kept after pruning (Fig 15).
+    enumerated_boxes: int = 0
+    kept_boxes: int = 0
+    #: Simulated wall-clock of the market calls (serial sum, including
+    #: transport retries and backoff waits).
     market_time_ms: float = 0.0
-    #: Simulated wall-clock with ``max_concurrent_calls`` in-flight calls:
-    #: the critical path of the fetch schedule.  Equals ``market_time_ms``
+    #: Simulated wall-clock under the driver's in-flight cap (critical
+    #: path of the parallel fetch schedule); equals ``market_time_ms``
     #: when executing serially.
     market_time_critical_path_ms: float = 0.0
-    #: Transport accounting (see :mod:`repro.market.transport`).
+    #: Money-safe transport accounting (see repro.market.transport).
     retries: int = 0
     faults_injected: int = 0
+    #: Responses served from the market's idempotency cache for free.
     replays: int = 0
+    #: Charges billed for calls whose data never arrived (also tracked
+    #: market-wide in ``ledger.wasted_on_failures``).
     wasted_transactions: int = 0
     wasted_price: float = 0.0
-    #: Regions that could not be bought (non-empty only under the
-    #: transport's ``partial_results`` mode; otherwise the executor raises).
+    #: Regions that could not be bought (non-empty only under
+    #: ``partial_results``; otherwise the query raises instead).
     failed_fetches: tuple[FailedFetch, ...] = ()
-    #: Singleflight accounting under concurrent serving: fetches this
-    #: query rode for free on another session's in-flight call, what they
-    #: would have billed, and remainder boxes already covered at issue
-    #: time (see :mod:`repro.serve.singleflight`).
+    #: Singleflight coalescing under concurrent serving (see
+    #: :mod:`repro.serve`): fetches answered by joining another session's
+    #: in-flight call, the bill those avoided, and remainder boxes found
+    #: already covered at issue time.  All zero outside a scheduler.
     coalesced_fetches: int = 0
     coalesced_savings_transactions: int = 0
     coalesced_savings_price: float = 0.0
     covered_skips: int = 0
-    #: Adaptive re-optimization accounting: mid-query re-plans attempted,
-    #: and the planner's estimate of dollars the adopted suffixes saved
-    #: versus staying the course (0 when adaptive mode is off or never
-    #: tripped).
+    #: Adaptive re-optimization (``QueryOptions(adaptive=...)``): mid-query
+    #: re-plans attempted, and the planner's estimate of the dollars the
+    #: adopted suffix plans saved versus staying the course.  Zero when
+    #: adaptive mode is off (the default) or never tripped.
     replans: int = 0
     replan_dollars_saved_est: float = 0.0
-    #: Which transport driver executed the fetches ("threaded"/"async")
-    #: and how many table accesses were served from a cross-access
-    #: prefetch scheduled at query start (async mode only).
+    #: Which fetch driver executed the market calls ("threaded" or
+    #: "async", the pipelined event-loop driver of :mod:`repro.market.aio`)
+    #: and how many table accesses were answered by a cross-access
+    #: prefetch scheduled at query start (async only).
     transport_mode: str = "threaded"
     prefetch_hits: int = 0
+    #: Snapshot of the installation's metrics registry taken right after
+    #: this query (see :mod:`repro.obs.metrics` for the names).
+    metrics: dict = field(default_factory=dict)
+
+    @property
+    def fetched_records(self) -> int:
+        return self.records
+
+    @property
+    def failed_calls(self) -> int:
+        return len(self.failed_fetches)
 
     @property
     def complete(self) -> bool:
+        """Whether every region the plan needed was actually bought."""
         return not self.failed_fetches
 
 
@@ -299,50 +328,39 @@ class _Fetched:
 class Executor:
     """Executes one optimized plan for one logical query.
 
-    ``max_concurrent_calls`` bounds in-flight REST calls per table access;
-    ``None`` inherits the planning context's setting, and ``1`` executes
-    serially (bit-for-bit the historical behaviour).
+    Every knob is read off ``context.options``; ``objective`` is the one
+    per-call value — what a mid-query re-plan of the suffix must keep
+    optimizing for (``None`` = the installation's own).
     """
 
     def __init__(
-        self,
-        context: PlanningContext,
-        max_concurrent_calls: int | None = None,
-        adaptive: AdaptivePolicy | None = None,
-        optimizer_options: OptimizerOptions | None = None,
+        self, context: PlanningContext, objective: PlanObjective | None = None
     ):
         self.context = context
+        options = context.options
         self.execution = context.execution
         self._ops = self.execution.ops
-        self.max_concurrent_calls = (
-            max_concurrent_calls
-            if max_concurrent_calls is not None
-            else context.max_concurrent_calls
-        )
-        if self.max_concurrent_calls < 1:
-            raise ExecutionError("max_concurrent_calls must be >= 1")
-        #: Mid-query re-optimization policy (None = static pipeline) and
-        #: the planner options re-plans must preserve (objective, SQR,
-        #: cost metric, ... — the suffix is planned like the original).
-        self.adaptive = adaptive
-        self.optimizer_options = optimizer_options
+        #: In-flight REST calls per table access on the threaded driver.
+        self.max_concurrent_calls = options.max_concurrent_calls
+        #: Mid-query re-optimization policy (None = no checkpoints).
+        self.adaptive = options.adaptive
+        self.objective = objective
         #: The async driver (:mod:`repro.market.aio`), or ``None`` for the
-        #: historical threaded path.  Wired by the planning context when
-        #: ``QueryOptions(transport_mode="async")``.
-        self._aio = getattr(context, "async_transport", None)
+        #: thread pool.
+        self._aio = context.async_transport
         #: Cross-access prefetch only makes sense on the async driver and
         #: only for a *static* plan: an adaptive executor may re-plan the
         #: suffix mid-query, and prefetch must never buy for a plan that
         #: might be abandoned (wasted dollars must stay provably zero).
         self._prefetch_enabled = (
             self._aio is not None
-            and adaptive is None
-            and getattr(context, "prefetch", True)
+            and self.adaptive is None
+            and options.prefetch
         )
         #: Long-lived thread pool for the threaded path, shared by every
         #: table access of this executor (lazily created, shut down by
-        #: :meth:`close`) — the historical per-access pool paid thread
-        #: startup on every access.
+        #: :meth:`close`) — a per-access pool would pay thread startup on
+        #: every access.
         self._call_pool: ThreadPoolExecutor | None = None
         self._prefetched: dict[str, _PrefetchEntry] = {}
 
@@ -352,7 +370,11 @@ class Executor:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def execute(self, query: LogicalQuery, plan: PlanNode) -> ExecutionResult:
+    def execute(
+        self, query: LogicalQuery, plan: PlanNode
+    ) -> tuple[Relation, QueryStats]:
+        """Buy what ``plan`` needs, answer ``query`` locally, and account
+        for it: the answer and what it cost."""
         self._query = query
         #: Per table, the columns the query's joins name: all the plan walk
         #: ever reads of a fetched relation.
@@ -364,7 +386,7 @@ class Executor:
                     columns.append(ref)
         #: The query as the engine sees it over staged data: a market
         #: table's rows were selected by the access that staged them
-        #: (:meth:`_fetch_market_inner`), so only local tables keep their
+        #: (:meth:`_fetch_market`), so only local tables keep their
         #: constraints and residuals.
         is_market = self.context.is_market
         self._over_staged = replace(
@@ -403,10 +425,7 @@ class Executor:
                 self._schedule_prefetch(plan)
             # Nothing reads the root's intermediate: the engine evaluates
             # the query over the staged tables below.
-            if self.adaptive is None:
-                self._fetch(plan, read=False)
-            else:
-                self._adaptive_fetch(plan, read=False)
+            self._fetch(plan, read=False)
         finally:
             # Any prefetched access the plan walk did not consume (an
             # earlier access failed the query) is drained here: wait for
@@ -418,36 +437,31 @@ class Executor:
 
         staging = self._build_staging(query)
         tracer = self.context.tracer
-        if tracer.enabled:
-            input_rows = sum(
-                len(staging.table(name)) for name in query.tables
-            )
-            with tracer.span("local_eval") as eval_span:
-                started = time.perf_counter()
-                relation = evaluate(staging, self._over_staged, self.execution)
-                eval_ms = (time.perf_counter() - started) * 1000.0
-                if eval_span is not None:
-                    eval_span.set(
-                        engine=self.execution.engine,
-                        input_rows=input_rows,
-                        output_rows=len(relation.rows),
-                        eval_ms=eval_ms,
-                        rows_per_sec=(
-                            input_rows / (eval_ms / 1000.0)
-                            if eval_ms > 0.0
-                            else 0.0
-                        ),
-                    )
-        else:
+        with tracer.span("local_eval") as eval_span:
             relation = evaluate(staging, self._over_staged, self.execution)
+            if eval_span is not None:
+                eval_ms = tracer.clock() - eval_span.start_ms
+                input_rows = sum(
+                    len(staging.table(name)) for name in query.tables
+                )
+                eval_span.set(
+                    engine=self.execution.engine,
+                    input_rows=input_rows,
+                    output_rows=len(relation.rows),
+                    eval_ms=eval_ms,
+                    rows_per_sec=(
+                        input_rows / (eval_ms / 1000.0)
+                        if eval_ms > 0.0
+                        else 0.0
+                    ),
+                )
 
         scope = self._scope
-        return ExecutionResult(
-            relation=relation,
+        return relation, QueryStats(
             transactions=self._spent_transactions,
             price=self._spent_price,
             calls=self._billed_calls,
-            fetched_records=self._billed_records,
+            records=self._billed_records,
             market_time_ms=self._serial_ms,
             market_time_critical_path_ms=self._critical_path_ms,
             retries=scope.retries,
@@ -474,40 +488,79 @@ class Executor:
         """Buy and stage everything under ``node``; when ``read``, also
         return the subtree's joined key columns.
 
-        ``read`` says something above reads the intermediate — a bind
-        join its left side's key values, an adaptive checkpoint its
-        prefix.  Purchases do not depend on it: a bind join always reads
-        its left side, whoever reads the join itself.
+        ``read`` says something above reads the intermediate.  Purchases
+        do not depend on it: a bind join always reads its left side,
+        whoever reads the join itself.
+
+        A left-deep chain is walked as one loop over its join steps.  The
+        prefix a step extends is joined only where something reads it — a
+        later bind join its key values, the caller, or (under an
+        :class:`AdaptivePolicy`) the checkpoint before every step, which
+        compares the prefix's actual cardinality against the plan's
+        estimate and re-plans the remaining steps when the policy trips.
+        A policy that never trips makes exactly the accesses of no policy
+        — same order, same store and histogram feedback.
         """
         if isinstance(node, LocalBlockNode):
             return self._fetch_block(node, read)
         if isinstance(node, MarketAccessNode):
-            relation = self._fetch_market(node.table, (), source="access")
+            relation = self._fetch_market(node.table, ())
             return self._key_columns(node.table, relation) if read else None
-        if isinstance(node, JoinNode):
-            left = self._fetch(node.left, read or self._binds(node))
-            return self._join_right(left, node, read)
-        raise ExecutionError(f"unknown plan node {type(node).__name__}")
-
-    @staticmethod
-    def _binds(node: JoinNode) -> bool:
-        return node.bind and isinstance(node.right, MarketAccessNode)
-
-    def _join_right(
-        self, left: _Fetched | None, node: JoinNode, read: bool
-    ) -> _Fetched | None:
-        """Fetch ``node``'s right side — bound to ``left``'s key values
-        when it is a bind join — and, when ``read``, join the two."""
-        if self._binds(node):
-            relation = self._fetch_bound(node.right, node.predicates, left)
-            right = (
-                self._key_columns(node.right.table, relation) if read else None
-            )
-        else:
+        if not isinstance(node, JoinNode):
+            raise ExecutionError(f"unknown plan node {type(node).__name__}")
+        if not isinstance(node.right, MarketAccessNode):
+            # Theorem-3 composition: the sides are join-disconnected, so
+            # each is walked (and adapts) on its own; the composition
+            # buys nothing.
+            left = self._fetch(node.left, read)
             right = self._fetch(node.right, read)
-        if not read:
-            return None
-        return left.joined_with(right, node.predicates)
+            return left.joined_with(right, node.predicates) if read else None
+        leaf, steps = self._linearize(node)
+        policy = self.adaptive
+
+        def prefix_read() -> bool:
+            """Whether anything reads the prefix the steps left extend."""
+            return (
+                read
+                or (policy is not None and bool(steps))
+                or any(step.bind for step in steps)
+            )
+
+        current = self._fetch(leaf, prefix_read())
+        executed = set(leaf.relations)
+        estimate = max(leaf.estimated_rows, 0.0)
+        while steps:
+            if policy is not None and self._replans < policy.max_replans:
+                actual = self._actual_rows(current)
+                if policy.diverged(estimate, actual):
+                    new_steps = self._replan(
+                        current, executed, actual, tuple(steps)
+                    )
+                    if new_steps is not None:
+                        steps = new_steps
+                        # The re-planned suffix was costed against the
+                        # actual prefix cardinality: the estimate is now
+                        # the truth, so the very next check cannot
+                        # re-trip on it.
+                        estimate = actual
+                        if not steps:
+                            break
+            step = steps.pop(0)
+            access = step.right
+            if step.bind:
+                relation = self._fetch_bound(access, step.predicates, current)
+            else:
+                relation = self._fetch_market(access.table, ())
+            current = (
+                current.joined_with(
+                    self._key_columns(access.table, relation), step.predicates
+                )
+                if prefix_read()
+                else None
+            )
+            executed |= set(access.relations)
+            estimate = max(step.estimated_rows, 0.0)
+        return current
 
     def _key_columns(self, table: str, relation: Relation) -> _Fetched:
         """One fetched relation as a walk component (zero-copy)."""
@@ -531,7 +584,7 @@ class Executor:
             return
         if isinstance(node, JoinNode):
             self._prefetchable_tables(node.left, tables)
-            if not self._binds(node):
+            if not (node.bind and isinstance(node.right, MarketAccessNode)):
                 self._prefetchable_tables(node.right, tables)
 
     def _schedule_prefetch(self, plan: PlanNode) -> None:
@@ -541,7 +594,6 @@ class Executor:
         serializing behind them."""
         tables: list[str] = []
         self._prefetchable_tables(plan, tables)
-        ledger = self.context.market.ledger
         for table in tables:
             key = table.lower()
             if key in self._prefetched:
@@ -549,34 +601,48 @@ class Executor:
                 # only the first access is prefetched; the second re-
                 # rewrites against the then-current store like any other.
                 continue
-            table_store = self.context.store.table(table)
-            constraints = list(self._query.constraints_for(table))
-            with table_store.lock:
-                rewrite = self.context.rewriter.rewrite(
-                    table,
-                    constraints,
-                    self.context.tuples_per_transaction(table),
-                )
-                if rewrite.store_epoch != table_store.epoch:
-                    raise ExecutionError(
-                        f"stale rewrite for {table!r}: computed at store "
-                        f"epoch {rewrite.store_epoch}, executing at "
-                        f"{table_store.epoch}"
-                    )
-            dataset = self.context.dataset_of(table)
-            self._access_seq += 1
-            token = f"{self._query_token}:a{self._access_seq}"
-            checkpoint = ledger.checkpoint()
-            future = self._submit_async_calls(
-                dataset, table, rewrite.remainder, token
+            rewrite, token, checkpoint = self._claim_access(
+                table, list(self._query.constraints_for(table))
             )
             self._prefetched[key] = _PrefetchEntry(
                 table=table,
                 rewrite=rewrite,
                 token=token,
                 checkpoint=checkpoint,
-                future=future,
+                future=self._submit_async_calls(
+                    self.context.dataset_of(table),
+                    table,
+                    rewrite.remainder,
+                    token,
+                ),
             )
+
+    def _claim_access(self, table: str, constraints: list):
+        """Decide what one table access buys and claim its place in the
+        ledger: the rewrite, the attribution token, the ledger checkpoint.
+
+        Rewrites under the table lock: the rewrite decides what money to
+        spend, so it must reflect the store *now*, and under concurrent
+        serving other sessions record into this table at any moment.
+        Holding the lock pins the epoch across rewrite + check, so the
+        staleness guard can only trip if a stale-caching bug is
+        reintroduced somewhere upstream (the rewriter memo keys on the
+        epoch).
+        """
+        table_store = self.context.store.table(table)
+        with table_store.lock:
+            rewrite = self.context.rewriter.rewrite(
+                table, constraints, self.context.tuples_per_transaction(table)
+            )
+            if rewrite.store_epoch != table_store.epoch:
+                raise ExecutionError(
+                    f"stale rewrite for {table!r}: computed at store "
+                    f"epoch {rewrite.store_epoch}, executing at "
+                    f"{table_store.epoch}"
+                )
+        self._access_seq += 1
+        token = f"{self._query_token}:a{self._access_seq}"
+        return rewrite, token, self.context.market.ledger.checkpoint()
 
     def _drain_prefetch(self) -> None:
         """Settle prefetch entries the plan walk never consumed.
@@ -634,55 +700,6 @@ class Executor:
         steps.reverse()
         return node, steps
 
-    def _adaptive_fetch(self, node: PlanNode, read: bool) -> _Fetched | None:
-        """The checkpointed pipeline: after each join step, compare the
-        prefix's actual cardinality against the plan's estimate and
-        re-plan the remaining steps when the policy trips.
-
-        With a policy that never trips this makes exactly the accesses of
-        :meth:`_fetch` — same order, same store and histogram feedback —
-        but joins every prefix a checkpoint reads, where the static walk
-        joins only below a bind join.
-        """
-        if not isinstance(node, JoinNode):
-            return self._fetch(node, read)
-        if not isinstance(node.right, MarketAccessNode):
-            # Theorem-3 composition: the sides are join-disconnected, so
-            # each adapts independently; the composition buys nothing.
-            left = self._adaptive_fetch(node.left, read)
-            right = self._adaptive_fetch(node.right, read)
-            if not read:
-                return None
-            return left.joined_with(right, node.predicates)
-        leaf, steps = self._linearize(node)
-        current = self._adaptive_fetch(leaf, read=True)
-        executed = set(leaf.relations)
-        estimate = max(leaf.estimated_rows, 0.0)
-        adaptive = self.adaptive
-        while steps:
-            actual = self._actual_rows(current)
-            if self._replans < adaptive.max_replans and adaptive.diverged(
-                estimate, actual
-            ):
-                new_steps = self._replan(
-                    current, executed, actual, tuple(steps)
-                )
-                if new_steps is not None:
-                    steps = new_steps
-                    # The re-planned suffix was costed against the actual
-                    # prefix cardinality: the estimate is now the truth,
-                    # so the very next check cannot re-trip on it.
-                    estimate = actual
-                    if not steps:
-                        break
-            step = steps.pop(0)
-            # The next checkpoint reads this prefix; after the last step
-            # only the caller might.
-            current = self._join_right(current, step, read or bool(steps))
-            executed |= set(step.right.relations)
-            estimate = max(step.estimated_rows, 0.0)
-        return current
-
     @staticmethod
     def _actual_rows(fetched: _Fetched) -> float:
         """Exact cardinality of the materialized prefix (the Cartesian
@@ -703,64 +720,53 @@ class Executor:
     ) -> list[JoinNode] | None:
         """Re-plan the not-yet-executed joins; None keeps the old plan."""
         self._replans += 1
-        tracer = self.context.tracer
-        if not tracer.enabled:
-            return self._replan_inner(current, executed, actual, old_steps, None)
-        with tracer.span("replan", tables=sorted(executed)) as span:
-            return self._replan_inner(
-                current, executed, actual, old_steps, span
+        with self.context.tracer.span(
+            "replan", tables=sorted(executed)
+        ) as span:
+            prefix = MaterializedNode(
+                relations=frozenset(executed),
+                cost=0.0,
+                estimated_rows=float(actual),
+                tables=tuple(sorted(executed)),
             )
-
-    def _replan_inner(
-        self,
-        current: _Fetched,
-        executed: set[str],
-        actual: float,
-        old_steps: tuple[JoinNode, ...],
-        span,
-    ) -> list[JoinNode] | None:
-        overlay = self._build_overlay(current, executed)
-        prefix = MaterializedNode(
-            relations=frozenset(executed),
-            cost=0.0,
-            estimated_rows=float(actual),
-            tables=tuple(sorted(executed)),
-        )
-        optimizer = Optimizer(self.context, self.optimizer_options)
-        started = time.perf_counter()
-        suffix = optimizer.optimize_suffix(
-            self._query, prefix, overlay=overlay, old_steps=old_steps
-        )
-        planning_us = (time.perf_counter() - started) * 1e6
-        metrics = self.context.metrics
-        metrics.counter("plan_replans").inc()
-        metrics.histogram("replan_planning_us").observe(planning_us)
-        adopted = False
-        new_steps: list[JoinNode] | None = None
-        saved = 0.0
-        if suffix is not None:
-            leaf, steps = self._linearize(suffix.plan)
-            # Only a plain resumable chain over THIS prefix is adoptable;
-            # anything else (e.g. a Theorem-3 shape that would replay the
-            # prefix) keeps the original plan.
-            if leaf is prefix:
-                saved = max(suffix.old_cost - suffix.cost, 0.0)
-                self._replan_saved += saved
-                new_steps = steps
-                adopted = True
-        if span is not None:
-            span.set(
-                actual_rows=actual,
-                replan_seq=self._replans,
-                planning_us=planning_us,
-                adopted=adopted,
-                old_suffix_cost=(
-                    suffix.old_cost if suffix is not None else None
-                ),
-                new_suffix_cost=(suffix.cost if suffix is not None else None),
-                dollars_saved_est=saved,
+            overlay = self._build_overlay(current, executed)
+            # The suffix is planned like the original: same options, same
+            # per-call objective.
+            optimizer = Optimizer(self.context, objective=self.objective)
+            started = time.perf_counter()
+            suffix = optimizer.optimize_suffix(
+                self._query, prefix, overlay=overlay, old_steps=old_steps
             )
-        return new_steps
+            planning_us = (time.perf_counter() - started) * 1e6
+            metrics = self.context.metrics
+            metrics.counter("plan_replans").inc()
+            metrics.histogram("replan_planning_us").observe(planning_us)
+            new_steps: list[JoinNode] | None = None
+            saved = 0.0
+            if suffix is not None:
+                leaf, steps = self._linearize(suffix.plan)
+                # Only a plain resumable chain over THIS prefix is
+                # adoptable; anything else (e.g. a Theorem-3 shape that
+                # would replay the prefix) keeps the original plan.
+                if leaf is prefix:
+                    saved = max(suffix.old_cost - suffix.cost, 0.0)
+                    self._replan_saved += saved
+                    new_steps = steps
+            if span is not None:
+                span.set(
+                    actual_rows=actual,
+                    replan_seq=self._replans,
+                    planning_us=planning_us,
+                    adopted=new_steps is not None,
+                    old_suffix_cost=(
+                        suffix.old_cost if suffix is not None else None
+                    ),
+                    new_suffix_cost=(
+                        suffix.cost if suffix is not None else None
+                    ),
+                    dollars_saved_est=saved,
+                )
+            return new_steps
 
     def _build_overlay(
         self, current: _Fetched, executed: set[str]
@@ -854,19 +860,17 @@ class Executor:
             if not values:
                 # Still one (zero-width) fetch span per MarketAccessNode:
                 # EXPLAIN ANALYZE and the trace invariants rely on it.
-                tracer = self.context.tracer
-                if tracer.enabled:
-                    tracer.event(
-                        "table_fetch",
-                        table=node.table,
-                        source="bound",
-                        empty_bindings=True,
-                        calls=0,
-                        purchased_rows=0,
-                        cache_served_rows=0,
-                        transactions=0,
-                        price=0.0,
-                    )
+                self.context.tracer.event(
+                    "table_fetch",
+                    table=node.table,
+                    source="bound",
+                    empty_bindings=True,
+                    calls=0,
+                    purchased_rows=0,
+                    cache_served_rows=0,
+                    transactions=0,
+                    price=0.0,
+                )
                 return self._empty_relation(node.table)
             extra.append(
                 AttributeConstraint(inner.column, values=frozenset(values))
@@ -880,150 +884,128 @@ class Executor:
         source: str = "access",
     ) -> Relation:
         """Rewrite, buy the remainder, record feedback, return region rows."""
-        tracer = self.context.tracer
-        if not tracer.enabled:
-            return self._fetch_market_inner(table, extra_constraints, None, source)
-        with tracer.span("table_fetch", table=table, source=source) as span:
-            return self._fetch_market_inner(table, extra_constraints, span, source)
-
-    def _fetch_market_inner(
-        self,
-        table: str,
-        extra_constraints: tuple[AttributeConstraint, ...],
-        span,
-        source: str = "access",
-    ) -> Relation:
         constraints = list(self._query.constraints_for(table)) + list(
             extra_constraints
         )
         store = self.context.store
         table_store = store.table(table)
         ledger = self.context.market.ledger
-        entry = None
-        if source == "access" and not extra_constraints and self._prefetched:
-            entry = self._prefetched.pop(table.lower(), None)
-        if entry is not None:
-            # The access was prefetched at query start: its rewrite, token
-            # and checkpoint were claimed then, and its remainder calls
-            # have been in flight while earlier accesses (and their joins)
-            # executed.  Everything below the issue step is identical.
-            rewrite = entry.rewrite
-            access_token = entry.token
-            checkpoint = entry.checkpoint
-            outcomes, lead_flights = self._settle_calls(
-                entry.future.result(), span
-            )
-            self._prefetch_hits += 1
-            self.context.metrics.counter("prefetch_hits").inc()
-        else:
-            # Rewrite under the table lock: the rewrite decides what money
-            # to spend, so it must reflect the store *now*, and under
-            # concurrent serving other sessions record into this table at
-            # any moment.  Holding the lock pins the epoch across rewrite
-            # + check, so the staleness guard below can only trip if a
-            # stale-caching bug is reintroduced somewhere upstream (the
-            # rewriter memo keys on the epoch).
-            with table_store.lock:
-                rewrite = self.context.rewriter.rewrite(
+        with self.context.tracer.span(
+            "table_fetch", table=table, source=source
+        ) as span:
+            entry = None
+            if source == "access" and not extra_constraints and self._prefetched:
+                entry = self._prefetched.pop(table.lower(), None)
+            if entry is not None:
+                # The access was claimed at query start and its remainder
+                # calls have been in flight while earlier accesses (and
+                # their joins) executed.  Everything below the issue step
+                # is identical.
+                rewrite, access_token, checkpoint = (
+                    entry.rewrite, entry.token, entry.checkpoint
+                )
+                outcomes, lead_flights = self._settle_calls(
+                    entry.future.result(), span
+                )
+                self._prefetch_hits += 1
+                self.context.metrics.counter("prefetch_hits").inc()
+            else:
+                rewrite, access_token, checkpoint = self._claim_access(
+                    table, constraints
+                )
+                outcomes, lead_flights = self._issue_market_calls(
+                    self.context.dataset_of(table),
                     table,
-                    constraints,
-                    self.context.tuples_per_transaction(table),
+                    rewrite.remainder,
+                    access_token,
+                    span,
                 )
-                current_epoch = table_store.epoch
-                if rewrite.store_epoch != current_epoch:
-                    raise ExecutionError(
-                        f"stale rewrite for {table!r}: computed at store "
-                        f"epoch {rewrite.store_epoch}, executing at "
-                        f"{current_epoch}"
+            # The whole section holds the table lock: recording, retiring
+            # led flights, and assembling the result rows are one atomic
+            # switch-over from any other session's view.
+            with table_store.lock:
+                failed, purchased_rows = self._record_outcomes(
+                    table, rewrite.remainder, outcomes, lead_flights
+                )
+                columns, row_count = store.columns_in_boxes(
+                    table, rewrite.request_boxes
+                )
+            # Token-grounded attribution: exactly the entries this access
+            # billed, no matter how other sessions' entries interleave (the
+            # checkpoint merely bounds the scan).  Per-span totals therefore
+            # still sum exactly to the query's QueryStats.
+            entries = ledger.entries_for_token(access_token, checkpoint)
+            billed_transactions = sum(e.transactions for e in entries)
+            billed_price = sum(e.price for e in entries)
+            wasted_transactions = sum(
+                e.transactions for e in entries if ledger.is_wasted(e)
+            )
+            wasted_price = sum(
+                e.price for e in entries if ledger.is_wasted(e)
+            )
+            self._billed_calls += len(entries)
+            self._billed_records += sum(e.record_count for e in entries)
+            self._spent_transactions += billed_transactions - wasted_transactions
+            self._spent_price += billed_price - wasted_price
+            if span is not None:
+                span.set(
+                    calls=len(outcomes),
+                    failed_calls=len(failed),
+                    retries=sum(
+                        max(0, getattr(o.error, "attempts", 0) - 1)
+                        if isinstance(o, FailedFetch)
+                        else 0
+                        if isinstance(o, CoveredSkip)
+                        else o.retries
+                        for o in outcomes
+                    ),
+                    replays=sum(
+                        1
+                        for o in outcomes
+                        if isinstance(o, FetchResult) and o.replayed
+                    ),
+                    purchased_rows=purchased_rows,
+                    transactions=billed_transactions - wasted_transactions,
+                    price=billed_price - wasted_price,
+                    billed_transactions=billed_transactions,
+                    billed_price=billed_price,
+                    wasted_transactions=wasted_transactions,
+                    wasted_price=wasted_price,
+                    estimated_transactions=rewrite.estimated_transactions,
+                    fully_covered=rewrite.fully_covered,
+                )
+            if failed:
+                if not self.context.transport.config.partial_results:
+                    raise MarketUnavailableError(
+                        f"{len(failed)} of {len(outcomes)} market calls for "
+                        f"{table!r} failed: "
+                        + "; ".join(str(f.error) for f in failed[:3]),
+                        failed=tuple(failed),
                     )
-            dataset = self.context.dataset_of(table)
-            self._access_seq += 1
-            access_token = f"{self._query_token}:a{self._access_seq}"
-            checkpoint = ledger.checkpoint()
-            outcomes, lead_flights = self._issue_market_calls(
-                dataset, table, rewrite.remainder, access_token, span
+                self._failed_fetches.extend(failed)
+            if span is not None:
+                span.set(cache_served_rows=max(0, row_count - purchased_rows))
+            relation = Relation.from_columns(
+                RowLayout.for_table(table, self.context.schema_of(table).names),
+                columns,
+                row_count,
             )
-        # The whole section holds the table lock: recording, retiring led
-        # flights, and assembling the result rows are one atomic
-        # switch-over from any other session's view.
-        with table_store.lock:
-            failed, purchased_rows = self._record_outcomes(
-                table, rewrite.remainder, outcomes, lead_flights
-            )
-            columns, row_count = store.columns_in_boxes(
-                table, rewrite.request_boxes
-            )
-        # Token-grounded attribution: exactly the entries this access
-        # billed, no matter how other sessions' entries interleave (the
-        # checkpoint merely bounds the scan).  Per-span totals therefore
-        # still sum exactly to the query's QueryStats.
-        entries = ledger.entries_for_token(access_token, checkpoint)
-        billed_transactions = sum(e.transactions for e in entries)
-        billed_price = sum(e.price for e in entries)
-        wasted_transactions = sum(
-            e.transactions for e in entries if ledger.is_wasted(e)
-        )
-        wasted_price = sum(
-            e.price for e in entries if ledger.is_wasted(e)
-        )
-        self._billed_calls += len(entries)
-        self._billed_records += sum(e.record_count for e in entries)
-        self._spent_transactions += billed_transactions - wasted_transactions
-        self._spent_price += billed_price - wasted_price
-        if span is not None:
-            span.set(
-                calls=len(outcomes),
-                failed_calls=len(failed),
-                retries=sum(
-                    max(0, getattr(o.error, "attempts", 0) - 1)
-                    if isinstance(o, FailedFetch)
-                    else 0
-                    if isinstance(o, CoveredSkip)
-                    else o.retries
-                    for o in outcomes
-                ),
-                replays=sum(
-                    1
-                    for o in outcomes
-                    if isinstance(o, FetchResult) and o.replayed
-                ),
-                purchased_rows=purchased_rows,
-                transactions=billed_transactions - wasted_transactions,
-                price=billed_price - wasted_price,
-                billed_transactions=billed_transactions,
-                billed_price=billed_price,
-                wasted_transactions=wasted_transactions,
-                wasted_price=wasted_price,
-                estimated_transactions=rewrite.estimated_transactions,
-                fully_covered=rewrite.fully_covered,
-            )
-        if failed:
-            if not self.context.transport.config.partial_results:
-                raise MarketUnavailableError(
-                    f"{len(failed)} of {len(outcomes)} market calls for "
-                    f"{table!r} failed: "
-                    + "; ".join(str(f.error) for f in failed[:3]),
-                    failed=tuple(failed),
+            # The request boxes *are* the constraints on the table's
+            # dimensions, so the store applied those exactly; filter what
+            # no box expresses.
+            on_axis = table_store.space.has_dimension
+            predicates = [
+                c.to_expression(table)
+                for c in constraints
+                if not on_axis(c.attribute)
+            ]
+            predicates.extend(self._query.residuals_for(table))
+            if predicates:
+                relation = self._ops.filter_rows(
+                    relation, conjunction(predicates)
                 )
-            self._failed_fetches.extend(failed)
-        if span is not None:
-            span.set(cache_served_rows=max(0, row_count - purchased_rows))
-        relation = Relation.from_columns(
-            RowLayout.for_table(table, self.context.schema_of(table).names),
-            columns,
-            row_count,
-        )
-        # The request boxes *are* the constraints on the table's dimensions,
-        # so the store applied those exactly; filter what no box expresses.
-        on_axis = table_store.space.has_dimension
-        predicates = [
-            c.to_expression(table) for c in constraints if not on_axis(c.attribute)
-        ]
-        predicates.extend(self._query.residuals_for(table))
-        if predicates:
-            relation = self._ops.filter_rows(relation, conjunction(predicates))
-        self._stage(table, relation)
-        return relation
+            self._stage(table, relation)
+            return relation
 
     def _stage(self, table: str, relation: Relation) -> None:
         """Add one access's rows to what the final evaluation will scan.
@@ -1189,9 +1171,6 @@ class Executor:
 
         limit = self.max_concurrent_calls
         if limit > 1 and len(requests) > 1:
-            # One long-lived pool per executor, shared by every table
-            # access of the query: the historical per-access pool paid
-            # thread startup (and its scheduling jitter) on each access.
             pool = self._call_pool
             if pool is None:
                 pool = self._call_pool = ThreadPoolExecutor(
@@ -1477,7 +1456,6 @@ class Executor:
     def _build_staging(self, query: LogicalQuery) -> Database:
         staging = Database()
         tracer = self.context.tracer
-        tracing = tracer.enabled
         for table_name in query.tables:
             if self.context.is_market(table_name):
                 relation = self._staged.get(table_name.lower())
@@ -1489,6 +1467,6 @@ class Executor:
                 local = self.context.local_db.table(table_name)
                 staging.add(local)
                 rows = len(local)
-            if tracing:
+            if tracer.enabled:
                 tracer.event("stage", table=table_name, rows=rows)
         return staging

@@ -26,9 +26,8 @@ serially over the plan's market calls.
 
 :class:`ServiceTier` names an objective preset so the serving layer can
 plan each tenant's queries under their tier, and :class:`QueryOptions`
-is the one documented entry point consolidating the per-installation
-knobs that used to be scattered across ``PayLess(...)`` keyword
-arguments, :class:`~repro.core.optimizer.OptimizerOptions`, and the CLI.
+is the one record of an installation's knobs: the facade, the planning
+context, the optimizer and the executor all read the same instance.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.errors import PlanningError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-    from repro.core.optimizer import OptimizerOptions
     from repro.durable.backend import DurabilityConfig
     from repro.market.transport import TransportConfig
 
@@ -241,8 +239,9 @@ class AdaptivePolicy:
     money-free and can only reduce the remaining spend.  ``max_replans``
     bounds the planning work one query may buy itself.
 
-    Off by default (``QueryOptions.adaptive = None``): legacy behaviour
-    is byte-identical without a policy.
+    Off by default (``QueryOptions.adaptive = None``): without a policy
+    the executor's walk has no checkpoints and joins a prefix only where
+    a bind join reads it.
     """
 
     #: Divergence ratio that trips a re-plan: actual > threshold·est or
@@ -393,12 +392,16 @@ class QueryOptions:
     objective: PlanObjective = MIN_DOLLARS
 
     # -- planner --------------------------------------------------------------
+    #: Consult the semantic store while costing ("PayLess w/o SQR" = False).
     use_sqr: bool = True
+    #: Apply Theorems 1-3 ("Disable All" of Figure 14 = False → bushy).
     use_theorems: bool = True
     #: The unit the money axis counts: "transactions" (PayLess) or
     #: "calls" (the Minimizing-Calls competitor).
     cost_metric: str = "transactions"
+    #: Bind joins may bind values for at most this many attributes.
     max_bind_attrs: int = 2
+    #: Entries the parameterized plan cache may hold; 0 disables it.
     plan_cache_size: int = 256
     #: Algorithm 1 bounding-box pruning inside the semantic rewriter.
     prune_bounding_boxes: bool = True
@@ -406,16 +409,13 @@ class QueryOptions:
     # -- execution ------------------------------------------------------------
     #: Local-evaluation engine ("vectorized" or "reference"; None = default).
     engine: str | None = None
-    #: In-flight market calls per table access (None = context default).
-    max_concurrent_calls: int | None = None
-    #: Default for singleflight coalescing when this installation is put
-    #: behind a :class:`~repro.serve.scheduler.QueryScheduler` without an
-    #: explicit :class:`~repro.serve.scheduler.ServeConfig`.
-    coalesce: bool = True
-    #: Which fetch driver executes market calls: "threaded" (the
-    #: historical thread pool, byte-identical defaults) or "async" (the
-    #: pipelined event-loop driver of :mod:`repro.market.aio` with
-    #: per-seller connection pools and cross-access prefetch).
+    #: In-flight market calls per table access under the threaded driver
+    #: (1 = serial fetch).
+    max_concurrent_calls: int = 4
+    #: Which fetch driver executes market calls: "threaded" (a thread
+    #: pool) or "async" (the pipelined event-loop driver of
+    #: :mod:`repro.market.aio` with per-seller connection pools and
+    #: cross-access prefetch).
     transport_mode: str = "threaded"
     #: Per-seller connection pool size — and therefore the in-flight cap —
     #: of the async driver.  Ignored under "threaded", whose cap stays
@@ -441,12 +441,11 @@ class QueryOptions:
     # -- durability -----------------------------------------------------------
     #: Crash-safe state: a state directory path (str/Path) or a full
     #: :class:`~repro.durable.backend.DurabilityConfig`.  ``None`` keeps
-    #: the installation in-memory only (the historical behaviour).
+    #: the installation in-memory only.
     durability: "DurabilityConfig | str | Path | None" = None
 
     # -- adaptive re-optimization ---------------------------------------------
-    #: Mid-query re-planning policy; ``None`` (the default) keeps the
-    #: static pipeline byte-identical to pre-adaptive behaviour.
+    #: Mid-query re-planning policy; ``None`` (the default) never re-plans.
     adaptive: AdaptivePolicy | None = None
 
     def __post_init__(self) -> None:
@@ -465,33 +464,28 @@ class QueryOptions:
             raise PlanningError(
                 f"fault_rate must be within [0, 1], got {self.fault_rate!r}"
             )
+        if self.cost_metric not in ("transactions", "calls"):
+            raise PlanningError(f"unknown cost metric {self.cost_metric!r}")
         if self.transport_mode not in ("threaded", "async"):
             raise PlanningError(
                 f"transport_mode must be 'threaded' or 'async', "
                 f"got {self.transport_mode!r}"
             )
-        if self.async_pool_size < 1:
-            raise PlanningError(
-                f"async_pool_size must be >= 1, got {self.async_pool_size!r}"
-            )
-        # Delegate the planner-knob validation (and fail fast at
-        # construction, not first query).
-        self.optimizer_options()
+        # (knob, smallest valid value): whole numbers, fail fast at
+        # construction rather than at the first query.
+        for name, least in (
+            ("max_bind_attrs", 0),
+            ("plan_cache_size", 0),
+            ("max_concurrent_calls", 1),
+            ("async_pool_size", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PlanningError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise PlanningError(f"{name} must be >= {least}, got {value}")
 
     # -- derived configs ------------------------------------------------------
-
-    def optimizer_options(self) -> "OptimizerOptions":
-        """The planner's view of these options."""
-        from repro.core.optimizer import OptimizerOptions
-
-        return OptimizerOptions(
-            use_sqr=self.use_sqr,
-            use_theorems=self.use_theorems,
-            objective=self.cost_metric,
-            max_bind_attrs=self.max_bind_attrs,
-            plan_cache_size=self.plan_cache_size,
-            plan_objective=self.objective,
-        )
 
     def durability_config(self):
         """The durable backend's view (None = in-memory only)."""

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 
 from repro.core.context import PlanningContext
-from repro.core.objectives import MIN_DOLLARS, PlanObjective
+from repro.core.objectives import MIN_DOLLARS, PlanObjective, QueryOptions
 from repro.core.plans import (
     JoinNode,
     LocalBlockNode,
@@ -46,59 +46,6 @@ from repro.relational.expressions import conjunction
 from repro.relational.query import JoinPredicate, LogicalQuery
 from repro.semstore.space import BoxSpace
 from repro.stats.overlay import CardinalityOverlay
-
-
-@dataclass
-class OptimizerOptions:
-    """Switches for the evaluation's ablation arms."""
-
-    #: Consult the semantic store while costing ("PayLess w/o SQR" = False).
-    use_sqr: bool = True
-    #: Apply Theorems 1-3 ("Disable All" of Figure 14 = False → bushy).
-    use_theorems: bool = True
-    #: "transactions" (PayLess) or "calls" (the Minimizing-Calls baseline).
-    objective: str = "transactions"
-    #: Bind joins may bind values for at most this many attributes.
-    max_bind_attrs: int = 2
-    #: Entries the installation's parameterized plan cache may hold;
-    #: 0 disables the cache entirely.
-    plan_cache_size: int = 256
-    #: What to pick from the money-latency Pareto frontier (see
-    #: :mod:`repro.core.objectives`).  The default ``min_dollars``
-    #: compares candidates on money alone — the paper's exact DP, a
-    #: frontier of width 1 per subset; any other kind compares on
-    #: (money, latency_ms) vectors and keeps per-subset Pareto frontiers.
-    plan_objective: PlanObjective = MIN_DOLLARS
-
-    def __post_init__(self) -> None:
-        if self.objective not in ("transactions", "calls"):
-            raise PlanningError(f"unknown objective {self.objective!r}")
-        if not isinstance(self.plan_objective, PlanObjective):
-            raise PlanningError(
-                f"plan_objective must be a PlanObjective, "
-                f"got {self.plan_objective!r}"
-            )
-        if isinstance(self.max_bind_attrs, bool) or not isinstance(
-            self.max_bind_attrs, int
-        ):
-            raise PlanningError(
-                f"max_bind_attrs must be an integer, got {self.max_bind_attrs!r}"
-            )
-        if self.max_bind_attrs < 0:
-            raise PlanningError(
-                f"max_bind_attrs cannot be negative, got {self.max_bind_attrs}"
-            )
-        if isinstance(self.plan_cache_size, bool) or not isinstance(
-            self.plan_cache_size, int
-        ):
-            raise PlanningError(
-                f"plan_cache_size must be an integer, got {self.plan_cache_size!r}"
-            )
-        if self.plan_cache_size < 0:
-            raise PlanningError(
-                f"plan_cache_size must be >= 0 (0 disables the cache), "
-                f"got {self.plan_cache_size}"
-            )
 
 
 @dataclass
@@ -234,11 +181,24 @@ class SuffixPlan:
 
 
 class Optimizer:
-    """Algorithm 2, parameterized by :class:`OptimizerOptions`."""
+    """Algorithm 2 over the installation's :class:`QueryOptions`.
 
-    def __init__(self, context: PlanningContext, options: OptimizerOptions | None = None):
+    ``options`` stands in for ``context.options`` (the ablation arms plan
+    one context under several switch settings); ``objective`` is one
+    call's choice from the Pareto frontier, the options' own by default.
+    """
+
+    def __init__(
+        self,
+        context: PlanningContext,
+        options: QueryOptions | None = None,
+        objective: PlanObjective | None = None,
+    ):
         self.context = context
-        self.options = options or OptimizerOptions()
+        self.options = options if options is not None else context.options
+        self._objective = (
+            objective if objective is not None else self.options.objective
+        )
         self._tracing = False
         self._overlay: CardinalityOverlay | None = None
 
@@ -248,11 +208,9 @@ class Optimizer:
         tracer = self.context.tracer
         self._tracing = tracer.enabled
         started = time.perf_counter()
-        if not self._tracing:
+        with tracer.span("plan") as span:
             result = self._optimize(query)
-        else:
-            with tracer.span("plan") as span:
-                result = self._optimize(query)
+            if span is not None:
                 span.set(
                     evaluated_plans=result.evaluated_plans,
                     pruned_plans=result.pruned_plans,
@@ -281,7 +239,6 @@ class Optimizer:
         #: at width 1 — latency is computed on every node but never
         #: consulted, so chosen plans are the single-objective DP's.
         #: Every other objective compares on (cost, latency).
-        self._objective = self.options.plan_objective
         self._one_axis = self._objective.is_default
         self._latency_model = self.context.latency_model
         # Per-optimize() probe memos.  Safe because planning never mutates
@@ -818,7 +775,7 @@ class Optimizer:
             ) = self._bind_options(table)
             left_relations, left_rows = left.relations, left.rows
             most_bindings = max(left_rows, 1.0)
-            priced_in_calls = self.options.objective == "calls"
+            priced_in_calls = self.options.cost_metric == "calls"
             for (
                 outers, distincts, columns, rows_per_binding, per_call, call_ms
             ) in options:
@@ -1014,7 +971,7 @@ class Optimizer:
         )
 
     def _objective_cost(self, rewrite: RewriteResult) -> float:
-        if self.options.objective == "calls":
+        if self.options.cost_metric == "calls":
             return float(max(len(rewrite.remainder), len(rewrite.request_boxes)))
         return float(rewrite.estimated_transactions)
 

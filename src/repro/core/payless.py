@@ -28,25 +28,23 @@ from typing import Any, Sequence
 
 from repro.core.baselines import DownloadAllStrategy
 from repro.core.context import PlanningContext
-from repro.core.executor import ExecutionResult, Executor, FailedFetch
+from repro.core.executor import Executor, QueryStats
 from repro.core.objectives import (
     SERVICE_TIERS,
     PlanObjective,
     QueryOptions,
     ServiceTier,
 )
-from repro.core.optimizer import Optimizer, OptimizerOptions, PlanningResult
+from repro.core.optimizer import Optimizer, PlanningResult
 from repro.core.plancache import PlanCache
-from repro.core.plans import PlanNode
+from repro.core.plans import PlanNode, has_bind_join
 from repro.core.rewriter import SemanticRewriter
 from repro.errors import PlanningError
 from repro.market.server import DataMarket
-from repro.market.transport import TransportConfig
 from repro.obs.explain import render_explain, render_explain_analyze
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import QueryTrace, Tracer
 from repro.relational.database import Database
-from repro.relational.engine import DEFAULT_EXECUTION, ExecutionConfig
 from repro.relational.operators import Relation
 from repro.relational.query import LogicalQuery
 from repro.relational.table import Table
@@ -57,8 +55,11 @@ from repro.sqlparser.analyzer import analyze, compile_sql
 from repro.sqlparser.ast import SelectStatement
 from repro.stats.catalog import Catalog
 
-#: Sentinel distinguishing "no cache key computed yet" from "don't cache".
-_UNSET = object()
+def _table_label(query: SelectStatement | LogicalQuery) -> str:
+    """The trace label of a query that arrived without its SQL text."""
+    if isinstance(query, LogicalQuery):
+        return ", ".join(query.tables)
+    return ", ".join(ref.name for ref in query.tables)
 
 
 @dataclass(frozen=True)
@@ -80,88 +81,12 @@ class QueryLogEntry:
         )
 
 
-@dataclass(frozen=True)
-class QueryStats:
-    """Everything one query cost and went through, in one structure.
-
-    Read it as ``result.stats``.
-    """
-
-    #: Market transactions billed (and *spent* — wasted charges are
-    #: reported separately below).
-    transactions: int = 0
-    price: float = 0.0
-    #: Billed REST calls.
-    calls: int = 0
-    records: int = 0
-    #: Candidate (sub)plans the optimizer evaluated (Figure 14).
-    evaluated_plans: int = 0
-    #: Bounding boxes Algorithm 1 generated / kept after pruning (Fig 15).
-    enumerated_boxes: int = 0
-    kept_boxes: int = 0
-    #: Simulated wall-clock of the market calls (serial sum, including
-    #: transport retries and backoff waits).
-    market_time_ms: float = 0.0
-    #: Simulated wall-clock under the installation's concurrency limit
-    #: (critical path of the parallel fetch schedule).
-    market_time_critical_path_ms: float = 0.0
-    #: Money-safe transport accounting (see repro.market.transport).
-    retries: int = 0
-    faults_injected: int = 0
-    #: Responses served from the market's idempotency cache for free.
-    replays: int = 0
-    #: Charges billed for calls whose data never arrived (also tracked
-    #: market-wide in ``ledger.wasted_on_failures``).
-    wasted_transactions: int = 0
-    wasted_price: float = 0.0
-    #: Regions that could not be bought (non-empty only under
-    #: ``partial_results``; otherwise the query raises instead).
-    failed_fetches: tuple[FailedFetch, ...] = ()
-    #: Singleflight coalescing under concurrent serving (see
-    #: :mod:`repro.serve`): fetches answered by joining another session's
-    #: in-flight call, the bill those avoided, and remainder boxes found
-    #: already covered at issue time.  All zero outside a scheduler.
-    coalesced_fetches: int = 0
-    coalesced_savings_transactions: int = 0
-    coalesced_savings_price: float = 0.0
-    covered_skips: int = 0
-    #: Adaptive re-optimization (``QueryOptions(adaptive=...)``): mid-query
-    #: re-plans attempted, and the planner's estimate of the dollars the
-    #: adopted suffix plans saved versus staying the course.  Zero when
-    #: adaptive mode is off (the default) or never tripped.
-    replans: int = 0
-    replan_dollars_saved_est: float = 0.0
-    #: Which fetch driver executed the market calls ("threaded" — the
-    #: default, byte-identical to historical behaviour — or "async", the
-    #: pipelined event-loop driver of :mod:`repro.market.aio`) and how
-    #: many table accesses were answered by a cross-access prefetch
-    #: scheduled at query start (async only; 0 under "threaded").
-    transport_mode: str = "threaded"
-    prefetch_hits: int = 0
-    #: Snapshot of the installation's metrics registry taken right after
-    #: this query (see :mod:`repro.obs.metrics` for the names).
-    metrics: dict = field(default_factory=dict)
-
-    @property
-    def fetched_records(self) -> int:
-        return self.records
-
-    @property
-    def failed_calls(self) -> int:
-        return len(self.failed_fetches)
-
-    @property
-    def complete(self) -> bool:
-        """Whether every region the plan needed was actually bought."""
-        return not self.failed_fetches
-
-
 @dataclass
 class QueryResult:
     """What a user query returns: rows, the chosen plan, and its stats.
 
     The per-query statistics live in ``result.stats`` (a
-    :class:`QueryStats`).
+    :class:`~repro.core.executor.QueryStats`).
     """
 
     relation: Relation
@@ -264,32 +189,16 @@ class PayLess:
                 f"options must be a QueryOptions, got {options!r}"
             )
         self.market = market
-        #: The one documented configuration surface (see
-        #: :class:`~repro.core.objectives.QueryOptions`).
+        #: The one configuration record (see
+        #: :class:`~repro.core.objectives.QueryOptions`); every layer
+        #: reads this same instance as ``context.options``.
         self.query_options = options
-        #: The planner's derived view of the configuration.  Public
-        #: because existing call sites read ``payless.options.use_sqr``
-        #: and friends; prefer ``payless.query_options`` going forward.
-        self.options = self.query_options.optimizer_options()
-        #: The money-safe transport configuration (retries, backoff,
-        #: circuit breakers, fault injection, partial results).
-        self.transport_config = (
-            self.query_options.transport_config() or TransportConfig()
-        )
         #: Observability: structured tracing (off by default — near-zero
         #: overhead; flip ``payless.tracer.enabled`` or use
         #: :meth:`explain_analyze` for one query) and the metrics registry
         #: (the process-wide default unless a private one is handed in).
         self.tracer = Tracer(enabled=tracing)
         self.metrics = metrics if metrics is not None else REGISTRY
-        #: Which local-evaluation engine answers queries once the data is
-        #: staged: "vectorized" (columnar batches + compiled kernels, the
-        #: default) or "reference" (the row-at-a-time differential oracle).
-        self.execution = (
-            ExecutionConfig(engine=self.query_options.engine)
-            if self.query_options.engine
-            else DEFAULT_EXECUTION
-        )
         #: Which updatable statistic drives estimation ("isomer",
         #: "independence", or "uniform"; see repro.stats.interface).
         self.statistic = statistic
@@ -299,8 +208,8 @@ class PayLess:
         self.rewriter = SemanticRewriter(
             self.store,
             self.catalog,
-            enabled=self.options.use_sqr,
-            prune=self.query_options.prune_bounding_boxes,
+            enabled=options.use_sqr,
+            prune=options.prune_bounding_boxes,
         )
         self.context = PlanningContext(
             market=self.market,
@@ -308,14 +217,9 @@ class PayLess:
             store=self.store,
             rewriter=self.rewriter,
             local_db=self.local_db,
-            max_concurrent_calls=self.query_options.max_concurrent_calls,
-            transport=self.transport_config,
             tracer=self.tracer,
             metrics=self.metrics,
-            execution=self.execution,
-            transport_mode=self.query_options.transport_mode,
-            async_pool_size=self.query_options.async_pool_size,
-            prefetch=self.query_options.prefetch,
+            options=options,
         )
         for table in self.local_db:
             self.context.register_local(table)
@@ -323,7 +227,7 @@ class PayLess:
         #: parse + analyze + planning entirely (see repro.core.plancache).
         self.plan_cache = PlanCache(
             self.store,
-            capacity=self.options.plan_cache_size,
+            capacity=options.plan_cache_size,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -349,7 +253,7 @@ class PayLess:
         #: :mod:`repro.durable`.  Built here so every layer — executor,
         #: transport, store clock — shares the one instance.
         self.durability = None
-        durability_config = self.query_options.durability_config()
+        durability_config = options.durability_config()
         if durability_config is not None:
             from repro.durable.backend import DurableStateBackend
 
@@ -452,11 +356,6 @@ class PayLess:
             f"name, or an objective spec string; got {objective!r}"
         )
 
-    def _options_for(self, objective: PlanObjective) -> OptimizerOptions:
-        if objective == self.options.plan_objective:
-            return self.options
-        return replace(self.options, plan_objective=objective)
-
     def _planner_fingerprint(self, objective: PlanObjective) -> tuple:
         """Everything besides the query itself that can change planning.
 
@@ -465,15 +364,15 @@ class PayLess:
         two objectives over the same template must never share a cached
         plan, hence ``objective.fingerprint()`` below.
         """
-        options = self.options
-        transport = self.transport_config
+        options = self.query_options
+        transport = self.context.transport.config
         return (
             options.use_sqr,
             options.use_theorems,
-            options.objective,
+            options.cost_metric,
             options.max_bind_attrs,
             objective.fingerprint(),
-            self.execution.engine,
+            self.context.execution.engine,
             self.rewriter.prune,
             self.statistic,
             transport.partial_results,
@@ -484,32 +383,43 @@ class PayLess:
             # the *static* plan an adaptive installation starts from is
             # keyed apart anyway so cache hygiene is provable per policy.
             (
-                self.query_options.adaptive.fingerprint()
-                if self.query_options.adaptive is not None
+                options.adaptive.fingerprint()
+                if options.adaptive is not None
                 else None
             ),
         )
 
-    def _plan_statement(
+    def _plan(
         self,
-        statement: SelectStatement,
-        params: Sequence[Any],
+        query: SelectStatement | LogicalQuery,
+        params: Sequence[Any] = (),
         objective: PlanObjective | ServiceTier | str | None = None,
     ) -> tuple[PlanningResult, LogicalQuery]:
-        """Plan a parsed template through the cache, without executing."""
+        """The one lookup-or-plan step: cache key, lookup, analyze,
+        optimize, insert.  No market call, no billing.
+
+        ``query`` is a parsed template (bound to ``params`` here) or an
+        already-compiled logical query.  The returned planning carries the
+        call's resolved objective (``planning.objective``).
+        """
         resolved = self._resolve_objective(objective)
-        key = self.plan_cache.statement_key(
-            statement, params, self._planner_fingerprint(resolved)
-        )
-        entry = self.plan_cache.lookup(key)
+        fingerprint = self._planner_fingerprint(resolved)
+        cache = self.plan_cache
+        compiled = isinstance(query, LogicalQuery)
+        if compiled:
+            key = cache.logical_key(query, fingerprint)
+        else:
+            key = cache.statement_key(query, params, fingerprint)
+        entry = cache.lookup(key)
         if entry is not None:
-            return replace(entry.planning, cache_status="hit"), entry.logical
-        logical = analyze(statement, self.context, params)
-        planning = Optimizer(
-            self.context, self._options_for(resolved)
-        ).optimize(logical)
-        planning.cache_status = "miss" if self.plan_cache.enabled else "off"
-        self.plan_cache.insert(key, logical, planning)
+            return (
+                replace(entry.planning, cache_status="hit"),
+                query if compiled else entry.logical,
+            )
+        logical = query if compiled else analyze(query, self.context, params)
+        planning = Optimizer(self.context, objective=resolved).optimize(logical)
+        planning.cache_status = "miss" if cache.enabled else "off"
+        cache.insert(key, logical, planning)
         return planning, logical
 
     def explain(
@@ -522,16 +432,16 @@ class PayLess:
 
         ``str(...)`` of the returned :class:`Explanation` is the EXPLAIN
         text; it also forwards every planning-result attribute (``plan``,
-        ``cost``, ``evaluated_plans``, ...), so existing callers keep
-        working unchanged.  Planning goes through the plan cache: a repeat
-        EXPLAIN (or a later identical query) reuses the cached plan as
-        long as the store epochs it was stamped with still hold.
+        ``cost``, ``evaluated_plans``, ...).  Planning goes through the
+        plan cache: a repeat EXPLAIN (or a later identical query) reuses
+        the cached plan as long as the store epochs it was stamped with
+        still hold.
 
         ``objective`` overrides the installation default for this one
         call (see :meth:`_resolve_objective` for the accepted forms).
         """
         statement = self.plan_cache.parse_sql(sql)
-        planning, __ = self._plan_statement(statement, params, objective)
+        planning, __ = self._plan(statement, params, objective)
         return Explanation(planning=planning, label=sql)
 
     def explain_analyze(
@@ -547,19 +457,9 @@ class PayLess:
         tracing overhead only when explicitly asked to ANALYZE.
         """
         tracer = self.tracer
-        previous = tracer.enabled
-        tracer.enabled = True
+        previous, tracer.enabled = tracer.enabled, True
         try:
-            tracer.begin_query(sql)
-            try:
-                with tracer.span("parse"):
-                    statement = self.plan_cache.parse_sql(sql)
-            except BaseException:
-                tracer.end_query()
-                raise
-            result, planning = self._execute_statement(
-                statement, params, objective
-            )
+            result, planning = self._query(sql, params, objective)
         finally:
             tracer.enabled = previous
         return Explanation(
@@ -582,20 +482,16 @@ class PayLess:
         call: a :class:`PlanObjective`, a :class:`ServiceTier`, a tier
         name, or an objective spec string.
         """
+        return self._query(sql, params, objective)[0]
+
+    def _query(
+        self, sql: str, params: Sequence[Any], objective
+    ) -> tuple[QueryResult, PlanningResult]:
         tracer = self.tracer
-        if not tracer.enabled:
-            statement = self.plan_cache.parse_sql(sql)
-            result, __ = self._execute_statement(statement, params, objective)
-            return result
-        tracer.begin_query(sql)
-        try:
+        with tracer.query_scope(sql):
             with tracer.span("parse"):
                 statement = self.plan_cache.parse_sql(sql)
-        except BaseException:
-            tracer.end_query()
-            raise
-        result, __ = self._execute_statement(statement, params, objective)
-        return result
+            return self._run(statement, params, objective)
 
     def execute_statement(
         self,
@@ -609,43 +505,7 @@ class PayLess:
         were planned before at the current store epochs; otherwise the
         statement is re-analyzed and planned fresh (and cached).
         """
-        result, __ = self._execute_statement(statement, params, objective)
-        return result
-
-    def _execute_statement(
-        self,
-        statement: SelectStatement,
-        params: Sequence[Any],
-        objective: PlanObjective | ServiceTier | str | None = None,
-    ) -> tuple[QueryResult, PlanningResult]:
-        tracer = self.tracer
-        resolved = self._resolve_objective(objective)
-        # Open the trace before the cache lookup so its hit/miss event
-        # lands inside this query's span tree (the PreparedQuery path —
-        # query()/explain_analyze() already opened it around parsing).
-        if tracer.enabled and tracer.active is None:
-            tracer.begin_query(
-                ", ".join(ref.name for ref in statement.tables)
-            )
-        try:
-            key = self.plan_cache.statement_key(
-                statement, params, self._planner_fingerprint(resolved)
-            )
-            entry = self.plan_cache.lookup(key)
-            if entry is not None:
-                return self._execute(
-                    entry.logical,
-                    planning=replace(entry.planning, cache_status="hit"),
-                    objective=resolved,
-                )
-            logical = analyze(statement, self.context, params)
-        except BaseException:
-            # _execute() closes the trace on its own failures; anything
-            # raised before it (analysis errors) must close it here.
-            if tracer.enabled and tracer.active is not None:
-                tracer.end_query()
-            raise
-        return self._execute(logical, cache_key=key, objective=resolved)
+        return self._run(statement, params, objective)[0]
 
     def execute_logical(
         self,
@@ -653,137 +513,79 @@ class PayLess:
         objective: PlanObjective | ServiceTier | str | None = None,
     ) -> QueryResult:
         """Run an already-compiled query (the benchmark harness fast path)."""
-        result, __ = self._execute(logical, objective=objective)
-        return result
+        return self._run(logical, (), objective)[0]
+
+    def _run(
+        self,
+        query: SelectStatement | LogicalQuery,
+        params: Sequence[Any],
+        objective: PlanObjective | ServiceTier | str | None,
+    ) -> tuple[QueryResult, PlanningResult]:
+        """Plan ``query`` and execute the plan, inside the call's trace.
+
+        The trace scope is re-entrant: :meth:`_query` opened it around
+        parsing (so the plan cache's hit/miss event and a failure before
+        planning land in this query's span tree); a directly executed
+        statement or logical query opens it here, labelled by its tables.
+        """
+        tracer = self.tracer
+        with tracer.query_scope(_table_label(query) if tracer.enabled else ""):
+            planning, logical = self._plan(query, params, objective)
+            return self._execute(planning, logical), planning
 
     def _execute(
-        self,
-        logical: LogicalQuery,
-        planning: PlanningResult | None = None,
-        cache_key: Any = _UNSET,
-        objective: PlanObjective | ServiceTier | str | None = None,
-    ) -> tuple[QueryResult, PlanningResult]:
-        tracer = self.tracer
-        tracing = tracer.enabled
-        resolved = self._resolve_objective(objective)
-        # query()/explain_analyze() open the trace around parsing; a
-        # directly-executed logical query opens it here instead.
-        if tracing and tracer.active is None:
-            tracer.begin_query(", ".join(logical.tables))
+        self, planning: PlanningResult, logical: LogicalQuery
+    ) -> QueryResult:
+        """Execute a planned query and account for it; the caller holds
+        the trace scope."""
+        executor = Executor(self.context, objective=planning.objective)
         try:
-            if planning is None and cache_key is _UNSET:
-                # execute_logical() path: key on the logical query itself.
-                cache_key = self.plan_cache.logical_key(
-                    logical, self._planner_fingerprint(resolved)
-                )
-                entry = self.plan_cache.lookup(cache_key)
-                if entry is not None:
-                    planning = replace(entry.planning, cache_status="hit")
-            if planning is None:
-                planning = Optimizer(
-                    self.context, self._options_for(resolved)
-                ).optimize(logical)
-                planning.cache_status = (
-                    "miss" if self.plan_cache.enabled else "off"
-                )
-                self.plan_cache.insert(cache_key, logical, planning)
-            executor = Executor(
-                self.context,
-                adaptive=self.query_options.adaptive,
-                optimizer_options=self._options_for(resolved),
-            )
-            try:
-                execution = executor.execute(logical, planning.plan)
-            finally:
-                executor.close()
-        except BaseException:
-            if tracing:
-                tracer.end_query()
-            raise
-        from repro.core.plans import JoinNode
-
-        def _has_bind(node) -> bool:
-            if isinstance(node, JoinNode):
-                return node.bind or _has_bind(node.left) or _has_bind(node.right)
-            return False
-
+            relation, stats = executor.execute(logical, planning.plan)
+        finally:
+            executor.close()
         with self._accounting_lock:
-            self.total_transactions += execution.transactions
-            self.total_price += execution.price
-            self.total_calls += execution.calls
+            self.total_transactions += stats.transactions
+            self.total_price += stats.price
+            self.total_calls += stats.calls
             self.queries_executed += 1
-            self.total_wasted_transactions += execution.wasted_transactions
-            self.total_wasted_price += execution.wasted_price
-            self.total_coalesced_fetches += execution.coalesced_fetches
+            self.total_wasted_transactions += stats.wasted_transactions
+            self.total_wasted_price += stats.wasted_price
+            self.total_coalesced_fetches += stats.coalesced_fetches
             self.total_coalesced_transactions += (
-                execution.coalesced_savings_transactions
+                stats.coalesced_savings_transactions
             )
-            self.total_coalesced_price += execution.coalesced_savings_price
+            self.total_coalesced_price += stats.coalesced_savings_price
             self.history.append(
                 QueryLogEntry(
                     sequence=self.queries_executed,
                     sql_tables=tuple(logical.tables),
-                    transactions=execution.transactions,
-                    calls=execution.calls,
+                    transactions=stats.transactions,
+                    calls=stats.calls,
                     evaluated_plans=planning.evaluated_plans,
-                    used_bind_join=_has_bind(planning.plan),
+                    used_bind_join=has_bind_join(planning.plan),
                 )
             )
+        stats.evaluated_plans = planning.evaluated_plans
+        stats.enumerated_boxes = planning.enumerated_boxes
+        stats.kept_boxes = planning.kept_boxes
         durability = self.durability
         if durability is not None:
             # Journal the query's totals delta (group-committing it), then
             # compact if the WAL grew past the threshold — here at the
             # query boundary, where no table lock is held.
-            durability.log_query(execution)
+            durability.log_query(stats)
             durability.maybe_compact()
-        trace = tracer.end_query() if tracing else None
         metrics = self.metrics
         metrics.counter("queries").inc()
-        metrics.counter("transactions_spent").inc(execution.transactions)
-        metrics.counter("cents_spent").inc(execution.price * 100.0)
-        if execution.wasted_price:
-            metrics.counter("cents_wasted").inc(
-                execution.wasted_price * 100.0
-            )
-        metrics.histogram("query_transactions").observe(
-            execution.transactions
-        )
-        result = QueryResult(
-            relation=execution.relation,
-            plan=planning.plan,
-            trace=trace,
-            stats=QueryStats(
-                transactions=execution.transactions,
-                price=execution.price,
-                calls=execution.calls,
-                records=execution.fetched_records,
-                evaluated_plans=planning.evaluated_plans,
-                enumerated_boxes=planning.enumerated_boxes,
-                kept_boxes=planning.kept_boxes,
-                market_time_ms=execution.market_time_ms,
-                market_time_critical_path_ms=(
-                    execution.market_time_critical_path_ms
-                ),
-                retries=execution.retries,
-                faults_injected=execution.faults_injected,
-                replays=execution.replays,
-                wasted_transactions=execution.wasted_transactions,
-                wasted_price=execution.wasted_price,
-                failed_fetches=execution.failed_fetches,
-                coalesced_fetches=execution.coalesced_fetches,
-                coalesced_savings_transactions=(
-                    execution.coalesced_savings_transactions
-                ),
-                coalesced_savings_price=execution.coalesced_savings_price,
-                covered_skips=execution.covered_skips,
-                replans=execution.replans,
-                replan_dollars_saved_est=execution.replan_dollars_saved_est,
-                transport_mode=execution.transport_mode,
-                prefetch_hits=execution.prefetch_hits,
-                metrics=metrics.snapshot(),
-            ),
-        )
-        return result, planning
+        metrics.counter("transactions_spent").inc(stats.transactions)
+        metrics.counter("cents_spent").inc(stats.price * 100.0)
+        if stats.wasted_price:
+            metrics.counter("cents_wasted").inc(stats.wasted_price * 100.0)
+        metrics.histogram("query_transactions").observe(stats.transactions)
+        stats.metrics = metrics.snapshot()
+        # The scope that owns the trace closes (and archives) it when the
+        # call returns; the result keeps the same object.
+        return QueryResult(relation, planning.plan, stats, self.tracer.active)
 
     def query_batch(
         self, batch: Sequence[tuple[str, Sequence[Any]]]
@@ -820,9 +622,8 @@ class PayLess:
         """
         if self.durability is not None:
             self.durability.close()
-        async_transport = getattr(self.context, "async_transport", None)
-        if async_transport is not None:
-            async_transport.close()
+        if self.context.async_transport is not None:
+            self.context.async_transport.close()
 
     def __enter__(self) -> "PayLess":
         return self

@@ -31,7 +31,7 @@ planning.  Entries are stamped *at planning time*, before execution, so
 a query whose own purchases mutate the store immediately invalidates its
 entry for the next repeat.
 
-Bounded LRU; ``OptimizerOptions.plan_cache_size`` sets the capacity and
+Bounded LRU; ``QueryOptions.plan_cache_size`` sets the capacity and
 ``0`` disables caching entirely.
 """
 

@@ -173,3 +173,10 @@ def market_leaves(plan: PlanNode) -> list[MarketAccessNode]:
     return [
         leaf for leaf in plan.leaves() if isinstance(leaf, MarketAccessNode)
     ]
+
+
+def has_bind_join(plan: PlanNode) -> bool:
+    """Whether any join of ``plan`` is a bind join."""
+    if not isinstance(plan, JoinNode):
+        return False
+    return plan.bind or has_bind_join(plan.left) or has_bind_join(plan.right)

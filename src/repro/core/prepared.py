@@ -76,7 +76,7 @@ class PreparedQuery:
         objective: PlanObjective | ServiceTier | str | None = None,
     ):
         """Optimize (without executing) for one parameter binding."""
-        return self.payless._plan_statement(
+        return self.payless._plan(
             self._statement,
             params,
             objective if objective is not None else self.objective,

@@ -58,7 +58,7 @@ from repro.durable.wal import FSYNC_POLICIES, WriteAheadLog, iter_records
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.executor import ExecutionResult
+    from repro.core.executor import QueryStats
     from repro.core.payless import PayLess
     from repro.market.rest import RestRequest
 
@@ -441,8 +441,9 @@ class DurableStateBackend:
             self._clock = clock
             self._records_since_snapshot += 1
 
-    def log_query(self, execution: "ExecutionResult") -> None:
-        """Journal one finished query's totals delta.
+    def log_query(self, stats: "QueryStats") -> None:
+        """Journal one finished query's totals delta, read off the same
+        :class:`~repro.core.executor.QueryStats` the caller gets back.
 
         Bookkeeping, not money: the purchases themselves were fsynced by
         the access-level group commit, so the "q" record does not force
@@ -452,14 +453,14 @@ class DurableStateBackend:
         """
         record = {
             "t": "q",
-            "tx": execution.transactions,
-            "p": execution.price,
-            "calls": execution.calls,
-            "wtx": execution.wasted_transactions,
-            "wp": execution.wasted_price,
-            "cf": execution.coalesced_fetches,
-            "ctx": execution.coalesced_savings_transactions,
-            "cp": execution.coalesced_savings_price,
+            "tx": stats.transactions,
+            "p": stats.price,
+            "calls": stats.calls,
+            "wtx": stats.wasted_transactions,
+            "wp": stats.wasted_price,
+            "cf": stats.coalesced_fetches,
+            "ctx": stats.coalesced_savings_transactions,
+            "cp": stats.coalesced_savings_price,
         }
         with self._lock:
             self._first_append()

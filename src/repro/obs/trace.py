@@ -39,14 +39,16 @@ has drained (:meth:`Span.adopt`).  That construction makes concurrent
 recording race-free: nothing concurrent ever mutates a shared span list.
 
 Overhead contract: a disabled tracer must cost one attribute check on the
-hot paths.  Callers therefore guard with the idiom::
+hot paths.  What runs per candidate or per row guards with the idiom::
 
     tracer = context.tracer
     if tracer.enabled:
-        with tracer.span("table_fetch", table=name):
-            ...
+        tracer.event("plan_candidate", tables=..., cost=...)
 
-rather than calling :meth:`span` unconditionally;
+so no argument is packed for a span nobody records; what runs once per
+query or per table access (``query_scope``, ``plan``, ``table_fetch``,
+``local_eval``, ``replan``) calls :meth:`Tracer.span` unconditionally and
+gets its shared no-op context, the body reading ``span is not None``.
 ``benchmarks/bench_trace_overhead.py`` measures both the guard cost and
 the enabled-tracing overhead.
 """
@@ -260,6 +262,26 @@ class Tracer:
             if len(self.traces) > self.keep:
                 del self.traces[: len(self.traces) - self.keep]
         return trace
+
+    def query_scope(self, label: str):
+        """Context manager owning one query's trace, begin to end.
+
+        Re-entrant: the outermost scope of a call opens the trace and —
+        however the call ends — closes and archives it; a scope entered
+        while a trace is already active (or with tracing off) is a no-op.
+        Nothing can therefore raise between a begin and its end.
+        """
+        if not self.enabled or self.active is not None:
+            return _NULL_CONTEXT
+        return self._query_context(label)
+
+    @contextmanager
+    def _query_context(self, label: str):
+        self.begin_query(label)
+        try:
+            yield
+        finally:
+            self.end_query()
 
     @property
     def last(self) -> QueryTrace | None:

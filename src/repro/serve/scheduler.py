@@ -198,12 +198,7 @@ class QueryScheduler:
         self, payless: PayLess, config: ServeConfig | None = None
     ):
         self.payless = payless
-        #: Without an explicit config, the singleflight default comes
-        #: from the installation's ``QueryOptions.coalesce``.
-        self.config = config or ServeConfig(
-            coalesce=getattr(payless, "query_options", None) is None
-            or payless.query_options.coalesce
-        )
+        self.config = config or ServeConfig()
         #: Wire (or unwire) the singleflight layer onto the shared
         #: planning context; the executor picks it up per table access.
         self.coalescer = (

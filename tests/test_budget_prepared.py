@@ -8,6 +8,9 @@ from repro.core.budget import (
     BudgetMode,
     BudgetPolicy,
 )
+from repro.core.objectives import QueryOptions
+from repro.core.optimizer import Optimizer
+from repro.core.payless import PayLess
 from repro.core.prepared import PreparedQuery
 from repro.errors import ReproError, SqlAnalysisError
 from repro.market.subscription import Subscription
@@ -57,6 +60,36 @@ class TestBudget:
             budgeted.query("SELECT * FROM Weather")  # ≈6 transactions
         assert budgeted.report.rejected_queries == 1
         assert mini_payless.total_transactions == 0
+
+    @pytest.mark.parametrize("plan_cache_size", [256, 0])
+    def test_a_budgeted_query_is_planned_once(
+        self, mini_weather_market, monkeypatch, plan_cache_size
+    ):
+        """The estimate is read off the plan that is then executed: one
+        ``Optimizer.optimize`` per query, through the plan cache, and a
+        hard-mode rejection plans once and spends nothing."""
+        payless = PayLess.full(
+            mini_weather_market,
+            options=QueryOptions(plan_cache_size=plan_cache_size),
+        )
+        payless.register_dataset("WHW")
+        calls = []
+        optimize = Optimizer.optimize
+
+        def counting(self, query):
+            calls.append(query)
+            return optimize(self, query)
+
+        monkeypatch.setattr(Optimizer, "optimize", counting)
+        budgeted = BudgetedPayLess(payless, BudgetPolicy(limit_transactions=3))
+        result = budgeted.query("SELECT * FROM Station")
+        assert result.stats.transactions >= 1 and len(calls) == 1
+        if plan_cache_size:
+            assert payless.plan_cache.size == 1
+        with pytest.raises(BudgetExceededError):
+            budgeted.query("SELECT * FROM Weather")  # ≈6 transactions
+        assert len(calls) == 2
+        assert payless.total_transactions == result.stats.transactions
 
     def test_within_budget_executes(self, mini_payless):
         budgeted = BudgetedPayLess(

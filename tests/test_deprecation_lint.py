@@ -9,27 +9,38 @@ not deprecated: there is one way to configure an installation
 (``QueryOptions(durability=...)`` + ``recover()``).  Branch-and-bound
 planner pruning (``prune=``, ``--no-prune``, ``plan_bnb_fallbacks``) and
 the async copy of the singleflight protocol went the same way: the DP
-has no bounding device, one call machine serves both fetch drivers.  CI
-runs this file as the removed-surface step.
+has no bounding device, one call machine serves both fetch drivers.  The
+second copies of the configuration and of the per-query account went
+too: ``OptimizerOptions`` / ``QueryOptions.optimizer_options()`` /
+``PayLess.options`` (every layer reads ``context.options``),
+``ExecutionResult`` (``Executor.execute`` returns the ``QueryStats``),
+the static twin of the plan walk, and the knob nothing read
+(``QueryOptions.coalesce``).  CI runs this file as the removed-surface
+step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import inspect
 import pathlib
+import re
 
 import pytest
 
+import repro
 import repro.core
+import repro.core.executor
+import repro.core.optimizer
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import run_session
 from repro.cli import main
 from repro.core.executor import Executor
 from repro.core.objectives import QueryOptions
-from repro.core.optimizer import OptimizerOptions
 from repro.core.payless import PayLess, QueryResult
 from repro.semstore.store import TableStore
+from repro.testing import tiny_weather_market
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -85,7 +96,7 @@ def test_option_coercion_helpers_are_gone():
     assert not hasattr(PayLess, "_coerce_options")
 
 
-@pytest.mark.parametrize("options", [QueryOptions, OptimizerOptions])
+@pytest.mark.parametrize("options", [QueryOptions])
 def test_prune_is_not_an_option(options):
     with pytest.raises(TypeError):
         options(prune=False)
@@ -116,6 +127,51 @@ def test_a_session_registers_no_fallback_counter():
 def test_singleflight_protocol_has_no_async_copy():
     assert not hasattr(Executor, "_coalesced_fetch_async")
     assert not hasattr(Executor, "_coalesced_fetch")
+
+
+@pytest.mark.parametrize("name", ["OptimizerOptions", "ExecutionResult"])
+def test_second_copies_of_the_records_are_gone(name):
+    for module in (repro, repro.core, repro.core.executor, repro.core.optimizer):
+        assert not hasattr(module, name), module.__name__
+        assert name not in getattr(module, "__all__", ())
+
+
+def test_one_options_record_one_walk():
+    payless = PayLess(tiny_weather_market())
+    assert not hasattr(payless, "options")
+    assert payless.context.options is payless.query_options
+    assert not hasattr(QueryOptions, "optimizer_options")
+    assert "coalesce" not in {f.name for f in dataclasses.fields(QueryOptions)}
+    assert not hasattr(Executor, "_adaptive_fetch")
+    assert list(inspect.signature(Executor.__init__).parameters) == [
+        "self",
+        "context",
+        "objective",
+    ]
+
+
+def test_every_option_is_read_somewhere():
+    """No orphan knob: each ``QueryOptions`` field is read as an attribute
+    by some module other than the one that declares it."""
+    readers = "\n".join(
+        path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "objectives.py"
+    )
+    orphans = [
+        f.name
+        for f in dataclasses.fields(QueryOptions)
+        if not re.search(rf"\.{f.name}\b", readers)
+    ]
+    assert not orphans, orphans
+
+
+def test_readme_option_table_lists_the_fields_in_order():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    fields = [f.name for f in dataclasses.fields(QueryOptions)]
+    rows = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert [name for name in rows if name in fields] == fields
+    assert f"{len(fields)} fields" in readme
 
 
 def test_library_emits_no_deprecation_warnings():

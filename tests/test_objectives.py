@@ -14,7 +14,6 @@ from repro.core.objectives import (
     QueryOptions,
     ServiceTier,
 )
-from repro.core.optimizer import OptimizerOptions
 from repro.errors import PlanningError
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
@@ -106,21 +105,6 @@ class TestServiceTier:
 
 
 class TestQueryOptions:
-    def test_optimizer_options_mapping(self):
-        options = QueryOptions(
-            use_sqr=False,
-            cost_metric="calls",
-            max_bind_attrs=1,
-            plan_cache_size=7,
-            objective=PlanObjective.min_latency(),
-        )
-        derived = options.optimizer_options()
-        assert derived.use_sqr is False
-        assert derived.objective == "calls"
-        assert derived.max_bind_attrs == 1
-        assert derived.plan_cache_size == 7
-        assert derived.plan_objective.kind == "min_latency"
-
     def test_transport_config_defaults_to_none(self):
         assert QueryOptions().transport_config() is None
 
@@ -172,10 +156,10 @@ class TestInstallationOptions:
         assert payless.query_options.use_sqr is False
         assert payless.query_options.cost_metric == "calls"
         assert payless.query_options.engine == "reference"
-        assert payless.options.objective == "calls"
+        assert payless.context.options is payless.query_options
 
     @pytest.mark.parametrize(
-        "bad", [{"engine": "reference"}, OptimizerOptions(use_sqr=False)]
+        "bad", [{"engine": "reference"}, TransportConfig(max_retries=1)]
     )
     def test_non_query_options_rejected_at_construction(self, bad):
         with pytest.raises(PlanningError, match="QueryOptions"):

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.objectives import QueryOptions
 from repro.core.optimizer import (
     Optimizer,
-    OptimizerOptions,
     plan_space_baseline,
     plan_space_payless,
 )
@@ -26,7 +26,7 @@ from repro.errors import PlanningError
 def optimize(payless, sql, params=(), **options):
     query = payless.compile(sql, params)
     optimizer = Optimizer(
-        payless.context, OptimizerOptions(**options) if options else payless.options
+        payless.context, QueryOptions(**options) if options else None
     )
     return optimizer.optimize(query), query
 
@@ -138,7 +138,7 @@ class TestObjectives:
             "WHERE City = 'Alpha' AND Station.Country = 'CountryA' "
             "AND Weather.Country = 'CountryA' "
             "AND Station.StationID = Weather.StationID",
-            objective="calls",
+            cost_metric="calls",
             use_sqr=False,
         )
         root = planning.plan
@@ -147,7 +147,7 @@ class TestObjectives:
 
     def test_invalid_objective(self):
         with pytest.raises(PlanningError):
-            OptimizerOptions(objective="latency")
+            QueryOptions(cost_metric="latency")
 
 
 class TestBushyEnumeration:
@@ -184,12 +184,13 @@ class TestBushyEnumeration:
         hash order (string hashes differ per process)."""
         script = (
             "from repro.bench.harness import build_system\n"
-            "from repro.core.optimizer import Optimizer, OptimizerOptions\n"
+            "from repro.core.objectives import QueryOptions\n"
+            "from repro.core.optimizer import Optimizer\n"
             "from repro.workloads.synthetic import make_join_graph\n"
             "data = make_join_graph('clique', 5, domain_high=32)\n"
             "payless, __ = build_system('payless', data)\n"
             "planning = Optimizer(\n"
-            "    payless.context, OptimizerOptions(use_theorems=False)\n"
+            "    payless.context, QueryOptions(use_theorems=False)\n"
             ").optimize(payless.compile(data.sql))\n"
             "print(planning.cost, planning.plan.describe())\n"
         )
@@ -205,6 +206,18 @@ class TestBushyEnumeration:
             outputs.append(done.stdout)
         assert outputs[0].startswith("14.0 ")
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_the_plan_exploration_example_runs():
+    """It builds ``Optimizer(context, QueryOptions(...))`` by hand."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "examples" / "plan_exploration.py")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Disable All (bushy)" in done.stdout
 
 
 class TestPlanSpaceFormulas:

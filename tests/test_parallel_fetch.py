@@ -306,15 +306,20 @@ class TestConfigValidation:
             )
 
     def test_executor_rejects_nonpositive_limit(self):
+        """The limit is validated where it is written down; the executor
+        takes the context and the call's objective, no copy of a knob."""
         from repro.core.executor import Executor
 
+        with pytest.raises(PlanningError, match="max_concurrent_calls"):
+            QueryOptions(max_concurrent_calls=0)
         payless = registered_payless(tiny_weather_market())
-        with pytest.raises(ExecutionError):
+        with pytest.raises(TypeError):
             Executor(payless.context, max_concurrent_calls=0)
 
     def test_default_limit_comes_from_context(self):
-        payless = registered_payless(tiny_weather_market())
+        payless = registered_payless(
+            tiny_weather_market(), options=QueryOptions(max_concurrent_calls=3)
+        )
         from repro.core.executor import Executor
 
-        executor = Executor(payless.context)
-        assert executor.max_concurrent_calls == payless.context.max_concurrent_calls
+        assert Executor(payless.context).max_concurrent_calls == 3

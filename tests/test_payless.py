@@ -9,6 +9,7 @@ from repro import (
     PayLess,
     Table,
 )
+from repro.core.prepared import PreparedQuery
 from repro.errors import PlanningError, SqlAnalysisError
 
 
@@ -62,6 +63,52 @@ class TestQuerying:
     def test_price_tracks_policy(self, mini_payless):
         result = mini_payless.query("SELECT * FROM Weather")
         assert result.stats.price == pytest.approx(float(result.stats.transactions))
+
+
+class TestTraceScope:
+    """Whoever opens a query's trace closes it, however the call ends."""
+
+    SQL = "SELECT * FROM Station WHERE Country = ?"
+
+    @pytest.fixture
+    def traced(self, mini_weather_market):
+        payless = PayLess.full(mini_weather_market, tracing=True)
+        payless.register_dataset("WHW")
+        return payless
+
+    @pytest.mark.parametrize(
+        "failing, error",
+        [
+            (lambda p, sql: p.query(sql, ("CountryA",), objective=123), PlanningError),
+            (lambda p, sql: p.query("SELECT Nope FROM Station"), SqlAnalysisError),
+            (lambda p, sql: p.explain_analyze(sql, ("CountryA",), objective=123), PlanningError),
+        ],
+        ids=["bad-objective", "analysis-error", "explain-analyze"],
+    )
+    def test_a_call_that_fails_before_planning_closes_its_own_trace(
+        self, traced, failing, error
+    ):
+        tracer = traced.tracer
+        with pytest.raises(error):
+            failing(traced, self.SQL)
+        assert tracer.active is None
+        failed = tracer.last
+        assert failed is not None and failed.root.finished
+
+        prepared = PreparedQuery(traced, self.SQL)
+        result = prepared.execute(("CountryA",))
+        assert tracer.active is None
+        assert result.trace is tracer.last and result.trace is not failed
+        assert result.trace.label == "Station"
+        assert result.trace.find("parse") is None
+        assert result.trace.find("table_fetch") is not None
+        assert result.trace.root.finished
+
+    def test_wrong_parameter_count_opens_no_trace(self, traced):
+        prepared = PreparedQuery(traced, self.SQL)
+        with pytest.raises(SqlAnalysisError):
+            prepared.execute(())
+        assert traced.tracer.active is None
 
 
 class TestVariants:

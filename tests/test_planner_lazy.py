@@ -18,7 +18,7 @@ import pytest
 from repro.bench.harness import build_system
 from repro.core.executor import Executor
 from repro.core.objectives import QueryOptions
-from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.core.optimizer import Optimizer
 from repro.core.plans import JoinNode, MarketAccessNode, MaterializedNode
 from repro.stats.overlay import CardinalityOverlay
 from repro.workloads.synthetic import make_join_graph
@@ -60,9 +60,7 @@ def test_rejected_candidates_build_nothing(constructions, shape, n, objective):
         "payless", data, options=QueryOptions(plan_cache_size=0)
     )
     logical = payless.compile(data.sql)
-    options = OptimizerOptions(
-        plan_cache_size=0, plan_objective=OBJECTIVES[objective]
-    )
+    options = QueryOptions(plan_cache_size=0, objective=OBJECTIVES[objective])
     constructions.update(JoinNode=0, MarketAccessNode=0)
     planning = Optimizer(payless.context, options).optimize(logical)
 
@@ -122,7 +120,7 @@ class TestSuffixIndexSeesTheOverlay:
         overlay = CardinalityOverlay()
         overlay.set_distinct("T1", column, self.OBSERVED_DISTINCT)
 
-        optimizer = Optimizer(payless.context, OptimizerOptions())
+        optimizer = Optimizer(payless.context, QueryOptions())
         if warm:
             # A static plan first: its index (shared estimates) must not
             # survive into the overlaid suffix plan on the same instance.
@@ -137,7 +135,7 @@ class TestSuffixIndexSeesTheOverlay:
         )
         assert step.estimated_rows < shared_step.estimated_rows
         fresh, fresh_step = self._suffix(
-            Optimizer(payless.context, OptimizerOptions()), logical, overlay
+            Optimizer(payless.context, QueryOptions()), logical, overlay
         )
         assert fresh.plan.describe() == suffix.plan.describe()
         assert fresh_step.estimated_rows == step.estimated_rows
@@ -150,13 +148,13 @@ class TestSuffixIndexSeesTheOverlay:
                 overlay.set_distinct(ref.table, ref.column, 1.0)
         # One distinct value per join column makes bind joins one call each.
         observed, __ = self._suffix(
-            Optimizer(payless.context, OptimizerOptions()), logical, overlay
+            Optimizer(payless.context, QueryOptions()), logical, overlay
         )
         __, steps = Executor._linearize(observed.plan)
         assert steps and all(step.bind for step in steps)
 
         def old_cost(overlay):
-            optimizer = Optimizer(payless.context, OptimizerOptions())
+            optimizer = Optimizer(payless.context, QueryOptions())
             suffix, __ = self._suffix(optimizer, logical, overlay, tuple(steps))
             return suffix.old_cost
 

@@ -29,7 +29,7 @@ import pytest
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import build_system
 from repro.core.objectives import MIN_DOLLARS, PlanObjective, QueryOptions
-from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.core.optimizer import Optimizer
 from repro.workloads.synthetic import make_join_graph
 
 from .conftest import GOLDENS_DIR
@@ -70,9 +70,7 @@ def _record(planning) -> dict:
 
 
 def _plan(payless, logical, objective: str):
-    options = OptimizerOptions(
-        plan_cache_size=0, plan_objective=OBJECTIVES[objective]
-    )
+    options = QueryOptions(plan_cache_size=0, objective=OBJECTIVES[objective])
     return Optimizer(payless.context, options).optimize(logical)
 
 

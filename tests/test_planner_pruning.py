@@ -6,7 +6,7 @@
   planner has no bounding device beside them (Section 4.1);
 * ``pruned_plans`` counts the candidates an incumbent over the same
   table set dominated, and the metrics / EXPLAIN report it;
-* the ``OptimizerOptions`` knobs must reject nonsense loudly.
+* the planner knobs of ``QueryOptions`` must reject nonsense loudly.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import build_system
+from repro.core.objectives import QueryOptions
 from repro.core.optimizer import (
     Optimizer,
-    OptimizerOptions,
     plan_space_baseline,
     plan_space_payless,
 )
@@ -65,7 +65,7 @@ class TestFormulaMatchesEnumeration:
         logical = payless.compile(data.sql)
         result = Optimizer(
             payless.context,
-            OptimizerOptions(use_theorems=False, use_sqr=False),
+            QueryOptions(use_theorems=False, use_sqr=False),
         ).optimize(logical)
         assert result.evaluated_plans == plan_space_baseline(n)
 
@@ -94,19 +94,22 @@ class TestPlannerMetrics:
 
 
 class TestOptimizerOptionsValidation:
+    """The optimizer's options are ``QueryOptions`` fields, validated
+    once, where the record is constructed."""
+
     def test_defaults_are_valid(self):
-        options = OptimizerOptions()
+        options = QueryOptions()
         assert options.plan_cache_size == 256
 
     @pytest.mark.parametrize("bad", [-1, True, 2.5, "many"])
     def test_plan_cache_size_rejects_nonsense(self, bad):
         with pytest.raises(PlanningError, match="plan_cache_size"):
-            OptimizerOptions(plan_cache_size=bad)
+            QueryOptions(plan_cache_size=bad)
 
     def test_plan_cache_size_zero_disables(self):
-        assert OptimizerOptions(plan_cache_size=0).plan_cache_size == 0
+        assert QueryOptions(plan_cache_size=0).plan_cache_size == 0
 
     @pytest.mark.parametrize("bad", [-2, True, "lots"])
     def test_max_bind_attrs_rejects_nonsense(self, bad):
         with pytest.raises(PlanningError, match="max_bind_attrs"):
-            OptimizerOptions(max_bind_attrs=bad)
+            QueryOptions(max_bind_attrs=bad)

@@ -8,7 +8,9 @@ checkpoint) reads, over join-key columns; the engine evaluates the query
 once, over the staged tables.
 """
 
+import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,12 +49,14 @@ def _node(cls, relations, **fields):
 
 
 def _run(payless, sql, plan):
-    """Execute a hand-built plan; returns the executor too, for its staging."""
+    """Execute a hand-built plan: the executor (for its staging) and what
+    ``execute`` returned, the answer and its ``QueryStats``."""
     executor = Executor(payless.context)
     try:
-        return executor, executor.execute(payless.compile(sql), plan)
+        relation, stats = executor.execute(payless.compile(sql), plan)
     finally:
         executor.close()
+    return executor, SimpleNamespace(relation=relation, stats=stats)
 
 
 def _staged_rows(executor, table):
@@ -369,7 +373,7 @@ class TestWalkCarriesKeys:
             covered_market_tables=("Station", "Weather"),
         )
         executor, execution = _run(local_payless, sql, plan)
-        assert execution.transactions == 0
+        assert execution.stats.transactions == 0
         assert len(spy.evaluations) == 1 and spy.walk_joins == []
         assert list(spy.evaluations[0].constraints) == ["CityInfo"]
         assert len(_staged_rows(executor, "Weather")) == 12
@@ -548,6 +552,9 @@ SESSION = BenchProfile(
 
 
 def _session(workload, seed, adaptive):
+    """One session's results, what the store ends up covering, and what
+    was bought: per table access in order, its calls (a pool bills one
+    access's calls in any order, so those are sorted)."""
     profile = replace(SESSION, instance_seed=seed)
     data = make_workload(workload, profile)
     q = profile.weather_q if workload == "real" else profile.tpch_q
@@ -569,18 +576,46 @@ def _session(workload, seed, adaptive):
         for dataset in payless.market
         for table in dataset
     }
-    return results, covers
+    bought = [
+        sorted(entry.request.url() for entry in access)
+        for __, access in itertools.groupby(
+            payless.market.ledger, key=lambda entry: entry.fetch_token
+        )
+    ]
+    return results, covers, bought
+
+
+#: ``_Fetched.joined_with`` calls of the TPC-H session per instance seed —
+#: (no policy, a policy that never trips) — counted at e2bc40f, when the
+#: two were separate walks.  The first number is CPU the policy-less walk
+#: must not start spending: it joins only what a bind join reads.
+WALK_JOINS = {7: (2, 6), 23: (2, 4), 101: (0, 2)}
 
 
 @pytest.mark.parametrize("seed", [7, 23, 101])
 @pytest.mark.parametrize("workload", ["real", "tpch"])
-def test_static_walk_equals_the_walk_that_joins_every_prefix(workload, seed):
-    """A policy that never trips makes the adaptive walk compute every
-    prefix the static walk skips; neither rows, nor any query's bill, nor
-    what the store ends up covering may depend on that."""
-    static, static_covers = _session(workload, seed, None)
+def test_static_walk_equals_the_walk_that_joins_every_prefix(
+    workload, seed, monkeypatch
+):
+    """A policy that never trips makes the walk join every prefix a
+    checkpoint reads, where no policy joins only below a bind join;
+    neither rows, nor any query's bill, nor the boxes bought and their
+    order, nor what the store ends up covering may depend on that."""
+    walk_joins = []
+    joined_with = executor_module._Fetched.joined_with
+
+    def counting(self, other, predicates):
+        walk_joins[-1] += 1
+        return joined_with(self, other, predicates)
+
+    monkeypatch.setattr(executor_module._Fetched, "joined_with", counting)
+    walk_joins.append(0)
+    static, static_covers, static_bought = _session(workload, seed, None)
     never_trips = AdaptivePolicy(min_rows=float("inf"))
-    adaptive, adaptive_covers = _session(workload, seed, never_trips)
+    walk_joins.append(0)
+    adaptive, adaptive_covers, adaptive_bought = _session(
+        workload, seed, never_trips
+    )
     assert len(static) == len(adaptive) and static
     for got, want in zip(adaptive, static):
         assert got.rows == want.rows
@@ -588,3 +623,6 @@ def test_static_walk_equals_the_walk_that_joins_every_prefix(workload, seed):
         assert got.stats.calls == want.stats.calls
         assert got.stats.replans == 0
     assert adaptive_covers == static_covers
+    assert adaptive_bought == static_bought and static_bought
+    if workload == "tpch":
+        assert tuple(walk_joins) == WALK_JOINS[seed]
