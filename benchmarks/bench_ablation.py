@@ -18,7 +18,7 @@ from repro import ConsistencyPolicy, PayLess
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import build_system
 from repro.bench.reporting import summary_table
-from repro.core.batch import execute_batch
+from repro.serve import QueryScheduler
 from repro.stats import isomer
 
 
@@ -80,7 +80,12 @@ def test_batch_ordering(benchmark, profile, report):
 
     def run():
         clever_system, __ = build_system("payless", data)
-        clever = execute_batch(clever_system, batch).total_transactions
+        with QueryScheduler(clever_system) as scheduler:
+            session = scheduler.session("dashboard")
+            for sql, params in batch:
+                session.defer(sql, params)
+            scheduler.flush()
+        clever = clever_system.total_transactions
         naive_system, __ = build_system("payless", data)
         naive = sum(
             naive_system.query(sql, params).stats.transactions

@@ -4,15 +4,15 @@ The paper's conclusion sketches multi-query optimization as future work —
 "if users are willing to defer theirs to become a batch".  This example
 shows the payoff: a dashboard that issues six weekly slices plus one
 quarterly overview.  Executed as they arrive (narrow first), every slice
-buys its own fragments; executed as a batch, PayLess runs the containing
-query first and the slices ride free.
+buys its own fragments; deferred on the serving scheduler and flushed as a
+batch, PayLess runs the containing query first and the slices ride free.
 
 Run with:  python examples/batch_queries.py
 """
 
 from repro.bench.figures import make_workload
 from repro.bench.harness import build_system
-from repro.core.batch import execute_batch
+from repro.serve import QueryScheduler
 
 
 def main() -> None:
@@ -44,13 +44,17 @@ def main() -> None:
 
     print("Batched (PayLess reorders by containment):")
     batched, __ = build_system("payless", data)
-    outcome = batched.query_batch(batch)
-    print(f"  execution order: {outcome.execution_order}")
-    for (sql, params), result in zip(batch, outcome.results):
-        print(f"  {params!s:>24} -> {result.stats.transactions:3d} transactions")
-    print(f"  total: {outcome.total_transactions}")
+    with QueryScheduler(batched) as scheduler:
+        dashboard = scheduler.session("dashboard")
+        deferred = [dashboard.defer(sql, params) for sql, params in batch]
+        executed = scheduler.flush()
+    print(f"  execution order: {[deferred.index(t) for t in executed]}")
+    for ticket in deferred:
+        cost = ticket.result().stats.transactions
+        print(f"  {ticket.params!s:>24} -> {cost:3d} transactions")
+    print(f"  total: {dashboard.transactions}")
 
-    saved = naive_total - outcome.total_transactions
+    saved = naive_total - dashboard.transactions
     print(
         f"\nBatching saved {saved} transactions "
         f"({saved / max(naive_total, 1):.0%}) — the quarterly query ran "

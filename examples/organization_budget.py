@@ -2,11 +2,11 @@
 
 Puts the deployment-facing features together on the weather market:
 
-* an :class:`Organization` shares one PayLess install between analysts, so
-  one user's purchases make a colleague's overlapping queries free;
+* a :class:`QueryScheduler` shares one PayLess install between analysts,
+  so one user's purchases make a colleague's overlapping queries free;
 * deferred queries flush as a containment-ordered batch;
-* a :class:`BudgetedPayLess` wrapper rejects a query whose estimate would
-  blow the monthly cap *before* any money moves;
+* a session opened with a :class:`BudgetPolicy` has a query whose estimate
+  would blow the monthly cap rejected *before* any money moves;
 * the :class:`Subscription` plan converts raw transactions into the
   marketplace invoice (the paper's "$12 per 100 transactions" example).
 
@@ -15,13 +15,9 @@ Run with:  python examples/organization_budget.py
 
 from repro.bench.figures import make_workload
 from repro.bench.harness import build_system
-from repro.core.budget import (
-    BudgetedPayLess,
-    BudgetExceededError,
-    BudgetPolicy,
-)
-from repro.core.organization import Organization
+from repro.core.budget import BudgetExceededError, BudgetPolicy
 from repro.market.subscription import Subscription
+from repro.serve import QueryScheduler
 
 
 def main() -> None:
@@ -30,50 +26,55 @@ def main() -> None:
     country = data.countries[0]
 
     print("=== A two-analyst organization ===")
-    acme = Organization(payless, name="acme-weather-desk")
-    alice = acme.user("alice")
-    bob = acme.user("bob")
+    with QueryScheduler(payless) as desk:
+        alice = desk.session("alice")
+        bob = desk.session("bob")
 
-    alice.query(
-        "SELECT * FROM Weather WHERE Country = ? AND Date >= ? AND Date <= ?",
-        (country, 1, 60),
-    )
-    result = bob.query(
-        "SELECT AVG(Temperature) FROM Weather "
-        "WHERE Country = ? AND Date >= ? AND Date <= ?",
-        (country, 10, 40),
-    )
-    print(f"Bob's overlapping query cost: {result.stats.transactions} transactions")
-    print(acme.spend_report())
+        alice.query(
+            "SELECT * FROM Weather WHERE Country = ? AND Date >= ? AND Date <= ?",
+            (country, 1, 60),
+        )
+        result = bob.query(
+            "SELECT AVG(Temperature) FROM Weather "
+            "WHERE Country = ? AND Date >= ? AND Date <= ?",
+            (country, 10, 40),
+        )
+        print(
+            f"Bob's overlapping query cost: {result.stats.transactions} "
+            "transactions"
+        )
+        print(desk.spend_report())
 
-    print("\n=== Deferred batch ===")
-    t_narrow = alice.defer(
-        "SELECT * FROM Weather WHERE Country = ? AND Date >= ? AND Date <= ?",
-        (data.countries[1], 5, 11),
-    )
-    t_broad = bob.defer(
-        "SELECT * FROM Weather WHERE Country = ?", (data.countries[1],)
-    )
-    results = acme.flush()
-    print(
-        f"broad query paid {results[t_broad].stats.transactions}, narrow rode "
-        f"free ({results[t_narrow].stats.transactions})"
-    )
+        print("\n=== Deferred batch ===")
+        narrow = alice.defer(
+            "SELECT * FROM Weather WHERE Country = ? AND Date >= ? AND Date <= ?",
+            (data.countries[1], 5, 11),
+        )
+        broad = bob.defer(
+            "SELECT * FROM Weather WHERE Country = ?", (data.countries[1],)
+        )
+        desk.flush()
+        print(
+            f"broad query paid {broad.result().stats.transactions}, narrow "
+            f"rode free ({narrow.result().stats.transactions})"
+        )
 
     print("\n=== Budget enforcement ===")
     fresh, __ = build_system("payless", data)
-    budgeted = BudgetedPayLess(fresh, BudgetPolicy(limit_transactions=50))
-    try:
-        budgeted.query("SELECT * FROM Weather")  # whole table ≫ 50
-    except BudgetExceededError as error:
-        print(f"rejected up front: {error}")
-    small = budgeted.query(
-        "SELECT * FROM Weather WHERE Country = ? AND Date <= 10", (country,)
-    )
-    print(
-        f"small query allowed: {small.stats.transactions} transactions, "
-        f"{budgeted.report.remaining} remaining"
-    )
+    with QueryScheduler(fresh) as desk:
+        intern = desk.session("intern", budget=BudgetPolicy(limit_transactions=50))
+        try:
+            intern.query("SELECT * FROM Weather")  # whole table ≫ 50
+        except BudgetExceededError as error:
+            print(f"rejected up front: {error}")
+        small = intern.query(
+            "SELECT * FROM Weather WHERE Country = ? AND Date <= 10", (country,)
+        )
+        print(
+            f"small query allowed: {small.stats.transactions} transactions, "
+            f"{intern.remaining:g} remaining"
+        )
+        print(desk.spend_report())
 
     print("\n=== The marketplace invoice ===")
     plan = Subscription(transactions_per_block=100, block_price=12.0)

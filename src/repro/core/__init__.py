@@ -2,14 +2,8 @@
 
 from repro.core.advisor import TableAdvice, advise
 from repro.core.baselines import DownloadAllResult, DownloadAllStrategy
-from repro.core.batch import BatchResult, execute_batch, plan_batch_order
-from repro.core.budget import (
-    BudgetedPayLess,
-    BudgetExceededError,
-    BudgetMode,
-    BudgetPolicy,
-    BudgetReport,
-)
+from repro.core.batch import plan_batch_order
+from repro.core.budget import BudgetExceededError, BudgetMode, BudgetPolicy
 from repro.core.bounding_boxes import (
     CandidateBox,
     GenerationResult,
@@ -23,7 +17,6 @@ from repro.core.optimizer import (
     plan_space_baseline,
     plan_space_payless,
 )
-from repro.core.organization import Organization, UserSession
 from repro.core.payless import PayLess, QueryResult
 from repro.core.plancache import CacheEntry, PlanCache
 from repro.core.prepared import PreparedQuery
@@ -44,14 +37,11 @@ from repro.core.set_cover import (
 )
 
 __all__ = [
-    "BatchResult",
     "TableAdvice",
     "advise",
     "BudgetExceededError",
     "BudgetMode",
     "BudgetPolicy",
-    "BudgetReport",
-    "BudgetedPayLess",
     "CandidateBox",
     "CoverCandidate",
     "DownloadAllResult",
@@ -65,7 +55,6 @@ __all__ = [
     "MarketAccessNode",
     "CacheEntry",
     "Optimizer",
-    "Organization",
     "PayLess",
     "PlanCache",
     "PlanNode",
@@ -77,9 +66,7 @@ __all__ = [
     "RemainderQuery",
     "RewriteResult",
     "SemanticRewriter",
-    "UserSession",
     "cover_cost",
-    "execute_batch",
     "plan_batch_order",
     "generate_candidates",
     "greedy_weighted_set_cover",

@@ -10,27 +10,17 @@ free, while running the narrow ones first buys the same region in fragments
 The heuristic here is deliberately simple (it is future work in the paper):
 estimate each query's request-region size per market table and execute in
 descending containment order — queries whose regions are supersets of
-others go first; ties break toward larger estimated regions.
+others go first; ties break toward larger estimated regions.  The serving
+front-end's ``QueryScheduler.flush`` runs a deferred batch in this order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
-from repro.core.payless import PayLess, QueryResult
+from repro.core.payless import PayLess
 from repro.relational.query import LogicalQuery
 from repro.semstore.boxes import Box, covers_fully
-
-
-@dataclass
-class BatchResult:
-    """Results in the original submission order plus the total bill."""
-
-    results: list[QueryResult]
-    execution_order: list[int]
-    total_transactions: int
-    total_price: float
 
 
 def _request_regions(
@@ -87,29 +77,3 @@ def plan_batch_order(
         reverse=True,
     )
     return order
-
-
-def execute_batch(
-    payless: PayLess, batch: Sequence[tuple[str, Sequence[Any]]]
-) -> BatchResult:
-    """Compile, reorder, and execute a batch of ``(sql, params)`` pairs.
-
-    Results are returned in the original submission order; only execution
-    order (and therefore the bill) is affected by the reordering.
-    """
-    compiled = [payless.compile(sql, params) for sql, params in batch]
-    order = plan_batch_order(payless, compiled)
-    results: list[QueryResult | None] = [None] * len(batch)
-    transactions = 0
-    price = 0.0
-    for index in order:
-        outcome = payless.execute_logical(compiled[index])
-        results[index] = outcome
-        transactions += outcome.stats.transactions
-        price += outcome.stats.price
-    return BatchResult(
-        results=list(results),
-        execution_order=order,
-        total_transactions=transactions,
-        total_price=price,
-    )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.baselines import DownloadAllStrategy
 from repro.core.context import PlanningContext
@@ -54,6 +54,10 @@ from repro.semstore.store import SemanticStore
 from repro.sqlparser.analyzer import analyze, compile_sql
 from repro.sqlparser.ast import SelectStatement
 from repro.stats.catalog import Catalog
+
+#: How many :class:`QueryLogEntry` lines an installation retains.
+HISTORY_KEEP = 1024
+
 
 def _table_label(query: SelectStatement | LogicalQuery) -> str:
     """The trace label of a query that arrived without its SQL text."""
@@ -243,7 +247,8 @@ class PayLess:
         self.total_coalesced_fetches = 0
         self.total_coalesced_transactions = 0
         self.total_coalesced_price = 0.0
-        #: Per-query history (most recent last); see :class:`QueryLogEntry`.
+        #: Per-query history, most recent last (a bounded ring; an entry's
+        #: ``sequence`` keeps counting); see :class:`QueryLogEntry`.
         self.history: list[QueryLogEntry] = []
         #: Guards the running totals and the history list: under the
         #: concurrent serving front-end (:mod:`repro.serve`) many worker
@@ -475,23 +480,26 @@ class PayLess:
         sql: str,
         params: Sequence[Any] = (),
         objective: PlanObjective | ServiceTier | str | None = None,
+        admit: Callable[[PlanningResult], None] | None = None,
     ) -> QueryResult:
         """Optimize and execute ``sql``, paying as little as possible.
 
         ``objective`` overrides the installation default for this one
         call: a :class:`PlanObjective`, a :class:`ServiceTier`, a tier
-        name, or an objective spec string.
+        name, or an objective spec string.  ``admit`` (the serving front
+        end's budget gate) is called with the planning result before it is
+        executed: what it raises stops the query before any money moves.
         """
-        return self._query(sql, params, objective)[0]
+        return self._query(sql, params, objective, admit)[0]
 
     def _query(
-        self, sql: str, params: Sequence[Any], objective
+        self, sql: str, params: Sequence[Any], objective, admit=None
     ) -> tuple[QueryResult, PlanningResult]:
         tracer = self.tracer
         with tracer.query_scope(sql):
             with tracer.span("parse"):
                 statement = self.plan_cache.parse_sql(sql)
-            return self._run(statement, params, objective)
+            return self._run(statement, params, objective, admit)
 
     def execute_statement(
         self,
@@ -520,6 +528,7 @@ class PayLess:
         query: SelectStatement | LogicalQuery,
         params: Sequence[Any],
         objective: PlanObjective | ServiceTier | str | None,
+        admit: Callable[[PlanningResult], None] | None = None,
     ) -> tuple[QueryResult, PlanningResult]:
         """Plan ``query`` and execute the plan, inside the call's trace.
 
@@ -531,6 +540,8 @@ class PayLess:
         tracer = self.tracer
         with tracer.query_scope(_table_label(query) if tracer.enabled else ""):
             planning, logical = self._plan(query, params, objective)
+            if admit is not None:
+                admit(planning)
             return self._execute(planning, logical), planning
 
     def _execute(
@@ -565,6 +576,8 @@ class PayLess:
                     used_bind_join=has_bind_join(planning.plan),
                 )
             )
+            if len(self.history) > HISTORY_KEEP:
+                del self.history[0]
         stats.evaluated_plans = planning.evaluated_plans
         stats.enumerated_boxes = planning.enumerated_boxes
         stats.kept_boxes = planning.kept_boxes
@@ -586,19 +599,6 @@ class PayLess:
         # The scope that owns the trace closes (and archives) it when the
         # call returns; the result keeps the same object.
         return QueryResult(relation, planning.plan, stats, self.tracer.active)
-
-    def query_batch(
-        self, batch: Sequence[tuple[str, Sequence[Any]]]
-    ) -> "BatchResult":
-        """Multi-query optimization: execute a batch in a cost-aware order.
-
-        The paper's conclusion sketches this as future work; see
-        :mod:`repro.core.batch` for the ordering heuristic.  Results come
-        back in submission order.
-        """
-        from repro.core.batch import execute_batch
-
-        return execute_batch(self, batch)
 
     # -- durability lifecycle ---------------------------------------------------------
 

@@ -19,7 +19,13 @@ many :class:`ServeSession` handles on a thread pool against one shared
 * **per-session attribution** — spend, coalesced savings, and query
   counts per tenant, summing exactly to the installation's totals (each
   query's stats are token-attributed in the executor, so concurrent
-  sessions never steal each other's dollars).
+  sessions never steal each other's dollars);
+* **per-session budgets** — ``session(name, budget=BudgetPolicy(...))``
+  holds every query's plan estimate against what the session has left,
+  between planning and execution (:meth:`QueryScheduler._reserve`);
+* **deferred batches** — "if users are willing to defer theirs to become
+  a batch": :meth:`QueryScheduler.flush` runs what ``session.defer(...)``
+  queued broadest region first, so a narrow query rides free.
 
 When the installation runs the async transport
 (``QueryOptions(transport_mode="async")``), every session's market calls
@@ -36,19 +42,25 @@ Usage::
         alice = scheduler.session("alice")
         ticket = alice.submit(sql, params)   # async
         result = ticket.result()             # or alice.query(...) sync
+        later = alice.defer(sql, params)     # runs at scheduler.flush()
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.core.batch import plan_batch_order
+from repro.core.budget import BudgetExceededError, BudgetMode, BudgetPolicy
 from repro.core.objectives import ServiceTier
+from repro.core.optimizer import PlanningResult
 from repro.core.payless import PayLess, QueryResult
 from repro.errors import AdmissionError, MarketError
+from repro.relational.query import LogicalQuery
 from repro.serve.singleflight import SingleflightGroup
 
 _TICKET_IDS = itertools.count()
@@ -100,19 +112,22 @@ class QueryTicket:
 
     __slots__ = (
         "ticket_id",
-        "session_name",
+        "session",
         "sql",
         "params",
+        "_reserved",
         "_event",
         "_result",
         "_error",
     )
 
-    def __init__(self, session_name: str, sql: str, params: tuple):
+    def __init__(self, session: "ServeSession", sql: str, params: tuple):
         self.ticket_id = next(_TICKET_IDS)
-        self.session_name = session_name
+        self.session = session
         self.sql = sql
         self.params = params
+        #: Plan estimate held against the session's budget while it runs.
+        self._reserved = 0.0
         self._event = threading.Event()
         self._result: QueryResult | None = None
         self._error: BaseException | None = None
@@ -125,7 +140,7 @@ class QueryTicket:
         """Wait for the query; re-raises whatever the query raised."""
         if not self._event.wait(timeout):
             raise AdmissionError(
-                f"ticket #{self.ticket_id} ({self.session_name}) not done "
+                f"ticket #{self.ticket_id} ({self.session.name}) not done "
                 f"after {timeout}s"
             )
         if self._error is not None:
@@ -136,7 +151,7 @@ class QueryTicket:
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
         return (
-            f"QueryTicket(#{self.ticket_id}, {self.session_name!r}, {state})"
+            f"QueryTicket(#{self.ticket_id}, {self.session.name!r}, {state})"
         )
 
 
@@ -147,7 +162,9 @@ class ServeSession:
     query of this session plan under the tier's objective — one shared
     installation serves cost-sensitive and latency-sensitive tenants side
     by side, and the plan cache keeps their plans apart (the objective is
-    part of every cache key).
+    part of every cache key).  ``budget`` caps the session's spend in
+    transactions; ``rejected`` / ``advisory_breaches`` / ``remaining``
+    are its account.
     """
 
     def __init__(
@@ -155,10 +172,12 @@ class ServeSession:
         scheduler: "QueryScheduler",
         name: str,
         tier: ServiceTier | None = None,
+        budget: BudgetPolicy | None = None,
     ):
         self.scheduler = scheduler
         self.name = name
         self.tier = tier
+        self.budget = budget
         #: FIFO of admitted-but-not-dispatched tickets of this session.
         self._waiting: deque[QueryTicket] = deque()
         #: Queries of this session currently on a worker.
@@ -170,6 +189,20 @@ class ServeSession:
         self.price = 0.0
         self.coalesced_fetches = 0
         self.coalesced_savings_price = 0.0
+        #: Budget account: hard-mode refusals, advisory overruns, and the
+        #: estimates of the session's queries now executing.
+        self.rejected = 0
+        self.advisory_breaches = 0
+        self._reserved = 0.0
+
+    @property
+    def remaining(self) -> float | None:
+        """Budget left after what was billed and what running queries
+        hold reserved (``None`` without a budget)."""
+        if self.budget is None:
+            return None
+        held = self.transactions + self._reserved
+        return max(self.budget.limit_transactions - held, 0)
 
     def submit(
         self, sql: str, params: Sequence[Any] = ()
@@ -182,6 +215,12 @@ class ServeSession:
     ) -> QueryResult:
         """Submit and wait — the synchronous convenience."""
         return self.submit(sql, params).result()
+
+    def defer(
+        self, sql: str, params: Sequence[Any] = ()
+    ) -> QueryTicket:
+        """Queue a query for the next :meth:`QueryScheduler.flush`."""
+        return self.scheduler.defer(self, sql, params)
 
     def __repr__(self) -> str:
         return (
@@ -211,7 +250,9 @@ class QueryScheduler:
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         #: Tickets ready to run, in dispatch (FIFO) order.
-        self._ready: deque[tuple[ServeSession, QueryTicket]] = deque()
+        self._ready: deque[QueryTicket] = deque()
+        #: Deferred tickets, with their compiled queries, awaiting flush.
+        self._deferred: list[tuple[QueryTicket, LogicalQuery]] = []
         #: Submitted-but-unfinished tickets (waiting + ready + running).
         self._outstanding = 0
         self._closed = False
@@ -228,7 +269,10 @@ class QueryScheduler:
     # -- sessions -------------------------------------------------------------
 
     def session(
-        self, name: str, tier: ServiceTier | str | None = None
+        self,
+        name: str,
+        tier: ServiceTier | str | None = None,
+        budget: BudgetPolicy | None = None,
     ) -> ServeSession:
         """Get or create the serving session for ``name``.
 
@@ -237,7 +281,7 @@ class QueryScheduler:
         session's planning objective; omitted, a new session inherits
         :attr:`ServeConfig.default_tier`.  Re-fetching an existing
         session with a *different* tier raises: a tenant's tier is part
-        of its identity, not a per-call flag.
+        of its identity, not a per-call flag — and so is its ``budget``.
         """
         if isinstance(tier, str):
             tier = ServiceTier.named(tier)
@@ -246,13 +290,21 @@ class QueryScheduler:
             session = self._sessions.get(key)
             if session is None:
                 session = self._sessions[key] = ServeSession(
-                    self, name, tier if tier is not None else self.config.default_tier
+                    self,
+                    name,
+                    tier if tier is not None else self.config.default_tier,
+                    budget,
                 )
             elif tier is not None and session.tier != tier:
                 raise MarketError(
                     f"session {name!r} already exists with tier "
                     f"{session.tier and session.tier.name!r}; "
                     f"requested {tier.name!r}"
+                )
+            elif budget is not None and session.budget != budget:
+                raise MarketError(
+                    f"session {name!r} already exists with budget "
+                    f"{session.budget!r}; requested {budget!r}"
                 )
             return session
 
@@ -269,18 +321,20 @@ class QueryScheduler:
         sql: str,
         params: Sequence[Any] = (),
     ) -> QueryTicket:
-        ticket = QueryTicket(session.name, sql, tuple(params))
+        ticket = QueryTicket(session, sql, tuple(params))
         timeout = self.config.admission_timeout_s
         with self._work:
-            while (
-                not self._closed
-                and self._outstanding >= self.config.max_queue
+            # One deadline per submit: a wake-up that loses the freed slot
+            # to another submitter resumes the same wait, not a fresh one.
+            if not self._work.wait_for(
+                lambda: self._closed
+                or self._outstanding < self.config.max_queue,
+                timeout,
             ):
-                if not self._work.wait(timeout):
-                    raise AdmissionError(
-                        f"queue full ({self.config.max_queue} outstanding) "
-                        f"for {timeout}s; query of {session.name!r} refused"
-                    )
+                raise AdmissionError(
+                    f"queue full ({self.config.max_queue} outstanding) "
+                    f"for {timeout}s; query of {session.name!r} refused"
+                )
             if self._closed:
                 raise AdmissionError("scheduler is closed")
             self._outstanding += 1
@@ -296,11 +350,48 @@ class QueryScheduler:
             session._waiting
             and session._inflight < self.config.session_max_inflight
         ):
-            self._ready.append((session, session._waiting.popleft()))
+            self._ready.append(session._waiting.popleft())
             session._inflight += 1
             moved = True
         if moved:
             self._work.notify_all()
+
+    # -- deferred batches -----------------------------------------------------
+
+    def defer(
+        self, session: ServeSession, sql: str, params: Sequence[Any] = ()
+    ) -> QueryTicket:
+        """Queue a query for the next :meth:`flush`; one that does not
+        compile is refused here, to the user who wrote it."""
+        ticket = QueryTicket(session, sql, tuple(params))
+        logical = self.payless.compile(sql, ticket.params)
+        with self._lock:
+            if self._closed:
+                raise AdmissionError("scheduler is closed")
+            self._deferred.append((ticket, logical))
+        return ticket
+
+    def flush(self) -> list[QueryTicket]:
+        """Run every deferred ticket, broadest request region first.
+
+        One after another on the calling thread, in
+        :func:`~repro.core.batch.plan_batch_order`'s containment order,
+        through the body the workers run (tier, budget, attribution) — a
+        narrow query is answered from what the broad one bought, its owner
+        billed nothing.  Returns the tickets in execution order, all done.
+        """
+        with self._lock:
+            deferred, self._deferred = self._deferred, []
+        order = plan_batch_order(
+            self.payless, [logical for __, logical in deferred]
+        )
+        tickets = [deferred[index][0] for index in order]
+        for ticket in tickets:
+            with self._lock:  # counted like a dispatched ticket
+                self._outstanding += 1
+                ticket.session._inflight += 1
+            self._serve(ticket)
+        return tickets
 
     # -- the worker loop ------------------------------------------------------
 
@@ -311,39 +402,68 @@ class QueryScheduler:
                     self._work.wait()
                 if self._closed and not self._ready:
                     return
-                session, ticket = self._ready.popleft()
-            try:
-                # Only pass the objective when the session has a tier, so
-                # duck-typed installations without the kwarg keep working.
-                if session.tier is not None:
-                    result = self.payless.query(
-                        ticket.sql, ticket.params, objective=session.tier
-                    )
-                else:
-                    result = self.payless.query(ticket.sql, ticket.params)
-            except BaseException as error:  # noqa: BLE001 - relayed to waiter
-                ticket._error = error
-                result = None
+                ticket = self._ready.popleft()
+            self._serve(ticket)
+
+    def _serve(self, ticket: QueryTicket) -> None:
+        """Run one in-flight ticket and attribute it to its session — the
+        one body behind a worker's dispatch and a flushed deferral."""
+        session = ticket.session
+        admit = None
+        if session.budget is not None:
+            admit = functools.partial(self._reserve, ticket)
+        try:
+            result = self.payless.query(
+                ticket.sql, ticket.params, objective=session.tier, admit=admit
+            )
+        except BaseException as error:  # noqa: BLE001 - relayed to waiter
+            ticket._error = error
+            result = None
+        else:
+            ticket._result = result
+        with self._work:
+            session._inflight -= 1
+            self._outstanding -= 1
+            self.completed += 1
+            # The reservation is swapped for the billed amount in one step.
+            session._reserved -= ticket._reserved
+            if result is not None:
+                stats = result.stats
+                session.queries += 1
+                session.transactions += stats.transactions
+                session.price += stats.price
+                session.coalesced_fetches += stats.coalesced_fetches
+                session.coalesced_savings_price += (
+                    stats.coalesced_savings_price
+                )
             else:
-                ticket._result = result
-            with self._work:
-                session._inflight -= 1
-                self._outstanding -= 1
-                self.completed += 1
-                if result is not None:
-                    stats = result.stats
-                    session.queries += 1
-                    session.transactions += stats.transactions
-                    session.price += stats.price
-                    session.coalesced_fetches += stats.coalesced_fetches
-                    session.coalesced_savings_price += (
-                        stats.coalesced_savings_price
+                session.failures += 1
+            self._dispatch_locked(session)
+            self._work.notify_all()
+        ticket._event.set()
+
+    def _reserve(self, ticket: QueryTicket, planning: PlanningResult) -> None:
+        """The budget gate: :meth:`PayLess.query` calls it with the plan it
+        is about to execute, before any money moves.  The estimate is
+        checked against what is left *after reservations*, and reserved,
+        under one lock hold: two in-flight queries of a session cannot
+        both pass a check their sum fails.  Hard mode refuses; advisory
+        mode counts the breach and lets the query run.
+        """
+        session, estimate = ticket.session, planning.cost
+        with self._lock:
+            remaining = session.remaining
+            if estimate > remaining:
+                if session.budget.mode is BudgetMode.HARD:
+                    session.rejected += 1
+                    raise BudgetExceededError(
+                        f"estimated {estimate:.0f} transactions exceeds "
+                        f"the remaining budget of {remaining:g} "
+                        f"(session {session.name!r})"
                     )
-                else:
-                    session.failures += 1
-                self._dispatch_locked(session)
-                self._work.notify_all()
-            ticket._event.set()
+                session.advisory_breaches += 1
+            ticket._reserved = estimate
+            session._reserved += estimate
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -363,6 +483,10 @@ class QueryScheduler:
         with self._work:
             self._closed = True
             self._work.notify_all()
+            deferred, self._deferred = self._deferred, []
+        for ticket, __ in deferred:
+            ticket._error = AdmissionError("scheduler closed before a flush")
+            ticket._event.set()
         for thread in self._threads:
             thread.join()
         if self.payless.context.coalescer is self.coalescer:
@@ -386,10 +510,7 @@ class QueryScheduler:
     def spend_report(self) -> str:
         """Per-tenant attribution, plus what coalescing saved."""
         lines = [f"serving: {self.payless.bill()}"]
-        with self._lock:
-            sessions = sorted(
-                self._sessions.values(), key=lambda s: s.name
-            )
+        sessions = sorted(self.sessions, key=lambda s: s.name)
         for session in sessions:
             line = (
                 f"  {session.name}: {session.queries} queries, "
@@ -402,6 +523,12 @@ class QueryScheduler:
                     f"${session.coalesced_savings_price:g} saved)"
                 )
             lines.append(line)
+        # Queries run on the installation directly belong to no session.
+        unattributed = self.payless.total_transactions - sum(
+            session.transactions for session in sessions
+        )
+        if unattributed:
+            lines.append(f"  (unattributed: {unattributed} transactions)")
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -1,9 +1,11 @@
-"""Batch (multi-query) optimization tests."""
+"""Batch (multi-query) optimization tests: the ordering policy, and a
+deferred batch flushed through the scheduler in that order."""
 
 import pytest
 
 from repro import PayLess
-from repro.core.batch import execute_batch, plan_batch_order
+from repro.core.batch import plan_batch_order
+from repro.serve import QueryScheduler, ServeConfig
 
 BROAD = ("SELECT * FROM Weather WHERE Country = 'CountryA'", ())
 NARROW_1 = (
@@ -14,6 +16,16 @@ NARROW_2 = (
     "SELECT * FROM Weather WHERE Country = 'CountryA' AND Date >= 7",
     (),
 )
+
+
+def flush_batch(payless, batch):
+    """Defer ``batch`` as one user and flush it: the results in submission
+    order, and the tickets in execution order."""
+    with QueryScheduler(payless, ServeConfig(workers=1)) as scheduler:
+        session = scheduler.session("batch")
+        deferred = [session.defer(sql, params) for sql, params in batch]
+        executed = scheduler.flush()
+    return [ticket.result() for ticket in deferred], executed
 
 
 class TestOrdering:
@@ -34,33 +46,33 @@ class TestOrdering:
 
 class TestExecution:
     def test_results_in_submission_order(self, mini_payless):
-        batch = [NARROW_1, BROAD, NARROW_2]
-        outcome = execute_batch(mini_payless, batch)
-        assert len(outcome.results) == 3
+        results, executed = flush_batch(mini_payless, [NARROW_1, BROAD, NARROW_2])
+        assert len(results) == 3 and len(executed) == 3
         # NARROW_1 covers 4 stations x 3 days = 12 rows.
-        assert len(outcome.results[0].rows) == 12
+        assert len(results[0].rows) == 12
         # BROAD covers 4 stations x 10 days.
-        assert len(outcome.results[1].rows) == 40
+        assert len(results[1].rows) == 40
 
     def test_narrow_queries_ride_free(self, mini_payless):
-        outcome = execute_batch(mini_payless, [NARROW_1, BROAD, NARROW_2])
+        results, executed = flush_batch(mini_payless, [NARROW_1, BROAD, NARROW_2])
         # The broad query executes first (4 transactions at t=10), the
         # narrow ones are then fully covered.
-        broad_cost = outcome.results[1].stats.transactions
-        assert outcome.total_transactions == broad_cost
-        assert outcome.results[0].stats.transactions == 0
-        assert outcome.results[2].stats.transactions == 0
+        assert executed[0].sql == BROAD[0]
+        broad_cost = results[1].stats.transactions
+        assert mini_payless.total_transactions == broad_cost
+        assert results[0].stats.transactions == 0
+        assert results[2].stats.transactions == 0
 
     def test_batch_not_worse_than_submission_order(self, mini_weather_market):
         batch = [NARROW_1, NARROW_2, BROAD]
 
         batched = PayLess.full(mini_weather_market)
         batched.register_dataset("WHW")
-        clever = execute_batch(batched, batch)
+        flush_batch(batched, batch)
 
         naive = PayLess.full(mini_weather_market)
         naive.register_dataset("WHW")
         naive_total = sum(
             naive.query(sql, params).stats.transactions for sql, params in batch
         )
-        assert clever.total_transactions <= naive_total
+        assert batched.total_transactions <= naive_total

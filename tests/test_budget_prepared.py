@@ -2,23 +2,25 @@
 
 import pytest
 
-from repro.core.budget import (
-    BudgetedPayLess,
-    BudgetExceededError,
-    BudgetMode,
-    BudgetPolicy,
-)
+from repro.core.budget import BudgetExceededError, BudgetMode, BudgetPolicy
 from repro.core.objectives import QueryOptions
 from repro.core.optimizer import Optimizer
 from repro.core.payless import PayLess
 from repro.core.prepared import PreparedQuery
-from repro.errors import ReproError, SqlAnalysisError
+from repro.errors import MarketError, ReproError, SqlAnalysisError
 from repro.market.subscription import Subscription
+from repro.serve import QueryScheduler, ServeConfig
 
 TEMPLATE = (
     "SELECT AVG(Temperature) FROM Weather "
     "WHERE Country = ? AND Date >= ? AND Date <= ?"
 )
+
+
+@pytest.fixture
+def scheduler(mini_payless):
+    with QueryScheduler(mini_payless, ServeConfig(workers=2)) as scheduler:
+        yield scheduler
 
 
 class TestPreparedQuery:
@@ -52,13 +54,16 @@ class TestPreparedQuery:
 
 
 class TestBudget:
-    def test_hard_budget_rejects(self, mini_payless):
-        budgeted = BudgetedPayLess(
-            mini_payless, BudgetPolicy(limit_transactions=1)
+    """A session's budget: ``scheduler.session(name, budget=policy)``."""
+
+    def test_hard_budget_rejects(self, scheduler, mini_payless):
+        session = scheduler.session(
+            "alice", budget=BudgetPolicy(limit_transactions=1)
         )
         with pytest.raises(BudgetExceededError):
-            budgeted.query("SELECT * FROM Weather")  # ≈6 transactions
-        assert budgeted.report.rejected_queries == 1
+            session.query("SELECT * FROM Weather")  # ≈6 transactions
+        assert session.rejected == 1 and session.failures == 1
+        assert session.remaining == 1
         assert mini_payless.total_transactions == 0
 
     @pytest.mark.parametrize("plan_cache_size", [256, 0])
@@ -81,41 +86,45 @@ class TestBudget:
             return optimize(self, query)
 
         monkeypatch.setattr(Optimizer, "optimize", counting)
-        budgeted = BudgetedPayLess(payless, BudgetPolicy(limit_transactions=3))
-        result = budgeted.query("SELECT * FROM Station")
-        assert result.stats.transactions >= 1 and len(calls) == 1
-        if plan_cache_size:
-            assert payless.plan_cache.size == 1
-        with pytest.raises(BudgetExceededError):
-            budgeted.query("SELECT * FROM Weather")  # ≈6 transactions
+        with QueryScheduler(payless, ServeConfig(workers=1)) as scheduler:
+            budgeted = scheduler.session(
+                "alice", budget=BudgetPolicy(limit_transactions=3)
+            )
+            result = budgeted.query("SELECT * FROM Station")
+            assert result.stats.transactions >= 1 and len(calls) == 1
+            if plan_cache_size:
+                assert payless.plan_cache.size == 1
+            with pytest.raises(BudgetExceededError):
+                budgeted.query("SELECT * FROM Weather")  # ≈6 transactions
         assert len(calls) == 2
         assert payless.total_transactions == result.stats.transactions
 
-    def test_within_budget_executes(self, mini_payless):
-        budgeted = BudgetedPayLess(
-            mini_payless, BudgetPolicy(limit_transactions=100)
+    def test_within_budget_executes(self, scheduler):
+        session = scheduler.session(
+            "alice", budget=BudgetPolicy(limit_transactions=100)
         )
-        result = budgeted.query("SELECT * FROM Station")
+        result = session.query("SELECT * FROM Station")
         assert result.stats.transactions >= 1
-        assert budgeted.report.spent_transactions == result.stats.transactions
-        assert budgeted.report.remaining == 100 - result.stats.transactions
+        assert session.transactions == result.stats.transactions
+        assert session.remaining == 100 - result.stats.transactions
 
-    def test_advisory_mode_executes_and_logs(self, mini_payless):
-        budgeted = BudgetedPayLess(
-            mini_payless,
-            BudgetPolicy(limit_transactions=1, mode=BudgetMode.ADVISORY),
+    def test_advisory_mode_executes_and_logs(self, scheduler):
+        session = scheduler.session(
+            "alice",
+            budget=BudgetPolicy(limit_transactions=1, mode=BudgetMode.ADVISORY),
         )
-        result = budgeted.query("SELECT * FROM Weather")
+        result = session.query("SELECT * FROM Weather")
         assert result.stats.transactions > 1
-        assert budgeted.report.advisory_breaches == 1
+        assert session.advisory_breaches == 1 and session.rejected == 0
+        assert session.remaining == 0
 
-    def test_covered_queries_free_under_tight_budget(self, mini_payless):
-        generous = BudgetedPayLess(
-            mini_payless, BudgetPolicy(limit_transactions=100)
+    def test_covered_queries_free_under_tight_budget(self, scheduler):
+        generous = scheduler.session(
+            "generous", budget=BudgetPolicy(limit_transactions=100)
         )
         generous.query("SELECT * FROM Weather")
-        tight = BudgetedPayLess(
-            mini_payless, BudgetPolicy(limit_transactions=0)
+        tight = scheduler.session(
+            "tight", budget=BudgetPolicy(limit_transactions=0)
         )
         # Fully covered → estimate 0 → allowed even with a zero budget.
         result = tight.query("SELECT * FROM Weather")
@@ -124,6 +133,26 @@ class TestBudget:
     def test_negative_budget_rejected(self):
         with pytest.raises(ReproError):
             BudgetPolicy(limit_transactions=-1)
+
+    def test_a_budget_is_part_of_a_sessions_identity(self, scheduler):
+        policy = BudgetPolicy(limit_transactions=5)
+        session = scheduler.session("alice", budget=policy)
+        assert scheduler.session("Alice") is session
+        assert scheduler.session("alice", budget=policy) is session
+        with pytest.raises(MarketError):
+            scheduler.session("alice", budget=BudgetPolicy(limit_transactions=6))
+        assert scheduler.session("bob").remaining is None
+
+    def test_a_deferred_query_meets_its_owners_budget(self, scheduler, mini_payless):
+        session = scheduler.session(
+            "alice", budget=BudgetPolicy(limit_transactions=1)
+        )
+        ticket = session.defer("SELECT * FROM Weather")
+        assert scheduler.flush() == [ticket]
+        with pytest.raises(BudgetExceededError):
+            ticket.result()
+        assert session.rejected == 1
+        assert mini_payless.total_transactions == 0
 
 
 class TestSubscription:

@@ -15,8 +15,11 @@ too: ``OptimizerOptions`` / ``QueryOptions.optimizer_options()`` /
 ``PayLess.options`` (every layer reads ``context.options``),
 ``ExecutionResult`` (``Executor.execute`` returns the ``QueryStats``),
 the static twin of the plan walk, and the knob nothing read
-(``QueryOptions.coalesce``).  CI runs this file as the removed-surface
-step.
+(``QueryOptions.coalesce``).  And the second multi-user front end:
+``Organization`` / ``UserSession`` (``core/organization.py``),
+``BudgetedPayLess`` / ``BudgetReport``, ``execute_batch`` /
+``BatchResult`` and ``PayLess.query_batch`` — sessions, deferred batches
+and budgets live on the scheduler (``repro.serve``).
 """
 
 from __future__ import annotations
@@ -31,15 +34,19 @@ import pytest
 
 import repro
 import repro.core
+import repro.core.batch
+import repro.core.budget
 import repro.core.executor
 import repro.core.optimizer
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import run_session
 from repro.cli import main
+from repro.core.budget import BudgetPolicy
 from repro.core.executor import Executor
 from repro.core.objectives import QueryOptions
 from repro.core.payless import PayLess, QueryResult
 from repro.semstore.store import TableStore
+from repro.serve import QueryScheduler, ServeConfig
 from repro.testing import tiny_weather_market
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -134,6 +141,55 @@ def test_second_copies_of_the_records_are_gone(name):
     for module in (repro, repro.core, repro.core.executor, repro.core.optimizer):
         assert not hasattr(module, name), module.__name__
         assert name not in getattr(module, "__all__", ())
+
+
+#: The names of the second multi-user front end.
+SECOND_FRONT_END = (
+    "Organization",
+    "UserSession",
+    "BudgetedPayLess",
+    "BudgetReport",
+    "execute_batch",
+    "BatchResult",
+    "query_batch",
+)
+
+
+@pytest.mark.parametrize("name", SECOND_FRONT_END)
+def test_second_multi_user_front_end_is_gone(name):
+    for module in (repro, repro.core, repro.core.batch, repro.core.budget):
+        assert not hasattr(module, name), module.__name__
+        assert name not in getattr(module, "__all__", ())
+    assert not hasattr(PayLess, name)
+    # Not in the library, and not taught by an example, benchmark or doc.
+    root = SRC.parent.parent
+    texts = [
+        *SRC.rglob("*.py"),
+        *(root / "examples").glob("*.py"),
+        *(root / "benchmarks").rglob("*.py"),
+        *(root / "docs").glob("*.md"),
+        root / "README.md",
+        root / "DESIGN.md",
+    ]
+    offenders = [
+        str(path.relative_to(root))
+        for path in texts
+        if name in path.read_text()
+    ]
+    assert not offenders, offenders
+
+
+def test_the_scheduler_is_the_one_multi_user_front_end():
+    assert importlib.util.find_spec("repro.core.organization") is None
+    assert list(inspect.signature(QueryScheduler.session).parameters) == [
+        "self",
+        "name",
+        "tier",
+        "budget",
+    ]
+    assert len(dataclasses.fields(ServeConfig)) == 6
+    assert len(dataclasses.fields(BudgetPolicy)) == 2
+    assert len(dataclasses.fields(QueryOptions)) == 19
 
 
 def test_one_options_record_one_walk():

@@ -83,11 +83,13 @@ class TestAliases:
 
 class TestOrganizationEdge:
     def test_unattributed_spend_reported(self, mini_payless):
-        from repro.core.organization import Organization
+        from repro.serve import QueryScheduler
 
-        organization = Organization(mini_payless)
-        organization.user("alice")
-        # Spend outside any session:
-        mini_payless.query("SELECT * FROM Station")
-        assert "unattributed" in organization.spend_report()
-
+        with QueryScheduler(mini_payless) as scheduler:
+            scheduler.session("alice")
+            # Spend outside any session:
+            direct = mini_payless.query("SELECT * FROM Station")
+            report = scheduler.spend_report()
+        assert (
+            f"(unattributed: {direct.stats.transactions} transactions)" in report
+        )

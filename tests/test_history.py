@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.payless import HISTORY_KEEP
 from repro.testing import registered_payless, tiny_weather_market
 
 
@@ -36,3 +37,14 @@ class TestHistory:
         payless.query("SELECT * FROM Station")
         text = repr(payless.history[0])
         assert "#1" in text and "Station" in text and "trans." in text
+
+    def test_history_is_a_bounded_ring(self, payless):
+        """A constant number of entries is kept (most recent last); the
+        sequence numbers keep counting past it."""
+        sql = "SELECT * FROM Station WHERE Country = 'CountryA'"
+        for __ in range(HISTORY_KEEP + 5):
+            payless.query(sql)
+        assert len(payless.history) == HISTORY_KEEP
+        assert payless.history[0].sequence == 6
+        assert payless.history[-1].sequence == HISTORY_KEEP + 5
+        assert payless.queries_executed == HISTORY_KEEP + 5

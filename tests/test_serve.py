@@ -56,14 +56,16 @@ class _StubPayless:
         self.max_running = 0
         self.gate = threading.Event()
         self.gate.set()  # open by default: queries return immediately
+        #: Per-SQL gates, for the queries that must not share ``gate``.
+        self.gates = {}
 
-    def query(self, sql, params=()):
+    def query(self, sql, params=(), objective=None, admit=None):
         with self._lock:
             self.calls.append(sql)
             self.running += 1
             self.max_running = max(self.max_running, self.running)
         try:
-            if not self.gate.wait(timeout=10.0):
+            if not self.gates.get(sql, self.gate).wait(timeout=10.0):
                 raise TimeoutError("stub gate never opened")
             if sql == "BOOM":
                 raise MarketError("injected query failure")
@@ -166,6 +168,45 @@ class TestScheduling:
             first.result(timeout=10.0)
             # Capacity freed: admission works again.
             session.submit("q2").result(timeout=10.0)
+        finally:
+            stub.gate.set()
+            scheduler.close()
+
+    def test_admission_deadline_survives_a_lost_wakeup(self):
+        """One deadline per submit: two submitters block on a full queue,
+        one completion frees one slot, and the submitter that loses it is
+        refused when *its* timeout runs out — not a fresh timeout after
+        the wake-up (0.7 s here, and never under sustained overload)."""
+        stub = _StubPayless()
+        stub.gate.clear()  # whoever wins the freed slot holds it
+        stub.gates["q0"] = release_first = threading.Event()
+        config = ServeConfig(
+            workers=1, max_queue=1, admission_timeout_s=0.4, coalesce=False
+        )
+        scheduler = QueryScheduler(stub, config)
+        refused_after, admitted = [], []
+
+        def blocked(sql):
+            started = time.monotonic()
+            try:
+                admitted.append(scheduler.session("alice").submit(sql))
+            except AdmissionError:
+                refused_after.append(time.monotonic() - started)
+
+        try:
+            scheduler.session("alice").submit("q0")  # fills the queue
+            submitters = [
+                threading.Thread(target=blocked, args=(sql,))
+                for sql in ("q1", "q2")
+            ]
+            for thread in submitters:
+                thread.start()
+            time.sleep(0.3)
+            release_first.set()  # one slot frees; both submitters wake
+            for thread in submitters:
+                thread.join(timeout=10.0)
+            assert len(admitted) == 1 and len(refused_after) == 1
+            assert 0.35 <= refused_after[0] < 0.55
         finally:
             stub.gate.set()
             scheduler.close()
@@ -365,11 +406,13 @@ class TestServing:
         assert sum(s.transactions for s in sessions) == 0
 
     def test_organization_serve_front_end(self, mini_payless):
-        from repro.core.organization import Organization
-
-        organization = Organization(mini_payless, name="acme")
-        with organization.serve(ServeConfig(workers=2)) as scheduler:
+        """One installation per buyer organization, opened for serving: the
+        sessions share its store, and closing unwires the coalescer."""
+        with QueryScheduler(mini_payless, ServeConfig(workers=2)) as scheduler:
+            assert mini_payless.context.coalescer is scheduler.coalescer
             result = scheduler.session("alice").query(SQL_A)
+            repeat = scheduler.session("bob").query(SQL_A)
         assert result.stats.transactions > 0
+        assert repeat.stats.transactions == 0
         assert mini_payless.context.coalescer is None
 
