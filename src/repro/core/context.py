@@ -104,9 +104,7 @@ class PlanningContext:
             from repro.market.aio import AsyncMarketTransport
 
             self.async_transport = AsyncMarketTransport(
-                self.transport,
-                pool_size=self.options.async_pool_size,
-                metrics=self.metrics,
+                self.transport, metrics=self.metrics
             )
         #: Singleflight group coalescing overlapping in-flight market
         #: fetches across concurrent sessions (``None`` = no coalescing).

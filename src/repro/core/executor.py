@@ -31,6 +31,11 @@ execution; only wall-clock changes, reported both ways as
 ``market_time_ms`` (serial sum) and ``market_time_critical_path_ms``
 (simulated makespan under the concurrency limit).
 
+What the calls cost is one fold, :meth:`CallAccount.of`, over their
+outcomes — each carries its own call's bill, faults, replays and
+retries: a ``market_call`` span is the fold of one outcome, a
+``table_fetch`` span of its access's, :class:`QueryStats` of the query's.
+
 All calls go through the money-safe transport
 (:mod:`repro.market.transport`): transient faults are retried with
 backoff under at-most-once billing.  When a call still fails, the
@@ -46,7 +51,6 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -68,6 +72,7 @@ from repro.errors import (
     MarketUnavailableError,
     TransportError,
 )
+from repro.market.aio import DEFAULT_POOL_SIZE
 from repro.market.rest import RestRequest
 from repro.market.transport import FetchResult
 from repro.relational.database import Database
@@ -77,11 +82,6 @@ from repro.relational.relation import Relation
 from repro.relational.query import AttributeConstraint, LogicalQuery, OutputColumn
 from repro.relational.table import Table
 from repro.stats.overlay import CardinalityOverlay
-
-
-#: Installation-wide query sequence feeding the per-query ledger
-#: attribution tokens (``q<N>:a<access>``); see ``BillingLedger.attribute``.
-_QUERY_SEQ = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -113,23 +113,95 @@ class CoveredSkip:
 
 
 @dataclass
+class CallAccount:
+    """What a sequence of remainder calls cost and went through.
+
+    The one fold over call outcomes (:class:`FetchResult`,
+    :class:`FailedFetch`, :class:`CoveredSkip`).  A name it shares with
+    :class:`QueryStats` means the same there, so a span set from
+    :meth:`attrs` and the query's stats agree by construction.
+    """
+
+    #: Billed REST calls (ledger entries) and the records they returned.
+    calls: int = 0
+    records: int = 0
+    #: Everything billed, and the part of it wasted on calls whose data
+    #: never arrived; what was *spent* is the difference.
+    billed_transactions: int = 0
+    billed_price: float = 0.0
+    wasted_transactions: int = 0
+    wasted_price: float = 0.0
+    retries: int = 0
+    faults_injected: int = 0
+    replays: int = 0
+    failed_calls: int = 0
+    coalesced_fetches: int = 0
+    coalesced_savings_transactions: int = 0
+    coalesced_savings_price: float = 0.0
+    covered_skips: int = 0
+
+    @classmethod
+    def of(cls, outcomes) -> "CallAccount":
+        account = cls()
+        for outcome in outcomes:
+            if isinstance(outcome, CoveredSkip):
+                account.covered_skips += 1
+                continue
+            if isinstance(outcome, FailedFetch):
+                bill = outcome.error
+                account.failed_calls += 1
+                account.wasted_transactions += bill.wasted_transactions
+                account.wasted_price += bill.wasted_price
+            else:
+                bill = outcome
+                if outcome.coalesced:
+                    account.coalesced_fetches += 1
+                    account.coalesced_savings_transactions += (
+                        outcome.saved_transactions
+                    )
+                    account.coalesced_savings_price += outcome.saved_price
+            account.calls += bill.billed_calls
+            account.records += bill.billed_records
+            account.billed_transactions += bill.billed_transactions
+            account.billed_price += bill.billed_price
+            account.retries += bill.retries
+            account.faults_injected += bill.faults
+            account.replays += bill.replays
+        return account
+
+    @property
+    def transactions(self) -> int:
+        """Transactions spent: billed minus wasted."""
+        return self.billed_transactions - self.wasted_transactions
+
+    @property
+    def price(self) -> float:
+        return self.billed_price - self.wasted_price
+
+    def attrs(self) -> dict:
+        """The account as span attributes, spent money included."""
+        return {
+            **vars(self),
+            "transactions": self.transactions,
+            "price": self.price,
+        }
+
+
+@dataclass
 class _PrefetchEntry:
     """One upcoming table access whose remainder calls are already in
     flight on the event loop (async transport only).
 
     Created at query start from the chosen plan's non-bind market
     accesses; consumed by :meth:`Executor._fetch_market` when the
-    plan walk reaches the table.  ``token``/``checkpoint`` were claimed at
-    schedule time so ledger attribution is identical either way.  If the
-    query fails before consuming the entry, the drain path still waits for
-    the calls and records every *paid* box into the store — billed money
-    must always buy durable coverage, never be silently dropped.
+    plan walk reaches the table.  If the query fails before consuming the
+    entry, the drain path still waits for the calls and records every
+    *paid* box into the store — billed money must always buy durable
+    coverage, never be silently dropped.
     """
 
     table: str
     rewrite: object
-    token: str
-    checkpoint: int
     future: object
 
 
@@ -159,9 +231,10 @@ class QueryStats:
     """Everything one query cost and went through, in one structure.
 
     Read it as ``result.stats``.  :meth:`Executor.execute` creates it
-    with the account of the execution, the facade adds the planner's
-    three counts and the metrics snapshot to the same object, and every
-    other account (running totals, the WAL, sessions) reads it from there.
+    with the account of the execution (its calls' :class:`CallAccount`),
+    the facade adds the planner's three counts to the same object, and
+    every other account (running totals, the WAL, sessions) reads it from
+    there.
     """
 
     #: Market transactions billed (and *spent* — wasted charges are
@@ -215,9 +288,6 @@ class QueryStats:
     #: prefetch scheduled at query start (async only).
     transport_mode: str = "threaded"
     prefetch_hits: int = 0
-    #: Snapshot of the installation's metrics registry taken right after
-    #: this query (see :mod:`repro.obs.metrics` for the names).
-    metrics: dict = field(default_factory=dict)
 
     @property
     def fetched_records(self) -> int:
@@ -404,18 +474,9 @@ class Executor:
         self._critical_path_ms = 0.0
         self._serial_ms = 0.0
         self._scope = self.context.transport.new_scope()
-        self._failed_fetches: list[FailedFetch] = []
-        # Ledger attribution: every market call this query issues is
-        # stamped with a per-table-access token (``q<N>:a<M>``), and the
-        # query's cost is the sum over its own tokens' entries.  Global
-        # before/after ledger diffs would claim other sessions' entries
-        # under concurrent serving.
-        self._query_token = f"q{next(_QUERY_SEQ)}"
-        self._access_seq = 0
-        self._spent_transactions = 0
-        self._spent_price = 0.0
-        self._billed_calls = 0
-        self._billed_records = 0
+        #: The outcomes of every call the executed accesses made: the
+        #: query's account is their fold.
+        self._outcomes: list = []
         self._replans = 0
         self._replan_saved = 0.0
         self._prefetch_hits = 0
@@ -456,26 +517,31 @@ class Executor:
                     ),
                 )
 
-        scope = self._scope
+        outcomes = self._outcomes
+        account = CallAccount.of(outcomes)
         return relation, QueryStats(
-            transactions=self._spent_transactions,
-            price=self._spent_price,
-            calls=self._billed_calls,
-            records=self._billed_records,
+            transactions=account.transactions,
+            price=account.price,
+            calls=account.calls,
+            records=account.records,
             market_time_ms=self._serial_ms,
             market_time_critical_path_ms=self._critical_path_ms,
-            retries=scope.retries,
-            faults_injected=scope.faults_injected,
-            replays=scope.replays,
-            wasted_transactions=scope.wasted_transactions,
-            wasted_price=scope.wasted_price,
-            failed_fetches=tuple(self._failed_fetches),
-            coalesced_fetches=scope.coalesced_fetches,
-            coalesced_savings_transactions=(
-                scope.coalesced_savings_transactions
+            retries=account.retries,
+            faults_injected=account.faults_injected,
+            replays=account.replays,
+            wasted_transactions=account.wasted_transactions,
+            wasted_price=account.wasted_price,
+            # A failed call reaches this point only under partial results;
+            # otherwise its access raised.
+            failed_fetches=tuple(
+                o for o in outcomes if isinstance(o, FailedFetch)
             ),
-            coalesced_savings_price=scope.coalesced_savings_price,
-            covered_skips=scope.covered_skips,
+            coalesced_fetches=account.coalesced_fetches,
+            coalesced_savings_transactions=(
+                account.coalesced_savings_transactions
+            ),
+            coalesced_savings_price=account.coalesced_savings_price,
+            covered_skips=account.covered_skips,
             replans=self._replans,
             replan_dollars_saved_est=self._replan_saved,
             transport_mode="async" if self._aio is not None else "threaded",
@@ -601,25 +667,19 @@ class Executor:
                 # only the first access is prefetched; the second re-
                 # rewrites against the then-current store like any other.
                 continue
-            rewrite, token, checkpoint = self._claim_access(
+            rewrite = self._rewrite_access(
                 table, list(self._query.constraints_for(table))
             )
             self._prefetched[key] = _PrefetchEntry(
                 table=table,
                 rewrite=rewrite,
-                token=token,
-                checkpoint=checkpoint,
                 future=self._submit_async_calls(
-                    self.context.dataset_of(table),
-                    table,
-                    rewrite.remainder,
-                    token,
+                    self.context.dataset_of(table), table, rewrite.remainder
                 ),
             )
 
-    def _claim_access(self, table: str, constraints: list):
-        """Decide what one table access buys and claim its place in the
-        ledger: the rewrite, the attribution token, the ledger checkpoint.
+    def _rewrite_access(self, table: str, constraints: list):
+        """Decide what one table access buys.
 
         Rewrites under the table lock: the rewrite decides what money to
         spend, so it must reflect the store *now*, and under concurrent
@@ -640,9 +700,7 @@ class Executor:
                     f"epoch {rewrite.store_epoch}, executing at "
                     f"{table_store.epoch}"
                 )
-        self._access_seq += 1
-        token = f"{self._query_token}:a{self._access_seq}"
-        return rewrite, token, self.context.market.ledger.checkpoint()
+        return rewrite
 
     def _drain_prefetch(self) -> None:
         """Settle prefetch entries the plan walk never consumed.
@@ -658,7 +716,6 @@ class Executor:
             return
         entries = list(self._prefetched.values())
         self._prefetched = {}
-        ledger = self.context.market.ledger
         metrics = self.context.metrics
         for entry in entries:
             try:
@@ -666,17 +723,14 @@ class Executor:
             except BaseException:
                 # The batch died before producing outcomes (a market
                 # rejection or simulated crash escaped a coroutine);
-                # nothing completed under this token that we could record.
+                # nothing completed that we could record.
                 continue
             outcomes = [outcome for outcome, _ in results]
             with self.context.store.table(entry.table).lock:
                 self._record_outcomes(
                     entry.table, entry.rewrite.remainder, outcomes, lead_flights
                 )
-            billed = ledger.entries_for_token(entry.token, entry.checkpoint)
-            spent = sum(
-                e.price for e in billed if not ledger.is_wasted(e)
-            )
+            spent = CallAccount.of(outcomes).price
             if spent:
                 metrics.counter("prefetch_wasted_dollars").inc(spent)
 
@@ -889,7 +943,6 @@ class Executor:
         )
         store = self.context.store
         table_store = store.table(table)
-        ledger = self.context.market.ledger
         with self.context.tracer.span(
             "table_fetch", table=table, source=source
         ) as span:
@@ -897,27 +950,22 @@ class Executor:
             if source == "access" and not extra_constraints and self._prefetched:
                 entry = self._prefetched.pop(table.lower(), None)
             if entry is not None:
-                # The access was claimed at query start and its remainder
+                # The access was rewritten at query start and its remainder
                 # calls have been in flight while earlier accesses (and
                 # their joins) executed.  Everything below the issue step
                 # is identical.
-                rewrite, access_token, checkpoint = (
-                    entry.rewrite, entry.token, entry.checkpoint
-                )
+                rewrite = entry.rewrite
                 outcomes, lead_flights = self._settle_calls(
                     entry.future.result(), span
                 )
                 self._prefetch_hits += 1
                 self.context.metrics.counter("prefetch_hits").inc()
             else:
-                rewrite, access_token, checkpoint = self._claim_access(
-                    table, constraints
-                )
+                rewrite = self._rewrite_access(table, constraints)
                 outcomes, lead_flights = self._issue_market_calls(
                     self.context.dataset_of(table),
                     table,
                     rewrite.remainder,
-                    access_token,
                     span,
                 )
             # The whole section holds the table lock: recording, retiring
@@ -930,61 +978,21 @@ class Executor:
                 columns, row_count = store.columns_in_boxes(
                     table, rewrite.request_boxes
                 )
-            # Token-grounded attribution: exactly the entries this access
-            # billed, no matter how other sessions' entries interleave (the
-            # checkpoint merely bounds the scan).  Per-span totals therefore
-            # still sum exactly to the query's QueryStats.
-            entries = ledger.entries_for_token(access_token, checkpoint)
-            billed_transactions = sum(e.transactions for e in entries)
-            billed_price = sum(e.price for e in entries)
-            wasted_transactions = sum(
-                e.transactions for e in entries if ledger.is_wasted(e)
-            )
-            wasted_price = sum(
-                e.price for e in entries if ledger.is_wasted(e)
-            )
-            self._billed_calls += len(entries)
-            self._billed_records += sum(e.record_count for e in entries)
-            self._spent_transactions += billed_transactions - wasted_transactions
-            self._spent_price += billed_price - wasted_price
             if span is not None:
                 span.set(
-                    calls=len(outcomes),
-                    failed_calls=len(failed),
-                    retries=sum(
-                        max(0, getattr(o.error, "attempts", 0) - 1)
-                        if isinstance(o, FailedFetch)
-                        else 0
-                        if isinstance(o, CoveredSkip)
-                        else o.retries
-                        for o in outcomes
-                    ),
-                    replays=sum(
-                        1
-                        for o in outcomes
-                        if isinstance(o, FetchResult) and o.replayed
-                    ),
+                    **CallAccount.of(outcomes).attrs(),
                     purchased_rows=purchased_rows,
-                    transactions=billed_transactions - wasted_transactions,
-                    price=billed_price - wasted_price,
-                    billed_transactions=billed_transactions,
-                    billed_price=billed_price,
-                    wasted_transactions=wasted_transactions,
-                    wasted_price=wasted_price,
+                    cache_served_rows=max(0, row_count - purchased_rows),
                     estimated_transactions=rewrite.estimated_transactions,
                     fully_covered=rewrite.fully_covered,
                 )
-            if failed:
-                if not self.context.transport.config.partial_results:
-                    raise MarketUnavailableError(
-                        f"{len(failed)} of {len(outcomes)} market calls for "
-                        f"{table!r} failed: "
-                        + "; ".join(str(f.error) for f in failed[:3]),
-                        failed=tuple(failed),
-                    )
-                self._failed_fetches.extend(failed)
-            if span is not None:
-                span.set(cache_served_rows=max(0, row_count - purchased_rows))
+            if failed and not self.context.transport.config.partial_results:
+                raise MarketUnavailableError(
+                    f"{len(failed)} of {len(outcomes)} market calls for "
+                    f"{table!r} failed: "
+                    + "; ".join(str(f.error) for f in failed[:3]),
+                    failed=tuple(failed),
+                )
             relation = Relation.from_columns(
                 RowLayout.for_table(table, self.context.schema_of(table).names),
                 columns,
@@ -1114,7 +1122,7 @@ class Executor:
         self._critical_path_ms += _makespan(durations, workers)
 
     def _issue_market_calls(
-        self, dataset, table, remainders, access_token, parent_span=None
+        self, dataset, table, remainders, parent_span=None
     ) -> tuple[list, list]:
         """Issue the remainder GETs through the transport, concurrently when
         allowed.
@@ -1137,14 +1145,11 @@ class Executor:
         """
         if self._aio is not None:
             return self._settle_calls(
-                self._submit_async_calls(
-                    dataset, table, remainders, access_token
-                ).result(),
+                self._submit_async_calls(dataset, table, remainders).result(),
                 parent_span,
             )
         batch, requests = self._call_batch(dataset, table, remainders)
         transport = self.context.transport
-        ledger = self.context.market.ledger
         scope = self._scope
 
         def drive(remainder, request):
@@ -1155,11 +1160,7 @@ class Executor:
                     kind, subject = effect
                     try:
                         if kind == "fetch":
-                            # The attribution token is thread-local, so it
-                            # must be entered on the worker thread actually
-                            # billing the call.
-                            with ledger.attribute(access_token):
-                                answer = transport.fetch(subject, scope)
+                            answer = transport.fetch(subject, scope)
                         else:
                             answer = subject.wait()
                     except BaseException as error:
@@ -1181,9 +1182,7 @@ class Executor:
             results = list(map(drive, remainders, requests))
         return self._settle_calls((results, batch.lead_flights), parent_span)
 
-    def _submit_async_calls(
-        self, dataset, table, remainders, access_token
-    ):
+    def _submit_async_calls(self, dataset, table, remainders):
         """Pipeline one access's remainder GETs onto the event loop.
 
         The *async* driver of :meth:`_call_machine`: every remainder call
@@ -1196,10 +1195,6 @@ class Executor:
         pairs in request order — the caller (either the consuming table
         access or the failure drain) blocks on it when it actually needs
         the data.
-
-        Attribution tokens are applied around each physical call by
-        :meth:`AsyncMarketTransport.fetch` (thread-local, never across an
-        ``await``).
         """
         batch, requests = self._call_batch(dataset, table, remainders)
         if not requests:
@@ -1220,9 +1215,7 @@ class Executor:
                     kind, subject = effect
                     try:
                         if kind == "fetch":
-                            answer = await aio.fetch(
-                                subject, scope, access_token
-                            )
+                            answer = await aio.fetch(subject, scope)
                         else:
                             answer = await loop.run_in_executor(
                                 None, subject.wait
@@ -1264,21 +1257,22 @@ class Executor:
 
     def _settle_calls(self, drained, parent_span) -> tuple[list, list]:
         """Account for one access's drained calls, whichever driver ran
-        them: detached call spans are adopted into the access's
-        ``table_fetch`` span in request order (workers only ever touch
-        their own private span — see :mod:`repro.obs.trace` — so per-fetch
-        timing and attempt counts are recorded identically regardless of
-        scheduling), and the simulated makespan is charged under the
-        driver's in-flight cap."""
+        them: the outcomes join the query's, detached call spans are
+        adopted into the access's ``table_fetch`` span in request order
+        (workers only ever touch their own private span — see
+        :mod:`repro.obs.trace` — so per-fetch timing and attempt counts are
+        recorded identically regardless of scheduling), and the simulated
+        makespan is charged under the driver's in-flight cap."""
         results, lead_flights = drained
         outcomes = [outcome for outcome, _ in results]
+        self._outcomes.extend(outcomes)
         if parent_span is not None:
             for _, call_span in results:
                 if call_span is not None:
                     parent_span.adopt(call_span)
         self._charge_call_time(
             outcomes,
-            self._aio.pool_size
+            DEFAULT_POOL_SIZE
             if self._aio is not None
             else self.max_concurrent_calls,
         )
@@ -1332,7 +1326,6 @@ class Executor:
         """
         coalescer = batch.coalescer
         table_store = batch.table_store
-        scope = self._scope
         metrics = self.context.metrics
         ledger = self.context.market.ledger
         store = self.context.store
@@ -1340,7 +1333,6 @@ class Executor:
         while True:
             with table_store.lock:
                 if table_store.is_covered(box, store.policy, store.clock):
-                    scope.note_covered_skip()
                     return CoveredSkip(request=request)
                 flight, leader = coalescer.begin(key)
             if leader:
@@ -1362,8 +1354,7 @@ class Executor:
                 continue
             shared = flight.result
             response = shared.response
-            scope.note_coalesced(response.transactions, response.price, wait_ms)
-            ledger.note_coalesced_savings(response.transactions, response.price)
+            ledger.credit_coalesced_savings(response.transactions, response.price)
             metrics.counter("fetch_coalesced").inc()
             metrics.histogram("fetch_coalesce_wait_us").observe(
                 wait_ms * 1000.0
@@ -1379,68 +1370,31 @@ class Executor:
             )
 
     def _finish_call_span(self, span, outcome) -> None:
-        """Stamp one detached ``market_call`` span from its outcome.
-
-        ``transactions``/``price`` are what the call actually *spent*
-        (billed minus wasted) so call spans sum to the query's stats;
-        billed/wasted are kept separately for dollar attribution.
-        """
+        """Stamp one detached ``market_call`` span: the account of its one
+        outcome, plus what only a single call has."""
+        span.set(**CallAccount.of((outcome,)).attrs())
         if isinstance(outcome, FailedFetch):
             error = outcome.error
-            attempts = getattr(error, "attempts", 0)
             span.set(
                 failed=True,
                 error=str(error),
-                attempts=attempts,
-                retries=max(0, attempts - 1),
+                attempts=error.attempts,
                 replayed=False,
                 rows=0,
-                transactions=error.billed_transactions
-                - error.wasted_transactions,
-                price=error.billed_price - error.wasted_price,
-                billed_transactions=error.billed_transactions,
-                billed_price=error.billed_price,
-                wasted_transactions=error.wasted_transactions,
-                wasted_price=error.wasted_price,
                 elapsed_ms=error.elapsed_ms,
             )
         elif isinstance(outcome, CoveredSkip):
             span.set(
-                failed=False,
-                covered_skip=True,
-                attempts=0,
-                retries=0,
-                replayed=False,
-                rows=0,
-                transactions=0,
-                price=0.0,
-                billed_transactions=0,
-                billed_price=0.0,
-                wasted_transactions=0,
-                wasted_price=0.0,
-                elapsed_ms=0.0,
+                failed=False, attempts=0, replayed=False, rows=0, elapsed_ms=0.0
             )
         else:
             span.set(
                 failed=False,
                 attempts=outcome.attempts,
-                retries=outcome.retries,
                 replayed=outcome.replayed,
                 rows=outcome.response.record_count,
-                transactions=outcome.billed_transactions,
-                price=outcome.billed_price,
-                billed_transactions=outcome.billed_transactions,
-                billed_price=outcome.billed_price,
-                wasted_transactions=0,
-                wasted_price=0.0,
                 elapsed_ms=outcome.elapsed_ms,
             )
-            if outcome.coalesced:
-                span.set(
-                    coalesced=True,
-                    saved_transactions=outcome.saved_transactions,
-                    saved_price=outcome.saved_price,
-                )
         span.finish(self.context.tracer.clock())
 
     def _empty_relation(self, table: str) -> Relation:

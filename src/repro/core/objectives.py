@@ -417,10 +417,6 @@ class QueryOptions:
     #: :mod:`repro.market.aio` with per-seller connection pools and
     #: cross-access prefetch).
     transport_mode: str = "threaded"
-    #: Per-seller connection pool size — and therefore the in-flight cap —
-    #: of the async driver.  Ignored under "threaded", whose cap stays
-    #: ``max_concurrent_calls``.
-    async_pool_size: int = 64
     #: Cross-access prefetch under the async driver: rewrite the plan's
     #: certain (non-bind) upcoming accesses at query start and put their
     #: remainder calls in flight while earlier joins execute.  Only what
@@ -477,7 +473,6 @@ class QueryOptions:
             ("max_bind_attrs", 0),
             ("plan_cache_size", 0),
             ("max_concurrent_calls", 1),
-            ("async_pool_size", 1),
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

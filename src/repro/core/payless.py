@@ -595,7 +595,6 @@ class PayLess:
         if stats.wasted_price:
             metrics.counter("cents_wasted").inc(stats.wasted_price * 100.0)
         metrics.histogram("query_transactions").observe(stats.transactions)
-        stats.metrics = metrics.snapshot()
         # The scope that owns the trace closes (and archives) it when the
         # call returns; the result keeps the same object.
         return QueryResult(relation, planning.plan, stats, self.tracer.active)

@@ -56,15 +56,20 @@ class TransportError(MarketError):
     market would reject every time and must never be retried.
     """
 
-    #: Simulated wall-clock burned on the call before it failed terminally
-    #: (set by the transport when it gives up on a call).
+    #: The failed call's account, stamped by the transport when it gives
+    #: up on a call — the fields of a successful call's
+    #: :class:`~repro.market.transport.FetchResult`, plus how much of the
+    #: bill was reclassified as wasted and the simulated wall-clock burned
+    #: before the call failed terminally.
+    attempts: int = 0
     elapsed_ms: float = 0.0
-    #: Billing attribution for the failed call (set by the transport):
-    #: what the call caused the market to bill before it was abandoned,
-    #: and how much of that was reclassified as wasted.  Traces read these
-    #: so every ledger dollar stays attributable to exactly one call.
+    billed_calls: int = 0
+    billed_records: int = 0
     billed_transactions: int = 0
     billed_price: float = 0.0
+    faults: int = 0
+    replays: int = 0
+    retries: int = 0
     wasted_transactions: int = 0
     wasted_price: float = 0.0
 

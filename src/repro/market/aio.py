@@ -28,10 +28,9 @@ identical by construction.  One level up it is the same arrangement: the
 executor's per-call protocol (singleflight sharing, failure capture) is
 one generator, :meth:`~repro.core.executor.Executor._call_machine`, whose
 ``fetch`` effect :meth:`AsyncMarketTransport.fetch` answers and whose
-``wait`` effect the loop's default executor answers.  Ledger attribution
-tokens remain correct because the token context manager wraps only the
-synchronous ``market.get`` — never an ``await`` — so coroutines
-interleaving on the loop thread cannot mix up each other's attribution.
+``wait`` effect the loop's default executor answers.  What a call cost
+comes back on its outcome, so coroutines interleaving on the loop thread
+need no shared attribution state.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ import threading
 from repro.market.rest import RestRequest
 from repro.market.transport import FetchResult, MarketTransport, QueryScope
 
-#: Default per-seller pool size (and therefore the in-flight depth cap of
-#: one async installation).  Deliberately much larger than the threaded
+#: Per-seller pool size (and therefore the in-flight depth cap of one
+#: async installation).  Deliberately much larger than the threaded
 #: default of 4–8 workers: coroutines waiting on simulated latency are
 #: nearly free, threads are not.
 DEFAULT_POOL_SIZE = 64
@@ -98,17 +97,9 @@ class AsyncMarketTransport:
     :meth:`submit`, which returns a ``concurrent.futures.Future``.
     """
 
-    def __init__(
-        self,
-        transport: MarketTransport,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        metrics=None,
-    ):
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
+    def __init__(self, transport: MarketTransport, metrics=None):
         self.transport = transport
         self.market = transport.market
-        self.pool_size = pool_size
         self.metrics = metrics if metrics is not None else transport.metrics
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -161,34 +152,18 @@ class AsyncMarketTransport:
         key = dataset.lower()
         pool = self._pools.get(key)
         if pool is None:
-            pool = _SellerPool(self.pool_size)
+            pool = _SellerPool(DEFAULT_POOL_SIZE)
             self._pools[key] = pool
         return pool
 
-    def _get(self, request: RestRequest, key: str | None, token: str | None):
-        """One physical call, ledger-attributed, never sleeping the loop.
-
-        The attribution context is thread-local and there is **no await
-        inside it**: interleaving coroutines on the loop thread therefore
-        cannot observe each other's token.
-        """
-        market = self.market
-        if token is not None:
-            with market.ledger.attribute(token):
-                if key is not None:
-                    return market.get(
-                        request, idempotency_key=key, sleep=False
-                    )
-                return market.get(request, sleep=False)
+    def _get(self, request: RestRequest, key: str | None):
+        """One physical call that never sleeps the loop."""
         if key is not None:
-            return market.get(request, idempotency_key=key, sleep=False)
-        return market.get(request, sleep=False)
+            return self.market.get(request, idempotency_key=key, sleep=False)
+        return self.market.get(request, sleep=False)
 
     async def fetch(
-        self,
-        request: RestRequest,
-        scope: QueryScope | None = None,
-        token: str | None = None,
+        self, request: RestRequest, scope: QueryScope | None = None
     ) -> FetchResult:
         """Async twin of :meth:`MarketTransport.fetch`.
 
@@ -219,7 +194,7 @@ class AsyncMarketTransport:
                     if reused and metrics is not None:
                         metrics.counter("connections_reused").inc()
                     try:
-                        response = self._get(request, key, token)
+                        response = self._get(request, key)
                         if scale and not expect_replay:
                             # The connection is held across the transfer,
                             # exactly as a socket would be.
@@ -253,7 +228,4 @@ class AsyncMarketTransport:
 
     def __repr__(self) -> str:
         state = "running" if self._loop is not None else "idle"
-        return (
-            f"AsyncMarketTransport({state}, pool_size={self.pool_size}, "
-            f"sellers={len(self._pools)})"
-        )
+        return f"AsyncMarketTransport({state}, sellers={len(self._pools)})"

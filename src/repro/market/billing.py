@@ -2,8 +2,8 @@
 
 The ledger is the ground truth the evaluation reads: Figures 10-13 of the
 paper all plot *cumulative transactions billed*, which is exactly
-``ledger.total_transactions`` over time.  Checkpoints let the benchmark
-harness snapshot the cumulative series after each user query.
+``ledger.total_transactions`` over time; the benchmark harness reads
+the cumulative series after each user query.
 
 Money-safety (see :mod:`repro.market.transport`) splits the bill in two:
 
@@ -21,20 +21,17 @@ charges that singleflight coalescing (:mod:`repro.serve.singleflight`)
 avoided: when an in-flight fetch is shared, the waiters' would-have-been
 bills land here instead of in ``spent``.
 
-**Attribution under concurrency.**  Dollar attribution used to bracket
-each table access with a ``checkpoint()`` index pair and claim everything
-recorded in between.  That is only sound when accesses are serial; with
-many sessions billing through one ledger, entries interleave.  Each
-executor therefore stamps its calls with an explicit *fetch token*: it
-wraps the transport call in :meth:`BillingLedger.attribute` (thread-local,
-so concurrent sessions cannot leak tokens onto each other's entries) and
-reads back exactly its own entries via :meth:`entries_for_token`.
+The ledger is the seller's side of the bill, and nothing on the buyer's
+side reads it back to cost a query: each call's outcome carries what
+that call billed (:class:`~repro.market.transport.FetchResult`), and a
+query's stats and spans are folds over its outcomes.  Entries of many
+sessions interleave here freely; the test suite reconciles the folds
+against these buckets as an independent oracle.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -54,10 +51,6 @@ class LedgerEntry:
     elapsed_ms: float = 0.0
     #: The transport's at-most-once billing key, when one was attached.
     idempotency_key: str | None = None
-    #: The executor-side attribution token active when this entry was
-    #: billed (see :meth:`BillingLedger.attribute`); ``None`` for calls
-    #: issued outside any attribution scope (baselines, raw market use).
-    fetch_token: str | None = None
 
 
 @dataclass(frozen=True)
@@ -84,26 +77,9 @@ class BillingLedger:
         self._entries: list[LedgerEntry] = []
         self._wasted_keys: set[str] = set()
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._coalesced_calls = 0
         self._coalesced_transactions = 0
         self._coalesced_price = 0.0
-
-    @contextmanager
-    def attribute(self, fetch_token: str | None):
-        """Stamp every entry billed by *this thread* with ``fetch_token``.
-
-        Thread-local by construction: concurrent sessions billing through
-        one ledger each see only their own token, so
-        :meth:`entries_for_token` partitions interleaved entries exactly —
-        the concurrency-safe replacement for checkpoint/index bracketing.
-        """
-        previous = getattr(self._local, "token", None)
-        self._local.token = fetch_token
-        try:
-            yield
-        finally:
-            self._local.token = previous
 
     def record(
         self,
@@ -115,48 +91,13 @@ class BillingLedger:
         idempotency_key: str | None = None,
     ) -> LedgerEntry:
         entry = LedgerEntry(
-            request,
-            record_count,
-            transactions,
-            price,
-            elapsed_ms,
-            idempotency_key,
-            getattr(self._local, "token", None),
+            request, record_count, transactions, price, elapsed_ms, idempotency_key
         )
         with self._lock:
             self._entries.append(entry)
         return entry
 
-    def checkpoint(self) -> int:
-        """An opaque position marker for :meth:`entries_since`.
-
-        Under concurrency a checkpoint pair may bracket other sessions'
-        entries too; filter with :meth:`entries_for_token` (the checkpoint
-        then merely bounds the scan, since a token's entries can only
-        appear after the checkpoint its access opened with).
-        """
-        with self._lock:
-            return len(self._entries)
-
-    def entries_since(self, checkpoint: int) -> tuple[LedgerEntry, ...]:
-        """Entries recorded since ``checkpoint`` (append-only, so stable)."""
-        with self._lock:
-            return tuple(self._entries[checkpoint:])
-
-    def entries_for_token(
-        self, fetch_token: str, checkpoint: int = 0
-    ) -> tuple[LedgerEntry, ...]:
-        """Entries billed under ``fetch_token``, optionally scan-bounded.
-
-        This is the interleaving-safe attribution primitive: entries from
-        other threads recorded between an access's bracketing checkpoints
-        carry different tokens and are excluded.
-        """
-        with self._lock:
-            window = self._entries[checkpoint:]
-        return tuple(e for e in window if e.fetch_token == fetch_token)
-
-    def note_coalesced_savings(self, transactions: int, price: float) -> None:
+    def credit_coalesced_savings(self, transactions: int, price: float) -> None:
         """Credit the savings bucket: a coalesced fetch avoided this bill."""
         with self._lock:
             self._coalesced_calls += 1

@@ -183,32 +183,18 @@ class CircuitBreaker:
 
 
 class QueryScope:
-    """Per-query transport accounting: retries, faults, waste.
+    """One query's retry budget, shared by all of its calls.
 
-    One scope is created per executed query; the executor folds its
-    counters into the query's :class:`~repro.core.payless.QueryStats`.
-    Thread-safe — parallel remainder calls share one scope.
+    The executor opens one scope per query and passes it to every fetch;
+    what each call cost and went through comes back on its own outcome
+    (:class:`FetchResult`, or the raised error).  Thread-safe — parallel
+    remainder calls share one scope.
     """
 
     def __init__(self, retry_budget: int | None):
         self.retry_budget = retry_budget
+        #: Retries claimed so far by the query's calls.
         self.retries = 0
-        self.faults_injected = 0
-        self.replays = 0
-        self.failed_calls = 0
-        self.wasted_transactions = 0
-        self.wasted_price = 0.0
-        self.backoff_ms = 0.0
-        #: Singleflight accounting (see :mod:`repro.serve.singleflight`):
-        #: fetches this query rode for free on another session's in-flight
-        #: call, what they would have billed, and the real time waited.
-        self.coalesced_fetches = 0
-        self.coalesced_savings_transactions = 0
-        self.coalesced_savings_price = 0.0
-        self.coalesce_wait_ms = 0.0
-        #: Remainder boxes found already covered at issue time (another
-        #: session recorded them between our rewrite and our fetch).
-        self.covered_skips = 0
         self._lock = threading.Lock()
 
     def consume_retry(self) -> bool:
@@ -222,44 +208,18 @@ class QueryScope:
             self.retries += 1
             return True
 
-    def note_fault(self) -> None:
-        with self._lock:
-            self.faults_injected += 1
 
-    def note_replay(self) -> None:
-        with self._lock:
-            self.replays += 1
-
-    def note_failed_call(self) -> None:
-        with self._lock:
-            self.failed_calls += 1
-
-    def note_backoff(self, wait_ms: float) -> None:
-        with self._lock:
-            self.backoff_ms += wait_ms
-
-    def note_waste(self, transactions: int, price: float) -> None:
-        with self._lock:
-            self.wasted_transactions += transactions
-            self.wasted_price += price
-
-    def note_coalesced(
-        self, transactions: int, price: float, wait_ms: float
-    ) -> None:
-        with self._lock:
-            self.coalesced_fetches += 1
-            self.coalesced_savings_transactions += transactions
-            self.coalesced_savings_price += price
-            self.coalesce_wait_ms += wait_ms
-
-    def note_covered_skip(self) -> None:
-        with self._lock:
-            self.covered_skips += 1
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FetchResult:
-    """One logical call's outcome: the response plus what getting it took."""
+    """One logical call's outcome: the response plus what getting it took.
+
+    The ``billed_*`` / ``faults`` / ``replays`` / ``retries`` fields are the
+    call's whole account; a call that fails carries the same fields on the
+    raised :class:`~repro.errors.TransportError`.  Read-only by contract
+    (a singleflight shares one result among its waiters), but not frozen:
+    one is built per market call, and a frozen dataclass of this width
+    costs several times as much to construct.
+    """
 
     response: RestResponse
     #: Attempts made (1 = first try succeeded).
@@ -272,11 +232,19 @@ class FetchResult:
     #: (i.e. an earlier attempt was billed and this retry was free).
     replayed: bool = False
     #: Everything this logical call caused the market to bill, across all
-    #: its attempts and duplicate deliveries.  With idempotency keys this
-    #: equals the response's own billing; a naive client's retries can
-    #: bill more.  Traces attribute every ledger dollar through these.
+    #: its attempts and duplicate deliveries: ledger entries, their
+    #: records, transactions and price.  With idempotency keys this is the
+    #: response's own billing; a naive client's retries can bill more.
+    billed_calls: int = 0
+    billed_records: int = 0
     billed_transactions: int = 0
     billed_price: float = 0.0
+    #: Injected faults survived, responses the market replayed for free
+    #: (retries after a lost response and duplicate deliveries alike), and
+    #: retries claimed from the query's budget.
+    faults: int = 0
+    replays: int = 0
+    retries: int = 0
     #: True when this result was shared from another session's in-flight
     #: fetch of the same key (singleflight): nothing was billed to this
     #: caller, and ``saved_*`` record the avoided bill.
@@ -288,9 +256,21 @@ class FetchResult:
     #: executor's purchase record resolves.
     idempotency_key: str | None = None
 
-    @property
-    def retries(self) -> int:
-        return self.attempts - 1
+    @classmethod
+    def first_attempt(
+        cls, response: RestResponse, connect_ms: float, key: str | None = None
+    ) -> "FetchResult":
+        """A call answered and billed by its first attempt."""
+        return cls(
+            response=response,
+            attempts=1,
+            elapsed_ms=response.elapsed_ms + connect_ms,
+            billed_calls=1,
+            billed_records=response.record_count,
+            billed_transactions=response.transactions,
+            billed_price=response.price,
+            idempotency_key=key,
+        )
 
 
 class MarketTransport:
@@ -425,14 +405,7 @@ class MarketTransport:
             setup_ms = latency.connection_setup_ms
             if setup_ms and latency.realtime_scale:
                 time.sleep(setup_ms * latency.realtime_scale / 1000.0)
-            response = self.market.get(request)
-            return FetchResult(
-                response=response,
-                attempts=1,
-                elapsed_ms=response.elapsed_ms + setup_ms,
-                billed_transactions=response.transactions,
-                billed_price=response.price,
-            )
+            return FetchResult.first_attempt(self.market.get(request), setup_ms)
         return self._drive(request, self._fetch_machine(request, scope))
 
     def _drive(self, request: RestRequest, machine) -> FetchResult:
@@ -486,19 +459,18 @@ class MarketTransport:
         this one machine, retries, idempotency keys, fault draws, waste
         accounting, and durable-intent resolution cannot diverge between
         them.
+
+        The machine counts, per logical call, what the call billed, the
+        faults it survived, the replays it was served and the retries it
+        claimed from ``scope``; they go on the result, or on the raised
+        :class:`~repro.errors.TransportError` when the call fails.
         """
         faults = self.faults
         durability = self.durability
         if faults is None:
             if durability is None:
                 response, connect_ms = yield ("call", None, False)
-                return FetchResult(
-                    response=response,
-                    attempts=1,
-                    elapsed_ms=response.elapsed_ms + connect_ms,
-                    billed_transactions=response.transactions,
-                    billed_price=response.price,
-                )
+                return FetchResult.first_attempt(response, connect_ms)
             key = durability.begin_intent(request)
             try:
                 response, connect_ms = yield ("call", key, False)
@@ -510,14 +482,7 @@ class MarketTransport:
                 # does not buy what this run never did.
                 durability.log_abort(key)
                 raise
-            return FetchResult(
-                response=response,
-                attempts=1,
-                elapsed_ms=response.elapsed_ms + connect_ms,
-                billed_transactions=response.transactions,
-                billed_price=response.price,
-                idempotency_key=key,
-            )
+            return FetchResult.first_attempt(response, connect_ms, key)
         config = self.config
         breaker = self.breaker_for(request.dataset)
         call_key = self._call_key(request)
@@ -535,21 +500,32 @@ class MarketTransport:
         attempts = 0
         elapsed_ms = 0.0
         billed: RestResponse | None = None
-        #: Everything this logical call has caused the market to bill so
-        #: far (all attempts + duplicate deliveries) — the trace layer
-        #: attributes every ledger dollar to exactly one call through it.
-        billed_transactions = 0
-        billed_price = 0.0
+        #: The call's account so far (the fields of :class:`FetchResult`):
+        #: what it caused the market to bill over all attempts and
+        #: duplicate deliveries, and what it went through.
+        account = {
+            "billed_calls": 0,
+            "billed_records": 0,
+            "billed_transactions": 0,
+            "billed_price": 0.0,
+            "faults": 0,
+            "replays": 0,
+            "retries": 0,
+        }
+
+        def charge(response: RestResponse) -> None:
+            account["billed_calls"] += 1
+            account["billed_records"] += response.record_count
+            account["billed_transactions"] += response.transactions
+            account["billed_price"] += response.price
 
         def fail(error: Exception) -> Exception:
             wasted_transactions = 0
             wasted_price = 0.0
             if billed is not None and key is not None:
                 self.market.ledger.mark_wasted(key)
-                scope.note_waste(billed.transactions, billed.price)
                 wasted_transactions = billed.transactions
                 wasted_price = billed.price
-            scope.note_failed_call()
             if durability is not None and key is not None:
                 if billed is not None:
                     # Money left the account but the data never arrived:
@@ -561,14 +537,16 @@ class MarketTransport:
                     # Never billed: resolve the intent so recovery does
                     # not spend money this run never spent.
                     durability.log_abort(key)
-            # Simulated wall-clock burned before giving up: the executor's
-            # makespan accounting charges failed calls honestly too.
-            error.elapsed_ms = elapsed_ms
-            # Billing attribution for the fetch span of this failed call.
-            error.billed_transactions = billed_transactions
-            error.billed_price = billed_price
-            error.wasted_transactions = wasted_transactions
-            error.wasted_price = wasted_price
+            # The failed call's account, what of its bill is waste, and the
+            # simulated wall-clock burned before giving up (the executor's
+            # makespan accounting charges failed calls honestly too).
+            vars(error).update(
+                account,
+                attempts=attempts,
+                elapsed_ms=elapsed_ms,
+                wasted_transactions=wasted_transactions,
+                wasted_price=wasted_price,
+            )
             return error
 
         try:
@@ -591,10 +569,9 @@ class MarketTransport:
                         replayed = key is not None and billed is not None
                         response, connect_ms = yield ("call", key, replayed)
                         if replayed:
-                            scope.note_replay()
+                            account["replays"] += 1
                         else:
-                            billed_transactions += response.transactions
-                            billed_price += response.price
+                            charge(response)
                         attempt_ms = (
                             latency.call_ms(0)
                             if replayed
@@ -618,13 +595,12 @@ class MarketTransport:
                             # free; the naive client pays all over again.
                             if key is not None:
                                 __, dup_connect = yield ("call", key, True)
-                                scope.note_replay()
+                                account["replays"] += 1
                             else:
                                 duplicate, dup_connect = yield (
                                     "call", None, False
                                 )
-                                billed_transactions += duplicate.transactions
-                                billed_price += duplicate.price
+                                charge(duplicate)
                             dup_ms = latency.call_ms(0) + dup_connect
                             elapsed_ms += dup_ms
                             self.advance_clock(dup_ms)
@@ -634,9 +610,8 @@ class MarketTransport:
                             attempts=attempts,
                             elapsed_ms=elapsed_ms,
                             replayed=replayed,
-                            billed_transactions=billed_transactions,
-                            billed_price=billed_price,
                             idempotency_key=key,
+                            **account,
                         )
                     # Pure transport failures: the server never billed.
                     if kind is FaultKind.TIMEOUT:
@@ -647,7 +622,7 @@ class MarketTransport:
                     self.advance_clock(wait)
                     raise faults.fault_for(kind, call_key)
                 except InjectedFault as fault:
-                    scope.note_fault()
+                    account["faults"] += 1
                     breaker.on_failure(self.now_ms())
                     if attempts > config.max_retries:
                         raise fail(
@@ -666,8 +641,8 @@ class MarketTransport:
                                 f"{request!r}"
                             )
                         ) from fault
+                    account["retries"] += 1
                     backoff = self._backoff_ms(call_key, attempts, fault)
-                    scope.note_backoff(backoff)
                     elapsed_ms += backoff
                     self.advance_clock(backoff)
         except SimulatedCrash:

@@ -16,18 +16,20 @@ span kind            what it covers / key attributes
 ``memo``             zero-width event per memoized rewrite probe; ``hit``
 ``table_fetch``      one executed market-table access; ``table``, ``source``
                      (``access`` | ``bound`` | ``covered``), ``purchased_rows``,
-                     ``cache_served_rows``, ``transactions``, ``price``
+                     ``cache_served_rows``, and the account of its calls
 ``market_call``      one logical REST call within a table fetch; ``url``,
-                     ``attempts``, ``retries``, ``replayed``, ``rows``,
-                     ``transactions``, ``price``, ``billed_transactions``,
-                     ``billed_price``, ``wasted_transactions``,
-                     ``wasted_price``, ``failed``, ``elapsed_ms`` (simulated);
-                     coalesced waiters add ``coalesced``,
-                     ``saved_transactions``, ``saved_price``; issue-time
-                     coverage skips add ``covered_skip``
+                     ``attempts``, ``replayed``, ``rows``, ``failed``,
+                     ``elapsed_ms`` (simulated), and the account of the call
 ``stage``            staging one table into the local DBMS; ``table``, ``rows``
 ``local_eval``       the final local evaluation; ``output_rows``
 ===================  ==========================================================
+
+An *account* is the executor's :class:`~repro.core.executor.CallAccount`
+of the calls under the span: ``calls``, ``records``, ``transactions`` /
+``price`` (spent), ``billed_*``, ``wasted_*``, ``retries``,
+``faults_injected``, ``replays``, ``failed_calls``, ``coalesced_fetches``,
+``coalesced_savings_*`` and ``covered_skips`` — so the call spans of a
+fetch sum to it, and a query's fetch spans to its ``QueryStats``.
 
 Thread-safety contract: spans are opened and closed on the tracer's owning
 thread through :meth:`Tracer.span`/:meth:`Tracer.event`, which maintain a

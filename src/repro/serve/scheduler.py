@@ -18,7 +18,7 @@ many :class:`ServeSession` handles on a thread pool against one shared
   then raises :class:`~repro.errors.AdmissionError`;
 * **per-session attribution** — spend, coalesced savings, and query
   counts per tenant, summing exactly to the installation's totals (each
-  query's stats are token-attributed in the executor, so concurrent
+  query's stats are the fold of its own calls' outcomes, so concurrent
   sessions never steal each other's dollars);
 * **per-session budgets** — ``session(name, budget=BudgetPolicy(...))``
   holds every query's plan estimate against what the session has left,
@@ -31,8 +31,9 @@ When the installation runs the async transport
 (``QueryOptions(transport_mode="async")``), every session's market calls
 share the installation's single event loop (:mod:`repro.market.aio`):
 worker threads then bound only local planning/evaluation, not in-flight
-market calls — one worker can keep ``async_pool_size`` calls in flight
-per seller, where a threaded worker tops out at
+market calls — one worker can keep a connection pool's worth of calls
+(:data:`~repro.market.aio.DEFAULT_POOL_SIZE`) in flight per seller,
+where a threaded worker tops out at
 ``max_concurrent_calls``.  Coalescing still works across drivers because
 both consult the same singleflight group under the same table locks.
 

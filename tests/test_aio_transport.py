@@ -10,10 +10,9 @@ outside:
 * **canonical ledger parity** — the same workload billed through either
   driver produces the same multiset of billed calls (URL, rows,
   transactions, price, server-side latency, waste classification, and
-  the *grouping* of entries into attribution tokens), calm and under
-  injected chaos.  Raw tokens and idempotency keys are installation-
-  scoped (they embed a transport id and a global query sequence), so the
-  comparison canonicalizes them to ordinals first.
+  idempotency key), calm and under injected chaos.  Raw idempotency keys
+  are installation-scoped (they embed a transport id), so the comparison
+  canonicalizes them to ordinals first.
 * **connection-setup semantics** — ``LatencyModel.connection_setup_ms``
   is charged per physical call by the threaded driver but once per
   pooled connection by the async driver; the saved milliseconds equal
@@ -33,7 +32,6 @@ import pytest
 
 from repro.core.objectives import QueryOptions
 from repro.errors import PlanningError
-from repro.market.aio import AsyncMarketTransport
 from repro.market.faults import FaultPolicy
 from repro.market.latency import LatencyModel
 from repro.market.transport import TransportConfig
@@ -70,27 +68,24 @@ def _payless(transport_mode, transport=None, **option_kwargs):
 def _canonical_ledger(ledger):
     """The ledger as a transport-independent value.
 
-    Sorts entries canonically and maps attribution tokens and
-    idempotency keys to first-appearance ordinals: two runs then compare
-    equal iff they billed the same calls for the same money with the
-    same waste classification and the same token *grouping* — regardless
-    of raw token text (which embeds per-installation counters).
+    Sorts entries by ``(url, idempotency key)`` and maps the keys to
+    first-appearance ordinals: two runs then compare equal iff they billed
+    the same calls for the same money with the same waste classification
+    under the same keys — regardless of raw key text (which embeds a
+    per-installation transport id).
     """
     entries = sorted(
         ledger,
         key=lambda e: (
             e.request.url(),
+            e.idempotency_key or "",
             e.transactions,
             e.price,
-            e.idempotency_key or "",
         ),
     )
-    tokens, keys = {}, {}
+    keys = {}
     canon = []
     for entry in entries:
-        token = entry.fetch_token
-        if token is not None:
-            token = tokens.setdefault(token, len(tokens))
         key = entry.idempotency_key
         if key is not None:
             key = keys.setdefault(key, len(keys))
@@ -102,7 +97,6 @@ def _canonical_ledger(ledger):
                 entry.price,
                 entry.elapsed_ms,
                 ledger.is_wasted(entry),
-                token,
                 key,
             )
         )
@@ -323,18 +317,6 @@ class TestLifecycleAndValidation:
     def test_transport_mode_validated(self):
         with pytest.raises(PlanningError):
             QueryOptions(transport_mode="carrier-pigeon")
-        with pytest.raises(PlanningError):
-            QueryOptions(async_pool_size=0)
-
-    def test_pool_size_validated(self):
-        payless = _payless("threaded")
-        try:
-            with pytest.raises(ValueError):
-                AsyncMarketTransport(
-                    payless.context.transport, pool_size=0
-                )
-        finally:
-            payless.close()
 
     def test_threaded_stays_the_default(self):
         assert QueryOptions().transport_mode == "threaded"

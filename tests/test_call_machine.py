@@ -16,7 +16,13 @@ import dataclasses
 
 import pytest
 
-from repro.core.executor import CoveredSkip, Executor, FailedFetch, _CallBatch
+from repro.core.executor import (
+    CallAccount,
+    CoveredSkip,
+    Executor,
+    FailedFetch,
+    _CallBatch,
+)
 from repro.core.objectives import QueryOptions
 from repro.errors import TransportError
 from repro.market.faults import FaultPolicy
@@ -57,7 +63,6 @@ class _Call:
 
     def __init__(self, payless, coalescer, table_store, request):
         self.executor = Executor(payless.context)
-        self.scope = self.executor._scope = payless.context.transport.new_scope()
         self.batch = _CallBatch(
             table="Weather",
             coalescer=coalescer,
@@ -121,7 +126,7 @@ class TestByHand:
         assert one.step() is None
         outcome, span = one.finished
         assert outcome == CoveredSkip(request=request) and span is None
-        assert one.scope.covered_skips == 1
+        assert CallAccount.of([outcome]) == CallAccount(covered_skips=1)
         assert coalescer.flights_led == 0
 
     def test_failed_leader_aborts_before_finishing_and_a_follower_leads(
@@ -149,7 +154,10 @@ class TestByHand:
         assert follower.finished == (result, None)
         (led,) = follower.batch.lead_flights
         assert led.completed and led.result is result
-        assert follower.scope.coalesced_fetches == 0
+        # The failed lead and the follower's own purchase, nothing shared.
+        account = CallAccount.of([outcome, follower.finished[0]])
+        assert (account.failed_calls, account.calls) == (1, 1)
+        assert account.coalesced_fetches == 0
 
     def test_other_errors_abort_the_flight_and_propagate(self, world):
         __, request, coalescer, __, call, __ = world
@@ -180,7 +188,9 @@ class TestByHand:
         assert (shared.saved_transactions, shared.saved_price) == (
             result.response.transactions, result.response.price
         )
-        assert follower.scope.coalesced_fetches == 1
+        account = CallAccount.of([shared])
+        assert (account.coalesced_fetches, account.calls) == (1, 0)
+        assert account.coalesced_savings_price == result.response.price
         assert follower.batch.lead_flights == []
         assert leader.batch.lead_flights == [flight]
         assert len(list(payless.market.ledger)) == billed
@@ -254,7 +264,7 @@ def _scripted_access(settled, transport_mode, transport):
             name: value
             for name, value in dataclasses.asdict(result.stats).items()
             # What names the driver, not what the access cost.
-            if name not in ("transport_mode", "prefetch_hits", "metrics")
+            if name not in ("transport_mode", "prefetch_hits")
         }
         for result in results
     ]

@@ -19,7 +19,14 @@ the static twin of the plan walk, and the knob nothing read
 ``Organization`` / ``UserSession`` (``core/organization.py``),
 ``BudgetedPayLess`` / ``BudgetReport``, ``execute_batch`` /
 ``BatchResult`` and ``PayLess.query_batch`` — sessions, deferred batches
-and budgets live on the scheduler (``repro.serve``).
+and budgets live on the scheduler (``repro.serve``).  And the second and
+third copies of what a query's calls cost: the ledger's attribution
+tokens (``attribute``, ``fetch_token``, ``checkpoint``,
+``entries_since``, ``entries_for_token``), the ``QueryScope`` tallies
+and their ``note_*`` methods, and the registry copy
+``QueryStats.metrics`` — each call's outcome carries its account, and
+spans and stats are folds over the outcomes.  ``async_pool_size`` went
+with them (only its default was ever set).
 """
 
 from __future__ import annotations
@@ -42,9 +49,12 @@ from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import run_session
 from repro.cli import main
 from repro.core.budget import BudgetPolicy
-from repro.core.executor import Executor
+from repro.core.executor import Executor, QueryStats
 from repro.core.objectives import QueryOptions
 from repro.core.payless import PayLess, QueryResult
+from repro.market.aio import AsyncMarketTransport
+from repro.market.billing import BillingLedger, LedgerEntry
+from repro.market.transport import QueryScope
 from repro.semstore.store import TableStore
 from repro.serve import QueryScheduler, ServeConfig
 from repro.testing import tiny_weather_market
@@ -189,7 +199,7 @@ def test_the_scheduler_is_the_one_multi_user_front_end():
     ]
     assert len(dataclasses.fields(ServeConfig)) == 6
     assert len(dataclasses.fields(BudgetPolicy)) == 2
-    assert len(dataclasses.fields(QueryOptions)) == 19
+    assert len(dataclasses.fields(QueryOptions)) == 18
 
 
 def test_one_options_record_one_walk():
@@ -204,6 +214,30 @@ def test_one_options_record_one_walk():
         "context",
         "objective",
     ]
+
+
+#: Names that kept the second and third copies of a query's account.
+ACCOUNT_COPIES = re.compile(
+    r"entries_for_token|fetch_token|entries_since|ledger\.attribute|"
+    r"_QUERY_SEQ|access_token|"
+    r"note_(fault|replay|failed_call|backoff|waste|coalesced|covered_skip)|"
+    r"async_pool_size"
+)
+
+
+def test_one_account_of_a_querys_calls():
+    offenders = [
+        str(path.relative_to(SRC.parent))
+        for path in sorted(SRC.rglob("*.py"))
+        if ACCOUNT_COPIES.search(path.read_text())
+    ]
+    assert not offenders, offenders
+    for name in ("attribute", "checkpoint", "entries_since", "entries_for_token"):
+        assert not hasattr(BillingLedger, name)
+    assert "fetch_token" not in {f.name for f in dataclasses.fields(LedgerEntry)}
+    assert set(vars(QueryScope(None))) == {"retry_budget", "retries", "_lock"}
+    assert "metrics" not in {f.name for f in dataclasses.fields(QueryStats)}
+    assert "pool_size" not in inspect.signature(AsyncMarketTransport).parameters
 
 
 def test_every_option_is_read_somewhere():

@@ -145,11 +145,11 @@ class TestAtMostOnceBilling:
                 faults=FaultPolicy(duplicate_rate=1.0), max_retries=0
             ),
         )
-        scope = transport.new_scope()
-        transport.fetch(weather_request(), scope)
+        result = transport.fetch(weather_request())
         assert market.ledger.total_calls == 1  # second delivery replayed
         assert market.replay_count == 1
-        assert scope.replays == 1
+        assert result.replays == 1
+        assert result.billed_calls == 1
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_fig10_transactions_identical_faults_on_vs_off(self, seed):
@@ -194,19 +194,20 @@ class TestWasteAccounting:
                 breaker_failure_threshold=100,
             ),
         )
-        scope = transport.new_scope()
         with pytest.raises(RetryExhaustedError) as excinfo:
-            transport.fetch(weather_request(), scope)
-        assert excinfo.value.attempts == 2
-        assert excinfo.value.elapsed_ms > 0
+            transport.fetch(weather_request())
+        error = excinfo.value
+        assert error.attempts == 2
+        assert error.elapsed_ms > 0
         # The drop billed once; that charge is waste, not spend.
         assert market.ledger.total_transactions == 0
         assert not market.ledger.spent
         assert market.ledger.wasted_on_failures.transactions == 1
-        assert scope.wasted_transactions == 1
-        assert scope.wasted_price == pytest.approx(
+        assert error.wasted_transactions == 1
+        assert error.wasted_price == pytest.approx(
             market.ledger.wasted_on_failures.price
         )
+        assert (error.billed_calls, error.faults, error.replays) == (1, 2, 1)
 
     def test_pure_transport_faults_cost_nothing(self):
         market = tiny_weather_market()
@@ -250,9 +251,12 @@ class TestWasteAccounting:
             ),
         )
         scope = transport.new_scope()
-        with pytest.raises(MarketUnavailableError, match="retry budget"):
+        with pytest.raises(
+            MarketUnavailableError, match="retry budget"
+        ) as excinfo:
             transport.fetch(weather_request(), scope)
         assert scope.retries == 3
+        assert (excinfo.value.retries, excinfo.value.attempts) == (3, 4)
 
 
 class TestCircuitBreaker:

@@ -553,8 +553,9 @@ SESSION = BenchProfile(
 
 def _session(workload, seed, adaptive):
     """One session's results, what the store ends up covering, and what
-    was bought: per table access in order, its calls (a pool bills one
-    access's calls in any order, so those are sorted)."""
+    was bought: per run of consecutive ledger entries of one table, in
+    order, its calls (a pool bills one access's calls in any order, so
+    those are sorted by URL and idempotency key)."""
     profile = replace(SESSION, instance_seed=seed)
     data = make_workload(workload, profile)
     q = profile.weather_q if workload == "real" else profile.tpch_q
@@ -577,9 +578,12 @@ def _session(workload, seed, adaptive):
         for table in dataset
     }
     bought = [
-        sorted(entry.request.url() for entry in access)
+        sorted(
+            (entry.request.url(), entry.idempotency_key or "")
+            for entry in access
+        )
         for __, access in itertools.groupby(
-            payless.market.ledger, key=lambda entry: entry.fetch_token
+            payless.market.ledger, key=lambda entry: entry.request.table
         )
     ]
     return results, covers, bought

@@ -14,8 +14,15 @@ that must relate in a known way:
   split must agree with the ledger's);
 * **faults off vs faults on** — with fault injection at the chaos seeds
   (7, 23, 101) the answers and *spent* money stay identical, and the
-  extra waste shows up in the spans that caused it.
+  extra waste shows up in the spans that caused it;
+* **one account** — under faults, partial results and a wide fetch pool,
+  on either fetch driver, a query's ``market_call`` spans sum to their
+  ``table_fetch`` span, its ``table_fetch`` spans to its ``QueryStats``,
+  and a session's stats to the ledger's buckets and the market's replay
+  count.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -109,7 +116,7 @@ class TestColdWarmWeather:
         assert span_sum(settled, "transactions") == 0
 
     def test_repeat_queries_hit_the_memo(self):
-        __, (cold, warm) = run_passes(self.WORKLOAD, passes=2)
+        payless, (cold, warm) = run_passes(self.WORKLOAD, passes=2)
         warm_hits = sum(
             1
             for result in warm
@@ -118,7 +125,7 @@ class TestColdWarmWeather:
         )
         assert warm_hits > 0
         # The registry agrees with the events.
-        metrics = warm[-1].stats.metrics
+        metrics = payless.metrics.snapshot()
         assert metrics["memo_hits"] > 0
         assert 0.0 < metrics["memo_hit_rate"] <= 1.0
 
@@ -220,3 +227,94 @@ class TestFaultSeeds:
             assert span.finished
             assert span.attrs["attempts"] >= 1
             assert span.attrs["retries"] == span.attrs["attempts"] - 1
+
+
+#: The fields a ``market_call`` span, a ``table_fetch`` span and
+#: ``QueryStats`` all carry; replays first, since a duplicate delivery's
+#: replay is the count only the transport sees.
+ACCOUNT = (
+    "replays",
+    "retries",
+    "calls",
+    "records",
+    "transactions",
+    "price",
+    "wasted_transactions",
+    "wasted_price",
+)
+
+
+def _one_account_session(workload, seed, transport_mode):
+    profile = replace(SMALL, instance_seed=seed)
+    data = make_workload(workload, profile)
+    q = profile.weather_q if workload == "real" else profile.tpch_q
+    instances = make_instances(workload, data, q, profile)
+    payless, __ = build_system(
+        "payless",
+        data,
+        options=QueryOptions(
+            transport=TransportConfig(
+                faults=FaultPolicy.uniform(seed=seed, rate=0.3),
+                partial_results=True,
+            ),
+            max_concurrent_calls=8,
+            transport_mode=transport_mode,
+        ),
+        tracing=True,
+        metrics=MetricsRegistry(),
+    )
+    payless.tracer.keep = len(instances) + 4
+    return payless, instances
+
+
+class TestOneAccount:
+    @pytest.mark.parametrize("transport_mode", ["threaded", "async"])
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    @pytest.mark.parametrize("workload", ["real", "tpch"])
+    def test_spans_stats_and_ledger_are_one_account(
+        self, workload, seed, transport_mode
+    ):
+        payless, instances = _one_account_session(
+            workload, seed, transport_mode
+        )
+        market = payless.market
+        ledger = market.ledger
+        before = (
+            ledger.spent,
+            ledger.wasted_on_failures,
+            ledger.total_calls,
+            market.replay_count,
+        )
+        try:
+            results = [payless.query(i.sql, i.params) for i in instances]
+        finally:
+            payless.close()
+        assert sum(r.stats.faults_injected for r in results) > 0
+        for result in results:
+            fetches = result.trace.spans("table_fetch")
+            for name in ACCOUNT:
+                assert sum(
+                    span.attrs.get(name, 0) for span in fetches
+                ) == pytest.approx(getattr(result.stats, name)), name
+            for fetch in fetches:
+                calls = [c for c in fetch.children if c.kind == "market_call"]
+                for name in ACCOUNT:
+                    assert sum(
+                        call.attrs.get(name, 0) for call in calls
+                    ) == pytest.approx(fetch.attrs.get(name, 0)), name
+        stats = [result.stats for result in results]
+        spent, wasted, calls, replays = before
+        assert sum(s.transactions for s in stats) == (
+            ledger.spent.transactions - spent.transactions
+        )
+        assert sum(s.price for s in stats) == pytest.approx(
+            ledger.spent.price - spent.price
+        )
+        assert sum(s.wasted_transactions for s in stats) == (
+            ledger.wasted_on_failures.transactions - wasted.transactions
+        )
+        assert sum(s.wasted_price for s in stats) == pytest.approx(
+            ledger.wasted_on_failures.price - wasted.price
+        )
+        assert sum(s.calls for s in stats) == ledger.total_calls - calls
+        assert sum(s.replays for s in stats) == market.replay_count - replays
