@@ -10,12 +10,15 @@ their data with.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import accumulate, chain
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import MarketError, SchemaError
 from repro.market.binding import BindingPattern
 from repro.market.pricing import PricingPolicy
+from repro.relational.query import AttributeConstraint
 from repro.relational.schema import Domain, Schema
 from repro.relational.table import Table
 
@@ -29,6 +32,74 @@ class BasicStatistics:
 
     def domain_of(self, attribute: str) -> Domain | None:
         return self.domains.get(attribute.lower())
+
+
+class _AttributeIndex:
+    """One attribute's row ids by value — ids into ``Table.columns_snapshot()``
+    and ``Table.rows``.
+
+    ``buckets`` maps each value to its ascending row ids, so a point is one
+    lookup with ``==``/hash semantics: ``3`` finds ``3.0``, a value of a
+    foreign type finds nothing.  A numeric attribute also keeps ``ids``, its
+    row ids sorted by value with NaN left out (NaN satisfies no range) — the
+    buckets laid end to end in the order of ``keys``, the distinct values —
+    and ``starts``, where each value's run begins in ``ids`` (one entry more
+    than ``keys``), so a range ``[low, high)`` is two bisections.
+    """
+
+    __slots__ = ("buckets", "keys", "ids", "starts")
+
+    def __init__(self, column: Sequence[Any], numeric: bool):
+        buckets: dict[Any, list[int]] = {}
+        for row_id, value in enumerate(column):
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = [row_id]
+            else:
+                bucket.append(row_id)
+        self.buckets = buckets
+        self.keys: list[Any] | None = None
+        if numeric:
+            self.keys = sorted(value for value in buckets if value == value)
+            runs = list(map(buckets.__getitem__, self.keys))
+            self.ids = list(chain.from_iterable(runs))
+            self.starts = list(accumulate(map(len, runs), initial=0))
+
+    def slice(
+        self, constraint: AttributeConstraint
+    ) -> tuple[Sequence[int], int, int]:
+        """The row ids satisfying ``constraint`` as ``(ids, start, stop)``,
+        meaning ``ids[start:stop]`` — sized before anything is copied."""
+        if constraint.is_point:
+            value = constraint.value
+            # NaN equals nothing, though a dict finds the very same object.
+            bucket = self.buckets.get(value, ()) if value == value else ()
+            return bucket, 0, len(bucket)
+        # A range reaches only a numeric attribute: DataMarket.get checks.
+        low, high = constraint.low, constraint.high
+        if low != low or high != high:  # a NaN bound admits nothing
+            return (), 0, 0
+        keys = self.keys
+        first = 0 if low is None else bisect_left(keys, low)
+        last = len(keys) if high is None else bisect_left(keys, high)
+        return self.ids, self.starts[first], self.starts[last]
+
+
+def _keep(
+    ids: list[int], column: Sequence[Any], constraint: AttributeConstraint
+) -> list[int]:
+    """The ``ids`` whose value in ``column`` satisfies ``constraint`` —
+    :meth:`AttributeConstraint.matches`, with its comparisons inlined: this
+    is the seller's inner loop."""
+    if constraint.is_point:
+        value = constraint.value
+        return [i for i in ids if column[i] == value]
+    low, high = constraint.low, constraint.high
+    if high is None:
+        return [i for i in ids if low <= column[i]]
+    if low is None:
+        return [i for i in ids if column[i] < high]
+    return [i for i in ids if low <= column[i] < high]
 
 
 class MarketTable:
@@ -47,12 +118,11 @@ class MarketTable:
         self.table = table
         self.pattern = pattern
         self._frozen_domains: dict[str, Domain] | None = None
-        #: Lazy hash indexes (attribute -> value -> rows) — the real
-        #: marketplace backends index their data; without this every GET
-        #: call would scan the full table, which dominates simulation time
-        #: for bind joins issuing thousands of point calls.  Built under a
-        #: lock: the executor issues independent GETs concurrently.
-        self._indexes: dict[str, dict] = {}
+        #: Lazy per-attribute indexes (lower-cased attribute -> index), as
+        #: a real marketplace backend indexes its data.  Built on first use
+        #: under a lock — the executor issues independent GETs concurrently
+        #: — and dropped by :meth:`append`.
+        self._indexes: dict[str, _AttributeIndex] = {}
         self._index_lock = threading.Lock()
 
     @property
@@ -86,48 +156,53 @@ class MarketTable:
         self._indexes.clear()
         return appended
 
-    def _index(self, attribute: str) -> dict:
+    def _index(self, attribute: str) -> _AttributeIndex:
         key = attribute.lower()
         index = self._indexes.get(key)
         if index is None:
             with self._index_lock:
                 index = self._indexes.get(key)
                 if index is None:
-                    position = self.schema.position(attribute)
-                    index = {}
-                    for row in self.table:
-                        index.setdefault(row[position], []).append(row)
+                    index = _AttributeIndex(
+                        self.table.columns_snapshot()[
+                            self.schema.position(attribute)
+                        ],
+                        self.schema.attribute(attribute).type.is_numeric,
+                    )
                     self._indexes[key] = index
         return index
 
     def rows_matching(self, request) -> list:
-        """Rows satisfying a :class:`~repro.market.rest.RestRequest`.
+        """Rows satisfying a :class:`~repro.market.rest.RestRequest`, in
+        table order.
 
-        Uses a hash index on one point-constrained attribute when available,
-        falling back to a full scan otherwise.
+        Every constraint names a slice of its attribute's index; the
+        smallest slice is the start, and its row ids are filtered column by
+        column against the other constraints — so a call costs its smallest
+        slice, not the table.  An unconstrained call (Download All) is the
+        table's row list itself.
         """
-        point_constraints = [
-            c for c in request.constraints if c.is_point
+        rows = self.table.rows
+        if not request.constraints:
+            return rows
+        slices = [
+            (self._index(c.attribute).slice(c), c) for c in request.constraints
         ]
-        if point_constraints:
-            anchor = point_constraints[0]
-            candidates = self._index(anchor.attribute).get(anchor.value, [])
-            others = [
-                c for c in request.constraints
-                if c.attribute.lower() != anchor.attribute.lower()
-            ]
-            if not others:
-                return list(candidates)
-            positions = [
-                (self.schema.position(c.attribute), c) for c in others
-            ]
-            return [
-                row
-                for row in candidates
-                if all(c.matches(row[p]) for p, c in positions)
-            ]
-        schema = self.schema
-        return [row for row in self.table if request.matches(row, schema)]
+        (ids, start, stop), first = min(
+            slices, key=lambda entry: entry[0][2] - entry[0][1]
+        )
+        survivors = ids[start:stop]
+        columns = self.table.columns_snapshot()
+        for __, constraint in slices:
+            if constraint is not first:
+                survivors = _keep(
+                    survivors,
+                    columns[self.schema.position(constraint.attribute)],
+                    constraint,
+                )
+        if first.is_range:  # sorted by value: back to table order
+            survivors = sorted(survivors)
+        return [rows[i] for i in survivors]
 
     def basic_statistics(self) -> BasicStatistics:
         """Publish cardinality + per-attribute domains derived from the data.

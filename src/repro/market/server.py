@@ -100,8 +100,9 @@ class DataMarket:
         ``asyncio.sleep`` of the same duration instead, so the modelled
         wall-clock is paid cooperatively rather than thread-blockingly.
 
-        Thread-safe: calls are read-only against published data (lazy row
-        indexes build under their own lock) and billing appends under the
+        Thread-safe: calls are read-only against published data (each
+        table's per-attribute indexes are built on a call's first use of the
+        attribute, under the table's lock) and billing appends under the
         ledger's lock, so the executor may issue independent calls
         concurrently.  ``publish``/``append`` are not meant to race with
         in-flight GETs, mirroring a real market's release windows.

@@ -97,9 +97,10 @@ class AttributeConstraint:
             return value == self.value
         if self.is_set:
             return value in self.values
-        if self.low is not None and value < self.low:
+        # Stated positively, so that NaN (unordered) satisfies no range.
+        if self.low is not None and not self.low <= value:
             return False
-        if self.high is not None and value >= self.high:
+        if self.high is not None and not value < self.high:
             return False
         return True
 

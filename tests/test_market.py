@@ -188,6 +188,27 @@ class TestServerGet:
         with pytest.raises(MarketError):
             market.publish(Dataset("D"))
 
+    def test_nan_satisfies_no_range(self):
+        """The local engine's ``>=``/``<`` reject a NaN row, so the market
+        must neither return nor bill it."""
+        table = Table(
+            "R",
+            Schema([Attribute("X", T.FLOAT)]),
+            [(1.0,), (float("nan"),), (12.0,)],
+        )
+        dataset = Dataset("D", PricingPolicy(tuples_per_transaction=1))
+        dataset.add_table(table, BindingPattern.parse("R", "Xf"))
+        market = DataMarket()
+        market.publish(dataset)
+        for constraint, expected in (
+            (interval("X", 0, 10), ((1.0,),)),
+            (interval("X", low=0), ((1.0,), (12.0,))),
+            (interval("X", high=10), ((1.0,),)),
+        ):
+            response = market.get(RestRequest("D", "R", (constraint,)))
+            assert response.rows == expected
+            assert response.transactions == len(expected)
+
 
 class TestBasicStatistics:
     def test_cardinality_and_domains(self, market):
