@@ -62,17 +62,17 @@ def main() -> None:
     print("\n=== Budget enforcement ===")
     fresh, __ = build_system("payless", data)
     with QueryScheduler(fresh) as desk:
-        intern = desk.session("intern", budget=BudgetPolicy(limit_transactions=50))
+        intern = desk.session("intern", budget=BudgetPolicy(limit_dollars=50))
         try:
-            intern.query("SELECT * FROM Weather")  # whole table ≫ 50
+            intern.query("SELECT * FROM Weather")  # whole table ≫ $50
         except BudgetExceededError as error:
             print(f"rejected up front: {error}")
         small = intern.query(
             "SELECT * FROM Weather WHERE Country = ? AND Date <= 10", (country,)
         )
         print(
-            f"small query allowed: {small.stats.transactions} transactions, "
-            f"{intern.remaining:g} remaining"
+            f"small query allowed: ${small.stats.price:g}, "
+            f"${intern.remaining:g} remaining"
         )
         print(desk.spend_report())
 

@@ -40,7 +40,7 @@ def main() -> None:
     print("=== 1. Plan choice on a cold store ===")
     planning = payless.explain(sql, params)
     print(planning.plan.describe())
-    print(f"estimated transactions: {planning.cost:.0f}; "
+    print(f"estimated price: ${planning.cost:g}; "
           f"candidate plans evaluated: {planning.evaluated_plans}\n")
 
     print("=== 2. Theorem 2: caching Station makes it zero-price ===")
@@ -68,7 +68,7 @@ def main() -> None:
         result = Optimizer(payless.context, options).optimize(logical)
         print(
             f"{label:>26}: {result.evaluated_plans:>5} candidate plans, "
-            f"best cost {result.cost:.0f}"
+            f"best cost ${result.cost:g}"
         )
 
     print(

@@ -82,7 +82,7 @@ def main() -> None:
     print("=== The chosen plan (the paper's P2) ===")
     planning = payless.explain(sql)
     print(planning.plan.describe())
-    print(f"estimated price: {planning.cost:.0f} transactions")
+    print(f"estimated price: ${planning.cost:g}")
     print(f"(fetching all US June weather instead would cost "
           f"1 + ceil(788*30/100) = 238 transactions)")
 

@@ -1,8 +1,8 @@
 """The evaluation's competitor systems (Section 5).
 
 * **Minimizing Calls** — an optimizer in the style of limited-access-pattern
-  query planners [Florescu et al., SIGMOD'99]: same plan machinery, but the
-  objective is the *number of REST calls*, and there is no semantic
+  query planners [Florescu et al., SIGMOD'99]: the same planner under
+  :class:`PerCallPricing`, so it minimises *REST calls*, without semantic
   rewriting.  It happily downloads a broad superset in one call where
   PayLess would pay per-page for less data.
 * **Download All** — fetch each touched table in its entirety the first time
@@ -17,12 +17,26 @@ from dataclasses import dataclass
 
 from repro.core.context import PlanningContext
 from repro.errors import ExecutionError
+from repro.market.pricing import PricingPolicy
 from repro.market.server import DataMarket
 from repro.relational.database import Database
 from repro.relational.engine import evaluate
 from repro.relational.operators import Relation
 from repro.relational.query import LogicalQuery
 from repro.relational.table import Table
+
+
+@dataclass(frozen=True)
+class PerCallPricing(PricingPolicy):
+    """One unit per REST call, whatever it returns; transactions stay the
+    seller's pages, so plan latency is estimated as before."""
+
+    @classmethod
+    def of(cls, published: PricingPolicy) -> "PerCallPricing":
+        return cls(published.tuples_per_transaction)
+
+    def price_for(self, record_count: float) -> float:
+        return 1.0
 
 
 @dataclass

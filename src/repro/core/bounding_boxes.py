@@ -9,7 +9,8 @@ boxes from the per-dimension separator sets and keep the promising ones:
 * **pruning rule 2** — a candidate is dropped when its estimated price is
   not below the summed prices of the elementary boxes it contains
   (Figure 7c: B3 at 4 transactions loses to fetching E3 and E6 separately
-  for 2).
+  for 2).  Prices come from the dataset's
+  :class:`~repro.market.pricing.PricingPolicy`.
 
 Categorical dimensions only admit single-value or whole-domain extents
 (Figure 8), and whole-domain is additionally invalid for *bound*
@@ -21,11 +22,11 @@ not counted as "generated bounding boxes" for the Figure 15 metric.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.market.pricing import PricingPolicy
 from repro.semstore.boxes import Box, Extent
 from repro.semstore.space import BoxSpace
 
@@ -52,7 +53,7 @@ class CandidateBox:
 
     box: Box
     estimated_rows: float
-    transactions: int
+    price: float
     covers: frozenset[int]  # indices into the elementary-box list
 
 
@@ -73,12 +74,6 @@ class GenerationResult:
     @property
     def all_candidates(self) -> list[CandidateBox]:
         return self.elementary_candidates + self.merged_candidates
-
-
-def _price(estimated_rows: float, tuples_per_transaction: int) -> int:
-    if estimated_rows <= 0:
-        return 0
-    return math.ceil(estimated_rows / tuples_per_transaction)
 
 
 def _axis_extents(
@@ -167,7 +162,7 @@ def generate_candidates(
     space: BoxSpace,
     elementary: Sequence[Box],
     estimate: Estimator,
-    tuples_per_transaction: int,
+    pricing: PricingPolicy,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     prune: bool = True,
     elementary_cap: int = DEFAULT_ELEMENTARY_CAP,
@@ -191,13 +186,14 @@ def generate_candidates(
         elementary_candidates=[],
         merged_candidates=[],
     )
+    price = pricing.price_for
     for index, element in enumerate(elementary):
         rows = estimate(element)
         result.elementary_candidates.append(
             CandidateBox(
                 box=element,
                 estimated_rows=rows,
-                transactions=_price(rows, tuples_per_transaction),
+                price=price(rows),
                 covers=frozenset([index]),
             )
         )
@@ -217,7 +213,7 @@ def generate_candidates(
         return result
 
     elementary_set = {box.extents for box in elementary}
-    elementary_prices = [c.transactions for c in result.elementary_candidates]
+    elementary_prices = [c.price for c in result.elementary_candidates]
     dimensionality = space.dimensionality
     all_mask = (1 << len(elementary)) - 1
     seen: set[tuple[Extent, ...]] = set()
@@ -252,17 +248,15 @@ def generate_candidates(
             ):
                 continue
             rows = estimate(box)
-            transactions = _price(rows, tuples_per_transaction)
-            if prune and transactions >= sum(
-                elementary_prices[i] for i in covered
-            ):
+            cost = price(rows)
+            if prune and cost >= sum(elementary_prices[i] for i in covered):
                 continue
             result.kept_count += 1
             result.merged_candidates.append(
                 CandidateBox(
                     box=box,
                     estimated_rows=rows,
-                    transactions=transactions,
+                    price=cost,
                     covers=covered,
                 )
             )

@@ -12,7 +12,7 @@ anyone on the invoice.
 
 Estimates can err, so the guard is belt-and-braces: the check uses the plan
 estimate before execution, and the running total uses actual billed
-transactions after it (``QueryScheduler._reserve``).
+dollars after it (``QueryScheduler._reserve``).
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ class BudgetMode(enum.Enum):
 
 @dataclass
 class BudgetPolicy:
-    """A transaction budget with a mode."""
+    """A dollar budget with a mode."""
 
-    limit_transactions: int
+    limit_dollars: float
     mode: BudgetMode = BudgetMode.HARD
 
     def __post_init__(self) -> None:
-        if self.limit_transactions < 0:
+        if not self.limit_dollars >= 0:  # NaN would admit every estimate
             raise ReproError("budget cannot be negative")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.core.objectives import QueryOptions
 from repro.core.rewriter import SemanticRewriter
 from repro.errors import PlanningError
+from repro.market.pricing import PricingPolicy
 from repro.market.server import DataMarket
 from repro.market.transport import MarketTransport
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -116,6 +117,10 @@ class PlanningContext:
         #: carries a durability config; the executor journals purchases
         #: through it inside the record→release window.
         self.durability = None
+        #: Turns a dataset's published schedule into the one the planner
+        #: and the rewriter price with (``None`` = the published one).
+        #: Set by :meth:`~repro.core.payless.PayLess.minimizing_calls`.
+        self.repricing = None
         self._local_info: dict[str, LocalTableInfo] = {}
         self._dataset_of: dict[str, str] = {}
         self._schemas: dict[str, Schema] = {}
@@ -152,9 +157,11 @@ class PlanningContext:
         except KeyError:
             raise PlanningError(f"{table!r} is not a local table") from None
 
-    def tuples_per_transaction(self, table: str) -> int:
-        dataset = self.market.dataset(self.dataset_of(table))
-        return dataset.pricing.tuples_per_transaction
+    def pricing(self, table: str) -> PricingPolicy:
+        """The schedule ``table``'s calls are priced with: the one its
+        dataset publishes and the seller bills with, unless re-priced."""
+        pricing = self.market.dataset(self.dataset_of(table)).pricing
+        return pricing if self.repricing is None else self.repricing(pricing)
 
     @property
     def latency_model(self):

@@ -692,7 +692,7 @@ class Executor:
         table_store = self.context.store.table(table)
         with table_store.lock:
             rewrite = self.context.rewriter.rewrite(
-                table, constraints, self.context.tuples_per_transaction(table)
+                table, constraints, self.context.pricing(table)
             )
             if rewrite.store_epoch != table_store.epoch:
                 raise ExecutionError(

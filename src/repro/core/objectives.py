@@ -18,11 +18,11 @@ picks the point to execute:
 * ``weighted`` — minimize ``dollar_weight·dollars +
   latency_weight_per_ms·latency_ms``.
 
-"Dollars" here is the planner's money cost in market *transactions*
-(``$1`` per transaction under the default
-:class:`~repro.market.pricing.PricingPolicy`); latency estimates come
-from the market's :class:`~repro.market.latency.LatencyModel` summed
-serially over the plan's market calls.
+Dollars are what each dataset's
+:class:`~repro.market.pricing.PricingPolicy` bills for the plan's
+estimated calls; latency estimates come from the market's
+:class:`~repro.market.latency.LatencyModel` summed serially over the
+plan's market calls.
 
 :class:`ServiceTier` names an objective preset so the serving layer can
 plan each tenant's queries under their tier, and :class:`QueryOptions`
@@ -396,9 +396,6 @@ class QueryOptions:
     use_sqr: bool = True
     #: Apply Theorems 1-3 ("Disable All" of Figure 14 = False → bushy).
     use_theorems: bool = True
-    #: The unit the money axis counts: "transactions" (PayLess) or
-    #: "calls" (the Minimizing-Calls competitor).
-    cost_metric: str = "transactions"
     #: Bind joins may bind values for at most this many attributes.
     max_bind_attrs: int = 2
     #: Entries the parameterized plan cache may hold; 0 disables it.
@@ -460,8 +457,6 @@ class QueryOptions:
             raise PlanningError(
                 f"fault_rate must be within [0, 1], got {self.fault_rate!r}"
             )
-        if self.cost_metric not in ("transactions", "calls"):
-            raise PlanningError(f"unknown cost metric {self.cost_metric!r}")
         if self.transport_mode not in ("threaded", "async"):
             raise PlanningError(
                 f"transport_mode must be 'threaded' or 'async', "

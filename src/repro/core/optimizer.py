@@ -16,7 +16,8 @@ Each candidate relation can be accessed directly (when its bound attributes
 are constrained by the query) or as the right side of a *bind join* on up
 to ``max_bind_attrs`` join attributes.  Access costs come from the semantic
 rewriter, so stored results reduce estimated prices exactly as they will at
-execution time.
+execution time, and every call is priced in dollars by its dataset's
+schedule (``PlanningContext.pricing``).
 
 The module also houses the exhaustive *bushy* enumerator used by the
 "Disable All" arm of Figure 14, and the closed-form search-space size
@@ -775,9 +776,9 @@ class Optimizer:
             ) = self._bind_options(table)
             left_relations, left_rows = left.relations, left.rows
             most_bindings = max(left_rows, 1.0)
-            priced_in_calls = self.options.cost_metric == "calls"
             for (
-                outers, distincts, columns, rows_per_binding, per_call, call_ms
+                outers, distincts, columns, rows_per_binding, call_price,
+                call_ms,
             ) in options:
                 if not outers <= left_relations:
                     continue
@@ -787,13 +788,10 @@ class Optimizer:
                     bindings *= max(min(outer_distinct, left_rows), 1.0)
                 bindings = min(bindings, most_bindings)
                 # One REST call per uncovered binding combination, each
-                # returning ``per_call`` transaction pages — the latency
-                # axis stays in transactions even when the money axis
-                # counts calls.
+                # at ``call_price`` and taking ``call_ms``.
                 access = _SubPlan(
                     own,
-                    bindings if priced_in_calls
-                    else bindings * uncovered * per_call,
+                    bindings * uncovered * call_price,
                     min(rows_per_binding * bindings, region_rows),
                     bindings * uncovered * call_ms,
                     build=partial(_bind_node, table, rewrite, columns, bindings),
@@ -858,7 +856,7 @@ class Optimizer:
             access = self._memo_direct[key] = _leaf(
                 MarketAccessNode(
                     relations=frozenset([key]),
-                    cost=self._objective_cost(rewrite),
+                    cost=rewrite.estimated_price,
                     estimated_rows=self._region_rows(table),
                     latency_ms=self._access_latency(rewrite),
                     table=table,
@@ -897,8 +895,8 @@ class Optimizer:
         ``(relation set, rewrite, region rows, uncovered fraction,
         options)``: the first four are table-wide (``None`` without
         options); ``options`` has one ``(outer tables, outer distinct
-        counts, bound columns, rows per binding, transactions per call,
-        ms per call)`` per feasible combination of at most
+        counts, bound columns, rows per binding, price per call, ms per
+        call)`` per feasible combination of at most
         ``max_bind_attrs`` bindable incident joins, in ``combinations``
         order — the order candidates are considered in, hence part of
         how ties resolve.
@@ -923,7 +921,7 @@ class Optimizer:
         own = rewrite = region_rows = uncovered = None
         options = []
         if feasible:
-            tuples_per_transaction = self.context.tuples_per_transaction(table)
+            pricing = self.context.pricing(table)
             rewrite = self._rewrite(table)
             region_rows = self._region_rows(table)
             if self.options.use_sqr and region_rows > 0:
@@ -941,11 +939,6 @@ class Optimizer:
                         self._attribute_domain_size(table, column), 1.0
                     )
                 rows_per_binding = region_rows * selectivity
-                per_call = (
-                    math.ceil(rows_per_binding / tuples_per_transaction)
-                    if rows_per_binding > 0
-                    else 0
-                )
                 options.append((
                     frozenset(other for other, __, __ in combination),
                     [
@@ -954,8 +947,10 @@ class Optimizer:
                     ],
                     columns,
                     rows_per_binding,
-                    per_call,
-                    self._latency_model.call_ms(per_call),
+                    pricing.price_for(rows_per_binding),
+                    self._latency_model.call_ms(
+                        pricing.transactions_for(rows_per_binding)
+                    ),
                 ))
         cached = self._memo_binds[key] = (
             own, rewrite, region_rows, uncovered, options
@@ -969,11 +964,6 @@ class Optimizer:
             model.call_ms(query.estimated_transactions)
             for query in rewrite.remainder
         )
-
-    def _objective_cost(self, rewrite: RewriteResult) -> float:
-        if self.options.cost_metric == "calls":
-            return float(max(len(rewrite.remainder), len(rewrite.request_boxes)))
-        return float(rewrite.estimated_transactions)
 
     def _rewrite(self, table: str) -> RewriteResult:
         """Rewrite a table access for costing (memoized per optimize()).
@@ -995,7 +985,7 @@ class Optimizer:
             result = rewriter.rewrite(
                 table,
                 self._query.constraints_for(table),
-                self.context.tuples_per_transaction(table),
+                self.context.pricing(table),
             )
         finally:
             rewriter.enabled = previous

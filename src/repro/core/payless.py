@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
-from repro.core.baselines import DownloadAllStrategy
+from repro.core.baselines import DownloadAllStrategy, PerCallPricing
 from repro.core.context import PlanningContext
 from repro.core.executor import Executor, QueryStats
 from repro.core.objectives import (
@@ -293,11 +293,12 @@ class PayLess:
         options: QueryOptions | None = None,
         **kwargs: Any,
     ) -> "PayLess":
-        """The Minimizing-Calls competitor of Figure 10."""
-        options = replace(
-            options or QueryOptions(), use_sqr=False, cost_metric="calls"
-        )
-        return cls(market, options=options, **kwargs)
+        """The Minimizing-Calls competitor of Figure 10: the same planner,
+        without SQR, pricing every call at one unit."""
+        options = replace(options or QueryOptions(), use_sqr=False)
+        payless = cls(market, options=options, **kwargs)
+        payless.context.repricing = PerCallPricing.of
+        return payless
 
     # -- registration ---------------------------------------------------------------
 
@@ -374,7 +375,6 @@ class PayLess:
         return (
             options.use_sqr,
             options.use_theorems,
-            options.cost_metric,
             options.max_bind_attrs,
             objective.fingerprint(),
             self.context.execution.engine,

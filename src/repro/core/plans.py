@@ -151,15 +151,6 @@ class JoinNode(PlanNode):
         return "\n".join(lines)
 
 
-def plan_latency(plan: PlanNode) -> float:
-    """Estimated serial wall-clock (ms) of the plan's market calls."""
-    total = 0.0
-    for leaf in plan.leaves():
-        if isinstance(leaf, MarketAccessNode):
-            total += leaf.latency_ms
-    return total
-
-
 def plan_price(plan: PlanNode) -> float:
     """φ(P): the summed price of market-access leaves."""
     total = 0.0

@@ -15,6 +15,9 @@ rewriter:
    no rewriting) and keeps whichever is estimated cheaper — the comparison
    in Algorithm 2 (line 14).
 
+Every call is priced by the caller's schedule: the dataset's
+:class:`~repro.market.pricing.PricingPolicy`, which the seller bills with.
+
 Elementary boxes that are not expressible as a single call (a partial
 multi-value categorical extent, e.g. "every country except Canada") can
 still be *elements* of the cover; for them the rewriter adds a snapped
@@ -34,10 +37,10 @@ from repro.core.bounding_boxes import (
     GenerationResult,
     _axis_masks,
     _bit_indices,
-    _price,
     generate_candidates,
 )
 from repro.core.set_cover import CoverCandidate, greedy_weighted_set_cover
+from repro.market.pricing import PricingPolicy
 from repro.relational.query import AttributeConstraint
 from repro.semstore.boxes import Box
 from repro.semstore.store import SemanticStore
@@ -63,8 +66,6 @@ class RewriteResult:
     request_boxes: list[Box]
     #: Remainder queries to send to the market (empty when fully covered).
     remainder: list[RemainderQuery]
-    #: Estimated total transactions of the remainder.
-    estimated_transactions: int
     #: Whether the store already covers the whole request region.
     fully_covered: bool
     #: Whether rewriting (vs the direct fetch) won the cost comparison.
@@ -74,10 +75,17 @@ class RewriteResult:
     kept_boxes: int = 0
     #: Estimated rows the remainder queries will pull from the market.
     estimated_remainder_rows: float = 0.0
+    #: The remainder's estimated cost under the schedule it was priced by.
+    estimated_price: float = 0.0
     #: The store epoch of ``table`` this result was computed at.  A result
     #: is only valid while the store is at this epoch; the executor asserts
     #: it before issuing any REST call (see ``core.executor``).
     store_epoch: int = -1
+
+    @property
+    def estimated_transactions(self) -> int:
+        """Estimated pages the remainder queries return, in total."""
+        return sum(query.estimated_transactions for query in self.remainder)
 
     @property
     def is_free(self) -> bool:
@@ -87,8 +95,8 @@ class RewriteResult:
 class SemanticRewriter:
     """Rewrites table accesses against a semantic store + catalog.
 
-    ``rewrite()`` results are memoized per ``(table, constraints, page
-    size, enabled-switch, clock, store epoch)``.  The epoch component makes
+    ``rewrite()`` results are memoized per ``(table, constraints, pricing,
+    enabled-switch, clock, store epoch)``.  The epoch component makes
     invalidation automatic: any store mutation (``record`` or a persisted
     restore) bumps the table epoch, so the optimizer's many probe rewrites
     within one DP run — and repeat queries between store writes — hit the
@@ -143,14 +151,15 @@ class SemanticRewriter:
         self,
         table: str,
         constraints: Sequence[AttributeConstraint],
-        tuples_per_transaction: int,
+        pricing: PricingPolicy,
     ) -> RewriteResult:
-        """Compute (or recall) the cheapest set of REST calls for a request."""
+        """Compute (or recall) the cheapest set of REST calls for a request,
+        priced by ``pricing``."""
         epoch = self.store.epoch_of(table)
         key = (
             table.lower(),
             tuple(constraints),
-            tuples_per_transaction,
+            pricing,
             self.enabled,
             self.prune,
             self.store.clock,
@@ -178,9 +187,7 @@ class SemanticRewriter:
         if tracing:
             tracer.event("memo", table=table, hit=False)
             with tracer.span("rewrite", table=table) as span:
-                result = self._rewrite_uncached(
-                    table, constraints, tuples_per_transaction
-                )
+                result = self._rewrite_uncached(table, constraints, pricing)
                 span.set(
                     remainder=len(result.remainder),
                     estimated_transactions=result.estimated_transactions,
@@ -188,9 +195,7 @@ class SemanticRewriter:
                     used_rewriting=result.used_rewriting,
                 )
         else:
-            result = self._rewrite_uncached(
-                table, constraints, tuples_per_transaction
-            )
+            result = self._rewrite_uncached(table, constraints, pricing)
         if self.metrics is not None:
             self.metrics.counter("memo_misses").inc()
             self.metrics.counter("rewrites").inc()
@@ -208,7 +213,7 @@ class SemanticRewriter:
         self,
         table: str,
         constraints: Sequence[AttributeConstraint],
-        tuples_per_transaction: int,
+        pricing: PricingPolicy,
     ) -> RewriteResult:
         """Compute the cheapest set of REST calls answering the request.
 
@@ -230,23 +235,20 @@ class SemanticRewriter:
                 table=table,
                 request_boxes=request_boxes,
                 remainder=[],
-                estimated_transactions=0,
                 fully_covered=True,
                 used_rewriting=bool(request_boxes),
             )
         estimate = statistics.histogram.estimate
-        direct = [
-            _priced(box, estimate(box), tuples_per_transaction)
-            for box in request_boxes
-        ]
+        direct = [_priced(box, estimate(box), pricing) for box in request_boxes]
         if not rewriting:
-            return self._render(statistics, request_boxes, direct)
+            return self._render(statistics, pricing, request_boxes, direct)
         cover, generation = self._cover_plan(
-            statistics, request_boxes, missing, tuples_per_transaction
+            statistics, request_boxes, missing, pricing
         )
-        direct_wins = _transactions(direct) < _transactions(cover)
+        direct_wins = _total_price(direct) < _total_price(cover)
         return self._render(
             statistics,
+            pricing,
             request_boxes,
             direct if direct_wins else cover,
             used_rewriting=not direct_wins,
@@ -258,6 +260,7 @@ class SemanticRewriter:
     def _render(
         self,
         statistics: TableStatistics,
+        pricing: PricingPolicy,
         request_boxes: list[Box],
         calls: list[CandidateBox],
         used_rewriting: bool = False,
@@ -273,16 +276,18 @@ class SemanticRewriter:
                     box=call.box,
                     constraints=space.constraints_for_box(call.box),
                     estimated_rows=call.estimated_rows,
-                    estimated_transactions=call.transactions,
+                    estimated_transactions=pricing.transactions_for(
+                        call.estimated_rows
+                    ),
                 )
                 for call in calls
             ],
-            estimated_transactions=_transactions(calls),
             fully_covered=False,
             used_rewriting=used_rewriting,
             enumerated_boxes=generation.enumerated_count if generation else 0,
             kept_boxes=generation.kept_count if generation else 0,
             estimated_remainder_rows=sum(call.estimated_rows for call in calls),
+            estimated_price=_total_price(calls),
         )
 
     #: Above this many elementary boxes, per-box histogram estimates are
@@ -295,7 +300,7 @@ class SemanticRewriter:
         statistics: TableStatistics,
         request_boxes: list[Box],
         elementary: list[Box],
-        tuples_per_transaction: int,
+        pricing: PricingPolicy,
     ) -> tuple[list[CandidateBox], GenerationResult]:
         """Algorithm 1 + weighted set cover over the missing region: the
         chosen candidates, and the generation they were chosen from."""
@@ -309,18 +314,14 @@ class SemanticRewriter:
             density = region_rows / region_volume if region_volume else 0.0
             estimate = lambda box: density * box.volume()  # noqa: E731
         generation = generate_candidates(
-            space,
-            elementary,
-            estimate,
-            tuples_per_transaction,
-            prune=self.prune,
+            space, elementary, estimate, pricing, prune=self.prune
         )
         candidates = self._coverage_candidates(
-            statistics, generation, tuples_per_transaction, estimate
+            statistics, generation, pricing, estimate
         )
         if generation.merged_candidates:
             cover_input = [
-                CoverCandidate(covers=c.covers, cost=float(c.transactions))
+                CoverCandidate(covers=c.covers, cost=c.price)
                 for c in candidates
             ]
             chosen = greedy_weighted_set_cover(len(elementary), cover_input)
@@ -335,7 +336,7 @@ class SemanticRewriter:
         self,
         statistics: TableStatistics,
         generation: GenerationResult,
-        tuples_per_transaction: int,
+        pricing: PricingPolicy,
         estimate=None,
     ) -> list[CandidateBox]:
         """All candidates offered to the set cover, guaranteeing feasibility.
@@ -378,7 +379,7 @@ class SemanticRewriter:
                 _priced(
                     fallback,
                     estimate(fallback),
-                    tuples_per_transaction,
+                    pricing,
                     frozenset(_bit_indices(covered)),
                 )
             )
@@ -412,17 +413,17 @@ class SemanticRewriter:
 def _priced(
     box: Box,
     rows: float,
-    tuples_per_transaction: int,
+    pricing: PricingPolicy,
     covers: frozenset[int] = frozenset(),
 ) -> CandidateBox:
     """``box`` as a candidate call at its estimated price."""
     return CandidateBox(
         box=box,
         estimated_rows=rows,
-        transactions=_price(rows, tuples_per_transaction),
+        price=pricing.price_for(rows),
         covers=covers,
     )
 
 
-def _transactions(calls: Sequence[CandidateBox]) -> int:
-    return sum(call.transactions for call in calls)
+def _total_price(calls: Sequence[CandidateBox]) -> float:
+    return sum(call.price for call in calls)

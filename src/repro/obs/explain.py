@@ -1,14 +1,14 @@
 """EXPLAIN / EXPLAIN ANALYZE renderers and the trace JSON encoding.
 
 ``EXPLAIN`` renders the plan the optimizer chose — per-node estimated
-transactions and rows, plus, for every market access, the semantic
+dollars and rows, plus, for every market access, the semantic
 rewriter's verdict: how much of the request region the store already
 covers and exactly which remainder boxes would be bought.  It never
 contacts the market.
 
 ``EXPLAIN ANALYZE`` renders the same tree after actually executing the
 query with tracing on, annotating each market access with actuals:
-est-vs-actual transactions, purchased vs cache-served rows, retries,
+est-vs-actual dollars, purchased vs cache-served rows, retries,
 billing replays, and dollars wasted on failed calls.  The annotations are
 read from the query's :class:`~repro.obs.trace.QueryTrace`, pairing each
 ``MarketAccessNode`` with its ``table_fetch`` span in plan order.
@@ -130,11 +130,11 @@ def _actuals_lines(span: "Span | None", estimated: float, pad: str) -> list[str]
     attrs = span.attrs
     calls = attrs.get("calls", 0)
     transactions = attrs.get("transactions", 0)
+    price = attrs.get("price", 0.0)
     lines = [
-        f"{pad}actual: {_fmt(estimated)} est → "
-        f"{transactions} trans "
-        f"(${attrs.get('price', 0.0):g}) in {calls} call(s), "
-        f"divergence ×{_divergence(estimated, transactions)}"
+        f"{pad}actual: ${_fmt(estimated)} est → "
+        f"{transactions} trans (${price:g}) in {calls} call(s), "
+        f"divergence ×{_divergence(estimated, price)}"
     ]
     lines.append(
         f"{pad}rows: {attrs.get('purchased_rows', 0)} purchased, "
@@ -162,7 +162,7 @@ def _render_node(
     detail_pad = " " * (indent + 4)
     if isinstance(node, JoinNode):
         lines.append(
-            f"{pad}{node.symbol} est {_fmt(node.cost)} trans, "
+            f"{pad}{node.symbol} est ${_fmt(node.cost)}, "
             f"rows≈{_fmt(node.estimated_rows)}"
         )
         _render_node(node.left, indent + 2, lines, fetches)
@@ -197,7 +197,7 @@ def _render_node(
         )
         lines.append(
             f"{pad}MarketAccess({node.table}){bind} "
-            f"est {_fmt(node.cost)} trans, rows≈{_fmt(node.estimated_rows)}"
+            f"est ${_fmt(node.cost)}, rows≈{_fmt(node.estimated_rows)}"
         )
         lines.extend(_coverage_lines(node, detail_pad))
         if fetches is not None:
@@ -207,7 +207,7 @@ def _render_node(
                 )
             )
         return
-    lines.append(f"{pad}{type(node).__name__} est {_fmt(node.cost)} trans")
+    lines.append(f"{pad}{type(node).__name__} est ${_fmt(node.cost)}")
 
 
 def _planner_line(planning: "PlanningResult") -> str:
@@ -259,7 +259,7 @@ def render_explain(planning: "PlanningResult", label: str | None = None) -> str:
     lines.append(_planner_line(planning))
     lines.extend(_objective_lines(planning))
     lines.append(
-        f"estimated: {_fmt(planning.cost)} transactions; "
+        f"estimated: ${_fmt(planning.cost)}; "
         f"{planning.evaluated_plans} candidate plan(s) evaluated; "
         f"{planning.kept_boxes}/{planning.enumerated_boxes} "
         f"bounding boxes kept"
@@ -290,7 +290,7 @@ def render_explain_analyze(
     lines.append(_planner_line(planning))
     lines.extend(_objective_lines(planning))
     lines.append(
-        f"estimated: {_fmt(planning.cost)} transactions; "
+        f"estimated: ${_fmt(planning.cost)}; "
         f"actual: {stats.transactions} transactions, "
         f"{stats.calls} call(s), ${stats.price:g}"
     )

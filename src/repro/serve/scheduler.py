@@ -164,7 +164,7 @@ class ServeSession:
     installation serves cost-sensitive and latency-sensitive tenants side
     by side, and the plan cache keeps their plans apart (the objective is
     part of every cache key).  ``budget`` caps the session's spend in
-    transactions; ``rejected`` / ``advisory_breaches`` / ``remaining``
+    dollars; ``rejected`` / ``advisory_breaches`` / ``remaining``
     are its account.
     """
 
@@ -202,8 +202,8 @@ class ServeSession:
         hold reserved (``None`` without a budget)."""
         if self.budget is None:
             return None
-        held = self.transactions + self._reserved
-        return max(self.budget.limit_transactions - held, 0)
+        held = self.price + self._reserved
+        return max(self.budget.limit_dollars - held, 0)
 
     def submit(
         self, sql: str, params: Sequence[Any] = ()
@@ -458,9 +458,8 @@ class QueryScheduler:
                 if session.budget.mode is BudgetMode.HARD:
                     session.rejected += 1
                     raise BudgetExceededError(
-                        f"estimated {estimate:.0f} transactions exceeds "
-                        f"the remaining budget of {remaining:g} "
-                        f"(session {session.name!r})"
+                        f"estimated ${estimate:g} exceeds the remaining "
+                        f"budget of ${remaining:g} (session {session.name!r})"
                     )
                 session.advisory_breaches += 1
             ticket._reserved = estimate

@@ -6,7 +6,6 @@ from repro.stats.estimator import (
     estimate_boxes,
     estimate_constraints,
     estimate_distinct,
-    transactions_for_estimate,
 )
 from repro.stats.interface import (
     STATISTIC_FACTORIES,
@@ -32,5 +31,4 @@ __all__ = [
     "estimate_constraints",
     "estimate_distinct",
     "make_statistic",
-    "transactions_for_estimate",
 ]

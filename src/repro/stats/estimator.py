@@ -53,10 +53,3 @@ def estimate_distinct(
         return 0.0
     expected = domain * (1.0 - math.pow(1.0 - 1.0 / domain, tuple_count))
     return min(expected, float(domain), tuple_count)
-
-
-def transactions_for_estimate(estimate: float, tuples_per_transaction: int) -> int:
-    """Estimated transactions for an estimated record count (Eq. 1)."""
-    if estimate <= 0:
-        return 0
-    return math.ceil(estimate / tuples_per_transaction)

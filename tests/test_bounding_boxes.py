@@ -5,6 +5,7 @@ import pytest
 from repro.core.bounding_boxes import generate_candidates
 from repro.market.binding import AccessMode, BindingPattern
 from repro.market.dataset import BasicStatistics
+from repro.market.pricing import PricingPolicy
 from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.types import AttributeType as T
 from repro.semstore.boxes import Box
@@ -47,15 +48,17 @@ class TestSingleElementary:
     def test_no_merging_possible(self):
         space = numeric_space([("A", 100)])
         result = generate_candidates(
-            space, [Box(((0, 10),))], volume_estimator, 10
+            space, [Box(((0, 10),))], volume_estimator, PricingPolicy(10)
         )
         assert result.enumerated_count == 0
         assert len(result.elementary_candidates) == 1
-        assert result.elementary_candidates[0].transactions == 1
+        assert result.elementary_candidates[0].price == 1
 
     def test_empty_elementary(self):
         space = numeric_space([("A", 100)])
-        result = generate_candidates(space, [], volume_estimator, 10)
+        result = generate_candidates(
+            space, [], volume_estimator, PricingPolicy(10)
+        )
         assert result.all_candidates == []
 
 
@@ -63,7 +66,9 @@ class TestMerging:
     def test_adjacent_boxes_can_merge(self):
         space = numeric_space([("A", 100)])
         elementary = [Box(((0, 10),)), Box(((10, 20),))]
-        result = generate_candidates(space, elementary, volume_estimator, 100)
+        result = generate_candidates(
+            space, elementary, volume_estimator, PricingPolicy(100)
+        )
         merged_boxes = [c.box for c in result.merged_candidates]
         assert Box(((0, 20),)) in merged_boxes
         merged = next(
@@ -71,14 +76,16 @@ class TestMerging:
         )
         assert merged.covers == frozenset({0, 1})
         # 20 tuples / 100 per transaction = 1 < 1 + 1.
-        assert merged.transactions == 1
+        assert merged.price == 1
 
     def test_pruning_rule_2_blocks_costly_merge(self):
         space = numeric_space([("A", 200)])
         # Far apart: a merged box spans 150 cells = 2 transactions at t=100,
         # while the two elementary boxes cost 1 each.
         elementary = [Box(((0, 10),)), Box(((140, 150),))]
-        result = generate_candidates(space, elementary, volume_estimator, 100)
+        result = generate_candidates(
+            space, elementary, volume_estimator, PricingPolicy(100)
+        )
         assert result.merged_candidates == []
         assert result.enumerated_count >= 1
 
@@ -87,16 +94,20 @@ class TestMerging:
         # Two elementary boxes whose tight bound is [0,20)x[0,10); any
         # candidate with a looser extent must be pruned as non-minimal.
         elementary = [Box(((0, 10), (0, 10))), Box(((10, 20), (0, 10)))]
-        result = generate_candidates(space, elementary, volume_estimator, 1000)
+        result = generate_candidates(
+            space, elementary, volume_estimator, PricingPolicy(1000)
+        )
         for candidate in result.merged_candidates:
             assert candidate.box == Box(((0, 20), (0, 10)))
 
     def test_no_pruning_keeps_everything(self):
         space = numeric_space([("A", 200)])
         elementary = [Box(((0, 10),)), Box(((140, 150),))]
-        pruned = generate_candidates(space, elementary, volume_estimator, 100)
+        pruned = generate_candidates(
+            space, elementary, volume_estimator, PricingPolicy(100)
+        )
         unpruned = generate_candidates(
-            space, elementary, volume_estimator, 100, prune=False
+            space, elementary, volume_estimator, PricingPolicy(100), prune=False
         )
         assert unpruned.kept_count == unpruned.enumerated_count
         assert unpruned.kept_count > pruned.kept_count
@@ -105,7 +116,7 @@ class TestMerging:
         space = numeric_space([("A", 1000)])
         elementary = [Box(((i * 10, i * 10 + 5),)) for i in range(20)]
         result = generate_candidates(
-            space, elementary, volume_estimator, 100, enumeration_cap=10
+            space, elementary, volume_estimator, PricingPolicy(100), enumeration_cap=10
         )
         assert result.capped
         # Elementary fallbacks still guarantee a feasible cover.
@@ -120,7 +131,9 @@ class TestCategorical:
             Box(((0, 10), (0, 1))),
             Box(((0, 10), (2, 3))),
         ]
-        result = generate_candidates(space, elementary, volume_estimator, 1000)
+        result = generate_candidates(
+            space, elementary, volume_estimator, PricingPolicy(1000)
+        )
         for candidate in result.merged_candidates:
             low, high = candidate.box.extents[1]
             assert high - low == 1 or (low, high) == (0, 4)
@@ -136,7 +149,9 @@ class TestCategorical:
             Box(((0, 10), (0, 1))),
             Box(((0, 10), (2, 3))),
         ]
-        result = generate_candidates(space, elementary, volume_estimator, 1000)
+        result = generate_candidates(
+            space, elementary, volume_estimator, PricingPolicy(1000)
+        )
         for candidate in result.merged_candidates:
             low, high = candidate.box.extents[1]
             assert high - low == 1

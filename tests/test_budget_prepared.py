@@ -8,6 +8,7 @@ from repro.core.optimizer import Optimizer
 from repro.core.payless import PayLess
 from repro.core.prepared import PreparedQuery
 from repro.errors import MarketError, ReproError, SqlAnalysisError
+from repro.market.pricing import PricingPolicy
 from repro.market.subscription import Subscription
 from repro.serve import QueryScheduler, ServeConfig
 
@@ -58,7 +59,7 @@ class TestBudget:
 
     def test_hard_budget_rejects(self, scheduler, mini_payless):
         session = scheduler.session(
-            "alice", budget=BudgetPolicy(limit_transactions=1)
+            "alice", budget=BudgetPolicy(limit_dollars=1)
         )
         with pytest.raises(BudgetExceededError):
             session.query("SELECT * FROM Weather")  # ≈6 transactions
@@ -88,7 +89,7 @@ class TestBudget:
         monkeypatch.setattr(Optimizer, "optimize", counting)
         with QueryScheduler(payless, ServeConfig(workers=1)) as scheduler:
             budgeted = scheduler.session(
-                "alice", budget=BudgetPolicy(limit_transactions=3)
+                "alice", budget=BudgetPolicy(limit_dollars=3)
             )
             result = budgeted.query("SELECT * FROM Station")
             assert result.stats.transactions >= 1 and len(calls) == 1
@@ -101,17 +102,17 @@ class TestBudget:
 
     def test_within_budget_executes(self, scheduler):
         session = scheduler.session(
-            "alice", budget=BudgetPolicy(limit_transactions=100)
+            "alice", budget=BudgetPolicy(limit_dollars=100)
         )
         result = session.query("SELECT * FROM Station")
         assert result.stats.transactions >= 1
         assert session.transactions == result.stats.transactions
-        assert session.remaining == 100 - result.stats.transactions
+        assert session.remaining == 100 - result.stats.price
 
     def test_advisory_mode_executes_and_logs(self, scheduler):
         session = scheduler.session(
             "alice",
-            budget=BudgetPolicy(limit_transactions=1, mode=BudgetMode.ADVISORY),
+            budget=BudgetPolicy(limit_dollars=1, mode=BudgetMode.ADVISORY),
         )
         result = session.query("SELECT * FROM Weather")
         assert result.stats.transactions > 1
@@ -120,32 +121,54 @@ class TestBudget:
 
     def test_covered_queries_free_under_tight_budget(self, scheduler):
         generous = scheduler.session(
-            "generous", budget=BudgetPolicy(limit_transactions=100)
+            "generous", budget=BudgetPolicy(limit_dollars=100)
         )
         generous.query("SELECT * FROM Weather")
         tight = scheduler.session(
-            "tight", budget=BudgetPolicy(limit_transactions=0)
+            "tight", budget=BudgetPolicy(limit_dollars=0)
         )
         # Fully covered → estimate 0 → allowed even with a zero budget.
         result = tight.query("SELECT * FROM Weather")
         assert result.stats.transactions == 0
 
+    def test_a_budget_counts_dollars_not_transactions(
+        self, mini_weather_market
+    ):
+        """$10 cannot buy one transaction of a $20-a-page dataset."""
+        mini_weather_market.dataset("WHW").pricing = PricingPolicy(
+            tuples_per_transaction=10, price_per_transaction=20.0
+        )
+        payless = PayLess.full(mini_weather_market)
+        payless.register_dataset("WHW")
+        sql = "SELECT * FROM Station WHERE City = 'Beta'"
+        assert payless.explain(sql).cost == 20.0  # one page
+        with QueryScheduler(payless, ServeConfig(workers=1)) as scheduler:
+            session = scheduler.session(
+                "alice", budget=BudgetPolicy(limit_dollars=10)
+            )
+            with pytest.raises(BudgetExceededError, match=r"\$20 exceeds"):
+                session.query(sql)
+            assert session.remaining == 10
+        assert payless.market.ledger.total_price == 0
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ReproError):
-            BudgetPolicy(limit_transactions=-1)
+            BudgetPolicy(limit_dollars=-1)
+        with pytest.raises(ReproError):
+            BudgetPolicy(limit_dollars=float("nan"))
 
     def test_a_budget_is_part_of_a_sessions_identity(self, scheduler):
-        policy = BudgetPolicy(limit_transactions=5)
+        policy = BudgetPolicy(limit_dollars=5)
         session = scheduler.session("alice", budget=policy)
         assert scheduler.session("Alice") is session
         assert scheduler.session("alice", budget=policy) is session
         with pytest.raises(MarketError):
-            scheduler.session("alice", budget=BudgetPolicy(limit_transactions=6))
+            scheduler.session("alice", budget=BudgetPolicy(limit_dollars=6))
         assert scheduler.session("bob").remaining is None
 
     def test_a_deferred_query_meets_its_owners_budget(self, scheduler, mini_payless):
         session = scheduler.session(
-            "alice", budget=BudgetPolicy(limit_transactions=1)
+            "alice", budget=BudgetPolicy(limit_dollars=1)
         )
         ticket = session.defer("SELECT * FROM Weather")
         assert scheduler.flush() == [ticket]

@@ -26,7 +26,12 @@ tokens (``attribute``, ``fetch_token``, ``checkpoint``,
 and their ``note_*`` methods, and the registry copy
 ``QueryStats.metrics`` — each call's outcome carries its account, and
 spans and stats are folds over the outcomes.  ``async_pool_size`` went
-with them (only its default was ever set).
+with them (only its default was ever set).  And the buyer's copies of
+Equation (1): ``bounding_boxes._price``, ``Optimizer._objective_cost``,
+``PlanningContext.tuples_per_transaction``,
+``stats.transactions_for_estimate`` and ``QueryOptions.cost_metric`` —
+the planner prices through the dataset's ``PricingPolicy``, and the
+Minimizing-Calls competitor is the same planner under its own schedule.
 """
 
 from __future__ import annotations
@@ -42,9 +47,13 @@ import pytest
 import repro
 import repro.core
 import repro.core.batch
+import repro.core.bounding_boxes
 import repro.core.budget
+import repro.core.context
 import repro.core.executor
 import repro.core.optimizer
+import repro.stats
+import repro.stats.estimator
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import run_session
 from repro.cli import main
@@ -199,7 +208,7 @@ def test_the_scheduler_is_the_one_multi_user_front_end():
     ]
     assert len(dataclasses.fields(ServeConfig)) == 6
     assert len(dataclasses.fields(BudgetPolicy)) == 2
-    assert len(dataclasses.fields(QueryOptions)) == 18
+    assert len(dataclasses.fields(QueryOptions)) == 17
 
 
 def test_one_options_record_one_walk():
@@ -238,6 +247,45 @@ def test_one_account_of_a_querys_calls():
     assert set(vars(QueryScope(None))) == {"retry_budget", "retries", "_lock"}
     assert "metrics" not in {f.name for f in dataclasses.fields(QueryStats)}
     assert "pool_size" not in inspect.signature(AsyncMarketTransport).parameters
+
+
+#: The buyer-side copies of Equation (1), as ``(owner, name)``.
+PRICING_COPIES = (
+    (repro.core.bounding_boxes, "_price"),
+    (repro.core.optimizer.Optimizer, "_objective_cost"),
+    (repro.core.context.PlanningContext, "tuples_per_transaction"),
+    (repro.stats, "transactions_for_estimate"),
+    (repro.stats.estimator, "transactions_for_estimate"),
+)
+
+
+@pytest.mark.parametrize(
+    "owner, name", PRICING_COPIES, ids=[name for __, name in PRICING_COPIES]
+)
+def test_equation_one_has_no_buyer_side_copy(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
+
+
+def test_rows_become_pages_only_in_the_pricing_policy():
+    offenders = [
+        str(path.relative_to(SRC.parent))
+        for package in ("core", "stats")
+        for path in sorted((SRC / package).rglob("*.py"))
+        if "math.ceil(" in path.read_text()
+    ]
+    assert not offenders, offenders
+
+
+def test_cost_metric_is_gone():
+    with pytest.raises(TypeError):
+        QueryOptions(cost_metric="calls")
+    offenders = [
+        str(path.relative_to(SRC.parent))
+        for path in sorted(SRC.rglob("*.py"))
+        if "cost_metric" in path.read_text()
+    ]
+    assert not offenders, offenders
 
 
 def test_every_option_is_read_somewhere():

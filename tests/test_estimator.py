@@ -4,6 +4,7 @@ import pytest
 
 from repro.market.binding import AccessMode, BindingPattern
 from repro.market.dataset import BasicStatistics
+from repro.market.pricing import PricingPolicy
 from repro.relational.query import AttributeConstraint
 from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.types import AttributeType as T
@@ -15,7 +16,6 @@ from repro.stats.estimator import (
     estimate_boxes,
     estimate_constraints,
     estimate_distinct,
-    transactions_for_estimate,
 )
 
 
@@ -84,15 +84,19 @@ class TestDistinct:
 
 
 class TestTransactions:
+    """An estimate is priced by the seller's own Equation (1)."""
+
+    PRICING = PricingPolicy(tuples_per_transaction=100)
+
     def test_zero(self):
-        assert transactions_for_estimate(0.0, 100) == 0
+        assert self.PRICING.transactions_for(0.0) == 0
 
     def test_fractional_rounds_up(self):
-        assert transactions_for_estimate(0.3, 100) == 1
-        assert transactions_for_estimate(100.5, 100) == 2
+        assert self.PRICING.transactions_for(0.3) == 1
+        assert self.PRICING.transactions_for(100.5) == 2
 
     def test_exact_page(self):
-        assert transactions_for_estimate(200.0, 100) == 2
+        assert self.PRICING.transactions_for(200.0) == 2
 
 
 class TestCatalog:

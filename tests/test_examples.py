@@ -21,8 +21,8 @@ EXPECTED = {
     "organization_budget": [
         "Bob's overlapping query cost: 0 transactions",
         "narrow rode free (0)",
-        "rejected up front: estimated 288 transactions",
-        "small query allowed: 4 transactions, 46 remaining",
+        "rejected up front: estimated $288 exceeds",
+        "small query allowed: $4, $46 remaining",
     ],
 }
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core.bounding_boxes import generate_candidates
 from repro.market.binding import AccessMode, BindingPattern
 from repro.market.dataset import BasicStatistics
+from repro.market.pricing import PricingPolicy
 from repro.relational.query import AttributeConstraint
 from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.types import AttributeType as T
@@ -66,7 +67,7 @@ class TestFigure7:
         space = numeric_space_2d()
         remainder = remainder_decomposition(self.QUERY, self.VIEWS)
         result = generate_candidates(
-            space, remainder, lambda box: float(box.volume()), 100
+            space, remainder, lambda box: float(box.volume()), PricingPolicy(100)
         )
         for candidate in result.merged_candidates:
             covered = [remainder[i] for i in candidate.covers]
@@ -80,15 +81,15 @@ class TestFigure7:
         space = numeric_space_2d()
         remainder = remainder_decomposition(self.QUERY, self.VIEWS)
         result = generate_candidates(
-            space, remainder, lambda box: float(box.volume()), 100
+            space, remainder, lambda box: float(box.volume()), PricingPolicy(100)
         )
         prices = {
-            frozenset([i]): c.transactions
+            frozenset([i]): c.price
             for i, c in enumerate(result.elementary_candidates)
         }
         for candidate in result.merged_candidates:
             parts = sum(prices[frozenset([i])] for i in candidate.covers)
-            assert candidate.transactions < parts
+            assert candidate.price < parts
 
 
 class TestFigure8Categorical:
@@ -123,7 +124,7 @@ class TestFigure8Categorical:
             Box(((50, 80), (4, 5))),
         ]
         result = generate_candidates(
-            space, remainder, lambda box: float(box.volume()), 1000
+            space, remainder, lambda box: float(box.volume()), PricingPolicy(1000)
         )
         for candidate in result.merged_candidates:
             low, high = candidate.box.extents[1]
@@ -171,12 +172,14 @@ class TestFigure9BindJoin:
             AttributeConstraint("A2", values=frozenset({2, 5, 9, 10, 12, 13})),
             AttributeConstraint("A3", low=8, high=19),
         ]
-        seeded = SemanticRewriter(store, catalog).rewrite("S", constraints, 10)
+        seeded = SemanticRewriter(store, catalog).rewrite(
+            "S", constraints, PricingPolicy(10)
+        )
 
         cold_store = SemanticStore()
         cold_store.register_table(space, catalog.statistics("S").schema)
         cold = SemanticRewriter(cold_store, catalog).rewrite(
-            "S", constraints, 10
+            "S", constraints, PricingPolicy(10)
         )
         # Stored bindings make the rewritten plan no more expensive than a
         # cold fetch — and every remainder box still binds A2 (it is a
@@ -197,7 +200,7 @@ class TestFigure9BindJoin:
                 AttributeConstraint("A2", values=frozenset({12, 13})),
                 AttributeConstraint("A3", low=8, high=19),
             ],
-            100,
+            PricingPolicy(100),
         )
         remainder_volume = sum(q.box.volume() for q in result.remainder)
         request_volume = sum(box.volume() for box in result.request_boxes)

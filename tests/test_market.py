@@ -78,6 +78,32 @@ class TestPricing:
         with pytest.raises(MarketError):
             PricingPolicy().transactions_for(-1)
 
+    @pytest.mark.parametrize(
+        "published",
+        [
+            {"price_per_transaction": float("nan")},
+            {"price_per_transaction": float("inf")},
+            {"price_per_transaction": -float("inf")},
+            {"price_per_transaction": -0.5},
+            {"price_per_transaction": True},
+            {"price_per_transaction": "1"},
+            {"tuples_per_transaction": True},
+            {"tuples_per_transaction": 2.5},
+            {"tuples_per_transaction": 10.0},
+            {"tuples_per_transaction": -3},
+        ],
+        ids=repr,
+    )
+    def test_rejects_what_no_seller_can_bill(self, published):
+        """The planner compares these prices: a NaN would make every
+        comparison false, a fractional page would bill fractional pages."""
+        with pytest.raises(MarketError):
+            PricingPolicy(**published)
+
+    def test_free_and_integral_prices_are_valid(self):
+        assert PricingPolicy(price_per_transaction=0.0).price_for(7) == 0.0
+        assert PricingPolicy(10, 2).price_for(7) == 2
+
 
 @pytest.fixture
 def market():

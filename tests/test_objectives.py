@@ -154,9 +154,10 @@ class TestInstallationOptions:
             tiny_weather_market(), options=QueryOptions(engine="reference")
         )
         assert payless.query_options.use_sqr is False
-        assert payless.query_options.cost_metric == "calls"
         assert payless.query_options.engine == "reference"
         assert payless.context.options is payless.query_options
+        payless.register_dataset("WHW")
+        assert payless.context.pricing("Weather").price_for(1_000) == 1.0
 
     @pytest.mark.parametrize(
         "bad", [{"engine": "reference"}, TransportConfig(max_retries=1)]

@@ -21,6 +21,8 @@ from repro.core.plans import (
     plan_price,
 )
 from repro.errors import PlanningError
+from repro.market.pricing import PricingPolicy
+from repro.testing import oracle_evaluate
 
 
 def optimize(payless, sql, params=(), **options):
@@ -113,6 +115,29 @@ class TestTheorem2ZeroPrice:
         assert blocks and blocks[0].tables == ("CityInfo",)
 
 
+    def test_a_free_dataset_is_still_bought(self, mini_weather_market):
+        """Theorem 2 folds what there is nothing to buy, not what costs $0:
+        an uncovered $0 dataset is accessed, and what it returns is stored."""
+        mini_weather_market.dataset("WHW").pricing = PricingPolicy(
+            tuples_per_transaction=10, price_per_transaction=0.0
+        )
+        from repro import PayLess
+
+        payless = PayLess.full(mini_weather_market)
+        payless.register_dataset("WHW")
+        sql = "SELECT * FROM Weather WHERE Country = 'CountryA' AND Date <= 3"
+        planning, __ = optimize(payless, sql)
+        assert isinstance(planning.plan, MarketAccessNode)
+        assert planning.cost == 0.0
+        result = payless.query(sql)
+        assert result.stats.transactions > 0 and result.stats.price == 0.0
+        assert sorted(result.rows) == sorted(oracle_evaluate(payless, sql).rows)
+        # The rows reached the store: now there is nothing to buy.
+        assert payless.store.table("Weather").cached_row_count == len(result.rows)
+        planning, __ = optimize(payless, sql)
+        assert isinstance(planning.plan, LocalBlockNode)
+
+
 class TestTheorem3Partition:
     def test_disconnected_relations_cartesian(self, mini_payless):
         planning, __ = optimize(
@@ -138,16 +163,15 @@ class TestObjectives:
             "WHERE City = 'Alpha' AND Station.Country = 'CountryA' "
             "AND Weather.Country = 'CountryA' "
             "AND Station.StationID = Weather.StationID",
-            cost_metric="calls",
-            use_sqr=False,
         )
         root = planning.plan
         assert isinstance(root, JoinNode)
         assert not root.bind
+        assert planning.cost == 2.0  # one unit per call
 
     def test_invalid_objective(self):
         with pytest.raises(PlanningError):
-            QueryOptions(cost_metric="latency")
+            QueryOptions(objective="min_calls")
 
 
 class TestBushyEnumeration:

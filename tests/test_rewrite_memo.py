@@ -1,7 +1,7 @@
 """Rewrite memoization: epoch-keyed caching and the staleness guard.
 
-The rewriter memoizes ``rewrite()`` on ``(table, constraints, page size,
-switches, clock, store epoch)``.  Repeat queries between store writes must
+The rewriter memoizes ``rewrite()`` on ``(table, constraints, pricing
+schedule, switches, clock, store epoch)``.  Repeat queries between store writes must
 hit the cache (an acceptance criterion of the perf work); any store
 mutation bumps the epoch and must invalidate; and the executor must refuse
 to spend money on a rewrite computed at a stale epoch.
@@ -10,8 +10,13 @@ to spend money on a rewrite computed at a stale epoch.
 import pytest
 
 from repro.errors import ExecutionError
+from repro.market.pricing import PricingPolicy
 from repro.relational.query import AttributeConstraint
 from repro.testing import registered_payless, tiny_weather_market
+
+
+#: ``tiny_weather_market``'s schedule: ten tuples a page at $1.
+PRICING = PricingPolicy(tuples_per_transaction=10)
 
 
 def fresh_payless(**kwargs):
@@ -39,9 +44,9 @@ class TestMemoization:
         payless = fresh_payless()
         rewriter = payless.rewriter
         constraints = [AttributeConstraint("Country", value="CountryA")]
-        first = rewriter.rewrite("Weather", constraints, 10)
+        first = rewriter.rewrite("Weather", constraints, PRICING)
         misses = rewriter.cache_misses
-        second = rewriter.rewrite("Weather", constraints, 10)
+        second = rewriter.rewrite("Weather", constraints, PRICING)
         assert second is first
         assert rewriter.cache_misses == misses
         assert first.store_epoch == payless.store.epoch_of("Weather")
@@ -50,12 +55,12 @@ class TestMemoization:
         payless = fresh_payless()
         rewriter = payless.rewriter
         constraints = [AttributeConstraint("Country", value="CountryA")]
-        first = rewriter.rewrite("Weather", constraints, 10)
+        first = rewriter.rewrite("Weather", constraints, PRICING)
         assert not first.fully_covered
         space = payless.catalog.statistics("Weather").space
         box = space.boxes_for_constraints(constraints)[0]
         payless.store.record("Weather", box, [])
-        again = rewriter.rewrite("Weather", constraints, 10)
+        again = rewriter.rewrite("Weather", constraints, PRICING)
         assert again is not first
         assert again.fully_covered
         assert again.store_epoch == payless.store.epoch_of("Weather")
@@ -64,18 +69,32 @@ class TestMemoization:
         payless = fresh_payless()
         rewriter = payless.rewriter
         constraints = [AttributeConstraint("Country", value="CountryB")]
-        first = rewriter.rewrite("Weather", constraints, 10)
+        first = rewriter.rewrite("Weather", constraints, PRICING)
         payless.store.advance_clock(1)
-        second = rewriter.rewrite("Weather", constraints, 10)
+        second = rewriter.rewrite("Weather", constraints, PRICING)
         assert second is not first
 
     def test_different_page_size_is_a_different_entry(self):
         payless = fresh_payless()
         rewriter = payless.rewriter
         constraints = [AttributeConstraint("Country", value="CountryA")]
-        small = rewriter.rewrite("Weather", constraints, 5)
-        large = rewriter.rewrite("Weather", constraints, 500)
+        small = rewriter.rewrite("Weather", constraints, PricingPolicy(5))
+        large = rewriter.rewrite("Weather", constraints, PricingPolicy(500))
         assert small is not large
+
+    def test_different_price_is_a_different_entry(self):
+        payless = fresh_payless()
+        rewriter = payless.rewriter
+        constraints = [AttributeConstraint("Country", value="CountryA")]
+        cheap = rewriter.rewrite("Weather", constraints, PRICING)
+        dear = rewriter.rewrite(
+            "Weather",
+            constraints,
+            PricingPolicy(tuples_per_transaction=10, price_per_transaction=20.0),
+        )
+        assert cheap is not dear
+        assert dear.estimated_transactions == cheap.estimated_transactions
+        assert dear.estimated_price == 20 * cheap.estimated_price
 
     def test_unhashable_constraint_computes_uncached(self):
         payless = fresh_payless()
@@ -83,8 +102,8 @@ class TestMemoization:
         # A list-valued point is off-domain (the space only indexes ints),
         # and — being unhashable — must bypass the memo without crashing.
         constraints = [AttributeConstraint("StationID", value=[1, 2])]
-        first = rewriter.rewrite("Weather", constraints, 10)
-        second = rewriter.rewrite("Weather", constraints, 10)
+        first = rewriter.rewrite("Weather", constraints, PRICING)
+        second = rewriter.rewrite("Weather", constraints, PRICING)
         assert first is not second
         assert first.fully_covered  # empty request region: nothing to buy
 
@@ -96,7 +115,7 @@ class TestMemoization:
             rewriter.rewrite(
                 "Weather",
                 [AttributeConstraint("StationID", value=station)],
-                10,
+                PRICING,
             )
         assert len(rewriter._memo) <= 3  # noqa: SLF001
 
@@ -106,8 +125,8 @@ class TestStalenessGuard:
         """Regression: execution must never spend on a planning-epoch rewrite."""
         payless = fresh_payless()
         payless.query("SELECT * FROM Station")
-        page = payless.context.tuples_per_transaction("Station")
-        stale = payless.rewriter.rewrite("Station", [], page)
+        pricing = payless.context.pricing("Station")
+        stale = payless.rewriter.rewrite("Station", [], pricing)
         space = payless.catalog.statistics("Station").space
         payless.store.record("Station", space.full_box, [])  # bump the epoch
 
@@ -115,7 +134,7 @@ class TestStalenessGuard:
             enabled = True
             prune = True
 
-            def rewrite(self, table, constraints, tuples_per_transaction):
+            def rewrite(self, table, constraints, pricing):
                 return stale
 
         payless.context.rewriter = StaleRewriter()

@@ -21,6 +21,7 @@ import repro.semstore.store as store_module
 from repro.core.rewriter import SemanticRewriter
 from repro.market.binding import BindingPattern
 from repro.market.dataset import BasicStatistics
+from repro.market.pricing import PricingPolicy
 from repro.relational.query import AttributeConstraint
 from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.types import AttributeType as T
@@ -113,7 +114,7 @@ def test_a_bind_rewrite_decomposes_per_signature_and_tests_no_containment(
     monkeypatch.setattr(Box, "contains_box", lambda a, b: contains(a, b))
 
     result = SemanticRewriter(store, catalog).rewrite(
-        "Lineitem", bind_constraints(count), 100
+        "Lineitem", bind_constraints(count), PricingPolicy(100)
     )
 
     assert len(result.request_boxes) == count and not result.fully_covered
@@ -136,7 +137,7 @@ def rewrite_seconds(count: int) -> float:
     for __ in range(3):
         rewriter = SemanticRewriter(store, catalog)  # a fresh memo
         started = time.perf_counter()
-        rewriter.rewrite("Lineitem", constraints, 100)
+        rewriter.rewrite("Lineitem", constraints, PricingPolicy(100))
         best = min(best, time.perf_counter() - started)
     return best
 

@@ -6,6 +6,7 @@ from repro.core.bounding_boxes import generate_candidates
 from repro.core.rewriter import SemanticRewriter
 from repro.market.binding import AccessMode, BindingPattern
 from repro.market.dataset import BasicStatistics
+from repro.market.pricing import PricingPolicy
 from repro.relational.query import AttributeConstraint
 from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.types import AttributeType as T
@@ -14,6 +15,9 @@ from repro.semstore.consistency import ConsistencyPolicy
 from repro.semstore.space import BoxSpace
 from repro.semstore.store import SemanticStore
 from repro.stats.catalog import Catalog
+
+#: The paper's page size at $1 a page.
+PRICING = PricingPolicy(tuples_per_transaction=100)
 
 
 def build(policy=None, cardinality=297):
@@ -49,7 +53,7 @@ class TestFigure6Example:
         store, catalog, entry = build()
         seed_figure6(store, entry)
         rewriter = SemanticRewriter(store, catalog)
-        result = rewriter.rewrite("R", [AttributeConstraint("A", low=0, high=101)], 100)
+        result = rewriter.rewrite("R", [AttributeConstraint("A", low=0, high=101)], PRICING)
         # The paper's Rem2: {[0,30): 1 transaction, [60,101): 2} = 3 total,
         # beating the naive Rem1 (4) by letting [0,30) overlap stored V1.
         assert result.estimated_transactions == 3
@@ -61,7 +65,7 @@ class TestFigure6Example:
         store, catalog, entry = build()
         rewriter = SemanticRewriter(store, catalog)
         result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", low=0, high=101)], 100
+            "R", [AttributeConstraint("A", low=0, high=101)], PRICING
         )
         assert len(result.remainder) == 1
         assert result.remainder[0].box == Box(((0, 101),))
@@ -74,7 +78,7 @@ class TestFigure6Example:
         store.record("R", Box(((0, 101),)), rows)
         rewriter = SemanticRewriter(store, catalog)
         result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", low=5, high=50)], 100
+            "R", [AttributeConstraint("A", low=5, high=50)], PRICING
         )
         assert result.fully_covered
         assert result.estimated_transactions == 0
@@ -86,7 +90,7 @@ class TestFigure6Example:
         seed_figure6(store, entry)
         rewriter = SemanticRewriter(store, catalog, enabled=False)
         result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", low=0, high=101)], 100
+            "R", [AttributeConstraint("A", low=0, high=101)], PRICING
         )
         assert not result.used_rewriting
         assert len(result.remainder) == 1
@@ -96,7 +100,7 @@ class TestFigure6Example:
         seed_figure6(store, entry)
         rewriter = SemanticRewriter(store, catalog)
         result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", low=0, high=101)], 100
+            "R", [AttributeConstraint("A", low=0, high=101)], PRICING
         )
         assert not result.used_rewriting
         assert result.estimated_transactions >= 3
@@ -105,7 +109,7 @@ class TestFigure6Example:
         store, catalog, entry = build()
         rewriter = SemanticRewriter(store, catalog)
         result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", low=500, high=600)], 100
+            "R", [AttributeConstraint("A", low=500, high=600)], PRICING
         )
         assert result.fully_covered and result.is_free
 
@@ -113,7 +117,7 @@ class TestFigure6Example:
         store, catalog, entry = build()
         rewriter = SemanticRewriter(store, catalog)
         result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", values=frozenset({3, 50}))], 100
+            "R", [AttributeConstraint("A", values=frozenset({3, 50}))], PRICING
         )
         assert len(result.request_boxes) == 2
 
@@ -122,7 +126,7 @@ class TestFigure6Example:
         seed_figure6(store, entry)
         rewriter = SemanticRewriter(store, catalog)
         result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", low=0, high=101)], 100
+            "R", [AttributeConstraint("A", low=0, high=101)], PRICING
         )
         assert result.enumerated_boxes >= result.kept_boxes >= 1
 
@@ -179,10 +183,10 @@ class TestFallbackCoverSets:
         )
         statistics = catalog.statistics("R")
         generation = generate_candidates(
-            statistics.space, elementary, statistics.histogram.estimate, 100
+            statistics.space, elementary, statistics.histogram.estimate, PRICING
         )
         candidates = SemanticRewriter(store, catalog)._coverage_candidates(
-            statistics, generation, 100
+            statistics, generation, PRICING
         )
         snapped = [c for c in candidates if c.box not in elementary
                    and c not in generation.merged_candidates]
