@@ -46,7 +46,6 @@ from repro.core.objectives import QueryOptions  # noqa: E402
 from repro.core.payless import PayLess  # noqa: E402
 from repro.market.latency import LatencyModel  # noqa: E402
 from repro.market.server import DataMarket  # noqa: E402
-from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.serve import QueryScheduler, ServeConfig  # noqa: E402
 from repro.workloads.weather import (  # noqa: E402
     WeatherConfig,
@@ -101,7 +100,6 @@ def _fresh_payless(data, transport_mode: str, **option_kwargs):
     payless = PayLess.full(
         market,
         local_db=data.local_database(),
-        metrics=MetricsRegistry(),
         options=QueryOptions(
             transport_mode=transport_mode,
             max_concurrent_calls=8,
@@ -137,9 +135,7 @@ def run_latency_arm(transport_mode: str, gaps: int) -> dict:
             "elapsed_ms": 1000.0 * elapsed_s,
             "spent_dollars": result.stats.price,
             "rows": len(result.rows),
-            "connections_reused": payless.metrics.snapshot().get(
-                "connections_reused", 0.0
-            ),
+            "connections_reused": payless.metrics()["connections_reused"],
         }
     finally:
         payless.close()
@@ -188,13 +184,12 @@ def run_prefetch_arm(prefetch: bool) -> dict:
         started = time.perf_counter()
         result = payless.query(JOIN_SQL, ("Country00", 1, 40))
         elapsed_s = time.perf_counter() - started
-        snapshot = payless.metrics.snapshot()
         return {
             "prefetch": prefetch,
             "elapsed_ms": 1000.0 * elapsed_s,
             "spent_dollars": result.stats.price,
-            "prefetch_hits": snapshot.get("prefetch_hits", 0.0),
-            "wasted_dollars": snapshot.get("prefetch_wasted_dollars", 0.0),
+            "prefetch_hits": result.stats.prefetch_hits,
+            "wasted_dollars": payless.metrics()["prefetch_wasted_dollars"],
         }
     finally:
         payless.close()

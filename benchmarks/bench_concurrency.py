@@ -41,7 +41,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.payless import PayLess  # noqa: E402
 from repro.market.latency import LatencyModel  # noqa: E402
 from repro.market.server import DataMarket  # noqa: E402
-from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.serve import QueryScheduler, ServeConfig  # noqa: E402
 from repro.workloads.weather import (  # noqa: E402
     TEMPLATES,
@@ -86,11 +85,7 @@ def _fresh_payless(data, round_trip_ms: float):
     )
     for dataset in data.datasets:
         market.publish(dataset)
-    payless = PayLess.full(
-        market,
-        local_db=data.local_database(),
-        metrics=MetricsRegistry(),
-    )
+    payless = PayLess.full(market, local_db=data.local_database())
     for dataset in data.datasets:
         payless.register_dataset(dataset.name)
     return payless

@@ -39,7 +39,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.trace import Tracer  # noqa: E402
 from repro.testing import registered_payless, tiny_weather_market  # noqa: E402
 
@@ -72,9 +71,7 @@ class _CountingTracer(Tracer):
 
 def count_guards_per_query() -> float:
     """Actual ``tracer.enabled`` evaluations per query of the session."""
-    payless = registered_payless(
-        tiny_weather_market(), metrics=MetricsRegistry()
-    )
+    payless = registered_payless(tiny_weather_market())
     counting = _CountingTracer()
     payless.tracer = counting
     payless.context.tracer = counting
@@ -90,9 +87,7 @@ def count_guards_per_query() -> float:
 
 def time_session(tracing: bool, rounds: int) -> float:
     """Total ms for ``rounds`` repetitions of the session (fresh install)."""
-    payless = registered_payless(
-        tiny_weather_market(), tracing=tracing, metrics=MetricsRegistry()
-    )
+    payless = registered_payless(tiny_weather_market(), tracing=tracing)
     start = time.perf_counter()
     for __ in range(rounds):
         for sql in SESSION:

@@ -13,8 +13,8 @@ pieces most users need:
   (retries, at-most-once billing, fault injection) and the exception
   hierarchy it raises (:class:`~repro.errors.TransportError` and friends);
 * :class:`~repro.obs.trace.Tracer` / :class:`~repro.obs.trace.QueryTrace`
-  and :class:`~repro.obs.metrics.MetricsRegistry` — the observability
-  layer behind ``PayLess(tracing=True)`` and ``explain_analyze``;
+  — the observability layer behind ``PayLess(tracing=True)`` and
+  ``explain_analyze`` (counts come from ``PayLess.metrics()``);
 * :class:`~repro.core.objectives.QueryOptions` — every installation knob
   in one place — with :class:`~repro.core.objectives.PlanObjective` and
   :class:`~repro.core.objectives.ServiceTier` steering the planner's
@@ -42,7 +42,6 @@ from repro.durable import (
     RecoveryReport,
 )
 from repro.market.latency import DEFAULT_LATENCY, INSTANT, LatencyModel
-from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import QueryTrace, Tracer
 from repro.core.baselines import DownloadAllStrategy
 from repro.errors import (
@@ -96,7 +95,6 @@ __all__ = [
     "LatencyModel",
     "MarketError",
     "MarketUnavailableError",
-    "MetricsRegistry",
     "PayLess",
     "PlanningError",
     "PlanObjective",
@@ -106,7 +104,6 @@ __all__ = [
     "QueryStats",
     "QueryTrace",
     "RecoveryReport",
-    "REGISTRY",
     "ReproError",
     "RetryExhaustedError",
     "Schema",

@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     session.add_argument(
         "--metrics", action="store_true",
-        help="print the session's metrics snapshot (memo hit rate, store "
-        "coverage, fetch-pool high-water mark, spent vs wasted cents)",
+        help="print the installation's metrics view (memo hit rate, store "
+        "coverage, plan-cache hit rate)",
     )
     session.add_argument(
         "--engine", choices=["vectorized", "reference"], default="vectorized",

@@ -9,6 +9,7 @@ optimizer, baselines, and executor.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.core.objectives import QueryOptions
@@ -17,7 +18,6 @@ from repro.errors import PlanningError
 from repro.market.pricing import PricingPolicy
 from repro.market.server import DataMarket
 from repro.market.transport import MarketTransport
-from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.relational.database import Database
 from repro.relational.engine import DEFAULT_EXECUTION, ExecutionConfig
@@ -62,7 +62,6 @@ class PlanningContext:
         rewriter: SemanticRewriter,
         local_db: Database,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         options: QueryOptions | None = None,
     ):
         self.market = market
@@ -74,13 +73,15 @@ class PlanningContext:
         #: the executor and the facade read their knobs here; what follows
         #: are the components it configures, not copies of its fields.
         self.options = options if options is not None else QueryOptions()
-        #: Observability: the query tracer (disabled by default — near-zero
-        #: overhead) and the metrics registry (the process-wide default
-        #: unless the installation wants isolation).  Threaded from here
-        #: into the rewriter and the transport so every pipeline layer
-        #: reports into the same trace/registry.
+        #: The query tracer (disabled by default — near-zero overhead),
+        #: threaded from here into the rewriter so every pipeline layer
+        #: reports into the same trace.
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.metrics = metrics if metrics is not None else REGISTRY
+        #: Dollars of prefetched purchases no plan walk consumed (a query
+        #: that failed after its prefetches were issued); see
+        #: :meth:`add_prefetch_waste`.
+        self.prefetch_wasted_price = 0.0
+        self._prefetch_waste_lock = threading.Lock()
         #: Which local-evaluation engine runs the final joins/aggregates
         #: (see :class:`repro.relational.engine.ExecutionConfig`).
         self.execution = (
@@ -89,14 +90,11 @@ class PlanningContext:
             else DEFAULT_EXECUTION
         )
         self.rewriter.tracer = self.tracer
-        self.rewriter.metrics = self.metrics
         #: The money-safe transport every executor call goes through (see
         #: :mod:`repro.market.transport`).  Lives here, not on the
         #: executor: circuit breakers must remember failures across
         #: queries.
-        self.transport = MarketTransport(
-            market, self.options.transport_config(), metrics=self.metrics
-        )
+        self.transport = MarketTransport(market, self.options.transport_config())
         #: The pipelined event-loop driver with per-seller connection
         #: pools (:mod:`repro.market.aio`) wrapping the *same* transport
         #: above, or ``None`` when executors fetch on a thread pool.
@@ -104,9 +102,7 @@ class PlanningContext:
         if self.options.transport_mode == "async":
             from repro.market.aio import AsyncMarketTransport
 
-            self.async_transport = AsyncMarketTransport(
-                self.transport, metrics=self.metrics
-            )
+            self.async_transport = AsyncMarketTransport(self.transport)
         #: Singleflight group coalescing overlapping in-flight market
         #: fetches across concurrent sessions (``None`` = no coalescing).
         #: Wired by :class:`~repro.serve.scheduler.QueryScheduler`; the
@@ -136,6 +132,14 @@ class PlanningContext:
         key = table.lower()
         self._dataset_of[key] = dataset
         self._schemas[key] = schema
+
+    # -- accounting -------------------------------------------------------------
+
+    def add_prefetch_waste(self, price: float) -> None:
+        """Count ``price`` dollars of prefetches a failed query drained
+        (concurrent sessions drain into the one field)."""
+        with self._prefetch_waste_lock:
+            self.prefetch_wasted_price += price
 
     # -- lookups ----------------------------------------------------------------
 

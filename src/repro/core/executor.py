@@ -52,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import heapq
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -209,7 +208,7 @@ class _PrefetchEntry:
 class _CallBatch:
     """What the call machines of one table access share.
 
-    ``lock`` guards the two mutable fields: the threaded driver runs the
+    ``lock`` guards ``lead_flights``: the threaded driver runs the
     machines on pool threads (on the event loop it is never contended).
     """
 
@@ -219,8 +218,6 @@ class _CallBatch:
     coalescer: object
     table_store: object
     tracing: bool
-    high_water: object
-    in_flight: int = 0
     #: Singleflights this access led, retired once their rows are recorded.
     lead_flights: list = field(default_factory=list)
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -708,15 +705,14 @@ class Executor:
         Never cancels after billing: every completed purchase is recorded
         into the store (and the durability log) under the table lock, and
         every led singleflight is released so no waiter hangs on a query
-        that died.  The dollars spent on unconsumed entries are counted in
-        ``prefetch_wasted_dollars`` — zero for every successfully
+        that died.  The dollars spent on unconsumed entries are added to
+        ``context.prefetch_wasted_price`` — zero for every successfully
         completed query, which the test suite asserts.
         """
         if not self._prefetched:
             return
         entries = list(self._prefetched.values())
         self._prefetched = {}
-        metrics = self.context.metrics
         for entry in entries:
             try:
                 results, lead_flights = entry.future.result()
@@ -732,7 +728,7 @@ class Executor:
                 )
             spent = CallAccount.of(outcomes).price
             if spent:
-                metrics.counter("prefetch_wasted_dollars").inc(spent)
+                self.context.add_prefetch_waste(spent)
 
     # --------------------------------------------- adaptive re-optimization
 
@@ -787,14 +783,9 @@ class Executor:
             # The suffix is planned like the original: same options, same
             # per-call objective.
             optimizer = Optimizer(self.context, objective=self.objective)
-            started = time.perf_counter()
             suffix = optimizer.optimize_suffix(
                 self._query, prefix, overlay=overlay, old_steps=old_steps
             )
-            planning_us = (time.perf_counter() - started) * 1e6
-            metrics = self.context.metrics
-            metrics.counter("plan_replans").inc()
-            metrics.histogram("replan_planning_us").observe(planning_us)
             new_steps: list[JoinNode] | None = None
             saved = 0.0
             if suffix is not None:
@@ -810,7 +801,6 @@ class Executor:
                 span.set(
                     actual_rows=actual,
                     replan_seq=self._replans,
-                    planning_us=planning_us,
                     adopted=new_steps is not None,
                     old_suffix_cost=(
                         suffix.old_cost if suffix is not None else None
@@ -959,7 +949,6 @@ class Executor:
                     entry.future.result(), span
                 )
                 self._prefetch_hits += 1
-                self.context.metrics.counter("prefetch_hits").inc()
             else:
                 rewrite = self._rewrite_access(table, constraints)
                 outcomes, lead_flights = self._issue_market_calls(
@@ -1240,9 +1229,6 @@ class Executor:
             RestRequest(dataset, table, remainder.constraints)
             for remainder in remainders
         ]
-        metrics = self.context.metrics
-        if requests:
-            metrics.histogram("fetch_batch_size").observe(len(requests))
         coalescer = self.context.coalescer
         batch = _CallBatch(
             table=table,
@@ -1251,7 +1237,6 @@ class Executor:
                 self.context.store.table(table) if coalescer is not None else None
             ),
             tracing=self.context.tracer.enabled,
-            high_water=metrics.gauge("fetch_pool_high_water"),
         )
         return batch, requests
 
@@ -1288,27 +1273,18 @@ class Executor:
         ``(outcome, detached market_call span or None)``.  No lock is held
         at a ``yield``.
         """
-        with batch.lock:
-            batch.in_flight += 1
-            batch.high_water.set_max(batch.in_flight)
         call_span = (
             self.context.tracer.detached_span("market_call", url=request.url())
             if batch.tracing
             else None
         )
         try:
-            try:
-                if batch.coalescer is None:
-                    outcome = yield ("fetch", request)
-                else:
-                    outcome = yield from self._shared_fetch(batch, box, request)
-            except TransportError as error:
-                outcome = FailedFetch(
-                    table=batch.table, request=request, error=error
-                )
-        finally:
-            with batch.lock:
-                batch.in_flight -= 1
+            if batch.coalescer is None:
+                outcome = yield ("fetch", request)
+            else:
+                outcome = yield from self._shared_fetch(batch, box, request)
+        except TransportError as error:
+            outcome = FailedFetch(table=batch.table, request=request, error=error)
         if call_span is not None:
             self._finish_call_span(call_span, outcome)
         return outcome, call_span
@@ -1326,7 +1302,6 @@ class Executor:
         """
         coalescer = batch.coalescer
         table_store = batch.table_store
-        metrics = self.context.metrics
         ledger = self.context.market.ledger
         store = self.context.store
         key = request.url()
@@ -1347,19 +1322,12 @@ class Executor:
                 with batch.lock:
                     batch.lead_flights.append(flight)
                 return result
-            waited = time.perf_counter()
             yield ("wait", flight)
-            wait_ms = (time.perf_counter() - waited) * 1000.0
             if flight.failed:
                 continue
             shared = flight.result
             response = shared.response
             ledger.credit_coalesced_savings(response.transactions, response.price)
-            metrics.counter("fetch_coalesced").inc()
-            metrics.histogram("fetch_coalesce_wait_us").observe(
-                wait_ms * 1000.0
-            )
-            metrics.counter("dollars_saved_coalescing").inc(response.price)
             return FetchResult(
                 response=response,
                 attempts=1,

@@ -27,7 +27,6 @@ formulas of Section 4.1.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
@@ -208,7 +207,6 @@ class Optimizer:
     def optimize(self, query: LogicalQuery) -> PlanningResult:
         tracer = self.context.tracer
         self._tracing = tracer.enabled
-        started = time.perf_counter()
         with tracer.span("plan") as span:
             result = self._optimize(query)
             if span is not None:
@@ -219,13 +217,6 @@ class Optimizer:
                     enumerated_boxes=result.enumerated_boxes,
                     kept_boxes=result.kept_boxes,
                 )
-        metrics = self.context.metrics
-        metrics.counter("plan_candidates").inc(result.evaluated_plans)
-        if result.pruned_plans:
-            metrics.counter("plan_candidates_pruned").inc(result.pruned_plans)
-        metrics.histogram("planning_us").observe(
-            (time.perf_counter() - started) * 1e6
-        )
         return result
 
     def _reset(self, query: LogicalQuery) -> None:
@@ -297,11 +288,6 @@ class Optimizer:
     def _result(self, entries: list[_SubPlan]) -> PlanningResult:
         frontier = self._pareto_front(entries)
         chosen, note = self._select_from_frontier(frontier)
-        if not self._one_axis:
-            # Width is 1 by construction under one axis: nothing to sample.
-            self.context.metrics.histogram("plan_frontier_size").observe(
-                len(frontier)
-            )
         return PlanningResult(
             plan=chosen.node,
             cost=chosen.cost,
@@ -711,9 +697,6 @@ class Optimizer:
             bound = objective.latency_bound_ms
             feasible = [e for e in front if e.latency <= bound]
             if not feasible:
-                self.context.metrics.counter(
-                    "plan_objective_infeasible"
-                ).inc()
                 fastest = min(e.latency for e in front)
                 raise InfeasibleObjectiveError(
                     f"no plan fits under {bound:g} ms: the fastest of "
@@ -731,9 +714,6 @@ class Optimizer:
             bound = objective.dollar_bound
             feasible = [e for e in front if e.cost <= bound]
             if not feasible:
-                self.context.metrics.counter(
-                    "plan_objective_infeasible"
-                ).inc()
                 cheapest = min(e.cost for e in front)
                 raise InfeasibleObjectiveError(
                     f"no plan fits under ${bound:g}: the cheapest of "

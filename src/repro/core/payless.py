@@ -42,7 +42,6 @@ from repro.core.rewriter import SemanticRewriter
 from repro.errors import PlanningError
 from repro.market.server import DataMarket
 from repro.obs.explain import render_explain, render_explain_analyze
-from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import QueryTrace, Tracer
 from repro.relational.database import Database
 from repro.relational.operators import Relation
@@ -184,7 +183,6 @@ class PayLess:
         options: QueryOptions | None = None,
         statistic: str = "isomer",
         tracing: bool = False,
-        metrics: MetricsRegistry | None = None,
     ):
         if options is None:
             options = QueryOptions()
@@ -199,10 +197,9 @@ class PayLess:
         self.query_options = options
         #: Observability: structured tracing (off by default — near-zero
         #: overhead; flip ``payless.tracer.enabled`` or use
-        #: :meth:`explain_analyze` for one query) and the metrics registry
-        #: (the process-wide default unless a private one is handed in).
+        #: :meth:`explain_analyze` for one query).  Counts are read off
+        #: the components with :meth:`metrics`.
         self.tracer = Tracer(enabled=tracing)
-        self.metrics = metrics if metrics is not None else REGISTRY
         #: Which updatable statistic drives estimation ("isomer",
         #: "independence", or "uniform"; see repro.stats.interface).
         self.statistic = statistic
@@ -222,7 +219,6 @@ class PayLess:
             rewriter=self.rewriter,
             local_db=self.local_db,
             tracer=self.tracer,
-            metrics=self.metrics,
             options=options,
         )
         for table in self.local_db:
@@ -230,10 +226,7 @@ class PayLess:
         #: The epoch-keyed parameterized plan cache: repeat templates skip
         #: parse + analyze + planning entirely (see repro.core.plancache).
         self.plan_cache = PlanCache(
-            self.store,
-            capacity=options.plan_cache_size,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            self.store, capacity=options.plan_cache_size, tracer=self.tracer
         )
         self.total_transactions = 0
         self.total_price = 0.0
@@ -588,13 +581,6 @@ class PayLess:
             # query boundary, where no table lock is held.
             durability.log_query(stats)
             durability.maybe_compact()
-        metrics = self.metrics
-        metrics.counter("queries").inc()
-        metrics.counter("transactions_spent").inc(stats.transactions)
-        metrics.counter("cents_spent").inc(stats.price * 100.0)
-        if stats.wasted_price:
-            metrics.counter("cents_wasted").inc(stats.wasted_price * 100.0)
-        metrics.histogram("query_transactions").observe(stats.transactions)
         # The scope that owns the trace closes (and archives) it when the
         # call returns; the result keeps the same object.
         return QueryResult(relation, planning.plan, stats, self.tracer.active)
@@ -637,6 +623,51 @@ class PayLess:
         return DownloadAllStrategy(self.context)
 
     # -- reporting -------------------------------------------------------------------
+
+    def metrics(self) -> dict[str, float]:
+        """What this installation has done so far, as one flat view.
+
+        Computed on call from counters its components already keep: the
+        running totals above, the plan cache, the rewrite memo, the
+        circuit breakers and the async driver's connection pools.  Nothing
+        is registered anywhere, so two installations in one process never
+        see each other's numbers.
+        """
+        cache, rewriter = self.plan_cache, self.rewriter
+        breakers = self.context.transport.breakers()
+        aio = self.context.async_transport
+        with self._accounting_lock:
+            view = {
+                "queries": self.queries_executed,
+                "transactions_spent": self.total_transactions,
+                "dollars_spent": self.total_price,
+                "dollars_wasted": self.total_wasted_price,
+                "fetch_coalesced": self.total_coalesced_fetches,
+                "dollars_saved_coalescing": self.total_coalesced_price,
+            }
+        rewrites = rewriter.cache_misses
+        view.update(
+            plan_cache_hits=cache.hits,
+            plan_cache_misses=cache.misses,
+            plan_cache_invalidations=cache.invalidations,
+            plan_cache_evictions=cache.evictions,
+            plan_cache_hit_rate=cache.hit_rate,
+            memo_hits=rewriter.cache_hits,
+            memo_misses=rewrites,
+            memo_hit_rate=rewriter.cache_hit_rate,
+            store_coverage_ratio=(
+                rewriter.covered_rewrites / rewrites if rewrites else 0.0
+            ),
+            breaker_transitions=sum(breaker.transitions for breaker in breakers),
+            breaker_opens=sum(breaker.opens for breaker in breakers),
+            connections_reused=(
+                sum(pool["reused"] for pool in aio.pool_stats().values())
+                if aio is not None
+                else 0
+            ),
+            prefetch_wasted_dollars=self.context.prefetch_wasted_price,
+        )
+        return view
 
     def bill(self) -> str:
         return (

@@ -47,7 +47,6 @@ from repro.sqlparser.parser import parse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.optimizer import PlanningResult
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
     from repro.relational.query import LogicalQuery
     from repro.semstore.store import SemanticStore
@@ -73,12 +72,10 @@ class PlanCache:
         self,
         store: "SemanticStore",
         capacity: int = 256,
-        metrics: "MetricsRegistry | None" = None,
         tracer: "Tracer | None" = None,
     ):
         self._store = store
         self.capacity = capacity
-        self._metrics = metrics
         self._tracer = tracer
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
         self._parsed: OrderedDict[str, SelectStatement] = OrderedDict()
@@ -188,8 +185,6 @@ class PlanCache:
             if entry is not None and not self._valid(entry):
                 del self._entries[key]
                 self.invalidations += 1
-                if self._metrics is not None:
-                    self._metrics.counter("plan_cache_invalidations").inc()
                 entry = None
             if entry is None:
                 self.misses += 1
@@ -197,14 +192,7 @@ class PlanCache:
                 self._entries.move_to_end(key)
                 entry.hits += 1
                 self.hits += 1
-        if entry is None:
-            if self._metrics is not None:
-                self._metrics.counter("plan_cache_misses").inc()
-            self._event(hit=False)
-            return None
-        if self._metrics is not None:
-            self._metrics.counter("plan_cache_hits").inc()
-        self._event(hit=True)
+        self._event(hit=entry is not None)
         return entry
 
     def insert(
@@ -232,8 +220,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                if self._metrics is not None:
-                    self._metrics.counter("plan_cache_evictions").inc()
 
     def _valid(self, entry: CacheEntry) -> bool:
         if self._store.clock != entry.clock:

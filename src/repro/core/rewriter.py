@@ -124,7 +124,7 @@ class SemanticRewriter:
         #: Algorithm 1 pruning switch — the "No Pruning" arm of Figure 15.
         self.prune = prune
         self._memo: dict[tuple, RewriteResult] = {}
-        #: Guards only the memo dict and hit/miss counters.  The rewrite
+        #: Guards only the memo dict and the counters below.  The rewrite
         #: computation itself runs *outside* this lock: it probes the store
         #: (which takes the per-table lock), and an executor holding the
         #: table lock may call ``rewrite`` — holding the memo lock across
@@ -134,10 +134,11 @@ class SemanticRewriter:
         #: Memoization observability (asserted by tests, shown in benches).
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Observability hooks, wired by :class:`~repro.core.context.
+        #: Of the ``cache_misses``, the rewrites the store fully covered.
+        self.covered_rewrites = 0
+        #: Tracing hook, wired by :class:`~repro.core.context.
         #: PlanningContext` (``None`` = standalone rewriter, no reporting).
         self.tracer = None
-        self.metrics = None
 
     @property
     def cache_hit_rate(self) -> float:
@@ -179,8 +180,6 @@ class SemanticRewriter:
             if cached is not None:
                 if tracing:
                     tracer.event("memo", table=table, hit=True)
-                if self.metrics is not None:
-                    self.metrics.counter("memo_hits").inc()
                 return cached
         with self._memo_lock:
             self.cache_misses += 1
@@ -196,14 +195,11 @@ class SemanticRewriter:
                 )
         else:
             result = self._rewrite_uncached(table, constraints, pricing)
-        if self.metrics is not None:
-            self.metrics.counter("memo_misses").inc()
-            self.metrics.counter("rewrites").inc()
-            if result.fully_covered:
-                self.metrics.counter("rewrites_covered").inc()
         result.store_epoch = epoch
-        if key is not None:
-            with self._memo_lock:
+        with self._memo_lock:
+            if result.fully_covered:
+                self.covered_rewrites += 1
+            if key is not None:
                 if len(self._memo) >= self.MEMO_CAP:
                     self._memo.clear()
                 self._memo[key] = result

@@ -14,9 +14,9 @@ holds every retry/billing/durability decision — and swaps the IO driver:
   threads.
 * **per-seller connection pools** — a bounded pool per dataset endpoint.
   ``LatencyModel.connection_setup_ms`` is paid once per pooled connection
-  when it is first opened; reuse is free (counted in the
-  ``connections_reused`` metric).  The threaded driver, by contrast, pays
-  setup on every physical call.
+  when it is first opened; reuse is free (counted per pool and summed in
+  ``PayLess.metrics()["connections_reused"]``).  The threaded driver, by
+  contrast, pays setup on every physical call.
 * **cooperative sleeps** — realtime market latency is awaited with
   ``asyncio.sleep`` instead of blocking a worker thread, which is what
   lets in-flight depth exceed the thread count.
@@ -62,21 +62,18 @@ class _SellerPool:
         self.opened = 0
         self.reused = 0
 
-    async def acquire(
-        self, setup_ms: float, realtime_scale: float
-    ) -> tuple[bool, float]:
-        """Claim a connection; returns ``(reused, connect_ms)`` — the setup
-        latency this claim paid is ``setup_ms`` for a fresh handshake and
-        ``0.0`` for a reuse."""
+    async def acquire(self, setup_ms: float, realtime_scale: float) -> float:
+        """Claim a connection; returns the setup latency this claim paid:
+        ``setup_ms`` for a fresh handshake and ``0.0`` for a reuse."""
         await self.semaphore.acquire()
         if self.idle:
             self.idle -= 1
             self.reused += 1
-            return True, 0.0
+            return 0.0
         self.opened += 1
         if setup_ms and realtime_scale:
             await asyncio.sleep(setup_ms * realtime_scale / 1000.0)
-        return False, setup_ms
+        return setup_ms
 
     def release(self) -> None:
         self.idle += 1
@@ -97,17 +94,14 @@ class AsyncMarketTransport:
     :meth:`submit`, which returns a ``concurrent.futures.Future``.
     """
 
-    def __init__(self, transport: MarketTransport, metrics=None):
+    def __init__(self, transport: MarketTransport):
         self.transport = transport
         self.market = transport.market
-        self.metrics = metrics if metrics is not None else transport.metrics
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._lifecycle_lock = threading.Lock()
         #: dataset.lower() -> _SellerPool; loop-thread-only state.
         self._pools: dict[str, _SellerPool] = {}
-        #: Fetch coroutines currently in flight (loop-thread-only).
-        self._active = 0
 
     # -- loop lifecycle --------------------------------------------------------
 
@@ -116,7 +110,6 @@ class AsyncMarketTransport:
             if self._loop is None:
                 self._loop = asyncio.new_event_loop()
                 self._pools = {}
-                self._active = 0
                 self._thread = threading.Thread(
                     target=self._loop.run_forever,
                     name="market-aio-loop",
@@ -181,18 +174,12 @@ class AsyncMarketTransport:
         scale = latency.realtime_scale
         setup_ms = latency.connection_setup_ms
         pool = self._pool_for(request.dataset)
-        metrics = self.metrics
-        self._active += 1
-        if metrics is not None:
-            metrics.gauge("fetch_pipeline_depth").set_max(float(self._active))
         try:
             effect = machine.send(None)
             while True:
                 __, key, expect_replay = effect
                 try:
-                    reused, connect_ms = await pool.acquire(setup_ms, scale)
-                    if reused and metrics is not None:
-                        metrics.counter("connections_reused").inc()
+                    connect_ms = await pool.acquire(setup_ms, scale)
                     try:
                         response = self._get(request, key)
                         if scale and not expect_replay:
@@ -209,21 +196,19 @@ class AsyncMarketTransport:
                     effect = machine.send((response, connect_ms))
         except StopIteration as stop:
             return stop.value
-        finally:
-            self._active -= 1
 
     # -- introspection ---------------------------------------------------------
 
     def pool_stats(self) -> dict[str, dict[str, int]]:
-        """Per-seller ``{opened, reused, idle}`` counters (racy but
-        monotonic enough for benches and tests)."""
+        """Per-seller ``{opened, reused, idle}`` counters of the live pools
+        (racy but monotonic enough for benches and tests)."""
         return {
             name: {
                 "opened": pool.opened,
                 "reused": pool.reused,
                 "idle": pool.idle,
             }
-            for name, pool in self._pools.items()
+            for name, pool in list(self._pools.items())
         }
 
     def __repr__(self) -> str:

@@ -118,12 +118,7 @@ class CircuitBreaker:
     tests can walk it through its transitions deterministically.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int,
-        cooldown_ms: float,
-        on_transition=None,
-    ):
+    def __init__(self, failure_threshold: int, cooldown_ms: float):
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms
         self._state = BreakerState.CLOSED
@@ -131,21 +126,22 @@ class CircuitBreaker:
         self._opened_at_ms = 0.0
         self._probe_in_flight = False
         self._lock = threading.Lock()
-        #: Optional ``callback(old_state, new_state)`` fired on every state
-        #: change (the transport wires it to the metrics registry).
-        self._on_transition = on_transition
+        #: State changes so far, and how many of them went into OPEN.
+        self.transitions = 0
+        self.opens = 0
 
     @property
     def state(self) -> BreakerState:
         return self._state
 
     def _set_state(self, new_state: BreakerState) -> None:
-        old_state = self._state
-        if old_state is new_state:
+        """Move to ``new_state``; the caller holds ``_lock``."""
+        if self._state is new_state:
             return
         self._state = new_state
-        if self._on_transition is not None:
-            self._on_transition(old_state, new_state)
+        self.transitions += 1
+        if new_state is BreakerState.OPEN:
+            self.opens += 1
 
     def allow(self, now_ms: float) -> bool:
         """Whether a call may proceed at simulated time ``now_ms``."""
@@ -290,14 +286,10 @@ class MarketTransport:
         self,
         market: DataMarket,
         config: TransportConfig | None = None,
-        metrics=None,
     ):
         self.market = market
         self.config = config or TransportConfig()
         self.faults: FaultPolicy | None = self.config.faults
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
-        #: circuit-breaker state changes are counted into it.
-        self.metrics = metrics
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
         #: Simulated monotonic clock (ms) advanced by call latencies and
@@ -340,20 +332,14 @@ class MarketTransport:
                 breaker = CircuitBreaker(
                     self.config.breaker_failure_threshold,
                     self.config.breaker_cooldown_ms,
-                    on_transition=self._note_breaker_transition,
                 )
                 self._breakers[key] = breaker
             return breaker
 
-    def _note_breaker_transition(
-        self, old_state: BreakerState, new_state: BreakerState
-    ) -> None:
-        metrics = self.metrics
-        if metrics is None:
-            return
-        metrics.counter("breaker_transitions").inc()
-        if new_state is BreakerState.OPEN:
-            metrics.counter("breaker_opens").inc()
+    def breakers(self) -> list[CircuitBreaker]:
+        """Every per-dataset breaker made so far."""
+        with self._breaker_lock:
+            return list(self._breakers.values())
 
     def new_scope(self) -> QueryScope:
         return QueryScope(self.config.retry_budget)

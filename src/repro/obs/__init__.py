@@ -1,4 +1,4 @@
-"""Cost-attributed observability: tracing, metrics, EXPLAIN.
+"""Cost-attributed observability: tracing and EXPLAIN.
 
 PayLess's value proposition is *explaining where the money goes*, so this
 package makes cost attribution a first-class optimizer output rather than
@@ -9,14 +9,15 @@ a log afterthought:
   dollar billed during a query is attributable to exactly one
   ``market_call`` span; memo hits, plan candidates, and local evaluation
   get spans too.  Disabled by default at near-zero overhead.
-* :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges
-  and histograms (queries, memo hit rate, coverage ratio, fetch-pool
-  high-water mark, breaker transitions, spent vs wasted cents).
 * :mod:`repro.obs.explain` — renderers for ``EXPLAIN`` (the chosen plan
   with estimated transactions and the rewriter's coverage/remainder
   boxes) and ``EXPLAIN ANALYZE`` (the same tree annotated with actuals:
   est-vs-actual transactions, cache-served vs purchased rows, wasted
   dollars), plus the ``--trace-json`` machine rendering.
+
+Counts (queries, memo and plan-cache hit rates, coverage ratio, breaker
+transitions) are not kept here: :meth:`~repro.core.payless.PayLess.metrics`
+reads them off the installation's own components.
 """
 
 from repro.obs.explain import (
@@ -25,13 +26,10 @@ from repro.obs.explain import (
     trace_to_dict,
     trace_to_json,
 )
-from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import QueryTrace, Span, Tracer
 
 __all__ = [
-    "MetricsRegistry",
     "QueryTrace",
-    "REGISTRY",
     "Span",
     "Tracer",
     "render_explain",

@@ -241,11 +241,7 @@ class QueryScheduler:
         self.config = config or ServeConfig()
         #: Wire (or unwire) the singleflight layer onto the shared
         #: planning context; the executor picks it up per table access.
-        self.coalescer = (
-            SingleflightGroup(metrics=payless.metrics)
-            if self.config.coalesce
-            else None
-        )
+        self.coalescer = SingleflightGroup() if self.config.coalesce else None
         payless.context.coalescer = self.coalescer
         self._sessions: dict[str, ServeSession] = {}
         self._lock = threading.Lock()

@@ -81,11 +81,9 @@ class Flight:
 class SingleflightGroup:
     """The per-installation registry of in-flight fetch keys."""
 
-    def __init__(self, metrics=None):
+    def __init__(self):
         self._flights: dict[str, Flight] = {}
         self._lock = threading.Lock()
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
-        self.metrics = metrics
         #: Lifetime counters (asserted by tests, shown by benches).
         self.flights_led = 0
         self.fetches_coalesced = 0

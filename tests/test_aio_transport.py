@@ -20,8 +20,8 @@ outside:
   untouched.
 * **conservative prefetch** — a query that fails after its prefetches
   were issued still records every completed purchase in the semantic
-  store (counted in ``prefetch_wasted_dollars``), so a retry pays only
-  for what was never bought: two-run total == clean-run total.
+  store (counted in ``metrics()["prefetch_wasted_dollars"]``), so a retry
+  pays only for what was never bought: two-run total == clean-run total.
 * **lifecycle** — ``close`` is idempotent and a later query transparently
   restarts the loop with fresh pools.
 """
@@ -35,7 +35,6 @@ from repro.errors import PlanningError
 from repro.market.faults import FaultPolicy
 from repro.market.latency import LatencyModel
 from repro.market.transport import TransportConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.testing import (
     oracle_evaluate,
     registered_payless,
@@ -57,7 +56,6 @@ def _payless(transport_mode, transport=None, **option_kwargs):
     market = tiny_weather_market(days=10, tuples_per_transaction=5)
     payless = registered_payless(
         market,
-        metrics=MetricsRegistry(),
         options=QueryOptions(
             transport_mode=transport_mode, transport=transport, **option_kwargs
         ),
@@ -169,10 +167,7 @@ class TestConnectionSetup:
                 connection_setup_ms=100.0,
             )
             stats = payless.query(WEATHER_SQL, (1, 10)).stats
-            reused = payless.metrics.snapshot().get(
-                "connections_reused", 0.0
-            )
-            return stats, reused
+            return stats, payless.metrics()["connections_reused"]
         finally:
             payless.close()
 
@@ -215,9 +210,7 @@ class TestPrefetch:
         try:
             result = payless.query(JOIN_SQL)
             assert result.stats.prefetch_hits == 2  # both accesses
-            snapshot = payless.metrics.snapshot()
-            assert snapshot.get("prefetch_hits") == 2.0
-            assert snapshot.get("prefetch_wasted_dollars", 0.0) == 0.0
+            assert payless.metrics()["prefetch_wasted_dollars"] == 0.0
             want = sorted(
                 oracle_evaluate(payless, JOIN_SQL).rows, key=repr
             )
@@ -249,9 +242,8 @@ class TestPrefetch:
         try:
             with pytest.raises(RuntimeError, match="injected"):
                 payless.query(JOIN_SQL)
-            snapshot = payless.metrics.snapshot()
             # Weather's speculative purchase is accounted as waste...
-            assert snapshot.get("prefetch_wasted_dollars", 0.0) > 0.0
+            assert payless.metrics()["prefetch_wasted_dollars"] > 0.0
             assert payless.market.ledger.total_price > 0.0
             # ...but recorded in the store, so the retry pays only for
             # what was never bought: two runs cost one clean run.
@@ -271,9 +263,6 @@ class TestPrefetch:
         try:
             result = payless.query(JOIN_SQL)
             assert result.stats.prefetch_hits == 0
-            assert (
-                payless.metrics.snapshot().get("prefetch_hits", 0.0) == 0.0
-            )
         finally:
             payless.close()
 

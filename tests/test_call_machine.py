@@ -1,8 +1,7 @@
 """One remainder call is one sans-IO machine; the two drivers only wait.
 
 ``Executor._call_machine`` holds the whole per-call protocol — coverage
-re-check, singleflight leader/follower, failure capture, in-flight
-accounting — as a generator that yields ``("fetch", request)`` and
+re-check, singleflight leader/follower, failure capture — as a generator that yields ``("fetch", request)`` and
 ``("wait", flight)``.  The first half drives it by hand, with no thread
 and no event loop, through the interleavings the realtime concurrency
 tests can only reach by luck; the second half runs one scripted
@@ -28,7 +27,6 @@ from repro.errors import TransportError
 from repro.market.faults import FaultPolicy
 from repro.market.rest import RestRequest
 from repro.market.transport import FetchResult, TransportConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.singleflight import SingleflightGroup
 from repro.testing import registered_payless, tiny_weather_market
 
@@ -68,7 +66,6 @@ class _Call:
             coalescer=coalescer,
             table_store=table_store,
             tracing=False,
-            high_water=payless.context.metrics.gauge("fetch_pool_high_water"),
             lock=_SpyLock(),
         )
         self.machine = self.executor._call_machine(self.batch, None, request)
@@ -84,22 +81,18 @@ class _Call:
                 effect = self.machine.send(send)
         except StopIteration as stop:
             self.finished = stop.value
-            assert self.batch.in_flight == 0
             return None
         # No lock may be held while a driver waits on the effect.
         assert self.batch.lock.depth == 0
         assert self.batch.table_store is None or (
             self.batch.table_store.lock.depth == 0
         )
-        assert self.batch.in_flight == 1
         return effect
 
 
 @pytest.fixture
 def world():
-    payless = registered_payless(
-        tiny_weather_market(), metrics=MetricsRegistry()
-    )
+    payless = registered_payless(tiny_weather_market())
     request = RestRequest("WHW", "Weather", ())
     coalescer = SingleflightGroup()
     table_store = _FakeTableStore()
@@ -167,7 +160,6 @@ class TestByHand:
         with pytest.raises(RuntimeError, match="boom"):
             leader.step(throw=RuntimeError("boom"))
         assert flight.failed and coalescer.flights_aborted == 1
-        assert leader.batch.in_flight == 0
         # The follower is not stranded: it leads the next attempt.
         assert follower.step() == ("fetch", request)
 
@@ -194,7 +186,7 @@ class TestByHand:
         assert follower.batch.lead_flights == []
         assert leader.batch.lead_flights == [flight]
         assert len(list(payless.market.ledger)) == billed
-        assert payless.context.metrics.snapshot()["fetch_coalesced"] == 1.0
+        assert payless.market.ledger.coalesced_savings.calls == 1
 
     def test_without_a_coalescer_the_call_is_one_fetch(self, world):
         __, request, __, __, call, bought = world
@@ -247,7 +239,6 @@ def _scripted_access(settled, transport_mode, transport):
     layer of whichever driver runs."""
     payless = registered_payless(
         tiny_weather_market(days=10, tuples_per_transaction=5),
-        metrics=MetricsRegistry(),
         options=QueryOptions(transport_mode=transport_mode, transport=transport),
     )
     payless.context.coalescer = SingleflightGroup()

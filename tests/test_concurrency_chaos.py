@@ -29,7 +29,6 @@ from repro.core.payless import PayLess
 from repro.market.faults import FaultPolicy
 from repro.market.server import DataMarket
 from repro.market.transport import TransportConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.serve import QueryScheduler, ServeConfig
 from repro.workloads.weather import (
     TEMPLATES,
@@ -66,7 +65,6 @@ def _fresh_payless(
     payless = PayLess.full(
         market,
         local_db=DATA.local_database(),
-        metrics=MetricsRegistry(),
         options=QueryOptions(
             transport=transport, transport_mode=transport_mode
         ),
@@ -190,8 +188,7 @@ class TestChaosBillingInvariance:
 
         # Conservative prefetch: nothing speculatively bought was ever
         # thrown away, even under chaos.
-        metrics = chaos_payless.metrics.snapshot()
-        assert metrics.get("prefetch_wasted_dollars", 0.0) == 0.0
+        assert chaos_payless.metrics()["prefetch_wasted_dollars"] == 0.0
 
     def test_coalesced_savings_ledger_consistent(self):
         """Whatever was coalesced is accounted once, on both sides: the

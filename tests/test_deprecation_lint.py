@@ -32,6 +32,10 @@ Equation (1): ``bounding_boxes._price``, ``Optimizer._objective_cost``,
 ``stats.transactions_for_estimate`` and ``QueryOptions.cost_metric`` —
 the planner prices through the dataset's ``PricingPolicy``, and the
 Minimizing-Calls competitor is the same planner under its own schedule.
+And the process-wide ``MetricsRegistry`` / ``REGISTRY``
+(``repro.obs.metrics``), the ``metrics=`` parameter that threaded it
+through the installation, and the ``perf_counter`` timers beside the
+tracer: ``PayLess.metrics()`` reads the counters the components keep.
 """
 
 from __future__ import annotations
@@ -52,20 +56,23 @@ import repro.core.budget
 import repro.core.context
 import repro.core.executor
 import repro.core.optimizer
+import repro.obs
 import repro.stats
 import repro.stats.estimator
 from repro.bench.figures import make_instances, make_workload
-from repro.bench.harness import run_session
+from repro.bench.harness import build_system, run_session
 from repro.cli import main
 from repro.core.budget import BudgetPolicy
+from repro.core.context import PlanningContext
 from repro.core.executor import Executor, QueryStats
 from repro.core.objectives import QueryOptions
 from repro.core.payless import PayLess, QueryResult
+from repro.core.plancache import PlanCache
 from repro.market.aio import AsyncMarketTransport
 from repro.market.billing import BillingLedger, LedgerEntry
-from repro.market.transport import QueryScope
+from repro.market.transport import MarketTransport, QueryScope
 from repro.semstore.store import TableStore
-from repro.serve import QueryScheduler, ServeConfig
+from repro.serve import QueryScheduler, ServeConfig, SingleflightGroup
 from repro.testing import tiny_weather_market
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -100,7 +107,6 @@ def test_payless_init_takes_exactly_the_documented_parameters():
         "options",
         "statistic",
         "tracing",
-        "metrics",
     ]
 
 
@@ -146,8 +152,32 @@ def test_no_prune_flag_is_rejected(argv, capsys):
 def test_a_session_registers_no_fallback_counter():
     data = make_workload("real")
     session = run_session("payless", data, make_instances("real", data, 2))
-    assert session.metrics["plan_candidates"] > 0
+    assert all(count > 0 for count in session.evaluated_plans)
     assert "plan_bnb_fallbacks" not in session.metrics
+
+
+#: Everything that used to take the registry as ``metrics=``.
+FORMER_METRICS_TAKERS = (
+    PayLess,
+    PlanningContext,
+    PlanCache,
+    SingleflightGroup,
+    MarketTransport,
+    AsyncMarketTransport,
+    build_system,
+)
+
+
+def test_the_metrics_registry_is_gone():
+    assert importlib.util.find_spec("repro.obs.metrics") is None
+    for module in (repro, repro.obs):
+        for name in ("MetricsRegistry", "REGISTRY"):
+            assert not hasattr(module, name), module.__name__
+            assert name not in module.__all__
+    for taker in FORMER_METRICS_TAKERS:
+        assert "metrics" not in inspect.signature(taker).parameters, taker
+    for module in ("optimizer.py", "executor.py"):
+        assert "perf_counter" not in (SRC / "core" / module).read_text()
 
 
 def test_singleflight_protocol_has_no_async_copy():

@@ -31,7 +31,6 @@ from repro.core.objectives import QueryOptions
 from repro.errors import ExecutionError, SchemaError
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.relational import engine
 from repro.relational import operators as vec
 from repro.relational import reference as ref
@@ -680,7 +679,6 @@ def _replay(workload, engine, transport=None):
         "payless",
         data,
         options=QueryOptions(transport=transport, engine=engine),
-        metrics=MetricsRegistry(),
     )
     results = [payless.query(i.sql, i.params) for i in instances]
     return payless, results
@@ -722,8 +720,7 @@ def test_explain_analyze_reports_engine():
         data = make_workload("real", SMALL)
         instances = make_instances("real", data, SMALL.weather_q, SMALL)
         payless, __ = build_system(
-            "payless", data, options=QueryOptions(engine=engine),
-            metrics=MetricsRegistry(),
+            "payless", data, options=QueryOptions(engine=engine)
         )
         rendered = payless.explain_analyze(
             instances[0].sql, instances[0].params

@@ -13,7 +13,6 @@ per-node est-vs-actual lines).
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.testing import registered_payless, tiny_weather_market
 
 JOIN_SQL = (
@@ -38,9 +37,7 @@ FIG7_VIEWS = (
 
 
 def fresh_payless(tracing=False):
-    return registered_payless(
-        tiny_weather_market(), tracing=tracing, metrics=MetricsRegistry()
-    )
+    return registered_payless(tiny_weather_market(), tracing=tracing)
 
 
 class TestGoldenRenderings:

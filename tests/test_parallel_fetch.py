@@ -8,6 +8,8 @@ fetched records, the ledger — must be identical to serial execution
 and the reported critical path must never exceed the serial sum.
 """
 
+import itertools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -22,7 +24,6 @@ from repro.market.latency import LatencyModel
 from repro.market.rest import RestRequest
 from repro.market.server import DataMarket
 from repro.market.transport import TransportConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.relational.query import AttributeConstraint
 from repro.testing import registered_payless, tiny_weather_market
 from repro.workloads.weather import WeatherConfig
@@ -203,8 +204,16 @@ def _traced_payless(max_concurrent_calls: int, faulty: bool) -> PayLess:
             max_concurrent_calls=max_concurrent_calls, transport=transport
         ),
         tracing=True,
-        metrics=MetricsRegistry(),
     )
+
+
+def _warm_stripes(payless: PayLess) -> None:
+    """Buy alternating Date stripes of CountryA."""
+    for low in range(2, 30, 8):
+        payless.query(
+            "SELECT Temperature FROM Weather WHERE Country = 'CountryA' "
+            f"AND Date >= {low} AND Date <= {low + 1}"
+        )
 
 
 def _fragmented_trace(payless: PayLess):
@@ -213,15 +222,10 @@ def _fragmented_trace(payless: PayLess):
     The final query's remainder decomposes into the stored stripes'
     complement — several REST calls inside ONE table access, exactly what
     the fetch pool overlaps."""
-    for low in range(2, 30, 8):
-        payless.query(
-            "SELECT Temperature FROM Weather WHERE Country = 'CountryA' "
-            f"AND Date >= {low} AND Date <= {low + 1}"
-        )
-    result = payless.query(
+    _warm_stripes(payless)
+    return payless.query(
         "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
     )
-    return result
 
 
 def _call_signature(result):
@@ -290,13 +294,36 @@ class TestTraceUnderConcurrency:
                     c.attrs["transactions"] for c in children
                 ) == fetch.attrs["transactions"]
 
-    def test_pool_high_water_mark_reaches_the_calls_in_flight(self):
-        payless = _traced_payless(8, faulty=False)
-        _fragmented_trace(payless)
-        high_water = payless.metrics.snapshot().get(
-            "fetch_pool_high_water_max", 0
+
+class TestPoolConcurrency:
+    """The fetch pool really overlaps calls, seen at the market boundary."""
+
+    @staticmethod
+    def _fragmented_access_at_a_barrier(max_concurrent_calls: int):
+        """Run the fragmented access with its first two ``market.get``
+        calls waiting on one two-party barrier: they return only if both
+        are in flight at the same time."""
+        payless = _traced_payless(max_concurrent_calls, faulty=False)
+        _warm_stripes(payless)
+        market = payless.market
+        original = market.get
+        barrier = threading.Barrier(2, timeout=5)
+        arrivals = itertools.count()
+
+        def meet_then_get(request, **kwargs):
+            if next(arrivals) < 2:
+                barrier.wait()
+            return original(request, **kwargs)
+
+        market.get = meet_then_get
+        return payless.query(
+            "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
         )
-        assert 1 <= high_water <= 8
+
+    def test_fragmented_access_calls_meet_at_a_barrier(self):
+        assert self._fragmented_access_at_a_barrier(8).stats.calls >= 2
+        with pytest.raises(threading.BrokenBarrierError):
+            self._fragmented_access_at_a_barrier(1)
 
 
 class TestConfigValidation:

@@ -16,7 +16,6 @@ import pytest
 from repro.core.objectives import SERVICE_TIERS, PlanObjective
 from repro.core.prepared import PreparedQuery
 from repro.errors import InfeasibleObjectiveError, MarketError
-from repro.obs.metrics import MetricsRegistry
 from repro.serve import QueryScheduler, ServeConfig
 from repro.testing import registered_payless, tiny_weather_market
 
@@ -62,13 +61,6 @@ class TestFrontier:
         assert planning.objective.is_default
         assert len(planning.frontier) == 1
         assert planning.cost == CHEAP_POINT[0]
-
-    def test_frontier_size_metric_observed(self):
-        registry = MetricsRegistry()
-        payless = _payless(metrics=registry)
-        payless.explain(SQL, objective="min_latency")
-        snapshot = registry.snapshot()
-        assert snapshot.get("plan_frontier_size_count", 0) >= 1
 
 
 class TestObjectiveSelection:
@@ -147,13 +139,6 @@ class TestInfeasibility:
             payless.query(SQL, objective="dollars_under_latency_ms:1")
         assert payless.total_price == 0.0
         assert payless.total_transactions == 0
-
-    def test_infeasibility_metric_counted(self):
-        registry = MetricsRegistry()
-        payless = _payless(metrics=registry)
-        with pytest.raises(InfeasibleObjectiveError):
-            payless.explain(SQL, objective="dollars_under_latency_ms:1")
-        assert registry.snapshot().get("plan_objective_infeasible", 0) >= 1
 
 
 class TestPlanCacheIsolation:

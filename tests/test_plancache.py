@@ -15,7 +15,6 @@ from repro.bench.harness import build_system
 from repro.core.objectives import AdaptivePolicy, PlanObjective, QueryOptions
 from repro.core.plans import MaterializedNode
 from repro.core.prepared import PreparedQuery
-from repro.obs.metrics import MetricsRegistry
 from repro.sqlparser.ast import SelectStatement
 from repro.sqlparser.parser import parse
 from repro.workloads.synthetic import make_join_graph
@@ -85,12 +84,11 @@ class TestHitMissLifecycle:
         assert explanation.planning.cache_status == "miss"
 
     def test_metrics_and_hit_rate(self):
-        metrics = MetricsRegistry()
-        payless, data = build(metrics=metrics)
+        payless, data = build()
         warm(payless, 3)
         payless.query(data.sql)
         payless.query(data.sql)
-        snap = metrics.snapshot()
+        snap = payless.metrics()
         assert snap["plan_cache_hits"] >= 1
         assert snap["plan_cache_misses"] >= 1
         assert 0.0 < snap["plan_cache_hit_rate"] < 1.0

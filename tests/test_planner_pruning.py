@@ -5,7 +5,7 @@
   included) — the formulas and the DP document each other, and the
   planner has no bounding device beside them (Section 4.1);
 * ``pruned_plans`` counts the candidates an incumbent over the same
-  table set dominated, and the metrics / EXPLAIN report it;
+  table set dominated, and the planning result / EXPLAIN report it;
 * the planner knobs of ``QueryOptions`` must reject nonsense loudly.
 """
 
@@ -21,14 +21,13 @@ from repro.core.optimizer import (
     plan_space_payless,
 )
 from repro.errors import PlanningError
-from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import make_join_graph
 
 
-def build(shape: str, n: int, metrics: MetricsRegistry | None = None):
+def build(shape: str, n: int):
     """A registered installation over one synthetic join graph."""
     data = make_join_graph(shape, n)
-    payless, __ = build_system("payless", data, metrics=metrics)
+    payless, __ = build_system("payless", data)
     return payless, data
 
 
@@ -72,14 +71,12 @@ class TestFormulaMatchesEnumeration:
 
 class TestPlannerMetrics:
     def test_candidate_counters_match_planning_result(self):
-        metrics = MetricsRegistry()
-        payless, data = build("chain", 5, metrics=metrics)
-        result = payless.query(data.sql)
-        snap = metrics.snapshot()
-        assert snap["plan_candidates"] == result.stats.evaluated_plans
-        assert snap["plan_candidates_pruned"] > 0
-        assert snap["planning_us_count"] == 1
-        assert snap["planning_us_sum"] > 0
+        payless, data = build("chain", 5)
+        planning = payless.explain(data.sql).planning
+        result = payless.query(data.sql)  # served by the plan cache
+        assert result.stats.evaluated_plans == planning.evaluated_plans
+        assert planning.evaluated_plans == plan_space_payless(5)
+        assert planning.pruned_plans > 0
 
     def test_explain_reports_kept_and_pruned(self):
         payless, data = build("chain", 4)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro import PayLess
 from repro.core.plans import JoinNode, MarketAccessNode
-from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
 from repro.relational.engine import evaluate
 from repro.relational.table import Table
@@ -193,9 +192,7 @@ def test_trace_spans_nest_and_account_for_the_whole_bill(
     * the ``table_fetch`` spans' transactions sum to the query's bill.
     """
     sql, params = query
-    payless = PayLess.full(
-        mini_weather_market, tracing=True, metrics=MetricsRegistry()
-    )
+    payless = PayLess.full(mini_weather_market, tracing=True)
     payless.register_dataset("WHW")
     for __ in range(2):  # cold issue, then a store-warm repeat
         result = payless.query(sql, params)

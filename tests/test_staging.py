@@ -20,7 +20,6 @@ from repro.bench.harness import build_system
 from repro.core.executor import Executor
 from repro.core.objectives import AdaptivePolicy, QueryOptions
 from repro.core.plans import JoinNode, LocalBlockNode, MarketAccessNode
-from repro.obs.metrics import MetricsRegistry
 from repro.relational import operators, reference
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, Schema
@@ -563,7 +562,6 @@ def _session(workload, seed, adaptive):
         "payless",
         data,
         options=QueryOptions(adaptive=adaptive),
-        metrics=MetricsRegistry(),
     )
     results = [
         payless.query(instance.sql, instance.params)

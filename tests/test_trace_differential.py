@@ -31,7 +31,6 @@ from repro.bench.harness import build_system
 from repro.core.objectives import QueryOptions
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.workloads.weather import WeatherConfig
 
 SMALL = BenchProfile(
@@ -58,7 +57,7 @@ def run_passes(workload, passes=2, transport=None, system="payless"):
     instances = make_instances(workload, data, q, SMALL)
     payless, __ = build_system(
         system, data, options=QueryOptions(transport=transport),
-        tracing=True, metrics=MetricsRegistry(),
+        tracing=True,
     )
     payless.tracer.keep = passes * len(instances) + 4
     results = []
@@ -124,8 +123,8 @@ class TestColdWarmWeather:
             if event.attrs.get("hit")
         )
         assert warm_hits > 0
-        # The registry agrees with the events.
-        metrics = payless.metrics.snapshot()
+        # The installation's metrics view agrees with the events.
+        metrics = payless.metrics()
         assert metrics["memo_hits"] > 0
         assert 0.0 < metrics["memo_hit_rate"] <= 1.0
 
@@ -261,7 +260,6 @@ def _one_account_session(workload, seed, transport_mode):
             transport_mode=transport_mode,
         ),
         tracing=True,
-        metrics=MetricsRegistry(),
     )
     payless.tracer.keep = len(instances) + 4
     return payless, instances
