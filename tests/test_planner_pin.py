@@ -13,7 +13,12 @@ range on ``T1`` — were added at the commit before candidates became
 vectors whose plan trees are built on demand.  When branch-and-bound was
 deleted each entry kept its exhaustive arm's record; only
 ``pruned_plans`` (the dominated count, where that arm wrote 0) and the
-event digest (events lost their ``bounded`` key) took new values.
+event digest (events lost their ``bounded`` key) took new values.  The
+``clique-7-edges-*`` entries (random predicate subsets of a clique-7
+dataset, connected and not) and the ``*-bought`` entries (a chain-6 and a
+star-6 whose middle table the store holds, so the zero-price block joins
+components through itself) were added, event digests included, at the
+commit before relation sets became bitmasks.
 
 Regenerate with ``pytest tests/test_planner_pin.py --update-goldens``;
 the JSON diff is the review artifact.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -54,6 +60,16 @@ TRACE_PIN_MAX_N = 6
 #: n = 8, with its ``domain_high`` and a range on ``T1`` as it quotes them.
 BENCHMARK_GRAPHS = [("chain", 10), ("star", 9), ("star", 10)]
 SESSIONS = [("real", 2), ("tpch", 1)]
+#: Seeds of random edge subsets of a clique-7's predicates, each edge kept
+#: with probability ``EDGE_KEEP``: seeds 1, 3, 4 draw connected query
+#: graphs, the other five disconnected ones, where Theorem 3 also applies
+#: to the whole query.
+EDGE_SUBSET_SEEDS = range(8)
+EDGE_KEEP = 0.3
+#: (shape, the table bought outright before planning): the store then
+#: covers it, Theorem 2 folds it into the zero-price block, and the
+#: tables joined to it are connected *through* the block.
+BOUGHT_FIRST = [("chain", "T3"), ("star", "T1")]
 
 
 def _record(planning) -> dict:
@@ -121,10 +137,17 @@ def _check(request, pin: dict, name: str, actual: dict) -> None:
         )
 
 
-def _pin_graph(request, pin, name: str, data, sql: str, trace: bool) -> dict:
+def _installation(data):
     payless, __ = build_system(
         "payless", data, options=QueryOptions(plan_cache_size=0)
     )
+    return payless
+
+
+def _pin_graph(
+    request, pin, name: str, data, sql: str, trace: bool, payless=None
+) -> dict:
+    payless = payless or _installation(data)
     logical = payless.compile(sql)
     actual = {}
     for objective in OBJECTIVES:
@@ -172,6 +195,62 @@ def test_benchmark_shape_pin(request, pin, shape, n):
     column = data.dataset.table("T1").schema.names[0]
     sql = f"{data.sql} AND T1.{column} >= 5 AND T1.{column} <= 21"
     _pin_graph(request, pin, f"{shape}-{n}-d32-range", data, sql, trace=False)
+
+
+def _edge_subset(seed: int, n: int = 7) -> list[tuple[int, int]]:
+    rng = random.Random(seed)
+    return [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < EDGE_KEEP
+    ]
+
+
+def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
+    reached = {1}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in reached) != (j in reached):
+                reached |= {i, j}
+                grew = True
+    return len(reached) == n
+
+
+@pytest.mark.parametrize("seed", EDGE_SUBSET_SEEDS)
+def test_edge_subset_pin(request, pin, seed):
+    """A clique-7 dataset queried over a random subset of its predicates:
+    tables left without a predicate, and whole components, join by
+    Cartesian product."""
+    data = make_join_graph("clique", 7)
+    edges = _edge_subset(seed)
+    sql = f"SELECT * FROM {', '.join(data.tables)} WHERE " + " AND ".join(
+        f"T{i}.K{i}_{j} = T{j}.K{i}_{j}" for i, j in edges
+    )
+    kind = "connected" if _connected(7, edges) else "disconnected"
+    _pin_graph(
+        request, pin, f"clique-7-edges-s{seed}-{kind}", data, sql, trace=True
+    )
+
+
+def test_edge_subsets_cover_both_kinds():
+    kinds = {_connected(7, _edge_subset(seed)) for seed in EDGE_SUBSET_SEEDS}
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("shape,bought", BOUGHT_FIRST)
+def test_bought_first_pin(request, pin, shape, bought):
+    data = make_join_graph(shape, 6)
+    payless = _installation(data)
+    payless.query(f"SELECT * FROM {bought}")
+    actual = _pin_graph(
+        request, pin, f"{shape}-6-{bought.lower()}-bought", data, data.sql,
+        trace=True, payless=payless,
+    )
+    for record in actual.values():
+        assert f"LocalBlock({bought})" in record["plan"]
 
 
 @pytest.mark.parametrize("workload,q", SESSIONS)
