@@ -27,9 +27,10 @@ formulas of Section 4.1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product
+from operator import attrgetter
 
 from repro.core.context import PlanningContext
 from repro.core.objectives import MIN_DOLLARS, PlanObjective, QueryOptions
@@ -92,17 +93,18 @@ class PlanningResult:
 
 
 class _SubPlan:
-    """A candidate's vector — relation set, cost, rows, latency.
+    """A kept candidate's vector — relation mask (bits of
+    :attr:`_JoinIndex.names`), cost, rows, latency.
 
-    The DP compares vectors only, and ``_consider`` rejects most
-    candidates, so the plan tree is not built with the candidate:
-    ``build(subplan)`` constructs it on the first read of ``node``.
+    Most candidates are rejected before one of these exists, and the plan
+    tree is not built with it either: ``build(subplan)`` constructs it on
+    the first read of ``node``.
     """
 
-    __slots__ = ("relations", "cost", "rows", "latency", "_node", "_build")
+    __slots__ = ("mask", "cost", "rows", "latency", "_node", "_build")
 
-    def __init__(self, relations, cost, rows, latency=0.0, node=None, build=None):
-        self.relations: frozenset[str] = relations
+    def __init__(self, mask, cost, rows, latency=0.0, node=None, build=None):
+        self.mask: int = mask
         self.cost: float = cost
         self.rows: float = rows
         #: Serial market wall-clock estimate — the second Pareto axis.
@@ -117,51 +119,117 @@ class _SubPlan:
         return self._node
 
 
-def _leaf(node: PlanNode) -> _SubPlan:
-    return _SubPlan(
-        node.relations, node.cost, node.estimated_rows, node.latency_ms, node
+def _join_node(index, left, right, bind, plan: _SubPlan) -> JoinNode:
+    """``left`` joined with ``right`` (a subplan, or a function making the
+    node) on every predicate between them, in query order."""
+    right_mask = plan.mask & ~left.mask
+    predicates = tuple(
+        join
+        for one, other, join, __ in index.joins
+        if (one & left.mask and other & right_mask)
+        or (one & right_mask and other & left.mask)
     )
-
-
-def _join_node(left, right, predicates, bind, plan: _SubPlan) -> JoinNode:
     return JoinNode(
-        relations=plan.relations,
+        relations=frozenset(index.tables(plan.mask)),
         cost=plan.cost,
         estimated_rows=plan.rows,
         latency_ms=plan.latency,
         left=left.node,
-        right=right.node,
+        right=right.node if isinstance(right, _SubPlan) else right(),
         predicates=predicates,
         bind=bind,
         cartesian=not predicates,
     )
 
 
-def _bind_node(table, rewrite, columns, bindings, plan: _SubPlan) -> MarketAccessNode:
-    return MarketAccessNode(
-        relations=plan.relations,
-        cost=plan.cost,
-        estimated_rows=plan.rows,
-        latency_ms=plan.latency,
-        table=table,
-        rewrite=rewrite,
-        bind_attributes=columns,
-        estimated_bindings=bindings,
-    )
+def _product_node(parts: list[_SubPlan], plan: _SubPlan) -> PlanNode:
+    """Theorem 3: the Cartesian product of ``parts`` in order, each step's
+    vector accumulated as the DP costed it."""
+    first = parts[0]
+    node, cost, rows, latency = first.node, first.cost, first.rows, first.latency
+    for part in parts[1:]:
+        cost += part.cost
+        rows *= part.rows
+        latency += part.latency
+        node = JoinNode(
+            relations=node.relations | part.node.relations,
+            cost=cost,
+            estimated_rows=rows,
+            latency_ms=latency,
+            left=node,
+            right=part.node,
+            cartesian=True,
+        )
+    return node
+
+
+def _first(frontiers, key, cost, latency) -> list[_SubPlan] | None:
+    """Admission that keeps the first candidate only."""
+    return None if key in frontiers else frontiers.setdefault(key, [])
+
+
+_COST = attrgetter("cost")
 
 
 @dataclass
 class _JoinIndex:
-    """``query.joins`` resolved once per planning call (lowered names)."""
+    """``query.joins`` resolved once per planning call, over relation masks:
+    bit ``i`` of a mask is ``names[i]``."""
 
-    #: ``(left table, right table, predicate, row divisor)`` in query
-    #: order; the divisor is ``max(d_left, d_right, 1.0)``.
-    joins: list[tuple[str, str, JoinPredicate, float]]
-    #: Per table: its incident joins as ``(other table, predicate,
-    #: divisor)``, in query order.
-    edges: dict[str, list[tuple[str, JoinPredicate, float]]]
-    #: Per table: the tables it shares a join with.
-    adjacency: dict[str, set[str]]
+    #: The query's lower-cased table names, sorted, and each one's bit.
+    names: list[str]
+    bits: dict[str, int]
+    #: ``(left bit, right bit, predicate, row divisor)`` in query order;
+    #: the divisor is ``max(d_left, d_right, 1.0)``.
+    joins: list[tuple[int, int, JoinPredicate, float]]
+    #: Per table bit: its incident joins as ``(other bit, predicate,
+    #: divisor)`` in query order, and the mask of the tables they reach.
+    edges: dict[int, list[tuple[int, JoinPredicate, float]]]
+    adjacency: dict[int, int]
+    #: Per table bit: its access recipe, made on the table's first use.
+    recipes: dict[int, _Recipe] = field(default_factory=dict)
+
+    def mask(self, relations) -> int:
+        return sum(map(self.bits.__getitem__, relations))
+
+    def tables(self, mask: int) -> list[str]:
+        """The names in ``mask``, sorted."""
+        return [name for i, name in enumerate(self.names) if mask >> i & 1]
+
+
+@dataclass(slots=True)
+class _Recipe:
+    """What adding one table to a left-deep subplan costs that no left side
+    changes, made on the table's first extension.
+
+    ``direct`` is the shared direct-access leaf (``None`` when the query
+    does not constrain every bound dimension).  ``binds`` stays ``None``
+    until a left side first asks: ``(outer mask, outer distinct counts,
+    bound columns, rows per binding, price per call, ms per call)`` per
+    feasible combination of at most ``max_bind_attrs`` bindable incident
+    joins, in ``combinations`` order — the order candidates are considered
+    in, hence part of how ties resolve.
+    """
+
+    table: str
+    bit: int
+    relations: frozenset[str]
+    edges: list[tuple[int, JoinPredicate, float]]
+    direct: _SubPlan | None
+    #: Set once the table is rewritten (for a direct or a bind access).
+    rewrite: RewriteResult | None
+    binds: list[tuple] | None = None
+    region_rows: float = 0.0
+    uncovered: float = 0.0
+
+    def rows(self, left: _SubPlan, access_rows: float) -> float:
+        """Join cardinality: ``left.rows · access_rows``, then one division
+        per join to ``left`` in query order."""
+        rows = left.rows * access_rows
+        for other, __, divisor in self.edges:
+            if other & left.mask:
+                rows /= divisor
+        return rows
 
 
 @dataclass
@@ -238,13 +306,12 @@ class Optimizer:
         # and the store state at planning time.  (The rewriter's own
         # epoch-keyed memo still guards reuse *across* queries.)
         self._memo_rewrite: dict[str, RewriteResult] = {}
-        self._memo_direct: dict[str, _SubPlan] = {}
-        self._memo_binds: dict[str, tuple] = {}
         self._memo_region_rows: dict[str, float] = {}
         self._memo_standalone: dict[str, bool] = {}
         self._memo_distinct: dict[tuple[str, str], float] = {}
-        #: Built on first use, not here: ``optimize_suffix`` installs its
-        #: overlay after ``_reset`` and the divisors read it.
+        #: The masks, divisors and access recipes: built on first use, not
+        #: here — ``optimize_suffix`` installs its overlay after ``_reset``
+        #: and the divisors read it.
         self._index: _JoinIndex | None = None
         #: Observed-cardinality overlay for adaptive suffix planning; a
         #: fresh ``optimize()`` always starts from shared estimates only.
@@ -265,7 +332,7 @@ class Optimizer:
                     "min_dollars objective; Pareto planning needs the "
                     "left-deep DP (use_theorems=True)"
                 )
-            return self._optimize_bushy(query, market_tables, local_tables)
+            return self._optimize_bushy(market_tables, local_tables)
 
         zero_market = [
             t for t in market_tables if self._is_zero_price(t)
@@ -341,15 +408,20 @@ class Optimizer:
         ]
         if not remaining:
             return None
-        remaining_set = frozenset(t.lower() for t in remaining)
-        if len(self._components(remaining_set, prefix.relations)) > 1:
+        index = self._join_index()
+        prefix_mask = index.mask(prefix.relations)
+        through = self._through(prefix_mask)
+        components: list[int] = []
+        for bit in sorted(index.bits[t.lower()] for t in remaining):
+            components = self._components_with(components, bit, through)
+        if len(components) > 1:
             # Join-disconnected remainders would re-enter Theorem-3
             # composition, which could only duplicate the prefix leaf.
             # Rare (the static planner already ordered the query); keep
             # the original plan instead.
             return None
         seed = _SubPlan(
-            prefix.relations, 0.0, max(prefix.estimated_rows, 0.0), node=prefix
+            prefix_mask, 0.0, max(prefix.estimated_rows, 0.0), node=prefix
         )
         try:
             entries = self._frontier_program(remaining, seed)
@@ -378,45 +450,33 @@ class Optimizer:
     ) -> float:
         """Price the original plan's remaining steps under the overlay.
 
-        Each old step is matched to the freshly-costed extension
+        Each old step is matched to the first freshly-costed extension
         candidate with the same access shape (same table, same bound
-        attributes); a step with no matching candidate (the store state
-        can narrow feasibility between plan and re-plan) falls back to
-        re-attaching the stamped access node as-is.
+        attributes); a step with none (the store state can narrow
+        feasibility between plan and re-plan) re-attaches its stamped
+        access node as-is.
         """
         current = seed
         for step in old_steps:
             access = step.right
             if not isinstance(access, MarketAccessNode):
                 continue
-            signature = tuple(access.bind_attributes)
-            match: _SubPlan | None = None
-            for candidate in self._extension_candidates(
-                current, access.table
-            ):
-                right = candidate.node.right if isinstance(
-                    candidate.node, JoinNode
-                ) else None
-                if (
-                    isinstance(right, MarketAccessNode)
-                    and tuple(right.bind_attributes) == signature
-                ):
-                    match = candidate
-                    break
-            if match is None:
-                (match,) = self._attach(
-                    current, access.table, [(_leaf(access), step.bind)]
-                )
-            current = match
+            recipe = self._recipe(access.table)
+            key = current.mask | recipe.bit
+            match: dict[int, list[_SubPlan]] = {}
+            self._extend(match, key, current, recipe, access.bind_attributes)
+            current = match[key][0] if match else _SubPlan(
+                key, current.cost + access.cost,
+                recipe.rows(current, access.estimated_rows),
+                current.latency + access.latency_ms,
+            )
         return current.cost
 
     # ---------------------------------------------------------------- theorems
 
     def _is_zero_price(self, table: str) -> bool:
         """Theorem 2 candidates: covered market relations are free."""
-        if not self.options.use_sqr:
-            return False
-        if not self._standalone_feasible(table):
+        if not self.options.use_sqr or not self._standalone_feasible(table):
             return False
         rewrite = self._rewrite(table)
         return rewrite.fully_covered or rewrite.estimated_transactions == 0
@@ -432,82 +492,83 @@ class Optimizer:
         for table in local_tables:
             rows *= max(self._local_filtered_count(table), 0)
         for table in zero_market:
-            rewrite = self._rewrite(table)
-            region_rows = sum(
-                self.context.catalog.statistics(table).histogram.estimate(box)
-                for box in rewrite.request_boxes
-            )
-            rows *= max(region_rows, 0.0)
+            rows *= max(self._region_rows(table), 0.0)
         # Apply join selectivities for predicates internal to the block.
+        index = self._join_index()
         lowered = frozenset(t.lower() for t in tables)
-        for left_t, right_t, __, divisor in self._join_index().joins:
-            if left_t in lowered and right_t in lowered:
+        mask = index.mask(lowered)
+        for left_bit, right_bit, __, divisor in index.joins:
+            if left_bit & mask and right_bit & mask:
                 rows /= divisor
-        return _leaf(
-            LocalBlockNode(
-                relations=lowered,
-                cost=0.0,
-                estimated_rows=rows,
-                tables=tuple(tables),
-                covered_market_tables=tuple(zero_market),
-            )
+        node = LocalBlockNode(
+            relations=lowered,
+            cost=0.0,
+            estimated_rows=rows,
+            tables=tuple(tables),
+            covered_market_tables=tuple(zero_market),
         )
+        return _SubPlan(mask, 0.0, rows, node=node)
 
     def _join_index(self) -> _JoinIndex:
-        """The query's join graph, resolved on first use: the hot loops
-        then compare lowered names and divide by ready-made divisors."""
+        """The query's join graph over relation masks, resolved on first
+        use: the hot loops then test bits and divide by ready-made
+        divisors."""
         index = self._index
         if index is None:
+            names = sorted({t.lower() for t in self._query.tables})
+            bits = {name: 1 << i for i, name in enumerate(names)}
             joins = []
-            edges = {t.lower(): [] for t in self._query.tables}
+            edges = {bit: [] for bit in bits.values()}
+            adjacency = dict.fromkeys(edges, 0)
             for join in self._query.joins:
                 left, right = join.left, join.right
-                left_t, right_t = left.table.lower(), right.table.lower()
+                left_bit = bits[left.table.lower()]
+                right_bit = bits[right.table.lower()]
                 divisor = max(
                     self._base_distinct(left.table, left.column),
                     self._base_distinct(right.table, right.column),
                     1.0,
                 )
-                joins.append((left_t, right_t, join, divisor))
-                edges[left_t].append((right_t, join, divisor))
-                edges[right_t].append((left_t, join, divisor))
-            adjacency = {
-                table: {other for other, __, __ in incident}
-                for table, incident in edges.items()
-            }
-            index = self._index = _JoinIndex(joins, edges, adjacency)
+                joins.append((left_bit, right_bit, join, divisor))
+                edges[left_bit].append((right_bit, join, divisor))
+                edges[right_bit].append((left_bit, join, divisor))
+                adjacency[left_bit] |= right_bit
+                adjacency[right_bit] |= left_bit
+            index = self._index = _JoinIndex(
+                names, bits, joins, edges, adjacency
+            )
         return index
 
-    def _components(
-        self, subset: frozenset[str], block_tables: frozenset[str]
-    ) -> list[frozenset[str]]:
-        """Theorem 3: connected components of ``subset`` in the join graph.
+    def _through(self, block_mask: int) -> int:
+        """The tables joined to the zero-price block (or prefix)."""
+        return sum(
+            bit
+            for bit, adjacent in self._join_index().adjacency.items()
+            if adjacent & block_mask
+        )
 
-        Tables joined to the zero-price block are connected *through* it.
-        Components come in order of their smallest member, so Theorem-3
-        composition nests the same way in every process.
+    def _components_with(
+        self, components: list[int], bit: int, through: int
+    ) -> list[int]:
+        """Theorem 3: the connected components of a relation set plus
+        ``bit`` (above every member), from the set's own ``components``.
+        Tables joined to the zero-price block (``through``) are connected
+        *through* it.  Components stay in order of their lowest bit — their
+        smallest name — so compositions nest the same way in every process.
         """
-        adjacency = self._join_index().adjacency
-        through_block = {
-            t for t in subset if not adjacency[t].isdisjoint(block_tables)
-        }
-        components = []
-        unseen = set(subset)
-        for start in sorted(subset):
-            if start not in unseen:
-                continue
-            unseen.discard(start)
-            component, frontier = {start}, [start]
-            while frontier and unseen:
-                table = frontier.pop()
-                reached = adjacency[table] & unseen
-                if table in through_block:
-                    reached |= through_block & unseen
-                unseen -= reached
-                component |= reached
-                frontier.extend(reached)
-            components.append(frozenset(component))
-        return components
+        reach = self._index.adjacency[bit]
+        if bit & through:
+            reach |= through
+        merged, kept, at = bit, [], None
+        for component in components:
+            if component & reach:
+                merged |= component
+                if at is None:
+                    at = len(kept)
+            else:
+                kept.append(component)
+        kept.insert(len(kept) if at is None else at, merged)
+        return kept
 
     # ------------------------------------------------------------------- the DP
     #
@@ -516,64 +577,63 @@ class Optimizer:
     # vectors in general, money alone for min_dollars — where the frontier
     # degenerates to the single cheapest subplan of the paper's DP.
     #
-    # A candidate is a vector (``_SubPlan``): costing is float arithmetic
-    # over the per-query join index, in a fixed operation order, and plan
-    # nodes are built only for what is read back — ``_consider`` rejects
-    # most candidates, and a rejected one never had a tree.
+    # A relation set is an int mask over the query's sorted table names.  A
+    # candidate is bare floats, costed in a fixed operation order and tested
+    # against its subset's frontier before anything is allocated.
 
     def _frontier_program(
         self, priced: list[str], block: _SubPlan | None
     ) -> list[_SubPlan]:
         """Run the DP from ``block`` (the Theorem-2 leaf, or a materialized
         prefix); return the frontier entries covering all of ``priced`` —
-        empty when no plan is feasible."""
-        frontiers: dict[frozenset[str], list[_SubPlan]] = {}
-        block_tables = block.relations if block is not None else frozenset()
-        by_name = {t.lower(): t for t in priced}
+        empty when no plan is feasible.  Frontiers are keyed by masks of
+        priced tables; a subplan's own mask also holds the block's."""
+        frontiers: dict[int, list[_SubPlan]] = {}
+        through = self._through(block.mask) if block is not None else 0
 
         # Level 1.
+        recipes = {}
         for table in priced:
-            key = frozenset([table.lower()])
-            for candidate in self._extension_candidates(block, table):
-                self._consider(frontiers, key, candidate)
+            recipe = self._recipe(table)
+            recipes[recipe.bit] = recipe
+            self._extend(frontiers, recipe.bit, block, recipe)
 
-        # Levels 2..n.
-        for size in range(2, len(priced) + 1):
-            for subset_names in combinations(sorted(by_name), size):
-                subset = frozenset(subset_names)
-                components = self._components(subset, block_tables)
-                if len(components) > 1:
-                    for combined in self._combine_components(
-                        frontiers, components
-                    ):
-                        self._evaluated += 1
-                        self._consider(frontiers, subset, combined)
+        # Levels 2..n in ``combinations`` order of the sorted names; a
+        # subset's components come from those of it minus its highest bit.
+        bits = sorted(recipes)
+        components = {bit: [bit] for bit in bits}
+        for size in range(2, len(bits) + 1):
+            for combo in combinations(bits, size):
+                subset = sum(combo)
+                highest = combo[-1]
+                parts = components[subset] = self._components_with(
+                    components[subset ^ highest], highest, through
+                )
+                if len(parts) > 1:
+                    self._compose(frontiers, subset, parts)
                     continue
-                # Deterministic, not raw frozenset order: on ties the
-                # first-seen candidate wins, so iteration order IS plan
-                # choice — hash-order iteration would make tied plans
-                # vary across processes.  Reverse-sorted extension
-                # (largest table added last) canonicalizes ties to the
-                # join order that reads in table-name order.
-                for table_key in sorted(subset, reverse=True):
-                    lefts = frontiers.get(subset - {table_key})
+                # On ties the first-seen candidate wins, so iteration
+                # order IS plan choice: highest bit first (largest table
+                # added last) canonicalizes ties to the join order that
+                # reads in table-name order.
+                for bit in reversed(combo):
+                    lefts = frontiers.get(subset ^ bit)
                     if not lefts:
                         continue
-                    table = by_name[table_key]
+                    recipe = recipes[bit]
                     for left in lefts:
-                        for candidate in self._extension_candidates(
-                            left, table
-                        ):
-                            self._consider(frontiers, subset, candidate)
-        return frontiers.get(frozenset(by_name), [])
+                        self._extend(frontiers, subset, left, recipe)
+        return frontiers.get(sum(bits), [])
 
-    def _consider(
+    def _admit(
         self,
-        frontiers: dict[frozenset[str], list[_SubPlan]],
-        key: frozenset[str],
-        candidate: _SubPlan,
-    ) -> None:
-        cost, latency = candidate.cost, candidate.latency
+        frontiers: dict[int, list[_SubPlan]],
+        key: int,
+        cost: float,
+        latency: float,
+    ) -> list[_SubPlan] | None:
+        """Test a candidate's vector against ``key``'s frontier: the list to
+        append the accepted candidate to, or ``None`` when it is rejected."""
         one_axis = self._one_axis
         accepted = True
         entries = frontiers.get(key)
@@ -593,7 +653,7 @@ class Optimizer:
         if self._tracing:
             # Rejected candidates are exactly what EXPLAIN cannot show —
             # the trace records every considered (sub)plan with its vector.
-            attrs = {"tables": sorted(key), "cost": cost}
+            attrs = {"tables": self._index.tables(key), "cost": cost}
             if not one_axis:
                 attrs["latency_ms"] = latency
             self.context.tracer.event(
@@ -601,9 +661,9 @@ class Optimizer:
             )
         if not accepted:
             self._pruned += 1
-            return
+            return None
         if entries is None:
-            frontiers[key] = [candidate]
+            entries = frontiers[key] = []
         else:
             # Drop incumbents strictly worse than the newcomer on every
             # axis (their extensions are strictly worse than the
@@ -619,37 +679,40 @@ class Optimizer:
                     entries[kept] = incumbent
                     kept += 1
             del entries[kept:]
-            entries.append(candidate)
+        return entries
 
-    def _combine_components(
+    def _compose(
         self,
-        frontiers: dict[frozenset[str], list[_SubPlan]],
-        components: list[frozenset[str]],
-    ) -> list[_SubPlan]:
+        frontiers: dict[int, list[_SubPlan]],
+        key: int,
+        components: list[int],
+    ) -> None:
         """Theorem 3 composition: Best(C1) × Best(C2) × ..., one candidate
-        per combination of the components' frontier entries."""
+        per combination of the components' frontier entries, its parts
+        Cartesian-joined most expensive first."""
         parts = []
         for component in components:
             entries = frontiers.get(component)
             if not entries:
-                return []
+                return
             parts.append(entries)
-        return [self._combine_parts(combo) for combo in product(*parts)]
-
-    @staticmethod
-    def _combine_parts(parts: tuple[_SubPlan, ...]) -> _SubPlan:
-        """Cartesian-product composition of component subplans."""
-        parts = sorted(parts, key=lambda p: p.cost, reverse=True)
-        combined = parts[0]
-        for part in parts[1:]:
-            combined = _SubPlan(
-                combined.relations | part.relations,
-                combined.cost + part.cost,
-                combined.rows * part.rows,
-                combined.latency + part.latency,
-                build=partial(_join_node, combined, part, (), False),
-            )
-        return combined
+        for combination in product(*parts):
+            ordered = sorted(combination, key=_COST, reverse=True)
+            cost, latency = ordered[0].cost, ordered[0].latency
+            for part in ordered[1:]:
+                cost += part.cost
+                latency += part.latency
+            self._evaluated += 1
+            entries = self._admit(frontiers, key, cost, latency)
+            if entries is not None:
+                mask, rows = ordered[0].mask, ordered[0].rows
+                for part in ordered[1:]:
+                    mask |= part.mask
+                    rows *= part.rows
+                entries.append(_SubPlan(
+                    mask, cost, rows, latency,
+                    build=partial(_product_node, ordered),
+                ))
 
     @staticmethod
     def _pareto_front(entries: list[_SubPlan]) -> list[_SubPlan]:
@@ -743,107 +806,111 @@ class Optimizer:
 
     # ----------------------------------------------------------- access costing
 
-    def _extension_candidates(
-        self, left: _SubPlan | None, table: str
-    ) -> list[_SubPlan]:
-        """All ways to add ``table`` to the current left subtree."""
-        accesses: list[tuple[_SubPlan, bool]] = []
-        if self._standalone_feasible(table):
-            accesses.append((self._direct_access(table), False))
-        if left is not None:
-            (
-                own, rewrite, region_rows, uncovered, options
-            ) = self._bind_options(table)
-            left_relations, left_rows = left.relations, left.rows
-            most_bindings = max(left_rows, 1.0)
-            for (
-                outers, distincts, columns, rows_per_binding, call_price,
-                call_ms,
-            ) in options:
-                if not outers <= left_relations:
-                    continue
-                # One call per distinct binding combination.
-                bindings = 1.0
-                for outer_distinct in distincts:
-                    bindings *= max(min(outer_distinct, left_rows), 1.0)
-                bindings = min(bindings, most_bindings)
-                # One REST call per uncovered binding combination, each
-                # at ``call_price`` and taking ``call_ms``.
-                access = _SubPlan(
-                    own,
-                    bindings * uncovered * call_price,
-                    min(rows_per_binding * bindings, region_rows),
-                    bindings * uncovered * call_ms,
-                    build=partial(_bind_node, table, rewrite, columns, bindings),
-                )
-                accesses.append((access, True))
-        self._count_accesses(table, len(accesses))
-        return self._attach(left, table, accesses)
-
-    def _count_accesses(self, table: str, count: int) -> None:
-        """Tick the candidate and Figure-15 box counters: once per costed
-        access, memoized or not."""
-        if count:
-            rewrite = self._rewrite(table)
-            self._evaluated += count
-            self._enumerated_boxes += count * rewrite.enumerated_boxes
-            self._kept_boxes += count * rewrite.kept_boxes
-
-    def _attach(
-        self,
-        left: _SubPlan | None,
-        table: str,
-        accesses: list[tuple[_SubPlan, bool]],
-    ) -> list[_SubPlan]:
-        """``left`` joined with each ``(access to table, is bind join)`` on
-        every predicate between them; the accesses alone without a left."""
-        if left is None or not accesses:
-            return [access for access, __ in accesses]
-        left_relations = left.relations
-        applicable = [
-            edge
-            for edge in self._join_index().edges[table.lower()]
-            if edge[0] in left_relations
-        ]
-        predicates = tuple(join for __, join, __ in applicable)
-        divisors = [divisor for __, __, divisor in applicable]
-        relations = left_relations | accesses[0][0].relations
-        left_cost, left_rows, left_latency = left.cost, left.rows, left.latency
-        candidates = []
-        for access, bind in accesses:
-            rows = left_rows * access.rows
-            for divisor in divisors:
-                rows /= divisor
-            candidates.append(
-                _SubPlan(
-                    relations,
-                    left_cost + access.cost,
-                    rows,
-                    left_latency + access.latency,
-                    build=partial(_join_node, left, access, predicates, bind),
-                )
-            )
-        return candidates
-
-    def _direct_access(self, table: str) -> _SubPlan:
-        # The access is a pure function of the table (given the query and
-        # store state), so one node is shared by every candidate that
-        # embeds it; plans never mutate their nodes.
-        key = table.lower()
-        access = self._memo_direct.get(key)
-        if access is None:
-            rewrite = self._rewrite(table)
-            access = self._memo_direct[key] = _leaf(
-                MarketAccessNode(
-                    relations=frozenset([key]),
+    def _recipe(self, table: str) -> _Recipe:
+        """``table``'s access recipe, made on first use with the probes a
+        first extension always makes: standalone feasibility and, when
+        feasible, the direct access (hence a rewrite)."""
+        index = self._join_index()
+        bit = index.bits[table.lower()]
+        recipe = index.recipes.get(bit)
+        if recipe is None:
+            direct = rewrite = None
+            relations = frozenset([table.lower()])
+            if self._standalone_feasible(table):
+                # A pure function of the table (given the query and store
+                # state), so one node is shared by every candidate that
+                # embeds it; plans never mutate their nodes.
+                rewrite = self._rewrite(table)
+                node = MarketAccessNode(
+                    relations=relations,
                     cost=rewrite.estimated_price,
                     estimated_rows=self._region_rows(table),
                     latency_ms=self._access_latency(rewrite),
                     table=table,
                     rewrite=rewrite,
                 )
+                direct = _SubPlan(
+                    bit, node.cost, node.estimated_rows, node.latency_ms, node
+                )
+            recipe = index.recipes[bit] = _Recipe(
+                table, bit, relations, index.edges[bit], direct, rewrite
             )
-        return access
+        return recipe
+
+    def _extend(
+        self,
+        frontiers: dict[int, list[_SubPlan]],
+        key: int,
+        left: _SubPlan | None,
+        recipe: _Recipe,
+        shape: tuple[str, ...] | None = None,
+    ) -> None:
+        """Add ``recipe``'s table to ``left`` (or start with it) every way
+        it can be accessed — directly, then by each applicable bind
+        combination — keeping what ``key``'s frontier admits.  Cost and
+        latency are admitted before anything is allocated; rows and the
+        deferred node come with acceptance.  With ``shape`` (bound columns,
+        ``()`` for direct) only the first candidate of that access shape is
+        kept, unconditionally and untraced: an old plan's step re-priced.
+        """
+        admit = self._admit if shape is None else _first
+        index, direct, count = self._index, recipe.direct, 0
+        if direct is not None and not shape:
+            count = 1
+            cost, latency = direct.cost, direct.latency
+            if left is not None:
+                cost, latency = left.cost + cost, left.latency + latency
+            entries = admit(frontiers, key, cost, latency)
+            if entries is not None:
+                entries.append(direct if left is None else _SubPlan(
+                    left.mask | recipe.bit, cost,
+                    recipe.rows(left, direct.rows), latency,
+                    build=partial(_join_node, index, left, direct, False),
+                ))
+        if left is not None:
+            binds = recipe.binds
+            if binds is None:
+                binds = self._bind_options(recipe)
+            mask, left_rows = left.mask, left.rows
+            left_cost, left_latency = left.cost, left.latency
+            most_bindings = max(left_rows, 1.0)
+            uncovered = recipe.uncovered
+            for option in binds:
+                outers, distincts, columns, per_binding, price, ms = option
+                if outers & ~mask or (shape is not None and columns != shape):
+                    continue
+                count += 1
+                # One call per distinct binding combination.
+                bindings = 1.0
+                for outer_distinct in distincts:
+                    bindings *= max(min(outer_distinct, left_rows), 1.0)
+                bindings = min(bindings, most_bindings)
+                # One REST call per uncovered binding combination, each
+                # at ``price`` dollars and taking ``ms``.
+                access_cost = bindings * uncovered * price
+                access_latency = bindings * uncovered * ms
+                cost = left_cost + access_cost
+                latency = left_latency + access_latency
+                entries = admit(frontiers, key, cost, latency)
+                if entries is not None:
+                    rows = min(per_binding * bindings, recipe.region_rows)
+                    access = partial(
+                        MarketAccessNode, relations=recipe.relations,
+                        cost=access_cost, estimated_rows=rows,
+                        latency_ms=access_latency, table=recipe.table,
+                        rewrite=recipe.rewrite, bind_attributes=columns,
+                        estimated_bindings=bindings,
+                    )
+                    entries.append(_SubPlan(
+                        mask | recipe.bit, cost, recipe.rows(left, rows),
+                        latency,
+                        build=partial(_join_node, index, left, access, True),
+                    ))
+        if count:  # candidates and Figure-15 boxes, once per costed access
+            rewrite = recipe.rewrite
+            self._evaluated += count
+            self._enumerated_boxes += count * rewrite.enumerated_boxes
+            self._kept_boxes += count * rewrite.kept_boxes
 
     def _region_rows(self, table: str) -> float:
         """Histogram estimate of the table's whole request region (memoized).
@@ -868,26 +935,14 @@ class Optimizer:
             self._memo_region_rows[key] = rows
         return rows
 
-    def _bind_options(self, table: str) -> tuple:
-        """Everything a bind-join access to ``table`` costs that does not
-        depend on the left side (memoized).
-
-        ``(relation set, rewrite, region rows, uncovered fraction,
-        options)``: the first four are table-wide (``None`` without
-        options); ``options`` has one ``(outer tables, outer distinct
-        counts, bound columns, rows per binding, price per call, ms per
-        call)`` per feasible combination of at most
-        ``max_bind_attrs`` bindable incident joins, in ``combinations``
-        order — the order candidates are considered in, hence part of
-        how ties resolve.
-        """
-        key = table.lower()
-        cached = self._memo_binds.get(key)
-        if cached is not None:
-            return cached
+    def _bind_options(self, recipe: _Recipe) -> list[tuple]:
+        """Fill in ``recipe.binds`` (see :class:`_Recipe`) and the
+        table-wide region rows and uncovered fraction they are priced
+        with."""
+        table = recipe.table
         space = self._space(table)
         bindable = []
-        for other, join, __ in self._join_index().edges[key]:
+        for other, join, __ in recipe.edges:
             inner = join.side_for(table)
             # A bind join can only bind a constrainable (dimension) attribute.
             if space.has_dimension(inner.column):
@@ -898,12 +953,11 @@ class Optimizer:
                 columns = tuple(column for __, __, column in combination)
                 if len(set(columns)) == r and self._feasible(table, columns):
                     feasible.append((combination, columns))
-        own = rewrite = region_rows = uncovered = None
-        options = []
+        options = recipe.binds = []
         if feasible:
             pricing = self.context.pricing(table)
-            rewrite = self._rewrite(table)
-            region_rows = self._region_rows(table)
+            rewrite = recipe.rewrite = self._rewrite(table)
+            region_rows = recipe.region_rows = self._region_rows(table)
             if self.options.use_sqr and region_rows > 0:
                 uncovered = rewrite.estimated_remainder_rows / region_rows
                 uncovered = min(max(uncovered, 0.0), 1.0)
@@ -911,7 +965,7 @@ class Optimizer:
                 uncovered = 0.0
             else:
                 uncovered = 1.0
-            own = frozenset([key])
+            recipe.uncovered = uncovered
             for combination, columns in feasible:
                 selectivity = 1.0
                 for column in columns:
@@ -919,8 +973,11 @@ class Optimizer:
                         self._attribute_domain_size(table, column), 1.0
                     )
                 rows_per_binding = region_rows * selectivity
+                outers = 0
+                for other, __, __ in combination:
+                    outers |= other
                 options.append((
-                    frozenset(other for other, __, __ in combination),
+                    outers,
                     [
                         self._base_distinct(outer.table, outer.column)
                         for __, outer, __ in combination
@@ -932,10 +989,7 @@ class Optimizer:
                         pricing.transactions_for(rows_per_binding)
                     ),
                 ))
-        cached = self._memo_binds[key] = (
-            own, rewrite, region_rows, uncovered, options
-        )
-        return cached
+        return options
 
     def _access_latency(self, rewrite: RewriteResult) -> float:
         """Estimated serial wall-clock of a direct access's remainder calls."""
@@ -977,11 +1031,6 @@ class Optimizer:
     def _space(self, table: str) -> BoxSpace:
         return self.context.catalog.statistics(table).space
 
-    def _constrained_attributes(self, table: str) -> set[str]:
-        return {
-            c.attribute.lower() for c in self._query.constraints_for(table)
-        }
-
     def _standalone_feasible(self, table: str) -> bool:
         """All bound dimensions are constrained by the query itself."""
         key = table.lower()
@@ -993,7 +1042,9 @@ class Optimizer:
     def _feasible(self, table: str, bound_columns: tuple[str, ...] = ()) -> bool:
         """Every bound dimension is constrained by the query or receives
         a binding through ``bound_columns``."""
-        constrained = self._constrained_attributes(table)
+        constrained = {
+            c.attribute.lower() for c in self._query.constraints_for(table)
+        }
         constrained.update(column.lower() for column in bound_columns)
         return all(
             not dimension.is_bound or dimension.attribute.lower() in constrained
@@ -1052,10 +1103,7 @@ class Optimizer:
     # --------------------------------------------------------- bushy enumeration
 
     def _optimize_bushy(
-        self,
-        query: LogicalQuery,
-        market_tables: list[str],
-        local_tables: list[str],
+        self, market_tables: list[str], local_tables: list[str]
     ) -> PlanningResult:
         """Exhaustive bushy enumeration — the "Disable All" arm of Figure 14.
 
@@ -1064,87 +1112,66 @@ class Optimizer:
         left-deep-style bind extensions.  No Theorem 1/2/3 shortcuts; the
         instrumentation counts every candidate plan formed.
         """
-        units: dict[str, _SubPlan] = {}
-        for table in local_tables:
-            units[table.lower()] = _leaf(
-                LocalBlockNode(
-                    relations=frozenset([table.lower()]),
-                    cost=0.0,
-                    estimated_rows=self._local_filtered_count(table),
-                    tables=(table,),
-                )
-            )
-        feasible_market: dict[str, _SubPlan] = {}
-        for table in market_tables:
-            if self._standalone_feasible(table):
-                feasible_market[table.lower()] = self._direct_access(table)
-                self._count_accesses(table, 1)
-
-        all_tables = sorted(
-            [t.lower() for t in query.tables]
-        )
-        by_name = {t.lower(): t for t in query.tables}
-        joins = self._join_index().joins
+        index = self._join_index()
         # min_dollars only (checked by the caller): one comparison axis,
         # so every frontier below holds exactly one subplan.
-        best: dict[frozenset[str], list[_SubPlan]] = {}
-        for key, subplan in units.items():
-            best[frozenset([key])] = [subplan]
-        for key, subplan in feasible_market.items():
-            self._consider(best, frozenset([key]), subplan)
+        best: dict[int, list[_SubPlan]] = {}
+        for table in local_tables:
+            node = LocalBlockNode(
+                relations=frozenset([table.lower()]),
+                cost=0.0,
+                estimated_rows=self._local_filtered_count(table),
+                tables=(table,),
+            )
+            bit = index.bits[table.lower()]
+            best[bit] = [_SubPlan(bit, 0.0, node.estimated_rows, node=node)]
+        recipes = {}
+        for table in market_tables:
+            recipe = self._recipe(table)
+            recipes[recipe.bit] = recipe
+            self._extend(best, recipe.bit, None, recipe)
 
-        for size in range(2, len(all_tables) + 1):
-            for subset_names in combinations(all_tables, size):
-                subset = frozenset(subset_names)
+        bits = sorted(index.bits.values())
+        for size in range(2, len(bits) + 1):
+            for combo in combinations(bits, size):
+                subset = sum(combo)
                 # (i) all binary splits joined locally (bushy shape).
                 for r in range(1, size):
-                    for left_names in combinations(sorted(subset), r):
-                        left_set = frozenset(left_names)
-                        right_set = subset - left_set
-                        lefts = best.get(left_set)
-                        rights = best.get(right_set)
+                    for left_combo in combinations(combo, r):
+                        left_mask = sum(left_combo)
+                        right_mask = subset ^ left_mask
+                        lefts = best.get(left_mask)
+                        rights = best.get(right_mask)
                         if not lefts or not rights:
                             continue
                         (left,), (right,) = lefts, rights
                         self._evaluated += 1
+                        cost = left.cost + right.cost
+                        latency = left.latency + right.latency
+                        entries = self._admit(best, subset, cost, latency)
+                        if entries is None:
+                            continue
                         rows = left.rows * right.rows
-                        predicates = []
-                        for left_t, right_t, join, divisor in joins:
-                            if (left_t in left_set and right_t in right_set) or (
-                                left_t in right_set and right_t in left_set
+                        for one, other, __, divisor in index.joins:
+                            if (one & left_mask and other & right_mask) or (
+                                one & right_mask and other & left_mask
                             ):
-                                predicates.append(join)
                                 rows /= divisor
-                        self._consider(
-                            best,
-                            subset,
-                            _SubPlan(
-                                subset,
-                                left.cost + right.cost,
-                                rows,
-                                left.latency + right.latency,
-                                build=partial(
-                                    _join_node, left, right,
-                                    tuple(predicates), False,
-                                ),
-                            ),
-                        )
-                # (ii) bind extensions: left subtree + one bound market table.
-                # Reverse-sorted, like the left-deep loop: first-seen wins
-                # cost ties, so frozenset order would make the chosen plan
-                # depend on PYTHONHASHSEED.
-                for table_key in sorted(subset, reverse=True):
-                    table = by_name[table_key]
-                    if not self.context.is_market(table):
-                        continue
-                    lefts = best.get(subset - {table_key})
-                    if not lefts:
+                        entries.append(_SubPlan(
+                            subset, cost, rows, latency,
+                            build=partial(_join_node, index, left, right, False),
+                        ))
+                # (ii) bind extensions: left subtree + one bound market
+                # table, highest bit first like the left-deep loop.
+                for bit in reversed(combo):
+                    recipe = recipes.get(bit)
+                    lefts = best.get(subset ^ bit)
+                    if recipe is None or not lefts:
                         continue
                     (left,) = lefts
-                    for candidate in self._extension_candidates(left, table):
-                        self._consider(best, subset, candidate)
+                    self._extend(best, subset, left, recipe)
 
-        key = frozenset(all_tables)
+        key = sum(bits)
         if key not in best:
             raise PlanningError("no feasible bushy plan")
         return self._result(best[key])

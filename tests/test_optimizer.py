@@ -1,12 +1,14 @@
 """Unit tests for the DP optimizer (Algorithm 2 and Theorems 1-3)."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.bench.harness import build_system
 from repro.core.objectives import QueryOptions
 from repro.core.optimizer import (
     Optimizer,
@@ -23,6 +25,7 @@ from repro.core.plans import (
 from repro.errors import PlanningError
 from repro.market.pricing import PricingPolicy
 from repro.testing import oracle_evaluate
+from repro.workloads.synthetic import make_join_graph
 
 
 def optimize(payless, sql, params=(), **options):
@@ -147,6 +150,62 @@ class TestTheorem3Partition:
         )
         roots = [n for n in _walk(planning.plan) if isinstance(n, JoinNode)]
         assert any(node.cartesian for node in roots)
+
+    @staticmethod
+    def _flood_fill(subset, edges, through):
+        """Reference split: components of ``subset`` in order of their
+        smallest member, tables in ``through`` connected to each other."""
+        unseen = [i for i in range(7) if subset >> i & 1]
+        components = []
+        while unseen:
+            component, todo = set(), [unseen[0]]
+            while todo:
+                i = todo.pop()
+                if i not in component:
+                    component.add(i)
+                    todo += [
+                        j for j in unseen
+                        if (i, j) in edges or (j, i) in edges
+                        or (through >> i & 1 and through >> j & 1)
+                    ]
+            unseen = [i for i in unseen if i not in component]
+            components.append(sum(1 << i for i in component))
+        return components
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_incremental_split_equals_a_flood_fill(self, seed):
+        """Every subset of a clique-7 queried over random predicates, alone
+        and beside a block holding T4: the components the DP builds one
+        table at a time are the flood fill's, in the same order."""
+        rng = random.Random(seed)
+        edges = {
+            (i, j) for i in range(7) for j in range(i + 1, 7)
+            if rng.random() < 0.3
+        }
+        data = make_join_graph("clique", 7)
+        predicates = " AND ".join(
+            f"T{i + 1}.K{i + 1}_{j + 1} = T{j + 1}.K{i + 1}_{j + 1}"
+            for i, j in sorted(edges)
+        )
+        sql = f"SELECT * FROM {', '.join(data.tables)} WHERE {predicates}"
+        payless, __ = build_system(
+            "payless", data, options=QueryOptions(plan_cache_size=0)
+        )
+        optimizer = Optimizer(payless.context)
+        optimizer._reset(payless.compile(sql))
+        assert optimizer._join_index().names == [f"t{i}" for i in range(1, 8)]
+        t4 = 1 << 3
+        for block, through in ((0, 0), (t4, optimizer._through(t4))):
+            for subset in range(1, 1 << 7):
+                if subset & block:
+                    continue
+                components = []
+                for i in range(7):
+                    if subset >> i & 1:
+                        components = optimizer._components_with(
+                            components, 1 << i, through
+                        )
+                assert components == self._flood_fill(subset, edges, through)
 
 
 class TestObjectives:

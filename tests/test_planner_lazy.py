@@ -1,12 +1,13 @@
 """Vector first, tree on acceptance: what the DP may construct, and when.
 
-The planner costs a candidate as a ``(cost, latency, rows)`` vector and
-builds ``JoinNode``/``MarketAccessNode`` objects only for what is read
-back.  These tests count constructions during ``optimize()``, check the
-chosen plans against the cross-commit pin, and guard the one ordering
-trap of the per-query join index: ``optimize_suffix`` installs its
-cardinality overlay after the per-run reset, so an index built too early
-would divide by the shared estimates instead of the observed counts.
+The planner costs a candidate as bare floats, allocates a ``_SubPlan``
+only for a candidate its frontier keeps, and builds
+``JoinNode``/``MarketAccessNode`` objects only for what is read back.
+These tests count constructions during ``optimize()``, check the chosen
+plans against the cross-commit pin, and guard the one ordering trap of
+the per-query join index: ``optimize_suffix`` installs its cardinality
+overlay after the per-run reset, so an index built too early would divide
+by the shared estimates instead of the observed counts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.bench.harness import build_system
 from repro.core.executor import Executor
 from repro.core.objectives import QueryOptions
-from repro.core.optimizer import Optimizer
+from repro.core.optimizer import Optimizer, _SubPlan
 from repro.core.plans import JoinNode, MarketAccessNode, MaterializedNode
 from repro.stats.overlay import CardinalityOverlay
 from repro.workloads.synthetic import make_join_graph
@@ -52,17 +53,27 @@ def _nodes(plan):
         yield from _nodes(plan.right)
 
 
-@pytest.mark.parametrize("objective", sorted(OBJECTIVES))
-@pytest.mark.parametrize("shape,n", [("chain", 8), ("star", 8), ("clique", 6)])
-def test_rejected_candidates_build_nothing(constructions, shape, n, objective):
+GRAPHS = [("chain", 8), ("star", 8), ("clique", 6)]
+
+
+def _plan(shape, n, objective, before=lambda: None):
     data = make_join_graph(shape, n)
     payless, __ = build_system(
         "payless", data, options=QueryOptions(plan_cache_size=0)
     )
     logical = payless.compile(data.sql)
     options = QueryOptions(plan_cache_size=0, objective=OBJECTIVES[objective])
-    constructions.update(JoinNode=0, MarketAccessNode=0)
-    planning = Optimizer(payless.context, options).optimize(logical)
+    before()
+    return Optimizer(payless.context, options).optimize(logical)
+
+
+@pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+@pytest.mark.parametrize("shape,n", GRAPHS)
+def test_rejected_candidates_build_nothing(constructions, shape, n, objective):
+    planning = _plan(
+        shape, n, objective,
+        before=lambda: constructions.update(JoinNode=0, MarketAccessNode=0),
+    )
 
     assert planning.evaluated_plans > 10 * n
     assert planning.pruned_plans > 0
@@ -80,6 +91,21 @@ def test_rejected_candidates_build_nothing(constructions, shape, n, objective):
 
     pinned = json.loads(PIN_PATH.read_text())[f"{shape}-{n}-ddefault"]
     assert planning.plan.describe() == pinned[objective]["plan"]
+
+
+@pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+@pytest.mark.parametrize("shape,n", GRAPHS)
+def test_rejected_candidates_allocate_nothing(monkeypatch, shape, n, objective):
+    """A candidate is tested against its subset's frontier before its
+    ``_SubPlan`` exists: one per kept candidate (a Theorem-3 product
+    included), plus the direct-access leaf of each table."""
+    built = {"_SubPlan": 0}
+    planning = _plan(
+        shape, n, objective,
+        before=lambda: _count_constructions(monkeypatch, _SubPlan, built),
+    )
+    assert planning.pruned_plans > 0
+    assert built["_SubPlan"] <= planning.kept_plans + n
 
 
 class TestSuffixIndexSeesTheOverlay:
