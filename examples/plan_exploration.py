@@ -13,8 +13,6 @@ Run with:  python examples/plan_exploration.py
 
 from repro.bench.figures import make_instances, make_workload
 from repro.bench.harness import build_system
-from repro.core.objectives import QueryOptions
-from repro.core.optimizer import Optimizer
 
 
 def main() -> None:
@@ -56,16 +54,16 @@ def main() -> None:
     q5 = next(
         i for i in make_instances("real", data, 1) if i.template == "Q5"
     )
-    logical = payless.compile(q5.sql, q5.params)
-    for label, options in (
-        ("PayLess (Theorems + SQR)", QueryOptions()),
-        ("Disable SQR", QueryOptions(use_sqr=False)),
-        (
-            "Disable All (bushy)",
-            QueryOptions(use_sqr=False, use_theorems=False),
-        ),
+    # Each arm is its own installation; each buys Station first, as above,
+    # but only the one with SQR may reuse it.
+    for label, system in (
+        ("PayLess (Theorems + SQR)", "payless"),
+        ("Disable SQR", "payless_nosqr"),
+        ("Disable All (bushy)", "payless_disable_all"),
     ):
-        result = Optimizer(payless.context, options).optimize(logical)
+        arm, __ = build_system(system, data)
+        arm.query("SELECT * FROM Station")
+        result = arm.explain(q5.sql, q5.params)
         print(
             f"{label:>26}: {result.evaluated_plans:>5} candidate plans, "
             f"best cost ${result.cost:g}"

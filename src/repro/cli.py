@@ -33,6 +33,8 @@ from repro.core.objectives import (
     QueryOptions,
     ServiceTier,
 )
+from repro.errors import ReproError
+from repro.market.transport import TransportConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,10 +212,12 @@ def _session_options(args: argparse.Namespace) -> QueryOptions:
         engine=args.engine,
         durability=args.state_dir,
         transport_mode=args.transport,
+        transport=TransportConfig(
+            max_retries=args.max_retries,
+            partial_results=args.partial_results,
+        ),
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
-        max_retries=args.max_retries,
-        partial_results=args.partial_results,
         **overrides,
     )
 
@@ -269,9 +273,13 @@ def _cmd_session(args: argparse.Namespace) -> int:
     )
     if args.workers > 1:
         return _cmd_session_concurrent(args, data, instances)
-    session = run_session(
-        args.system, data, instances, options=_session_options(args)
-    )
+    try:
+        session = run_session(
+            args.system, data, instances, options=_session_options(args)
+        )
+    except ReproError as error:
+        print(f"query failed: {error}", file=sys.stderr)
+        return 1
     print()
     print(
         series_table(

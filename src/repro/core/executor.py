@@ -419,11 +419,7 @@ class Executor:
         #: only for a *static* plan: an adaptive executor may re-plan the
         #: suffix mid-query, and prefetch must never buy for a plan that
         #: might be abandoned (wasted dollars must stay provably zero).
-        self._prefetch_enabled = (
-            self._aio is not None
-            and self.adaptive is None
-            and options.prefetch
-        )
+        self._prefetch_enabled = self._aio is not None and self.adaptive is None
         #: Long-lived thread pool for the threaded path, shared by every
         #: table access of this executor (lazily created, shut down by
         #: :meth:`close`) — a per-access pool would pay thread startup on

@@ -284,7 +284,7 @@ class AdaptivePolicy:
         )
 
     def fingerprint(self) -> tuple:
-        """Hashable identity for plan-cache keys (see plancache hygiene)."""
+        """Hashable identity of the policy's three settings."""
         return (self.threshold, self.min_rows, self.max_replans)
 
     @classmethod
@@ -392,16 +392,12 @@ class QueryOptions:
     objective: PlanObjective = MIN_DOLLARS
 
     # -- planner --------------------------------------------------------------
-    #: Consult the semantic store while costing ("PayLess w/o SQR" = False).
-    use_sqr: bool = True
     #: Apply Theorems 1-3 ("Disable All" of Figure 14 = False → bushy).
     use_theorems: bool = True
     #: Bind joins may bind values for at most this many attributes.
     max_bind_attrs: int = 2
     #: Entries the parameterized plan cache may hold; 0 disables it.
     plan_cache_size: int = 256
-    #: Algorithm 1 bounding-box pruning inside the semantic rewriter.
-    prune_bounding_boxes: bool = True
 
     # -- execution ------------------------------------------------------------
     #: Local-evaluation engine ("vectorized" or "reference"; None = default).
@@ -411,22 +407,14 @@ class QueryOptions:
     max_concurrent_calls: int = 4
     #: Which fetch driver executes market calls: "threaded" (a thread
     #: pool) or "async" (the pipelined event-loop driver of
-    #: :mod:`repro.market.aio` with per-seller connection pools and
-    #: cross-access prefetch).
+    #: :mod:`repro.market.aio` with per-seller connection pools; it
+    #: prefetches a static plan's certain accesses).
     transport_mode: str = "threaded"
-    #: Cross-access prefetch under the async driver: rewrite the plan's
-    #: certain (non-bind) upcoming accesses at query start and put their
-    #: remainder calls in flight while earlier joins execute.  Only what
-    #: the chosen plan will definitely buy is prefetched, so it cannot
-    #: waste dollars; disabled automatically under adaptive re-planning.
-    prefetch: bool = True
 
     # -- transport ------------------------------------------------------------
-    #: A fully-specified transport config; the convenience fields below
-    #: overlay it (or a default config) when set.
+    #: Retries, partial results, idempotency and breakers (``None`` =
+    #: library defaults); the fault fields below overlay it when set.
     transport: "TransportConfig | None" = None
-    partial_results: bool | None = None
-    max_retries: int | None = None
     #: Fault injection (0 = off) with a deterministic seed.
     fault_rate: float = 0.0
     fault_seed: int = 0
@@ -489,22 +477,16 @@ class QueryOptions:
 
     def transport_config(self) -> "TransportConfig | None":
         """The money-safe transport's view (None = library defaults)."""
+        if self.fault_rate == 0.0:
+            return self.transport
         from repro.market.faults import FaultPolicy
         from repro.market.transport import TransportConfig
 
-        overlays = {}
-        if self.partial_results is not None:
-            overlays["partial_results"] = self.partial_results
-        if self.max_retries is not None:
-            overlays["max_retries"] = self.max_retries
-        if self.fault_rate > 0.0:
-            overlays["faults"] = FaultPolicy.uniform(
-                seed=self.fault_seed, rate=self.fault_rate
-            )
-        if self.transport is None and not overlays:
-            return None
         base = self.transport if self.transport is not None else TransportConfig()
-        return replace(base, **overlays) if overlays else base
+        return replace(
+            base,
+            faults=FaultPolicy.uniform(seed=self.fault_seed, rate=self.fault_rate),
+        )
 
     def with_objective(self, objective: PlanObjective) -> "QueryOptions":
         return replace(self, objective=objective)

@@ -33,7 +33,7 @@ from itertools import combinations, product
 from operator import attrgetter
 
 from repro.core.context import PlanningContext
-from repro.core.objectives import MIN_DOLLARS, PlanObjective, QueryOptions
+from repro.core.objectives import MIN_DOLLARS, PlanObjective
 from repro.core.plans import (
     JoinNode,
     LocalBlockNode,
@@ -251,19 +251,15 @@ class SuffixPlan:
 class Optimizer:
     """Algorithm 2 over the installation's :class:`QueryOptions`.
 
-    ``options`` stands in for ``context.options`` (the ablation arms plan
-    one context under several switch settings); ``objective`` is one
+    Every knob is read off ``context.options``; ``objective`` is one
     call's choice from the Pareto frontier, the options' own by default.
     """
 
     def __init__(
-        self,
-        context: PlanningContext,
-        options: QueryOptions | None = None,
-        objective: PlanObjective | None = None,
+        self, context: PlanningContext, objective: PlanObjective | None = None
     ):
         self.context = context
-        self.options = options if options is not None else context.options
+        self.options = context.options
         self._objective = (
             objective if objective is not None else self.options.objective
         )
@@ -476,7 +472,10 @@ class Optimizer:
 
     def _is_zero_price(self, table: str) -> bool:
         """Theorem 2 candidates: covered market relations are free."""
-        if not self.options.use_sqr or not self._standalone_feasible(table):
+        if not (
+            self.context.store.policy.rewriting_enabled
+            and self._standalone_feasible(table)
+        ):
             return False
         rewrite = self._rewrite(table)
         return rewrite.fully_covered or rewrite.estimated_transactions == 0
@@ -958,13 +957,13 @@ class Optimizer:
             pricing = self.context.pricing(table)
             rewrite = recipe.rewrite = self._rewrite(table)
             region_rows = recipe.region_rows = self._region_rows(table)
-            if self.options.use_sqr and region_rows > 0:
+            if not self.context.store.policy.rewriting_enabled:
+                uncovered = 1.0
+            elif region_rows > 0:
                 uncovered = rewrite.estimated_remainder_rows / region_rows
                 uncovered = min(max(uncovered, 0.0), 1.0)
-            elif self.options.use_sqr:
-                uncovered = 0.0
             else:
-                uncovered = 1.0
+                uncovered = 0.0
             recipe.uncovered = uncovered
             for combination, columns in feasible:
                 selectivity = 1.0
@@ -1012,18 +1011,11 @@ class Optimizer:
         cached = self._memo_rewrite.get(key)
         if cached is not None:
             return cached
-        rewriter = self.context.rewriter
-        previous = rewriter.enabled
-        rewriter.enabled = previous and self.options.use_sqr
-        try:
-            result = rewriter.rewrite(
-                table,
-                self._query.constraints_for(table),
-                self.context.pricing(table),
-            )
-        finally:
-            rewriter.enabled = previous
-        self._memo_rewrite[key] = result
+        result = self._memo_rewrite[key] = self.context.rewriter.rewrite(
+            table,
+            self._query.constraints_for(table),
+            self.context.pricing(table),
+        )
         return result
 
     # ------------------------------------------------------------- feasibility
@@ -1185,8 +1177,9 @@ def plan_space_baseline(
 ) -> int:
     """Candidate count of the bushy enumerator for an all-market chain query.
 
-    The default is the **exact** number of candidate plans
-    ``Optimizer(use_theorems=False)`` evaluates for a chain
+    The default is the **exact** number of candidate plans an
+    installation with ``QueryOptions(use_theorems=False)`` (the
+    ``payless_disable_all`` arm) evaluates for a chain
     of ``n`` market tables with nothing covered (the topology the tests
     and ``bench_planner`` generate: table *i* shares one join attribute
     with table *i+1*, every attribute free): ``n`` feasible base accesses,

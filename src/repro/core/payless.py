@@ -16,8 +16,8 @@ Typical use::
     print(result.rows, result.stats.transactions)
 
 The ``variant`` class methods build the evaluation's configurations:
-full PayLess, PayLess without semantic query rewriting, and the
-Minimizing-Calls competitor.
+full PayLess, PayLess without semantic query rewriting (strong
+consistency), and the Minimizing-Calls competitor.
 """
 
 from __future__ import annotations
@@ -206,12 +206,7 @@ class PayLess:
         self.local_db = local_db or Database()
         self.store = SemanticStore(consistency)
         self.catalog = Catalog()
-        self.rewriter = SemanticRewriter(
-            self.store,
-            self.catalog,
-            enabled=options.use_sqr,
-            prune=options.prune_bounding_boxes,
-        )
+        self.rewriter = SemanticRewriter(self.store, self.catalog)
         self.context = PlanningContext(
             market=self.market,
             catalog=self.catalog,
@@ -269,27 +264,17 @@ class PayLess:
         return cls(market, **kwargs)
 
     @classmethod
-    def without_sqr(
-        cls,
-        market: DataMarket,
-        options: QueryOptions | None = None,
-        **kwargs: Any,
-    ) -> "PayLess":
-        """The "PayLess w/o SQR" arm of Figure 10."""
-        options = replace(options or QueryOptions(), use_sqr=False)
-        return cls(market, options=options, **kwargs)
+    def without_sqr(cls, market: DataMarket, **kwargs: Any) -> "PayLess":
+        """The "PayLess w/o SQR" arm of Figure 10: strong consistency
+        (Section 4.3), so nothing stored is reused and every query goes to
+        the market."""
+        return cls(market, consistency=ConsistencyPolicy.strong(), **kwargs)
 
     @classmethod
-    def minimizing_calls(
-        cls,
-        market: DataMarket,
-        options: QueryOptions | None = None,
-        **kwargs: Any,
-    ) -> "PayLess":
+    def minimizing_calls(cls, market: DataMarket, **kwargs: Any) -> "PayLess":
         """The Minimizing-Calls competitor of Figure 10: the same planner,
         without SQR, pricing every call at one unit."""
-        options = replace(options or QueryOptions(), use_sqr=False)
-        payless = cls(market, options=options, **kwargs)
+        payless = cls.without_sqr(market, **kwargs)
         payless.context.repricing = PerCallPricing.of
         return payless
 
@@ -355,38 +340,6 @@ class PayLess:
             f"name, or an objective spec string; got {objective!r}"
         )
 
-    def _planner_fingerprint(self, objective: PlanObjective) -> tuple:
-        """Everything besides the query itself that can change planning.
-
-        Part of every plan-cache key: two installations (or one whose
-        configuration changed) must never serve each other's plans — and
-        two objectives over the same template must never share a cached
-        plan, hence ``objective.fingerprint()`` below.
-        """
-        options = self.query_options
-        transport = self.context.transport.config
-        return (
-            options.use_sqr,
-            options.use_theorems,
-            options.max_bind_attrs,
-            objective.fingerprint(),
-            self.context.execution.engine,
-            self.rewriter.prune,
-            self.statistic,
-            transport.partial_results,
-            transport.max_retries,
-            transport.idempotency,
-            transport.faults is not None,
-            # Adaptive runs never cache their mid-flight suffix plans, but
-            # the *static* plan an adaptive installation starts from is
-            # keyed apart anyway so cache hygiene is provable per policy.
-            (
-                options.adaptive.fingerprint()
-                if options.adaptive is not None
-                else None
-            ),
-        )
-
     def _plan(
         self,
         query: SelectStatement | LogicalQuery,
@@ -399,9 +352,14 @@ class PayLess:
         ``query`` is a parsed template (bound to ``params`` here) or an
         already-compiled logical query.  The returned planning carries the
         call's resolved objective (``planning.objective``).
+
+        The cache is this installation's own and its options are frozen,
+        so the only planner input beside the query that varies within it
+        is the call's objective: two objectives over one template never
+        share a cached plan.
         """
         resolved = self._resolve_objective(objective)
-        fingerprint = self._planner_fingerprint(resolved)
+        fingerprint = resolved.fingerprint()
         cache = self.plan_cache
         compiled = isinstance(query, LogicalQuery)
         if compiled:

@@ -17,9 +17,10 @@ the key combines:
 * the *parameter values* — PayLess never reuses a "generic" plan across
   parameters: different constants mean different request regions and
   therefore different dollars;
-* the installation's *planner fingerprint* — optimizer options, engine,
-  and transport configuration (built by
-  :meth:`~repro.core.payless.PayLess._planner_fingerprint`).
+* the call's *objective fingerprint* — two objectives over one template
+  never share a plan.  Nothing else configures planning within one
+  cache: each installation owns its cache, and its ``QueryOptions`` are
+  frozen.
 
 **Invalidation.**  Planning consults the semantic store, so a stored
 plan is stamped with each referenced market table's mutation ``epoch``

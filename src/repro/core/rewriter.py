@@ -96,7 +96,7 @@ class SemanticRewriter:
     """Rewrites table accesses against a semantic store + catalog.
 
     ``rewrite()`` results are memoized per ``(table, constraints, pricing,
-    enabled-switch, clock, store epoch)``.  The epoch component makes
+    clock, store epoch)``.  The epoch component makes
     invalidation automatic: any store mutation (``record`` or a persisted
     restore) bumps the table epoch, so the optimizer's many probe rewrites
     within one DP run — and repeat queries between store writes — hit the
@@ -110,19 +110,9 @@ class SemanticRewriter:
     #: memo is dropped past this size (practically never in one session).
     MEMO_CAP = 4096
 
-    def __init__(
-        self,
-        store: SemanticStore,
-        catalog: Catalog,
-        enabled: bool = True,
-        prune: bool = True,
-    ):
+    def __init__(self, store: SemanticStore, catalog: Catalog):
         self.store = store
         self.catalog = catalog
-        #: Global switch — the "PayLess w/o SQR" arm of Figure 10.
-        self.enabled = enabled
-        #: Algorithm 1 pruning switch — the "No Pruning" arm of Figure 15.
-        self.prune = prune
         self._memo: dict[tuple, RewriteResult] = {}
         #: Guards only the memo dict and the counters below.  The rewrite
         #: computation itself runs *outside* this lock: it probes the store
@@ -161,8 +151,6 @@ class SemanticRewriter:
             table.lower(),
             tuple(constraints),
             pricing,
-            self.enabled,
-            self.prune,
             self.store.clock,
             epoch,
         )
@@ -217,8 +205,9 @@ class SemanticRewriter:
         only the one returned is rendered into constraints."""
         statistics = self.catalog.statistics(table)
         request_boxes = statistics.space.boxes_for_constraints(constraints)
-        rewriting = self.enabled and self.store.policy.rewriting_enabled
-        # What is still to buy: without rewriting, the whole request.
+        # Strong consistency ("PayLess w/o SQR") reuses nothing: what is
+        # still to buy is the whole request, fetched directly.
+        rewriting = self.store.policy.rewriting_enabled
         missing = (
             self.store.remainder(table, request_boxes)
             if rewriting
@@ -309,9 +298,7 @@ class SemanticRewriter:
             region_volume = sum(box.volume() for box in request_boxes)
             density = region_rows / region_volume if region_volume else 0.0
             estimate = lambda box: density * box.volume()  # noqa: E731
-        generation = generate_candidates(
-            space, elementary, estimate, pricing, prune=self.prune
-        )
+        generation = generate_candidates(space, elementary, estimate, pricing)
         candidates = self._coverage_candidates(
             statistics, generation, pricing, estimate
         )

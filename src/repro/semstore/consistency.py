@@ -6,7 +6,7 @@ The paper sketches three levels a buyer organization can choose from:
   because data-market datasets are append-only);
 * **X-week** — only results retrieved within the last X weeks are reused;
 * **strong** — semantic query rewriting is disabled and every query goes to
-  the market.
+  the market: the "PayLess w/o SQR" arm of Figures 10 and 14.
 
 The store keeps a logical clock in *weeks* (the harness advances it);
 policies simply decide which covered regions count.

@@ -258,14 +258,6 @@ class TestPrefetch:
             market.get = original
             payless.close()
 
-    def test_prefetch_can_be_disabled(self):
-        payless = _payless("async", prefetch=False)
-        try:
-            result = payless.query(JOIN_SQL)
-            assert result.stats.prefetch_hits == 0
-        finally:
-            payless.close()
-
 
 class TestLifecycleAndValidation:
     def test_close_is_idempotent_and_restartable(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.payless import PayLess
 
 
 class TestSession:
@@ -33,6 +34,29 @@ class TestSession:
         out = capsys.readouterr().out
         assert "serving:" in out
         assert "user0" in out and "user1" in out
+
+    #: A serial session that loses a market call at seed 7.
+    LOSSY = [
+        "session", "--workload", "real", "--instances", "1",
+        "--fault-rate", "0.6", "--fault-seed", "7", "--max-retries", "0",
+    ]
+
+    def test_lost_call_fails_on_one_line_and_closes(self, capsys, monkeypatch):
+        closed = []
+        original = PayLess.close
+        monkeypatch.setattr(
+            PayLess, "close", lambda self: (closed.append(self), original(self))
+        )
+        assert main(self.LOSSY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("query failed: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert len(closed) == 1
+
+    def test_partial_results_keep_the_session_alive(self, capsys):
+        assert main(self.LOSSY + ["--partial-results"]) == 0
+        out = capsys.readouterr().out
+        assert "total:" in out and "faults:" in out
 
     def test_concurrent_session_no_coalesce(self, capsys):
         code = main(

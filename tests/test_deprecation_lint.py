@@ -36,6 +36,12 @@ And the process-wide ``MetricsRegistry`` / ``REGISTRY``
 (``repro.obs.metrics``), the ``metrics=`` parameter that threaded it
 through the installation, and the ``perf_counter`` timers beside the
 tracer: ``PayLess.metrics()`` reads the counters the components keep.
+And the second switch for "PayLess w/o SQR": ``QueryOptions.use_sqr``,
+``SemanticRewriter(enabled=)`` and the optimizer's per-call
+``options=`` that flipped it on the shared rewriter — the no-SQR arms
+are strong consistency (Section 4.3).  With them went the overlays of
+``TransportConfig`` (``partial_results``, ``max_retries``), the
+``prune_bounding_boxes`` arm nothing ran and the ``prefetch`` knob.
 """
 
 from __future__ import annotations
@@ -60,14 +66,16 @@ import repro.obs
 import repro.stats
 import repro.stats.estimator
 from repro.bench.figures import make_instances, make_workload
-from repro.bench.harness import build_system, run_session
+from repro.bench.harness import SYSTEMS, build_system, run_session
 from repro.cli import main
 from repro.core.budget import BudgetPolicy
 from repro.core.context import PlanningContext
 from repro.core.executor import Executor, QueryStats
 from repro.core.objectives import QueryOptions
+from repro.core.optimizer import Optimizer
 from repro.core.payless import PayLess, QueryResult
 from repro.core.plancache import PlanCache
+from repro.core.rewriter import SemanticRewriter
 from repro.market.aio import AsyncMarketTransport
 from repro.market.billing import BillingLedger, LedgerEntry
 from repro.market.transport import MarketTransport, QueryScope
@@ -238,7 +246,7 @@ def test_the_scheduler_is_the_one_multi_user_front_end():
     ]
     assert len(dataclasses.fields(ServeConfig)) == 6
     assert len(dataclasses.fields(BudgetPolicy)) == 2
-    assert len(dataclasses.fields(QueryOptions)) == 17
+    assert len(dataclasses.fields(QueryOptions)) == 12
 
 
 def test_one_options_record_one_walk():
@@ -314,6 +322,45 @@ def test_cost_metric_is_gone():
         str(path.relative_to(SRC.parent))
         for path in sorted(SRC.rglob("*.py"))
         if "cost_metric" in path.read_text()
+    ]
+    assert not offenders, offenders
+
+
+#: The ``QueryOptions`` fields an installation does not choose: a second
+#: switch, ``TransportConfig`` overlays, and values nothing set.
+NOT_INSTALLATION_CHOICES = (
+    "use_sqr",
+    "prune_bounding_boxes",
+    "prefetch",
+    "partial_results",
+    "max_retries",
+)
+
+
+@pytest.mark.parametrize("name", NOT_INSTALLATION_CHOICES)
+def test_option_is_not_a_field(name):
+    with pytest.raises(TypeError):
+        QueryOptions(**{name: False})
+
+
+def test_no_sqr_has_one_switch():
+    """Strong consistency is the only "w/o SQR" switch: the rewriter and
+    the optimizer take none, and no arm prunes differently."""
+    assert list(inspect.signature(SemanticRewriter.__init__).parameters) == [
+        "self",
+        "store",
+        "catalog",
+    ]
+    assert list(inspect.signature(Optimizer.__init__).parameters) == [
+        "self",
+        "context",
+        "objective",
+    ]
+    assert "payless_noprune" not in SYSTEMS
+    offenders = [
+        str(path.relative_to(SRC.parent))
+        for path in sorted(SRC.rglob("*.py"))
+        if re.search(r"rewriter\.enabled\s*=", path.read_text())
     ]
     assert not offenders, offenders
 

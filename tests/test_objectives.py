@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.bench.harness import build_system
 from repro.core.objectives import (
     MIN_DOLLARS,
     SERVICE_TIERS,
@@ -17,7 +18,9 @@ from repro.core.objectives import (
 from repro.errors import PlanningError
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
+from repro.semstore.consistency import ConsistencyPolicy
 from repro.testing import tiny_weather_market
+from repro.workloads.synthetic import make_join_graph
 
 
 class TestPlanObjective:
@@ -109,21 +112,20 @@ class TestQueryOptions:
         assert QueryOptions().transport_config() is None
 
     def test_transport_convenience_fields_overlay(self):
-        options = QueryOptions(
-            fault_rate=0.25, fault_seed=11, max_retries=2, partial_results=True
-        )
+        options = QueryOptions(fault_rate=0.25, fault_seed=11)
         config = options.transport_config()
         assert config is not None
-        assert config.max_retries == 2
-        assert config.partial_results is True
+        assert config.max_retries == TransportConfig().max_retries
         assert config.faults is not None
 
     def test_explicit_transport_passes_through(self):
-        transport = TransportConfig(max_retries=9)
+        transport = TransportConfig(max_retries=9, partial_results=True)
         options = QueryOptions(transport=transport)
         assert options.transport_config() is transport
-        overlaid = QueryOptions(transport=transport, max_retries=1)
-        assert overlaid.transport_config().max_retries == 1
+        overlaid = QueryOptions(transport=transport, fault_rate=0.1)
+        assert overlaid.transport_config().max_retries == 9
+        assert overlaid.transport_config().partial_results is True
+        assert overlaid.transport_config().faults is not None
 
     def test_validation_fails_fast(self):
         with pytest.raises(PlanningError):
@@ -142,22 +144,34 @@ class TestInstallationOptions:
     """``options=QueryOptions(...)`` is the only way to configure PayLess."""
 
     def test_without_sqr_applies_its_switch_to_passed_options(self):
+        options = QueryOptions(engine="reference")
         payless = repro.PayLess.without_sqr(
-            tiny_weather_market(), options=QueryOptions(engine="reference")
+            tiny_weather_market(), options=options
         )
-        assert payless.query_options.use_sqr is False
-        assert payless.query_options.engine == "reference"
-        assert payless.rewriter.enabled is False
+        assert payless.query_options is options
+        assert payless.store.policy == ConsistencyPolicy.strong()
 
     def test_minimizing_calls_applies_its_switches_to_passed_options(self):
         payless = repro.PayLess.minimizing_calls(
             tiny_weather_market(), options=QueryOptions(engine="reference")
         )
-        assert payless.query_options.use_sqr is False
+        assert payless.store.policy == ConsistencyPolicy.strong()
         assert payless.query_options.engine == "reference"
         assert payless.context.options is payless.query_options
         payless.register_dataset("WHW")
         assert payless.context.pricing("Weather").price_for(1_000) == 1.0
+
+    @pytest.mark.parametrize(
+        "system", ["payless_nosqr", "payless_disable_all", "min_calls"]
+    )
+    def test_no_sqr_arms_are_strong_consistency(self, system):
+        """"PayLess w/o SQR" is the paper's strong level (Section 4.3):
+        nothing stored is reused, every query goes to the market."""
+        payless, __ = build_system(system, make_join_graph("chain", 2))
+        assert payless.store.policy == ConsistencyPolicy.strong()
+        assert not payless.store.policy.rewriting_enabled
+        full, __ = build_system("payless", make_join_graph("chain", 2))
+        assert full.store.policy.rewriting_enabled
 
     @pytest.mark.parametrize(
         "bad", [{"engine": "reference"}, TransportConfig(max_retries=1)]

@@ -28,12 +28,20 @@ from repro.testing import oracle_evaluate
 from repro.workloads.synthetic import make_join_graph
 
 
-def optimize(payless, sql, params=(), **options):
+def optimize(payless, sql, params=()):
     query = payless.compile(sql, params)
-    optimizer = Optimizer(
-        payless.context, QueryOptions(**options) if options else None
+    return Optimizer(payless.context).optimize(query), query
+
+
+def without_sqr(market, use_theorems):
+    """A no-SQR installation over ``market``, left-deep or bushy."""
+    from repro import PayLess
+
+    payless = PayLess.without_sqr(
+        market, options=QueryOptions(use_theorems=use_theorems)
     )
-    return optimizer.optimize(query), query
+    payless.register_dataset("WHW")
+    return payless
 
 
 class TestSingleTable:
@@ -234,30 +242,32 @@ class TestObjectives:
 
 
 class TestBushyEnumeration:
-    def test_disable_all_explores_more_plans(self, mini_payless):
+    def test_disable_all_explores_more_plans(self, mini_weather_market):
         sql = (
             "SELECT Temperature FROM Station, Weather "
             "WHERE City = 'Beta' AND Station.Country = 'CountryA' "
             "AND Station.StationID = Weather.StationID"
         )
         with_theorems, __ = optimize(
-            mini_payless, sql, use_sqr=False, use_theorems=True
+            without_sqr(mini_weather_market, use_theorems=True), sql
         )
         without, __ = optimize(
-            mini_payless, sql, use_sqr=False, use_theorems=False
+            without_sqr(mini_weather_market, use_theorems=False), sql
         )
         assert without.evaluated_plans >= with_theorems.evaluated_plans
 
-    def test_bushy_plan_feasible_and_comparable(self, mini_payless):
+    def test_bushy_plan_feasible_and_comparable(self, mini_weather_market):
         sql = (
             "SELECT Temperature FROM Station, Weather "
             "WHERE City = 'Beta' AND Station.Country = 'CountryA' "
             "AND Station.StationID = Weather.StationID"
         )
         with_theorems, __ = optimize(
-            mini_payless, sql, use_sqr=False, use_theorems=True
+            without_sqr(mini_weather_market, use_theorems=True), sql
         )
-        bushy, __ = optimize(mini_payless, sql, use_sqr=False, use_theorems=False)
+        bushy, __ = optimize(
+            without_sqr(mini_weather_market, use_theorems=False), sql
+        )
         # Theorem 1: restricting to left-deep loses nothing.
         assert with_theorems.cost <= bushy.cost + 1e-9
 
@@ -271,10 +281,12 @@ class TestBushyEnumeration:
             "from repro.core.optimizer import Optimizer\n"
             "from repro.workloads.synthetic import make_join_graph\n"
             "data = make_join_graph('clique', 5, domain_high=32)\n"
-            "payless, __ = build_system('payless', data)\n"
-            "planning = Optimizer(\n"
-            "    payless.context, QueryOptions(use_theorems=False)\n"
-            ").optimize(payless.compile(data.sql))\n"
+            "payless, __ = build_system(\n"
+            "    'payless', data, options=QueryOptions(use_theorems=False)\n"
+            ")\n"
+            "planning = Optimizer(payless.context).optimize(\n"
+            "    payless.compile(data.sql)\n"
+            ")\n"
             "print(planning.cost, planning.plan.describe())\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
@@ -292,7 +304,7 @@ class TestBushyEnumeration:
 
 
 def test_the_plan_exploration_example_runs():
-    """It builds ``Optimizer(context, QueryOptions(...))`` by hand."""
+    """It builds one installation per Figure 14 arm with ``build_system``."""
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, str(root / "examples" / "plan_exploration.py")],

@@ -2,7 +2,7 @@
 
 The invariant everything here protects: a cache hit must return exactly
 what fresh planning would have produced.  The cache therefore keys on
-template + parameter values + planner fingerprint and revalidates the
+template + parameter values + objective and revalidates the
 store epochs stamped at planning time — any purchase into a referenced
 table, or a store-clock advance, invalidates the entry.
 """
@@ -12,9 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import build_system
-from repro.core.objectives import AdaptivePolicy, PlanObjective, QueryOptions
+from repro.core.objectives import AdaptivePolicy, QueryOptions
+from repro.core.payless import PayLess
 from repro.core.plans import MaterializedNode
 from repro.core.prepared import PreparedQuery
+from repro.market.server import DataMarket
 from repro.sqlparser.ast import SelectStatement
 from repro.sqlparser.parser import parse
 from repro.workloads.synthetic import make_join_graph
@@ -234,20 +236,28 @@ class TestAdaptiveHygiene:
         assert relations == {"t1", "t2"}
         assert static_cost >= 0  # static planning itself stayed usable
 
-    def test_adaptive_policies_get_distinct_fingerprints(self):
-        on = _skewed_build(adaptive=AdaptivePolicy())
-        off = _skewed_build()
-        objective = PlanObjective.min_dollars()
-        assert (
-            on._planner_fingerprint(objective)
-            != off._planner_fingerprint(objective)
+    def test_adaptive_and_static_installations_never_share_plans(self):
+        """The key holds no configuration (template + params + objective):
+        each installation owns its cache, so an adaptive and a static one
+        over the same market never serve each other's plans."""
+        data = make_join_graph(
+            "chain", 2, tuples_per_transaction=5,
+            domain_high=400, skew=15.0, rows=1000,
         )
-        assert (
-            _skewed_build(
-                adaptive=AdaptivePolicy(threshold=3.0)
-            )._planner_fingerprint(objective)
-            != on._planner_fingerprint(objective)
+        market = DataMarket()
+        market.publish(data.dataset)
+        adaptive, static = (
+            PayLess(market, options=QueryOptions(adaptive=policy))
+            for policy in (AdaptivePolicy(), None)
         )
+        for payless in (adaptive, static):
+            payless.register_dataset(data.dataset.name)
+        assert adaptive.plan_cache is not static.plan_cache
+        assert static.explain(SKEWED_SQL).planning.cache_status == "miss"
+        assert static.explain(SKEWED_SQL).planning.cache_status == "hit"
+        assert adaptive.explain(SKEWED_SQL).planning.cache_status == "miss"
+        assert (adaptive.plan_cache.hits, static.plan_cache.hits) == (0, 1)
+        assert adaptive.plan_cache.size == static.plan_cache.size == 1
 
 
 class TestCapacity:

@@ -62,9 +62,8 @@ def _plan(shape, n, objective, before=lambda: None):
         "payless", data, options=QueryOptions(plan_cache_size=0)
     )
     logical = payless.compile(data.sql)
-    options = QueryOptions(plan_cache_size=0, objective=OBJECTIVES[objective])
     before()
-    return Optimizer(payless.context, options).optimize(logical)
+    return Optimizer(payless.context, OBJECTIVES[objective]).optimize(logical)
 
 
 @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
@@ -146,7 +145,7 @@ class TestSuffixIndexSeesTheOverlay:
         overlay = CardinalityOverlay()
         overlay.set_distinct("T1", column, self.OBSERVED_DISTINCT)
 
-        optimizer = Optimizer(payless.context, QueryOptions())
+        optimizer = Optimizer(payless.context)
         if warm:
             # A static plan first: its index (shared estimates) must not
             # survive into the overlaid suffix plan on the same instance.
@@ -161,7 +160,7 @@ class TestSuffixIndexSeesTheOverlay:
         )
         assert step.estimated_rows < shared_step.estimated_rows
         fresh, fresh_step = self._suffix(
-            Optimizer(payless.context, QueryOptions()), logical, overlay
+            Optimizer(payless.context), logical, overlay
         )
         assert fresh.plan.describe() == suffix.plan.describe()
         assert fresh_step.estimated_rows == step.estimated_rows
@@ -174,13 +173,13 @@ class TestSuffixIndexSeesTheOverlay:
                 overlay.set_distinct(ref.table, ref.column, 1.0)
         # One distinct value per join column makes bind joins one call each.
         observed, __ = self._suffix(
-            Optimizer(payless.context, QueryOptions()), logical, overlay
+            Optimizer(payless.context), logical, overlay
         )
         __, steps = Executor._linearize(observed.plan)
         assert steps and all(step.bind for step in steps)
 
         def old_cost(overlay):
-            optimizer = Optimizer(payless.context, QueryOptions())
+            optimizer = Optimizer(payless.context)
             suffix, __ = self._suffix(optimizer, logical, overlay, tuple(steps))
             return suffix.old_cost
 

@@ -86,8 +86,7 @@ def _record(planning) -> dict:
 
 
 def _plan(payless, logical, objective: str):
-    options = QueryOptions(plan_cache_size=0, objective=OBJECTIVES[objective])
-    return Optimizer(payless.context, options).optimize(logical)
+    return Optimizer(payless.context, OBJECTIVES[objective]).optimize(logical)
 
 
 def _candidate_digest(payless, logical) -> str:

@@ -15,11 +15,7 @@ import pytest
 
 from repro.bench.harness import build_system
 from repro.core.objectives import QueryOptions
-from repro.core.optimizer import (
-    Optimizer,
-    plan_space_baseline,
-    plan_space_payless,
-)
+from repro.core.optimizer import plan_space_baseline, plan_space_payless
 from repro.errors import PlanningError
 from repro.workloads.synthetic import make_join_graph
 
@@ -60,13 +56,9 @@ class TestFormulaMatchesEnumeration:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_baseline_chain(self, n):
-        payless, data = build("chain", n)
-        logical = payless.compile(data.sql)
-        result = Optimizer(
-            payless.context,
-            QueryOptions(use_theorems=False, use_sqr=False),
-        ).optimize(logical)
-        assert result.evaluated_plans == plan_space_baseline(n)
+        data = make_join_graph("chain", n)
+        payless, __ = build_system("payless_disable_all", data)
+        assert enumerated_count(payless, data.sql) == plan_space_baseline(n)
 
 
 class TestPlannerMetrics:

@@ -85,17 +85,9 @@ class TestFigure6Example:
         assert result.remainder == []
         assert result.is_free
 
-    def test_disabled_rewriter_fetches_direct(self):
-        store, catalog, entry = build()
-        seed_figure6(store, entry)
-        rewriter = SemanticRewriter(store, catalog, enabled=False)
-        result = rewriter.rewrite(
-            "R", [AttributeConstraint("A", low=0, high=101)], PRICING
-        )
-        assert not result.used_rewriting
-        assert len(result.remainder) == 1
-
     def test_strong_consistency_forces_direct(self):
+        """Strong consistency is "PayLess w/o SQR": one direct call for
+        the whole request, whatever the store holds."""
         store, catalog, entry = build(policy=ConsistencyPolicy.strong())
         seed_figure6(store, entry)
         rewriter = SemanticRewriter(store, catalog)
@@ -103,7 +95,24 @@ class TestFigure6Example:
             "R", [AttributeConstraint("A", low=0, high=101)], PRICING
         )
         assert not result.used_rewriting
+        assert len(result.remainder) == 1
         assert result.estimated_transactions >= 3
+
+    def test_disabled_rewriter_fetches_direct(self):
+        """With rewriting disabled (strong consistency), even a region the
+        store fully covers is bought again with one direct call."""
+        store, catalog, entry = build(policy=ConsistencyPolicy.strong())
+        rows = [(k, float(k)) for k in range(0, 101)]
+        store.record("R", Box(((0, 101),)), rows)
+        rewriter = SemanticRewriter(store, catalog)
+        result = rewriter.rewrite(
+            "R", [AttributeConstraint("A", low=5, high=50)], PRICING
+        )
+        assert not result.used_rewriting
+        assert not result.fully_covered
+        assert len(result.remainder) == 1
+        assert result.remainder[0].box == Box(((5, 50),))
+        assert result.estimated_transactions >= 1
 
     def test_empty_request_region(self):
         store, catalog, entry = build()
