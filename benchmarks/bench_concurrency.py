@@ -2,7 +2,8 @@
 
 The serving front-end (:mod:`repro.serve`) must actually deliver the two
 things it exists for, measured against real wall-clock on a market whose
-calls block for real (``LatencyModel.realtime_scale``):
+calls wait for real (``LatencyModel.realtime_scale``, which also puts
+every arm's calls on the installation's event loop):
 
 * **throughput** — the same multi-tenant workload at 8 workers must run
   >= 3x the queries/second of the serial (workers=1) replay;
@@ -98,7 +99,7 @@ def run_arm(data, workload, workers: int, coalesce: bool,
         workers=workers, coalesce=coalesce, session_max_inflight=2
     )
     started = time.perf_counter()
-    with QueryScheduler(payless, config) as scheduler:
+    with payless, QueryScheduler(payless, config) as scheduler:
         tickets = [
             scheduler.session(session).submit(Q1, params)
             for session, params in workload

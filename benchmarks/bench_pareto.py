@@ -110,27 +110,32 @@ def bench_bound() -> dict:
     market = tiny_weather_market(stations=STATIONS, days=20)
     market.latency = LatencyModel(realtime_scale=REALTIME_SCALE)
 
-    fastest = registered_payless(
+    with registered_payless(
         tiny_weather_market(stations=STATIONS, days=20)
-    ).explain(SQL, objective="min_latency").planning
+    ) as quoting:
+        fastest = quoting.explain(SQL, objective="min_latency").planning
 
-    payless = registered_payless(market)
     objective = PlanObjective.dollars_under_latency_ms(LATENCY_BOUND_MS)
-    start = time.perf_counter()
-    result = payless.query(SQL, objective=objective)
-    wall_ms = (time.perf_counter() - start) * 1000.0
+    with registered_payless(market) as payless:
+        start = time.perf_counter()
+        result = payless.query(SQL, objective=objective)
+        wall_ms = (time.perf_counter() - start) * 1000.0
     stats = result.stats
+    # The calls overlap on the event loop (a static plan's accesses are
+    # prefetched together), so the wait they cannot shorten is the slowest
+    # one's, not the sum of all of them.
+    slowest_ms = max(entry.elapsed_ms for entry in market.ledger)
     return {
         "bound_ms": LATENCY_BOUND_MS,
         "estimated_ms": fastest.latency_ms,
         "actual_market_ms": stats.market_time_ms,
         "wall_ms": wall_ms,
-        "slept_ms": stats.market_time_ms * REALTIME_SCALE,
+        "slept_ms": slowest_ms * REALTIME_SCALE,
         "bounded_price": stats.price,
         "fastest_price": fastest.cost,
         "bound_met": stats.market_time_ms <= LATENCY_BOUND_MS,
         "cheap_enough": stats.price <= fastest.cost,
-        "really_slept": wall_ms >= stats.market_time_ms * REALTIME_SCALE * 0.9,
+        "really_slept": wall_ms >= slowest_ms * REALTIME_SCALE * 0.9,
     }
 
 
@@ -147,7 +152,7 @@ def render(bound: dict, overhead: list[dict]) -> str:
         f"${bound['fastest_price']:g} — "
         f"{'ok' if bound['cheap_enough'] else 'OVERPAID'}",
         f"  wall-clock {bound['wall_ms']:.0f} ms "
-        f"(calls slept ~{bound['slept_ms']:.0f} ms for real)",
+        f"(its slowest call slept ~{bound['slept_ms']:.0f} ms for real)",
         "",
         f"{'graph':>8} | {'min_dollars':>11} | {'pareto':>8} | ratio",
     ]

@@ -127,12 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "from the estimate by more than THRESHOLD× (off by default)",
     )
     session.add_argument(
-        "--transport", default="threaded", choices=["threaded", "async"],
-        help="fetch driver: 'threaded' (the classic thread-pool path, "
-        "default) or 'async' (pipelined event loop with per-seller "
-        "connection pools and cross-access prefetch)",
-    )
-    session.add_argument(
         "--state-dir", default=None, metavar="DIR",
         help="durable WAL-backed buyer state: purchases, statistics, and "
         "the bill survive crashes and restarts; rerunning with the same "
@@ -211,7 +205,6 @@ def _session_options(args: argparse.Namespace) -> QueryOptions:
     return QueryOptions(
         engine=args.engine,
         durability=args.state_dir,
-        transport_mode=args.transport,
         transport=TransportConfig(
             max_retries=args.max_retries,
             partial_results=args.partial_results,

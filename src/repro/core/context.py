@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.core.objectives import QueryOptions
 from repro.core.rewriter import SemanticRewriter
 from repro.errors import PlanningError
+from repro.market.aio import AsyncMarketTransport
 from repro.market.pricing import PricingPolicy
 from repro.market.server import DataMarket
 from repro.market.transport import MarketTransport
@@ -97,12 +98,9 @@ class PlanningContext:
         self.transport = MarketTransport(market, self.options.transport_config())
         #: The pipelined event-loop driver with per-seller connection
         #: pools (:mod:`repro.market.aio`) wrapping the *same* transport
-        #: above, or ``None`` when executors fetch on a thread pool.
-        self.async_transport = None
-        if self.options.transport_mode == "async":
-            from repro.market.aio import AsyncMarketTransport
-
-            self.async_transport = AsyncMarketTransport(self.transport)
+        #: above.  Executors take it while the market's calls really wait;
+        #: its loop starts on the first such call.
+        self.async_transport = AsyncMarketTransport(self.transport)
         #: Singleflight group coalescing overlapping in-flight market
         #: fetches across concurrent sessions (``None`` = no coalescing).
         #: Wired by :class:`~repro.serve.scheduler.QueryScheduler`; the

@@ -17,19 +17,23 @@ market row passed its table's constraints and residuals at the access
 that staged it, so that evaluation selects on local tables only.
 
 Remainder REST calls within one table access are independent (their boxes
-are disjoint and the market is read-only), so they run concurrently.
-Each call is one sans-IO generator (:meth:`Executor._call_machine`) that
-holds the whole per-call protocol — under concurrent serving, the
-singleflight leader/follower sharing whose money invariant is that no
-waiter is ever served rows the market did not bill — and two drivers
-only answer its ``fetch`` / ``wait`` effects: a thread pool of
-``max_concurrent_calls`` workers, or coroutines on the event loop of
-:mod:`repro.market.aio`.  Responses are recorded into the store and
-statistics serially in remainder order, which keeps every downstream
-state — coverage, histograms, billing totals — identical to serial
-execution; only wall-clock changes, reported both ways as
-``market_time_ms`` (serial sum) and ``market_time_critical_path_ms``
-(simulated makespan under the concurrency limit).
+are disjoint and the market is read-only), so they may overlap.  Each
+call is one sans-IO generator (:meth:`Executor._call_machine`) that holds
+the whole per-call protocol — under concurrent serving, the singleflight
+leader/follower sharing whose money invariant is that no waiter is ever
+served rows the market did not bill — and a driver only answers its
+``fetch`` / ``wait`` effects.  The market's latency model picks the
+driver, once per query: when calls really wait
+(``LatencyModel.realtime_scale > 0``) they are coroutines pipelined on the
+event loop of :mod:`repro.market.aio`, and a static plan's certain
+accesses are prefetched at query start; when nothing can wait, each call
+is driven inline, in request order, on the calling thread.  Responses are
+recorded into the store and statistics serially in remainder order, which
+keeps every downstream state — coverage, histograms, billing totals —
+identical whichever driver ran; only wall-clock changes, reported both
+ways as ``market_time_ms`` (serial sum) and
+``market_time_critical_path_ms`` (simulated makespan of each access's
+calls over the seller pool's ``DEFAULT_POOL_SIZE`` lanes).
 
 What the calls cost is one fold, :meth:`CallAccount.of`, over their
 outcomes — each carries its own call's bill, faults, replays and
@@ -51,8 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -189,7 +192,7 @@ class CallAccount:
 @dataclass
 class _PrefetchEntry:
     """One upcoming table access whose remainder calls are already in
-    flight on the event loop (async transport only).
+    flight on the event loop (only on a market whose calls wait).
 
     Created at query start from the chosen plan's non-bind market
     accesses; consumed by :meth:`Executor._fetch_market` when the
@@ -208,8 +211,8 @@ class _PrefetchEntry:
 class _CallBatch:
     """What the call machines of one table access share.
 
-    ``lock`` guards ``lead_flights``: the threaded driver runs the
-    machines on pool threads (on the event loop it is never contended).
+    Both drivers run an access's machines on one thread (the caller's, or
+    the event loop's), so nothing here needs a lock.
     """
 
     table: str
@@ -220,7 +223,6 @@ class _CallBatch:
     tracing: bool
     #: Singleflights this access led, retired once their rows are recorded.
     lead_flights: list = field(default_factory=list)
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 @dataclass
@@ -249,9 +251,9 @@ class QueryStats:
     #: Simulated wall-clock of the market calls (serial sum, including
     #: transport retries and backoff waits).
     market_time_ms: float = 0.0
-    #: Simulated wall-clock under the driver's in-flight cap (critical
-    #: path of the parallel fetch schedule); equals ``market_time_ms``
-    #: when executing serially.
+    #: Simulated wall-clock with each access's calls overlapped on the
+    #: seller pool's ``DEFAULT_POOL_SIZE`` lanes, whichever driver ran
+    #: them; equals ``market_time_ms`` when every access makes one call.
     market_time_critical_path_ms: float = 0.0
     #: Money-safe transport accounting (see repro.market.transport).
     retries: int = 0
@@ -279,11 +281,8 @@ class QueryStats:
     #: adaptive mode is off (the default) or never tripped.
     replans: int = 0
     replan_dollars_saved_est: float = 0.0
-    #: Which fetch driver executed the market calls ("threaded" or
-    #: "async", the pipelined event-loop driver of :mod:`repro.market.aio`)
-    #: and how many table accesses were answered by a cross-access
-    #: prefetch scheduled at query start (async only).
-    transport_mode: str = "threaded"
+    #: Table accesses answered by a cross-access prefetch scheduled at
+    #: query start (only on a market whose calls wait, without a policy).
     prefetch_hits: int = 0
 
     @property
@@ -303,8 +302,8 @@ class QueryStats:
 def _makespan(durations_ms: Sequence[float], workers: int) -> float:
     """List-scheduling makespan of ``durations_ms`` over ``workers`` lanes.
 
-    Models the thread pool's in-order greedy assignment; with one worker it
-    degenerates to the serial sum.
+    In-order greedy assignment, as a pool hands out its connections; with
+    one lane it degenerates to the serial sum.
     """
     if not durations_ms:
         return 0.0
@@ -404,34 +403,12 @@ class Executor:
         self, context: PlanningContext, objective: PlanObjective | None = None
     ):
         self.context = context
-        options = context.options
         self.execution = context.execution
         self._ops = self.execution.ops
-        #: In-flight REST calls per table access on the threaded driver.
-        self.max_concurrent_calls = options.max_concurrent_calls
         #: Mid-query re-optimization policy (None = no checkpoints).
-        self.adaptive = options.adaptive
+        self.adaptive = context.options.adaptive
         self.objective = objective
-        #: The async driver (:mod:`repro.market.aio`), or ``None`` for the
-        #: thread pool.
-        self._aio = context.async_transport
-        #: Cross-access prefetch only makes sense on the async driver and
-        #: only for a *static* plan: an adaptive executor may re-plan the
-        #: suffix mid-query, and prefetch must never buy for a plan that
-        #: might be abandoned (wasted dollars must stay provably zero).
-        self._prefetch_enabled = self._aio is not None and self.adaptive is None
-        #: Long-lived thread pool for the threaded path, shared by every
-        #: table access of this executor (lazily created, shut down by
-        #: :meth:`close`) — a per-access pool would pay thread startup on
-        #: every access.
-        self._call_pool: ThreadPoolExecutor | None = None
         self._prefetched: dict[str, _PrefetchEntry] = {}
-
-    def close(self) -> None:
-        """Release execution resources (idempotent; called by PayLess)."""
-        pool, self._call_pool = self._call_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def execute(
         self, query: LogicalQuery, plan: PlanNode
@@ -474,8 +451,21 @@ class Executor:
         self._replan_saved = 0.0
         self._prefetch_hits = 0
         self._prefetched = {}
+        #: The fetch driver, chosen by the market's latency model as the
+        #: query starts: calls that really wait are pipelined on the event
+        #: loop (:mod:`repro.market.aio`); calls that cannot wait are
+        #: driven inline (``None``), with no thread and no loop hop.
+        self._aio = (
+            self.context.async_transport
+            if self.context.market.latency.realtime_scale > 0
+            else None
+        )
         try:
-            if self._prefetch_enabled:
+            # Prefetch only what is worth overlapping, and only for a
+            # *static* plan: an adaptive executor may re-plan the suffix,
+            # and prefetch must never buy for a plan that might be
+            # abandoned (wasted dollars must stay provably zero).
+            if self._aio is not None and self.adaptive is None:
                 self._schedule_prefetch(plan)
             # Nothing reads the root's intermediate: the engine evaluates
             # the query over the staged tables below.
@@ -537,7 +527,6 @@ class Executor:
             covered_skips=account.covered_skips,
             replans=self._replans,
             replan_dollars_saved_est=self._replan_saved,
-            transport_mode="async" if self._aio is not None else "threaded",
             prefetch_hits=self._prefetch_hits,
         )
 
@@ -1091,26 +1080,10 @@ class Executor:
                 coalescer.release(flight)
         return failed, purchased_rows
 
-    def _charge_call_time(self, outcomes, workers: int) -> None:
-        """Add one access's simulated call durations to the query's serial
-        total and, packed onto ``workers`` in-flight slots, its critical
-        path."""
-        durations = [
-            outcome.error.elapsed_ms
-            if isinstance(outcome, FailedFetch)
-            else 0.0
-            if isinstance(outcome, CoveredSkip)
-            else outcome.elapsed_ms
-            for outcome in outcomes
-        ]
-        self._serial_ms += sum(durations)
-        self._critical_path_ms += _makespan(durations, workers)
-
     def _issue_market_calls(
         self, dataset, table, remainders, parent_span=None
     ) -> tuple[list, list]:
-        """Issue the remainder GETs through the transport, concurrently when
-        allowed.
+        """Issue the remainder GETs through the query's driver.
 
         Remainder boxes are disjoint and the market is read-only, so the
         calls commute; outcomes come back in request order either way.
@@ -1123,10 +1096,13 @@ class Executor:
         flights this access *led*; the caller retires them under the
         table lock once their rows are recorded.
 
-        Every call is one :meth:`_call_machine`; this is its *threaded*
-        driver — the transport fetch blocks a pool thread, a follower
-        blocks on the flight's event — and :meth:`_submit_async_calls` is
-        the event-loop one.
+        Every call is one :meth:`_call_machine`.  On a market whose calls
+        wait, :meth:`_submit_async_calls` pipelines them on the event loop;
+        otherwise nothing can block, so each machine is driven here to
+        completion, in request order, on the calling thread — the way
+        :meth:`MarketTransport._drive` answers the fetch machine.  (A
+        follower's ``wait`` can only block under concurrent serving, on a
+        leader another thread is driving.)
         """
         if self._aio is not None:
             return self._settle_calls(
@@ -1136,8 +1112,8 @@ class Executor:
         batch, requests = self._call_batch(dataset, table, remainders)
         transport = self.context.transport
         scope = self._scope
-
-        def drive(remainder, request):
+        results = []
+        for remainder, request in zip(remainders, requests):
             machine = self._call_machine(batch, remainder.box, request)
             try:
                 effect = machine.send(None)
@@ -1153,28 +1129,17 @@ class Executor:
                     else:
                         effect = machine.send(answer)
             except StopIteration as stop:
-                return stop.value
-
-        limit = self.max_concurrent_calls
-        if limit > 1 and len(requests) > 1:
-            pool = self._call_pool
-            if pool is None:
-                pool = self._call_pool = ThreadPoolExecutor(
-                    max_workers=limit, thread_name_prefix="fetch"
-                )
-            results = list(pool.map(drive, remainders, requests))
-        else:
-            results = list(map(drive, remainders, requests))
+                results.append(stop.value)
         return self._settle_calls((results, batch.lead_flights), parent_span)
 
     def _submit_async_calls(self, dataset, table, remainders):
         """Pipeline one access's remainder GETs onto the event loop.
 
-        The *async* driver of :meth:`_call_machine`: every remainder call
-        is a coroutine that awaits the shared fetch machine against the
-        per-seller connection pool (the pool's semaphore is the only
-        in-flight cap) and parks a follower's wait on the default
-        executor so the loop keeps running.  Returns a
+        The driver of :meth:`_call_machine` on a market whose calls wait:
+        every remainder call is a coroutine that awaits the shared fetch
+        machine against the per-seller connection pool (the pool's
+        semaphore is the only in-flight cap) and parks a follower's wait on
+        the default executor so the loop keeps running.  Returns a
         ``concurrent.futures.Future`` resolving to ``(results,
         lead_flights)`` where results are ``(outcome, detached_span)``
         pairs in request order — the caller (either the consuming table
@@ -1240,10 +1205,12 @@ class Executor:
         """Account for one access's drained calls, whichever driver ran
         them: the outcomes join the query's, detached call spans are
         adopted into the access's ``table_fetch`` span in request order
-        (workers only ever touch their own private span — see
+        (a call machine only ever touches its own private span — see
         :mod:`repro.obs.trace` — so per-fetch timing and attempt counts are
-        recorded identically regardless of scheduling), and the simulated
-        makespan is charged under the driver's in-flight cap."""
+        recorded identically regardless of scheduling), and the calls'
+        simulated durations are charged: their sum to the serial total,
+        their makespan over the seller pool's lanes to the critical path —
+        one rule, whichever driver ran them."""
         results, lead_flights = drained
         outcomes = [outcome for outcome, _ in results]
         self._outcomes.extend(outcomes)
@@ -1251,12 +1218,16 @@ class Executor:
             for _, call_span in results:
                 if call_span is not None:
                     parent_span.adopt(call_span)
-        self._charge_call_time(
-            outcomes,
-            DEFAULT_POOL_SIZE
-            if self._aio is not None
-            else self.max_concurrent_calls,
-        )
+        durations = [
+            outcome.error.elapsed_ms
+            if isinstance(outcome, FailedFetch)
+            else 0.0
+            if isinstance(outcome, CoveredSkip)
+            else outcome.elapsed_ms
+            for outcome in outcomes
+        ]
+        self._serial_ms += sum(durations)
+        self._critical_path_ms += _makespan(durations, DEFAULT_POOL_SIZE)
         return outcomes, lead_flights
 
     def _call_machine(self, batch: _CallBatch, box, request: RestRequest):
@@ -1315,8 +1286,7 @@ class Executor:
                     coalescer.abort(flight, error)
                     raise
                 coalescer.complete(flight, result)
-                with batch.lock:
-                    batch.lead_flights.append(flight)
+                batch.lead_flights.append(flight)
                 return result
             yield ("wait", flight)
             if flight.failed:

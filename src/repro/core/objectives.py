@@ -283,10 +283,6 @@ class AdaptivePolicy:
             or estimated > actual * self.threshold
         )
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity of the policy's three settings."""
-        return (self.threshold, self.min_rows, self.max_replans)
-
     @classmethod
     def parse(cls, text: str) -> "AdaptivePolicy":
         """Parse a CLI-style spec: ``THRESHOLD[:MIN_ROWS[:MAX_REPLANS]]``."""
@@ -402,14 +398,6 @@ class QueryOptions:
     # -- execution ------------------------------------------------------------
     #: Local-evaluation engine ("vectorized" or "reference"; None = default).
     engine: str | None = None
-    #: In-flight market calls per table access under the threaded driver
-    #: (1 = serial fetch).
-    max_concurrent_calls: int = 4
-    #: Which fetch driver executes market calls: "threaded" (a thread
-    #: pool) or "async" (the pipelined event-loop driver of
-    #: :mod:`repro.market.aio` with per-seller connection pools; it
-    #: prefetches a static plan's certain accesses).
-    transport_mode: str = "threaded"
 
     # -- transport ------------------------------------------------------------
     #: Retries, partial results, idempotency and breakers (``None`` =
@@ -445,17 +433,11 @@ class QueryOptions:
             raise PlanningError(
                 f"fault_rate must be within [0, 1], got {self.fault_rate!r}"
             )
-        if self.transport_mode not in ("threaded", "async"):
-            raise PlanningError(
-                f"transport_mode must be 'threaded' or 'async', "
-                f"got {self.transport_mode!r}"
-            )
         # (knob, smallest valid value): whole numbers, fail fast at
         # construction rather than at the first query.
         for name, least in (
             ("max_bind_attrs", 0),
             ("plan_cache_size", 0),
-            ("max_concurrent_calls", 1),
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

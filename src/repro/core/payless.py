@@ -501,10 +501,7 @@ class PayLess:
         """Execute a planned query and account for it; the caller holds
         the trace scope."""
         executor = Executor(self.context, objective=planning.objective)
-        try:
-            relation, stats = executor.execute(logical, planning.plan)
-        finally:
-            executor.close()
+        relation, stats = executor.execute(logical, planning.plan)
         with self._accounting_lock:
             self.total_transactions += stats.transactions
             self.total_price += stats.price
@@ -559,14 +556,13 @@ class PayLess:
 
     def close(self) -> None:
         """Clean shutdown: group-commit and snapshot the durable state,
-        and stop the async transport's event loop when one is attached.
+        and stop the async transport's event loop if a query started it.
 
         Safe to call repeatedly and without a durability config.
         """
         if self.durability is not None:
             self.durability.close()
-        if self.context.async_transport is not None:
-            self.context.async_transport.close()
+        self.context.async_transport.close()
 
     def __enter__(self) -> "PayLess":
         return self
@@ -618,10 +614,8 @@ class PayLess:
             ),
             breaker_transitions=sum(breaker.transitions for breaker in breakers),
             breaker_opens=sum(breaker.opens for breaker in breakers),
-            connections_reused=(
-                sum(pool["reused"] for pool in aio.pool_stats().values())
-                if aio is not None
-                else 0
+            connections_reused=sum(
+                pool["reused"] for pool in aio.pool_stats().values()
             ),
             prefetch_wasted_dollars=self.context.prefetch_wasted_price,
         )

@@ -1,12 +1,14 @@
 """The async pipelined market transport: pools, pipelining, one loop.
 
 The paper is blunt that "the execution time of a query is, as usual,
-dominated by the RESTful calls to the data seller" (Section 5).  The
-threaded transport hides some of that latency behind a thread pool, but
-threads cap the in-flight depth (one OS thread per blocked call) and every
-physical call pays connection setup again.  This module keeps the *money*
-machinery — :meth:`~repro.market.transport.MarketTransport._fetch_machine`
-holds every retry/billing/durability decision — and swaps the IO driver:
+dominated by the RESTful calls to the data seller" (Section 5).  On a
+market whose calls really wait (``LatencyModel.realtime_scale > 0``) the
+executor pipelines every call through this module; on an instant market
+nothing can wait, so it drives the same machines inline instead
+(:meth:`~repro.core.executor.Executor._issue_market_calls`).  This module
+keeps the *money* machinery —
+:meth:`~repro.market.transport.MarketTransport._fetch_machine` holds every
+retry/billing/durability decision — and supplies the IO driver:
 
 * **one persistent event loop** owned by a daemon thread.  Executors and
   serving sessions submit fetch coroutines onto it from any thread; one
@@ -15,13 +17,13 @@ holds every retry/billing/durability decision — and swaps the IO driver:
 * **per-seller connection pools** — a bounded pool per dataset endpoint.
   ``LatencyModel.connection_setup_ms`` is paid once per pooled connection
   when it is first opened; reuse is free (counted per pool and summed in
-  ``PayLess.metrics()["connections_reused"]``).  The threaded driver, by
-  contrast, pays setup on every physical call.
+  ``PayLess.metrics()["connections_reused"]``).  The inline driver, by
+  contrast, charges setup on every physical call.
 * **cooperative sleeps** — realtime market latency is awaited with
-  ``asyncio.sleep`` instead of blocking a worker thread, which is what
-  lets in-flight depth exceed the thread count.
+  ``asyncio.sleep`` instead of blocking a thread, which is what lets one
+  access keep all of its calls in flight at once.
 
-Money-safety is inherited, not re-implemented: both transports drive the
+Money-safety is inherited, not re-implemented: both drivers run the
 same sans-IO fetch machine, so idempotency keys, fault draws, retries,
 backoff accounting, waste marking and durable-intent resolution are
 identical by construction.  One level up it is the same arrangement: the
@@ -36,15 +38,16 @@ need no shared attribution state.
 from __future__ import annotations
 
 import asyncio
+import selectors
 import threading
 
 from repro.market.rest import RestRequest
 from repro.market.transport import FetchResult, MarketTransport, QueryScope
 
-#: Per-seller pool size (and therefore the in-flight depth cap of one
-#: async installation).  Deliberately much larger than the threaded
-#: default of 4–8 workers: coroutines waiting on simulated latency are
-#: nearly free, threads are not.
+#: Per-seller pool size: the in-flight depth cap of one installation, and
+#: the lanes its executors pack each access's simulated call durations onto
+#: for ``market_time_critical_path_ms``.  Coroutines waiting on latency are
+#: nearly free, so the pool is deep.
 DEFAULT_POOL_SIZE = 64
 
 
@@ -108,7 +111,11 @@ class AsyncMarketTransport:
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
         with self._lifecycle_lock:
             if self._loop is None:
-                self._loop = asyncio.new_event_loop()
+                # select(), not epoll: the loop's only descriptor is its own
+                # wake-up pipe, and select's timeout has microsecond
+                # resolution where epoll rounds every wait up to the next
+                # millisecond — a modelled 61.3 ms call would wait ~62.3.
+                self._loop = asyncio.SelectorEventLoop(selectors.SelectSelector())
                 self._pools = {}
                 self._thread = threading.Thread(
                     target=self._loop.run_forever,
@@ -134,10 +141,6 @@ class AsyncMarketTransport:
     def submit(self, coro) -> "asyncio.Future":
         """Schedule a coroutine on the transport's loop from any thread."""
         return asyncio.run_coroutine_threadsafe(coro, self._ensure_loop())
-
-    def run(self, coro):
-        """Submit ``coro`` and block the calling thread for its result."""
-        return self.submit(coro).result()
 
     # -- the async call path ---------------------------------------------------
 

@@ -24,21 +24,21 @@ class LatencyModel:
     round_trip_ms: float = 150.0
     #: Transfer time per transaction page of results.
     per_transaction_ms: float = 25.0
-    #: When positive, the market actually *sleeps* ``call_ms * scale`` of
+    #: When positive, the market actually *waits* ``call_ms * scale`` of
     #: real wall-clock per call instead of only accounting it.  ``0``
-    #: (the default) keeps everything simulated and instant.  Real sleeps
-    #: exist for the concurrent-serving path: thread-level speedup and
-    #: singleflight wait coalescing are only measurable when calls block
-    #: for real (``benchmarks/bench_concurrency.py``).
+    #: (the default) keeps everything simulated and instant.  It also
+    #: picks the executor's fetch driver, once per query: calls that wait
+    #: are pipelined on the event loop of :mod:`repro.market.aio`, calls
+    #: that cannot are driven inline on the querying thread.
     realtime_scale: float = 0.0
-    #: Connection establishment cost (TCP + TLS + auth handshake).  The
-    #: threaded transport opens a fresh connection per physical call and
-    #: pays this every time; the async transport's per-seller pools pay it
+    #: Connection establishment cost (TCP + TLS + auth handshake), in
+    #: simulated milliseconds.  The inline driver charges it on every
+    #: physical call; the event-loop driver's per-seller pools pay it
     #: once per pooled connection and reuse the connection afterwards
-    #: (:mod:`repro.market.aio`).  Charged *client-side* by the transport
-    #: driver — it never enters the server's billing ledger, so the two
-    #: transports stay ledger-byte-identical.  Default 0 keeps every
-    #: existing number and golden unchanged.
+    #: (:mod:`repro.market.aio`).  Charged *client-side* — it never enters
+    #: the server's billing ledger, so both drivers stay
+    #: ledger-byte-identical.  Default 0 keeps every existing number and
+    #: golden unchanged.
     connection_setup_ms: float = 0.0
 
     def __post_init__(self) -> None:

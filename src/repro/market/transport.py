@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.durable.wal import SimulatedCrash
@@ -387,32 +386,26 @@ class MarketTransport:
             # compatible with tests that monkeypatch ``market.get``.
             # The simulated clock is not advanced: it exists only to time
             # breaker cooldowns, and breakers never trip without faults.
-            latency = self.market.latency
-            setup_ms = latency.connection_setup_ms
-            if setup_ms and latency.realtime_scale:
-                time.sleep(setup_ms * latency.realtime_scale / 1000.0)
-            return FetchResult.first_attempt(self.market.get(request), setup_ms)
+            return FetchResult.first_attempt(
+                self.market.get(request), self.market.latency.connection_setup_ms
+            )
         return self._drive(request, self._fetch_machine(request, scope))
 
     def _drive(self, request: RestRequest, machine) -> FetchResult:
-        """Drive the sans-IO fetch machine with blocking calls.
+        """Drive the sans-IO fetch machine inline, one call after another.
 
-        This is the *threaded* transport driver: every physical call opens
-        a fresh connection (paying ``connection_setup_ms`` each time) and
-        the market's realtime sleep blocks the calling thread.  The async
-        driver in :mod:`repro.market.aio` replays the exact same machine
-        against pooled connections and cooperative sleeps.
+        The executor's driver on an instant market: every physical call is
+        charged a fresh connection's ``connection_setup_ms`` (simulated;
+        nothing sleeps here).  On a market whose calls wait, the executor
+        takes :mod:`repro.market.aio` instead, which replays the exact same
+        machine against pooled connections and cooperative sleeps.
         """
-        latency = self.market.latency
-        setup_ms = latency.connection_setup_ms
-        scale = latency.realtime_scale
+        setup_ms = self.market.latency.connection_setup_ms
         try:
             effect = machine.send(None)
             while True:
                 __, key, __expect_replay = effect
                 try:
-                    if setup_ms and scale:
-                        time.sleep(setup_ms * scale / 1000.0)
                     if key is not None:
                         response = self.market.get(
                             request, idempotency_key=key
@@ -441,7 +434,7 @@ class MarketTransport:
         ``expect_replay`` tells the driver, *before* the call, whether the
         server will answer from its idempotency cache (an earlier attempt
         already billed this key): replays are instant, so a realtime
-        driver must not sleep for them.  Because both transports replay
+        driver must not sleep for them.  Because both drivers replay
         this one machine, retries, idempotency keys, fault draws, waste
         accounting, and durable-intent resolution cannot diverge between
         them.

@@ -299,11 +299,6 @@ def render_explain_analyze(
         f"actual {stats.market_time_ms:.1f} ms market "
         f"(critical path {stats.market_time_critical_path_ms:.1f} ms)"
     )
-    if getattr(stats, "transport_mode", "threaded") != "threaded":
-        lines.append(
-            f"transport mode: {stats.transport_mode}, "
-            f"{getattr(stats, 'prefetch_hits', 0)} prefetch hit(s)"
-        )
     if stats.retries or stats.replays or stats.wasted_transactions:
         lines.append(
             f"transport: {stats.retries} retries, {stats.replays} replays, "

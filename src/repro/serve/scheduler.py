@@ -27,15 +27,15 @@ many :class:`ServeSession` handles on a thread pool against one shared
   a batch": :meth:`QueryScheduler.flush` runs what ``session.defer(...)``
   queued broadest region first, so a narrow query rides free.
 
-When the installation runs the async transport
-(``QueryOptions(transport_mode="async")``), every session's market calls
-share the installation's single event loop (:mod:`repro.market.aio`):
-worker threads then bound only local planning/evaluation, not in-flight
-market calls — one worker can keep a connection pool's worth of calls
-(:data:`~repro.market.aio.DEFAULT_POOL_SIZE`) in flight per seller,
-where a threaded worker tops out at
-``max_concurrent_calls``.  Coalescing still works across drivers because
-both consult the same singleflight group under the same table locks.
+On a market whose calls really wait (``LatencyModel.realtime_scale >
+0``), every session's market calls share the installation's single event
+loop (:mod:`repro.market.aio`): worker threads then bound only local
+planning/evaluation, not in-flight market calls — one worker can keep a
+connection pool's worth of calls
+(:data:`~repro.market.aio.DEFAULT_POOL_SIZE`) in flight per seller.  On
+an instant market each worker drives its own calls inline.  Coalescing
+works whichever driver a query took, because both consult the same
+singleflight group under the same table locks.
 
 Usage::
 

@@ -91,9 +91,11 @@ class TestPolicy:
         assert not policy.diverged(estimated=9.0, actual=1.0)
 
     def test_fingerprints_distinguish_policies(self):
-        assert AdaptivePolicy().fingerprint() != AdaptivePolicy(
-            threshold=3.0
-        ).fingerprint()
+        """A policy is a frozen value, so the value is its fingerprint:
+        its three settings are its identity."""
+        assert AdaptivePolicy() == AdaptivePolicy(2.0, 10.0, 2)
+        assert hash(AdaptivePolicy()) == hash(AdaptivePolicy(2.0, 10.0, 2))
+        assert AdaptivePolicy() != AdaptivePolicy(threshold=3.0)
 
 
 class TestSavings:

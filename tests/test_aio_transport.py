@@ -1,12 +1,18 @@
-"""The async pipelined transport: parity, pools, prefetch, lifecycle.
+"""The fetch drivers: selection, parity, pools, prefetch, lifecycle.
 
-The contract of :mod:`repro.market.aio` is that switching
-``QueryOptions(transport_mode="async")`` changes *when* market calls
-happen, never *what they cost*: both drivers replay the same sans-IO
-fetch machine, so idempotency keys, fault draws, retries and billing are
-identical by construction.  These tests assert that contract from the
-outside:
+The market's latency model picks the driver once per query: on an
+instant market (``realtime_scale == 0``) every call is driven inline on
+the querying thread; when calls really wait, they are pipelined on the
+event loop of :mod:`repro.market.aio`.  The contract is that the choice
+changes *when* market calls happen, never *what they cost*: both drivers
+replay the same sans-IO fetch machine, so idempotency keys, fault draws,
+retries and billing are identical by construction.  These tests assert
+that contract from the outside, running one latency model at scale 0
+(inline) and at a tiny scale (async), as :mod:`tests.fetch_drivers` does:
 
+* **selection at query time** — one installation fetches inline, then on
+  the loop (prefetching) once ``market.latency`` starts waiting, and an
+  :class:`AdaptivePolicy` never prefetches.
 * **canonical ledger parity** — the same workload billed through either
   driver produces the same multiset of billed calls (URL, rows,
   transactions, price, server-side latency, waste classification, and
@@ -14,7 +20,7 @@ outside:
   are installation-scoped (they embed a transport id), so the comparison
   canonicalizes them to ordinals first.
 * **connection-setup semantics** — ``LatencyModel.connection_setup_ms``
-  is charged per physical call by the threaded driver but once per
+  is charged per physical call by the inline driver but once per
   pooled connection by the async driver; the saved milliseconds equal
   ``setup_ms x connections_reused`` exactly, while dollars are
   untouched.
@@ -30,8 +36,7 @@ import threading
 
 import pytest
 
-from repro.core.objectives import QueryOptions
-from repro.errors import PlanningError
+from repro.core.objectives import AdaptivePolicy, QueryOptions
 from repro.market.faults import FaultPolicy
 from repro.market.latency import LatencyModel
 from repro.market.transport import TransportConfig
@@ -40,6 +45,8 @@ from repro.testing import (
     registered_payless,
     tiny_weather_market,
 )
+
+from .fetch_drivers import DRIVERS, canonical_ledger, drive
 
 JOIN_SQL = (
     "SELECT s.City, w.Temperature FROM Station s, Weather w "
@@ -52,58 +59,23 @@ WEATHER_SQL = (
 )
 
 
-def _payless(transport_mode, transport=None, **option_kwargs):
-    market = tiny_weather_market(days=10, tuples_per_transaction=5)
+COUNTRY_SQL = (
+    "SELECT Country, StationID, Date, Temperature FROM Weather "
+    "WHERE Country = ? AND Date >= ? AND Date <= ?"
+)
+
+def _payless(driver, transport=None, **option_kwargs):
+    market = drive(tiny_weather_market(days=10, tuples_per_transaction=5), driver)
     payless = registered_payless(
         market,
-        options=QueryOptions(
-            transport_mode=transport_mode, transport=transport, **option_kwargs
-        ),
+        options=QueryOptions(transport=transport, **option_kwargs),
     )
     return payless
 
 
-def _canonical_ledger(ledger):
-    """The ledger as a transport-independent value.
-
-    Sorts entries by ``(url, idempotency key)`` and maps the keys to
-    first-appearance ordinals: two runs then compare equal iff they billed
-    the same calls for the same money with the same waste classification
-    under the same keys — regardless of raw key text (which embeds a
-    per-installation transport id).
-    """
-    entries = sorted(
-        ledger,
-        key=lambda e: (
-            e.request.url(),
-            e.idempotency_key or "",
-            e.transactions,
-            e.price,
-        ),
-    )
-    keys = {}
-    canon = []
-    for entry in entries:
-        key = entry.idempotency_key
-        if key is not None:
-            key = keys.setdefault(key, len(keys))
-        canon.append(
-            (
-                entry.request.url(),
-                entry.record_count,
-                entry.transactions,
-                entry.price,
-                entry.elapsed_ms,
-                ledger.is_wasted(entry),
-                key,
-            )
-        )
-    return canon
-
-
-def _replay(transport_mode, transport=None):
+def _replay(driver, transport=None):
     """A small mixed session: join, repeat (free), two range windows."""
-    payless = _payless(transport_mode, transport=transport)
+    payless = _payless(driver, transport=transport)
     try:
         results = [
             payless.query(JOIN_SQL),
@@ -111,17 +83,75 @@ def _replay(transport_mode, transport=None):
             payless.query(WEATHER_SQL, (1, 6)),
             payless.query(WEATHER_SQL, (4, 9)),
         ]
-        return _canonical_ledger(payless.market.ledger), results
+        return canonical_ledger(payless.market.ledger), results
     finally:
         payless.close()
 
 
+def _thread_spy(market):
+    """Per ``market.get``: the calling thread, and whether any thread was
+    started since the spy was installed (a fetch pool or an event loop)."""
+    seen = []
+    original = market.get
+    before = set(threading.enumerate())
+
+    def spying(request, **kwargs):
+        started = set(threading.enumerate()) - before
+        seen.append((threading.current_thread().name, bool(started)))
+        return original(request, **kwargs)
+
+    market.get = spying
+    return seen
+
+
+def _fragmented(payless, country):
+    """Buy the middle of a window, then the window: the second access
+    makes one call per uncovered side."""
+    payless.query(COUNTRY_SQL, (country, 4, 5))
+    return payless.query(COUNTRY_SQL, (country, 1, 10))
+
+
+class TestTheLatencyModelPicksTheDriver:
+    def test_inline_when_instant_then_the_loop_once_calls_wait(self):
+        payless = _payless("inline")
+        seen = _thread_spy(payless.market)
+        try:
+            result = _fragmented(payless, "CountryA")
+            assert result.stats.calls == 2
+            assert result.stats.prefetch_hits == 0
+            # No pool thread, no loop: every call ran on the querying thread.
+            main = threading.current_thread().name
+            assert seen == [(main, False)] * 3
+            assert "idle" in repr(payless.context.async_transport)
+
+            # The same installation, once its market's calls wait.
+            drive(payless.market, "async")
+            seen.clear()
+            result = _fragmented(payless, "CountryB")
+            assert result.stats.calls == 2
+            assert result.stats.prefetch_hits > 0
+            assert [name for name, __ in seen] == ["market-aio-loop"] * 3
+        finally:
+            payless.close()
+
+    def test_an_adaptive_policy_is_never_prefetched(self):
+        payless = _payless("async", adaptive=AdaptivePolicy())
+        seen = _thread_spy(payless.market)
+        try:
+            result = _fragmented(payless, "CountryA")
+            assert result.stats.calls == 2
+            assert result.stats.prefetch_hits == 0
+            assert [name for name, __ in seen] == ["market-aio-loop"] * 3
+        finally:
+            payless.close()
+
+
 class TestLedgerParity:
     def test_calm_ledgers_identical(self):
-        threaded, threaded_results = _replay("threaded")
+        inline, inline_results = _replay("inline")
         awaited, async_results = _replay("async")
-        assert awaited == threaded
-        for a, b in zip(threaded_results, async_results):
+        assert awaited == inline
+        for a, b in zip(inline_results, async_results):
             assert sorted(a.rows, key=repr) == sorted(b.rows, key=repr)
             assert a.stats.price == b.stats.price
 
@@ -133,59 +163,63 @@ class TestLedgerParity:
                 max_retries=5,
             )
 
-        threaded, __ = _replay("threaded", transport=chaotic())
+        inline, __ = _replay("inline", transport=chaotic())
         awaited, __ = _replay("async", transport=chaotic())
-        assert awaited == threaded
+        assert awaited == inline
 
     def test_stats_report_the_driver(self):
-        payless = _payless("async")
-        try:
-            stats = payless.query(JOIN_SQL).stats
-            assert stats.transport_mode == "async"
-        finally:
-            payless.close()
-        payless = _payless("threaded")
-        try:
-            stats = payless.query(JOIN_SQL).stats
-            assert stats.transport_mode == "threaded"
-            assert stats.prefetch_hits == 0
-        finally:
-            payless.close()
+        """Only the event-loop driver prefetches, so ``prefetch_hits``
+        tells which driver ran; nothing else in the stats may."""
+        stats = {}
+        for driver in DRIVERS:
+            payless = _payless(driver)
+            try:
+                stats[driver] = vars(payless.query(JOIN_SQL).stats)
+            finally:
+                payless.close()
+        assert stats["inline"].pop("prefetch_hits") == 0
+        assert stats["async"].pop("prefetch_hits") > 0
+        assert stats["inline"] == stats["async"]
 
 
 class TestConnectionSetup:
-    def _run(self, transport_mode):
-        payless = _payless(transport_mode)
-        market = payless.market
+    def _run(self, driver):
+        payless = _payless(driver)
+        drive(
+            payless.market,
+            driver,
+            LatencyModel(
+                round_trip_ms=10.0,
+                per_transaction_ms=1.0,
+                connection_setup_ms=100.0,
+            ),
+        )
         try:
             # Warm a middle window so the second query's remainder splits
             # into two physical calls against the same seller.
             payless.query(WEATHER_SQL, (4, 5))
-            market.latency = LatencyModel(
-                round_trip_ms=10.0,
-                per_transaction_ms=1.0,
-                connection_setup_ms=100.0,
-            )
             stats = payless.query(WEATHER_SQL, (1, 10)).stats
             return stats, payless.metrics()["connections_reused"]
         finally:
             payless.close()
 
     def test_setup_charged_per_connection_not_per_call(self):
-        threaded, threaded_reused = self._run("threaded")
+        inline, inline_reused = self._run("inline")
         awaited, async_reused = self._run("async")
-        assert threaded.calls == awaited.calls == 2
-        assert threaded.price == awaited.price  # dollars never move
-        assert threaded_reused == 0.0
-        assert async_reused == 2.0  # warm call pooled the connection
-        # The threaded driver paid the handshake on both calls; the async
-        # driver paid it on neither — the gap is exactly setup x reuses.
-        assert threaded.market_time_ms - awaited.market_time_ms == (
+        assert inline.calls == awaited.calls == 2
+        assert inline.price == awaited.price  # dollars never move
+        assert inline_reused == 0.0
+        # The two calls are in flight together: one reuses the warm
+        # call's connection, the other opens a second.
+        assert async_reused == 1.0
+        # The inline driver paid the handshake on both calls; the async
+        # driver on one — the gap is exactly setup x reuses.
+        assert inline.market_time_ms - awaited.market_time_ms == (
             pytest.approx(100.0 * async_reused)
         )
         assert (
             awaited.market_time_critical_path_ms
-            < threaded.market_time_critical_path_ms
+            <= inline.market_time_critical_path_ms
         )
 
     def test_negative_setup_rejected(self):
@@ -292,17 +326,5 @@ class TestLifecycleAndValidation:
                 thread.name == "market-aio-loop"
                 for thread in threading.enumerate()
             )
-        finally:
-            payless.close()
-
-    def test_transport_mode_validated(self):
-        with pytest.raises(PlanningError):
-            QueryOptions(transport_mode="carrier-pigeon")
-
-    def test_threaded_stays_the_default(self):
-        assert QueryOptions().transport_mode == "threaded"
-        payless = _payless("threaded")
-        try:
-            assert payless.context.async_transport is None
         finally:
             payless.close()

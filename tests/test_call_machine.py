@@ -1,12 +1,14 @@
 """One remainder call is one sans-IO machine; the two drivers only wait.
 
 ``Executor._call_machine`` holds the whole per-call protocol — coverage
-re-check, singleflight leader/follower, failure capture — as a generator that yields ``("fetch", request)`` and
-``("wait", flight)``.  The first half drives it by hand, with no thread
-and no event loop, through the interleavings the realtime concurrency
-tests can only reach by luck; the second half runs one scripted
-multi-call access through both real drivers and requires identical
-outcomes, ledgers and stats.
+re-check, singleflight leader/follower, failure capture — as a generator
+that yields ``("fetch", request)`` and ``("wait", flight)``.  The first
+half drives it by hand, with no thread and no event loop, through the
+interleavings the realtime concurrency tests can only reach by luck; the
+second half runs one scripted multi-call access through both real
+drivers — inline on an instant market, pipelined on the event loop once
+the same latency model waits — and requires identical outcomes, ledgers
+and stats.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.market.transport import FetchResult, TransportConfig
 from repro.serve.singleflight import SingleflightGroup
 from repro.testing import registered_payless, tiny_weather_market
 
-from .test_aio_transport import _canonical_ledger
+from .fetch_drivers import canonical_ledger, drive
 
 
 class _SpyLock:
@@ -66,7 +68,6 @@ class _Call:
             coalescer=coalescer,
             table_store=table_store,
             tracing=False,
-            lock=_SpyLock(),
         )
         self.machine = self.executor._call_machine(self.batch, None, request)
         self.finished = None
@@ -83,7 +84,6 @@ class _Call:
             self.finished = stop.value
             return None
         # No lock may be held while a driver waits on the effect.
-        assert self.batch.lock.depth == 0
         assert self.batch.table_store is None or (
             self.batch.table_store.lock.depth == 0
         )
@@ -233,13 +233,13 @@ def settled(monkeypatch):
     return seen
 
 
-def _scripted_access(settled, transport_mode, transport):
+def _scripted_access(settled, driver, transport):
     """Buy the middle of a window, then the window: the second access
     issues one remainder call per uncovered side, through the singleflight
     layer of whichever driver runs."""
     payless = registered_payless(
-        tiny_weather_market(days=10, tuples_per_transaction=5),
-        options=QueryOptions(transport_mode=transport_mode, transport=transport),
+        drive(tiny_weather_market(days=10, tuples_per_transaction=5), driver),
+        options=QueryOptions(transport=transport),
     )
     payless.context.coalescer = SingleflightGroup()
     try:
@@ -255,12 +255,12 @@ def _scripted_access(settled, transport_mode, transport):
             name: value
             for name, value in dataclasses.asdict(result.stats).items()
             # What names the driver, not what the access cost.
-            if name not in ("transport_mode", "prefetch_hits")
+            if name != "prefetch_hits"
         }
         for result in results
     ]
     outcomes, settled[:] = list(settled), []
-    return outcomes, _canonical_ledger(payless.market.ledger), stats
+    return outcomes, canonical_ledger(payless.market.ledger), stats
 
 
 @pytest.mark.parametrize(
@@ -276,9 +276,9 @@ def _scripted_access(settled, transport_mode, transport):
     ids=["calm", "chaos-7"],
 )
 def test_both_drivers_run_the_same_access(settled, transport):
-    threaded = _scripted_access(settled, "threaded", transport)
+    inline = _scripted_access(settled, "inline", transport)
     awaited = _scripted_access(settled, "async", transport)
-    outcomes, __, stats = threaded
+    outcomes, __, stats = inline
     assert len(outcomes[1]) > 1, "the scripted access must be multi-call"
     assert stats[1]["calls"] == len(outcomes[1])
-    assert awaited == threaded
+    assert awaited == inline

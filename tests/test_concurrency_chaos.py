@@ -16,11 +16,16 @@ Two acceptance properties of the serving front-end, asserted *exactly*
   workers=8 produce identical per-query rows and identical total spent
   dollars: thread scheduling must never leak into results or money.
 
+Both run on each fetch driver: inline on an instant market, and on the
+event loop once the same latency model's calls wait.
+
 The workload is the paper's Q1 template over a small synthetic WHW
 market; shared regions are identical across sessions (the coalescing
 surface), private regions are disjoint per session (the determinism
 surface).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +40,8 @@ from repro.workloads.weather import (
     WeatherConfig,
     generate_weather_workload,
 )
+
+from .fetch_drivers import DRIVERS, drive
 
 pytestmark = pytest.mark.concurrency
 
@@ -57,17 +64,15 @@ SESSIONS = 4
 
 def _fresh_payless(
     transport: TransportConfig | None = None,
-    transport_mode: str = "threaded",
+    driver: str = "inline",
 ) -> PayLess:
     market = DataMarket()
     for dataset in DATA.datasets:
         market.publish(dataset)
     payless = PayLess.full(
-        market,
+        drive(market, driver),
         local_db=DATA.local_database(),
-        options=QueryOptions(
-            transport=transport, transport_mode=transport_mode
-        ),
+        options=QueryOptions(transport=transport),
     )
     for dataset in DATA.datasets:
         payless.register_dataset(dataset.name)
@@ -78,7 +83,7 @@ def _shared_workload() -> list[tuple[str, tuple]]:
     """Per session: 2 shared Q1 regions (identical across sessions, the
     coalescing surface) then 4 private 2-day windows (disjoint across
     sessions).  Submission is region-major so the shared fetches of all
-    sessions overlap under a thread pool."""
+    sessions overlap under the scheduler's workers."""
     shared = [("Country00", 1, 10), ("Country01", 11, 20)]
     workload: list[tuple[str, tuple]] = []
     for params in shared:
@@ -112,11 +117,11 @@ def _run(
     coalesce: bool,
     transport: TransportConfig | None = None,
     session_max_inflight: int = 2,
-    transport_mode: str = "threaded",
+    driver: str = "inline",
 ):
     """One fresh installation through the scheduler; results in submit
     order (so runs are comparable query-by-query)."""
-    payless = _fresh_payless(transport, transport_mode=transport_mode)
+    payless = _fresh_payless(transport, driver=driver)
     config = ServeConfig(
         workers=workers,
         coalesce=coalesce,
@@ -128,25 +133,30 @@ def _run(
             for session, params in workload
         ]
         results = [ticket.result(timeout=120.0) for ticket in tickets]
-    payless.close()  # stops the async loop when one is attached
+    payless.close()  # stops the event loop if a query started it
     return payless, scheduler, results
 
 
 class TestChaosBillingInvariance:
-    @pytest.mark.parametrize("transport_mode", ["threaded", "async"])
+    @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize("seed", [7, 23, 101])
-    def test_faults_do_not_change_the_bill(self, seed, transport_mode):
+    def test_faults_do_not_change_the_bill(self, seed, driver):
         workload = _shared_workload()
         calm_payless, __, calm_results = _run(
             workload, workers=8, coalesce=True,
-            transport_mode=transport_mode,
+            driver=driver,
         )
         faults = FaultPolicy.uniform(seed=seed, rate=0.4)
         assert faults.max_consecutive_faults == 3  # < max_retries below
+        # On the event loop an access's calls fail together, so the default
+        # breaker opens on faults of different calls (pinned in
+        # test_faults.py); this gate is about the bill of retried calls.
         chaotic = TransportConfig(faults=faults, max_retries=5)
+        if driver == "async":
+            chaotic = replace(chaotic, breaker_failure_threshold=10_000)
         chaos_payless, scheduler, chaos_results = _run(
             workload, workers=8, coalesce=True, transport=chaotic,
-            transport_mode=transport_mode,
+            driver=driver,
         )
 
         # Chaos actually happened, and every fault was absorbed.
@@ -210,16 +220,16 @@ class TestChaosBillingInvariance:
 
 
 class TestDeterminismAcrossWorkers:
-    @pytest.mark.parametrize("transport_mode", ["threaded", "async"])
-    def test_workers_1_and_8_agree_exactly(self, transport_mode):
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_workers_1_and_8_agree_exactly(self, driver):
         workload = _disjoint_workload()
         serial_payless, __, serial_results = _run(
             workload, workers=1, coalesce=False, session_max_inflight=1,
-            transport_mode=transport_mode,
+            driver=driver,
         )
         parallel_payless, __, parallel_results = _run(
             workload, workers=8, coalesce=False, session_max_inflight=1,
-            transport_mode=transport_mode,
+            driver=driver,
         )
         assert len(serial_results) == len(parallel_results)
         for serial, parallel in zip(serial_results, parallel_results):

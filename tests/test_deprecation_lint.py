@@ -42,6 +42,11 @@ And the second switch for "PayLess w/o SQR": ``QueryOptions.use_sqr``,
 are strong consistency (Section 4.3).  With them went the overlays of
 ``TransportConfig`` (``partial_results``, ``max_retries``), the
 ``prune_bounding_boxes`` arm nothing ran and the ``prefetch`` knob.
+And the second fetch driver: the executor's thread pool
+(``Executor._call_pool`` / ``close``), ``QueryOptions.transport_mode`` /
+``max_concurrent_calls``, ``session --transport`` and
+``QueryStats.transport_mode`` — the market's latency model picks the
+driver.
 """
 
 from __future__ import annotations
@@ -246,7 +251,7 @@ def test_the_scheduler_is_the_one_multi_user_front_end():
     ]
     assert len(dataclasses.fields(ServeConfig)) == 6
     assert len(dataclasses.fields(BudgetPolicy)) == 2
-    assert len(dataclasses.fields(QueryOptions)) == 12
+    assert len(dataclasses.fields(QueryOptions)) == 10
 
 
 def test_one_options_record_one_walk():
@@ -334,6 +339,8 @@ NOT_INSTALLATION_CHOICES = (
     "prefetch",
     "partial_results",
     "max_retries",
+    "transport_mode",
+    "max_concurrent_calls",
 )
 
 
@@ -363,6 +370,17 @@ def test_no_sqr_has_one_switch():
         if re.search(r"rewriter\.enabled\s*=", path.read_text())
     ]
     assert not offenders, offenders
+
+
+def test_the_latency_model_is_the_one_driver_switch(capsys):
+    assert not hasattr(Executor, "close")
+    assert "transport_mode" not in {f.name for f in dataclasses.fields(QueryStats)}
+    assert "_call_pool" not in (SRC / "core" / "executor.py").read_text()
+    assert "ThreadPoolExecutor" not in (SRC / "core" / "executor.py").read_text()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["session", "--transport", "async", "--instances", "1"])
+    assert exit_info.value.code == 2
+    assert "--transport" in capsys.readouterr().err
 
 
 def test_every_option_is_read_somewhere():

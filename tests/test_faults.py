@@ -11,7 +11,7 @@ The invariants that make fault injection safe to leave on:
 * **the store is never poisoned** — only completed fetches are recorded,
   so a failed query's retry pays only for what is actually missing;
 * **determinism** — the same seed replays the same faults, retries, and
-  bill, even under the parallel fetch pool.
+  bill, even with an access's calls interleaved on the event loop.
 
 ``CHAOS_SEEDS`` matches the seeds the CI chaos job runs.
 """
@@ -35,6 +35,8 @@ from repro.market.transport import (
 )
 from repro.relational.query import AttributeConstraint
 from repro.testing import oracle_evaluate, registered_payless, tiny_weather_market
+
+from .fetch_drivers import DRIVERS, drive
 
 CHAOS_SEEDS = (7, 23, 101)
 
@@ -330,6 +332,31 @@ class TestCircuitBreaker:
             transport.fetch(weather_request())
         assert transport.breaker_for("WHW").state is BreakerState.OPEN
 
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_default_breaker_counts_overlapping_faults(self, driver):
+        """The breaker counts consecutive failures per dataset, not per
+        call.  Inline, each call's three timeouts end in its own success,
+        which resets the count before the next call starts.  On the event
+        loop both calls of the access time out before either succeeds, so
+        their faults run together and the default threshold opens the
+        circuit."""
+        payless = registered_payless(
+            drive(tiny_weather_market(days=30), driver),
+            options=QueryOptions(
+                transport=TransportConfig(faults=FaultPolicy(timeout_rate=1.0))
+            ),
+        )
+        whole = "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
+        with payless:
+            payless.query(f"{whole} AND Date >= 2 AND Date <= 29")
+            if driver == "inline":
+                assert payless.query(whole).stats.calls == 2
+            else:
+                with pytest.raises(MarketUnavailableError):
+                    payless.query(whole)
+        opens = payless.context.transport.breaker_for("WHW").opens
+        assert opens == (0 if driver == "inline" else 1)
+
 
 class TestGracefulDegradation:
     #: timeout_rate=0.5 at this seed fails exactly one of JOIN_SQL's three
@@ -402,15 +429,15 @@ class TestDeterministicReplay:
 
     @staticmethod
     def _install(seed: int):
+        # Calls that wait: each access's calls overlap on the event loop.
         return registered_payless(
-            tiny_weather_market(days=30),
+            drive(tiny_weather_market(days=30), "async"),
             options=QueryOptions(
                 transport=TransportConfig(
                     faults=FaultPolicy.uniform(seed=seed, rate=0.4),
                     retry_budget=None,
                     breaker_failure_threshold=10_000,
                 ),
-                max_concurrent_calls=8,
             ),
         )
 
@@ -419,9 +446,9 @@ class TestDeterministicReplay:
         self, seed
     ):
         first, second = self._install(seed), self._install(seed)
-        for sql in self.QUERIES:
-            a = first.query(sql)
-            b = second.query(sql)
+        with first, second:  # stop the event loops the queries start
+            pairs = [(first.query(sql), second.query(sql)) for sql in self.QUERIES]
+        for a, b in pairs:
             assert (
                 a.stats.transactions,
                 a.stats.calls,

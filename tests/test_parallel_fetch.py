@@ -1,13 +1,16 @@
-"""Parallel market fetch: billing invariance and simulated wall-clock.
+"""Overlapped market fetch: billing invariance and simulated wall-clock.
 
-Remainder calls within one table access are issued through a thread pool
-of ``max_concurrent_calls`` workers.  Parallelism may only change
-wall-clock: every observable money number — transactions, price, calls,
-fetched records, the ledger — must be identical to serial execution
-(an acceptance criterion, asserted here on a Figure-10-style session),
-and the reported critical path must never exceed the serial sum.
+Remainder calls within one table access overlap on the event loop when
+the market's calls wait, and run one after another inline when they
+cannot.  The driver may only change wall-clock: every observable money
+number — transactions, price, calls, fetched records, the ledger — must
+be identical either way (an acceptance criterion, asserted here on a
+Figure-10-style session).  The simulated critical path is charged by one
+rule, whichever driver ran: each access's calls packed onto the seller
+pool's ``DEFAULT_POOL_SIZE`` lanes, never more than the serial sum.
 """
 
+import asyncio
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +21,6 @@ from repro.bench.figures import BenchProfile, make_instances, make_workload
 from repro.core.executor import _makespan
 from repro.core.objectives import QueryOptions
 from repro.core.payless import PayLess
-from repro.errors import ExecutionError, PlanningError
 from repro.market.faults import FaultPolicy
 from repro.market.latency import LatencyModel
 from repro.market.rest import RestRequest
@@ -28,6 +30,8 @@ from repro.relational.query import AttributeConstraint
 from repro.testing import registered_payless, tiny_weather_market
 from repro.workloads.weather import WeatherConfig
 
+from .fetch_drivers import drive
+
 SMALL = BenchProfile(
     weather_q=2,
     weather=WeatherConfig(
@@ -36,15 +40,11 @@ SMALL = BenchProfile(
 )
 
 
-def build_payless(data, max_concurrent_calls: int) -> PayLess:
+def build_payless(data, driver: str) -> PayLess:
     market = DataMarket()
     for dataset in data.datasets:
         market.publish(dataset)
-    payless = PayLess.full(
-        market,
-        local_db=data.local_database(),
-        options=QueryOptions(max_concurrent_calls=max_concurrent_calls),
-    )
+    payless = PayLess.full(drive(market, driver), local_db=data.local_database())
     for dataset in data.datasets:
         payless.register_dataset(dataset.name)
     return payless
@@ -52,14 +52,20 @@ def build_payless(data, max_concurrent_calls: int) -> PayLess:
 
 class TestBillingInvariance:
     def test_fig10_weather_session_is_identical(self):
-        """Acceptance criterion: parallel fetch changes no money number."""
+        """Acceptance criterion: overlapped fetch changes no money number."""
         data = make_workload("real", SMALL)
         instances = make_instances("real", data, SMALL.weather_q, SMALL)
-        serial = build_payless(data, max_concurrent_calls=1)
-        parallel = build_payless(data, max_concurrent_calls=8)
-        for instance in instances:
-            a = serial.query(instance.sql, instance.params)
-            b = parallel.query(instance.sql, instance.params)
+        serial = build_payless(data, "inline")
+        parallel = build_payless(data, "async")
+        with parallel:  # stops the event loop the async arm started
+            results = [
+                (
+                    serial.query(instance.sql, instance.params),
+                    parallel.query(instance.sql, instance.params),
+                )
+                for instance in instances
+            ]
+        for a, b in results:
             assert (
                 a.stats.transactions,
                 a.stats.price,
@@ -89,11 +95,14 @@ class TestBillingInvariance:
         )
 
 
-def latency_payless(max_concurrent_calls: int) -> PayLess:
+def latency_payless(driver: str) -> PayLess:
     market = tiny_weather_market(days=30)
-    market.latency = LatencyModel(round_trip_ms=100.0, per_transaction_ms=10.0)
     return registered_payless(
-        market, options=QueryOptions(max_concurrent_calls=max_concurrent_calls)
+        drive(
+            market,
+            driver,
+            LatencyModel(round_trip_ms=100.0, per_transaction_ms=10.0),
+        )
     )
 
 
@@ -103,35 +112,50 @@ def fragmented_query(payless: PayLess):
     The remainder decomposes into the two Date endpoints — two REST calls
     in one table access, which is what parallel fetch can overlap.
     """
-    payless.query(
-        "SELECT Temperature FROM Weather "
-        "WHERE Country = 'CountryA' AND Date >= 2 AND Date <= 29"
-    )
-    return payless.query(
-        "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
-    )
+    with payless:
+        payless.query(
+            "SELECT Temperature FROM Weather "
+            "WHERE Country = 'CountryA' AND Date >= 2 AND Date <= 29"
+        )
+        return payless.query(
+            "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
+        )
 
 
 class TestCriticalPath:
     def test_serial_critical_path_equals_serial_sum(self):
-        result = fragmented_query(latency_payless(max_concurrent_calls=1))
+        """An access that makes one call has nothing to overlap."""
+        result = latency_payless("inline").query(
+            "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
+        )
+        assert result.stats.calls == 1
         assert result.stats.market_time_ms > 0
         assert result.stats.market_time_critical_path_ms == pytest.approx(
             result.stats.market_time_ms
         )
 
     def test_parallel_critical_path_is_shorter(self):
-        result = fragmented_query(latency_payless(max_concurrent_calls=8))
-        assert result.stats.calls >= 2
-        assert result.stats.market_time_critical_path_ms > 0
+        """One rule: the inline driver's calls ran one after another, yet
+        the critical path is charged as the event loop would run them."""
+        inline, awaited = (
+            fragmented_query(latency_payless(driver))
+            for driver in ("inline", "async")
+        )
+        assert inline.stats.calls >= 2
+        assert 0 < inline.stats.market_time_critical_path_ms < (
+            inline.stats.market_time_ms
+        )
         assert (
-            result.stats.market_time_critical_path_ms
-            < result.stats.market_time_ms
+            inline.stats.market_time_critical_path_ms,
+            inline.stats.market_time_ms,
+        ) == (
+            awaited.stats.market_time_critical_path_ms,
+            awaited.stats.market_time_ms,
         )
 
     def test_parallelism_never_changes_the_bill(self):
-        serial = fragmented_query(latency_payless(max_concurrent_calls=1))
-        parallel = fragmented_query(latency_payless(max_concurrent_calls=8))
+        serial = fragmented_query(latency_payless("inline"))
+        parallel = fragmented_query(latency_payless("async"))
         assert serial.stats.transactions == parallel.stats.transactions
         assert serial.stats.price == pytest.approx(parallel.stats.price)
         assert serial.stats.calls == parallel.stats.calls
@@ -190,7 +214,7 @@ class TestThreadSafety:
         )
 
 
-def _traced_payless(max_concurrent_calls: int, faulty: bool) -> PayLess:
+def _traced_payless(driver: str, faulty: bool, latency=None) -> PayLess:
     transport = (
         TransportConfig(
             faults=FaultPolicy.uniform(seed=7, rate=0.3), max_retries=8
@@ -198,11 +222,10 @@ def _traced_payless(max_concurrent_calls: int, faulty: bool) -> PayLess:
         if faulty
         else None
     )
+    market = tiny_weather_market(days=30)
     return registered_payless(
-        tiny_weather_market(days=30),
-        options=QueryOptions(
-            max_concurrent_calls=max_concurrent_calls, transport=transport
-        ),
+        drive(market, driver, latency) if latency else drive(market, driver),
+        options=QueryOptions(transport=transport),
         tracing=True,
     )
 
@@ -221,11 +244,12 @@ def _fragmented_trace(payless: PayLess):
 
     The final query's remainder decomposes into the stored stripes'
     complement — several REST calls inside ONE table access, exactly what
-    the fetch pool overlaps."""
-    _warm_stripes(payless)
-    return payless.query(
-        "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
-    )
+    the event loop overlaps."""
+    with payless:
+        _warm_stripes(payless)
+        return payless.query(
+            "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
+        )
 
 
 def _call_signature(result):
@@ -246,28 +270,28 @@ def _call_signature(result):
 
 
 class TestTraceUnderConcurrency:
-    """Race-free span recording under the full fetch pool.
+    """Race-free span recording with an access's calls interleaved.
 
-    Worker threads create only *detached* spans (no shared state); the
-    coordinator adopts them in request order once the pool drains.  The
-    trace of a parallel run must therefore be structurally identical to
-    the serial run's — same call spans, same order, same money numbers —
-    and identical across repeated parallel runs, whatever the thread
-    scheduling.  Faults are drawn per call key, not per arrival, so the
+    Call machines create only *detached* spans (no shared state); the
+    querying thread adopts them in request order once the calls drain.
+    The trace of an overlapped run must therefore be structurally
+    identical to the inline run's — same call spans, same order, same
+    money numbers — and identical across repeated runs, whatever the
+    interleaving.  Faults are drawn per call key, not per arrival, so the
     invariant survives fault injection too.
     """
 
     @pytest.mark.parametrize("faulty", [False, True])
     def test_parallel_trace_is_deterministic_and_matches_serial(self, faulty):
-        serial = _fragmented_trace(_traced_payless(1, faulty))
+        serial = _fragmented_trace(_traced_payless("inline", faulty))
         assert len(_call_signature(serial)) >= 2
-        for __ in range(5):  # stress: repeat under fresh thread pools
-            parallel = _fragmented_trace(_traced_payless(8, faulty))
+        for __ in range(5):  # stress: repeat on fresh event loops
+            parallel = _fragmented_trace(_traced_payless("async", faulty))
             assert _call_signature(parallel) == _call_signature(serial)
 
     @pytest.mark.parametrize("faulty", [False, True])
     def test_every_call_span_is_adopted_finished_and_attributed(self, faulty):
-        result = _fragmented_trace(_traced_payless(8, faulty))
+        result = _fragmented_trace(_traced_payless("async", faulty))
         trace = result.trace
         calls = trace.spans("market_call")
         assert calls
@@ -296,59 +320,64 @@ class TestTraceUnderConcurrency:
 
 
 class TestPoolConcurrency:
-    """The fetch pool really overlaps calls, seen at the market boundary."""
+    """An access's calls really overlap once the market's calls wait."""
 
-    @staticmethod
-    def _fragmented_access_at_a_barrier(max_concurrent_calls: int):
-        """Run the fragmented access with its first two ``market.get``
-        calls waiting on one two-party barrier: they return only if both
-        are in flight at the same time."""
-        payless = _traced_payless(max_concurrent_calls, faulty=False)
+    SQL = "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
+
+    def test_fragmented_access_calls_meet_at_a_barrier(self):
+        """The first two calls of the fragmented access wait for each
+        other before fetching: they go on only if both are in flight at
+        the same time — on the loop, not inline."""
+        payless = _traced_payless("async", faulty=False)
+        _warm_stripes(payless)
+        aio = payless.context.async_transport
+        fetch = aio.fetch
+        met = asyncio.Event()
+        arrivals = itertools.count(1)
+
+        async def meet_then_fetch(request, scope=None):
+            arrival = next(arrivals)
+            if arrival <= 2:
+                if arrival == 2:
+                    met.set()
+                await asyncio.wait_for(met.wait(), timeout=5)
+            return await fetch(request, scope)
+
+        aio.fetch = meet_then_fetch
+        try:
+            assert payless.query(self.SQL).stats.calls >= 2
+        finally:
+            payless.close()
+
+        payless = _traced_payless("inline", faulty=False)
         _warm_stripes(payless)
         market = payless.market
         original = market.get
-        barrier = threading.Barrier(2, timeout=5)
-        arrivals = itertools.count()
+        barrier = threading.Barrier(2, timeout=1)
 
         def meet_then_get(request, **kwargs):
-            if next(arrivals) < 2:
-                barrier.wait()
+            barrier.wait()
             return original(request, **kwargs)
 
         market.get = meet_then_get
-        return payless.query(
-            "SELECT Temperature FROM Weather WHERE Country = 'CountryA'"
-        )
-
-    def test_fragmented_access_calls_meet_at_a_barrier(self):
-        assert self._fragmented_access_at_a_barrier(8).stats.calls >= 2
         with pytest.raises(threading.BrokenBarrierError):
-            self._fragmented_access_at_a_barrier(1)
+            payless.query(self.SQL)
 
-
-class TestConfigValidation:
-    def test_payless_rejects_nonpositive_limit(self):
-        with pytest.raises(PlanningError):
-            PayLess.full(
-                tiny_weather_market(),
-                options=QueryOptions(max_concurrent_calls=0),
-            )
-
-    def test_executor_rejects_nonpositive_limit(self):
-        """The limit is validated where it is written down; the executor
-        takes the context and the call's objective, no copy of a knob."""
-        from repro.core.executor import Executor
-
-        with pytest.raises(PlanningError, match="max_concurrent_calls"):
-            QueryOptions(max_concurrent_calls=0)
-        payless = registered_payless(tiny_weather_market())
-        with pytest.raises(TypeError):
-            Executor(payless.context, max_concurrent_calls=0)
-
-    def test_default_limit_comes_from_context(self):
-        payless = registered_payless(
-            tiny_weather_market(), options=QueryOptions(max_concurrent_calls=3)
+    def test_an_access_keeps_every_call_in_flight(self):
+        """A pooled connection is held across its call's wait, so the
+        connections the seller pool opened are the calls that were in
+        flight together: all of the access's, not a worker count."""
+        payless = _traced_payless(
+            "async",
+            faulty=False,
+            latency=LatencyModel(round_trip_ms=20.0, per_transaction_ms=1.0),
         )
-        from repro.core.executor import Executor
-
-        assert Executor(payless.context).max_concurrent_calls == 3
+        _warm_stripes(payless)
+        pools = payless.context.async_transport.pool_stats
+        assert pools()["whw"]["opened"] == 1  # one call at a time so far
+        try:
+            calls = payless.query(self.SQL).stats.calls
+            assert calls >= 3
+            assert pools()["whw"]["opened"] == calls
+        finally:
+            payless.close()

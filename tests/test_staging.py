@@ -51,10 +51,7 @@ def _run(payless, sql, plan):
     """Execute a hand-built plan: the executor (for its staging) and what
     ``execute`` returned, the answer and its ``QueryStats``."""
     executor = Executor(payless.context)
-    try:
-        relation, stats = executor.execute(payless.compile(sql), plan)
-    finally:
-        executor.close()
+    relation, stats = executor.execute(payless.compile(sql), plan)
     return executor, SimpleNamespace(relation=relation, stats=stats)
 
 

@@ -15,8 +15,8 @@ that must relate in a known way:
 * **faults off vs faults on** — with fault injection at the chaos seeds
   (7, 23, 101) the answers and *spent* money stay identical, and the
   extra waste shows up in the spans that caused it;
-* **one account** — under faults, partial results and a wide fetch pool,
-  on either fetch driver, a query's ``market_call`` spans sum to their
+* **one account** — under faults and partial results, on either fetch
+  driver (inline, or the event loop's pipelined calls), a query's ``market_call`` spans sum to their
   ``table_fetch`` span, its ``table_fetch`` spans to its ``QueryStats``,
   and a session's stats to the ledger's buckets and the market's replay
   count.
@@ -32,6 +32,8 @@ from repro.core.objectives import QueryOptions
 from repro.market.faults import FaultPolicy
 from repro.market.transport import TransportConfig
 from repro.workloads.weather import WeatherConfig
+
+from .fetch_drivers import DRIVERS, drive
 
 SMALL = BenchProfile(
     weather_q=2,
@@ -243,7 +245,7 @@ ACCOUNT = (
 )
 
 
-def _one_account_session(workload, seed, transport_mode):
+def _one_account_session(workload, seed, driver):
     profile = replace(SMALL, instance_seed=seed)
     data = make_workload(workload, profile)
     q = profile.weather_q if workload == "real" else profile.tpch_q
@@ -256,25 +258,22 @@ def _one_account_session(workload, seed, transport_mode):
                 faults=FaultPolicy.uniform(seed=seed, rate=0.3),
                 partial_results=True,
             ),
-            max_concurrent_calls=8,
-            transport_mode=transport_mode,
         ),
         tracing=True,
     )
+    drive(payless.market, driver)
     payless.tracer.keep = len(instances) + 4
     return payless, instances
 
 
 class TestOneAccount:
-    @pytest.mark.parametrize("transport_mode", ["threaded", "async"])
+    @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     @pytest.mark.parametrize("workload", ["real", "tpch"])
     def test_spans_stats_and_ledger_are_one_account(
-        self, workload, seed, transport_mode
+        self, workload, seed, driver
     ):
-        payless, instances = _one_account_session(
-            workload, seed, transport_mode
-        )
+        payless, instances = _one_account_session(workload, seed, driver)
         market = payless.market
         ledger = market.ledger
         before = (
