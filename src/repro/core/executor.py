@@ -1,63 +1,28 @@
 """Plan execution: buy the missing data, then answer locally.
 
-The executor walks the plan tree left-to-right and, for every market leaf,
-re-runs semantic rewriting against the *current* store state (binding
-values are known by now), issues the remainder REST calls, records results
-into the semantic store, and feeds exact region counts back into the
-statistics (Figure 3, steps 5.1-5.4).  The walk joins nothing for its own
-sake: the only thing it needs from a join is the values a bind join binds
-on (§4.1), so a subtree's intermediate is computed only when something
-above reads it — a bind join reads its left side's keys, an adaptive
-checkpoint reads its prefix's cardinality, the plan root reads nothing —
-and then over the join-key columns alone (zero-copy projections of the
-fetched relations).  The final answer is produced the way the paper's
-architecture does it — all required rows are staged into the local DBMS
-and the whole query is evaluated there, once (steps 6-8).  Every staged
-market row passed its table's constraints and residuals at the access
-that staged it, so that evaluation selects on local tables only.
-
-Remainder REST calls within one table access are independent (their boxes
-are disjoint and the market is read-only), so they may overlap.  Each
-call is one sans-IO generator (:meth:`Executor._call_machine`) that holds
-the whole per-call protocol — under concurrent serving, the singleflight
-leader/follower sharing whose money invariant is that no waiter is ever
-served rows the market did not bill — and a driver only answers its
-``fetch`` / ``wait`` effects.  The market's latency model picks the
-driver, once per query: when calls really wait
-(``LatencyModel.realtime_scale > 0``) they are coroutines pipelined on the
-event loop of :mod:`repro.market.aio`, and a static plan's certain
-accesses are prefetched at query start; when nothing can wait, each call
-is driven inline, in request order, on the calling thread.  Responses are
-recorded into the store and statistics serially in remainder order, which
-keeps every downstream state — coverage, histograms, billing totals —
-identical whichever driver ran; only wall-clock changes, reported both
-ways as ``market_time_ms`` (serial sum) and
-``market_time_critical_path_ms`` (simulated makespan of each access's
-calls over the seller pool's ``DEFAULT_POOL_SIZE`` lanes).
-
-What the calls cost is one fold, :meth:`CallAccount.of`, over their
-outcomes — each carries its own call's bill, faults, replays and
-retries: a ``market_call`` span is the fold of one outcome, a
-``table_fetch`` span of its access's, :class:`QueryStats` of the query's.
-
-All calls go through the money-safe transport
-(:mod:`repro.market.transport`): transient faults are retried with
-backoff under at-most-once billing.  When a call still fails, the
-executor degrades gracefully — the semantic store records **only** the
-boxes whose fetches completed (a failed fetch can never poison the
-coverage index into skipping a future purchase), and the query either
-raises :class:`~repro.errors.MarketUnavailableError` or, under the
-transport's ``partial_results`` mode, returns the rows that did arrive
-with the failed regions reported on the result.
+The executor walks the plan tree left-to-right and buys every market leaf
+through :mod:`repro.core.purchase` — rewritten against the *current*
+store (binding values are known by now), remainder calls issued, results
+recorded into the semantic store and fed back into the statistics
+(Figure 3, steps 5.1-5.4).  On a market whose calls wait, a static plan's
+certain accesses are started at query start and the walk finishes them
+when it reaches them; every other access is started when it is reached.
+The walk joins nothing for its own sake: the only thing it needs from a
+join is the values a bind join binds on (§4.1), so a subtree's
+intermediate is computed only when something above reads it — a bind
+join reads its left side's keys, an adaptive checkpoint reads its
+prefix's cardinality, the plan root reads nothing — and then over the
+join-key columns alone (zero-copy projections of the fetched relations).
+The final answer is produced the way the paper's architecture does it —
+all required rows are staged into the local DBMS and the whole query is
+evaluated there, once (steps 6-8).  Every staged market row passed its
+table's constraints and residuals at the access that staged it, so that
+evaluation selects on local tables only.
 """
 
 from __future__ import annotations
 
-import asyncio
-import heapq
-from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 from repro.core.context import PlanningContext
 from repro.core.objectives import PlanObjective
@@ -69,14 +34,8 @@ from repro.core.plans import (
     MaterializedNode,
     PlanNode,
 )
-from repro.errors import (
-    ExecutionError,
-    MarketUnavailableError,
-    TransportError,
-)
-from repro.market.aio import DEFAULT_POOL_SIZE
-from repro.market.rest import RestRequest
-from repro.market.transport import FetchResult
+from repro.core import purchase
+from repro.errors import ExecutionError
 from repro.relational.database import Database
 from repro.relational.engine import DEFAULT_EXECUTION, evaluate
 from repro.relational.expressions import Comparison, ColumnRef, RowLayout, conjunction
@@ -86,163 +45,18 @@ from repro.relational.table import Table
 from repro.stats.overlay import CardinalityOverlay
 
 
-@dataclass(frozen=True)
-class FailedFetch:
-    """One remainder region the transport could not buy."""
-
-    table: str
-    request: RestRequest
-    error: TransportError
-
-    def __repr__(self) -> str:
-        return f"FailedFetch({self.request.url()}: {self.error})"
-
-
-@dataclass(frozen=True)
-class CoveredSkip:
-    """A remainder box found already covered at issue time.
-
-    Only possible under concurrent serving: another session recorded the
-    box between this query's rewrite and its fetch.  Nothing is billed
-    and nothing needs recording — the rows are read from the store like
-    any other cache hit.
-    """
-
-    request: RestRequest
-
-    def __repr__(self) -> str:
-        return f"CoveredSkip({self.request.url()})"
-
-
 @dataclass
-class CallAccount:
-    """What a sequence of remainder calls cost and went through.
-
-    The one fold over call outcomes (:class:`FetchResult`,
-    :class:`FailedFetch`, :class:`CoveredSkip`).  A name it shares with
-    :class:`QueryStats` means the same there, so a span set from
-    :meth:`attrs` and the query's stats agree by construction.
-    """
-
-    #: Billed REST calls (ledger entries) and the records they returned.
-    calls: int = 0
-    records: int = 0
-    #: Everything billed, and the part of it wasted on calls whose data
-    #: never arrived; what was *spent* is the difference.
-    billed_transactions: int = 0
-    billed_price: float = 0.0
-    wasted_transactions: int = 0
-    wasted_price: float = 0.0
-    retries: int = 0
-    faults_injected: int = 0
-    replays: int = 0
-    failed_calls: int = 0
-    coalesced_fetches: int = 0
-    coalesced_savings_transactions: int = 0
-    coalesced_savings_price: float = 0.0
-    covered_skips: int = 0
-
-    @classmethod
-    def of(cls, outcomes) -> "CallAccount":
-        account = cls()
-        for outcome in outcomes:
-            if isinstance(outcome, CoveredSkip):
-                account.covered_skips += 1
-                continue
-            if isinstance(outcome, FailedFetch):
-                bill = outcome.error
-                account.failed_calls += 1
-                account.wasted_transactions += bill.wasted_transactions
-                account.wasted_price += bill.wasted_price
-            else:
-                bill = outcome
-                if outcome.coalesced:
-                    account.coalesced_fetches += 1
-                    account.coalesced_savings_transactions += (
-                        outcome.saved_transactions
-                    )
-                    account.coalesced_savings_price += outcome.saved_price
-            account.calls += bill.billed_calls
-            account.records += bill.billed_records
-            account.billed_transactions += bill.billed_transactions
-            account.billed_price += bill.billed_price
-            account.retries += bill.retries
-            account.faults_injected += bill.faults
-            account.replays += bill.replays
-        return account
-
-    @property
-    def transactions(self) -> int:
-        """Transactions spent: billed minus wasted."""
-        return self.billed_transactions - self.wasted_transactions
-
-    @property
-    def price(self) -> float:
-        return self.billed_price - self.wasted_price
-
-    def attrs(self) -> dict:
-        """The account as span attributes, spent money included."""
-        return {
-            **vars(self),
-            "transactions": self.transactions,
-            "price": self.price,
-        }
-
-
-@dataclass
-class _PrefetchEntry:
-    """One upcoming table access whose remainder calls are already in
-    flight on the event loop (only on a market whose calls wait).
-
-    Created at query start from the chosen plan's non-bind market
-    accesses; consumed by :meth:`Executor._fetch_market` when the
-    plan walk reaches the table.  If the query fails before consuming the
-    entry, the drain path still waits for the calls and records every
-    *paid* box into the store — billed money must always buy durable
-    coverage, never be silently dropped.
-    """
-
-    table: str
-    rewrite: object
-    future: object
-
-
-@dataclass
-class _CallBatch:
-    """What the call machines of one table access share.
-
-    Both drivers run an access's machines on one thread (the caller's, or
-    the event loop's), so nothing here needs a lock.
-    """
-
-    table: str
-    #: The installation's singleflight group and the table's store it
-    #: re-checks coverage in; both None outside concurrent serving.
-    coalescer: object
-    table_store: object
-    tracing: bool
-    #: Singleflights this access led, retired once their rows are recorded.
-    lead_flights: list = field(default_factory=list)
-
-
-@dataclass
-class QueryStats:
+class QueryStats(purchase.CallAccount):
     """Everything one query cost and went through, in one structure.
 
-    Read it as ``result.stats``.  :meth:`Executor.execute` creates it
-    with the account of the execution (its calls' :class:`CallAccount`),
-    the facade adds the planner's three counts to the same object, and
-    every other account (running totals, the WAL, sessions) reads it from
-    there.
+    Read it as ``result.stats``.  It is the account of the query's calls —
+    :class:`~repro.core.purchase.CallAccount`, whose ``transactions`` and
+    ``price`` are the money *spent* (billed minus wasted) — folded once by
+    :meth:`Executor.execute` with the walk's own counts below; the facade
+    adds the planner's three counts to the same object, and every other
+    account (running totals, the WAL, sessions) reads it from there.
     """
 
-    #: Market transactions billed (and *spent* — wasted charges are
-    #: reported separately below).
-    transactions: int = 0
-    price: float = 0.0
-    #: Billed REST calls.
-    calls: int = 0
-    records: int = 0
     #: Candidate (sub)plans the optimizer evaluated (Figure 14).
     evaluated_plans: int = 0
     #: Bounding boxes Algorithm 1 generated / kept after pruning (Fig 15).
@@ -255,65 +69,23 @@ class QueryStats:
     #: seller pool's ``DEFAULT_POOL_SIZE`` lanes, whichever driver ran
     #: them; equals ``market_time_ms`` when every access makes one call.
     market_time_critical_path_ms: float = 0.0
-    #: Money-safe transport accounting (see repro.market.transport).
-    retries: int = 0
-    faults_injected: int = 0
-    #: Responses served from the market's idempotency cache for free.
-    replays: int = 0
-    #: Charges billed for calls whose data never arrived (also tracked
-    #: market-wide in ``ledger.wasted_on_failures``).
-    wasted_transactions: int = 0
-    wasted_price: float = 0.0
     #: Regions that could not be bought (non-empty only under
     #: ``partial_results``; otherwise the query raises instead).
-    failed_fetches: tuple[FailedFetch, ...] = ()
-    #: Singleflight coalescing under concurrent serving (see
-    #: :mod:`repro.serve`): fetches answered by joining another session's
-    #: in-flight call, the bill those avoided, and remainder boxes found
-    #: already covered at issue time.  All zero outside a scheduler.
-    coalesced_fetches: int = 0
-    coalesced_savings_transactions: int = 0
-    coalesced_savings_price: float = 0.0
-    covered_skips: int = 0
+    failed_fetches: tuple[purchase.FailedFetch, ...] = ()
     #: Adaptive re-optimization (``QueryOptions(adaptive=...)``): mid-query
     #: re-plans attempted, and the planner's estimate of the dollars the
     #: adopted suffix plans saved versus staying the course.  Zero when
     #: adaptive mode is off (the default) or never tripped.
     replans: int = 0
     replan_dollars_saved_est: float = 0.0
-    #: Table accesses answered by a cross-access prefetch scheduled at
-    #: query start (only on a market whose calls wait, without a policy).
+    #: Table accesses whose calls were started at query start (only on a
+    #: market whose calls wait, without a policy).
     prefetch_hits: int = 0
-
-    @property
-    def fetched_records(self) -> int:
-        return self.records
-
-    @property
-    def failed_calls(self) -> int:
-        return len(self.failed_fetches)
 
     @property
     def complete(self) -> bool:
         """Whether every region the plan needed was actually bought."""
         return not self.failed_fetches
-
-
-def _makespan(durations_ms: Sequence[float], workers: int) -> float:
-    """List-scheduling makespan of ``durations_ms`` over ``workers`` lanes.
-
-    In-order greedy assignment, as a pool hands out its connections; with
-    one lane it degenerates to the serial sum.
-    """
-    if not durations_ms:
-        return 0.0
-    lanes = min(workers, len(durations_ms))
-    if lanes <= 1:
-        return float(sum(durations_ms))
-    heap = [0.0] * lanes
-    for duration in durations_ms:
-        heapq.heapreplace(heap, heap[0] + duration)
-    return max(heap)
 
 
 class _Fetched:
@@ -408,7 +180,6 @@ class Executor:
         #: Mid-query re-optimization policy (None = no checkpoints).
         self.adaptive = context.options.adaptive
         self.objective = objective
-        self._prefetched: dict[str, _PrefetchEntry] = {}
 
     def execute(
         self, query: LogicalQuery, plan: PlanNode
@@ -441,43 +212,32 @@ class Executor:
         #: Per market table, the distinct rows this query's accesses
         #: returned, kept columnar (see :meth:`_stage`).
         self._staged: dict[str, Relation] = {}
-        self._critical_path_ms = 0.0
-        self._serial_ms = 0.0
-        self._scope = self.context.transport.new_scope()
-        #: The outcomes of every call the executed accesses made: the
-        #: query's account is their fold.
-        self._outcomes: list = []
+        self._purchases = purchase.Purchases(
+            self.context, self.context.transport.new_scope()
+        )
+        #: Accesses started at query start, by table, until the walk
+        #: reaches them.
+        self._early: dict[str, purchase.StartedAccess] = {}
         self._replans = 0
         self._replan_saved = 0.0
         self._prefetch_hits = 0
-        self._prefetched = {}
-        #: The fetch driver, chosen by the market's latency model as the
-        #: query starts: calls that really wait are pipelined on the event
-        #: loop (:mod:`repro.market.aio`); calls that cannot wait are
-        #: driven inline (``None``), with no thread and no loop hop.
-        self._aio = (
-            self.context.async_transport
-            if self.context.market.latency.realtime_scale > 0
-            else None
-        )
         try:
-            # Prefetch only what is worth overlapping, and only for a
+            # Start early only what is worth overlapping, and only for a
             # *static* plan: an adaptive executor may re-plan the suffix,
-            # and prefetch must never buy for a plan that might be
-            # abandoned (wasted dollars must stay provably zero).
-            if self._aio is not None and self.adaptive is None:
-                self._schedule_prefetch(plan)
+            # and nothing may be bought for a plan that might be abandoned
+            # (wasted dollars must stay provably zero).
+            if self._purchases.aio is not None and self.adaptive is None:
+                self._start_early(plan)
             # Nothing reads the root's intermediate: the engine evaluates
             # the query over the staged tables below.
             self._fetch(plan, read=False)
         finally:
-            # Any prefetched access the plan walk did not consume (an
-            # earlier access failed the query) is drained here: wait for
-            # the in-flight calls and record every paid box into the
-            # store, so billed money always buys coverage.  A normally
-            # completed static plan consumes every entry — this is then a
-            # no-op, which is what keeps prefetch_wasted_dollars at zero.
-            self._drain_prefetch()
+            # An access started early that the walk never reached (an
+            # earlier access failed the query) is bought here all the same,
+            # so billed money always buys coverage.  A completed static
+            # plan reaches every one — this is then a no-op, which is what
+            # keeps prefetch_wasted_dollars at zero.
+            self._purchases.drain(self._early.values())
 
         staging = self._build_staging(query)
         tracer = self.context.tracer
@@ -500,31 +260,17 @@ class Executor:
                     ),
                 )
 
-        outcomes = self._outcomes
-        account = CallAccount.of(outcomes)
-        return relation, QueryStats(
-            transactions=account.transactions,
-            price=account.price,
-            calls=account.calls,
-            records=account.records,
-            market_time_ms=self._serial_ms,
-            market_time_critical_path_ms=self._critical_path_ms,
-            retries=account.retries,
-            faults_injected=account.faults_injected,
-            replays=account.replays,
-            wasted_transactions=account.wasted_transactions,
-            wasted_price=account.wasted_price,
+        purchases = self._purchases
+        outcomes = purchases.outcomes
+        return relation, QueryStats.of(
+            outcomes,
+            market_time_ms=purchases.serial_ms,
+            market_time_critical_path_ms=purchases.critical_path_ms,
             # A failed call reaches this point only under partial results;
             # otherwise its access raised.
             failed_fetches=tuple(
-                o for o in outcomes if isinstance(o, FailedFetch)
+                o for o in outcomes if isinstance(o, purchase.FailedFetch)
             ),
-            coalesced_fetches=account.coalesced_fetches,
-            coalesced_savings_transactions=(
-                account.coalesced_savings_transactions
-            ),
-            coalesced_savings_price=account.coalesced_savings_price,
-            covered_skips=account.covered_skips,
             replans=self._replans,
             replan_dollars_saved_est=self._replan_saved,
             prefetch_hits=self._prefetch_hits,
@@ -615,105 +361,30 @@ class Executor:
         refs = self._join_columns.get(table.lower(), ())
         return _Fetched([self._ops.project(relation, refs)], self._ops)
 
-    # ----------------------------------------------- cross-access prefetch
-
-    def _prefetchable_tables(self, node: PlanNode, tables: list[str]) -> None:
-        """Collect, in execution order, the plan's *certain* market buys.
+    def _start_early(self, node: PlanNode) -> None:
+        """Start, in execution order, the plan's *certain* market buys.
 
         Mirrors :meth:`_fetch`'s walk exactly: a non-bind
         :class:`MarketAccessNode` will be fetched with the query's static
         constraints no matter what earlier accesses return, so buying it
-        early can never waste a dollar.  Bind-join right sides depend on
-        runtime binding values, and LocalBlock market tables are covered
-        reads — neither is prefetchable.
+        early can never waste a dollar, and its calls overlap earlier
+        accesses and local join evaluation instead of serializing behind
+        them.  Bind-join right sides depend on runtime binding values, and
+        LocalBlock market tables are covered reads — neither starts early.
         """
         if isinstance(node, MarketAccessNode):
-            tables.append(node.table)
-            return
-        if isinstance(node, JoinNode):
-            self._prefetchable_tables(node.left, tables)
+            key = node.table.lower()
+            # The same table twice in one plan (a Theorem-3 shape): only
+            # the first access starts early; the second rewrites against
+            # the then-current store like any other.
+            if key not in self._early:
+                self._early[key] = self._purchases.start(
+                    node.table, self._query.constraints_for(node.table)
+                )
+        elif isinstance(node, JoinNode):
+            self._start_early(node.left)
             if not (node.bind and isinstance(node.right, MarketAccessNode)):
-                self._prefetchable_tables(node.right, tables)
-
-    def _schedule_prefetch(self, plan: PlanNode) -> None:
-        """Rewrite every certain upcoming access *now* and put its
-        remainder calls in flight on the event loop, so market latency
-        overlaps earlier accesses and local join evaluation instead of
-        serializing behind them."""
-        tables: list[str] = []
-        self._prefetchable_tables(plan, tables)
-        for table in tables:
-            key = table.lower()
-            if key in self._prefetched:
-                # The same table twice in one plan (a Theorem-3 shape):
-                # only the first access is prefetched; the second re-
-                # rewrites against the then-current store like any other.
-                continue
-            rewrite = self._rewrite_access(
-                table, list(self._query.constraints_for(table))
-            )
-            self._prefetched[key] = _PrefetchEntry(
-                table=table,
-                rewrite=rewrite,
-                future=self._submit_async_calls(
-                    self.context.dataset_of(table), table, rewrite.remainder
-                ),
-            )
-
-    def _rewrite_access(self, table: str, constraints: list):
-        """Decide what one table access buys.
-
-        Rewrites under the table lock: the rewrite decides what money to
-        spend, so it must reflect the store *now*, and under concurrent
-        serving other sessions record into this table at any moment.
-        Holding the lock pins the epoch across rewrite + check, so the
-        staleness guard can only trip if a stale-caching bug is
-        reintroduced somewhere upstream (the rewriter memo keys on the
-        epoch).
-        """
-        table_store = self.context.store.table(table)
-        with table_store.lock:
-            rewrite = self.context.rewriter.rewrite(
-                table, constraints, self.context.pricing(table)
-            )
-            if rewrite.store_epoch != table_store.epoch:
-                raise ExecutionError(
-                    f"stale rewrite for {table!r}: computed at store "
-                    f"epoch {rewrite.store_epoch}, executing at "
-                    f"{table_store.epoch}"
-                )
-        return rewrite
-
-    def _drain_prefetch(self) -> None:
-        """Settle prefetch entries the plan walk never consumed.
-
-        Never cancels after billing: every completed purchase is recorded
-        into the store (and the durability log) under the table lock, and
-        every led singleflight is released so no waiter hangs on a query
-        that died.  The dollars spent on unconsumed entries are added to
-        ``context.prefetch_wasted_price`` — zero for every successfully
-        completed query, which the test suite asserts.
-        """
-        if not self._prefetched:
-            return
-        entries = list(self._prefetched.values())
-        self._prefetched = {}
-        for entry in entries:
-            try:
-                results, lead_flights = entry.future.result()
-            except BaseException:
-                # The batch died before producing outcomes (a market
-                # rejection or simulated crash escaped a coroutine);
-                # nothing completed that we could record.
-                continue
-            outcomes = [outcome for outcome, _ in results]
-            with self.context.store.table(entry.table).lock:
-                self._record_outcomes(
-                    entry.table, entry.rewrite.remainder, outcomes, lead_flights
-                )
-            spent = CallAccount.of(outcomes).price
-            if spent:
-                self.context.add_prefetch_waste(spent)
+                self._start_early(node.right)
 
     # --------------------------------------------- adaptive re-optimization
 
@@ -912,66 +583,21 @@ class Executor:
         extra_constraints: tuple[AttributeConstraint, ...],
         source: str = "access",
     ) -> Relation:
-        """Rewrite, buy the remainder, record feedback, return region rows."""
-        constraints = list(self._query.constraints_for(table)) + list(
-            extra_constraints
-        )
-        store = self.context.store
-        table_store = store.table(table)
+        """Buy one access (or finish the one started early), filter what
+        no box expresses, and stage the rows."""
+        constraints = [*self._query.constraints_for(table), *extra_constraints]
+        table_store = self.context.store.table(table)
         with self.context.tracer.span(
             "table_fetch", table=table, source=source
         ) as span:
-            entry = None
-            if source == "access" and not extra_constraints and self._prefetched:
-                entry = self._prefetched.pop(table.lower(), None)
-            if entry is not None:
-                # The access was rewritten at query start and its remainder
-                # calls have been in flight while earlier accesses (and
-                # their joins) executed.  Everything below the issue step
-                # is identical.
-                rewrite = entry.rewrite
-                outcomes, lead_flights = self._settle_calls(
-                    entry.future.result(), span
-                )
-                self._prefetch_hits += 1
-            else:
-                rewrite = self._rewrite_access(table, constraints)
-                outcomes, lead_flights = self._issue_market_calls(
-                    self.context.dataset_of(table),
-                    table,
-                    rewrite.remainder,
-                    span,
-                )
-            # The whole section holds the table lock: recording, retiring
-            # led flights, and assembling the result rows are one atomic
-            # switch-over from any other session's view.
-            with table_store.lock:
-                failed, purchased_rows = self._record_outcomes(
-                    table, rewrite.remainder, outcomes, lead_flights
-                )
-                columns, row_count = store.columns_in_boxes(
-                    table, rewrite.request_boxes
-                )
-            if span is not None:
-                span.set(
-                    **CallAccount.of(outcomes).attrs(),
-                    purchased_rows=purchased_rows,
-                    cache_served_rows=max(0, row_count - purchased_rows),
-                    estimated_transactions=rewrite.estimated_transactions,
-                    fully_covered=rewrite.fully_covered,
-                )
-            if failed and not self.context.transport.config.partial_results:
-                raise MarketUnavailableError(
-                    f"{len(failed)} of {len(outcomes)} market calls for "
-                    f"{table!r} failed: "
-                    + "; ".join(str(f.error) for f in failed[:3]),
-                    failed=tuple(failed),
-                )
-            relation = Relation.from_columns(
-                RowLayout.for_table(table, self.context.schema_of(table).names),
-                columns,
-                row_count,
+            access = (
+                self._early.pop(table.lower(), None) if source == "access" else None
             )
+            if access is None:
+                access = self._purchases.start(table, constraints)
+            else:
+                self._prefetch_hits += 1
+            relation = self._purchases.finish(access, span)
             # The request boxes *are* the constraints on the table's
             # dimensions, so the store applied those exactly; filter what
             # no box expresses.
@@ -1017,319 +643,6 @@ class Executor:
             relation.columns_data,
             len(relation),
         )
-
-    def _record_outcomes(
-        self, table: str, remainders, outcomes, lead_flights
-    ) -> tuple[list[FailedFetch], int]:
-        """Record one access's completed purchases, then retire the
-        singleflights it led.  The caller holds the table lock.
-
-        Records serially in remainder order: store coverage, histogram
-        feedback, and billing totals end up identical to serial fetch.
-        Only *completed* fetches are recorded — a failed box must never
-        enter the coverage index, or a future query would silently skip
-        buying data it does not have (the store-poisoning hazard).
-        Coalesced results record too (store dedup and the identical
-        histogram observation make it idempotent against the leader's
-        own record) — a waiter must never read the store before its
-        shared rows are in it.  Returns the failed fetches and the
-        purchased row count.
-        """
-        store = self.context.store
-        histogram = self.context.catalog.statistics(table).histogram
-        coalescer = self.context.coalescer
-        durability = self.context.durability
-        failed: list[FailedFetch] = []
-        purchased_rows = 0
-        purchases_logged = False
-        for remainder, outcome in zip(remainders, outcomes):
-            if isinstance(outcome, FailedFetch):
-                failed.append(outcome)
-                continue
-            if isinstance(outcome, CoveredSkip):
-                continue
-            response = outcome.response
-            purchased_rows += response.record_count
-            store.record(table, remainder.box, response.rows)
-            histogram.observe(remainder.box, response.record_count)
-            if durability is not None:
-                durability.log_purchase(
-                    table=table,
-                    box=remainder.box,
-                    rows=response.rows,
-                    count=response.record_count,
-                    stored_at=store.clock,
-                    url=response.request.url(),
-                    key=outcome.idempotency_key,
-                    transactions=outcome.billed_transactions,
-                    price=outcome.billed_price,
-                    coalesced=outcome.coalesced,
-                    saved_transactions=outcome.saved_transactions,
-                    saved_price=outcome.saved_price,
-                )
-                purchases_logged = True
-        if purchases_logged:
-            # Group commit inside the record→release window: once any
-            # other session can see these rows (or a waiter is
-            # released), the purchases that produced them are durable.
-            # Fully-covered accesses skip it — they appended nothing,
-            # and bookkeeping records ride the next money commit.
-            durability.commit()
-        if coalescer is not None:
-            for flight in lead_flights:
-                coalescer.release(flight)
-        return failed, purchased_rows
-
-    def _issue_market_calls(
-        self, dataset, table, remainders, parent_span=None
-    ) -> tuple[list, list]:
-        """Issue the remainder GETs through the query's driver.
-
-        Remainder boxes are disjoint and the market is read-only, so the
-        calls commute; outcomes come back in request order either way.
-        Each element of the returned outcome list is a
-        :class:`~repro.market.transport.FetchResult`, a
-        :class:`FailedFetch`, or a :class:`CoveredSkip` — per-call
-        failures are captured rather than raised so sibling successes can
-        still be recorded (the money was spent; keeping the data saves a
-        future re-purchase).  The second return value is the singleflight
-        flights this access *led*; the caller retires them under the
-        table lock once their rows are recorded.
-
-        Every call is one :meth:`_call_machine`.  On a market whose calls
-        wait, :meth:`_submit_async_calls` pipelines them on the event loop;
-        otherwise nothing can block, so each machine is driven here to
-        completion, in request order, on the calling thread — the way
-        :meth:`MarketTransport._drive` answers the fetch machine.  (A
-        follower's ``wait`` can only block under concurrent serving, on a
-        leader another thread is driving.)
-        """
-        if self._aio is not None:
-            return self._settle_calls(
-                self._submit_async_calls(dataset, table, remainders).result(),
-                parent_span,
-            )
-        batch, requests = self._call_batch(dataset, table, remainders)
-        transport = self.context.transport
-        scope = self._scope
-        results = []
-        for remainder, request in zip(remainders, requests):
-            machine = self._call_machine(batch, remainder.box, request)
-            try:
-                effect = machine.send(None)
-                while True:
-                    kind, subject = effect
-                    try:
-                        if kind == "fetch":
-                            answer = transport.fetch(subject, scope)
-                        else:
-                            answer = subject.wait()
-                    except BaseException as error:
-                        effect = machine.throw(error)
-                    else:
-                        effect = machine.send(answer)
-            except StopIteration as stop:
-                results.append(stop.value)
-        return self._settle_calls((results, batch.lead_flights), parent_span)
-
-    def _submit_async_calls(self, dataset, table, remainders):
-        """Pipeline one access's remainder GETs onto the event loop.
-
-        The driver of :meth:`_call_machine` on a market whose calls wait:
-        every remainder call is a coroutine that awaits the shared fetch
-        machine against the per-seller connection pool (the pool's
-        semaphore is the only in-flight cap) and parks a follower's wait on
-        the default executor so the loop keeps running.  Returns a
-        ``concurrent.futures.Future`` resolving to ``(results,
-        lead_flights)`` where results are ``(outcome, detached_span)``
-        pairs in request order — the caller (either the consuming table
-        access or the failure drain) blocks on it when it actually needs
-        the data.
-        """
-        batch, requests = self._call_batch(dataset, table, remainders)
-        if not requests:
-            # A fully covered access has nothing to await: answer without
-            # starting the loop thread or hopping onto it.
-            settled: Future = Future()
-            settled.set_result(([], batch.lead_flights))
-            return settled
-        aio = self._aio
-        scope = self._scope
-
-        async def drive(remainder, request: RestRequest):
-            loop = asyncio.get_running_loop()
-            machine = self._call_machine(batch, remainder.box, request)
-            try:
-                effect = machine.send(None)
-                while True:
-                    kind, subject = effect
-                    try:
-                        if kind == "fetch":
-                            answer = await aio.fetch(subject, scope)
-                        else:
-                            answer = await loop.run_in_executor(
-                                None, subject.wait
-                            )
-                    except BaseException as error:
-                        effect = machine.throw(error)
-                    else:
-                        effect = machine.send(answer)
-            except StopIteration as stop:
-                return stop.value
-
-        async def drive_all():
-            results = await asyncio.gather(*map(drive, remainders, requests))
-            return list(results), batch.lead_flights
-
-        return aio.submit(drive_all())
-
-    def _call_batch(self, dataset, table, remainders):
-        """The requests of one table access and the state their call
-        machines share."""
-        requests = [
-            RestRequest(dataset, table, remainder.constraints)
-            for remainder in remainders
-        ]
-        coalescer = self.context.coalescer
-        batch = _CallBatch(
-            table=table,
-            coalescer=coalescer,
-            table_store=(
-                self.context.store.table(table) if coalescer is not None else None
-            ),
-            tracing=self.context.tracer.enabled,
-        )
-        return batch, requests
-
-    def _settle_calls(self, drained, parent_span) -> tuple[list, list]:
-        """Account for one access's drained calls, whichever driver ran
-        them: the outcomes join the query's, detached call spans are
-        adopted into the access's ``table_fetch`` span in request order
-        (a call machine only ever touches its own private span — see
-        :mod:`repro.obs.trace` — so per-fetch timing and attempt counts are
-        recorded identically regardless of scheduling), and the calls'
-        simulated durations are charged: their sum to the serial total,
-        their makespan over the seller pool's lanes to the critical path —
-        one rule, whichever driver ran them."""
-        results, lead_flights = drained
-        outcomes = [outcome for outcome, _ in results]
-        self._outcomes.extend(outcomes)
-        if parent_span is not None:
-            for _, call_span in results:
-                if call_span is not None:
-                    parent_span.adopt(call_span)
-        durations = [
-            outcome.error.elapsed_ms
-            if isinstance(outcome, FailedFetch)
-            else 0.0
-            if isinstance(outcome, CoveredSkip)
-            else outcome.elapsed_ms
-            for outcome in outcomes
-        ]
-        self._serial_ms += sum(durations)
-        self._critical_path_ms += _makespan(durations, DEFAULT_POOL_SIZE)
-        return outcomes, lead_flights
-
-    def _call_machine(self, batch: _CallBatch, box, request: RestRequest):
-        """One remainder call as a sans-IO generator; the drivers only wait.
-
-        Yields ``("fetch", request)`` — the driver performs the transport
-        fetch and sends back its :class:`FetchResult`, or throws in what it
-        raised — and ``("wait", flight)`` — the driver blocks until the
-        flight's leader completed or aborted, then sends anything.  Returns
-        ``(outcome, detached market_call span or None)``.  No lock is held
-        at a ``yield``.
-        """
-        call_span = (
-            self.context.tracer.detached_span("market_call", url=request.url())
-            if batch.tracing
-            else None
-        )
-        try:
-            if batch.coalescer is None:
-                outcome = yield ("fetch", request)
-            else:
-                outcome = yield from self._shared_fetch(batch, box, request)
-        except TransportError as error:
-            outcome = FailedFetch(table=batch.table, request=request, error=error)
-        if call_span is not None:
-            self._finish_call_span(call_span, outcome)
-        return outcome, call_span
-
-    def _shared_fetch(self, batch: _CallBatch, box, request: RestRequest):
-        """The call machine's fetch through the singleflight layer.
-
-        The loop re-establishes, on every iteration, the serving
-        invariant: under the table lock, either the box is covered (free),
-        or a flight exists to join (free), or we lead a new flight (we
-        pay).  A failed leader's waiters come back through here — the
-        flight was deregistered before they woke, so one of them leads a
-        fresh attempt with its own transport retry budget; each query
-        fails at most once as leader per key, so the loop terminates.
-        """
-        coalescer = batch.coalescer
-        table_store = batch.table_store
-        ledger = self.context.market.ledger
-        store = self.context.store
-        key = request.url()
-        while True:
-            with table_store.lock:
-                if table_store.is_covered(box, store.policy, store.clock):
-                    return CoveredSkip(request=request)
-                flight, leader = coalescer.begin(key)
-            if leader:
-                try:
-                    result = yield ("fetch", request)
-                except BaseException as error:
-                    # Deregister BEFORE waiters wake: no waiter may ever be
-                    # served rows from a fetch the market did not bill.
-                    coalescer.abort(flight, error)
-                    raise
-                coalescer.complete(flight, result)
-                batch.lead_flights.append(flight)
-                return result
-            yield ("wait", flight)
-            if flight.failed:
-                continue
-            shared = flight.result
-            response = shared.response
-            ledger.credit_coalesced_savings(response.transactions, response.price)
-            return FetchResult(
-                response=response,
-                attempts=1,
-                elapsed_ms=shared.elapsed_ms,
-                coalesced=True,
-                saved_transactions=response.transactions,
-                saved_price=response.price,
-            )
-
-    def _finish_call_span(self, span, outcome) -> None:
-        """Stamp one detached ``market_call`` span: the account of its one
-        outcome, plus what only a single call has."""
-        span.set(**CallAccount.of((outcome,)).attrs())
-        if isinstance(outcome, FailedFetch):
-            error = outcome.error
-            span.set(
-                failed=True,
-                error=str(error),
-                attempts=error.attempts,
-                replayed=False,
-                rows=0,
-                elapsed_ms=error.elapsed_ms,
-            )
-        elif isinstance(outcome, CoveredSkip):
-            span.set(
-                failed=False, attempts=0, replayed=False, rows=0, elapsed_ms=0.0
-            )
-        else:
-            span.set(
-                failed=False,
-                attempts=outcome.attempts,
-                replayed=outcome.replayed,
-                rows=outcome.response.record_count,
-                elapsed_ms=outcome.elapsed_ms,
-            )
-        span.finish(self.context.tracer.clock())
 
     def _empty_relation(self, table: str) -> Relation:
         relation = Relation(

@@ -5,7 +5,7 @@ dominated by the RESTful calls to the data seller" (Section 5).  On a
 market whose calls really wait (``LatencyModel.realtime_scale > 0``) the
 executor pipelines every call through this module; on an instant market
 nothing can wait, so it drives the same machines inline instead
-(:meth:`~repro.core.executor.Executor._issue_market_calls`).  This module
+(:meth:`~repro.core.purchase.Purchases.start`).  This module
 keeps the *money* machinery —
 :meth:`~repro.market.transport.MarketTransport._fetch_machine` holds every
 retry/billing/durability decision — and supplies the IO driver:
@@ -27,8 +27,8 @@ Money-safety is inherited, not re-implemented: both drivers run the
 same sans-IO fetch machine, so idempotency keys, fault draws, retries,
 backoff accounting, waste marking and durable-intent resolution are
 identical by construction.  One level up it is the same arrangement: the
-executor's per-call protocol (singleflight sharing, failure capture) is
-one generator, :meth:`~repro.core.executor.Executor._call_machine`, whose
+buyer's per-call protocol (singleflight sharing, failure capture) is
+one generator, :meth:`~repro.core.purchase.Purchases._call_machine`, whose
 ``fetch`` effect :meth:`AsyncMarketTransport.fetch` answers and whose
 ``wait`` effect the loop's default executor answers.  What a call cost
 comes back on its outcome, so coroutines interleaving on the loop thread

@@ -68,9 +68,9 @@ class ChargeTotals:
 class BillingLedger:
     """Append-only record of billed calls with per-dataset aggregation.
 
-    ``record`` and ``mark_wasted`` are thread-safe: the executor dispatches
-    independent remainder calls concurrently (see ``core.executor``), and
-    every one of them bills through this single ledger.
+    ``record`` and ``mark_wasted`` are thread-safe: concurrent serving
+    sessions, and the event loop their calls run on, all bill through
+    this single ledger.
     """
 
     def __init__(self) -> None:

@@ -9,7 +9,8 @@ exactly those failure modes into the transport layer
 
 * every decision is a pure function of ``(seed, call key, attempt)`` via a
   keyed hash, so a chaos run replays bit-identically from the same seed —
-  regardless of thread scheduling under the executor's parallel fetch;
+  however an access's calls interleave on the event loop, and whichever
+  serving session issues them;
 * ``max_consecutive_faults`` caps how many attempts in a row one call can
   fail, so a transport configured with at least that many retries is
   *guaranteed* to succeed eventually — which is what lets the chaos suite

@@ -182,8 +182,8 @@ class QueryScope:
 
     The executor opens one scope per query and passes it to every fetch;
     what each call cost and went through comes back on its own outcome
-    (:class:`FetchResult`, or the raised error).  Thread-safe — parallel
-    remainder calls share one scope.
+    (:class:`FetchResult`, or the raised error).  Thread-safe, so a scope
+    may be shared by whichever threads issue a query's calls.
     """
 
     def __init__(self, retry_budget: int | None):
@@ -297,10 +297,11 @@ class MarketTransport:
         #: half-open advance the clock explicitly via :meth:`advance_clock`.
         self._clock_ms = 0.0
         self._clock_lock = threading.Lock()
-        #: Per-URL logical-call sequence numbers.  Keys derived from them
-        #: are deterministic per logical call regardless of thread
-        #: scheduling (remainder URLs within one parallel batch are
-        #: distinct), which is what makes chaos runs replayable.
+        #: Per-URL logical-call sequence numbers, shared by every session
+        #: of the installation.  Keys derived from them are deterministic
+        #: per logical call however one access's calls interleave
+        #: (remainder URLs within one access are distinct), which is what
+        #: makes chaos runs replayable.
         self._url_sequence: dict[str, int] = {}
         self._sequence_lock = threading.Lock()
         self._transport_id = next(_TRANSPORT_IDS)

@@ -24,21 +24,20 @@ span kind            what it covers / key attributes
 ``local_eval``       the final local evaluation; ``output_rows``
 ===================  ==========================================================
 
-An *account* is the executor's :class:`~repro.core.executor.CallAccount`
-of the calls under the span: ``calls``, ``records``, ``transactions`` /
+An *account* is the :class:`~repro.core.purchase.CallAccount` of the
+calls under the span: ``calls``, ``records``, ``transactions`` /
 ``price`` (spent), ``billed_*``, ``wasted_*``, ``retries``,
 ``faults_injected``, ``replays``, ``failed_calls``, ``coalesced_fetches``,
 ``coalesced_savings_*`` and ``covered_skips`` — so the call spans of a
 fetch sum to it, and a query's fetch spans to its ``QueryStats``.
 
-Thread-safety contract: spans are opened and closed on the tracer's owning
+Thread-safety contract: spans are opened and closed on the querying
 thread through :meth:`Tracer.span`/:meth:`Tracer.event`, which maintain a
-*thread-local* span stack.  Worker threads (the executor's parallel fetch
-pool) must never touch that stack; they create **detached** spans via
-:meth:`Tracer.detached_span` — plain local objects, no shared state — and
-the coordinating thread adopts them in a deterministic order once the pool
-has drained (:meth:`Span.adopt`).  That construction makes concurrent
-recording race-free: nothing concurrent ever mutates a shared span list.
+*thread-local* span stack.  A remainder call, which may run on the event
+loop, never touches that stack: it times itself into a :class:`Span` of
+its own, and the querying thread adopts the finished call spans in
+request order (:meth:`Span.adopt`).  Nothing concurrent ever mutates a
+shared span list.
 
 Overhead contract: a disabled tracer must cost one attribute check on the
 hot paths.  What runs per candidate or per row guards with the idiom::
@@ -330,17 +329,6 @@ class Tracer:
     def current_span(self) -> Span | None:
         stack = self._stack
         return stack[-1] if stack else None
-
-    def detached_span(self, kind: str, **attrs: Any) -> Span:
-        """A span NOT attached to the thread-local stack.
-
-        This is the only tracer API worker threads may call: it touches no
-        shared state, so concurrent fetches can each time themselves into
-        a private span.  The coordinating thread adopts the finished spans
-        in request order afterwards (``parent.adopt(span)``), which keeps
-        trace structure deterministic regardless of thread scheduling.
-        """
-        return Span(kind, self.clock(), attrs)
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

@@ -1,6 +1,6 @@
 """One remainder call is one sans-IO machine; the two drivers only wait.
 
-``Executor._call_machine`` holds the whole per-call protocol — coverage
+``Purchases._call_machine`` holds the whole per-call protocol — coverage
 re-check, singleflight leader/follower, failure capture — as a generator
 that yields ``("fetch", request)`` and ``("wait", flight)``.  The first
 half drives it by hand, with no thread and no event loop, through the
@@ -17,11 +17,11 @@ import dataclasses
 
 import pytest
 
-from repro.core.executor import (
+from repro.core.purchase import (
     CallAccount,
     CoveredSkip,
-    Executor,
     FailedFetch,
+    Purchases,
     _CallBatch,
 )
 from repro.core.objectives import QueryOptions
@@ -62,14 +62,13 @@ class _Call:
     """One hand-driven call machine of one (fake) session."""
 
     def __init__(self, payless, coalescer, table_store, request):
-        self.executor = Executor(payless.context)
-        self.batch = _CallBatch(
-            table="Weather",
-            coalescer=coalescer,
-            table_store=table_store,
-            tracing=False,
+        self.purchases = Purchases(
+            payless.context, payless.context.transport.new_scope()
         )
-        self.machine = self.executor._call_machine(self.batch, None, request)
+        self.batch = _CallBatch(
+            table="Weather", coalescer=coalescer, table_store=table_store
+        )
+        self.machine = self.purchases._call_machine(self.batch, None, request)
         self.finished = None
 
     def step(self, send=None, throw=None):
@@ -210,7 +209,7 @@ WINDOW_SQL = (
 def settled(monkeypatch):
     """A summary of every access's outcome list, as it is settled."""
     seen = []
-    settle = Executor._settle_calls
+    settle = Purchases._settle
 
     def recording(self, drained, parent_span):
         outcomes, lead_flights = settle(self, drained, parent_span)
@@ -229,7 +228,7 @@ def settled(monkeypatch):
         )
         return outcomes, lead_flights
 
-    monkeypatch.setattr(Executor, "_settle_calls", recording)
+    monkeypatch.setattr(Purchases, "_settle", recording)
     return seen
 
 

@@ -46,7 +46,11 @@ And the second fetch driver: the executor's thread pool
 (``Executor._call_pool`` / ``close``), ``QueryOptions.transport_mode`` /
 ``max_concurrent_calls``, ``session --transport`` and
 ``QueryStats.transport_mode`` — the market's latency model picks the
-driver.
+driver.  And the second way to buy an access: the executor's prefetch
+entries and their own record loop, and ``QueryStats``' copy of its
+call account (``QueryStats`` *is* a ``CallAccount``, and
+``fetched_records`` is ``records``) — one table access is bought by
+``repro.core.purchase``, started early or when the walk reaches it.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def test_the_metrics_registry_is_gone():
             assert name not in module.__all__
     for taker in FORMER_METRICS_TAKERS:
         assert "metrics" not in inspect.signature(taker).parameters, taker
-    for module in ("optimizer.py", "executor.py"):
+    for module in ("optimizer.py", "executor.py", "purchase.py"):
         assert "perf_counter" not in (SRC / "core" / module).read_text()
 
 
@@ -381,6 +385,13 @@ def test_the_latency_model_is_the_one_driver_switch(capsys):
         main(["session", "--transport", "async", "--instances", "1"])
     assert exit_info.value.code == 2
     assert "--transport" in capsys.readouterr().err
+
+
+def test_buying_an_access_lives_in_the_purchase_module():
+    moved = ("CallAccount", "FailedFetch", "CoveredSkip", "_makespan")
+    for name in (*moved, "_PrefetchEntry"):
+        assert not hasattr(repro.core.executor, name), name
+    assert not hasattr(QueryStats, "fetched_records")
 
 
 def test_every_option_is_read_somewhere():

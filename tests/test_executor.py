@@ -142,5 +142,5 @@ def test_fetched_records_reported(mini_payless):
     result = mini_payless.query(
         "SELECT * FROM Weather WHERE Country = 'CountryB'"
     )
-    assert result.stats.fetched_records == 20
+    assert result.stats.records == 20
     assert result.stats.transactions == 2

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.bench.figures import BenchProfile, make_instances, make_workload
-from repro.core.executor import _makespan
+from repro.core.purchase import _makespan
 from repro.core.objectives import QueryOptions
 from repro.core.payless import PayLess
 from repro.market.faults import FaultPolicy
@@ -70,12 +70,12 @@ class TestBillingInvariance:
                 a.stats.transactions,
                 a.stats.price,
                 a.stats.calls,
-                a.stats.fetched_records,
+                a.stats.records,
             ) == (
                 b.stats.transactions,
                 b.stats.price,
                 b.stats.calls,
-                b.stats.fetched_records,
+                b.stats.records,
             )
             assert sorted(a.rows) == sorted(b.rows)
         assert (
