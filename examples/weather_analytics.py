@@ -2,7 +2,8 @@
 
 Replays the paper's real-data workload (the five Table 1 templates over the
 WHW + EHR datasets plus the local ZipMap table) through four buyer
-strategies and prints the Figure 10a-style cumulative-spend comparison.
+strategies, prints the Figure 10a-style cumulative-spend comparison and,
+per table, PayLess's spend beside the whole-table price.
 
 Run with:  python examples/weather_analytics.py [instances_per_template]
 """
@@ -61,15 +62,18 @@ def main() -> None:
         "the analysts would issue."
     )
 
-    # Hindsight: was avoiding the bulk download the right call, per table?
-    from repro.bench.harness import build_system
-    from repro.core.advisor import report
-
-    replay, __ = build_system("payless", data)
-    for instance in instances:
-        replay.query(instance.sql, instance.params)
-    print()
-    print(report(replay))
+    # Rent or buy, per table: what PayLess spent beside the whole table's
+    # price.  A table whose spend would pass its price is bought whole.
+    metrics = sessions["PayLess"].metrics
+    print("\nPer-table spend vs the whole-table price (PayLess):")
+    for key in sorted(metrics):
+        if key.endswith(".dollars_spent"):
+            table = key.removesuffix(".dollars_spent")
+            print(
+                f"{table:>12}: ${metrics[key]:g} spent, whole table "
+                f"${metrics[table + '.whole_table_dollars']:g} "
+                f"({metrics[table + '.spent_over_whole']:.2f}x)"
+            )
 
 
 if __name__ == "__main__":

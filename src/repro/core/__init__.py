@@ -1,6 +1,5 @@
 """PayLess core: optimizer, semantic rewriting, execution, baselines."""
 
-from repro.core.advisor import TableAdvice, advise
 from repro.core.baselines import DownloadAllResult, DownloadAllStrategy
 from repro.core.batch import plan_batch_order
 from repro.core.budget import BudgetExceededError, BudgetMode, BudgetPolicy
@@ -37,8 +36,6 @@ from repro.core.set_cover import (
 )
 
 __all__ = [
-    "TableAdvice",
-    "advise",
     "BudgetExceededError",
     "BudgetMode",
     "BudgetPolicy",

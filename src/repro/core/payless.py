@@ -22,6 +22,7 @@ consistency), and the Minimizing-Calls competitor.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
@@ -583,9 +584,13 @@ class PayLess:
 
         Computed on call from counters its components already keep: the
         running totals above, the plan cache, the rewrite memo, the
-        circuit breakers and the async driver's connection pools.  Nothing
-        is registered anywhere, so two installations in one process never
-        see each other's numbers.
+        circuit breakers, the async driver's connection pools and, per
+        market table the installation has paid for, the store's running
+        spend (``<table>.dollars_spent``) beside the whole table's price
+        (``<table>.whole_table_dollars``) and their ratio
+        (``<table>.spent_over_whole``) — the rent-or-buy rule's two sides.
+        Nothing is registered anywhere, so two installations in one
+        process never see each other's numbers.
         """
         cache, rewriter = self.plan_cache, self.rewriter
         breakers = self.context.transport.breakers()
@@ -619,6 +624,22 @@ class PayLess:
             ),
             prefetch_wasted_dollars=self.context.prefetch_wasted_price,
         )
+        for dataset in self.market:
+            for market_table in dataset:
+                name = market_table.name
+                if not self.context.is_market(name):
+                    continue
+                spent = self.store.spent(name)
+                if not spent:
+                    continue
+                whole = self.context.pricing(name).price_for(
+                    self.catalog.statistics(name).cardinality
+                )
+                view[f"{name}.dollars_spent"] = spent
+                view[f"{name}.whole_table_dollars"] = whole
+                view[f"{name}.spent_over_whole"] = (
+                    spent / whole if whole else math.inf
+                )
         return view
 
     def bill(self) -> str:

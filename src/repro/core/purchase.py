@@ -300,6 +300,7 @@ class Purchases:
                 cache_served_rows=max(0, row_count - purchased_rows),
                 estimated_transactions=rewrite.estimated_transactions,
                 fully_covered=rewrite.fully_covered,
+                whole_table=rewrite.whole_table is not None,
             )
         failed = [o for o in outcomes if isinstance(o, FailedFetch)]
         if failed and not self.context.transport.config.partial_results:
@@ -466,7 +467,9 @@ class Purchases:
                 continue
             response = outcome.response
             purchased_rows += response.record_count
-            store.record(table, remainder.box, response.rows)
+            store.record(
+                table, remainder.box, response.rows, outcome.billed_price
+            )
             histogram.observe(remainder.box, response.record_count)
             if durability is not None:
                 durability.log_purchase(

@@ -13,7 +13,12 @@ rewriter:
    remainder queries;
 5. compares against the *direct* plan (fetch the request region outright,
    no rewriting) and keeps whichever is estimated cheaper — the comparison
-   in Algorithm 2 (line 14).
+   in Algorithm 2 (line 14);
+6. rents or buys: when the table's running spend plus that cheaper plan
+   would pass the whole-table price, the access buys the whole table in
+   one unconstrained call instead.  The introduction's "download
+   everything once the transactions would exceed it", without the
+   foreknowledge: ski rental.
 
 Every call is priced by the caller's schedule: the dataset's
 :class:`~repro.market.pricing.PricingPolicy`, which the seller bills with.
@@ -57,6 +62,18 @@ class RemainderQuery:
     estimated_transactions: int
 
 
+@dataclass(frozen=True)
+class WholeTable:
+    """Why an access buys its whole table: ``spent + access > price``."""
+
+    #: Dollars already billed for the table's (still fresh) purchases.
+    spent: float
+    #: The cheaper of the direct and rewritten plans for this access.
+    access: float
+    #: The whole table's price, from its published cardinality.
+    price: float
+
+
 @dataclass
 class RewriteResult:
     """The outcome of rewriting one table access."""
@@ -77,6 +94,8 @@ class RewriteResult:
     estimated_remainder_rows: float = 0.0
     #: The remainder's estimated cost under the schedule it was priced by.
     estimated_price: float = 0.0
+    #: Set when the rent-or-buy rule bought the whole table instead.
+    whole_table: WholeTable | None = None
     #: The store epoch of ``table`` this result was computed at.  A result
     #: is only valid while the store is at this epoch; the executor asserts
     #: it before issuing any REST call (see ``core.executor``).
@@ -98,7 +117,8 @@ class SemanticRewriter:
     ``rewrite()`` results are memoized per ``(table, constraints, pricing,
     clock, store epoch)``.  The epoch component makes
     invalidation automatic: any store mutation (``record`` or a persisted
-    restore) bumps the table epoch, so the optimizer's many probe rewrites
+    restore, the only changes to the table's running spend too) bumps the
+    table epoch, so the optimizer's many probe rewrites
     within one DP run — and repeat queries between store writes — hit the
     cache, while execution-time rewrites after a purchase never reuse a
     planning-epoch result.  Cached :class:`RewriteResult` objects are
@@ -231,11 +251,28 @@ class SemanticRewriter:
             statistics, request_boxes, missing, pricing
         )
         direct_wins = _total_price(direct) < _total_price(cover)
+        calls = direct if direct_wins else cover
+        # Rent or buy.  Strictly greater: on a tie (a free table above
+        # all) renting is kept.
+        spent, access = self.store.spent(table), _total_price(calls)
+        if spent + access > pricing.price_for(statistics.cardinality):
+            space = statistics.space
+            whole = _priced(space.full_box, statistics.cardinality, pricing)
+            if space.expressible(whole.box):
+                result = self._render(
+                    statistics,
+                    pricing,
+                    request_boxes,
+                    [whole],
+                    generation=generation,
+                )
+                result.whole_table = WholeTable(spent, access, whole.price)
+                return result
         return self._render(
             statistics,
             pricing,
             request_boxes,
-            direct if direct_wins else cover,
+            calls,
             used_rewriting=not direct_wins,
             generation=generation,
         )

@@ -62,9 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.payless import PayLess
     from repro.market.rest import RestRequest
 
-#: Snapshot format version (3: the sidecar holds the store's columns,
-#: coordinates, chunk ranges and both grid indexes).
-SNAPSHOT_VERSION = 3
+#: Snapshot format version (4: the sidecar holds the store's columns,
+#: coordinates, chunk ranges, both grid indexes and per-table spend).
+SNAPSHOT_VERSION = 4
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 _SIDECAR_RE = re.compile(r"^snapshot-(\d{8})\.tables\.pkl$")
@@ -720,7 +720,7 @@ class DurableStateBackend:
             )
         box = box_from_json(record["box"])
         rows = rows_from_json(record["rows"])
-        payless.store.table(table).record(box, rows, record["at"])
+        payless.store.table(table).record(box, rows, record["at"], record["p"])
         histogram = payless.catalog.statistics(table).histogram
         if isinstance(histogram, FeedbackHistogram):
             histogram.observe(box, record["n"])
@@ -745,7 +745,9 @@ class DurableStateBackend:
                 f"intent {intent['k']} does not describe one box: {boxes!r}"
             )
         with table_store.lock:
-            table_store.record(boxes[0], response.rows, intent["at"])
+            table_store.record(
+                boxes[0], response.rows, intent["at"], response.price
+            )
             histogram = payless.catalog.statistics(table).histogram
             if isinstance(histogram, FeedbackHistogram):
                 histogram.observe(boxes[0], response.record_count)

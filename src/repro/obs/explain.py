@@ -3,8 +3,9 @@
 ``EXPLAIN`` renders the plan the optimizer chose — per-node estimated
 dollars and rows, plus, for every market access, the semantic
 rewriter's verdict: how much of the request region the store already
-covers and exactly which remainder boxes would be bought.  It never
-contacts the market.
+covers and exactly which remainder boxes would be bought (or, for an
+access bought whole, the rent-or-buy comparison that decided it).  It
+never contacts the market.
 
 ``EXPLAIN ANALYZE`` renders the same tree after actually executing the
 query with tracing on, annotating each market access with actuals:
@@ -73,17 +74,27 @@ def _coverage_lines(node: MarketAccessNode, pad: str) -> list[str]:
             f"{len(rewrite.request_boxes)} request box(es) — free"
         )
         return lines
+    whole = rewrite.whole_table
     lines.append(
         f"{pad}coverage: {len(rewrite.request_boxes)} request box(es), "
         f"{len(rewrite.remainder)} remainder call(s) "
         f"≈ {rewrite.estimated_transactions} trans"
-        + (" [rewritten]" if rewrite.used_rewriting else " [direct]")
+        + (
+            " [whole table]"
+            if whole
+            else " [rewritten]" if rewrite.used_rewriting else " [direct]"
+        )
     )
     for query in rewrite.remainder[:MAX_REMAINDER_LINES]:
         lines.append(f"{pad}  {_remainder_str(query)}")
     hidden = len(rewrite.remainder) - MAX_REMAINDER_LINES
     if hidden > 0:
         lines.append(f"{pad}  … {hidden} more remainder call(s)")
+    if whole:
+        lines.append(
+            f"{pad}whole table: spent ${whole.spent:g} + this access "
+            f"${whole.access:g} > ${whole.price:g}"
+        )
     return lines
 
 

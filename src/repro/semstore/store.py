@@ -149,6 +149,10 @@ class TableStore:
             [] for __ in range(2 + 2 * space.dimensionality)
         ]
         self._chunk_index = BoxGridIndex(grid_extents)
+        #: Dollars billed for the table's recorded purchases, per week
+        #: they were stored at: the running spend the rewriter's
+        #: rent-or-buy rule weighs against the whole-table price.
+        self._spent: dict[float, float] = {}
 
     def _coordinates(self) -> list[list]:
         """Per dimension, the list holding every row's coordinate."""
@@ -173,10 +177,19 @@ class TableStore:
 
     # -- mutation ------------------------------------------------------------
 
-    def record(self, box: Box, rows: Iterable[Row], stored_at: float) -> int:
-        """Store a fetched region; returns how many rows were new."""
+    def record(
+        self,
+        box: Box,
+        rows: Iterable[Row],
+        stored_at: float,
+        price: float = 0.0,
+    ) -> int:
+        """Store a fetched region billed ``price`` dollars; returns how
+        many rows were new."""
         with self.lock:
             self.epoch += 1
+            if price:
+                self._spent[stored_at] = self._spent.get(stored_at, 0.0) + price
             if not isinstance(rows, (list, tuple)):
                 rows = list(rows)
             row_set = self._row_set
@@ -209,6 +222,16 @@ class TableStore:
                 CoveredBox(box=box, stored_at=stored_at, row_count=len(rows))
             )
             return len(fresh)
+
+    def spent(self, policy: ConsistencyPolicy, now: float) -> float:
+        """Dollars billed for purchases still fresh under ``policy`` at
+        clock ``now``: spend on expired covers stops counting."""
+        with self.lock:
+            return sum(
+                price
+                for stored_at, price in self._spent.items()
+                if policy.is_fresh(stored_at, now)
+            )
 
     def _append_rows(self, fresh: list[Row]) -> None:
         """Append a deduplicated batch column-wise and chunk it.  Only a
@@ -281,6 +304,7 @@ class TableStore:
                 "chunks": [list(column) for column in self._chunks],
                 "chunk_index": self._chunk_index.export_state(),
                 "cover_index": self._cover_index.export_state(),
+                "spent": dict(self._spent),
             }
 
     def adopt_bulk_state(self, state: dict) -> None:
@@ -310,6 +334,7 @@ class TableStore:
             self._row_set = None
             self._chunk_index.adopt_state(state["chunk_index"])
             self._cover_index.adopt_state(state["cover_index"])
+            self._spent = state["spent"]
 
     def _append_cover(self, covered: CoveredBox) -> None:
         cover_id = self._next_cover_id
@@ -633,8 +658,13 @@ class SemanticStore:
     def effective_covers(self, table: str) -> list[Box]:
         return self.table(table).effective_covers(self.policy, self.clock)
 
-    def record(self, table: str, box: Box, rows: Iterable[Row]) -> int:
-        return self.table(table).record(box, rows, self.clock)
+    def record(
+        self, table: str, box: Box, rows: Iterable[Row], price: float = 0.0
+    ) -> int:
+        return self.table(table).record(box, rows, self.clock, price)
+
+    def spent(self, table: str) -> float:
+        return self.table(table).spent(self.policy, self.clock)
 
     def rows_in_boxes(self, table: str, boxes: Sequence[Box]) -> list[Row]:
         return self.table(table).rows_in_boxes(boxes)

@@ -124,3 +124,28 @@ def assert_matches_oracle(
         f"PayLess answer diverges from oracle for {sql!r}:\n"
         f"  got:  {got[:5]}...\n  want: {want[:5]}..."
     )
+
+
+def assert_store_holds_only_paid_rows(payless: PayLess) -> None:
+    """Assert every row the store caches came back from a billed call.
+
+    Each cached row of a market table must match the request of some
+    ledger entry on that table: the store holds nothing it did not pay
+    for, whatever it chose to buy.
+    """
+    ledger = list(payless.market.ledger)
+    for dataset in payless.market:
+        for market_table in dataset:
+            name = market_table.name
+            if not payless.store.has_table(name):
+                continue
+            requests = [
+                entry.request
+                for entry in ledger
+                if entry.request.table.lower() == name.lower()
+            ]
+            for row in payless.store.table(name).all_rows():
+                assert any(
+                    request.matches(row, market_table.schema)
+                    for request in requests
+                ), f"{name}: cached row {row!r} was never paid for"

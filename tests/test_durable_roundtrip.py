@@ -4,8 +4,8 @@ For any interleaving of purchases, repeat queries, and clock advances,
 recovering from the durable state dir — whether the previous session
 closed cleanly (snapshot path) or was killed (WAL replay path) — must
 reconstruct the *entire* buyer state exactly: covered boxes, cached rows,
-the ISOMER histogram's refinement list, the logical clock, and every
-billing bucket.
+each table's running spend, the ISOMER histogram's refinement list, the
+logical clock, and every billing bucket.
 """
 
 from __future__ import annotations
@@ -76,10 +76,12 @@ def capture(payless: PayLess) -> dict:
                 (c.box.extents, c.stored_at, c.row_count)
                 for c in table_store._covers.values()  # noqa: SLF001
             ]
+            spent = dict(table_store._spent)  # noqa: SLF001
         histogram = payless.catalog.statistics(key).histogram
         state[key] = {
             "covers": sorted(covers, key=repr),
             "rows": sorted(rows, key=repr),
+            "spent": spent,
             "histogram": (
                 histogram.state_snapshot()
                 if isinstance(histogram, FeedbackHistogram)

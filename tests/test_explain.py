@@ -67,6 +67,24 @@ class TestGoldenRenderings:
         payless.query(JOIN_SQL)
         golden("explain_analyze_join_warm", str(payless.explain_analyze(JOIN_SQL)))
 
+    def test_explain_analyze_whole_table(self, golden):
+        """Rent or buy: Weather has cost $8 in rent, its whole-table price;
+        this window's $2 more would pass it, so the access buys Weather
+        whole and says why."""
+        payless = registered_payless(
+            tiny_weather_market(tuples_per_transaction=5), tracing=True
+        )
+        window = (
+            "SELECT Temperature FROM Weather "
+            "WHERE Country = '{}' AND Date >= {} AND Date <= {}"
+        )
+        for rented in [("CountryA", 4, 5), ("CountryA", 1, 10), ("CountryB", 4, 5)]:
+            payless.query(window.format(*rented))
+        golden(
+            "explain_analyze_whole_table",
+            str(payless.explain_analyze(window.format("CountryB", 1, 10))),
+        )
+
 
 class TestExplainIsFree:
     def test_explain_makes_no_market_call_and_bills_nothing(self):

@@ -46,6 +46,17 @@ def test_after_a_weather_session_every_entry_equals_its_owner():
         for __ in range(2):
             payless.query(instance.sql, instance.params)
     cache, rewriter = payless.plan_cache, payless.rewriter
+    per_table = {}
+    for dataset in data.datasets:
+        for table in dataset:
+            spent = payless.store.table(table.name).spent(
+                payless.store.policy, payless.store.clock
+            )
+            if spent:
+                whole = dataset.pricing.price_for(len(table.table))
+                per_table[f"{table.name}.dollars_spent"] = spent
+                per_table[f"{table.name}.whole_table_dollars"] = whole
+                per_table[f"{table.name}.spent_over_whole"] = spent / whole
     view = payless.metrics()
     assert view == {
         "queries": payless.queries_executed,
@@ -69,7 +80,9 @@ def test_after_a_weather_session_every_entry_equals_its_owner():
         "breaker_opens": 0,
         "connections_reused": 0,
         "prefetch_wasted_dollars": payless.context.prefetch_wasted_price,
+        **per_table,
     }
+    assert per_table, "the session paid for no table"
     # The session exercised what the view reads.
     assert view["queries"] == 2 * len(instances)
     assert view["dollars_spent"] > 0
