@@ -31,7 +31,7 @@ def test_histogram_resolution(benchmark, profile, report):
         original = isomer.DEFAULT_MAX_BOXES
         isomer.DEFAULT_MAX_BOXES = budget
         try:
-            payless, __ = build_system("payless", data)
+            payless = build_system("payless", data)
             for table in payless.catalog._tables.values():  # noqa: SLF001
                 table.histogram.max_boxes = budget
             total = 0
@@ -79,14 +79,14 @@ def test_batch_ordering(benchmark, profile, report):
     ]
 
     def run():
-        clever_system, __ = build_system("payless", data)
+        clever_system = build_system("payless", data)
         with QueryScheduler(clever_system) as scheduler:
             session = scheduler.session("dashboard")
             for sql, params in batch:
                 session.defer(sql, params)
             scheduler.flush()
         clever = clever_system.total_transactions
-        naive_system, __ = build_system("payless", data)
+        naive_system = build_system("payless", data)
         naive = sum(
             naive_system.query(sql, params).stats.transactions
             for sql, params in batch
@@ -172,7 +172,7 @@ def test_consistency_cost(benchmark, profile, report):
             ("2-week", ConsistencyPolicy.weeks(2)),
             ("strong", ConsistencyPolicy.strong()),
         ):
-            base, __ = build_system("payless", data)
+            base = build_system("payless", data)
             payless = PayLess(
                 base.market, local_db=data.local_database(), consistency=policy
             )

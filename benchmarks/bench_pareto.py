@@ -81,7 +81,7 @@ def _planning_ms(data, objective, rounds: int = 3) -> float:
     """Best-of-``rounds`` EXPLAIN wall-clock with the plan cache off."""
     best = float("inf")
     for __ in range(rounds):
-        payless, __unused = build_system(
+        payless = build_system(
             "payless",
             data,
             options=QueryOptions(plan_cache_size=0, objective=objective),

@@ -56,7 +56,7 @@ def test_plan_space_formulas(benchmark, report):
 def test_optimization_latency(benchmark, profile, report):
     """Optimize (not execute) the paper's Q5 analogue repeatedly."""
     data = make_workload("real", profile)
-    payless, __ = build_system("payless", data)
+    payless = build_system("payless", data)
     instance = next(
         q for q in make_instances("real", data, 1, profile) if q.template == "Q5"
     )

@@ -71,7 +71,7 @@ REPEATS = 8
 def _fresh(data, *, cached: bool):
     """One installation per arm: the default, or with the cache off."""
     options = None if cached else QueryOptions(plan_cache_size=0)
-    payless, __ = build_system("payless", data, options=options)
+    payless = build_system("payless", data, options=options)
     return payless
 
 

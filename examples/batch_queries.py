@@ -34,7 +34,7 @@ def main() -> None:
     batch = weekly + [quarterly]
 
     print("Submission order (what an interactive session would pay):")
-    interactive, __ = build_system("payless", data)
+    interactive = build_system("payless", data)
     naive_total = 0
     for sql, params in batch:
         cost = interactive.query(sql, params).stats.transactions
@@ -43,7 +43,7 @@ def main() -> None:
     print(f"  total: {naive_total}\n")
 
     print("Batched (PayLess reorders by containment):")
-    batched, __ = build_system("payless", data)
+    batched = build_system("payless", data)
     with QueryScheduler(batched) as scheduler:
         dashboard = scheduler.session("dashboard")
         deferred = [dashboard.defer(sql, params) for sql, params in batch]

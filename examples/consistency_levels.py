@@ -14,7 +14,7 @@ from repro.bench.harness import build_system
 
 
 def run(policy_label: str, policy: ConsistencyPolicy | None, data, weeks: int):
-    market_less, __ = build_system("payless", data)  # for registrations only
+    market_less = build_system("payless", data)  # for registrations only
     payless = PayLess(
         market_less.market, local_db=data.local_database(), consistency=policy
     )

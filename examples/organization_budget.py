@@ -22,7 +22,7 @@ from repro.serve import QueryScheduler
 
 def main() -> None:
     data = make_workload("real")
-    payless, __ = build_system("payless", data)
+    payless = build_system("payless", data)
     country = data.countries[0]
 
     print("=== A two-analyst organization ===")
@@ -60,7 +60,7 @@ def main() -> None:
         )
 
     print("\n=== Budget enforcement ===")
-    fresh, __ = build_system("payless", data)
+    fresh = build_system("payless", data)
     with QueryScheduler(fresh) as desk:
         intern = desk.session("intern", budget=BudgetPolicy(limit_dollars=50))
         try:

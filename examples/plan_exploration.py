@@ -17,7 +17,7 @@ from repro.bench.harness import build_system
 
 def main() -> None:
     data = make_workload("real")
-    payless, __ = build_system("payless", data)
+    payless = build_system("payless", data)
     country = data.countries[0]
 
     sql = (
@@ -61,7 +61,7 @@ def main() -> None:
         ("Disable SQR", "payless_nosqr"),
         ("Disable All (bushy)", "payless_disable_all"),
     ):
-        arm, __ = build_system(system, data)
+        arm = build_system(system, data)
         arm.query("SELECT * FROM Station")
         result = arm.explain(q5.sql, q5.params)
         print(

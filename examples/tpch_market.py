@@ -32,7 +32,7 @@ def main() -> None:
     print(f"Download-All bound: {bound} transactions\n")
 
     print("One query in detail — the shipping-priority template T03:")
-    payless, __ = build_system("payless", data)
+    payless = build_system("payless", data)
     t03 = next(i for i in instances if i.template == "T03")
     planning = payless.explain(t03.sql, t03.params)
     print(planning.plan.describe())

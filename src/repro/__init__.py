@@ -5,9 +5,9 @@ Eric Lo, Man Lung Yiu and Wenjian Xu.  The top-level package re-exports the
 pieces most users need:
 
 * :class:`~repro.market.server.DataMarket` — the simulated priced market;
-* :class:`~repro.core.payless.PayLess` — the buyer-side system;
-* :class:`~repro.core.baselines.DownloadAllStrategy` — the obvious
-  alternative PayLess is measured against;
+* :class:`~repro.core.payless.PayLess` — the buyer-side system; its
+  class methods build the evaluation's arms, down to the Download-All
+  baseline PayLess is measured against (:meth:`PayLess.download_all`);
 * :class:`~repro.market.transport.TransportConfig` and
   :class:`~repro.market.faults.FaultPolicy` — the money-safe transport
   (retries, at-most-once billing, fault injection) and the exception
@@ -43,7 +43,6 @@ from repro.durable import (
 )
 from repro.market.latency import DEFAULT_LATENCY, INSTANT, LatencyModel
 from repro.obs.trace import QueryTrace, Tracer
-from repro.core.baselines import DownloadAllStrategy
 from repro.errors import (
     ExecutionError,
     InfeasibleObjectiveError,
@@ -83,7 +82,6 @@ __all__ = [
     "Dataset",
     "DEFAULT_LATENCY",
     "Domain",
-    "DownloadAllStrategy",
     "DurabilityConfig",
     "DurableStateBackend",
     "ExecutionConfig",

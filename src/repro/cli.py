@@ -220,7 +220,7 @@ def _cmd_session_concurrent(args: argparse.Namespace, data, instances) -> int:
     from repro.bench.harness import build_system
     from repro.serve import QueryScheduler, ServeConfig
 
-    payless, __ = build_system(
+    payless = build_system(
         args.system, data, options=_session_options(args)
     )
     tier = ServiceTier.named(args.tier) if args.tier else None
@@ -318,7 +318,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     elif upper.startswith("EXPLAIN "):
         sql = sql[len("EXPLAIN "):].strip()
     data = make_workload(args.workload)
-    payless, __ = build_system(
+    payless = build_system(
         "payless",
         data,
         options=QueryOptions(engine=args.engine),

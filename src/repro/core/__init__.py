@@ -1,6 +1,5 @@
 """PayLess core: optimizer, semantic rewriting, execution, baselines."""
 
-from repro.core.baselines import DownloadAllResult, DownloadAllStrategy
 from repro.core.batch import plan_batch_order
 from repro.core.budget import BudgetExceededError, BudgetMode, BudgetPolicy
 from repro.core.bounding_boxes import (
@@ -41,8 +40,6 @@ __all__ = [
     "BudgetPolicy",
     "CandidateBox",
     "CoverCandidate",
-    "DownloadAllResult",
-    "DownloadAllStrategy",
     "Executor",
     "GenerationResult",
     "JoinNode",

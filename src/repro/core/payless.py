@@ -17,7 +17,8 @@ Typical use::
 
 The ``variant`` class methods build the evaluation's configurations:
 full PayLess, PayLess without semantic query rewriting (strong
-consistency), and the Minimizing-Calls competitor.
+consistency), the Minimizing-Calls competitor and the Download-All
+baseline.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
-from repro.core.baselines import DownloadAllStrategy, PerCallPricing
+from repro.core.baselines import PerCallPricing
 from repro.core.context import PlanningContext
 from repro.core.executor import Executor, QueryStats
 from repro.core.objectives import (
@@ -277,6 +278,15 @@ class PayLess:
         without SQR, pricing every call at one unit."""
         payless = cls.without_sqr(market, **kwargs)
         payless.context.repricing = PerCallPricing.of
+        return payless
+
+    @classmethod
+    def download_all(cls, market: DataMarket, **kwargs: Any) -> "PayLess":
+        """The Download-All baseline of Figure 10: rent or buy with a buy
+        threshold of 0, so each table is bought whole at first touch and
+        every later query is answered from the store."""
+        payless = cls(market, **kwargs)
+        payless.rewriter.buy_threshold = 0.0
         return payless
 
     # -- registration ---------------------------------------------------------------
@@ -570,12 +580,6 @@ class PayLess:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- the Download-All comparison ------------------------------------------------
-
-    def download_all_strategy(self) -> DownloadAllStrategy:
-        """A Download-All baseline sharing this instance's registrations."""
-        return DownloadAllStrategy(self.context)
 
     # -- reporting -------------------------------------------------------------------
 

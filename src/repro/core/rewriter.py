@@ -15,10 +15,11 @@ rewriter:
    no rewriting) and keeps whichever is estimated cheaper — the comparison
    in Algorithm 2 (line 14);
 6. rents or buys: when the table's running spend plus that cheaper plan
-   would pass the whole-table price, the access buys the whole table in
-   one unconstrained call instead.  The introduction's "download
-   everything once the transactions would exceed it", without the
-   foreknowledge: ski rental.
+   would pass the buy threshold θ times the whole-table price, the access
+   buys the whole table in one unconstrained call instead.  At θ = 1 this
+   is the introduction's "download everything once the transactions would
+   exceed it", without the foreknowledge: ski rental.  At θ = 0 it is the
+   Download All baseline: every table bought whole at first touch.
 
 Every call is priced by the caller's schedule: the dataset's
 :class:`~repro.market.pricing.PricingPolicy`, which the seller bills with.
@@ -64,14 +65,15 @@ class RemainderQuery:
 
 @dataclass(frozen=True)
 class WholeTable:
-    """Why an access buys its whole table: ``spent + access > price``."""
+    """Why an access buys its whole table: ``spent + access > bar``."""
 
     #: Dollars already billed for the table's (still fresh) purchases.
     spent: float
     #: The cheaper of the direct and rewritten plans for this access.
     access: float
-    #: The whole table's price, from its published cardinality.
-    price: float
+    #: The bar it passed: the buy threshold times the whole table's price,
+    #: from its published cardinality.
+    bar: float
 
 
 @dataclass
@@ -133,6 +135,10 @@ class SemanticRewriter:
     def __init__(self, store: SemanticStore, catalog: Catalog):
         self.store = store
         self.catalog = catalog
+        #: θ of the rent-or-buy rule: buy whole once ``spent + access``
+        #: passes θ times the whole-table price.  Set before the first
+        #: rewrite (the memo key does not carry it).
+        self.buy_threshold = 1.0
         self._memo: dict[tuple, RewriteResult] = {}
         #: Guards only the memo dict and the counters below.  The rewrite
         #: computation itself runs *outside* this lock: it probes the store
@@ -255,7 +261,8 @@ class SemanticRewriter:
         # Rent or buy.  Strictly greater: on a tie (a free table above
         # all) renting is kept.
         spent, access = self.store.spent(table), _total_price(calls)
-        if spent + access > pricing.price_for(statistics.cardinality):
+        bar = self.buy_threshold * pricing.price_for(statistics.cardinality)
+        if spent + access > bar:
             space = statistics.space
             whole = _priced(space.full_box, statistics.cardinality, pricing)
             if space.expressible(whole.box):
@@ -266,7 +273,7 @@ class SemanticRewriter:
                     [whole],
                     generation=generation,
                 )
-                result.whole_table = WholeTable(spent, access, whole.price)
+                result.whole_table = WholeTable(spent, access, bar)
                 return result
         return self._render(
             statistics,

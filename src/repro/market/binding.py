@@ -57,16 +57,6 @@ class BindingPattern:
             a for a, m in self.modes.items() if m is not AccessMode.OUTPUT
         ]
 
-    @property
-    def downloadable(self) -> bool:
-        """Whether the whole table can be fetched with one unconstrained call.
-
-        True exactly when there is no BOUND attribute (the paper: "if an
-        access pattern of a table has only free attributes, then we can
-        download the whole table").
-        """
-        return not self.bound_attributes
-
     def validate_constrained(self, constrained: Iterable[str]) -> None:
         """Check a call's constrained-attribute set against this pattern."""
         constrained_lower = {name.lower() for name in constrained}
@@ -120,5 +110,5 @@ class BindingPattern:
 
     @classmethod
     def all_free(cls, table: str, attributes: Iterable[str]) -> "BindingPattern":
-        """A pattern where every listed attribute is free (downloadable)."""
+        """A pattern where every listed attribute is free."""
         return cls(table=table, modes={a: AccessMode.FREE for a in attributes})

@@ -170,16 +170,3 @@ class DataMarket:
                     f"{market_table.name}: range constraint on categorical "
                     f"attribute {constraint.attribute!r}"
                 )
-
-    # -- convenience -----------------------------------------------------------
-
-    def download_table(self, table_name: str) -> RestResponse:
-        """Fetch a whole table with one unconstrained call (if its pattern
-        allows it); this is what the "Download All" baseline does."""
-        dataset, market_table = self.find_table(table_name)
-        if not market_table.pattern.downloadable:
-            raise MarketError(
-                f"table {table_name!r} has bound attributes and cannot be "
-                "downloaded with a single call"
-            )
-        return self.get(RestRequest(dataset.name, market_table.name))

@@ -93,7 +93,7 @@ def _coverage_lines(node: MarketAccessNode, pad: str) -> list[str]:
     if whole:
         lines.append(
             f"{pad}whole table: spent ${whole.spent:g} + this access "
-            f"${whole.access:g} > ${whole.price:g}"
+            f"${whole.access:g} > ${whole.bar:g}"
         )
     return lines
 

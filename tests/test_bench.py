@@ -5,6 +5,8 @@ import pytest
 from repro.bench.figures import BenchProfile, make_instances, make_workload
 from repro.bench.harness import build_system, download_all_bound, run_session
 from repro.bench.reporting import checkpoints, series_table, summary_table
+from repro.cli import main
+from repro.core.objectives import QueryOptions
 from repro.errors import ReproError
 from repro.workloads.weather import WeatherConfig
 
@@ -69,6 +71,47 @@ class TestFigure10Orderings:
         # Generous envelope: per-region ceil rounding can add overhead but
         # the curve must flatten far below repeated refetching.
         assert series[-1] < 3 * download_all_bound(data)
+
+
+class TestDownloadAllArm:
+    """Download All is an installation like every other arm, so the
+    settings a session is given reach it: the serving scheduler, fault
+    injection through the money-safe transport, and the durable store."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        data = make_workload("real", SMALL)
+        return data, make_instances("real", data, 2, SMALL)
+
+    def test_served_session_bills_the_bound(self, capsys):
+        code = main(
+            ["session", "--workload", "real", "--instances", "2",
+             "--system", "download_all", "--workers", "2"]
+        )
+        assert code == 0
+        bound = download_all_bound(make_workload("real"))
+        assert f"{bound} transactions, ${bound}" in capsys.readouterr().out
+
+    def test_faults_are_injected_and_retried_at_the_same_bill(self, workload):
+        data, instances = workload
+        session = run_session(
+            "download_all",
+            data,
+            instances,
+            options=QueryOptions(fault_rate=0.3, fault_seed=7),
+        )
+        assert session.total_faults > 0 and session.total_retries > 0
+        assert session.total_transactions == download_all_bound(data)
+
+    def test_a_restart_on_the_same_state_dir_buys_nothing(
+        self, workload, tmp_path
+    ):
+        data, instances = workload
+        options = QueryOptions(durability=tmp_path)
+        first = run_session("download_all", data, instances, options=options)
+        assert first.total_transactions == download_all_bound(data)
+        second = run_session("download_all", data, instances, options=options)
+        assert second.total_transactions == 0
 
 
 class TestHarness:

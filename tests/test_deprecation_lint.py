@@ -51,6 +51,12 @@ entries and their own record loop, and ``QueryStats``' copy of its
 call account (``QueryStats`` *is* a ``CallAccount``, and
 ``fetched_records`` is ``records``) — one table access is bought by
 ``repro.core.purchase``, started early or when the walk reaches it.
+And the second execution path of the Download-All arm:
+``DownloadAllStrategy`` / ``DownloadAllResult``, ``DataMarket.download_table``,
+``PayLess.download_all_strategy`` and the harness's per-arm branch —
+Download All is rent or buy with a buy threshold of 0
+(``PayLess.download_all``), planned, bought, traced and made durable like
+every other arm.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ import pytest
 
 import repro
 import repro.core
+import repro.core.baselines
 import repro.core.batch
 import repro.core.bounding_boxes
 import repro.core.budget
@@ -87,6 +94,7 @@ from repro.core.plancache import PlanCache
 from repro.core.rewriter import SemanticRewriter
 from repro.market.aio import AsyncMarketTransport
 from repro.market.billing import BillingLedger, LedgerEntry
+from repro.market.server import DataMarket
 from repro.market.transport import MarketTransport, QueryScope
 from repro.semstore.store import TableStore
 from repro.serve import QueryScheduler, ServeConfig, SingleflightGroup
@@ -209,6 +217,24 @@ def test_second_copies_of_the_records_are_gone(name):
         assert name not in getattr(module, "__all__", ())
 
 
+def mentions(name):
+    """The library, example, benchmark and doc files that mention ``name``."""
+    root = SRC.parent.parent
+    texts = [
+        *SRC.rglob("*.py"),
+        *(root / "examples").glob("*.py"),
+        *(root / "benchmarks").rglob("*.py"),
+        *(root / "docs").glob("*.md"),
+        root / "README.md",
+        root / "DESIGN.md",
+    ]
+    return [
+        str(path.relative_to(root))
+        for path in texts
+        if name in path.read_text()
+    ]
+
+
 #: The names of the second multi-user front end.
 SECOND_FRONT_END = (
     "Organization",
@@ -228,21 +254,33 @@ def test_second_multi_user_front_end_is_gone(name):
         assert name not in getattr(module, "__all__", ())
     assert not hasattr(PayLess, name)
     # Not in the library, and not taught by an example, benchmark or doc.
-    root = SRC.parent.parent
-    texts = [
-        *SRC.rglob("*.py"),
-        *(root / "examples").glob("*.py"),
-        *(root / "benchmarks").rglob("*.py"),
-        *(root / "docs").glob("*.md"),
-        root / "README.md",
-        root / "DESIGN.md",
-    ]
-    offenders = [
-        str(path.relative_to(root))
-        for path in texts
-        if name in path.read_text()
-    ]
-    assert not offenders, offenders
+    assert not mentions(name)
+
+
+#: The names of the Download-All arm's second execution path.
+DOWNLOAD_ALL_PATH = (
+    "DownloadAllStrategy",
+    "DownloadAllResult",
+    "download_table",
+    "download_all_strategy",
+)
+
+
+@pytest.mark.parametrize("name", DOWNLOAD_ALL_PATH)
+def test_download_all_has_one_path(name):
+    for owner in (repro, repro.core, repro.core.baselines, PayLess, DataMarket):
+        assert not hasattr(owner, name), owner
+        assert name not in getattr(owner, "__all__", ())
+    assert not mentions(name)
+
+
+def test_every_arm_runs_the_one_session_loop():
+    """``build_system`` returns the installation, Download All's
+    included, and ``run_session`` has no branch for any arm."""
+    payless = build_system("download_all", make_workload("real"))
+    assert isinstance(payless, PayLess)
+    assert payless.rewriter.buy_threshold == 0
+    assert "strategy" not in inspect.getsource(run_session)
 
 
 def test_the_scheduler_is_the_one_multi_user_front_end():

@@ -675,7 +675,7 @@ def _replay(workload, engine, transport=None):
     data = make_workload(workload, SMALL)
     q = SMALL.weather_q if workload == "real" else SMALL.tpch_q
     instances = make_instances(workload, data, q, SMALL)
-    payless, __ = build_system(
+    payless = build_system(
         "payless",
         data,
         options=QueryOptions(transport=transport, engine=engine),
@@ -719,7 +719,7 @@ def test_explain_analyze_reports_engine():
     for engine in ("vectorized", "reference"):
         data = make_workload("real", SMALL)
         instances = make_instances("real", data, SMALL.weather_q, SMALL)
-        payless, __ = build_system(
+        payless = build_system(
             "payless", data, options=QueryOptions(engine=engine)
         )
         rendered = payless.explain_analyze(

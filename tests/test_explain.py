@@ -13,6 +13,7 @@ per-node est-vs-actual lines).
 
 import pytest
 
+from repro import PayLess
 from repro.testing import registered_payless, tiny_weather_market
 
 JOIN_SQL = (
@@ -83,6 +84,23 @@ class TestGoldenRenderings:
         golden(
             "explain_analyze_whole_table",
             str(payless.explain_analyze(window.format("CountryB", 1, 10))),
+        )
+
+    def test_explain_analyze_download_all_first_touch(self, golden):
+        """Download All is rent or buy with a buy threshold of 0: the
+        first access to Weather passes a $0 bar and buys it whole."""
+        payless = PayLess.download_all(
+            tiny_weather_market(tuples_per_transaction=5), tracing=True
+        )
+        payless.register_dataset("WHW")
+        golden(
+            "explain_analyze_download_all_first_touch",
+            str(
+                payless.explain_analyze(
+                    "SELECT Temperature FROM Weather "
+                    "WHERE Country = 'CountryA' AND Date >= 4 AND Date <= 5"
+                )
+            ),
         )
 
 

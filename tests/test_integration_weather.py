@@ -32,7 +32,7 @@ def setup():
             tuples_per_transaction=10,
         )
     )
-    payless, __ = build_system("payless", data)
+    payless = build_system("payless", data)
     generator = WeatherInstanceGenerator(data, seed=23)
     return data, payless, generator
 

@@ -34,10 +34,6 @@ class TestBindingPattern:
         with pytest.raises(SchemaError):
             BindingPattern.parse("R", "Ax")
 
-    def test_downloadable(self):
-        assert BindingPattern.parse("R", "Af, Bf").downloadable
-        assert not BindingPattern.parse("R", "Ab, Bf").downloadable
-
     def test_validate_constrained_requires_bound(self):
         pattern = BindingPattern.parse("R", "Ab, Bf")
         pattern.validate_constrained(["A"])  # fine
@@ -52,7 +48,8 @@ class TestBindingPattern:
 
     def test_all_free(self):
         pattern = BindingPattern.all_free("R", ["A", "B"])
-        assert pattern.downloadable
+        assert not pattern.bound_attributes
+        assert pattern.free_attributes == ["a", "b"]
 
 
 class TestPricing:
@@ -207,8 +204,11 @@ class TestServerGet:
             )
 
     def test_download_blocked_for_bound_tables(self, market):
-        with pytest.raises(MarketError):
-            market.download_table("R")
+        """One unconstrained call for the whole table is refused, and not
+        billed, when the table has a bound attribute."""
+        with pytest.raises(BindingError):
+            market.get(RestRequest("D", "R"))
+        assert market.ledger.total_calls == 0
 
     def test_double_publish_rejected(self, market):
         with pytest.raises(MarketError):

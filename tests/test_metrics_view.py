@@ -39,7 +39,7 @@ def test_after_a_weather_session_every_entry_equals_its_owner():
     instances = make_instances("real", data, SMALL.weather_q, SMALL)
     # A plan cache smaller than the session evicts; an instant repeat of a
     # query that bought something finds its entry invalidated.
-    payless, __ = build_system(
+    payless = build_system(
         "payless", data, options=QueryOptions(plan_cache_size=2)
     )
     for instance in instances:

@@ -167,10 +167,10 @@ class TestInstallationOptions:
     def test_no_sqr_arms_are_strong_consistency(self, system):
         """"PayLess w/o SQR" is the paper's strong level (Section 4.3):
         nothing stored is reused, every query goes to the market."""
-        payless, __ = build_system(system, make_join_graph("chain", 2))
+        payless = build_system(system, make_join_graph("chain", 2))
         assert payless.store.policy == ConsistencyPolicy.strong()
         assert not payless.store.policy.rewriting_enabled
-        full, __ = build_system("payless", make_join_graph("chain", 2))
+        full = build_system("payless", make_join_graph("chain", 2))
         assert full.store.policy.rewriting_enabled
 
     @pytest.mark.parametrize(

@@ -196,7 +196,7 @@ class TestTheorem3Partition:
             for i, j in sorted(edges)
         )
         sql = f"SELECT * FROM {', '.join(data.tables)} WHERE {predicates}"
-        payless, __ = build_system(
+        payless = build_system(
             "payless", data, options=QueryOptions(plan_cache_size=0)
         )
         optimizer = Optimizer(payless.context)
@@ -281,7 +281,7 @@ class TestBushyEnumeration:
             "from repro.core.optimizer import Optimizer\n"
             "from repro.workloads.synthetic import make_join_graph\n"
             "data = make_join_graph('clique', 5, domain_high=32)\n"
-            "payless, __ = build_system(\n"
+            "payless = build_system(\n"
             "    'payless', data, options=QueryOptions(use_theorems=False)\n"
             ")\n"
             "planning = Optimizer(payless.context).optimize(\n"

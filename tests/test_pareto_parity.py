@@ -39,11 +39,11 @@ SHAPES_AND_SIZES = [
 
 
 def _arms(data, objective=MIN_DOLLARS, transport_for=lambda: None):
-    optimized, __ = build_system(
+    optimized = build_system(
         "payless", data,
         options=QueryOptions(objective=objective, transport=transport_for()),
     )
-    oracle, __ = build_system(
+    oracle = build_system(
         "payless", data,
         options=QueryOptions(
             objective=objective, transport=transport_for(), plan_cache_size=0

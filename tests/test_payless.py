@@ -140,28 +140,37 @@ class TestVariants:
 
 
 class TestDownloadAll:
-    def test_first_touch_downloads_whole_table(self, mini_payless):
-        strategy = mini_payless.download_all_strategy()
-        logical = mini_payless.compile(
-            "SELECT * FROM Weather WHERE Date = 1"
-        )
-        first = strategy.execute(logical)
-        assert first.transactions == 6  # all 60 weather rows at t=10
-        assert len(first.relation.rows) == 6
-        second = strategy.execute(logical)
-        assert second.transactions == 0
+    """The Download-All arm: rent or buy with a buy threshold of 0."""
 
-    def test_upfront_cost(self, mini_payless):
-        strategy = mini_payless.download_all_strategy()
-        assert strategy.upfront_cost(["Station", "Weather"]) == 1 + 6
+    @staticmethod
+    def download_all(market, **kwargs):
+        payless = PayLess.download_all(market, **kwargs)
+        payless.register_dataset("WHW")
+        return payless
 
-    def test_local_tables_pass_through(
-        self, mini_payless_with_local
-    ):
-        strategy = mini_payless_with_local.download_all_strategy()
-        logical = mini_payless_with_local.compile(
-            "SELECT * FROM CityInfo WHERE Zone = 1"
+    def test_first_touch_downloads_whole_table(self, mini_weather_market):
+        payless = self.download_all(mini_weather_market)
+        logical = payless.compile("SELECT * FROM Weather WHERE Date = 1")
+        first = payless.execute_logical(logical)
+        assert first.stats.transactions == 6  # all 60 weather rows at t=10
+        assert len(first.rows) == 6
+        second = payless.execute_logical(logical)
+        assert second.stats.transactions == 0
+
+    def test_upfront_cost(self, mini_weather_market):
+        payless = self.download_all(mini_weather_market)
+        payless.query("SELECT * FROM Station WHERE Country = 'CountryA'")
+        payless.query("SELECT * FROM Weather WHERE Date = 1")
+        view = payless.metrics()
+        whole = [view[f"{t}.whole_table_dollars"] for t in ("Station", "Weather")]
+        assert whole == [1, 6]
+        assert payless.total_transactions == sum(whole) == 1 + 6
+
+    def test_local_tables_pass_through(self, mini_payless_with_local):
+        payless = self.download_all(
+            mini_payless_with_local.market,
+            local_db=mini_payless_with_local.local_db,
         )
-        outcome = strategy.execute(logical)
-        assert outcome.transactions == 0
-        assert len(outcome.relation.rows) == 2
+        outcome = payless.query("SELECT * FROM CityInfo WHERE Zone = 1")
+        assert outcome.stats.transactions == 0
+        assert len(outcome.rows) == 2

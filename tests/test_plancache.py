@@ -24,7 +24,7 @@ from repro.workloads.synthetic import make_join_graph
 
 def build(shape: str = "chain", n: int = 3, **kwargs):
     data = make_join_graph(shape, n)
-    payless, __ = build_system("payless", data, **kwargs)
+    payless = build_system("payless", data, **kwargs)
     return payless, data
 
 
@@ -189,7 +189,7 @@ def _skewed_build(adaptive=None):
         "chain", 2, tuples_per_transaction=5,
         domain_high=400, skew=15.0, rows=1000,
     )
-    payless, __ = build_system(
+    payless = build_system(
         "payless", data, options=QueryOptions(adaptive=adaptive)
     )
     return payless

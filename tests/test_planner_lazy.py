@@ -58,7 +58,7 @@ GRAPHS = [("chain", 8), ("star", 8), ("clique", 6)]
 
 def _plan(shape, n, objective, before=lambda: None):
     data = make_join_graph(shape, n)
-    payless, __ = build_system(
+    payless = build_system(
         "payless", data, options=QueryOptions(plan_cache_size=0)
     )
     logical = payless.compile(data.sql)
@@ -114,7 +114,7 @@ class TestSuffixIndexSeesTheOverlay:
     @pytest.fixture
     def chain(self):
         data = make_join_graph("chain", 4, domain_high=32)
-        payless, __ = build_system(
+        payless = build_system(
             "payless", data, options=QueryOptions(plan_cache_size=0)
         )
         return payless, payless.compile(data.sql)

@@ -29,10 +29,10 @@ def _run_arms(workload: str, q: int, transport_for=lambda: None):
     """Replay one session through both arms, asserting per-instance parity."""
     data = make_workload(workload)
     instances = make_instances(workload, data, q)
-    optimized, __ = build_system(
+    optimized = build_system(
         "payless", data, options=QueryOptions(transport=transport_for())
     )
-    oracle, __ = build_system(
+    oracle = build_system(
         "payless", data,
         options=QueryOptions(transport=transport_for(), plan_cache_size=0),
     )
@@ -90,8 +90,8 @@ class TestSyntheticGraphs:
     )
     def test_executed_parity(self, shape, n):
         data = make_join_graph(shape, n)
-        optimized, __ = build_system("payless", data)
-        oracle, __ = build_system(
+        optimized = build_system("payless", data)
+        oracle = build_system(
             "payless", data, options=QueryOptions(plan_cache_size=0)
         )
         # Twice: cold, then against a warm store (and a cache hit on the

@@ -137,7 +137,7 @@ def _check(request, pin: dict, name: str, actual: dict) -> None:
 
 
 def _installation(data):
-    payless, __ = build_system(
+    payless = build_system(
         "payless", data, options=QueryOptions(plan_cache_size=0)
     )
     return payless
@@ -262,7 +262,7 @@ def test_session_pin(request, pin, workload, q):
     assert instances
     actual = {}
     for objective in OBJECTIVES:
-        payless, __ = build_system(
+        payless = build_system(
             "payless", data,
             options=QueryOptions(
                 plan_cache_size=0, objective=OBJECTIVES[objective]

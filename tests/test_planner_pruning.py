@@ -23,7 +23,7 @@ from repro.workloads.synthetic import make_join_graph
 def build(shape: str, n: int):
     """A registered installation over one synthetic join graph."""
     data = make_join_graph(shape, n)
-    payless, __ = build_system("payless", data)
+    payless = build_system("payless", data)
     return payless, data
 
 
@@ -57,7 +57,7 @@ class TestFormulaMatchesEnumeration:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_baseline_chain(self, n):
         data = make_join_graph("chain", n)
-        payless, __ = build_system("payless_disable_all", data)
+        payless = build_system("payless_disable_all", data)
         assert enumerated_count(payless, data.sql) == plan_space_baseline(n)
 
 

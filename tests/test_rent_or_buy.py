@@ -2,13 +2,15 @@
 price is bought whole.
 
 The rewriter keeps renting (buying what an access misses) while
-``spent + access <= whole``; past it, the access is one unconstrained call
-for the whole table, priced exactly from the published cardinality.  Under
-weak consistency a table bought whole is never billed again, so no table
-costs more than twice its whole-table price plus what one rented access
-cost beyond its estimate.  These tests pin the rule on hand-picked
-sessions, across restarts and X-week expiry, and as a property over
-random sessions on random tables.
+``spent + access <= θ · whole``; past it, the access is one unconstrained
+call for the whole table, priced exactly from the published cardinality.
+Under weak consistency a table bought whole is never billed again, so at
+the default θ = 1 no table costs more than twice its whole-table price
+plus what one rented access cost beyond its estimate, and on the
+Download-All arm (θ = 0) every table costs exactly its whole-table price.
+These tests pin the rule on hand-picked sessions, across restarts and
+X-week expiry, and as a property over random sessions on random tables
+on both arms.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import QueryOptions
+from repro import PayLess, QueryOptions
 from repro.market.binding import BindingPattern
 from repro.market.dataset import Dataset
 from repro.market.pricing import PricingPolicy
@@ -243,17 +245,21 @@ def sessions(draw):
     return tables, page, draw(st.lists(queries(tables), min_size=4, max_size=16))
 
 
+#: The installation per buy threshold θ: ski rental, and Download All.
+ARMS = {1.0: PayLess.full, 0.0: PayLess.download_all}
+
+
 @settings(
     max_examples=100,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(session=sessions())
-def test_random_sessions_rent_then_buy_once(session):
+@given(session=sessions(), threshold=st.sampled_from(sorted(ARMS)))
+def test_random_sessions_rent_then_buy_once(session, threshold):
     tables, page, session_queries = session
-    payless = registered_payless(
-        small_market(tables, page), tracing=True
-    )
+    payless = ARMS[threshold](small_market(tables, page), tracing=True)
+    payless.register_dataset("SMALL")
+    assert payless.rewriter.buy_threshold == threshold
     whole = {name: -(-len(rows) // page) * 1.0 for name, rows in tables.items()}
     spent = dict.fromkeys(tables, 0.0)
     overshoot = dict.fromkeys(tables, 0.0)
@@ -268,17 +274,22 @@ def test_random_sessions_rent_then_buy_once(session):
             if bought_whole[table]:
                 assert price == 0, f"{table} billed after it was bought whole"
             elif attrs.get("whole_table"):
-                # Spend before it: at most the whole-table price, plus what
-                # the last rented access cost beyond its estimate.
-                assert spent[table] <= whole[table] + overshoot[table]
+                # Spend before it: at most θ times the whole-table price,
+                # plus what the last rented access cost beyond its estimate.
+                assert spent[table] <= threshold * whole[table] + overshoot[table]
                 assert price == whole[table]
                 bought_whole[table] = True
             elif price:
                 estimate = attrs["estimated_transactions"] * 1.0
-                assert spent[table] + estimate <= whole[table]
+                assert spent[table] + estimate <= threshold * whole[table]
                 overshoot[table] = max(0.0, price - estimate)
             spent[table] += price
     for table, dollars in spent.items():
         assert dollars == payless.store.spent(table)
-        assert dollars <= 2 * whole[table] + overshoot[table]
+        if threshold:
+            assert dollars <= 2 * whole[table] + overshoot[table]
+        else:
+            # Bought whole at first touch, for exactly its price, or never
+            # touched at all.
+            assert dollars == (whole[table] if bought_whole[table] else 0.0)
     assert_store_holds_only_paid_rows(payless)

@@ -519,8 +519,8 @@ class TestWalkCarriesKeys:
         """Every prefix a checkpoint reads is joined, but narrow — and the
         last step's join, which no checkpoint follows, is the engine's."""
         data = make_join_graph("chain", 4)
-        static, __ = build_system("payless", data)
-        adaptive, __ = build_system(
+        static = build_system("payless", data)
+        adaptive = build_system(
             "payless",
             data,
             options=QueryOptions(adaptive=AdaptivePolicy(min_rows=float("inf"))),
@@ -555,7 +555,7 @@ def _session(workload, seed, adaptive):
     profile = replace(SESSION, instance_seed=seed)
     data = make_workload(workload, profile)
     q = profile.weather_q if workload == "real" else profile.tpch_q
-    payless, __ = build_system(
+    payless = build_system(
         "payless",
         data,
         options=QueryOptions(adaptive=adaptive),

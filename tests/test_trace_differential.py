@@ -57,7 +57,7 @@ def run_passes(workload, passes=2, transport=None, system="payless"):
     data = make_workload(workload, SMALL)
     q = SMALL.weather_q if workload == "real" else SMALL.tpch_q
     instances = make_instances(workload, data, q, SMALL)
-    payless, __ = build_system(
+    payless = build_system(
         system, data, options=QueryOptions(transport=transport),
         tracing=True,
     )
@@ -261,7 +261,7 @@ def _one_account_session(workload, seed, driver):
     data = make_workload(workload, profile)
     q = profile.weather_q if workload == "real" else profile.tpch_q
     instances = make_instances(workload, data, q, profile)
-    payless, __ = build_system(
+    payless = build_system(
         "payless",
         data,
         options=QueryOptions(

@@ -99,7 +99,7 @@ class TestWeatherInstances:
         data = generate_weather_workload(
             WeatherConfig(countries=2, stations_per_country=8, days=20)
         )
-        payless, __ = build_system("payless", data)
+        payless = build_system("payless", data)
         generator = WeatherInstanceGenerator(data, seed=9)
         for template in ("Q1", "Q3", "Q4"):
             instance = generator.instance(template)
@@ -160,7 +160,7 @@ class TestTpchInstances:
         from repro.bench.harness import build_system
 
         data = generate_tpch_workload(TpchConfig(scale=0.1))
-        payless, __ = build_system("payless", data)
+        payless = build_system("payless", data)
         generator = TpchInstanceGenerator(data, seed=3)
         for template in TPCH_TEMPLATES:
             instance = generator.instance(template)
