@@ -61,7 +61,6 @@ from repro.market.pricing import PricingPolicy
 from repro.market.server import DataMarket
 from repro.market.transport import TransportConfig
 from repro.relational.database import Database
-from repro.relational.engine import ExecutionConfig
 from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
@@ -84,7 +83,6 @@ __all__ = [
     "Domain",
     "DurabilityConfig",
     "DurableStateBackend",
-    "ExecutionConfig",
     "ExecutionError",
     "Explanation",
     "FaultPolicy",

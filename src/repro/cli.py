@@ -83,11 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "coverage, plan-cache hit rate)",
     )
     session.add_argument(
-        "--engine", choices=["vectorized", "reference"], default="vectorized",
-        help="local-evaluation engine: vectorized (columnar batches + "
-        "compiled kernels) or reference (the row-at-a-time oracle)",
-    )
-    session.add_argument(
         "--no-plan-cache", action="store_true",
         help="disable the parameterized plan cache (every query re-plans "
         "from scratch)",
@@ -148,11 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also dump the query's span tree as JSON (implies --analyze)",
     )
     explain.add_argument(
-        "--engine", choices=["vectorized", "reference"], default="vectorized",
-        help="local-evaluation engine used when executing under --analyze "
-        "(EXPLAIN ANALYZE reports which engine ran and its rows/sec)",
-    )
-    explain.add_argument(
         "--objective", default=None, metavar="SPEC",
         help="planning objective (see 'session --objective'); non-default "
         "objectives add the Pareto frontier and chosen point to the output",
@@ -203,7 +193,6 @@ def _session_options(args: argparse.Namespace) -> QueryOptions:
     if args.adaptive is not None:
         overrides["adaptive"] = AdaptivePolicy.parse(args.adaptive)
     return QueryOptions(
-        engine=args.engine,
         durability=args.state_dir,
         transport=TransportConfig(
             max_retries=args.max_retries,
@@ -318,11 +307,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     elif upper.startswith("EXPLAIN "):
         sql = sql[len("EXPLAIN "):].strip()
     data = make_workload(args.workload)
-    payless = build_system(
-        "payless",
-        data,
-        options=QueryOptions(engine=args.engine),
-    )
+    payless = build_system("payless", data)
     objective = _objective_of(args)
     explanation = (
         payless.explain_analyze(sql, objective=objective)

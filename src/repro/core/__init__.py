@@ -1,6 +1,5 @@
 """PayLess core: optimizer, semantic rewriting, execution, baselines."""
 
-from repro.core.batch import plan_batch_order
 from repro.core.budget import BudgetExceededError, BudgetMode, BudgetPolicy
 from repro.core.bounding_boxes import (
     CandidateBox,
@@ -61,7 +60,6 @@ __all__ = [
     "RewriteResult",
     "SemanticRewriter",
     "cover_cost",
-    "plan_batch_order",
     "generate_candidates",
     "greedy_weighted_set_cover",
     "market_leaves",

@@ -21,7 +21,6 @@ from repro.market.server import DataMarket
 from repro.market.transport import MarketTransport
 from repro.obs.trace import Tracer
 from repro.relational.database import Database
-from repro.relational.engine import DEFAULT_EXECUTION, ExecutionConfig
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.semstore.store import SemanticStore
@@ -83,13 +82,6 @@ class PlanningContext:
         #: :meth:`add_prefetch_waste`.
         self.prefetch_wasted_price = 0.0
         self._prefetch_waste_lock = threading.Lock()
-        #: Which local-evaluation engine runs the final joins/aggregates
-        #: (see :class:`repro.relational.engine.ExecutionConfig`).
-        self.execution = (
-            ExecutionConfig(engine=self.options.engine)
-            if self.options.engine
-            else DEFAULT_EXECUTION
-        )
         self.rewriter.tracer = self.tracer
         #: The money-safe transport every executor call goes through (see
         #: :mod:`repro.market.transport`).  Lives here, not on the

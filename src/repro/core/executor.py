@@ -36,8 +36,9 @@ from repro.core.plans import (
 )
 from repro.core import purchase
 from repro.errors import ExecutionError
+from repro.relational import operators
 from repro.relational.database import Database
-from repro.relational.engine import DEFAULT_EXECUTION, evaluate
+from repro.relational.engine import evaluate
 from repro.relational.expressions import Comparison, ColumnRef, RowLayout, conjunction
 from repro.relational.relation import Relation
 from repro.relational.query import AttributeConstraint, LogicalQuery, OutputColumn
@@ -100,9 +101,8 @@ class _Fetched:
     out the bindings, since a cross product with an empty side is empty).
     """
 
-    def __init__(self, components: list[Relation], ops=None):
+    def __init__(self, components: list[Relation]):
         self.components = components
-        self.ops = ops if ops is not None else DEFAULT_EXECUTION.ops
 
     @property
     def any_empty(self) -> bool:
@@ -124,7 +124,7 @@ class _Fetched:
 
     def joined_with(self, other: "_Fetched", predicates: tuple) -> "_Fetched":
         """Both sides' components, merged where ``predicates`` connect them."""
-        combined = _Fetched(self.components + other.components, self.ops)
+        combined = _Fetched(self.components + other.components)
         return combined.apply_joins(predicates) if predicates else combined
 
     def apply_joins(self, predicates: tuple) -> "_Fetched":
@@ -140,16 +140,16 @@ class _Fetched:
             left_table, right_table = predicate.tables()
             left_ref = predicate.side_for(left_table)
             right_ref = predicate.side_for(right_table)
-            fetched = _Fetched(components, self.ops)
+            fetched = _Fetched(components)
             left_index = fetched._component_of(left_ref)
             right_index = fetched._component_of(right_ref)
             if left_index == right_index:
-                components[left_index] = self.ops.filter_rows(
+                components[left_index] = operators.filter_rows(
                     components[left_index],
                     Comparison("=", left_ref, right_ref),
                 )
                 continue
-            joined = self.ops.hash_join(
+            joined = operators.hash_join(
                 components[left_index],
                 components[right_index],
                 [(left_ref, right_ref)],
@@ -160,7 +160,7 @@ class _Fetched:
                 if index not in (left_index, right_index)
             ]
             components = [joined] + keep
-        return _Fetched(components, self.ops)
+        return _Fetched(components)
 
 
 class Executor:
@@ -175,8 +175,6 @@ class Executor:
         self, context: PlanningContext, objective: PlanObjective | None = None
     ):
         self.context = context
-        self.execution = context.execution
-        self._ops = self.execution.ops
         #: Mid-query re-optimization policy (None = no checkpoints).
         self.adaptive = context.options.adaptive
         self.objective = objective
@@ -242,14 +240,13 @@ class Executor:
         staging = self._build_staging(query)
         tracer = self.context.tracer
         with tracer.span("local_eval") as eval_span:
-            relation = evaluate(staging, self._over_staged, self.execution)
+            relation = evaluate(staging, self._over_staged)
             if eval_span is not None:
                 eval_ms = tracer.clock() - eval_span.start_ms
                 input_rows = sum(
                     len(staging.table(name)) for name in query.tables
                 )
                 eval_span.set(
-                    engine=self.execution.engine,
                     input_rows=input_rows,
                     output_rows=len(relation.rows),
                     eval_ms=eval_ms,
@@ -359,7 +356,7 @@ class Executor:
     def _key_columns(self, table: str, relation: Relation) -> _Fetched:
         """One fetched relation as a walk component (zero-copy)."""
         refs = self._join_columns.get(table.lower(), ())
-        return _Fetched([self._ops.project(relation, refs)], self._ops)
+        return _Fetched([operators.project(relation, refs)])
 
     def _start_early(self, node: PlanNode) -> None:
         """Start, in execution order, the plan's *certain* market buys.
@@ -537,13 +534,13 @@ class Executor:
             ],
             outputs=[OutputColumn(column=ref) for ref in keys],
         )
-        relation = evaluate(block_db, sub_query, self.execution)
+        relation = evaluate(block_db, sub_query)
         if not keys:
             # No join names a block table (it is a Cartesian sibling), and
             # an empty output list reads as SELECT *: the walk wants the
             # row count alone.
-            relation = self._ops.project(relation, ())
-        return _Fetched([relation], self._ops)
+            relation = operators.project(relation, ())
+        return _Fetched([relation])
 
     def _fetch_bound(
         self,
@@ -609,7 +606,7 @@ class Executor:
             ]
             predicates.extend(self._query.residuals_for(table))
             if predicates:
-                relation = self._ops.filter_rows(
+                relation = operators.filter_rows(
                     relation, conjunction(predicates)
                 )
             self._stage(table, relation)

@@ -395,10 +395,6 @@ class QueryOptions:
     #: Entries the parameterized plan cache may hold; 0 disables it.
     plan_cache_size: int = 256
 
-    # -- execution ------------------------------------------------------------
-    #: Local-evaluation engine ("vectorized" or "reference"; None = default).
-    engine: str | None = None
-
     # -- transport ------------------------------------------------------------
     #: Retries, partial results, idempotency and breakers (``None`` =
     #: library defaults); the fault fields below overlay it when set.

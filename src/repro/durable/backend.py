@@ -29,9 +29,12 @@ additionally fsyncs each intent before the market may bill it.
 
 Purchases, ISOMER feedback, the logical clock, per-query totals and the
 three billing buckets (spent / wasted-on-failures / coalesced-savings)
-are all WAL records riding those group commits.  Periodically — and on clean shutdown — the backend writes a
-compacted **snapshot** (temp file + fsync + atomic rename) and starts a
-fresh WAL segment, so cold restart cost is O(live state), not O(history).
+are all WAL records riding those group commits.  Every
+:data:`COMPACT_AFTER` records (checked at query boundaries) and on every
+clean shutdown the backend writes a compacted **snapshot** (temp file +
+fsync + atomic rename) and starts a fresh WAL segment, so cold restart
+cost is O(live state), not O(history).  :meth:`recover` always rolls
+pending intents forward — the one money-safe way to reopen a state dir.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 _SIDECAR_RE = re.compile(r"^snapshot-(\d{8})\.tables\.pkl$")
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
 
+#: WAL records between automatic compacting snapshots (checked at query
+#: boundaries, where no table lock is held).
+COMPACT_AFTER = 4096
+
 
 @dataclass(frozen=True)
 class DurabilityConfig:
@@ -83,15 +90,6 @@ class DurabilityConfig:
     #: never lose money, power loss can expose at most the one in-flight
     #: access), or "os" (never fsync; durable against process kill only).
     fsync: str = "commit"
-    #: WAL records between automatic compacting snapshots (checked at
-    #: query boundaries, where no table lock is held).
-    compact_after: int = 4096
-    #: Write a compacting snapshot on clean :meth:`PayLess.close`.
-    snapshot_on_close: bool = True
-    #: Roll pending intents forward during :meth:`recover` (re-issue
-    #: with the same idempotency key).  Disable only for inspecting a
-    #: crashed state dir — unresolved intents are a billing hazard.
-    resolve_intents: bool = True
 
     def __post_init__(self) -> None:
         if self.fsync not in FSYNC_POLICIES:
@@ -99,8 +97,6 @@ class DurabilityConfig:
                 f"unknown fsync policy {self.fsync!r}; "
                 f"pick one of {FSYNC_POLICIES}"
             )
-        if self.compact_after < 1:
-            raise ReproError("compact_after must be >= 1")
 
 
 @dataclass
@@ -473,7 +469,7 @@ class DurableStateBackend:
             self.wal.commit()
 
     def maybe_compact(self) -> None:
-        """Snapshot when the WAL grew past ``compact_after`` records.
+        """Snapshot when the WAL grew past :data:`COMPACT_AFTER` records.
 
         Called at query boundaries only — snapshotting takes every table
         lock briefly, so it must never run inside one.
@@ -481,7 +477,7 @@ class DurableStateBackend:
         with self._lock:
             if (
                 self._payless is not None
-                and self._records_since_snapshot >= self.config.compact_after
+                and self._records_since_snapshot >= COMPACT_AFTER
             ):
                 self.snapshot()
 
@@ -649,10 +645,9 @@ class DurableStateBackend:
                         },
                         absolute=False,
                     )
-            if self.config.resolve_intents:
-                for intent in list(self._pending.values()):
-                    self._resolve_intent(payless, intent)
-                    report.intents_resolved += 1
+            for intent in list(self._pending.values()):
+                self._resolve_intent(payless, intent)
+                report.intents_resolved += 1
             report.clock = payless.store.clock
             self._clock = payless.store.clock
             self._recovered = True
@@ -765,16 +760,13 @@ class DurableStateBackend:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def close(self, snapshot: bool | None = None) -> None:
-        """Clean shutdown: group-commit, optionally snapshot, close."""
+    def close(self) -> None:
+        """Clean shutdown: group-commit, snapshot, close."""
         with self._lock:
             if self.wal.closed:
                 return
             self.wal.commit()
-            take_snapshot = (
-                self.config.snapshot_on_close if snapshot is None else snapshot
-            )
-            if take_snapshot and self._payless is not None:
+            if self._payless is not None:
                 self.snapshot()
             self.wal.close()
 

@@ -53,6 +53,15 @@ from repro.market.server import DataMarket
 #: Distinguishes idempotency keys of transports sharing one market.
 _TRANSPORT_IDS = itertools.count()
 
+#: The retry schedule: attempt ``a`` waits ``BACKOFF_BASE_MS ·
+#: BACKOFF_MULTIPLIER^(a-1)`` ms, capped at ``BACKOFF_MAX_MS``, then
+#: scaled by ``1 + BACKOFF_JITTER · d`` for the fault policy's
+#: deterministic draw ``d`` in ``[-1, 1]``.
+BACKOFF_BASE_MS = 50.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_MS = 5000.0
+BACKOFF_JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -67,12 +76,6 @@ class TransportConfig:
     faults: FaultPolicy | None = None
     #: Retries allowed per call beyond the first attempt.
     max_retries: int = 4
-    backoff_base_ms: float = 50.0
-    backoff_multiplier: float = 2.0
-    backoff_max_ms: float = 5000.0
-    #: Fractional jitter applied to each backoff wait (deterministic,
-    #: drawn from the fault policy's seed).
-    jitter: float = 0.1
     #: Total retries one query may spend across all its calls
     #: (``None`` = unlimited).
     retry_budget: int | None = 64
@@ -90,12 +93,6 @@ class TransportConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise MarketError("max_retries cannot be negative")
-        if self.backoff_base_ms < 0 or self.backoff_max_ms < 0:
-            raise MarketError("backoff times cannot be negative")
-        if self.backoff_multiplier < 1.0:
-            raise MarketError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise MarketError("jitter must be in [0, 1]")
         if self.retry_budget is not None and self.retry_budget < 0:
             raise MarketError("retry_budget cannot be negative")
         if self.breaker_failure_threshold < 1:
@@ -356,14 +353,12 @@ class MarketTransport:
     def _backoff_ms(
         self, call_key: str, attempt: int, fault: InjectedFault
     ) -> float:
-        config = self.config
         wait = min(
-            config.backoff_base_ms
-            * config.backoff_multiplier ** (attempt - 1),
-            config.backoff_max_ms,
+            BACKOFF_BASE_MS * BACKOFF_MULTIPLIER ** (attempt - 1),
+            BACKOFF_MAX_MS,
         )
-        if self.faults is not None and config.jitter:
-            wait *= 1.0 + config.jitter * self.faults.jitter(call_key, attempt)
+        if self.faults is not None:
+            wait *= 1.0 + BACKOFF_JITTER * self.faults.jitter(call_key, attempt)
         if fault.retry_after_ms:
             wait = max(wait, fault.retry_after_ms)
         return wait

@@ -292,8 +292,7 @@ def render_explain_analyze(
         attrs = eval_span.attrs
         rate = attrs.get("rows_per_sec", 0.0)
         lines.append(
-            f"local eval: engine={attrs.get('engine', '?')}, "
-            f"{attrs.get('input_rows', 0)} rows in → "
+            f"local eval: {attrs.get('input_rows', 0)} rows in → "
             f"{attrs.get('output_rows', 0)} rows out, "
             f"{attrs.get('eval_ms', 0.0):.2f} ms "
             f"({rate:,.0f} rows/sec)"

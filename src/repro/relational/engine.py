@@ -13,13 +13,15 @@ so it cannot split the two interchangeable implementations that execute
 the plan:
 
 * ``"vectorized"`` (the default): columnar batches + compiled expression
-  kernels (:mod:`repro.relational.operators`);
+  kernels (:mod:`repro.relational.operators`) — the one PayLess runs;
 * ``"reference"``: the original row-at-a-time interpreter
   (:mod:`repro.relational.reference`), kept as a differential test oracle.
 
-Both produce identical results, row order included; pick one with
-:class:`ExecutionConfig` (threaded through ``PlanningContext``/``PayLess``,
-or ``--engine`` on the CLI).
+Both produce identical results, row order included.  An installation has
+no engine switch: :class:`ExecutionConfig` picks the operator set only for
+a direct :func:`evaluate` call, which is how
+:func:`repro.testing.oracle_evaluate` and the parity suite
+(``tests/test_engine_parity.py``) run the reference engine.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ direction.  Row *order* is also identical by construction (same
 build-side tie-break in joins, insertion-ordered groups, stable sorts),
 so parity tests compare row lists exactly.
 
-Select an engine end-to-end with
-``ExecutionConfig(engine="reference")`` — see :mod:`repro.relational.engine`.
+PayLess always executes with the vectorized operators; this module runs
+only where a query is evaluated with ``ExecutionConfig(engine="reference")``
+(see :mod:`repro.relational.engine`), as
+:func:`repro.testing.oracle_evaluate` does to compute ground truth.
 """
 
 from __future__ import annotations

@@ -55,13 +55,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.batch import plan_batch_order
 from repro.core.budget import BudgetExceededError, BudgetMode, BudgetPolicy
 from repro.core.objectives import ServiceTier
 from repro.core.optimizer import PlanningResult
 from repro.core.payless import PayLess, QueryResult
 from repro.errors import AdmissionError, MarketError
 from repro.relational.query import LogicalQuery
+from repro.semstore.boxes import Box, covers_fully
 from repro.serve.singleflight import SingleflightGroup
 
 _TICKET_IDS = itertools.count()
@@ -372,7 +372,7 @@ class QueryScheduler:
         """Run every deferred ticket, broadest request region first.
 
         One after another on the calling thread, in
-        :func:`~repro.core.batch.plan_batch_order`'s containment order,
+        :func:`plan_batch_order`'s containment order,
         through the body the workers run (tier, budget, attribution) — a
         narrow query is answered from what the broad one bought, its owner
         billed nothing.  Returns the tickets in execution order, all done.
@@ -535,3 +535,72 @@ class QueryScheduler:
                 f"{self.completed} completed, "
                 f"coalesce={'on' if self.coalescer else 'off'})"
             )
+
+
+# -- deferred batch order ------------------------------------------------------
+
+
+def _request_regions(
+    payless: PayLess, query: LogicalQuery
+) -> dict[str, list[Box]]:
+    """The per-market-table region each query asks for (pre-binding)."""
+    regions: dict[str, list[Box]] = {}
+    for table in query.tables:
+        if not payless.context.is_market(table):
+            continue
+        statistics = payless.catalog.statistics(table)
+        boxes = statistics.space.boxes_for_constraints(
+            query.constraints_for(table)
+        )
+        regions[table.lower()] = boxes
+    return regions
+
+
+def _region_size(payless: PayLess, regions: dict[str, list[Box]]) -> float:
+    total = 0.0
+    for table, boxes in regions.items():
+        statistics = payless.catalog.statistics(table)
+        total += sum(statistics.histogram.estimate(box) for box in boxes)
+    return total
+
+
+def _contains(outer: dict[str, list[Box]], inner: dict[str, list[Box]]) -> bool:
+    """Whether ``outer``'s regions cover ``inner``'s on every shared table."""
+    shared = set(outer) & set(inner)
+    if not shared:
+        return False
+    for table in shared:
+        for box in inner[table]:
+            if not covers_fully(box, outer[table]):
+                return False
+    return True
+
+
+def plan_batch_order(
+    payless: PayLess, queries: Sequence[LogicalQuery]
+) -> list[int]:
+    """Execution order of a deferred batch: containing queries first,
+    then by region size.
+
+    The paper's future-work sketch of multi-query optimization ("if users
+    are willing to defer theirs to become a batch"): the order a batch
+    runs in changes the bill.  A broad query run first makes narrower
+    overlapping ones free; run narrow-first, the same region is bought in
+    fragments, each paying its own ``ceil(rows/t)`` rounding.  The
+    heuristic is deliberately simple: estimate each query's request region
+    per market table, put queries whose regions contain others first, and
+    break ties toward the larger estimated region.
+    """
+    regions = [_request_regions(payless, query) for query in queries]
+    sizes = [_region_size(payless, region) for region in regions]
+    # Count how many other queries each one (at least partially) dominates.
+    dominated = [0] * len(queries)
+    for i, outer in enumerate(regions):
+        for j, inner in enumerate(regions):
+            if i != j and _contains(outer, inner):
+                dominated[i] += 1
+    return sorted(
+        range(len(queries)),
+        key=lambda index: (dominated[index], sizes[index]),
+        reverse=True,
+    )

@@ -4,8 +4,8 @@ deferred batch flushed through the scheduler in that order."""
 import pytest
 
 from repro import PayLess
-from repro.core.batch import plan_batch_order
 from repro.serve import QueryScheduler, ServeConfig
+from repro.serve.scheduler import plan_batch_order
 
 BROAD = ("SELECT * FROM Weather WHERE Country = 'CountryA'", ())
 NARROW_1 = (

@@ -56,7 +56,17 @@ And the second execution path of the Download-All arm:
 ``PayLess.download_all_strategy`` and the harness's per-arm branch —
 Download All is rent or buy with a buy threshold of 0
 (``PayLess.download_all``), planned, bought, traced and made durable like
-every other arm.
+every other arm.  And the installation options with one value in use,
+now module constants: ``QueryOptions.engine`` with ``session --engine``
+/ ``explain --engine``, ``PlanningContext.execution`` and the executor's
+operator-set thread (PayLess runs the vectorized engine; the reference
+engine is the oracle ``repro.testing`` evaluates with), the retry
+schedule ``TransportConfig.backoff_base_ms`` / ``backoff_multiplier`` /
+``backoff_max_ms`` / ``jitter`` (``repro.market.transport.BACKOFF_*``),
+and ``DurabilityConfig.compact_after`` / ``snapshot_on_close`` /
+``resolve_intents`` with ``close(snapshot=)`` (``COMPACT_AFTER``; a
+clean close always snapshots, ``recover()`` always rolls intents
+forward).  ``core/batch.py`` folded into the scheduler, its one caller.
 """
 
 from __future__ import annotations
@@ -72,13 +82,13 @@ import pytest
 import repro
 import repro.core
 import repro.core.baselines
-import repro.core.batch
 import repro.core.bounding_boxes
 import repro.core.budget
 import repro.core.context
 import repro.core.executor
 import repro.core.optimizer
 import repro.obs
+import repro.serve.scheduler
 import repro.stats
 import repro.stats.estimator
 from repro.bench.figures import make_instances, make_workload
@@ -92,10 +102,11 @@ from repro.core.optimizer import Optimizer
 from repro.core.payless import PayLess, QueryResult
 from repro.core.plancache import PlanCache
 from repro.core.rewriter import SemanticRewriter
+from repro.durable.backend import DurabilityConfig, DurableStateBackend
 from repro.market.aio import AsyncMarketTransport
 from repro.market.billing import BillingLedger, LedgerEntry
 from repro.market.server import DataMarket
-from repro.market.transport import MarketTransport, QueryScope
+from repro.market.transport import MarketTransport, QueryScope, TransportConfig
 from repro.semstore.store import TableStore
 from repro.serve import QueryScheduler, ServeConfig, SingleflightGroup
 from repro.testing import tiny_weather_market
@@ -249,7 +260,7 @@ SECOND_FRONT_END = (
 
 @pytest.mark.parametrize("name", SECOND_FRONT_END)
 def test_second_multi_user_front_end_is_gone(name):
-    for module in (repro, repro.core, repro.core.batch, repro.core.budget):
+    for module in (repro, repro.core, repro.serve.scheduler, repro.core.budget):
         assert not hasattr(module, name), module.__name__
         assert name not in getattr(module, "__all__", ())
     assert not hasattr(PayLess, name)
@@ -293,7 +304,7 @@ def test_the_scheduler_is_the_one_multi_user_front_end():
     ]
     assert len(dataclasses.fields(ServeConfig)) == 6
     assert len(dataclasses.fields(BudgetPolicy)) == 2
-    assert len(dataclasses.fields(QueryOptions)) == 10
+    assert len(dataclasses.fields(QueryOptions)) == 9
 
 
 def test_one_options_record_one_walk():
@@ -383,6 +394,7 @@ NOT_INSTALLATION_CHOICES = (
     "max_retries",
     "transport_mode",
     "max_concurrent_calls",
+    "engine",
 )
 
 
@@ -432,20 +444,70 @@ def test_buying_an_access_lives_in_the_purchase_module():
     assert not hasattr(QueryStats, "fetched_records")
 
 
+#: The installation's configuration records and their field counts.
+CONFIG_RECORDS = ((QueryOptions, 9), (TransportConfig, 7), (DurabilityConfig, 2))
+
+
+def test_config_records_keep_their_field_counts():
+    """A new field is a new knob: it needs a caller that sets it."""
+    for record, count in CONFIG_RECORDS:
+        assert len(dataclasses.fields(record)) == count, record.__name__
+
+
 def test_every_option_is_read_somewhere():
     """No orphan knob: each ``QueryOptions`` field is read as an attribute
-    by some module other than the one that declares it."""
-    readers = "\n".join(
-        path.read_text()
-        for path in sorted(SRC.rglob("*.py"))
-        if path.name != "objectives.py"
-    )
-    orphans = [
-        f.name
-        for f in dataclasses.fields(QueryOptions)
-        if not re.search(rf"\.{f.name}\b", readers)
+    by some module other than the one that declares it, and each
+    ``TransportConfig`` / ``DurabilityConfig`` field somewhere outside
+    its own class body (its module is where it is used)."""
+    for record, __ in CONFIG_RECORDS:
+        declaring = pathlib.Path(inspect.getsourcefile(record)).resolve()
+        own = inspect.getsource(record)
+        readers = "\n".join(
+            path.read_text().replace(own, "")
+            for path in sorted(SRC.rglob("*.py"))
+            if not (record is QueryOptions and path == declaring)
+        )
+        orphans = [
+            f.name
+            for f in dataclasses.fields(record)
+            if not re.search(rf"\.{f.name}\b", readers)
+        ]
+        assert not orphans, (record.__name__, orphans)
+
+
+#: Knobs that became constants; nothing may teach them again.
+RETIRED_KNOBS = (
+    "--engine",
+    "QueryOptions(engine=",
+    "compact_after",
+    "snapshot_on_close",
+    "resolve_intents",
+    "backoff_base_ms",
+)
+
+
+@pytest.mark.parametrize("name", RETIRED_KNOBS)
+def test_retired_knob_is_not_taught(name):
+    assert not mentions(name)
+
+
+def test_one_local_engine_fixed_backoff_fixed_compaction(capsys):
+    assert "ExecutionConfig" not in repro.__all__
+    context = PayLess(tiny_weather_market()).context
+    assert not hasattr(context, "execution")
+    executor = Executor(context)
+    assert not hasattr(executor, "execution") and not hasattr(executor, "_ops")
+    assert list(inspect.signature(DurableStateBackend.close).parameters) == [
+        "self"
     ]
-    assert not orphans, orphans
+    for argv in (
+        ["session", "--engine", "reference", "--instances", "1"],
+        ["explain", "--engine", "reference", "SELECT * FROM Station"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 def test_readme_option_table_lists_the_fields_in_order():

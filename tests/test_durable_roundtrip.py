@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PayLess, QueryOptions
+from repro.durable import backend
 from repro.errors import ReproError
 from repro.stats.isomer import FeedbackHistogram
 
@@ -154,6 +155,39 @@ class TestRoundTripProperties:
             report = second.recover()
             assert report.snapshot_loaded
             assert capture(second) == before
+
+
+class TestCompaction:
+    def test_wal_compacts_at_a_query_boundary(self, tmp_path, monkeypatch):
+        """Past ``COMPACT_AFTER`` WAL records, the next query boundary
+        writes a snapshot and rotates the WAL; a kill after it recovers
+        from that snapshot plus the newer segment, exactly."""
+        monkeypatch.setattr(backend, "COMPACT_AFTER", 4)
+        market = make_market()
+        state_dir = tmp_path / "state"
+        first = durable(market, state_dir)
+        snapshots = []
+        for sql in (
+            weather_sql("CountryA", 1, 3),
+            station_sql("CountryB"),
+            weather_sql("CountryB", 4, 9),
+            weather_sql("CountryA", 2, 7),
+            station_sql("CountryA"),
+        ):
+            assert first.query(sql).stats.transactions > 0
+            snapshots.append(len(list(state_dir.glob("snapshot-*.json"))))
+        assert snapshots[0] == 0 and snapshots[-1] >= 1
+        assert snapshots == sorted(snapshots)
+        before = capture(first)
+        spent_before = market.ledger.spent.transactions
+        first.durability.abandon()  # no snapshot on the way out
+
+        second = PayLess.full(market, options=QueryOptions(durability=state_dir))
+        second.register_dataset("WHW")
+        report = second.recover()
+        assert report.snapshot_loaded and report.purchases_replayed > 0
+        assert capture(second) == before
+        assert market.ledger.spent.transactions == spent_before
 
 
 class TestLegacyShimRegression:

@@ -16,9 +16,11 @@ edge case, and every full query.  This suite holds them to it three ways:
   reads runs through both engines and through ``evaluate`` with pruning
   disabled, and all three must return the same ordered rows;
 * **full-query parity** replays the weather and TPC-H workload sessions
-  through two PayLess installations differing only in ``engine=``, with
-  and without chaos-seed fault injection, and asserts identical answers
-  and identical spend.
+  through PayLess (which always runs the vectorized engine) and checks
+  every answer against :func:`repro.testing.oracle_evaluate`, the
+  reference engine over full copies of the market tables; under
+  chaos-seed fault injection each answer and each query's bill must equal
+  the fault-free replay's.
 """
 
 import pytest
@@ -57,6 +59,7 @@ from repro.relational.query import (
 from repro.relational.schema import Attribute, Schema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
+from repro.testing import oracle_evaluate
 from repro.workloads.weather import WeatherConfig
 
 # ---------------------------------------------------------------------------
@@ -671,40 +674,68 @@ SMALL = BenchProfile(
 CHAOS_SEEDS = (7, 23, 101)
 
 
-def _replay(workload, engine, transport=None):
+def _replay(workload, transport=None):
     data = make_workload(workload, SMALL)
     q = SMALL.weather_q if workload == "real" else SMALL.tpch_q
     instances = make_instances(workload, data, q, SMALL)
     payless = build_system(
-        "payless",
-        data,
-        options=QueryOptions(transport=transport, engine=engine),
+        "payless", data, options=QueryOptions(transport=transport)
     )
     results = [payless.query(i.sql, i.params) for i in instances]
-    return payless, results
+    return payless, instances, results
+
+
+def _multiset_key(row):
+    """Sort key that orders rows by their exact columns first, so a float
+    rounded differently still lands beside its counterpart."""
+    return (
+        tuple(repr(v) for v in row if not isinstance(v, float)),
+        tuple(v for v in row if isinstance(v, float)),
+    )
+
+
+def _assert_same_multiset(got, want):
+    """Equal as multisets; floats to ``rel=1e-9`` (staged rows are summed
+    in purchase order, the ground truth in table order)."""
+    assert len(got) == len(want)
+    for got_row, want_row in zip(
+        sorted(got, key=_multiset_key), sorted(want, key=_multiset_key)
+    ):
+        assert len(got_row) == len(want_row)
+        for value, expected in zip(got_row, want_row):
+            if isinstance(expected, float):
+                assert value == pytest.approx(expected, rel=1e-9)
+            else:
+                assert value == expected
 
 
 @pytest.mark.parametrize("workload", ["real", "tpch"])
 def test_full_query_parity(workload):
-    """Both engines answer the whole session identically — rows *and* money."""
-    vec_payless, vec_results = _replay(workload, "vectorized")
-    ref_payless, ref_results = _replay(workload, "reference")
-    assert len(vec_results) == len(ref_results)
-    for got, want in zip(vec_results, ref_results):
-        assert got.rows == want.rows
-        assert got.stats.transactions == want.stats.transactions
-    assert vec_payless.total_price == ref_payless.total_price
+    """Every answer of the session equals the reference engine's ground
+    truth over full copies of the market tables."""
+    payless, instances, results = _replay(workload)
+    assert len(results) == len(instances)
+    for instance, result in zip(instances, results):
+        want = oracle_evaluate(payless, instance.sql, instance.params)
+        _assert_same_multiset(result.rows, want.rows)
+
+
+@pytest.fixture(scope="module")
+def fault_free_weather():
+    __, __, results = _replay("real")
+    return results
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_full_query_parity_under_chaos(seed):
-    """Fault injection (same seed → same faults) never splits the engines."""
+def test_full_query_parity_under_chaos(seed, fault_free_weather):
+    """Fault injection (same seed → same faults) changes neither an
+    answer nor what a query bills."""
     transport = TransportConfig(
         faults=FaultPolicy.uniform(seed=seed, rate=0.15)
     )
-    __, vec_results = _replay("real", "vectorized", transport)
-    __, ref_results = _replay("real", "reference", transport)
-    for got, want in zip(vec_results, ref_results):
+    __, __, results = _replay("real", transport)
+    assert len(results) == len(fault_free_weather)
+    for got, want in zip(results, fault_free_weather):
         assert got.rows == want.rows
         assert got.stats.transactions == want.stats.transactions
 
@@ -712,18 +743,3 @@ def test_full_query_parity_under_chaos(seed):
 def test_unknown_engine_rejected():
     with pytest.raises(ExecutionError):
         ExecutionConfig(engine="gpu")
-
-
-def test_explain_analyze_reports_engine():
-    """EXPLAIN ANALYZE names the engine that actually ran the local eval."""
-    for engine in ("vectorized", "reference"):
-        data = make_workload("real", SMALL)
-        instances = make_instances("real", data, SMALL.weather_q, SMALL)
-        payless = build_system(
-            "payless", data, options=QueryOptions(engine=engine)
-        )
-        rendered = payless.explain_analyze(
-            instances[0].sql, instances[0].params
-        ).render()
-        assert f"engine={engine}" in rendered
-        assert "rows/sec" in rendered

@@ -88,9 +88,41 @@ class TestFaultPolicy:
         with pytest.raises(MarketError):
             TransportConfig(max_retries=-1)
         with pytest.raises(MarketError):
-            TransportConfig(jitter=2.0)
+            TransportConfig(retry_budget=-1)
         with pytest.raises(MarketError):
             TransportConfig(breaker_failure_threshold=0)
+
+
+class TestRetrySchedule:
+    """The backoff before retry ``a``: 50 ms doubling per attempt, capped
+    at 5 s, with ±10% jitter drawn from the fault policy's seed."""
+
+    KEY = "https://market.example/WHW/Weather?Country=CountryA#0"
+
+    @staticmethod
+    def _expected(attempt, jitter):
+        return min(50.0 * 2.0 ** (attempt - 1), 5000.0) * (1.0 + 0.1 * jitter)
+
+    def test_seeded_policy_jitters_each_attempt(self):
+        faults = FaultPolicy.uniform(seed=7, rate=0.2)
+        transport = MarketTransport(
+            tiny_weather_market(), TransportConfig(faults=faults)
+        )
+        timeout = faults.fault_for(FaultKind.TIMEOUT, self.KEY)
+        for attempt in range(1, 9):
+            assert transport._backoff_ms(
+                self.KEY, attempt, timeout
+            ) == self._expected(attempt, faults.jitter(self.KEY, attempt))
+
+    def test_no_policy_means_no_jitter(self):
+        transport = MarketTransport(tiny_weather_market())
+        timeout = FaultPolicy(seed=0).fault_for(FaultKind.TIMEOUT, self.KEY)
+        waits = [
+            transport._backoff_ms(self.KEY, attempt, timeout)
+            for attempt in range(1, 9)
+        ]
+        assert waits == [self._expected(attempt, 0.0) for attempt in range(1, 9)]
+        assert waits[-1] == 5000.0
 
 
 class TestAtMostOnceBilling:

@@ -144,7 +144,7 @@ class TestInstallationOptions:
     """``options=QueryOptions(...)`` is the only way to configure PayLess."""
 
     def test_without_sqr_applies_its_switch_to_passed_options(self):
-        options = QueryOptions(engine="reference")
+        options = QueryOptions(max_bind_attrs=1)
         payless = repro.PayLess.without_sqr(
             tiny_weather_market(), options=options
         )
@@ -153,10 +153,10 @@ class TestInstallationOptions:
 
     def test_minimizing_calls_applies_its_switches_to_passed_options(self):
         payless = repro.PayLess.minimizing_calls(
-            tiny_weather_market(), options=QueryOptions(engine="reference")
+            tiny_weather_market(), options=QueryOptions(max_bind_attrs=1)
         )
         assert payless.store.policy == ConsistencyPolicy.strong()
-        assert payless.query_options.engine == "reference"
+        assert payless.query_options.max_bind_attrs == 1
         assert payless.context.options is payless.query_options
         payless.register_dataset("WHW")
         assert payless.context.pricing("Weather").price_for(1_000) == 1.0
@@ -174,7 +174,7 @@ class TestInstallationOptions:
         assert full.store.policy.rewriting_enabled
 
     @pytest.mark.parametrize(
-        "bad", [{"engine": "reference"}, TransportConfig(max_retries=1)]
+        "bad", [{"max_bind_attrs": 1}, TransportConfig(max_retries=1)]
     )
     def test_non_query_options_rejected_at_construction(self, bad):
         with pytest.raises(PlanningError, match="QueryOptions"):

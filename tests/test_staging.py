@@ -20,7 +20,7 @@ from repro.bench.harness import build_system
 from repro.core.executor import Executor
 from repro.core.objectives import AdaptivePolicy, QueryOptions
 from repro.core.plans import JoinNode, LocalBlockNode, MarketAccessNode
-from repro.relational import operators, reference
+from repro.relational import operators
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, Schema
 from repro.relational.table import Table
@@ -290,17 +290,18 @@ class _WalkSpy:
         self._in_engine = False
         evaluate = executor_module.evaluate
 
-        def counting(database, query, execution=None):
+        def counting(database, query):
             self.evaluations.append(query)
             self._in_engine = True
             try:
-                return evaluate(database, query, execution)
+                return evaluate(database, query)
             finally:
                 self._in_engine = False
 
         monkeypatch.setattr(executor_module, "evaluate", counting)
-        for ops in (operators, reference):
-            monkeypatch.setattr(ops, "hash_join", self._spy(ops.hash_join))
+        monkeypatch.setattr(
+            operators, "hash_join", self._spy(operators.hash_join)
+        )
 
     def _spy(self, hash_join):
         def spy(left, right, keys):
@@ -313,8 +314,9 @@ class _WalkSpy:
         return spy
 
 
-@pytest.fixture(params=["vectorized", "reference"])
-def local_payless(request):
+#: PayLess runs one local engine; the id keeps it in the test names.
+@pytest.fixture(params=["vectorized"])
+def local_payless():
     """The tiny market plus a local CityInfo(City, Zone) table."""
     city_info = Table(
         "CityInfo",
@@ -329,7 +331,6 @@ def local_payless(request):
     return registered_payless(
         tiny_weather_market(),
         local_db=Database([city_info]),
-        options=QueryOptions(engine=request.param),
     )
 
 
