@@ -57,6 +57,7 @@ from repro.durable.backend import (  # noqa: E402
     DurabilityConfig,
     DurableStateBackend,
 )
+from repro.market.billing import BuyerBill  # noqa: E402
 from repro.relational.schema import Attribute, Domain, Schema  # noqa: E402
 from repro.relational.types import AttributeType as T  # noqa: E402
 from repro.semstore.boxes import Box  # noqa: E402
@@ -106,7 +107,8 @@ class _Catalog:
 
 class _RestorableInstall:
     """The duck-typed slice of PayLess that snapshot/recover touch: a
-    real SemanticStore, a catalog, and the nine bill counters."""
+    real SemanticStore, a catalog, the query count, and the bill its
+    backend is built with."""
 
     def __init__(self):
         space = BoxSpace(
@@ -127,15 +129,8 @@ class _RestorableInstall:
         self.store.register_table(space, schema)
         self.catalog = _Catalog()
         self.durability = None
-        self.total_transactions = 0
-        self.total_price = 0.0
-        self.total_calls = 0
         self.queries_executed = 0
-        self.total_wasted_transactions = 0
-        self.total_wasted_price = 0.0
-        self.total_coalesced_fetches = 0
-        self.total_coalesced_transactions = 0
-        self.total_coalesced_price = 0.0
+        self.bill = BuyerBill()
 
 
 def _random_box(rng: random.Random, max_k: int = 60, max_d: int = 30) -> Box:
@@ -170,7 +165,7 @@ def bench_cold_restart(sizes) -> list[dict]:
             source = _RestorableInstall()
             _populate(source, size, seed=size)
             backend = DurableStateBackend(
-                DurabilityConfig(state_dir=state_dir)
+                DurabilityConfig(state_dir=state_dir), source.bill
             )
             backend.attach(source)
             backend.snapshot()
@@ -184,7 +179,7 @@ def bench_cold_restart(sizes) -> list[dict]:
                 start = time.perf_counter()
                 wal_install = _RestorableInstall()
                 wal_backend = DurableStateBackend(
-                    DurabilityConfig(state_dir=state_dir)
+                    DurabilityConfig(state_dir=state_dir), wal_install.bill
                 )
                 wal_backend.recover(wal_install)
                 wal_ms = min(

@@ -60,6 +60,11 @@ from repro.stats.catalog import Catalog
 HISTORY_KEEP = 1024
 
 
+def _bill_view(bucket: str) -> property:
+    """A read-only running total: one bucket of the installation's bill."""
+    return property(lambda self: getattr(self.context.transport.bill, bucket))
+
+
 def _table_label(query: SelectStatement | LogicalQuery) -> str:
     """The trace label of a query that arrived without its SQL text."""
     if isinstance(query, LogicalQuery):
@@ -177,6 +182,24 @@ class PayLess:
     :class:`~repro.core.objectives.QueryOptions`, passed as ``options=``.
     """
 
+    #: The running totals: read-only views of the installation's one bill
+    #: (``context.transport.bill``, a
+    #: :class:`~repro.market.billing.BuyerBill`), folded per market call —
+    #: a failed query's calls included.
+    total_transactions = _bill_view("spent_transactions")
+    total_price = _bill_view("spent_price")
+    total_wasted_transactions = _bill_view("wasted_transactions")
+    total_wasted_price = _bill_view("wasted_price")
+    total_coalesced_fetches = _bill_view("coalesced_calls")
+    total_coalesced_transactions = _bill_view("coalesced_transactions")
+    total_coalesced_price = _bill_view("coalesced_price")
+
+    @property
+    def total_calls(self) -> int:
+        """Every billed call, delivered or not."""
+        bill = self.context.transport.bill
+        return bill.spent_calls + bill.wasted_calls
+
     def __init__(
         self,
         market: DataMarket,
@@ -225,22 +248,11 @@ class PayLess:
         self.plan_cache = PlanCache(
             self.store, capacity=options.plan_cache_size, tracer=self.tracer
         )
-        self.total_transactions = 0
-        self.total_price = 0.0
-        self.total_calls = 0
         self.queries_executed = 0
-        #: The failure/savings side of the money picture (tracked here so
-        #: durable restarts resume the full split, not just the spent
-        #: series).
-        self.total_wasted_transactions = 0
-        self.total_wasted_price = 0.0
-        self.total_coalesced_fetches = 0
-        self.total_coalesced_transactions = 0
-        self.total_coalesced_price = 0.0
         #: Per-query history, most recent last (a bounded ring; an entry's
         #: ``sequence`` keeps counting); see :class:`QueryLogEntry`.
         self.history: list[QueryLogEntry] = []
-        #: Guards the running totals and the history list: under the
+        #: Guards the query count and the history list: under the
         #: concurrent serving front-end (:mod:`repro.serve`) many worker
         #: threads finish queries against this one installation.
         self._accounting_lock = threading.Lock()
@@ -252,7 +264,9 @@ class PayLess:
         if durability_config is not None:
             from repro.durable.backend import DurableStateBackend
 
-            self.durability = DurableStateBackend(durability_config)
+            self.durability = DurableStateBackend(
+                durability_config, self.context.transport.bill
+            )
             self.durability.attach(self)
             self.context.durability = self.durability
             self.context.transport.durability = self.durability
@@ -514,17 +528,7 @@ class PayLess:
         executor = Executor(self.context, objective=planning.objective)
         relation, stats = executor.execute(logical, planning.plan)
         with self._accounting_lock:
-            self.total_transactions += stats.transactions
-            self.total_price += stats.price
-            self.total_calls += stats.calls
             self.queries_executed += 1
-            self.total_wasted_transactions += stats.wasted_transactions
-            self.total_wasted_price += stats.wasted_price
-            self.total_coalesced_fetches += stats.coalesced_fetches
-            self.total_coalesced_transactions += (
-                stats.coalesced_savings_transactions
-            )
-            self.total_coalesced_price += stats.coalesced_savings_price
             self.history.append(
                 QueryLogEntry(
                     sequence=self.queries_executed,
@@ -542,10 +546,10 @@ class PayLess:
         stats.kept_boxes = planning.kept_boxes
         durability = self.durability
         if durability is not None:
-            # Journal the query's totals delta (group-committing it), then
-            # compact if the WAL grew past the threshold — here at the
-            # query boundary, where no table lock is held.
-            durability.log_query(stats)
+            # Journal the finished query, then compact if the WAL grew
+            # past the threshold — here at the query boundary, where no
+            # table lock is held.
+            durability.log_query()
             durability.maybe_compact()
         # The scope that owns the trace closes (and archives) it when the
         # call returns; the result keeps the same object.
@@ -587,7 +591,8 @@ class PayLess:
         """What this installation has done so far, as one flat view.
 
         Computed on call from counters its components already keep: the
-        running totals above, the plan cache, the rewrite memo, the
+        query count, the installation's bill (folded per market call, so a
+        failed query's spend is in it), the plan cache, the rewrite memo, the
         circuit breakers, the async driver's connection pools and, per
         market table the installation has paid for, the store's running
         spend (``<table>.dollars_spent``) beside the whole table's price
@@ -599,14 +604,15 @@ class PayLess:
         cache, rewriter = self.plan_cache, self.rewriter
         breakers = self.context.transport.breakers()
         aio = self.context.async_transport
-        with self._accounting_lock:
+        bill = self.context.transport.bill
+        with bill.lock:
             view = {
                 "queries": self.queries_executed,
-                "transactions_spent": self.total_transactions,
-                "dollars_spent": self.total_price,
-                "dollars_wasted": self.total_wasted_price,
-                "fetch_coalesced": self.total_coalesced_fetches,
-                "dollars_saved_coalescing": self.total_coalesced_price,
+                "transactions_spent": bill.spent_transactions,
+                "dollars_spent": bill.spent_price,
+                "dollars_wasted": bill.wasted_price,
+                "fetch_coalesced": bill.coalesced_calls,
+                "dollars_saved_coalescing": bill.coalesced_price,
             }
         rewrites = rewriter.cache_misses
         view.update(

@@ -12,9 +12,9 @@ the same three steps of :class:`Purchases`:
   and the access starts already resolved.  Either way it is one
   :class:`StartedAccess`.  A prefetch is nothing but an early start.
 * :meth:`~Purchases.finish` adopts the calls' spans, charges their time,
-  records the completed purchases into the store, the statistics and the
-  durability log serially in remainder order — so coverage, histograms and
-  billing totals are identical whichever driver ran — retires the
+  records the completed purchases into the store, the statistics, the bill
+  and the durability log serially in remainder order — so coverage,
+  histograms and the bill are identical whichever driver ran — retires the
   singleflights the access led, and assembles the request boxes' rows, in
   one hold of the table lock.
 * :meth:`~Purchases.drain` settles the accesses a failed query started but
@@ -460,6 +460,7 @@ class Purchases:
         store = self.context.store
         histogram = self.context.catalog.statistics(table).histogram
         durability = self.context.durability
+        bill = self.context.transport.bill
         purchased_rows = 0
         purchases_logged = False
         for remainder, outcome in zip(remainders, outcomes):
@@ -471,22 +472,31 @@ class Purchases:
                 table, remainder.box, response.rows, outcome.billed_price
             )
             histogram.observe(remainder.box, response.record_count)
-            if durability is not None:
-                durability.log_purchase(
-                    table=table,
-                    box=remainder.box,
-                    rows=response.rows,
-                    count=response.record_count,
-                    stored_at=store.clock,
-                    url=response.request.url(),
-                    key=outcome.idempotency_key,
-                    transactions=outcome.billed_transactions,
-                    price=outcome.billed_price,
-                    coalesced=outcome.coalesced,
-                    saved_transactions=outcome.saved_transactions,
-                    saved_price=outcome.saved_price,
-                )
-                purchases_logged = True
+            with bill.lock:
+                if outcome.coalesced:
+                    bill.coalesce(outcome.saved_transactions, outcome.saved_price)
+                else:
+                    bill.spend(
+                        outcome.billed_calls,
+                        outcome.billed_transactions,
+                        outcome.billed_price,
+                    )
+                if durability is not None:
+                    durability.log_purchase(
+                        table=table,
+                        box=remainder.box,
+                        rows=response.rows,
+                        count=response.record_count,
+                        stored_at=store.clock,
+                        url=response.request.url(),
+                        key=outcome.idempotency_key,
+                        transactions=outcome.billed_transactions,
+                        price=outcome.billed_price,
+                        coalesced=outcome.coalesced,
+                        saved_transactions=outcome.saved_transactions,
+                        saved_price=outcome.saved_price,
+                    )
+                    purchases_logged = True
         if purchases_logged:
             # Group commit inside the record→release window: once any
             # other session can see these rows (or a waiter is

@@ -9,8 +9,8 @@ is the incremental, crash-safe backend that prevents it:
   JSON records with torn-tail detection and fsync-batched group commit;
 * :mod:`repro.durable.backend` — the :class:`DurableStateBackend` that
   journals intents, purchases, waste, histogram feedback, the logical
-  clock and the billing buckets, writes compacted snapshots, and
-  recovers a :class:`~repro.core.payless.PayLess` installation by
+  clock and finished queries, writes compacted snapshots, and recovers a
+  :class:`~repro.core.payless.PayLess` installation — store and bill — by
   replaying snapshot + WAL (rolling forward any purchase that was billed
   but never acknowledged, via the market's idempotency cache).
 
@@ -23,7 +23,6 @@ from repro.durable.wal import SimulatedCrash, WriteAheadLog
 
 __all__ = [
     "DurabilityConfig",
-    "DurableBill",
     "DurableStateBackend",
     "RecoveryReport",
     "SimulatedCrash",
@@ -34,7 +33,7 @@ __all__ = [
 #: :class:`SimulatedCrash` while the store/market modules are still mid-
 #: import, and the backend needs those modules — a cycle unless deferred.
 _BACKEND_EXPORTS = frozenset(
-    ("DurabilityConfig", "DurableBill", "DurableStateBackend", "RecoveryReport")
+    ("DurabilityConfig", "DurableStateBackend", "RecoveryReport")
 )
 
 

@@ -27,9 +27,9 @@ fsync policy only decides the *power-loss* window — "commit" (default)
 fsyncs once per table access at the post-purchase group commit, "always"
 additionally fsyncs each intent before the market may bill it.
 
-Purchases, ISOMER feedback, the logical clock, per-query totals and the
-three billing buckets (spent / wasted-on-failures / coalesced-savings)
-are all WAL records riding those group commits.  Every
+Purchases, waste, ISOMER feedback, the logical clock and finished
+queries are WAL records riding those group commits; the bill is folded
+from the purchase and waste records, live and again at replay.  Every
 :data:`COMPACT_AFTER` records (checked at query boundaries) and on every
 clean shutdown the backend writes a compacted **snapshot** (temp file +
 fsync + atomic rename) and starts a fresh WAL segment, so cold restart
@@ -43,7 +43,6 @@ import json
 import os
 import pickle
 import re
-import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,13 +60,13 @@ from repro.durable.wal import FSYNC_POLICIES, WriteAheadLog, iter_records
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.executor import QueryStats
     from repro.core.payless import PayLess
+    from repro.market.billing import BuyerBill
     from repro.market.rest import RestRequest
 
-#: Snapshot format version (4: the sidecar holds the store's columns,
-#: coordinates, chunk ranges, both grid indexes and per-table spend).
-SNAPSHOT_VERSION = 4
+#: Snapshot format version (5: the meta JSON holds the bill and the query
+#: count, the sidecar the store's columns, coordinates, chunks and spend).
+SNAPSHOT_VERSION = 5
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 _SIDECAR_RE = re.compile(r"^snapshot-(\d{8})\.tables\.pkl$")
@@ -100,37 +99,6 @@ class DurabilityConfig:
 
 
 @dataclass
-class DurableBill:
-    """The ledger buckets as the WAL knows them — all three of them.
-
-    Mirrors :class:`~repro.market.billing.BillingLedger`'s split (spent /
-    wasted-on-failures / coalesced-savings) so a restart resumes the full
-    money picture, not just the spent series.
-    """
-
-    spent_calls: int = 0
-    spent_transactions: int = 0
-    spent_price: float = 0.0
-    wasted_calls: int = 0
-    wasted_transactions: int = 0
-    wasted_price: float = 0.0
-    coalesced_calls: int = 0
-    coalesced_transactions: int = 0
-    coalesced_price: float = 0.0
-
-    def to_json(self) -> dict[str, Any]:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "DurableBill":
-        bill = cls()
-        for name in bill.__dict__:
-            if name in data:
-                setattr(bill, name, data[name])
-        return bill
-
-
-@dataclass
 class RecoveryReport:
     """What :meth:`DurableStateBackend.recover` found and did."""
 
@@ -160,14 +128,17 @@ class DurableStateBackend:
     abandoned handle is fine — it never writes again).
     """
 
-    def __init__(self, config: DurabilityConfig | str | Path):
+    def __init__(self, config: DurabilityConfig | str | Path, bill: BuyerBill):
         if not isinstance(config, DurabilityConfig):
             config = DurabilityConfig(state_dir=config)
         self.config = config
         self.state_dir = Path(config.state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
-        self.bill = DurableBill()
+        #: The installation's bill; :meth:`recover` restores and replays it.
+        self.bill = bill
+        #: The bill's lock: a fold and the record it rides append as one
+        #: step, so a snapshot never holds one without the other.
+        self._lock = self.bill.lock
         self._payless: "PayLess | None" = None
         #: Intent records awaiting their purchase/waste/abort resolution.
         self._pending: dict[str, dict] = {}
@@ -254,9 +225,6 @@ class DurableStateBackend:
             self._replay_records.extend(records)
         if self._snapshot_state is not None:
             self._intent_seq = self._snapshot_state.get("intent_seq", 0)
-            self.bill = DurableBill.from_json(
-                self._snapshot_state.get("bill", {})
-            )
             self._clock = self._snapshot_state.get("clock", 0.0)
             for intent in self._snapshot_state.get("pending_intents", []):
                 self._pending[intent["k"]] = intent
@@ -272,36 +240,18 @@ class DurableStateBackend:
         return self.state_dir / f"wal-{seq:08d}.log"
 
     def _track_metadata(self, record: dict) -> None:
-        """Fold one WAL record into the bill / pending-intent / clock
-        metadata (the part of replay that does not need a store)."""
+        """Fold one WAL record into the pending-intent / clock metadata
+        (the part of replay that needs no installation)."""
         kind = record["t"]
         if kind == "in":
             self._pending[record["k"]] = record
             sequence = int(record["k"].rsplit(".", 1)[1])
             self._intent_seq = max(self._intent_seq, sequence + 1)
-        elif kind == "buy":
-            self._apply_bill_purchase(record)
+        elif kind in ("buy", "waste", "abort"):
             if record.get("k"):
                 self._pending.pop(record["k"], None)
-        elif kind == "waste":
-            self.bill.wasted_calls += 1
-            self.bill.wasted_transactions += record["tx"]
-            self.bill.wasted_price += record["p"]
-            self._pending.pop(record["k"], None)
-        elif kind == "abort":
-            self._pending.pop(record["k"], None)
         elif kind == "clk":
             self._clock = record["c"]
-
-    def _apply_bill_purchase(self, record: dict) -> None:
-        if record.get("co"):
-            self.bill.coalesced_calls += 1
-            self.bill.coalesced_transactions += record.get("stx", 0)
-            self.bill.coalesced_price += record.get("sp", 0.0)
-        else:
-            self.bill.spent_calls += 1
-            self.bill.spent_transactions += record["tx"]
-            self.bill.spent_price += record["p"]
 
     # -- wiring ----------------------------------------------------------------
 
@@ -396,7 +346,6 @@ class DurableStateBackend:
         with self._lock:
             self._first_append()
             self.wal.append(record)
-            self._apply_bill_purchase(record)
             if key:
                 self._pending.pop(key, None)
             self._records_since_snapshot += 1
@@ -409,9 +358,6 @@ class DurableStateBackend:
             self.wal.append(
                 {"t": "waste", "k": key, "tx": transactions, "p": price}
             )
-            self.bill.wasted_calls += 1
-            self.bill.wasted_transactions += transactions
-            self.bill.wasted_price += price
             self._pending.pop(key, None)
             self._records_since_snapshot += 1
 
@@ -437,30 +383,17 @@ class DurableStateBackend:
             self._clock = clock
             self._records_since_snapshot += 1
 
-    def log_query(self, stats: "QueryStats") -> None:
-        """Journal one finished query's totals delta, read off the same
-        :class:`~repro.core.executor.QueryStats` the caller gets back.
+    def log_query(self) -> None:
+        """Journal that one more query finished (``queries_executed``).
 
-        Bookkeeping, not money: the purchases themselves were fsynced by
-        the access-level group commit, so the "q" record does not force
-        its own fsync — it becomes durable with the next money commit (or
-        close).  A power cut can at worst under-count one query's totals;
-        it can never lose a billed purchase.
+        Bookkeeping, not money: the "q" record does not force its own
+        fsync — it becomes durable with the next money commit (or close).
+        A power cut can at worst under-count one query; the bill rides the
+        purchase and waste records, so it loses no billed call.
         """
-        record = {
-            "t": "q",
-            "tx": stats.transactions,
-            "p": stats.price,
-            "calls": stats.calls,
-            "wtx": stats.wasted_transactions,
-            "wp": stats.wasted_price,
-            "cf": stats.coalesced_fetches,
-            "ctx": stats.coalesced_savings_transactions,
-            "cp": stats.coalesced_savings_price,
-        }
         with self._lock:
             self._first_append()
-            self.wal.append(record)
+            self.wal.append({"t": "q"})
             self._records_since_snapshot += 1
 
     def commit(self) -> None:
@@ -489,7 +422,8 @@ class DurableStateBackend:
         The snapshot is two files: a pickled *tables sidecar* holding the
         bulk store payload (columns, coordinates, chunk ranges, covers,
         prebuilt index buckets)
-        and a small meta JSON (totals, bill, pending intents, histograms).
+        and a small meta JSON (bill, query count, pending intents,
+        histograms).
         The sidecar is written and fsynced first; the meta JSON's atomic
         rename is the commit record — a snapshot without a readable
         sidecar is ignored at startup, so a crash between the two writes
@@ -521,19 +455,7 @@ class DurableStateBackend:
                 "wal_seq": self._wal_seq,
                 "clock": payless.store.clock,
                 "intent_seq": self._intent_seq,
-                "totals": {
-                    "transactions": payless.total_transactions,
-                    "price": payless.total_price,
-                    "calls": payless.total_calls,
-                    "queries": payless.queries_executed,
-                    "wasted_transactions": payless.total_wasted_transactions,
-                    "wasted_price": payless.total_wasted_price,
-                    "coalesced_fetches": payless.total_coalesced_fetches,
-                    "coalesced_transactions": (
-                        payless.total_coalesced_transactions
-                    ),
-                    "coalesced_price": payless.total_coalesced_price,
-                },
+                "queries": payless.queries_executed,
                 "bill": self.bill.to_json(),
                 "pending_intents": list(self._pending.values()),
                 "tables": tables,
@@ -592,7 +514,8 @@ class DurableStateBackend:
     def recover(self, payless: "PayLess") -> RecoveryReport:
         """Rebuild the installation's state: snapshot, WAL replay, then
         roll pending intents forward.  Call after dataset registration
-        and before the first query."""
+        and before the first query.  The bill is folded from what is
+        replayed and rolled forward exactly as the live run folded it."""
         with self._lock:
             if self._cache_dropped:
                 raise ReproError(
@@ -603,6 +526,7 @@ class DurableStateBackend:
                 clock=self._clock, torn_bytes_truncated=self._torn_bytes
             )
             snapshot = self._snapshot_state
+            bill = self.bill
             if snapshot is not None:
                 report.snapshot_loaded = True
                 for key, table_state in snapshot["tables"].items():
@@ -620,31 +544,26 @@ class DurableStateBackend:
                     self._restore_histogram(payless, key, table_state)
                     report.tables.append(key)
                 payless.store.clock = snapshot["clock"]
-                self._apply_totals(payless, snapshot["totals"], absolute=True)
+                payless.queries_executed = snapshot["queries"]
+                bill.restore(snapshot["bill"])
             for record in self._replay_records:
                 report.records_replayed += 1
                 kind = record["t"]
                 if kind == "buy":
                     self._replay_purchase(payless, record)
+                    if record.get("co"):
+                        bill.coalesce(record["stx"], record["sp"])
+                    else:
+                        # A durable call bills under its intent's key, so
+                        # once: one record is one spent call.
+                        bill.spend(1, record["tx"], record["p"])
                     report.purchases_replayed += 1
+                elif kind == "waste":
+                    bill.waste(record["tx"], record["p"])
                 elif kind == "clk":
                     payless.store.clock = record["c"]
                 elif kind == "q":
-                    self._apply_totals(
-                        payless,
-                        {
-                            "transactions": record["tx"],
-                            "price": record["p"],
-                            "calls": record["calls"],
-                            "queries": 1,
-                            "wasted_transactions": record["wtx"],
-                            "wasted_price": record["wp"],
-                            "coalesced_fetches": record["cf"],
-                            "coalesced_transactions": record["ctx"],
-                            "coalesced_price": record["cp"],
-                        },
-                        absolute=False,
-                    )
+                    payless.queries_executed += 1
             for intent in list(self._pending.values()):
                 self._resolve_intent(payless, intent)
                 report.intents_resolved += 1
@@ -677,27 +596,6 @@ class DurableStateBackend:
                 ],
             )
 
-    def _apply_totals(
-        self, payless: "PayLess", totals: dict, absolute: bool
-    ) -> None:
-        mapping = {
-            "transactions": "total_transactions",
-            "price": "total_price",
-            "calls": "total_calls",
-            "queries": "queries_executed",
-            "wasted_transactions": "total_wasted_transactions",
-            "wasted_price": "total_wasted_price",
-            "coalesced_fetches": "total_coalesced_fetches",
-            "coalesced_transactions": "total_coalesced_transactions",
-            "coalesced_price": "total_coalesced_price",
-        }
-        for source, attribute in mapping.items():
-            value = totals.get(source, 0)
-            if absolute:
-                setattr(payless, attribute, value)
-            else:
-                setattr(payless, attribute, getattr(payless, attribute) + value)
-
     def _replay_purchase(self, payless: "PayLess", record: dict) -> None:
         """Re-execute one purchase record against the store + statistics.
 
@@ -726,7 +624,8 @@ class DurableStateBackend:
         If the market billed the key before the crash, the idempotency
         cache replays the response for free and the orphaned charge is
         adopted into the bill; if the call never went out, it completes
-        (and bills) now.  Either way: exactly one charge per key.
+        (and bills) now.  Either way: exactly one charge per key, folded
+        into the bill as one spent call.
         """
         from repro.stats.isomer import FeedbackHistogram
 
@@ -746,6 +645,7 @@ class DurableStateBackend:
             histogram = payless.catalog.statistics(table).histogram
             if isinstance(histogram, FeedbackHistogram):
                 histogram.observe(boxes[0], response.record_count)
+            self.bill.spend(1, response.transactions, response.price)
             self.log_purchase(
                 table=table,
                 box=boxes[0],

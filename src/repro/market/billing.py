@@ -26,14 +26,15 @@ side reads it back to cost a query: each call's outcome carries what
 that call billed (:class:`~repro.market.transport.FetchResult`), and a
 query's stats and spans are folds over its outcomes.  Entries of many
 sessions interleave here freely; the test suite reconciles the folds
-against these buckets as an independent oracle.
+against these buckets (and the buyer's own :class:`BuyerBill`) as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Any, Iterator
 
 from repro.errors import MarketError
 from repro.market.rest import RestRequest
@@ -63,6 +64,63 @@ class ChargeTotals:
 
     def __bool__(self) -> bool:
         return self.calls > 0
+
+
+@dataclass(eq=False)
+class BuyerBill:
+    """One installation's running bill: the ledger's three buckets, each
+    as calls, transactions and price, folded one call at a time where the
+    write-ahead log journals money (``Purchases._record`` spends and
+    coalesces, the transport's ``fail()`` wastes) and again by recovery
+    from the records it replays.  ``PayLess.total_*`` are views of it.
+    """
+
+    spent_calls: int = 0
+    spent_transactions: int = 0
+    spent_price: float = 0.0
+    wasted_calls: int = 0
+    wasted_transactions: int = 0
+    wasted_price: float = 0.0
+    coalesced_calls: int = 0
+    coalesced_transactions: int = 0
+    coalesced_price: float = 0.0
+
+    def __post_init__(self) -> None:
+        #: Serialises folds.  A durable backend appends under it too, so a
+        #: fold and the WAL record it rides are one step to a snapshot.
+        self.lock = threading.RLock()
+
+    def spend(self, calls: int, transactions: int, price: float) -> None:
+        """``calls`` billed calls the ledger counts as spent."""
+        with self.lock:
+            self.spent_calls += calls
+            self.spent_transactions += transactions
+            self.spent_price += price
+
+    def waste(self, transactions: int, price: float) -> None:
+        """One billed call whose data never arrived."""
+        with self.lock:
+            self.wasted_calls += 1
+            self.wasted_transactions += transactions
+            self.wasted_price += price
+
+    def coalesce(self, transactions: int, price: float) -> None:
+        """One fetch served by another session's in-flight call: the bill
+        it avoided."""
+        with self.lock:
+            self.coalesced_calls += 1
+            self.coalesced_transactions += transactions
+            self.coalesced_price += price
+
+    def to_json(self) -> dict[str, Any]:
+        with self.lock:
+            return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def restore(self, data: dict[str, Any]) -> None:
+        """Set every bucket from :meth:`to_json`'s output (a snapshot)."""
+        with self.lock:
+            for f in fields(self):
+                setattr(self, f.name, data[f.name])
 
 
 class BillingLedger:

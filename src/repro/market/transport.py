@@ -25,7 +25,8 @@ failure handling as a *billing* problem first and a latency problem second:
 * **waste accounting** — when the transport abandons a call whose charge
   went through (a dropped response that never got replayed), it moves the
   charge to the ledger's ``wasted_on_failures`` bucket so the spend series
-  the evaluation plots stays honest.
+  the evaluation plots stays honest, and folds it into the installation's
+  :class:`~repro.market.billing.BuyerBill` as wasted.
 
 Fault injection itself lives in :mod:`repro.market.faults`; with no fault
 policy attached the transport is a single ``market.get`` per call with no
@@ -46,6 +47,7 @@ from repro.errors import (
     MarketUnavailableError,
     RetryExhaustedError,
 )
+from repro.market.billing import BuyerBill
 from repro.market.faults import FaultKind, FaultPolicy, InjectedFault
 from repro.market.rest import RestRequest, RestResponse
 from repro.market.server import DataMarket
@@ -307,6 +309,10 @@ class MarketTransport:
         #: and uses the intent's idempotency key, so a crash between
         #: billing and acknowledgment is recoverable (wired by PayLess).
         self.durability = None
+        #: The installation's one running bill (see
+        #: :class:`~repro.market.billing.BuyerBill`): ``fail()`` below folds
+        #: the wasted calls, the purchase step the delivered ones.
+        self.bill = BuyerBill()
 
     # -- clock & breakers ------------------------------------------------------
 
@@ -458,7 +464,7 @@ class MarketTransport:
                 durability.log_abort(key)
                 raise
             return FetchResult.first_attempt(response, connect_ms, key)
-        config = self.config
+        config, bill = self.config, self.bill
         breaker = self.breaker_for(request.dataset)
         call_key = self._call_key(request)
         if durability is not None:
@@ -497,21 +503,27 @@ class MarketTransport:
         def fail(error: Exception) -> Exception:
             wasted_transactions = 0
             wasted_price = 0.0
-            if billed is not None and key is not None:
-                self.market.ledger.mark_wasted(key)
-                wasted_transactions = billed.transactions
-                wasted_price = billed.price
-            if durability is not None and key is not None:
-                if billed is not None:
-                    # Money left the account but the data never arrived:
-                    # resolve the intent into the wasted bucket.
-                    durability.log_wasted(
-                        key, billed.transactions, billed.price
-                    )
-                else:
+            with bill.lock:
+                if billed is not None:  # kept only when the call has a key
+                    # Money left the account but the data never arrived.
+                    self.market.ledger.mark_wasted(key)
+                    wasted_transactions = billed.transactions
+                    wasted_price = billed.price
+                    bill.waste(wasted_transactions, wasted_price)
+                    if durability is not None:
+                        durability.log_wasted(key, wasted_transactions, wasted_price)
+                elif durability is not None:
                     # Never billed: resolve the intent so recovery does
                     # not spend money this run never spent.
                     durability.log_abort(key)
+                elif account["billed_calls"]:
+                    # A naive client's paid retries of a call that still
+                    # failed: without a key the ledger counts them spent.
+                    bill.spend(
+                        account["billed_calls"],
+                        account["billed_transactions"],
+                        account["billed_price"],
+                    )
             # The failed call's account, what of its bill is waste, and the
             # simulated wall-clock burned before giving up (the executor's
             # makespan accounting charges failed calls honestly too).

@@ -67,6 +67,11 @@ and ``DurabilityConfig.compact_after`` / ``snapshot_on_close`` /
 ``resolve_intents`` with ``close(snapshot=)`` (``COMPACT_AFTER``; a
 clean close always snapshots, ``recover()`` always rolls intents
 forward).  ``core/batch.py`` folded into the scheduler, its one caller.
+And the second copy of the buyer's bill: ``PayLess``'s own ``total_*``
+counters with their WAL ``q`` payload and snapshot ``"totals"`` block,
+and ``DurableBill`` with ``_apply_totals`` / ``_apply_bill_purchase`` —
+the installation keeps one ``BuyerBill``, folded per call, and the
+running totals are read-only views of it.
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ import repro.core.budget
 import repro.core.context
 import repro.core.executor
 import repro.core.optimizer
+import repro.durable
+import repro.durable.backend
 import repro.obs
 import repro.serve.scheduler
 import repro.stats
@@ -508,6 +515,47 @@ def test_one_local_engine_fixed_backoff_fixed_compaction(capsys):
             main(argv)
         assert exit_info.value.code == 2
         assert "--engine" in capsys.readouterr().err
+
+
+#: The buyer-bill copies that went, as ``(owner, name)``.
+BILL_COPIES = (
+    (repro.durable, "DurableBill"),
+    (repro.durable.backend, "DurableBill"),
+    (DurableStateBackend, "_apply_totals"),
+    (DurableStateBackend, "_apply_bill_purchase"),
+)
+
+#: The running totals, each a read-only view of the bill.
+RUNNING_TOTALS = (
+    "total_transactions",
+    "total_price",
+    "total_calls",
+    "total_wasted_transactions",
+    "total_wasted_price",
+    "total_coalesced_fetches",
+    "total_coalesced_transactions",
+    "total_coalesced_price",
+)
+
+
+@pytest.mark.parametrize(
+    "owner, name", BILL_COPIES, ids=[name for __, name in BILL_COPIES]
+)
+def test_the_buyer_bill_has_no_second_copy(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
+
+
+def test_the_running_totals_are_views_of_the_one_bill(tmp_path):
+    payless = PayLess(tiny_weather_market())
+    for name in RUNNING_TOTALS:
+        with pytest.raises(AttributeError):
+            setattr(payless, name, 0)
+    durable = PayLess(
+        tiny_weather_market(), options=QueryOptions(durability=tmp_path)
+    )
+    assert durable.durability.bill is durable.context.transport.bill
+    durable.close()
 
 
 def test_readme_option_table_lists_the_fields_in_order():

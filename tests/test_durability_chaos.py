@@ -170,14 +170,22 @@ def assert_at_most_once_billing(market: DataMarket) -> None:
 
 
 def assert_bill_matches_ledger(payless: PayLess, market: DataMarket) -> None:
-    """The buyer's durable bill agrees with the market's ledger."""
+    """The buyer's durable bill, and the running totals that are views of
+    it, agree with the market's ledger."""
     bill = payless.durability.bill
-    spent = market.ledger.spent
-    wasted = market.ledger.wasted_on_failures
+    ledger = market.ledger
+    spent = ledger.spent
+    wasted = ledger.wasted_on_failures
     assert bill.spent_transactions == spent.transactions
     assert bill.spent_price == pytest.approx(spent.price)
     assert bill.wasted_transactions == wasted.transactions
     assert bill.wasted_price == pytest.approx(wasted.price)
+    assert payless.total_transactions == spent.transactions
+    assert payless.total_price == pytest.approx(spent.price)
+    assert payless.total_wasted_transactions == wasted.transactions
+    assert payless.total_wasted_price == pytest.approx(wasted.price)
+    assert payless.total_calls == ledger.total_calls
+    assert payless.total_coalesced_fetches == ledger.coalesced_savings.calls
 
 
 class TestStageCrashMatrix:

@@ -18,12 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PayLess, QueryOptions
+from repro import PayLess, QueryOptions, TransportConfig
 from repro.durable import backend
 from repro.errors import ReproError
+from repro.market.faults import FaultPolicy
+from repro.serve import QueryScheduler, ServeConfig
 from repro.stats.isomer import FeedbackHistogram
 
 from tests.test_durability_chaos import make_market
+from tests.test_serve import _wait_for
 
 COUNTRIES = ("CountryA", "CountryB")
 
@@ -195,19 +198,59 @@ class TestLegacyShimRegression:
     wasted/coalesced buckets; the WAL backend must carry them."""
 
     def test_wal_backend_keeps_all_buckets(self, tmp_path):
+        """Both buckets come from money that really moved: a dropped
+        response nothing retries is wasted, and a fetch that joins another
+        session's in-flight call is coalesced."""
         market = make_market()
-        payless = durable(market, tmp_path / "state")
+        options = QueryOptions(
+            durability=tmp_path / "state",
+            transport=TransportConfig(
+                max_retries=0,
+                partial_results=True,
+                breaker_failure_threshold=10_000,
+            ),
+        )
+        payless = PayLess.full(market, options=options)
+        payless.register_dataset("WHW")
+        payless.recover()
+        transport = payless.context.transport
+        transport.faults = FaultPolicy(
+            seed=0, drop_rate=1.0, max_consecutive_faults=None
+        )
         payless.query(weather_sql("CountryA", 2, 5))
-        payless.total_wasted_transactions = 3
-        payless.total_wasted_price = 3.5
-        payless.total_coalesced_fetches = 2
-        payless.total_coalesced_transactions = 4
-        payless.total_coalesced_price = 4.25
+        transport.faults = None
+
+        real_get = market.get
+        with QueryScheduler(payless, ServeConfig(workers=2)) as scheduler:
+            group = scheduler.coalescer
+
+            def gated_get(request, **kwargs):
+                def joined():
+                    with group._lock:
+                        flight = group._flights.get(request.url())
+                        return flight is not None and flight.waiters >= 1
+
+                _wait_for(joined)
+                return real_get(request, **kwargs)
+
+            market.get = gated_get
+            try:
+                tickets = [
+                    scheduler.session(name).submit(station_sql("CountryB"))
+                    for name in ("alice", "bob")
+                ]
+                for ticket in tickets:
+                    ticket.result(timeout=30.0)
+            finally:
+                market.get = real_get
+        wasted = market.ledger.wasted_on_failures
+        saved = market.ledger.coalesced_savings
+        assert wasted.transactions > 0 and saved.calls >= 1
         payless.close()
 
         second = durable(market, tmp_path / "state")
-        assert second.total_wasted_transactions == 3
-        assert second.total_coalesced_price == 4.25
+        assert second.total_wasted_transactions == wasted.transactions
+        assert second.total_coalesced_price == saved.price
 
 
 class TestPersistenceWithPluginStatistic:
@@ -277,6 +320,27 @@ class TestRestoreErrors:
         (meta,) = (tmp_path / "state").glob("snapshot-*.json")
         state = json.loads(meta.read_text())
         state["version"] = 2
+        meta.write_text(json.dumps(state))
+
+        with pytest.raises(ReproError, match="refusing to ignore purchased state"):
+            PayLess.full(
+                market, options=QueryOptions(durability=tmp_path / "state")
+            )
+
+    def test_a_version_4_snapshot_is_refused(self, tmp_path):
+        """Version 4 kept the running totals as a "totals" block beside
+        the bill; this build restores them from the bill alone, so it must
+        refuse the old meta JSON rather than read half of it."""
+        market = make_market()
+        first = durable(market, tmp_path / "state")
+        first.query(station_sql("CountryA"))
+        first.close()
+        (meta,) = (tmp_path / "state").glob("snapshot-*.json")
+        state = json.loads(meta.read_text())
+        assert state["version"] == backend.SNAPSHOT_VERSION == 5
+        assert "totals" not in state and state["queries"] == 1
+        state["version"] = 4
+        state["totals"] = {"queries": state.pop("queries")}
         meta.write_text(json.dumps(state))
 
         with pytest.raises(ReproError, match="refusing to ignore purchased state"):

@@ -80,6 +80,23 @@ class TestFailureMidPlan:
         ]
         assert len(retry_station_calls) == 1
 
+    def test_failed_query_spend_is_in_the_bill(self):
+        """The first call of a query that fails on its second is paid
+        for: the running totals, the metrics view, the table's spend and
+        the ledger all carry it."""
+        market = tiny_weather_market()
+        payless = registered_payless(market)
+        flaky = _FlakyMarket(market, fail_on_call=2)
+        flaky.install()
+        with pytest.raises(MarketError):
+            payless.query(JOIN_SQL)
+        metrics = payless.metrics()
+        assert market.ledger.spent.price == 1.0
+        assert payless.total_price == 1.0
+        assert metrics["dollars_spent"] == 1.0
+        assert metrics["Station.dollars_spent"] == 1.0
+        assert (payless.total_calls, payless.queries_executed) == (1, 0)
+
     def test_facade_totals_unchanged_on_failure(self):
         market = tiny_weather_market()
         payless = registered_payless(market)

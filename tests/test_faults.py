@@ -243,6 +243,37 @@ class TestWasteAccounting:
         )
         assert (error.billed_calls, error.faults, error.replays) == (1, 2, 1)
 
+    @pytest.mark.parametrize("idempotency", [True, False])
+    def test_a_failed_call_is_folded_into_the_bill(self, idempotency):
+        """With a key the drop's charge is wasted; a naive client's
+        charges cannot be marked, so the ledger and the bill count them
+        spent."""
+        market = tiny_weather_market()
+        transport = MarketTransport(
+            market,
+            TransportConfig(
+                faults=FaultPolicy(drop_rate=1.0, max_consecutive_faults=None),
+                max_retries=1,
+                breaker_failure_threshold=100,
+                idempotency=idempotency,
+            ),
+        )
+        with pytest.raises(RetryExhaustedError):
+            transport.fetch(weather_request())
+        bill, ledger = transport.bill, market.ledger
+        spent, wasted = ledger.spent, ledger.wasted_on_failures
+        assert (spent.calls, wasted.calls) == ((0, 1) if idempotency else (2, 0))
+        assert (bill.spent_calls, bill.spent_transactions, bill.spent_price) == (
+            spent.calls,
+            spent.transactions,
+            spent.price,
+        )
+        assert (bill.wasted_calls, bill.wasted_transactions, bill.wasted_price) == (
+            wasted.calls,
+            wasted.transactions,
+            wasted.price,
+        )
+
     def test_pure_transport_faults_cost_nothing(self):
         market = tiny_weather_market()
         transport = MarketTransport(
