@@ -633,8 +633,15 @@ class Executor:
                 self._staged[key] = Relation(relation.layout, rows + fresh)
 
     def _as_table(self, table: str, relation: Relation) -> Table:
-        """``relation``'s columns as a :class:`Table` the engine can scan."""
-        return Table.from_columns(
+        """``relation``'s columns as a :class:`Table` the engine can scan,
+        unchecked while the store vouches for its types (it assembled them
+        before this read of its monotone ``exact_types``)."""
+        make = (
+            Table.unchecked
+            if len(relation) and self.context.store.table(table).exact_types
+            else Table.from_columns
+        )
+        return make(
             table,
             self.context.schema_of(table),
             relation.columns_data,

@@ -44,6 +44,7 @@ import os
 import pickle
 import re
 import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -106,7 +107,6 @@ class RecoveryReport:
     records_replayed: int = 0
     purchases_replayed: int = 0
     intents_resolved: int = 0
-    intents_aborted: int = 0
     torn_bytes_truncated: int = 0
     clock: float = 0.0
     tables: list[str] = field(default_factory=list)
@@ -149,7 +149,6 @@ class DurableStateBackend:
         self._nonce = zlib.crc32(str(self.state_dir.resolve()).encode()) & 0xFFFF
         self._clock = 0.0
         self._records_since_snapshot = 0
-        self._recovered = False
         self._cache_dropped = False
         self._torn_bytes = 0
         self._scan()
@@ -264,10 +263,6 @@ class DurableStateBackend:
         """Unresolved intent records (WAL order) — mainly for tests."""
         with self._lock:
             return list(self._pending.values())
-
-    @property
-    def recovered(self) -> bool:
-        return self._recovered
 
     def _first_append(self) -> None:
         """Drop the staged recovery state once live appends begin.
@@ -405,14 +400,27 @@ class DurableStateBackend:
         """Snapshot when the WAL grew past :data:`COMPACT_AFTER` records.
 
         Called at query boundaries only — snapshotting takes every table
-        lock briefly, so it must never run inside one.
+        lock briefly, so it must never run inside one.  The count is
+        first read unlocked: a query that compacts nothing takes no lock.
         """
-        with self._lock:
-            if (
-                self._payless is not None
-                and self._records_since_snapshot >= COMPACT_AFTER
-            ):
+        if self._payless is None or self._records_since_snapshot < COMPACT_AFTER:
+            return
+        with self._state_locks(self._payless):
+            if self._records_since_snapshot >= COMPACT_AFTER:
                 self.snapshot()
+
+    @contextmanager
+    def _state_locks(self, payless: "PayLess | None"):
+        """Every table lock in sorted key order, then the bill lock: the
+        order a purchase takes its table's lock and then folds into the
+        bill (:meth:`log_purchase`), so the two never wait in a cycle."""
+        with ExitStack() as held:
+            if payless is not None:
+                tables = payless.store._tables  # noqa: SLF001
+                for key in sorted(tables):
+                    held.enter_context(tables[key].lock)
+            held.enter_context(self._lock)
+            yield
 
     # -- snapshots -------------------------------------------------------------
 
@@ -436,7 +444,7 @@ class DurableStateBackend:
             raise ReproError("snapshot() needs an attached PayLess")
         from repro.stats.isomer import FeedbackHistogram
 
-        with self._lock:
+        with self._state_locks(payless):
             tables: dict[str, Any] = {}
             bulk: dict[str, Any] = {}
             for key, table_store in payless.store._tables.items():  # noqa: SLF001
@@ -516,7 +524,7 @@ class DurableStateBackend:
         roll pending intents forward.  Call after dataset registration
         and before the first query.  The bill is folded from what is
         replayed and rolled forward exactly as the live run folded it."""
-        with self._lock:
+        with self._state_locks(payless):
             if self._cache_dropped:
                 raise ReproError(
                     "recover() must run before the first logged mutation"
@@ -569,7 +577,6 @@ class DurableStateBackend:
                 report.intents_resolved += 1
             report.clock = payless.store.clock
             self._clock = payless.store.clock
-            self._recovered = True
             self._cache_dropped = True
             self._snapshot_state = None
             self._snapshot_tables = None
@@ -662,7 +669,7 @@ class DurableStateBackend:
 
     def close(self) -> None:
         """Clean shutdown: group-commit, snapshot, close."""
-        with self._lock:
+        with self._state_locks(self._payless):
             if self.wal.closed:
                 return
             self.wal.commit()

@@ -25,7 +25,9 @@ class Table:
     (``set(map(type, column))`` against the attribute's exact type) and
     fall back to the per-row :meth:`append` loop for any batch that is not
     exact everywhere, so coercions, rejections and their messages are
-    those of :meth:`append` whichever way a row arrives.
+    those of :meth:`append` whichever way a row arrives.  :meth:`unchecked`
+    skips the check, for columns whose source vouches for them (the
+    semantic store, which checks each batch it caches).
     """
 
     def __init__(self, name: str, schema: Schema, rows: Iterable[Sequence[Any]] = ()):
@@ -60,12 +62,21 @@ class Table:
                 f"{name}: columns have {[len(c) for c in columns]} values, "
                 f"expected {count} each"
             )
-        if len(columns) != len(schema) or not _columns_exact(schema, columns):
+        if len(columns) != len(schema) or not columns_exact(schema, columns):
             # Also the empty case: no column of no values is "exact".
             return cls(name, schema, zip(*columns))
+        return cls.unchecked(name, schema, columns, count)
+
+    @classmethod
+    def unchecked(
+        cls, name: str, schema: Schema, columns: Sequence[Sequence[Any]], count: int
+    ) -> "Table":
+        """Trusted :meth:`from_columns` that looks at no value: the caller
+        guarantees one sequence of ``count`` > 0 values per attribute, each
+        of its attribute's exact type (:func:`columns_exact`)."""
         table = cls(name, schema)
         table._rows = None
-        table._columns_cache = (count, columns)
+        table._columns_cache = (count, tuple(columns))
         return table
 
     def __len__(self) -> int:
@@ -119,7 +130,7 @@ class Table:
             len(self.schema)
         }:
             columns = tuple(zip(*batch))
-            if _columns_exact(self.schema, columns):
+            if columns_exact(self.schema, columns):
                 stored = self.rows
                 if not stored:
                     self._columns_cache = (len(batch), columns)
@@ -165,7 +176,7 @@ class Table:
         return lambda row: row[position]
 
 
-def _columns_exact(schema: Schema, columns: Sequence[Sequence[Any]]) -> bool:
+def columns_exact(schema: Schema, columns: Sequence[Sequence[Any]]) -> bool:
     """Whether every value already has its attribute's exact type — the batch
     form of ``coerce(v) is v``.  One column per attribute; empty columns are
     not exact (callers then take the row path, which does nothing)."""

@@ -38,7 +38,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import ReproError
 from repro.relational.schema import Schema
-from repro.relational.table import Row
+from repro.relational.table import Row, columns_exact
 from repro.semstore.boxes import (
     Box,
     Extent,
@@ -97,6 +97,9 @@ class TableStore:
     coverage/remainder/assembly question; storage is identical either way,
     so the two modes must return byte-identical answers (asserted by the
     property tests in ``tests/test_store_index.py``).
+
+    While :attr:`exact_types` holds, staging adopts assembled columns
+    without a type pass (:meth:`repro.relational.table.Table.unchecked`).
     """
 
     def __init__(
@@ -153,6 +156,11 @@ class TableStore:
         #: they were stored at: the running spend the rewriter's
         #: rent-or-buy rule weighs against the whole-table price.
         self._spent: dict[float, float] = {}
+        #: Every cached value has its attribute's exact type
+        #: (``columns_exact``, run by ``record`` on each fresh batch).  Only
+        #: ever goes from true to false: read true, it vouches for every
+        #: relation already assembled.
+        self.exact_types: bool = True
 
     def _coordinates(self) -> list[list]:
         """Per dimension, the list holding every row's coordinate."""
@@ -243,6 +251,7 @@ class TableStore:
                 f"{self.space.table}: a cached row needs {len(columns)} values"
             )
         batch = list(zip(*fresh))
+        self.exact_types = self.exact_types and columns_exact(self.schema, batch)
         base = len(columns[0])
         for column, values in zip(columns, batch):
             column.extend(values)
@@ -329,6 +338,9 @@ class TableStore:
             }
             self._next_cover_id = state["next_cover_id"]
             self._columns = state["columns"]
+            self.exact_types = not self._columns[0] or columns_exact(
+                self.schema, self._columns
+            )
             self._codes = state["codes"]
             self._chunks = state["chunks"]
             self._row_set = None

@@ -4,6 +4,7 @@ plus the golden-file machinery for the EXPLAIN rendering tests."""
 from __future__ import annotations
 
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,23 @@ from repro.relational.schema import Attribute, Domain, Schema
 from repro.relational.types import AttributeType as T
 
 GOLDENS_DIR = Path(__file__).parent / "goldens"
+
+# Hypothesis' pytest plugin imports this module (and through it libcst)
+# only to report a falsifying example; libcst's import warns that
+# ``mypy_extensions.TypedDict`` is deprecated, which the suite's
+# ``error::DeprecationWarning`` turns into an INTERNALERROR that hides the
+# example.  Importing it here first, with that one warning ignored, lets a
+# failing property print its example.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore",
+        message="mypy_extensions.TypedDict is deprecated",
+        category=DeprecationWarning,
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin skips its patch file itself
+        pass
 
 
 def pytest_addoption(parser):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +193,49 @@ class TestCompaction:
         assert report.snapshot_loaded and report.purchases_replayed > 0
         assert capture(second) == before
         assert market.ledger.spent.transactions == spent_before
+
+
+class TestLockOrder:
+    def test_a_snapshot_racing_a_purchase_finishes(self, tmp_path):
+        """A purchase holds its table's lock while it folds into the bill;
+        a snapshot takes every table lock, then the bill's.  One order, so
+        a snapshot taken while a purchase sits inside ``store.record``
+        waits for it instead of deadlocking, and what it wrote plus the
+        WAL after it recovers the live state."""
+        market = make_market()
+        state_dir = tmp_path / "state"
+        payless = durable(market, state_dir)
+        recording = threading.Event()
+        record = payless.store.record
+
+        def slow_record(*args, **kwargs):
+            recording.set()
+            time.sleep(0.3)  # the snapshot reaches its locks meanwhile
+            return record(*args, **kwargs)
+
+        payless.store.record = slow_record
+        buyer = threading.Thread(
+            target=payless.query, args=(weather_sql("CountryA", 1, 5),), daemon=True
+        )
+        snapshotter = threading.Thread(
+            target=lambda: (recording.wait(5.0), payless.durability.snapshot()),
+            daemon=True,
+        )
+        buyer.start()
+        snapshotter.start()
+        buyer.join(timeout=5.0)
+        snapshotter.join(timeout=5.0)
+        assert not buyer.is_alive() and not snapshotter.is_alive()
+        del payless.store.record
+        before = capture(payless)
+        assert before["weather"]["rows"]
+        payless.durability.abandon()
+
+        second = PayLess.full(market, options=QueryOptions(durability=state_dir))
+        second.register_dataset("WHW")
+        assert second.recover().snapshot_loaded
+        assert capture(second) == before
+        second.close()
 
 
 class TestLegacyShimRegression:

@@ -28,6 +28,7 @@ from repro.relational.types import AttributeType
 from repro.testing import oracle_evaluate, registered_payless, tiny_weather_market
 from repro.workloads.synthetic import make_join_graph
 from repro.workloads.weather import WeatherConfig
+from tests.test_engine_parity import _assert_same_multiset
 
 JOIN_SQL = (
     "SELECT City, Date, Temperature FROM Station, Weather "
@@ -87,6 +88,98 @@ class TestWarmPathDoesNotRevalidate:
         assert warm.stats.transactions == 0
         assert sorted(warm.rows) == sorted(cold.rows) and warm.rows
         assert len(calls) == 0
+
+
+WEATHER_SQL = (
+    "SELECT StationID, Date, Temperature FROM Weather "
+    "WHERE Country = 'CountryA' AND StationID = 1 AND Date <= 3"
+)
+
+
+class TestTheStoreVouchesForTypes:
+    """The store checks each batch it caches; staging adopts what it
+    assembles unchecked while the store vouches, and takes the checked
+    ``Table.from_columns`` (coercing) once it does not."""
+
+    @pytest.mark.parametrize("workload", ["real", "tpch"])
+    def test_an_exact_session_stages_unchecked(self, workload, monkeypatch):
+        checked, unchecked = [], []
+        from_columns, adopt = Table.from_columns, Table.unchecked
+
+        def spy(calls, make):
+            return lambda name, schema, columns, count: (
+                calls.append(count) or make(name, schema, columns, count)
+            )
+
+        monkeypatch.setattr(Table, "from_columns", spy(checked, from_columns))
+        monkeypatch.setattr(Table, "unchecked", spy(unchecked, adopt))
+        data = make_workload(workload, SESSION)
+        payless = build_system("payless", data)
+        q = SESSION.weather_q if workload == "real" else SESSION.tpch_q
+        instances = make_instances(workload, data, q, SESSION)
+        results = [payless.query(i.sql, i.params) for i in instances]
+        # Only an empty staged relation takes the checked path.
+        assert unchecked and not any(checked)
+        assert all(
+            payless.store.table(table.name).exact_types
+            for dataset in payless.market
+            for table in dataset
+        )
+        for instance, result in zip(instances, results):
+            want = oracle_evaluate(payless, instance.sql, instance.params)
+            _assert_same_multiset(result.rows, want.rows)
+
+    def test_an_int_in_a_float_column_is_coerced_at_staging(self, payless):
+        weather = payless.store.table("Weather")
+        cold = payless.query(WEATHER_SQL)
+        assert cold.stats.transactions > 0 and weather.exact_types
+        payless.store.record(
+            "Weather", weather.space.full_box, [("CountryA", 1, 2, 99)]
+        )
+        assert not weather.exact_types
+        warm = payless.query(WEATHER_SQL)
+        assert warm.stats.transactions == 0
+        assert sorted(warm.rows) == sorted([*cold.rows, (1, 2, 99.0)])
+        assert {type(row[2]) for row in warm.rows} == {float}
+
+    @pytest.mark.parametrize("inexact", [False, True])
+    @pytest.mark.parametrize("clean_close", [True, False])
+    def test_the_flag_survives_a_restart(
+        self, tmp_path, monkeypatch, clean_close, inexact
+    ):
+        """Through the snapshot (``clean_close``) and through WAL replay.
+        ``inexact``: a seller that sends ``13`` for a FLOAT ``13.0``."""
+        market = tiny_weather_market()
+        if inexact:
+            get = market.get
+
+            def sloppy_get(request, **kwargs):
+                response = get(request, **kwargs)
+                rows = tuple((*row[:3], int(row[3])) for row in response.rows)
+                return replace(response, rows=rows)
+
+            monkeypatch.setattr(market, "get", sloppy_get)
+
+        def install():
+            payless = registered_payless(
+                market, options=QueryOptions(durability=tmp_path / "state")
+            )
+            payless.recover()
+            return payless
+
+        first = install()
+        answer = first.query(WEATHER_SQL)
+        assert first.store.table("Weather").exact_types is not inexact
+        if clean_close:
+            first.close()
+        else:
+            first.durability.abandon()
+        second = install()
+        assert second.store.table("Weather").exact_types is not inexact
+        again = second.query(WEATHER_SQL)
+        assert again.stats.transactions == 0 and again.rows == answer.rows
+        assert {type(row[2]) for row in again.rows} == {float}
+        second.close()
 
 
 class TestSameTableTwice:
